@@ -70,8 +70,15 @@ class KnowledgeGraph:
     # external functions
     # ------------------------------------------------------------------
 
-    def register_function(self, name: str, function: Callable[..., Any]) -> None:
-        self.functions.register(name, function)
+    def register_function(
+        self,
+        name: str,
+        function: Callable[..., Any],
+        batch: Callable[..., Any] | None = None,
+    ) -> None:
+        """Register ``$name``; ``batch`` is its optional batch form (see
+        :class:`~repro.datalog.builtins.FunctionRegistry`)."""
+        self.functions.register(name, function, batch=batch)
 
     # ------------------------------------------------------------------
     # facts

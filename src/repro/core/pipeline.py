@@ -20,13 +20,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from ..datalog.engine import Engine
 from ..datalog.incremental import IncrementalEngine
 from ..datalog.terms import skolem
+from ..datalog.vectorized import VectorRuntimeFallback
 from ..embeddings.node2vec import Node2VecConfig, embed_and_cluster
 from ..graph.company_graph import FAMILY, CompanyGraph
 from ..graph.property_graph import NodeId
 from ..linkage.bayes import BayesianLinkClassifier
+from ..linkage.table import PersonTable
 from ..linkage.training import default_classifiers
 from ..ownership.close_links import close_link_pairs as procedural_close_links
 from ..ownership.close_links import is_acyclic
@@ -122,20 +126,52 @@ class ReasoningPipeline:
             self.kg.add_fact("family_member", (edge.source, edge.target))
 
     def _register_functions(self) -> None:
-        person_features = {
-            skolem("sk_p", (node.id,)): node.properties
-            for node in self.graph.persons()
-        }
+        """``$link_probability(class, x, y)`` in both forms, over one
+        person table: the scalar form scores a pair of its rows, the
+        batch form arrays of them.  An unknown class or an id that is
+        not a person scores 0.0 either way."""
+        persons = list(self.graph.persons())
+        table = PersonTable([dict(node.properties) for node in persons])
+        row_of = {skolem("sk_p", (node.id,)): row for row, node in enumerate(persons)}
 
         def link_probability(link_class: str, x: str, y: str) -> float:
             classifier = self.classifiers.get(link_class)
-            left = person_features.get(x)
-            right = person_features.get(y)
+            left = row_of.get(x)
+            right = row_of.get(y)
             if classifier is None or left is None or right is None:
                 return 0.0
-            return classifier.probability(left, right)
+            return classifier.probability(table.persons[left], table.persons[right])
 
-        self.kg.register_function("link_probability", link_probability)
+        def rows_of(values, codes):
+            distinct, inverse = np.unique(codes, return_inverse=True)
+            rows = np.fromiter(
+                (row_of.get(values[code], -1) for code in distinct.tolist()),
+                dtype=np.int64,
+                count=len(distinct),
+            )
+            return rows[inverse.reshape(-1)]
+
+        def link_probability_batch(values, args):
+            link_class, xs, ys = args
+            if isinstance(link_class, np.ndarray) or not (
+                _is_codes(xs) and _is_codes(ys)
+            ):
+                raise VectorRuntimeFallback(
+                    "$link_probability batches (constant class, id, id) only"
+                )
+            out = np.zeros(len(xs), dtype=np.float64)
+            classifier = self.classifiers.get(link_class)
+            if classifier is None:
+                return out
+            left = rows_of(values, xs)
+            right = rows_of(values, ys)
+            known = (left >= 0) & (right >= 0)
+            out[known] = classifier.probability_batch(table, left[known], right[known])
+            return out
+
+        self.kg.register_function(
+            "link_probability", link_probability, batch=link_probability_batch
+        )
 
     def _install_programs(self) -> None:
         config = self.config
@@ -451,6 +487,11 @@ class ReasoningPipeline:
                 add(x, y, "close_link")
             span.set("new_edges", augmented.edge_count - self.graph.edge_count)
         return augmented
+
+
+def _is_codes(arg: object) -> bool:
+    """Is a batch-external argument a column of value codes?"""
+    return isinstance(arg, np.ndarray) and arg.dtype == np.int64
 
 
 def _hashable(value: object) -> object:

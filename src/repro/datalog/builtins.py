@@ -46,16 +46,47 @@ _ARITHMETIC: dict[str, Callable[[Any, Any], Any]] = {
 
 
 class FunctionRegistry:
-    """Named external functions callable from rules as ``$name(args)``."""
+    """Named external functions callable from rules as ``$name(args)``.
+
+    A function may additionally carry a **batch form**, which the
+    vectorized backend calls once per rule application instead of the
+    scalar form once per binding::
+
+        batch(values, args) -> float64 array of length m
+
+    ``args`` has one entry per call argument: an int64 numpy array of
+    value *codes* (``values[code]`` is the Python value), a float64
+    numpy array of computed numbers, or — anything that is not an array
+    — a constant shared by all ``m`` rows.  The result must equal the
+    scalar form elementwise (``out[i] == function(*row_i)``, with the
+    scalar returning a Python float), and both forms must be pure: the
+    engine de-duplicates argument tuples and picks the form by backend.
+    A batch form that cannot handle its arguments raises
+    :class:`~repro.datalog.vectorized.VectorRuntimeFallback`; the rule
+    then runs on the scalar form.
+    """
 
     def __init__(self) -> None:
         self._functions: dict[str, Callable[..., Any]] = {}
+        self._batch: dict[str, Callable[..., Any]] = {}
 
-    def register(self, name: str, function: Callable[..., Any]) -> None:
+    def register(
+        self,
+        name: str,
+        function: Callable[..., Any],
+        batch: Callable[..., Any] | None = None,
+    ) -> None:
+        """Register (or replace) ``$name``; a batch form registered
+        earlier under the same name never outlives its scalar."""
         self._functions[name] = function
+        if batch is None:
+            self._batch.pop(name, None)
+        else:
+            self._batch[name] = batch
 
     def unregister(self, name: str) -> None:
         self._functions.pop(name, None)
+        self._batch.pop(name, None)
 
     def get(self, name: str) -> Callable[..., Any]:
         try:
@@ -65,12 +96,17 @@ class FunctionRegistry:
                 f"external function ${name} is not registered"
             ) from None
 
+    def batch(self, name: str) -> Callable[..., Any] | None:
+        """The batch form of ``$name``, or None when it has only a scalar."""
+        return self._batch.get(name)
+
     def __contains__(self, name: str) -> bool:
         return name in self._functions
 
     def copy(self) -> "FunctionRegistry":
         clone = FunctionRegistry()
         clone._functions = dict(self._functions)
+        clone._batch = dict(self._batch)
         return clone
 
 

@@ -323,6 +323,9 @@ class Engine:
             child.set("applications", applications)
             child.set("firings", firings)
             child.set("derived", derived)
+            self._set_vector_attributes(
+                child, [key for key in self._vector_cache if key[0] == id(rule)]
+            )
             child.finish(duration=elapsed)
         if self._aggregate_states:
             span.set("aggregate_groups", len(self._aggregate_states))
@@ -496,6 +499,29 @@ class Engine:
         self._vector_cache[key] = (signature, vectorized)
         return vectorized
 
+    def _set_vector_attributes(self, span, keys) -> None:
+        """How far the batch backend carried the (rule, seed) pairs in
+        ``keys``: ``cut`` is the first plan step that ran per row (the
+        smallest over the pairs; ``len(order)`` means only the head did)
+        or "none" when every pair stayed vectorized end to end;
+        ``external_rows`` / ``external_distinct`` count the rows their
+        batch externals saw and the distinct argument tuples they scored.
+        Sets nothing when no pair runs vectorized."""
+        entries = [
+            self._vector_cache.get(key)
+            for key in keys
+            if key not in self._vector_disabled
+        ]
+        lowered = [entry[1] for entry in entries if entry and entry[1] is not None]
+        if not lowered:
+            return
+        cuts = [rule.cut for rule in lowered if rule.cut is not None]
+        span.set("cut", min(cuts) if cuts else "none")
+        externals = [rule.external for rule in lowered if rule.external is not None]
+        if externals:
+            span.set("external_rows", sum(rows for rows, _ in externals))
+            span.set("external_distinct", sum(distinct for _, distinct in externals))
+
     def _apply_compiled(self, compiled, seed_facts: list[FactValues] | None) -> list[Fact]:
         derived, firings = compiled.execute(seed_facts)
         return self._ingest_derived(derived, firings)
@@ -545,6 +571,7 @@ class Engine:
                         and (rule_id, seed_index) not in self._vector_disabled
                     )
                     child.set("backend", "vectorized" if vectorized else "compiled")
+                    self._set_vector_attributes(child, [(rule_id, seed_index)])
                     if not vectorized:
                         reason = self._vector_fallbacks.get((rule_id, seed_index))
                         if reason:

@@ -10,7 +10,14 @@ planner replaces that with a per-(rule, seed-occurrence) plan:
 * **positive atoms are reordered by estimated selectivity** — greedy
   cheapest-next using current predicate cardinalities and a per-bound-
   position selectivity discount (an already-built index contributes its
-  real distinct-key count);
+  real distinct-key count) — but an atom joining on an already-bound
+  variable always goes before one that does not: a cross product is
+  only taken when nothing connected is left, whatever the estimates
+  (which are default selectivities until an index exists) say;
+* **external calls sink** — a comparison or assignment that calls a
+  ``$function`` is the one filter that is *not* hoisted to its earliest
+  point: it waits until no remaining atom joins on a bound variable, so
+  the external scores the joined rows, not the pre-join expansion;
 * **aggregates are barriers** — a monotonic aggregate folds its
   contributions *in enumeration order* and every intermediate total
   becomes a fact under set semantics, so any atom reordering before (or
@@ -42,7 +49,7 @@ from dataclasses import dataclass, field
 
 from .atoms import Aggregate, Assignment, Atom, Comparison, Negation
 from .database import Database
-from .terms import Constant, Variable, variables_of
+from .terms import Constant, Expr, FunctionTerm, SkolemTerm, Variable, variables_of
 
 #: Fraction of a relation assumed to survive each bound probe position
 #: when no index statistics exist yet (a classic Selinger-style default).
@@ -129,21 +136,25 @@ class JoinPlan:
 
 def _atom_bound_positions(
     atom: Atom, bound: set[str]
-) -> tuple[tuple[int, ...], set[str], bool]:
+) -> tuple[tuple[int, ...], set[str], bool, bool]:
     """Classify an atom's positions against the currently bound variables.
 
     Returns (probe positions, variable names newly bound by matching this
-    atom, placeable?).  An atom is placeable once every variable inside
-    its complex terms is bound — the engine folds complex terms into the
-    index pattern, which requires evaluating them.
+    atom, placeable?, connected?).  An atom is placeable once every
+    variable inside its complex terms is bound — the engine folds complex
+    terms into the index pattern, which requires evaluating them.  It is
+    connected when it joins on a bound variable (a constant probe alone
+    selects rows but joins nothing).
     """
     probe: list[int] = []
     fresh: set[str] = set()
     placeable = True
+    connected = False
     for position, term in enumerate(atom.terms):
         if isinstance(term, Variable):
             if term.name in bound:
                 probe.append(position)
+                connected = True
             else:
                 # fresh (or an intra-atom repeat of a fresh) variable:
                 # bound by matching, checked — not probed — on repeats
@@ -154,9 +165,10 @@ def _atom_bound_positions(
             names = {v.name for v in variables_of(term)}
             if names <= bound:
                 probe.append(position)
+                connected = connected or bool(names)
             else:
                 placeable = False
-    return tuple(probe), fresh, placeable
+    return tuple(probe), fresh, placeable, connected
 
 
 def _estimate_atom(
@@ -179,6 +191,23 @@ def _estimate_atom(
 def _literal_uses(literal) -> set[str]:
     """Variable names a literal needs bound before it can run."""
     return {v.name for v in literal.variables()}
+
+
+def _calls_external(literal) -> bool:
+    """Does a comparison/assignment evaluate a ``$function``?"""
+    if isinstance(literal, Comparison):
+        pending = [literal.lhs, literal.rhs]
+    elif isinstance(literal, Assignment):
+        pending = [literal.expression]
+    else:
+        return False
+    while pending:
+        term = pending.pop()
+        if isinstance(term, FunctionTerm):
+            return True
+        if isinstance(term, (Expr, SkolemTerm)):
+            pending.extend(term.args)
+    return False
 
 
 def order_sensitive_predicates(program) -> set[str]:
@@ -340,8 +369,20 @@ def _plan_segment(
             )
         )
 
+    def candidates():
+        """Placeable atoms as (connected?, index, probe, fresh)."""
+        for queue_position, index in enumerate(atom_queue):
+            if not reorder_atoms and queue_position > 0:
+                return  # keep textual atom order before the last aggregate
+            probe, fresh, placeable, connected = _atom_bound_positions(
+                literals[index], bound
+            )
+            if placeable:
+                yield connected, index, probe, fresh
+
     def drain_ready_filters() -> None:
-        """Emit non-atom literals (textual order) as they become ready."""
+        """Emit non-atom literals (textual order) as they become ready;
+        external calls wait while an atom still joins on a bound variable."""
         progressed = True
         while progressed:
             progressed = False
@@ -349,34 +390,33 @@ def _plan_segment(
                 literal = literals[index]
                 if isinstance(literal, Aggregate):
                     continue  # pinned to the end of the segment
-                if _literal_uses(literal) <= bound:
-                    others.remove(index)
-                    if isinstance(literal, Negation):
-                        probe = tuple(range(literal.atom.arity))
-                        emit(index, "negation", probe)
-                    elif isinstance(literal, Comparison):
-                        emit(index, "comparison")
-                    else:  # Assignment
-                        emit(index, "assignment")
-                        bound.add(literal.variable.name)
-                    progressed = True
+                if not _literal_uses(literal) <= bound:
+                    continue
+                if _calls_external(literal) and any(
+                    connected for connected, *_ in candidates()
+                ):
+                    continue
+                others.remove(index)
+                if isinstance(literal, Negation):
+                    probe = tuple(range(literal.atom.arity))
+                    emit(index, "negation", probe)
+                elif isinstance(literal, Comparison):
+                    emit(index, "comparison")
+                else:  # Assignment
+                    emit(index, "assignment")
+                    bound.add(literal.variable.name)
+                progressed = True
 
-    drain_ready_filters()
     atom_queue = list(atoms)
+    drain_ready_filters()
     while atom_queue:
         best = None
         best_key = None
-        for queue_position, index in enumerate(atom_queue):
-            atom = literals[index]
-            probe, fresh, placeable = _atom_bound_positions(atom, bound)
-            if not placeable:
-                continue
-            if not reorder_atoms and queue_position > 0:
-                continue  # keep textual atom order before the last aggregate
-            est = _estimate_atom(atom, probe, database)
-            key = (est, index)
+        for connected, index, probe, fresh in candidates():
+            est = _estimate_atom(literals[index], probe, database)
+            key = (not connected, est, index)
             if best_key is None or key < best_key:
-                best, best_key = (index, atom, probe, fresh, est), key
+                best, best_key = (index, probe, fresh, est), key
         if best is None:
             # No placeable atom (a complex term over never-yet-bound
             # variables): finish in textual order; the engine falls back
@@ -384,7 +424,7 @@ def _plan_segment(
             for index in atom_queue + others:
                 emit(index, _kind_of(literals[index]))
             return False
-        index, atom, probe, fresh, est = best
+        index, probe, fresh, est = best
         atom_queue.remove(index)
         emit(index, "atom", probe, est)
         bound.update(fresh)

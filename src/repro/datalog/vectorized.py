@@ -23,14 +23,25 @@ Execution model
 * **comparisons / assignments** are boolean masks / new columns, with
   per-execute type checks (see *Numeric safety* below) guaranteeing the
   masks equal what Python operators would have produced row by row;
+* **external functions with a batch form** (see
+  :class:`~repro.datalog.builtins.FunctionRegistry`) are one step too:
+  the argument columns are de-duplicated (``np.unique`` on the packed
+  tuple), the batch form scores the distinct tuples in chunks of
+  :data:`EXTERNAL_CHUNK` rows, and the result is scattered back as a
+  float64 column — so a rule like Algorithm 7's ``P =
+  $link_probability(C, X, Y), P > 0.5`` stays columnar from seed to
+  head.  The batch form must equal the scalar form elementwise; the
+  compiled and interpreted paths keep calling the scalar and remain
+  the oracle;
 * **everything else cuts to a per-row tail**: at the first plan step the
   batch backend does not cover (monotone aggregates, complex/Skolem
-  terms, external functions, existential heads), the surviving rows are
-  decoded back to Python values and pushed through a closure chain built
-  by the *compiled* lowering for the remaining steps.  The tail shares
-  the engine's aggregate-state dicts, so aggregate totals fold in the
-  identical order with identical float arithmetic — bit-identity needs
-  no separate proof for the hard part.
+  terms, external functions registered without a batch form,
+  existential heads), the surviving rows are decoded back to Python
+  values and pushed through a closure chain built by the *compiled*
+  lowering for the remaining steps.  The tail shares the engine's
+  aggregate-state dicts, so aggregate totals fold in the identical
+  order with identical float arithmetic — bit-identity needs no
+  separate proof for the hard part.
 
 Identity discipline
 -------------------
@@ -69,8 +80,9 @@ from typing import Any, Callable
 from .atoms import Aggregate, Assignment, Atom, Comparison, Negation
 from .columns import MAX_CODES, NUMPY_AVAILABLE
 from .compiled import CompilationFallback, _Lowering
+from .errors import EvaluationError
 from .planner import JoinPlan
-from .terms import Constant, Expr, Variable
+from .terms import Constant, Expr, FunctionTerm, Variable
 
 if NUMPY_AVAILABLE:  # pragma: no branch
     import numpy as np
@@ -79,6 +91,11 @@ if NUMPY_AVAILABLE:  # pragma: no branch
 #: rule falls back to the compiled path rather than risk an allocation
 #: hundreds of times larger than the final result.
 MAX_EXPANSION = 1 << 25
+
+#: Distinct argument tuples handed to a batch external per call.  The
+#: batch form allocates a few arrays per feature it compares; chunking
+#: keeps that transient memory fixed however many rows the join produced.
+EXTERNAL_CHUNK = 1 << 16
 
 
 class VectorizationFallback(Exception):
@@ -133,6 +150,17 @@ def _pack_pair(a, b):
     return (a << 32) | b
 
 
+def _pack_rows(columns):
+    """One int64 key per row of ``(kind, column)`` pairs: equal keys iff
+    the rows agree column by column (floats compared by bit pattern)."""
+    packed = None
+    for kind, col in columns:
+        if kind == "float":
+            col = _dense(np.ascontiguousarray(col).view(np.int64))
+        packed = col if packed is None else _pack_pair(_dense(packed), col)
+    return packed
+
+
 def _float_codes(interner, col):
     """Codes of a float64 column via the shared interner.
 
@@ -170,6 +198,9 @@ class _VecLowering:
         self.bound: set[str] = set()
         self.steps: list[Callable[[_Run], _Run]] = []
         self.joins_lowered = 0
+        #: [rows seen, distinct argument tuples scored] summed over the
+        #: rule's batch externals and executions; None without one
+        self.external: list[int] | None = None
 
     def slot_for(self, name: str, kind: str) -> int:
         index = self.slots.get(name)
@@ -194,9 +225,70 @@ class _VecLowering:
             return (kind, lambda run, i=slot: run.col(i))
         if isinstance(term, Expr):
             return ("float", self._lower_arithmetic(term))
+        if isinstance(term, FunctionTerm):
+            return ("float", self._lower_external(term))
         raise VectorizationFallback(
             f"term {term} needs per-row evaluation"
         )
+
+    def _lower_external(self, term: FunctionTerm):
+        """fn(run) -> float64 column of ``$name(args)`` through the
+        function's batch form: one call per chunk of *distinct* argument
+        tuples.  Without a batch form (or without any column argument)
+        the call stays per-row territory, exactly as before."""
+        functions = self.engine.functions
+        name = term.name
+        if functions.batch(name) is None:
+            raise VectorizationFallback(f"${name} has no batch form")
+        lowered = [self.lower_value(arg) for arg in term.args]
+        if all(kind == "const" for kind, _ in lowered):
+            raise VectorizationFallback(f"${name} takes no column argument")
+        values = self.interner.values
+        if self.external is None:
+            self.external = [0, 0]
+        stats = self.external
+
+        def producer(run: _Run):
+            batch = functions.batch(name)
+            if batch is None:  # re-registered scalar-only since lowering
+                raise VectorRuntimeFallback(f"${name} lost its batch form")
+            args: list = []
+            columns = []
+            for kind, payload in lowered:
+                if kind == "const":
+                    args.append(payload)
+                    continue
+                col = payload(run)
+                if np.ndim(col) == 0:  # constant-only arithmetic
+                    col = np.full(run.n, col, dtype=np.float64)
+                args.append(col)
+                columns.append((kind, col))
+            _, first, inverse = np.unique(
+                _pack_rows(columns), return_index=True, return_inverse=True
+            )
+            distinct = len(first)
+            args = [
+                arg[first] if isinstance(arg, np.ndarray) else arg for arg in args
+            ]
+            out = np.empty(distinct, dtype=np.float64)
+            for start in range(0, distinct, EXTERNAL_CHUNK):
+                stop = min(start + EXTERNAL_CHUNK, distinct)
+                chunk = tuple(
+                    arg[start:stop] if isinstance(arg, np.ndarray) else arg
+                    for arg in args
+                )
+                result = np.asarray(batch(values, chunk), dtype=np.float64)
+                if result.shape != (stop - start,):
+                    raise EvaluationError(
+                        f"batch form of ${name} returned shape {result.shape} "
+                        f"for {stop - start} rows"
+                    )
+                out[start:stop] = result
+            stats[0] += run.n
+            stats[1] += distinct
+            return out[inverse.reshape(-1)]
+
+        return producer
 
     def _float_operand(self, term):
         """fn(run) -> float64 column-or-scalar, guaranteed to match the
@@ -813,17 +905,13 @@ class _VecFinal:
         dropping them preserves the delta and the insertion order."""
         if not self.dedup_slots:
             return np.zeros(1, dtype=np.int64)
-        packed = None
-        for slot in self.dedup_slots:
-            col = run.col(slot)
-            if self.kinds[slot] == "float":
-                if np.isnan(col).any():
-                    # compiled dedups NaN facts by object identity;
-                    # bitwise dedup would merge distinct NaN objects
-                    raise VectorRuntimeFallback("NaN in head values")
-                col = _dense(col.view(np.int64))
-            packed = col if packed is None else _pack_pair(_dense(packed), col)
-        _, first = np.unique(packed, return_index=True)
+        columns = [(self.kinds[slot], run.col(slot)) for slot in self.dedup_slots]
+        for kind, col in columns:
+            if kind == "float" and np.isnan(col).any():
+                # compiled dedups NaN facts by object identity;
+                # bitwise dedup would merge distinct NaN objects
+                raise VectorRuntimeFallback("NaN in head values")
+        _, first = np.unique(_pack_rows(columns), return_index=True)
         first.sort()
         return first
 
@@ -836,14 +924,23 @@ class VectorizedRule:
     """A planned rule lowered to batch steps (plus optional per-row tail)."""
 
     __slots__ = (
-        "plan", "signature", "interner", "_seed_entry", "_steps", "_tail",
-        "_final",
+        "plan", "signature", "interner", "cut", "external", "_seed_entry",
+        "_steps", "_tail", "_final",
     )
 
-    def __init__(self, plan, signature, interner, seed_entry, steps, tail, final):
+    def __init__(
+        self, plan, signature, interner, seed_entry, steps, tail, final, cut, external
+    ):
         self.plan = plan
         self.signature = signature
         self.interner = interner
+        #: plan step index where execution leaves the batch backend for
+        #: the per-row tail (``len(plan.order)``: only the head is per
+        #: row); None when the rule stays vectorized end to end
+        self.cut = cut
+        #: [rows seen, distinct tuples scored] by the rule's batch
+        #: externals over all executions; None when it has none
+        self.external = external
         self._seed_entry = seed_entry
         self._steps = steps
         self._tail = tail
@@ -927,10 +1024,12 @@ def compile_rule_vectorized(engine, rule, plan: JoinPlan) -> VectorizedRule:
     else:
         final = _lower_final_vectorized(engine, rule, vec)
         if final is None:
-            tail = _build_tail(engine, rule, plan, vec, len(plan.order))
+            cut = len(plan.order)
+            tail = _build_tail(engine, rule, plan, vec, cut)
     signature = (plan.order, tuple(step.probe_positions for step in plan.steps))
     return VectorizedRule(
-        plan, signature, vec.interner, seed_entry, vec.steps, tail, final
+        plan, signature, vec.interner, seed_entry, vec.steps, tail, final,
+        cut, vec.external,
     )
 
 

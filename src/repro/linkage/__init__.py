@@ -17,6 +17,7 @@ from .features import (
     partner_features,
     sibling_features,
 )
+from .table import PersonTable
 from .topological import (
     adamic_adar,
     common_neighbors,
@@ -50,6 +51,7 @@ __all__ = [
     "LINK_CLASSES",
     "PARENT_OF",
     "PARTNER_OF",
+    "PersonTable",
     "SIBLING_OF",
     "absolute_difference",
     "default_feature_specs",

@@ -24,12 +24,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence
 
+import numpy as np
+
 from .features import FeatureSpec
+from .table import PersonTable, direction_mask, evidence
 
 #: Laplace-style smoothing applied to estimated probabilities.
 _SMOOTHING = 0.5
 #: Posteriors are clamped away from 0/1 so one feature cannot veto the rest.
 _CLAMP = 1e-4
+#: Most features whose base-3 evidence pattern still fits an int64.
+_MAX_PATTERN_FEATURES = 39
 
 
 def graham_combination(probabilities: Sequence[float]) -> float:
@@ -144,9 +149,12 @@ class BayesianLinkClassifier:
         """
         if self.direction is not None and not self.direction(left, right):
             return 0.0
+        return self._combine([spec.matches(left, right) for spec in self.features])
+
+    def _combine(self, matches: Sequence[bool | None]) -> float:
+        """Link probability from one verdict per feature (None: missing)."""
         posteriors: list[float] = []
-        for spec in self.features:
-            matched = spec.matches(left, right)
+        for spec, matched in zip(self.features, matches):
             if matched is None:
                 continue  # missing data contributes no evidence
             posteriors.append(self.estimates[spec.name].posterior(matched, 0.5))
@@ -157,6 +165,45 @@ class BayesianLinkClassifier:
         prior = min(max(self.prior, _CLAMP), 1.0 - _CLAMP)
         odds = (evidence / (1.0 - evidence)) * (prior / (1.0 - prior))
         return odds / (1.0 + odds)
+
+    def probability_batch(self, table: PersonTable, left, right):
+        """:meth:`probability` of ``(table.persons[l], table.persons[r])``
+        for each pair of the row-index arrays, as a float64 array.
+
+        Features are compared column-wise (see :mod:`.table`); the
+        per-feature verdicts pack into a base-3 pattern, and each pattern
+        that *occurs* (at most 3**len(features)) is scored once by the
+        same :meth:`_combine` the scalar path uses — so every element
+        equals the scalar result exactly, not approximately.
+        """
+        left = np.asarray(left, dtype=np.int64)
+        right = np.asarray(right, dtype=np.int64)
+        if len(self.features) > _MAX_PATTERN_FEATURES:
+            persons = table.persons
+            return np.asarray(
+                [
+                    self.probability(persons[l], persons[r])
+                    for l, r in zip(left.tolist(), right.tolist())
+                ],
+                dtype=np.float64,
+            )
+        columns = [evidence(spec, table, left, right) for spec in self.features]
+        pattern = np.zeros(len(left), dtype=np.int64)
+        for digits in columns:
+            pattern = pattern * 3 + digits
+        _, first, inverse = np.unique(pattern, return_index=True, return_inverse=True)
+        verdicts = (None, False, True)  # by digit: MISSING, NO_MATCH, MATCH
+        scores = np.asarray(
+            [
+                self._combine([verdicts[digits[row]] for digits in columns])
+                for row in first.tolist()
+            ],
+            dtype=np.float64,
+        )
+        probabilities = scores[inverse.reshape(-1)]
+        if self.direction is not None:
+            probabilities[~direction_mask(self.direction, table, left, right)] = 0.0
+        return probabilities
 
     def predict(
         self, left: dict[str, Any], right: dict[str, Any], threshold: float = 0.5

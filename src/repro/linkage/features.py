@@ -65,6 +65,16 @@ def _age_gap(a: Any, b: Any) -> float:
     return absolute_difference(year_of(a), year_of(b))
 
 
+#: Years between a parent's and a child's birth the parent_of evidence
+#: centres on.
+GENERATION_YEARS = 30.0
+
+
+def _generation_gap(a: Any, b: Any) -> float:
+    """How far the age gap is from one generation."""
+    return abs(_age_gap(a, b) - GENERATION_YEARS)
+
+
 def partner_features() -> tuple[FeatureSpec, ...]:
     """Evidence for a PartnerOf link: cohabitation and close ages.
 
@@ -106,7 +116,7 @@ def parent_features() -> tuple[FeatureSpec, ...]:
         FeatureSpec("surname", _surname_distance, 2.0),
         FeatureSpec("address", equality_distance, 0.5, m_default=0.7, u_default=0.02),
         FeatureSpec("birth_place", equality_distance, 0.5, m_default=0.4, u_default=0.1),
-        FeatureSpec("birth_date", lambda a, b: abs(_age_gap(a, b) - 30.0), 14.0),
+        FeatureSpec("birth_date", _generation_gap, 14.0),
         # paternity check: the candidate parent's own first name AND surname
         # match the child's recorded father name and inherited surname
         # (matches for fathers, not mothers — hence the moderate m; the
@@ -134,13 +144,17 @@ def _paternity_match(left: dict[str, Any], right: dict[str, Any]) -> bool | None
     )
 
 
+#: Fewest years a parent is older than a child.
+PARENT_MIN_AGE_GAP = 15
+
+
 def parent_direction(left: dict[str, Any], right: dict[str, Any]) -> bool:
     """ParentOf is directional: the parent is at least 15 years older."""
     left_birth = left.get("birth_date")
     right_birth = right.get("birth_date")
     if left_birth is None or right_birth is None:
         return False
-    return year_of(left_birth) + 15 <= year_of(right_birth)
+    return year_of(left_birth) + PARENT_MIN_AGE_GAP <= year_of(right_birth)
 
 
 def default_feature_specs() -> dict[str, tuple[FeatureSpec, ...]]:

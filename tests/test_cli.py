@@ -1,9 +1,15 @@
 """Tests for the command-line interface."""
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import main
 
 
@@ -299,6 +305,34 @@ class TestServeStoreValidation:
         FrameStore.create(root)
         assert main(["serve", "--store", str(root)]) == 2
         self.assert_one_line_error(capsys, "no published snapshot versions")
+
+
+class TestAugmentOutputIsPinned:
+    """``repro augment`` writes the bytes it wrote before ``fl_*`` went
+    columnar.  The digest was taken at the commit before batch externals
+    (scalar ``$link_probability``, per-row tail) from these two commands;
+    a fresh process with a pinned hash seed because the output order
+    follows Python set iteration."""
+
+    DIGEST = "fc4d814d78eb1a1f2795c23690c81ba178279c862ee8441b01c0d1a7eb3910a6"
+
+    def test_sparse_extract(self, tmp_path):
+        env = dict(
+            os.environ,
+            PYTHONHASHSEED="0",
+            PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]),
+        )
+        for arguments in (
+            ["generate", "extract", "--persons", "150", "--companies", "110",
+             "--density", "sparse", "--seed", "1"],
+            ["augment", "extract", "out.json"],
+        ):
+            subprocess.run(
+                [sys.executable, "-m", "repro", *arguments],
+                cwd=tmp_path, env=env, check=True, capture_output=True, timeout=120,
+            )
+        digest = hashlib.sha256((tmp_path / "out.json").read_bytes()).hexdigest()
+        assert digest == self.DIGEST
 
 
 class TestGenerateStore:

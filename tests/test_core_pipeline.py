@@ -67,6 +67,38 @@ class TestFamilyDetection:
             assert graph.is_person(x) and graph.is_person(y)
 
 
+class TestLinkProbabilityForms:
+    def test_scalar_and_batch_forms_agree_on_unknowns(self, world):
+        import numpy as np
+
+        from repro.datalog.terms import skolem
+
+        graph, _ = world
+        pipeline = ReasoningPipeline(graph, fast_config())
+        scalar = pipeline.kg.functions.get("link_probability")
+        batch = pipeline.kg.functions.batch("link_probability")
+        person, other = [skolem("sk_p", (n.id,)) for n in list(graph.persons())[:2]]
+        values = [person, other, "not-a-person", 42]
+        xs = np.asarray([0, 0, 2, 1, 3], dtype=np.int64)
+        ys = np.asarray([1, 2, 1, 0, 3], dtype=np.int64)
+        for link_class in ("partner_of", "sibling_of", "parent_of", "cousin_of"):
+            expected = [
+                scalar(link_class, values[x], values[y])
+                for x, y in zip(xs.tolist(), ys.tolist())
+            ]
+            assert batch(values, (link_class, xs, ys)).tolist() == expected
+        assert expected == [0.0] * 5  # unknown class
+
+    def test_overriding_the_scalar_drops_the_batch_form(self, world):
+        """A re-registered ``$link_probability`` must win on every
+        backend — a stale batch form would keep answering instead."""
+        graph, _ = world
+        pipeline = ReasoningPipeline(graph, fast_config())
+        assert pipeline.family_links()
+        pipeline.kg.register_function("link_probability", lambda *_: 0.0)
+        assert pipeline.family_links() == set()
+
+
 class TestFamilyMaterialisation:
     def test_links_become_family_nodes(self, world):
         graph, truth = world

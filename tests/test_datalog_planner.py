@@ -106,6 +106,68 @@ class TestPlanShape:
             database.add("r", (i,))
         assert plan.stale(database)
 
+    def test_connected_atom_beats_a_cheaper_cross_product(self):
+        # no index on big yet: its default-selectivity estimate (20) is
+        # above other's cardinality (5), yet big joins on X and other on
+        # nothing — the cross product must wait
+        database = Database(
+            [("first", (i,)) for i in range(3)]
+            + [("big", (i % 3, i)) for i in range(200)]
+            + [("other", (i,)) for i in range(5)]
+        )
+        rule = parse_rule("first(X), other(Z), big(X, Y) -> out(X, Y, Z).")
+        plan = plan_rule(rule, None, database)
+        assert [step.rendered for step in plan.steps] == [
+            "first(X)", "big(X, Y)", "other(Z)",
+        ]
+
+    def test_blocked_family_link_rule_joins_blocks_before_the_external(self):
+        from repro.core.programs import family_link_program
+
+        persons = [f"p{i}" for i in range(60)]
+        database = Database(
+            [("node_type", (p, "person")) for p in persons]
+            + [("node_type", (f"c{i}", "company")) for i in range(40)]
+            + [("block", (0, f"b{i % 20}", p)) for i, p in enumerate(persons)]
+            + [("block", (0, f"s{i % 7}", p)) for i, p in enumerate(persons)]
+        )
+        (rule,) = parse_program(family_link_program(("partner_of",))).rules
+        # round 0 and both node_type seeds (body positions 3 and 4)
+        for seed in (None, 3, 4):
+            plan = plan_rule(rule, seed, database)
+            assert plan.feasible
+            rendered = [step.rendered for step in plan.steps]
+            external = rendered.index('P = $link_probability("partner_of", X, Y)')
+            atoms = [i for i, step in enumerate(plan.steps) if step.kind == "atom"]
+            assert max(atoms) < external, rendered
+            assert rendered.index("block(B1, B2, X)") < external
+            assert rendered.index("block(B1, B2, Y)") < external
+            assert rendered.index("X != Y") < external  # cheap filters still hoist
+            # never two node_type scans back to back: that is the
+            # all-person-pairs cross product
+            kinds = [r.split("(")[0] for r in rendered[:2]]
+            assert kinds != ["node_type", "node_type"], rendered
+
+    def test_external_comparison_sinks_below_joinable_atoms(self):
+        database = Database(
+            [("a", (i,)) for i in range(4)] + [("b", (i, i)) for i in range(4)]
+        )
+        rule = parse_rule("a(X), $cost(X) > 1, b(X, Y) -> out(X, Y).")
+        plan = plan_rule(rule, None, database, reorder=False)
+        assert [step.rendered for step in plan.steps] == [
+            "a(X)", "b(X, Y)", "$cost(X) > 1",
+        ]
+
+    def test_external_runs_before_a_cross_product(self):
+        database = Database(
+            [("a", (i,)) for i in range(4)] + [("c", (i,)) for i in range(4)]
+        )
+        rule = parse_rule("a(X), c(Z), P = $cost(X), P > 1 -> out(X, Z).")
+        plan = plan_rule(rule, None, database)
+        assert [step.rendered for step in plan.steps] == [
+            "a(X)", "P = $cost(X)", "P > 1", "c(Z)",
+        ]
+
     def test_plan_describe_renders_estimates(self):
         database = Database([("r", (i,)) for i in range(5)])
         rule = parse_rule("r(X), X > 1 -> out(X).")

@@ -13,18 +13,23 @@ These tests pin all three backends against each other:
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
 from repro.bench.workloads import density_scenario, ownership_pyramid
 from repro.core import (
     KnowledgeGraph,
+    PipelineConfig,
+    ReasoningPipeline,
     close_link_program,
     family_control_program,
     input_mapping,
 )
-from repro.datalog import Database, Engine, parse_program
+from repro.datagen import CompanySpec, generate_company_graph
+from repro.datalog import Database, Engine, FunctionRegistry, parse_program
 from repro.datalog.columns import NUMPY_AVAILABLE
+from repro.datalog.vectorized import VectorRuntimeFallback
 from repro.graph.relational import to_facts
 from tests.test_datalog_properties import recursive_aggregate_programs
 
@@ -109,6 +114,219 @@ class TestPaperWorkloadParity:
         assert vec.stats.rule_firings == cmp.stats.rule_firings
         assert vec._vector_fallbacks == {}
         assert vec._vector_disabled == set()
+
+
+def _vector_rules(engine):
+    """label -> VectorizedRule for every (rule, seed) lowered to batch."""
+    labels = {id(rule): rule.label for rule in engine.program.rules}
+    return {
+        (labels[rule_id], seed): entry[1]
+        for (rule_id, seed), entry in engine._vector_cache.items()
+        if entry[1] is not None
+    }
+
+
+class TestBatchExternals:
+    """An external with a batch form is one columnar step; the compiled
+    and interpreted paths call the scalar form and stay the oracle."""
+
+    PROGRAM = """
+    @far n(X), n(Y), D = $gap(X, Y), D > 1.0 -> far(X, Y, D).
+    @near n(X), n(Y), $gap(X, Y) < 1.5, X != Y -> near(X, Y).
+    """
+    FACTS = [("n", (v,)) for v in (1, 2, 4, 7, 2.0, 11)]
+
+    def _registry(self, calls=None, batch=True):
+        def gap(a, b):
+            return float(abs(a - b))
+
+        def gap_batch(values, args):
+            xs, ys = args
+            if calls is not None:
+                calls.append(len(xs))
+            return np.asarray(
+                [gap(values[x], values[y]) for x, y in zip(xs.tolist(), ys.tolist())]
+            )
+
+        functions = FunctionRegistry()
+        functions.register("gap", gap, batch=gap_batch if batch else None)
+        return functions
+
+    def _three_ways(self, program_text, facts, functions):
+        program = parse_program(program_text)
+        vec = _fixpoint(program, facts, functions=functions)
+        cmp = _fixpoint(program, facts, functions=functions, vectorize=False)
+        interp = _fixpoint(program, facts, functions=functions, plan=False)
+        assert list(vec.database.all_facts()) == list(cmp.database.all_facts())
+        assert (
+            vec.stats.rule_firings
+            == cmp.stats.rule_firings
+            == interp.stats.rule_firings
+        )
+        assert set(vec.database.all_facts()) == set(interp.database.all_facts())
+        return vec
+
+    def test_rule_stays_vectorized_and_matches_the_scalar_paths(self):
+        calls = []
+        vec = self._three_ways(self.PROGRAM, self.FACTS, self._registry(calls))
+        assert vec._vector_disabled == set()
+        for rule in _vector_rules(vec).values():
+            assert rule.cut is None
+        # 2 and 2.0 share a code: 5 distinct values, 25 distinct pairs,
+        # scored once per rule application whatever the row count
+        assert calls and set(calls) == {25}
+        (far,) = [r for (label, _), r in _vector_rules(vec).items() if label == "far"]
+        assert far.external == [25, 25]
+
+    def test_without_batch_form_the_rule_cuts_to_the_tail(self):
+        vec = self._three_ways(
+            self.PROGRAM, self.FACTS, self._registry(batch=False)
+        )
+        cuts = {
+            label: rule.cut for (label, _), rule in _vector_rules(vec).items()
+        }
+        assert cuts == {"far": 2, "near": 2}
+
+    def test_chunks_bound_the_rows_per_call(self, monkeypatch):
+        monkeypatch.setattr("repro.datalog.vectorized.EXTERNAL_CHUNK", 4)
+        calls = []
+        self._three_ways(self.PROGRAM, self.FACTS, self._registry(calls))
+        assert max(calls) == 4 and sum(calls) == 50  # 25 tuples x 2 rules
+
+    def test_float_columns_and_constants_are_passed_through(self):
+        seen = []
+
+        def scale(value, factor):
+            return value * factor
+
+        def scale_batch(values, args):
+            column, factor = args
+            seen.append((column.dtype, factor))
+            return column * factor
+
+        functions = FunctionRegistry()
+        functions.register("scale", scale, batch=scale_batch)
+        vec = self._three_ways(
+            "v(X), H = X / 2.0, S = $scale(H, 3.0) -> out(X, S).",
+            [("v", (float(i),)) for i in range(6)],
+            functions,
+        )
+        assert seen == [(np.dtype("float64"), 3.0)]
+        assert sorted(vec.query("out"))[-1] == (5.0, 7.5)
+
+    def test_batch_form_raising_the_fallback_reverts_to_the_scalar(self):
+        def refuse(values, args):
+            raise VectorRuntimeFallback("not today")
+
+        functions = self._registry()
+        functions.register("gap", functions.get("gap"), batch=refuse)
+        vec = self._three_ways(self.PROGRAM, self.FACTS, functions)
+        assert len(vec._vector_disabled) == 2
+        assert set(vec._vector_fallbacks.values()) == {"not today"}
+
+    def test_wrong_result_shape_is_an_error(self):
+        from repro.datalog import EvaluationError
+
+        functions = self._registry()
+        functions.register(
+            "gap", functions.get("gap"), batch=lambda values, args: np.zeros(3)
+        )
+        with pytest.raises(EvaluationError, match="returned shape"):
+            _fixpoint(self.PROGRAM, self.FACTS, functions=functions)
+
+
+class TestFunctionRegistryForms:
+    def test_scalar_only_reregistration_drops_the_batch_form(self):
+        functions = FunctionRegistry()
+        functions.register("f", lambda x: 1.0, batch=lambda values, args: None)
+        assert functions.batch("f") is not None
+        functions.register("f", lambda x: 2.0)
+        assert functions.batch("f") is None
+        assert functions.get("f")(0) == 2.0
+
+    def test_unregister_and_copy_cover_both_forms(self):
+        functions = FunctionRegistry()
+        batch = lambda values, args: None  # noqa: E731
+        functions.register("f", lambda x: 1.0, batch=batch)
+        clone = functions.copy()
+        functions.unregister("f")
+        assert "f" not in functions and functions.batch("f") is None
+        assert "f" in clone and clone.batch("f") is batch
+
+    def test_override_after_lowering_takes_the_scalar_path(self):
+        """A cached batch step must not outlive its registration."""
+        functions = TestBatchExternals()._registry()
+        program = parse_program("n(X), n(Y), D = $gap(X, Y) -> d(X, Y, D).")
+        engine = Engine(program, Database([("n", (1,)), ("n", (3,))]),
+                        functions=functions)
+        engine.run()
+        assert (1, 3, 2.0) in engine.query("d")
+        functions.register("gap", lambda a, b: 0.0)
+        engine.database.add("n", (9,))
+        delta = engine._apply_rule(program.rules[0], None, None)
+        assert {values[2] for _, values in delta} == {0.0}
+
+
+class TestFamilyLinkParity:
+    """Algorithm 7 over a generated extract: the blocked family-link
+    rules stay vectorized through ``$link_probability`` and derive the
+    compiled path's facts in the compiled path's order."""
+
+    @pytest.fixture(scope="class")
+    def engines(self):
+        graph, _truth = generate_company_graph(
+            CompanySpec(persons=70, companies=30, seed=13)
+        )
+        pipeline = ReasoningPipeline(
+            graph, PipelineConfig(first_level_clusters=1, use_embeddings=False)
+        )
+        pipeline._inject_block_facts()
+        program = pipeline.kg.program(
+            ["input_mapping", "family_links", "link_creation", "output_mapping"]
+        )
+
+        def run(**kwargs):
+            engine = Engine(
+                program,
+                pipeline.kg.extensional.copy(),
+                functions=pipeline.kg.functions,
+                **kwargs,
+            )
+            engine.run()
+            return engine
+
+        return run(), run(vectorize=False), run(plan=False)
+
+    def test_same_facts_same_order_same_firings(self, engines):
+        vec, cmp, interp = engines
+        assert vec.query("candidate")
+        assert list(vec.database.all_facts()) == list(cmp.database.all_facts())
+        # textual order permutes the input mapping's joins, not the links
+        assert vec.query("candidate") == interp.query("candidate")
+        assert set(vec.database.all_facts()) == set(interp.database.all_facts())
+        assert (
+            vec.stats.rule_firings
+            == cmp.stats.rule_firings
+            == interp.stats.rule_firings
+        )
+        assert (
+            vec.stats.facts_derived
+            == cmp.stats.facts_derived
+            == interp.stats.facts_derived
+        )
+
+    def test_family_rules_run_vectorized_end_to_end(self, engines):
+        vec, _, _ = engines
+        assert vec._vector_disabled == set()
+        family = {
+            key: rule for key, rule in _vector_rules(vec).items()
+            if key[0].startswith("fl_")
+        }
+        assert len(family) == 9  # 3 classes x (round 0 + two node_type seeds)
+        for rule in family.values():
+            assert rule.cut is None
+            rows, distinct = rule.external
+            assert rows >= distinct > 0
 
 
 class TestAggregateParity:

@@ -214,6 +214,45 @@ class TestPipelineInstrumentation:
             s.name.startswith("rule:") for s in problem.walk()
         ), "per-rule engine spans must nest under the problem span"
 
+    def test_family_link_spans_say_how_far_the_batch_backend_went(self):
+        from repro.core.pipeline import PipelineConfig, ReasoningPipeline
+        from repro.datagen.company_generator import CompanySpec, generate_company_graph
+
+        graph, _ = generate_company_graph(
+            CompanySpec(persons=30, companies=10, seed=7)
+        )
+        tracer = Tracer()
+        config = PipelineConfig(first_level_clusters=1, use_embeddings=False)
+        ReasoningPipeline(graph, config, tracer=tracer).family_links()
+        spans = {s.name: s for s in tracer.root.walk()}
+
+        # batch external: vectorized to the head, rows and distinct tuples counted
+        for name in ("rule:fl_partner_of", "plan:fl_partner_of", "plan:fl_partner_of seed@3"):
+            attributes = spans[name].attributes
+            assert attributes["cut"] == "none", name
+            assert attributes["external_rows"] >= attributes["external_distinct"] > 0
+        rule, plans = spans["rule:fl_partner_of"], [
+            s for name, s in spans.items() if name.startswith("plan:fl_partner_of")
+        ]
+        assert rule.attributes["external_rows"] == sum(
+            s.attributes["external_rows"] for s in plans
+        )
+        # a Skolem assignment is per-row territory: the cut names its step
+        assert spans["plan:map_person"].attributes["cut"] == 1
+        assert spans["rule:map_person"].attributes["cut"] == 1
+        assert "external_rows" not in spans["rule:map_person"].attributes
+        # existential head: every body step batched, only the head per row
+        assert spans["plan:mk_link"].attributes["cut"] == 2
+
+    def test_compiled_rules_carry_no_cut(self):
+        tracer = Tracer()
+        Engine(
+            parse_program(TC_PROGRAM), Database(list(CHAIN)), tracer=tracer,
+            vectorize=False,
+        ).run()
+        for span in tracer.root.walk():
+            assert "cut" not in span.attributes
+
     def test_blocking_span_counts_triples(self):
         from repro.core.pipeline import PipelineConfig, ReasoningPipeline
         from repro.datagen.company_generator import CompanySpec, generate_company_graph
