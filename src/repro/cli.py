@@ -376,9 +376,21 @@ def _reason(args: argparse.Namespace) -> int:
 MAX_WORKERS = 64
 
 
+def _persist_hook(store):
+    """A ``(snapshot, tenant)`` persist hook over ``store``; returns what
+    the persist wrote (``FrameStore.last_persist``) for ``/stats``."""
+
+    def hook(snapshot, tenant: str):
+        store.persist(snapshot, tenant=tenant)
+        return store.last_persist
+
+    return hook
+
+
 def _tenant_persist_hook(store, tenant: str):
     """A 1-arg updater persist hook bound to one tenant's stream."""
-    return lambda snapshot: store.persist(snapshot, tenant=tenant)
+    hook = _persist_hook(store)
+    return lambda snapshot: hook(snapshot, tenant)
 
 
 def _serve(args: argparse.Namespace) -> int:
@@ -436,13 +448,11 @@ def _serve(args: argparse.Namespace) -> int:
         request_timeout_s=args.request_timeout,
         cache_capacity=args.cache_capacity,
     )
-    start_version = (
-        store.latest_version(tenant=args.tenant) or 0 if store is not None else 0
-    )
+    start_version = store.newest_version(args.tenant) if store is not None else 0
     if args.workers > 1:
         return _serve_pool(
             args, graph, service_config, snapshot_config, classifiers,
-            store=store, start_version=start_version,
+            store=store, start_versions={args.tenant: start_version},
         )
     service = build_service(
         graph,
@@ -530,24 +540,31 @@ def _serve_attached(args: argparse.Namespace) -> int:
         request_timeout_s=args.request_timeout,
         cache_capacity=args.cache_capacity,
     )
+    # mutations keep working: every builder resumes numbering after its
+    # tenant's newest stored version — not after the attached one, which
+    # ``--version N`` may have rolled back — and every rebuild is
+    # persisted back.  (link classifiers are not stored, so
+    # re-augmentation after a mutation detects family links without
+    # them — see docs/STORAGE.md)
+    start_versions = {
+        name: store.newest_version(name) for name in (args.tenant, *extras)
+    }
     if args.workers > 1:
         return _serve_pool(
             args, attached.graph, service_config, attached.config, None,
-            store=store, start_version=attached.version,
+            store=store, start_versions=start_versions,
             initial_snapshot=attached, initial_snapshots=extras,
         )
     manager = SnapshotManager()
     manager.publish(attached)
-    # mutations keep working: the builder resumes the version sequence
-    # from the attached snapshot, and every rebuild is persisted back.
-    # (link classifiers are not stored, so re-augmentation after a
-    # mutation detects family links without them — see docs/STORAGE.md)
     registry = GraphRegistry(
         snapshot_config=attached.config, tracer=_tracer_of(args)
     )
     registry.persist_hook_factory = lambda name: _tenant_persist_hook(store, name)
     builder = SnapshotBuilder(
-        attached.config, tracer=_tracer_of(args), start_version=attached.version
+        attached.config,
+        tracer=_tracer_of(args),
+        start_version=start_versions[args.tenant],
     )
     service = ReasoningService(
         manager,
@@ -567,7 +584,7 @@ def _serve_attached(args: argparse.Namespace) -> int:
             builder=SnapshotBuilder(
                 snapshot.config,
                 tracer=_tracer_of(args),
-                start_version=snapshot.version,
+                start_version=start_versions[name],
             ),
             base_graph=snapshot.graph,
         )
@@ -591,7 +608,7 @@ def _serve_attached(args: argparse.Namespace) -> int:
 
 
 def _serve_pool(args, graph, service_config, snapshot_config, classifiers,
-                store=None, start_version=0, initial_snapshot=None,
+                store=None, start_versions=None, initial_snapshot=None,
                 initial_snapshots=None) -> int:
     """``serve --workers N``: the SO_REUSEPORT pool, SIGTERM drains."""
     import signal
@@ -599,11 +616,6 @@ def _serve_pool(args, graph, service_config, snapshot_config, classifiers,
 
     from .service.workers import PoolError, ServicePool
 
-    persist_hook = None
-    if store is not None:
-        persist_hook = lambda snapshot, tenant: store.persist(
-            snapshot, tenant=tenant
-        )
     pool = ServicePool(
         graph,
         workers=args.workers,
@@ -611,10 +623,10 @@ def _serve_pool(args, graph, service_config, snapshot_config, classifiers,
         snapshot_config=snapshot_config,
         classifiers=classifiers,
         tracer=_tracer_of(args),
-        start_version=start_version,
+        start_versions=start_versions,
         initial_snapshot=initial_snapshot,
         initial_snapshots=initial_snapshots,
-        persist_hook=persist_hook,
+        persist_hook=_persist_hook(store) if store is not None else None,
         tenant=args.tenant,
     )
     stop = threading.Event()
@@ -648,12 +660,14 @@ def _store_cmd(args: argparse.Namespace) -> int:
         store = FrameStore.open(args.directory)
         if args.store_command == "versions":
             rows = store.versions(kind=args.kind, tenant=args.tenant)
-            print("tenant,version,state,kind,nodes,edges")
+            model_rows = store.model_rows()
+            print("tenant,version,state,kind,nodes,edges,model_rows")
             for row in rows:
                 print(
                     f"{row['tenant']},{row['version']},{row['state']},"
                     f"{row['kind']},{row['nodes'] if row['nodes'] is not None else ''},"
-                    f"{row['edges'] if row['edges'] is not None else ''}"
+                    f"{row['edges'] if row['edges'] is not None else ''},"
+                    f"{model_rows.get((row['tenant'], row['version']), 0)}"
                 )
             print(f"# {len(rows)} versions", file=sys.stderr)
             return 0

@@ -87,6 +87,9 @@ class TenantBinding:
     manager: SnapshotManager
     builder: SnapshotBuilder | None = None
     updater: GraphUpdater | None = None
+    #: on a pool worker, the builder process's persist counters for this
+    #: tenant as of the served version (``/stats`` -> ``persist``)
+    persist_stats: dict[str, Any] | None = None
     created_at: float = field(default_factory=time.time)
 
     @property

@@ -730,12 +730,9 @@ class ReasoningService:
         payload["worker_id"] = self.worker_id
         payload["tenant"] = binding.name
         if binding.updater is not None:
-            updater = binding.updater
-            payload["persist"] = {
-                "persists": updater.persists,
-                "persist_failures": updater.persist_failures,
-                "last_persist_error": updater.last_persist_error,
-            }
+            payload["persist"] = binding.updater.persist_stats()
+        elif binding.persist_stats is not None:
+            payload["persist"] = binding.persist_stats
         return payload
 
     async def _ubo(self, tenant: str, company: str, query: dict[str, str]) -> Any:

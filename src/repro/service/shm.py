@@ -18,8 +18,11 @@ complete :class:`~repro.service.snapshot.Snapshot` into **one** named
   pairs, close-link pairs, family links (with an interned class table),
   and the flattened UBO index;
 * one pickled **object blob** for the irreducibly Python-object side:
-  the base and augmented graph states (node/edge objects with property
-  dicts) and the snapshot config/metadata.
+  the base graph state (node/edge objects with property dicts) and the
+  snapshot config/metadata.  The augmented graph is *not* in the blob:
+  it is a pure function of the base graph and the row state
+  (:func:`repro.service.snapshot.augment`), so each attacher recomputes
+  it — the same call the builder and the durable store's attach make.
 
 Attaching (:func:`attach_snapshot`) is the inverse: numeric buffers come
 back as **zero-copy, read-only ``np.ndarray`` views** over the mapped
@@ -51,16 +54,15 @@ from typing import Any
 
 import numpy as np
 
-from ..graph.columnar import _CACHE_ATTR, EXPORT_DTYPES, GraphFrame
+from ..graph.columnar import _CACHE_ATTR, GraphFrame
 from ..graph.property_graph import PropertyGraph
-from ..graph.store import GraphStore
-from ..storage.layout import ROW_DTYPES, decode_rows, encode_rows
+from ..storage.layout import ROW_DTYPES, encode_rows
 from .snapshot import DEFAULT_TENANT, Snapshot
 
 #: Segment magic — "Repro KG Snapshot".
 MAGIC = b"RKGS"
 #: Bump on any incompatible layout change; attach rejects mismatches.
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 #: Every buffer starts on a 64-byte boundary (cache-line alignment).
 ALIGNMENT = 64
 
@@ -159,7 +161,6 @@ def encode_snapshot(
     blob = pickle.dumps(
         {
             "graph": _graph_state(snapshot.graph),
-            "augmented": _graph_state(snapshot.augmented),
             "config": snapshot.config,
             "version": snapshot.version,
             "built_s": snapshot.built_s,
@@ -308,39 +309,13 @@ def attach_snapshot(name: str) -> AttachedSnapshot:
             bytes(shm.buf[objects["offset"] : objects["offset"] + objects["nbytes"]])
         )
 
-        graph = _restore_graph(blob["graph"])
-        augmented = _restore_graph(blob["augmented"])
-        config = blob["config"]
-        frame = GraphFrame.attach(
-            graph,
-            {k: views[k] for k in EXPORT_DTYPES},
-            weight_property=blob["weight_property"],
+        snapshot = AttachedSnapshot.from_columns(
+            blob["version"],
+            _restore_graph(blob["graph"]),
+            views,
+            blob,
+            blob["built_s"],
         )
-        frame.adopt_as_cache_of(graph)
-        control, close, family, ubo = decode_rows(
-            views, frame.nodes, blob["family_classes"]
-        )
-
-        store = GraphStore(augmented)
-        for prop in config.index_properties:
-            store.ensure_index(prop)
-
-        snapshot = AttachedSnapshot(
-            version=blob["version"],
-            graph=graph,
-            augmented=augmented,
-            store=store,
-            config=config,
-            control=control,
-            close_links=close,
-            family_links=family,
-            ubo=ubo,
-            built_s=blob["built_s"],
-            warm=blob["warm"],
-            frame=frame,
-            incremental=blob["incremental"],
-        )
-        snapshot.created_at = blob["created_at"]
         snapshot.segment_name = name
         snapshot.shm = shm
         snapshot.tenant = toc.get("meta", {}).get("tenant", DEFAULT_TENANT)

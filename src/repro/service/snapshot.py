@@ -26,7 +26,7 @@ from typing import Any, Iterable, Sequence
 from ..core.pipeline import PipelineConfig, ReasoningPipeline
 from ..embeddings.incremental import IncrementalEmbedder
 from ..embeddings.node2vec import Node2VecConfig
-from ..graph.columnar import GraphFrame
+from ..graph.columnar import EXPORT_DTYPES, GraphFrame
 from ..graph.company_graph import CompanyGraph
 from ..graph.property_graph import Edge, NodeId
 from ..graph.store import GraphStore
@@ -49,6 +49,7 @@ from ..ownership.ubo import (
     assemble_beneficial_owners,
     beneficial_owner_rows,
 )
+from ..storage.layout import decode_rows
 from ..telemetry import NULL_TRACER
 from .incremental import (
     DeltaBatch,
@@ -105,6 +106,69 @@ class SnapshotConfig:
     max_update_rank: int = DEFAULT_MAX_UPDATE_RANK
 
 
+#: The snapshot's derived relations as lists in the canonical row order:
+#: ``(family_rows, control_rows, close_rows)``.
+Rows = tuple[
+    list[tuple[NodeId, NodeId, str]],
+    list[tuple[NodeId, NodeId]],
+    list[tuple[NodeId, NodeId]],
+]
+
+
+def canonical_rows(
+    frame: GraphFrame,
+    family_links: Iterable[tuple[NodeId, NodeId, str]],
+    control: Iterable[tuple[NodeId, NodeId]],
+    close_links: Iterable[tuple[NodeId, NodeId]],
+) -> Rows:
+    """The three derived relations sorted into the one order everything
+    downstream uses: the row-state columns of both codecs
+    (:func:`repro.storage.layout.encode_rows`), the derived edges of the
+    augmented graph (:func:`augment`) and so the ``out`` / ``in`` lists
+    of ``/neighbors``.  Pairs sort by ``(str(x), str(y))``; ids whose
+    strings collide (``1`` and ``"1"``) are told apart by ``frame``'s
+    intern codes, so the order never depends on set iteration."""
+    index = frame.index
+
+    def pair_key(row: tuple) -> tuple:
+        x, y = row[0], row[1]
+        return (str(x), str(y), index[x], index[y], *row[2:])
+
+    return (
+        sorted(family_links, key=pair_key),
+        sorted(control, key=pair_key),
+        sorted(close_links, key=pair_key),
+    )
+
+
+def augment(
+    graph: CompanyGraph,
+    family_rows: Iterable[tuple[NodeId, NodeId, str]],
+    control_rows: Iterable[tuple[NodeId, NodeId]],
+    close_rows: Iterable[tuple[NodeId, NodeId]],
+) -> CompanyGraph:
+    """A copy of ``graph`` plus one edge per derived row, in row order:
+    family links (labelled by their class), then ``control``, then
+    ``close_link``.  A pure function of its arguments — builders and
+    both attach paths call it, so the augmented graph is never stored."""
+    augmented = graph.copy()
+    for x, y, link_class in family_rows:
+        augmented.add_edge(x, y, link_class)
+    for x, y in control_rows:
+        augmented.add_edge(x, y, "control")
+    for x, y in close_rows:
+        augmented.add_edge(x, y, "close_link")
+    return augmented
+
+
+def indexed_store(augmented: CompanyGraph, config: "SnapshotConfig") -> GraphStore:
+    """The snapshot's :class:`GraphStore` with its configured indexes."""
+    store = GraphStore(augmented)
+    for prop in config.index_properties:
+        store.ensure_index(prop)
+    return store
+
+
 class Snapshot:
     """One immutable, fully indexed view of the KG.
 
@@ -135,6 +199,7 @@ class Snapshot:
         warm: bool = False,
         frame: GraphFrame | None = None,
         incremental: bool = False,
+        rows: Rows | None = None,
     ):
         self.version = version
         #: whether this version was built by patching the previous one
@@ -152,9 +217,60 @@ class Snapshot:
         self.built_s = built_s
         self.warm = warm
         self.created_at = time.time()
+        #: the three relations as lists in canonical order (sorted once;
+        #: the codecs and ``augmented`` follow it)
+        self.family_rows, self.control_rows, self.close_rows = (
+            rows
+            if rows is not None
+            else canonical_rows(self.frame, family_links, control, close_links)
+        )
         self._control_by_source: dict[NodeId, list[NodeId]] = {}
-        for x, y in sorted(control, key=lambda p: (str(p[0]), str(p[1]))):
+        for x, y in self.control_rows:
             self._control_by_source.setdefault(x, []).append(y)
+
+    @classmethod
+    def from_columns(
+        cls,
+        version: int,
+        graph: CompanyGraph,
+        views: dict[str, Any],
+        meta: dict[str, Any],
+        built_s: float,
+    ) -> "Snapshot":
+        """Rehydrate a snapshot from its decoded base graph, its numeric
+        columns (frame buffers + row state) and the object metadata the
+        codec carried (``config``, ``family_classes``,
+        ``weight_property``, ``created_at``, ``warm``, ``incremental``)
+        — the shared tail of the shared-memory and the store attach."""
+        frame = GraphFrame.attach(
+            graph,
+            {name: views[name] for name in EXPORT_DTYPES},
+            weight_property=meta["weight_property"],
+        )
+        frame.adopt_as_cache_of(graph)
+        control_rows, close_rows, family_rows, ubo = decode_rows(
+            views, frame.nodes, meta["family_classes"]
+        )
+        augmented = augment(graph, family_rows, control_rows, close_rows)
+        config = meta["config"]
+        snapshot = cls(
+            version=version,
+            graph=graph,
+            augmented=augmented,
+            store=indexed_store(augmented, config),
+            config=config,
+            control=set(control_rows),
+            close_links=set(close_rows),
+            family_links=set(family_rows),
+            ubo=ubo,
+            built_s=built_s,
+            warm=meta["warm"],
+            frame=frame,
+            incremental=meta["incremental"],
+            rows=(family_rows, control_rows, close_rows),
+        )
+        snapshot.created_at = meta["created_at"]
+        return snapshot
 
     # ------------------------------------------------------------------
     # endpoint payloads (all JSON-ready)
@@ -546,22 +662,9 @@ class SnapshotBuilder:
                     ubo = all_beneficial_owners(graph, config.ubo_threshold)
 
             with self.tracer.span("snapshot.materialise"):
-                augmented = graph.copy()
-
-                def add(x: NodeId, y: NodeId, label: str) -> None:
-                    if augmented.has_node(x) and augmented.has_node(y):
-                        augmented.add_edge(x, y, label)
-
-                for x, y, link_class in family_links:
-                    add(x, y, link_class)
-                for x, y in control:
-                    add(x, y, "control")
-                for x, y in close:
-                    add(x, y, "close_link")
-
-                store = GraphStore(augmented)
-                for prop in config.index_properties:
-                    store.ensure_index(prop)
+                rows = canonical_rows(frame, family_links, control, close)
+                augmented = augment(graph, *rows)
+                store = indexed_store(augmented, config)
 
             span.set("control_pairs", len(control))
             span.set("close_link_pairs", len(close))
@@ -597,6 +700,7 @@ class SnapshotBuilder:
             warm=warm,
             frame=frame,
             incremental=incremental,
+            rows=rows,
         )
 
 

@@ -170,6 +170,9 @@ class GraphUpdater:
         self.persist_hook = None
         self.persists = 0
         self.persist_failures = 0
+        #: what the most recent successful persist wrote, when the hook
+        #: reports it (a dict such as ``FrameStore.last_persist``)
+        self.last_persist: dict[str, Any] | None = None
         #: ``{"version": int, "error": str}`` of the most recent persist
         #: failure — surfaced in ``/stats`` so an operator can see *why*
         #: (and for which version) durable persistence failed
@@ -289,8 +292,10 @@ class GraphUpdater:
 
     def _persist_sync(self, snapshot) -> None:
         try:
-            self.persist_hook(snapshot)
+            wrote = self.persist_hook(snapshot)
             self.persists += 1
+            if isinstance(wrote, dict):
+                self.last_persist = wrote
         except Exception as exc:
             self.persist_failures += 1
             self.last_persist_error = {
@@ -299,6 +304,15 @@ class GraphUpdater:
             }
             with self.tracer.span("persist.failed", error=repr(exc)):
                 logger.exception("durable persist of version %s failed", snapshot.version)
+
+    def persist_stats(self) -> dict[str, Any]:
+        """The ``persist`` section of ``/stats``."""
+        return {
+            "persists": self.persists,
+            "persist_failures": self.persist_failures,
+            "last_persist_error": self.last_persist_error,
+            "last_persist": self.last_persist,
+        }
 
     def stats(self) -> dict[str, Any]:
         return {
@@ -311,9 +325,7 @@ class GraphUpdater:
             "last_rebuild_error": self.last_rebuild_error,
             "rebuild_in_progress": self.rebuild_in_progress,
             "last_rebuild_s": round(self.last_rebuild_s, 4),
-            "persists": self.persists,
-            "persist_failures": self.persist_failures,
-            "last_persist_error": self.last_persist_error,
+            **self.persist_stats(),
             "staging_nodes": self._staging.node_count,
             "staging_edges": self._staging.edge_count,
         }

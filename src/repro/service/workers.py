@@ -142,7 +142,7 @@ class ServicePool:
         classifiers: Sequence[BayesianLinkClassifier] | None = None,
         tracer=None,
         pool_config: PoolConfig | None = None,
-        start_version: int = 0,
+        start_versions: dict[str, int] | None = None,
         initial_snapshot: Snapshot | None = None,
         persist_hook=None,
         tenant: str = DEFAULT_TENANT,
@@ -159,13 +159,19 @@ class ServicePool:
         self._classifiers = classifiers
         #: the tenant un-prefixed routes resolve to on every worker
         self.primary = tenant
+        #: tenant -> the version number its builder resumes after (a
+        #: durable store's newest, which a rolled-back
+        #: ``initial_snapshot`` may be older than)
+        self._start_versions = dict(start_versions or {})
         self._tenants: dict[str, _PoolTenant] = {
             tenant: _PoolTenant(
                 name=tenant,
                 staging=graph,
                 builder=SnapshotBuilder(
                     snapshot_config, classifiers=classifiers, tracer=self.tracer,
-                    start_version=start_version,
+                    start_version=self._start_versions.get(
+                        tenant, initial_snapshot.version if initial_snapshot else 0
+                    ),
                 ),
             )
         }
@@ -179,11 +185,13 @@ class ServicePool:
         self._initial_snapshots.pop(tenant, None)
         #: callable(snapshot, tenant) persisting each freshly built
         #: version (e.g. wrapping ``FrameStore.persist``); failures are
-        #: counted, not fatal
+        #: counted, not fatal.  It may return a dict saying what it wrote
+        #: (``FrameStore.last_persist``), kept as ``last_persist``.
         self.persist_hook = persist_hook
         self.persists = 0
         self.persist_failures = 0
         self.last_persist_error: dict[str, Any] | None = None
+        self.last_persist: dict[str, Any] | None = None
         self._ctx = multiprocessing.get_context(self.pool_config.start_method)
         self._procs: dict[int, multiprocessing.process.BaseProcess] = {}
         self._conns: dict[int, multiprocessing.connection.Connection] = {}
@@ -273,7 +281,8 @@ class ServicePool:
                 staging=extra.graph,
                 builder=SnapshotBuilder(
                     self._snapshot_config, classifiers=self._classifiers,
-                    tracer=self.tracer, start_version=extra.version,
+                    tracer=self.tracer,
+                    start_version=self._start_versions.get(name, extra.version),
                 ),
             )
             self._adopt_version(name, extra)
@@ -307,8 +316,10 @@ class ServicePool:
         if self.persist_hook is None:
             return
         try:
-            self.persist_hook(snapshot, tenant)
+            wrote = self.persist_hook(snapshot, tenant)
             self.persists += 1
+            if isinstance(wrote, dict):
+                self.last_persist = wrote
         except Exception as exc:
             self.persist_failures += 1
             self.last_persist_error = {
@@ -320,6 +331,18 @@ class ServicePool:
                 "durable persist of tenant %s version %s failed",
                 tenant, snapshot.version,
             )
+
+    def persist_stats(self) -> dict[str, Any] | None:
+        """The ``persist`` section workers serve under ``/stats`` (pool-wide
+        counters; ``None`` without a persist hook)."""
+        if self.persist_hook is None:
+            return None
+        return {
+            "persists": self.persists,
+            "persist_failures": self.persist_failures,
+            "last_persist_error": self.last_persist_error,
+            "last_persist": self.last_persist,
+        }
 
     def _segment_name(self, tenant: str, version: int) -> str:
         # deterministic prefix (leak checks grep for it) + a sequence
@@ -376,6 +399,7 @@ class ServicePool:
                 segments,
                 self.primary,
                 self.pool_config.sweep_interval_s,
+                self.persist_stats(),
             ),
             name=f"repro-serve-{worker_id}",
             daemon=True,
@@ -541,7 +565,13 @@ class ServicePool:
         for conn in conns.values():
             _try_send(
                 conn,
-                {"op": "publish", "tenant": tenant, "name": name, "version": version},
+                {
+                    "op": "publish",
+                    "tenant": tenant,
+                    "name": name,
+                    "version": version,
+                    "persist": self.persist_stats(),
+                },
             )
         deadline = time.monotonic() + self.pool_config.publish_timeout_s
         while not self._fleet_attached(key):
@@ -878,6 +908,7 @@ def _worker_main(
     segments: dict[str, tuple[str, int]],
     primary: str,
     sweep_interval_s: float,
+    persist_stats: dict[str, Any] | None,
 ) -> None:
     """Entry point of one serving process (must stay picklable for spawn)."""
     import signal
@@ -886,7 +917,8 @@ def _worker_main(
     try:
         asyncio.run(
             _Worker(
-                worker_id, conn, config, segments, primary, sweep_interval_s
+                worker_id, conn, config, segments, primary, sweep_interval_s,
+                persist_stats,
             ).run()
         )
     except Exception:  # pragma: no cover - crash path exercised via kill tests
@@ -910,6 +942,7 @@ class _Worker:
         segments: dict[str, tuple[str, int]],
         primary: str,
         sweep_interval_s: float,
+        persist_stats: dict[str, Any] | None,
     ):
         self.worker_id = worker_id
         self.conn = conn
@@ -917,6 +950,9 @@ class _Worker:
         self.segments = segments
         self.primary = primary
         self.sweep_interval_s = sweep_interval_s
+        #: the parent's persist counters as of spawn; every ``publish``
+        #: message refreshes its tenant's copy
+        self._persist_stats = persist_stats
         self.service: ReasoningService | None = None
         self.registry = GraphRegistry()
         #: (tenant, version, SharedMemory) of swapped-out snapshots;
@@ -940,7 +976,7 @@ class _Worker:
         # local would pin the version's views (and so its segment) forever
         manager = SnapshotManager()
         manager.publish(shm_codec.attach_snapshot(segment_name))
-        self.registry.adopt(tenant, manager)
+        self.registry.adopt(tenant, manager).persist_stats = self._persist_stats
         return manager.version
 
     async def run(self) -> None:
@@ -1009,6 +1045,7 @@ class _Worker:
                 message.get("tenant", self.primary),
                 message["name"],
                 message["version"],
+                message.get("persist"),
             )
         elif op == "retire_tenant":
             self._on_retire_tenant(message["tenant"])
@@ -1034,7 +1071,13 @@ class _Worker:
             if future is not None and not future.done():
                 future.set_result(message)
 
-    async def _on_publish(self, tenant: str, name: str, version: int) -> None:
+    async def _on_publish(
+        self,
+        tenant: str,
+        name: str,
+        version: int,
+        persist_stats: dict[str, Any] | None,
+    ) -> None:
         loop = asyncio.get_running_loop()
         started = time.perf_counter()
         try:
@@ -1061,7 +1104,7 @@ class _Worker:
             manager = SnapshotManager()
             manager.publish(snapshot)
             try:
-                self.registry.adopt(tenant, manager)
+                binding = self.registry.adopt(tenant, manager)
             except TenantError:  # raced a concurrent bind: retire ours
                 self._retired.append((tenant, version, snapshot.shm))
                 del snapshot
@@ -1074,6 +1117,7 @@ class _Worker:
             if isinstance(old, shm_codec.AttachedSnapshot):
                 self._retired.append((tenant, old.version, old.shm))
             del old  # our reference; in-flight reads keep theirs
+        binding.persist_stats = persist_stats
         self._send(
             {
                 "op": "attached",

@@ -2,12 +2,11 @@
 
 One ``catalog.db`` per store holds everything that is not a numeric
 column: version metadata (state machine, lineage, checksum manifest) and
-the full node/edge property model, value-interned so a property value is
-stored once no matter how many rows carry it.
+the node/edge property model, value-interned so a property value is
+stored once no matter how many rows carry it, and *interval-encoded* so
+a row is stored once no matter how many versions it lives through.
 
-Schema overview (all tables keyed by ``(tenant, version)`` where
-versioned — format 2 added the tenant dimension so one store root holds
-per-tenant version streams):
+Schema overview (format 3):
 
 ``store_meta``
     key/value pairs for the store itself — format version, creation time.
@@ -31,10 +30,27 @@ per-tenant version streams):
     bytewise order equals Python ``str`` order — the streaming writer's
     disk-backed sort relies on that.
 ``nodes`` / ``node_props`` / ``edges`` / ``edge_props``
-    the property-graph model in insertion order (``pos``), with
-    ``intern`` carrying the frame's intern code per node and ``layer``
-    separating base-graph edges (0) from snapshot-derived augmented
-    edges (1).
+    the property-graph model as **interval tables**.  A row is keyed by
+    the stable identity of what it describes — the node's id ref, the
+    edge's id ref, ``(owner, ordinal)`` for a property — and carries the
+    version it was ``born`` at and the version it ``died`` at (``NULL``
+    while it lives).  Nodes and edges also carry ``seq``, an order key
+    assigned when the identity first appears and unchanged while it
+    lives; edges name their endpoints by node ``seq`` and properties
+    name their ``owner`` by its ``seq``.  The model of version *v* of a
+    tenant's snapshot stream is::
+
+        WHERE tenant = ? AND bare = 0 AND born <= v
+              AND (died IS NULL OR died > v)   ORDER BY seq
+
+    so a publish that changes three shareholdings writes a handful of
+    rows, not a copy of the graph (:mod:`repro.storage.model` computes
+    the delta).  ``bare = 1`` marks the rows of a streamed
+    ``kind='graph'`` version: written once with ``born = v``,
+    ``died = v + 1`` and ``seq`` = insertion position (plus the frame's
+    ``intern`` code per node), so the two kinds of one tenant never see
+    each other's rows.  ``gc`` deletes what no kept version can see:
+    ``died <=`` the oldest kept version of the stream.
 """
 
 from __future__ import annotations
@@ -45,8 +61,8 @@ import sqlite3
 from typing import Any, Iterable
 
 #: Bump on incompatible schema changes; open rejects mismatches (after
-#: attempting the supported in-place migrations, currently 1 -> 2).
-CATALOG_FORMAT = 2
+#: attempting the supported in-place migration, formats 1 and 2 -> 3).
+CATALOG_FORMAT = 3
 
 SCHEMA = """
 CREATE TABLE IF NOT EXISTS store_meta (
@@ -67,7 +83,6 @@ CREATE TABLE IF NOT EXISTS versions (
     edges         INTEGER,
     graph_class   TEXT,
     next_edge_id  INTEGER,
-    aug_next_edge_id INTEGER,
     meta          BLOB,
     PRIMARY KEY (tenant, version)
 );
@@ -89,70 +104,58 @@ CREATE TABLE IF NOT EXISTS vals (
 );
 CREATE TABLE IF NOT EXISTS nodes (
     tenant    TEXT NOT NULL DEFAULT 'default',
-    version   INTEGER NOT NULL,
-    pos       INTEGER NOT NULL,
+    bare      INTEGER NOT NULL DEFAULT 0,
     id_ref    INTEGER NOT NULL,
+    born      INTEGER NOT NULL,
+    died      INTEGER,
+    seq       INTEGER NOT NULL,
     label_ref INTEGER,
     intern    INTEGER,
-    PRIMARY KEY (tenant, version, pos)
-);
-CREATE INDEX IF NOT EXISTS nodes_by_id ON nodes (tenant, version, id_ref);
-CREATE INDEX IF NOT EXISTS nodes_by_intern ON nodes (tenant, version, intern);
+    PRIMARY KEY (tenant, bare, id_ref, born)
+) WITHOUT ROWID;
+CREATE INDEX IF NOT EXISTS nodes_by_intern ON nodes (tenant, born, intern)
+    WHERE intern IS NOT NULL;
 CREATE TABLE IF NOT EXISTS node_props (
     tenant    TEXT NOT NULL DEFAULT 'default',
-    version   INTEGER NOT NULL,
-    pos       INTEGER NOT NULL,
+    bare      INTEGER NOT NULL DEFAULT 0,
+    owner     INTEGER NOT NULL,
     ordinal   INTEGER NOT NULL,
+    born      INTEGER NOT NULL,
+    died      INTEGER,
     name_ref  INTEGER NOT NULL,
     value_ref INTEGER NOT NULL,
-    PRIMARY KEY (tenant, version, pos, ordinal)
-);
+    PRIMARY KEY (tenant, bare, owner, ordinal, born)
+) WITHOUT ROWID;
 CREATE TABLE IF NOT EXISTS edges (
     tenant      TEXT NOT NULL DEFAULT 'default',
-    version     INTEGER NOT NULL,
-    layer       INTEGER NOT NULL,
-    pos         INTEGER NOT NULL,
+    bare        INTEGER NOT NULL DEFAULT 0,
     edge_id_ref INTEGER NOT NULL,
-    src_pos     INTEGER NOT NULL,
-    dst_pos     INTEGER NOT NULL,
+    born        INTEGER NOT NULL,
+    died        INTEGER,
+    seq         INTEGER NOT NULL,
+    src_seq     INTEGER NOT NULL,
+    dst_seq     INTEGER NOT NULL,
     label_ref   INTEGER,
-    PRIMARY KEY (tenant, version, layer, pos)
-);
+    PRIMARY KEY (tenant, bare, edge_id_ref, born)
+) WITHOUT ROWID;
 CREATE TABLE IF NOT EXISTS edge_props (
     tenant    TEXT NOT NULL DEFAULT 'default',
-    version   INTEGER NOT NULL,
-    layer     INTEGER NOT NULL,
-    pos       INTEGER NOT NULL,
+    bare      INTEGER NOT NULL DEFAULT 0,
+    owner     INTEGER NOT NULL,
     ordinal   INTEGER NOT NULL,
+    born      INTEGER NOT NULL,
+    died      INTEGER,
     name_ref  INTEGER NOT NULL,
     value_ref INTEGER NOT NULL,
-    PRIMARY KEY (tenant, version, layer, pos, ordinal)
-);
+    PRIMARY KEY (tenant, bare, owner, ordinal, born)
+) WITHOUT ROWID;
 """
 
-#: Plain (non-key) columns of each versioned table, used verbatim by the
-#: v1 -> v2 migration's column-list copies.
-_V1_COLUMNS = {
-    "versions": (
-        "version, state, kind, parent, generation, created_at, published_at,"
-        " built_s, nodes, edges, graph_class, next_edge_id, aug_next_edge_id, meta"
-    ),
-    "columns": "version, name, dtype, length, nbytes, crc32",
-    "nodes": "version, pos, id_ref, label_ref, intern",
-    "node_props": "version, pos, ordinal, name_ref, value_ref",
-    "edges": "version, layer, pos, edge_id_ref, src_pos, dst_pos, label_ref",
-    "edge_props": "version, layer, pos, ordinal, name_ref, value_ref",
-}
+#: The interval tables holding the property model, in a purge-safe order.
+MODEL_TABLES = ("edge_props", "edges", "node_props", "nodes")
 
-#: Tables carrying per-version rows, in a purge-safe order.
-VERSIONED_TABLES = (
-    "edge_props",
-    "edges",
-    "node_props",
-    "nodes",
-    "columns",
-    "versions",
-)
+#: Rows visible at version ``?`` (bind it twice).
+LIVE_AT = "born <= ? AND (died IS NULL OR died > ?)"
 
 
 def connect(path: str) -> sqlite3.Connection:
@@ -166,8 +169,17 @@ def connect(path: str) -> sqlite3.Connection:
     return conn
 
 
+def create_tables(conn: sqlite3.Connection) -> None:
+    """Run the schema statement by statement (``executescript`` would
+    commit the caller's open transaction).  The schema holds no embedded
+    semicolons, so a plain split works."""
+    for statement in SCHEMA.split(";"):
+        if statement.strip():
+            conn.execute(statement)
+
+
 def init_schema(conn: sqlite3.Connection) -> None:
-    conn.executescript(SCHEMA)
+    create_tables(conn)
     conn.execute(
         "INSERT OR IGNORE INTO store_meta (key, value) VALUES ('format', ?)",
         (str(CATALOG_FORMAT),),
@@ -175,13 +187,28 @@ def init_schema(conn: sqlite3.Connection) -> None:
     conn.commit()
 
 
+def purge_unpublished(conn: sqlite3.Connection, tenant: str, version: int) -> None:
+    """Delete every trace of a version that never published: its
+    ``versions`` and ``columns`` rows and the bare model rows a streaming
+    writer flushed for it.  (A snapshot version writes its model rows in
+    the transaction that publishes it, so a staging one has none.)"""
+    for table in MODEL_TABLES:
+        conn.execute(
+            f"DELETE FROM {table} WHERE tenant = ? AND bare = 1 AND born = ?",
+            (tenant, version),
+        )
+    for table in ("columns", "versions"):
+        conn.execute(
+            f"DELETE FROM {table} WHERE tenant = ? AND version = ?",
+            (tenant, version),
+        )
+
+
 def check_format(conn: sqlite3.Connection) -> None:
-    if catalog_format(conn) != CATALOG_FORMAT:
-        row = conn.execute(
-            "SELECT value FROM store_meta WHERE key = 'format'"
-        ).fetchone()
+    found = catalog_format(conn)
+    if found != CATALOG_FORMAT:
         raise ValueError(
-            f"catalog format {row[0]} unsupported (this build reads {CATALOG_FORMAT})"
+            f"catalog format {found} unsupported (this build reads {CATALOG_FORMAT})"
         )
 
 
@@ -192,40 +219,6 @@ def catalog_format(conn: sqlite3.Connection) -> int:
     if row is None:
         raise ValueError("catalog carries no format marker")
     return int(row[0])
-
-
-def migrate_v1_to_v2(conn: sqlite3.Connection) -> None:
-    """Rewrite a format-1 catalog in place, adding the tenant dimension.
-
-    Every versioned table is renamed aside, recreated with the
-    tenant-leading primary key, and refilled with ``tenant='default'`` —
-    a v1 store holds exactly one version stream, which becomes the
-    default tenant's.  Runs as one transaction: a crash mid-migration
-    rolls back to an intact v1 catalog.
-    """
-    conn.execute("BEGIN IMMEDIATE")
-    try:
-        # Index names are database-global; drop before recreating.
-        conn.execute("DROP INDEX IF EXISTS nodes_by_id")
-        conn.execute("DROP INDEX IF EXISTS nodes_by_intern")
-        for table in _V1_COLUMNS:
-            conn.execute(f"ALTER TABLE {table} RENAME TO {table}_v1")
-        # executescript would auto-commit; run each statement ourselves.
-        # The schema holds no embedded semicolons, so a plain split works.
-        for statement in SCHEMA.split(";"):
-            if statement.strip():
-                conn.execute(statement)
-        for table, cols in _V1_COLUMNS.items():
-            conn.execute(
-                f"INSERT INTO {table} (tenant, {cols})"
-                f" SELECT 'default', {cols} FROM {table}_v1"
-            )
-            conn.execute(f"DROP TABLE {table}_v1")
-        conn.execute("UPDATE store_meta SET value = '2' WHERE key = 'format'")
-        conn.execute("COMMIT")
-    except BaseException:
-        conn.execute("ROLLBACK")
-        raise
 
 
 # -- value codec ------------------------------------------------------
@@ -279,9 +272,11 @@ def decode_value(kind: str, blob: bytes) -> Any:
 class ValueInterner:
     """Write-side intern cache over the ``vals`` table.
 
-    The cache is bounded: mostly-unique value streams (every node id,
-    every birth date) would otherwise grow it linearly with graph size,
-    which is exactly what the out-of-core writer must not do.  On
+    Looks a value up before inserting it, so a value already in ``vals``
+    costs one read and the table is only written for values it has never
+    seen.  The cache is bounded: mostly-unique value streams (every node
+    id, every birth date) would otherwise grow it linearly with graph
+    size, which is exactly what the out-of-core writer must not do.  On
     overflow it is simply cleared — the table stays authoritative.
     """
 
@@ -291,16 +286,21 @@ class ValueInterner:
         self._cache_limit = cache_limit
 
     def ref(self, value: Any) -> int:
-        key = encode_value(value)
+        return self.ref_encoded(encode_value(value))
+
+    def ref_encoded(self, key: tuple[str, bytes]) -> int:
+        """The ``vals`` id of an already encoded ``(kind, blob)`` pair."""
         ref = self._cache.get(key)
         if ref is None:
-            kind, blob = key
-            self._conn.execute(
-                "INSERT OR IGNORE INTO vals (kind, value) VALUES (?, ?)", (kind, blob)
-            )
-            ref = self._conn.execute(
-                "SELECT id FROM vals WHERE kind = ? AND value = ?", (kind, blob)
-            ).fetchone()[0]
+            row = self._conn.execute(
+                "SELECT id FROM vals WHERE kind = ? AND value = ?", key
+            ).fetchone()
+            if row is not None:
+                ref = row[0]
+            else:
+                ref = self._conn.execute(
+                    "INSERT INTO vals (kind, value) VALUES (?, ?)", key
+                ).lastrowid
             if len(self._cache) >= self._cache_limit:
                 self._cache.clear()
             self._cache[key] = ref

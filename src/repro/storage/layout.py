@@ -12,12 +12,14 @@ codecs import, next to the frame buffers described by
 
 Row-state layout (all arrays parallel within their group):
 
-* ``control_x`` / ``control_y`` — control pairs as intern codes, sorted
-  by ``(str(x), str(y))``;
+* ``control_x`` / ``control_y`` — control pairs as intern codes, in the
+  snapshot's canonical row order (``(str(x), str(y))``, ties broken by
+  intern code — :func:`repro.service.snapshot.canonical_rows` sorts them
+  once per build and both codecs reuse the lists);
 * ``close_x`` / ``close_y`` — close-link pairs, same ordering;
-* ``family_x`` / ``family_y`` / ``family_class`` — family links with the
-  link class interned against a sorted side table (returned by
-  :func:`encode_rows`, carried in the codec's metadata);
+* ``family_x`` / ``family_y`` / ``family_class`` — family links in the
+  same order, with the link class interned against a sorted side table
+  (returned by :func:`encode_rows`, carried in the codec's metadata);
 * ``ubo_company`` / ``ubo_person`` / ``ubo_share`` / ``ubo_controls`` —
   the beneficial-owner index flattened company-major in intern-code
   order, preserving each company's owner ranking.
@@ -65,13 +67,13 @@ def encode_rows(
     object metadata and hands it back to :func:`decode_rows`).
     """
     buffers: dict[str, np.ndarray] = {}
-    control = sorted(snapshot.control, key=lambda p: (str(p[0]), str(p[1])))
+    control = snapshot.control_rows
     buffers["control_x"] = codes(frame, [x for x, _ in control])
     buffers["control_y"] = codes(frame, [y for _, y in control])
-    close = sorted(snapshot.close_links, key=lambda p: (str(p[0]), str(p[1])))
+    close = snapshot.close_rows
     buffers["close_x"] = codes(frame, [x for x, _ in close])
     buffers["close_y"] = codes(frame, [y for _, y in close])
-    family = sorted(snapshot.family_links, key=lambda l: (str(l[0]), str(l[1]), l[2]))
+    family = snapshot.family_rows
     classes = sorted({cls for _, _, cls in family})
     class_code = {cls: i for i, cls in enumerate(classes)}
     buffers["family_x"] = codes(frame, [x for x, _, _ in family])
@@ -103,9 +105,9 @@ def decode_rows(
     nodes: list[NodeId],
     family_classes: list[str],
 ) -> tuple[
-    set[tuple[NodeId, NodeId]],
-    set[tuple[NodeId, NodeId]],
-    set[tuple[NodeId, NodeId, str]],
+    list[tuple[NodeId, NodeId]],
+    list[tuple[NodeId, NodeId]],
+    list[tuple[NodeId, NodeId, str]],
     dict[NodeId, list[BeneficialOwner]],
 ]:
     """Inverse of :func:`encode_rows`.
@@ -113,25 +115,27 @@ def decode_rows(
     ``nodes`` is the intern-ordered node-id table of the attached frame;
     ``buffers`` may hold any array-likes (shared-memory views, disk
     memmaps, plain arrays).  Returns
-    ``(control, close_links, family_links, ubo)`` in the exact shapes
-    :class:`~repro.service.snapshot.Snapshot` expects.
+    ``(control_rows, close_rows, family_rows, ubo)``: the three relations
+    as lists in stored — canonical — order, which
+    :meth:`Snapshot.from_columns <repro.service.snapshot.Snapshot.from_columns>`
+    turns back into the snapshot's sets and its augmented graph.
     """
-    control = {
+    control = [
         (nodes[x], nodes[y])
         for x, y in zip(buffers["control_x"].tolist(), buffers["control_y"].tolist())
-    }
-    close = {
+    ]
+    close = [
         (nodes[x], nodes[y])
         for x, y in zip(buffers["close_x"].tolist(), buffers["close_y"].tolist())
-    }
-    family = {
+    ]
+    family = [
         (nodes[x], nodes[y], family_classes[c])
         for x, y, c in zip(
             buffers["family_x"].tolist(),
             buffers["family_y"].tolist(),
             buffers["family_class"].tolist(),
         )
-    }
+    ]
     ubo: dict[NodeId, list[BeneficialOwner]] = {}
     for company_code, person_code, share, controls in zip(
         buffers["ubo_company"].tolist(),

@@ -12,33 +12,49 @@ A store is one directory::
             control_x.npy   # ...plus the snapshot row state (ROW_DTYPES)
 
 Version streams are per tenant: two tenants may both hold a version 3,
-and every catalog row is keyed ``(tenant, version)``.  A format-1 store
-(single stream, ``versions/v*`` at the top level) is migrated in place
-on first open — its stream becomes the ``default`` tenant's.
+and every catalog row carries its tenant.  Older stores are migrated in
+place on first open: a format-1 store (single stream, ``versions/v*`` at
+the top level) becomes the ``default`` tenant's stream, and the
+per-version model copies of formats 1 and 2 are folded into interval
+rows (:func:`repro.storage.model.migrate_legacy`).
 
-:meth:`FrameStore.persist` writes a complete snapshot — numeric columns
-as npy files, the graph object model and value-interned properties into
-the catalog — using the same publish discipline as the in-memory
-:class:`~repro.service.snapshot.SnapshotManager` swap:
+:meth:`FrameStore.persist` makes a snapshot durable: its numeric columns
+as npy files, and into the catalog **only what changed** in the graph
+object model since the tenant's newest persisted version — the model
+tables are interval tables (:mod:`repro.storage.catalog`), the delta is
+computed by :mod:`repro.storage.model` against a baseline the store keeps
+in memory.  There is one code path: a first version is a delta against
+an empty baseline.  The publish discipline is the in-memory
+:class:`~repro.service.snapshot.SnapshotManager` swap's:
 
 1. **claim** — a ``versions`` row is inserted in state ``staging``
    (its own transaction, so a concurrent persist of the same version
    fails fast);
 2. **write** — column files land in a fresh version directory and are
-   fsynced (file and directory), then the manifest and graph rows are
-   inserted, all still ``staging``;
-3. **flip** — one ``UPDATE versions SET state='published'`` commits.
-   That single row flip *is* the publish: a crash anywhere before it
-   leaves a ``staging`` carcass that :meth:`open` purges on the next
+   fsynced (file and directory);
+3. **flip** — one transaction inserts the manifest, closes and inserts
+   the model rows that changed, and runs the
+   ``UPDATE versions SET state='published'``.  That commit *is* the
+   publish: a crash anywhere before it leaves a ``staging`` carcass —
+   and not one model row touched — that :meth:`open` purges on the next
    boot, and a crash after it leaves a fully published version.
+
+The baseline is trusted only for the version it was taken from: inside
+the flip transaction the store checks that this is still the catalog's
+newest snapshot version of the tenant, and re-reads the model from the
+catalog when it is not (a restart, a second process writing the same
+directory).  :attr:`FrameStore.last_persist` says what the last persist
+wrote.
 
 :meth:`FrameStore.attach` is the inverse of
 ``service.shm.attach_snapshot`` with the disk as the segment: columns
 come back as read-only ``np.load(..., mmap_mode="r")`` views — the
 kernel pages them in on demand, so attach cost is catalog metadata, not
-buffer size — and the graph object model is rebuilt from the catalog.
-Both paths share :mod:`repro.storage.layout`, so a snapshot persisted
-here decodes exactly like one served from shared memory.
+buffer size — the base graph is rebuilt from the catalog rows visible at
+that version, and the augmented graph is recomputed from it and the
+row-state columns.  Both paths share :mod:`repro.storage.layout` and
+:meth:`Snapshot.from_columns`, so a snapshot persisted here decodes
+exactly like one served from shared memory.
 
 :meth:`FrameStore.attach_latest` self-heals: a published version that
 fails verification (truncated column, checksum mismatch) is demoted to
@@ -47,7 +63,8 @@ tried, so one bad version never bricks a store.
 
 :meth:`FrameStore.gc` prunes history: old published versions beyond the
 newest ``keep`` per ``(tenant, kind)`` stream are dropped from catalog
-and disk.  The latest published version of every stream and staging
+and disk, together with the model rows that died at or before the oldest
+kept version.  The latest published version of every stream and staging
 rows are never pruned.
 """
 
@@ -66,11 +83,11 @@ import numpy as np
 from ..graph.columnar import EXPORT_DTYPES, GraphFrame
 from ..graph.company_graph import CompanyGraph
 from ..graph.property_graph import PropertyGraph
-from ..graph.store import GraphStore
 from ..service.registry import validate_tenant
 from ..service.snapshot import DEFAULT_TENANT, Snapshot
 from . import catalog as cat
-from .layout import ROW_DTYPES, decode_rows, encode_rows
+from .layout import ROW_DTYPES, encode_rows
+from .model import Baseline, migrate_legacy, read_model, write_delta
 from .npyio import data_crc32, fsync_dir, write_column
 
 #: Graph classes a stored model may rebuild into.
@@ -119,7 +136,15 @@ class FrameStore:
         #: :class:`InjectedCrash` mid-persist (no cleanup runs — the
         #: point is to leave exactly what a kill would leave).
         self.crash_point: str | None = None
+        #: what the most recent successful :meth:`persist` wrote:
+        #: ``tenant``, ``version``, ``rows_inserted`` / ``rows_closed``
+        #: (model rows), ``column_bytes`` and ``seconds``
+        self.last_persist: dict[str, Any] | None = None
         self._persist_lock = threading.Lock()
+        #: tenant -> model of the newest snapshot version this object
+        #: persisted or attached; only ever used after the flip
+        #: transaction has confirmed it is still the catalog's newest
+        self._baselines: dict[str, Baseline] = {}
 
     # -- lifecycle ------------------------------------------------------
 
@@ -153,14 +178,14 @@ class FrameStore:
         try:
             conn = cat.connect(str(self.catalog_path))
             if not init:
-                if cat.catalog_format(conn) == 1:
-                    # Migrate in place: move the single v1 stream's
-                    # directories under the default tenant first (the
-                    # move is idempotent, so a crash between the two
-                    # steps re-runs it harmlessly), then rewrite the
-                    # catalog in one transaction.
+                found = cat.catalog_format(conn)
+                if found == 1:
+                    # Move the single v1 stream's directories under the
+                    # default tenant first (the move is idempotent, so a
+                    # crash between the two steps re-runs it harmlessly).
                     self._relocate_v1_dirs()
-                    cat.migrate_v1_to_v2(conn)
+                if found in (1, 2):
+                    migrate_legacy(conn)
                 cat.check_format(conn)
             return conn
         except (sqlite3.DatabaseError, ValueError) as exc:
@@ -187,11 +212,7 @@ class FrameStore:
             "SELECT tenant, version FROM versions WHERE state = 'staging'"
         ).fetchall()
         for tenant, version in staged:
-            for table in cat.VERSIONED_TABLES:
-                conn.execute(
-                    f"DELETE FROM {table} WHERE tenant = ? AND version = ?",
-                    (tenant, version),
-                )
+            cat.purge_unpublished(conn, tenant, version)
         conn.commit()
         known = {
             (tenant, version)
@@ -244,6 +265,19 @@ class FrameStore:
         )
         return [dict(zip(keys, row)) for row in rows]
 
+    def model_rows(self) -> dict[tuple[str, int], int]:
+        """``(tenant, version)`` -> model rows born at that version: what
+        each persist added to the catalog (one full scan of the model
+        tables — an inspection aid, not a hot path)."""
+        counts: dict[tuple[str, int], int] = {}
+        with self._connect() as conn:
+            for table in cat.MODEL_TABLES:
+                for tenant, born, n in conn.execute(
+                    f"SELECT tenant, born, COUNT(*) FROM {table} GROUP BY tenant, born"
+                ):
+                    counts[tenant, born] = counts.get((tenant, born), 0) + n
+        return counts
+
     def tenants(self) -> list[str]:
         """Every tenant holding at least one version, sorted."""
         with self._connect() as conn:
@@ -274,15 +308,32 @@ class FrameStore:
         published = self.published_versions(kind, tenant=tenant)
         return published[-1] if published else None
 
+    def newest_version(self, tenant: str = DEFAULT_TENANT) -> int:
+        """The highest version number ``tenant`` has used, in any state
+        and of either kind (0 for none) — what a service resumes its
+        numbering after, whichever version it *serves*."""
+        with self._connect() as conn:
+            row = conn.execute(
+                "SELECT MAX(version) FROM versions WHERE tenant = ?", (tenant,)
+            ).fetchone()
+        return row[0] or 0
+
     # -- persist --------------------------------------------------------
 
     def persist(self, snapshot: Snapshot, tenant: str = DEFAULT_TENANT) -> int:
-        """Write ``snapshot`` as a durable version of ``tenant``."""
+        """Write ``snapshot`` as a durable version of ``tenant``.
+
+        Versions of a tenant's snapshot stream are append-only: the
+        model tables record what changed *since the newest version*, so
+        a number below it is refused.  What was written is left in
+        :attr:`last_persist`.
+        """
         validate_tenant(tenant)
         with self._persist_lock:
             return self._persist(snapshot, tenant)
 
     def _persist(self, snapshot: Snapshot, tenant: str) -> int:
+        started = time.perf_counter()
         frame = snapshot.frame
         if not frame.is_current(snapshot.graph):  # out-of-band mutation: re-pin
             frame = GraphFrame.of(snapshot.graph)
@@ -290,7 +341,7 @@ class FrameStore:
         row_buffers, classes = encode_rows(snapshot, frame)
         buffers.update(row_buffers)
 
-        graph, augmented = snapshot.graph, snapshot.augmented
+        graph = snapshot.graph
         meta = pickle.dumps(
             {
                 "config": snapshot.config,
@@ -318,6 +369,7 @@ class FrameStore:
                 raise StoreError(
                     f"version {version} already persisted (state={existing[0]})"
                 )
+            self._newest_snapshot(conn, tenant, version)  # refuses a non-append
             parent = conn.execute(
                 "SELECT MAX(version) FROM versions"
                 " WHERE state = 'published' AND kind = 'snapshot' AND tenant = ?",
@@ -326,8 +378,8 @@ class FrameStore:
             conn.execute(
                 "INSERT INTO versions (tenant, version, state, kind, parent,"
                 " generation, created_at, built_s, nodes, edges, graph_class,"
-                " next_edge_id, aug_next_edge_id, meta)"
-                " VALUES (?, ?, 'staging', 'snapshot', ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+                " next_edge_id, meta)"
+                " VALUES (?, ?, 'staging', 'snapshot', ?, ?, ?, ?, ?, ?, ?, ?, ?)",
                 (
                     tenant,
                     version,
@@ -339,7 +391,6 @@ class FrameStore:
                     frame.edge_count,
                     type(graph).__name__,
                     graph._next_edge_id,
-                    augmented._next_edge_id,
                     meta,
                 ),
             )
@@ -371,14 +422,16 @@ class FrameStore:
             fsync_dir(vdir.parent)
             fsync_dir(self.versions_root)
 
-            # 3. manifest + graph model + the atomic flip, one transaction.
+            # 3. manifest + model delta + the atomic flip, one transaction.
             conn.execute("BEGIN IMMEDIATE")
             conn.executemany(
                 "INSERT INTO columns (tenant, version, name, dtype, length, nbytes,"
                 " crc32) VALUES (?, ?, ?, ?, ?, ?, ?)",
                 manifest,
             )
-            self._write_graph_model(conn, tenant, version, graph, augmented, frame)
+            baseline, rows_inserted, rows_closed = write_delta(
+                conn, tenant, version, graph, self._baseline(conn, tenant, version)
+            )
             self._maybe_crash("before_publish")
             conn.execute(
                 "UPDATE versions SET state = 'published', published_at = ?"
@@ -388,94 +441,52 @@ class FrameStore:
             conn.commit()
         finally:
             conn.close()
+        self._baselines[tenant] = baseline
+        self.last_persist = {
+            "tenant": tenant,
+            "version": version,
+            "rows_inserted": rows_inserted,
+            "rows_closed": rows_closed,
+            "column_bytes": sum(row[5] for row in manifest),
+            "seconds": round(time.perf_counter() - started, 6),
+        }
         return version
 
-    def _write_graph_model(
-        self,
-        conn: sqlite3.Connection,
-        tenant: str,
-        version: int,
-        graph: PropertyGraph,
-        augmented: PropertyGraph,
-        frame: GraphFrame,
-    ) -> None:
-        interner = cat.ValueInterner(conn)
-        index = frame.index
-        node_pos: dict[Any, int] = {}
-        node_rows = []
-        prop_rows = []
-        for pos, node in enumerate(graph.nodes()):
-            node_pos[node.id] = pos
-            label_ref = None if node.label is None else interner.ref(node.label)
-            node_rows.append(
-                (tenant, version, pos, interner.ref(node.id), label_ref, index[node.id])
-            )
-            for ordinal, (name, value) in enumerate(node.properties.items()):
-                prop_rows.append(
-                    (
-                        tenant,
-                        version,
-                        pos,
-                        ordinal,
-                        interner.ref(name),
-                        interner.ref(value),
-                    )
-                )
-        conn.executemany(
-            "INSERT INTO nodes (tenant, version, pos, id_ref, label_ref, intern)"
-            " VALUES (?, ?, ?, ?, ?, ?)",
-            node_rows,
-        )
-        conn.executemany(
-            "INSERT INTO node_props (tenant, version, pos, ordinal, name_ref,"
-            " value_ref) VALUES (?, ?, ?, ?, ?, ?)",
-            prop_rows,
-        )
+    def _baseline(self, conn: sqlite3.Connection, tenant: str, version: int) -> Baseline:
+        """The model ``version`` of ``tenant`` must be diffed against.
 
-        base_edge_ids = {edge.id for edge in graph.edges()}
-        layers = [
-            (0, list(graph.edges())),
-            (1, [e for e in augmented.edges() if e.id not in base_edge_ids]),
-        ]
-        edge_rows = []
-        edge_prop_rows = []
-        for layer, edges in layers:
-            for pos, edge in enumerate(edges):
-                label_ref = None if edge.label is None else interner.ref(edge.label)
-                edge_rows.append(
-                    (
-                        tenant,
-                        version,
-                        layer,
-                        pos,
-                        interner.ref(edge.id),
-                        node_pos[edge.source],
-                        node_pos[edge.target],
-                        label_ref,
-                    )
-                )
-                for ordinal, (name, value) in enumerate(edge.properties.items()):
-                    edge_prop_rows.append(
-                        (
-                            tenant,
-                            version,
-                            layer,
-                            pos,
-                            ordinal,
-                            interner.ref(name),
-                            interner.ref(value),
-                        )
-                    )
-        conn.executemany(
-            "INSERT INTO edges (tenant, version, layer, pos, edge_id_ref, src_pos,"
-            " dst_pos, label_ref) VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
-            edge_rows,
-        )
-        conn.executemany(
-            "INSERT INTO edge_props (tenant, version, layer, pos, ordinal, name_ref,"
-            " value_ref) VALUES (?, ?, ?, ?, ?, ?, ?)",
-            edge_prop_rows,
-        )
+        Called inside the flip transaction (the write lock is held, so
+        the answer cannot go stale before the delta commits).  The
+        remembered baseline is used only if it is of the catalog's
+        newest snapshot version — published or demoted to ``corrupt``,
+        either way its model rows are the live ones; otherwise the model
+        is read back from the catalog.
+        """
+        newest = self._newest_snapshot(conn, tenant, version)
+        if newest is None:
+            return Baseline()
+        remembered = self._baselines.get(tenant)
+        if remembered is not None and remembered.version == newest:
+            return remembered
+        return Baseline.of(newest, *read_model(conn, tenant, newest))
+
+    @staticmethod
+    def _newest_snapshot(
+        conn: sqlite3.Connection, tenant: str, version: int
+    ) -> int | None:
+        """The newest snapshot version of ``tenant`` whose model rows are
+        in the catalog; refuses a ``version`` that would not append."""
+        newest = conn.execute(
+            "SELECT MAX(version) FROM versions WHERE tenant = ?"
+            " AND kind = 'snapshot' AND state != 'staging'",
+            (tenant,),
+        ).fetchone()[0]
+        if newest is not None and newest > version:
+            raise StoreError(
+                f"version {version} is older than the newest persisted"
+                f" version {newest} of tenant {tenant}"
+            )
+        return newest
 
     # -- attach ---------------------------------------------------------
 
@@ -505,8 +516,8 @@ class FrameStore:
                     )
                 version = row[0]
             row = conn.execute(
-                "SELECT state, kind, graph_class, next_edge_id, aug_next_edge_id,"
-                " meta, built_s FROM versions WHERE tenant = ? AND version = ?",
+                "SELECT state, kind, graph_class, next_edge_id, meta, built_s"
+                " FROM versions WHERE tenant = ? AND version = ?",
                 (tenant, version),
             ).fetchone()
             if row is None:
@@ -521,52 +532,31 @@ class FrameStore:
                 raise StoreError(
                     f"version {version} not found in store (published: {published})"
                 )
-            state, kind, graph_class, next_edge_id, aug_next_edge_id, blob, built_s = row
+            state, kind, graph_class, next_edge_id, blob, built_s = row
             if state != "published":
                 raise StoreError(f"version {version} is not published (state={state})")
             if kind != "snapshot":
                 raise StoreError(
                     f"version {version} is a bare graph, not a servable snapshot"
                 )
+            cls = GRAPH_CLASSES.get(graph_class)
+            if cls is None:
+                raise StoreError(
+                    f"version {version} uses unknown graph class {graph_class}"
+                )
             meta = pickle.loads(blob)
             views = self._load_columns(
                 conn, tenant, version, SNAPSHOT_COLUMNS, verify=verify
             )
-            graph, augmented = self._rebuild_graphs(
-                conn, tenant, version, graph_class, next_edge_id, aug_next_edge_id
-            )
+            graph, *seqs = read_model(conn, tenant, version, cls)
+            graph._next_edge_id = next_edge_id
         finally:
             conn.close()
 
-        frame = GraphFrame.attach(
-            graph,
-            {k: views[k] for k in EXPORT_DTYPES},
-            weight_property=meta["weight_property"],
-        )
-        frame.adopt_as_cache_of(graph)
-        control, close, family, ubo = decode_rows(
-            views, frame.nodes, meta["family_classes"]
-        )
-        config = meta["config"]
-        store = GraphStore(augmented)
-        for prop in config.index_properties:
-            store.ensure_index(prop)
-        snapshot = StoredSnapshot(
-            version=version,
-            graph=graph,
-            augmented=augmented,
-            store=store,
-            config=config,
-            control=control,
-            close_links=close,
-            family_links=family,
-            ubo=ubo,
-            built_s=built_s,
-            warm=meta["warm"],
-            frame=frame,
-            incremental=meta["incremental"],
-        )
-        snapshot.created_at = meta["created_at"]
+        remembered = self._baselines.get(tenant)
+        if remembered is None or remembered.version < version:
+            self._baselines[tenant] = Baseline.of(version, graph, *seqs)
+        snapshot = StoredSnapshot.from_columns(version, graph, views, meta, built_s)
         snapshot.store_path = self.root
         snapshot.store_version = version
         snapshot.store_tenant = tenant
@@ -661,85 +651,6 @@ class FrameStore:
             views[name] = view
         return views
 
-    def _rebuild_graphs(
-        self,
-        conn: sqlite3.Connection,
-        tenant: str,
-        version: int,
-        graph_class: str,
-        next_edge_id: int,
-        aug_next_edge_id: int,
-    ) -> tuple[PropertyGraph, PropertyGraph]:
-        cls = GRAPH_CLASSES.get(graph_class)
-        if cls is None:
-            raise StoreError(f"version {version} uses unknown graph class {graph_class}")
-        loader = cat.ValueLoader(conn)
-
-        node_rows = conn.execute(
-            "SELECT pos, id_ref, label_ref FROM nodes"
-            " WHERE tenant = ? AND version = ? ORDER BY pos",
-            (tenant, version),
-        ).fetchall()
-        loader.prefetch(r for row in node_rows for r in row[1:] if r is not None)
-        graph = cls()
-        ids_by_pos: list[Any] = []
-        for _pos, id_ref, label_ref in node_rows:
-            node = graph.add_node(loader.get(id_ref), loader.get(label_ref))
-            ids_by_pos.append(node.id)
-        prop_rows = conn.execute(
-            "SELECT pos, name_ref, value_ref FROM node_props"
-            " WHERE tenant = ? AND version = ? ORDER BY pos, ordinal",
-            (tenant, version),
-        ).fetchall()
-        loader.prefetch(r for row in prop_rows for r in row[1:])
-        for pos, name_ref, value_ref in prop_rows:
-            graph.node(ids_by_pos[pos]).properties[loader.get(name_ref)] = loader.get(
-                value_ref
-            )
-
-        edge_rows = conn.execute(
-            "SELECT layer, pos, edge_id_ref, src_pos, dst_pos, label_ref FROM edges"
-            " WHERE tenant = ? AND version = ? ORDER BY layer, pos",
-            (tenant, version),
-        ).fetchall()
-        loader.prefetch(
-            r
-            for row in edge_rows
-            for r in (row[2], row[5])
-            if r is not None
-        )
-        eprop_rows = conn.execute(
-            "SELECT layer, pos, name_ref, value_ref FROM edge_props"
-            " WHERE tenant = ? AND version = ? ORDER BY layer, pos, ordinal",
-            (tenant, version),
-        ).fetchall()
-        loader.prefetch(r for row in eprop_rows for r in row[2:])
-        eprops: dict[tuple[int, int], list[tuple[str, Any]]] = {}
-        for layer, pos, name_ref, value_ref in eprop_rows:
-            eprops.setdefault((layer, pos), []).append(
-                (loader.get(name_ref), loader.get(value_ref))
-            )
-
-        def add_layer(target: PropertyGraph, layer: int) -> None:
-            for row_layer, pos, edge_id_ref, src_pos, dst_pos, label_ref in edge_rows:
-                if row_layer != layer:
-                    continue
-                edge = target.add_edge(
-                    ids_by_pos[src_pos],
-                    ids_by_pos[dst_pos],
-                    loader.get(label_ref),
-                    edge_id=loader.get(edge_id_ref),
-                )
-                for name, value in eprops.get((layer, pos), ()):
-                    edge.properties[name] = value
-
-        add_layer(graph, 0)
-        graph._next_edge_id = next_edge_id
-        augmented = graph.copy()
-        add_layer(augmented, 1)
-        augmented._next_edge_id = aug_next_edge_id
-        return graph, augmented
-
     # -- garbage collection ---------------------------------------------
 
     def gc(
@@ -752,8 +663,8 @@ class FrameStore:
 
         Versions are grouped into ``(tenant, kind)`` streams; within each
         stream the newest ``keep`` published versions survive and every
-        older published version is deleted from the catalog and disk.
-        Staging rows and the latest published version of a stream are
+        older published version is deleted from the catalog and disk,
+        along with the model rows no kept version can see.  Staging rows and the latest published version of a stream are
         never pruned (``keep`` must be at least 1).  Restrict with
         ``tenant`` and/or ``kind``; returns one dict per pruned version.
         """
@@ -778,18 +689,26 @@ class FrameStore:
                 query, tuple(params)
             ):
                 streams.setdefault((row_tenant, row_kind), []).append(row_version)
+            conn.execute("BEGIN IMMEDIATE")
             for (row_tenant, row_kind), stream in streams.items():
+                if len(stream) <= keep:
+                    continue
+                # model rows that died at or before the oldest kept
+                # version are visible to no kept version
+                for table in cat.MODEL_TABLES:
+                    conn.execute(
+                        f"DELETE FROM {table}"
+                        " WHERE tenant = ? AND bare = ? AND died <= ?",
+                        (row_tenant, int(row_kind == "graph"), stream[-keep]),
+                    )
                 for row_version in stream[:-keep]:
                     doomed.append((row_tenant, row_version, row_kind))
-            if doomed:
-                conn.execute("BEGIN IMMEDIATE")
-                for row_tenant, row_version, _row_kind in doomed:
-                    for table in cat.VERSIONED_TABLES:
+                    for table in ("columns", "versions"):
                         conn.execute(
                             f"DELETE FROM {table} WHERE tenant = ? AND version = ?",
                             (row_tenant, row_version),
                         )
-                conn.commit()
+            conn.commit()
         finally:
             conn.close()
         # Directory removal happens after the catalog commit: a crash in

@@ -16,6 +16,11 @@ dtypes, and construction order as the in-memory**
 insertion sequence produces byte-identical ``edge_src`` / ``edge_dst`` /
 CSR / CSC buffers (the parity tests assert it):
 
+The catalog rows of a bare graph live in the same interval tables as a
+snapshot stream's (:mod:`repro.storage.catalog`), marked ``bare = 1``:
+written once, ``born = v`` / ``died = v + 1``, ``seq`` = insertion
+position.
+
 1. intern codes are assigned by sorting node ids **in SQLite** (the
    UTF-8 BLOB order of the intern table equals Python ``str`` order,
    which for all-string ids equals ``intern_sort_key`` order — hence the
@@ -61,6 +66,15 @@ GRAPH_COLUMNS: dict[str, np.dtype] = {
     "csc_sources": np.dtype(np.int64),
     "csc_positions": np.dtype(np.int64),
 }
+
+
+#: FROM/WHERE of "the bare node row of (tenant, version) with string id
+#: ?" — a primary-key lookup once ``vals`` has resolved the id.
+_NODE_BY_ID = (
+    "FROM nodes n JOIN vals v ON v.id = n.id_ref"
+    " WHERE n.tenant = ? AND n.bare = 1 AND n.born = ?"
+    " AND v.kind = 's' AND v.value = ?"
+)
 
 
 class StreamingGraphWriter:
@@ -111,6 +125,9 @@ class StreamingGraphWriter:
             self._conn.rollback()
             raise StoreError(f"version {version} already persisted")
         self.version = version
+        #: leading columns of every model row: bare, alive at exactly
+        #: this version
+        self._lifetime = (tenant, version, version + 1)
         self._conn.execute(
             "INSERT INTO versions (tenant, version, state, kind, created_at,"
             " graph_class) VALUES (?, ?, 'staging', 'graph', ?, 'CompanyGraph')",
@@ -161,13 +178,12 @@ class StreamingGraphWriter:
         self._node_count += 1
         label_ref = None if label is None else self._interner.ref(label)
         self._pending_nodes.append(
-            (self.tenant, self.version, pos, self._interner.ref(node_id), label_ref)
+            (*self._lifetime, self._interner.ref(node_id), pos, label_ref)
         )
         for ordinal, (name, value) in enumerate(properties.items()):
             self._pending_node_props.append(
                 (
-                    self.tenant,
-                    self.version,
+                    *self._lifetime,
                     pos,
                     ordinal,
                     self._interner.ref(name),
@@ -196,11 +212,9 @@ class StreamingGraphWriter:
         label_ref = None if label is None else self._interner.ref(label)
         self._pending_edges.append(
             (
-                self.tenant,
-                self.version,
-                0,
-                pos,
+                *self._lifetime,
                 self._interner.ref(edge_id),
+                pos,
                 src_pos,
                 dst_pos,
                 label_ref,
@@ -209,9 +223,7 @@ class StreamingGraphWriter:
         for ordinal, (name, value) in enumerate(properties.items()):
             self._pending_edge_props.append(
                 (
-                    self.tenant,
-                    self.version,
-                    0,
+                    *self._lifetime,
                     pos,
                     ordinal,
                     self._interner.ref(name),
@@ -243,8 +255,7 @@ class StreamingGraphWriter:
         if pos is not None:
             return pos
         row = self._conn.execute(
-            "SELECT n.pos FROM nodes n JOIN vals v ON v.id = n.id_ref"
-            " WHERE n.tenant = ? AND n.version = ? AND v.kind = 's' AND v.value = ?",
+            f"SELECT n.seq {_NODE_BY_ID}",
             (self.tenant, self.version, node_id.encode("utf-8")),
         ).fetchone()
         if row is None:
@@ -258,13 +269,13 @@ class StreamingGraphWriter:
         if not self._pending_nodes and not self._pending_node_props:
             return
         self._conn.executemany(
-            "INSERT INTO nodes (tenant, version, pos, id_ref, label_ref)"
-            " VALUES (?, ?, ?, ?, ?)",
+            "INSERT INTO nodes (tenant, bare, born, died, id_ref, seq, label_ref)"
+            " VALUES (?, 1, ?, ?, ?, ?, ?)",
             self._pending_nodes,
         )
         self._conn.executemany(
-            "INSERT INTO node_props (tenant, version, pos, ordinal, name_ref,"
-            " value_ref) VALUES (?, ?, ?, ?, ?, ?)",
+            "INSERT INTO node_props (tenant, bare, born, died, owner, ordinal,"
+            " name_ref, value_ref) VALUES (?, 1, ?, ?, ?, ?, ?, ?)",
             self._pending_node_props,
         )
         self._conn.commit()
@@ -275,13 +286,13 @@ class StreamingGraphWriter:
     def _flush_edges(self) -> None:
         if self._pending_edges:
             self._conn.executemany(
-                "INSERT INTO edges (tenant, version, layer, pos, edge_id_ref,"
-                " src_pos, dst_pos, label_ref) VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
+                "INSERT INTO edges (tenant, bare, born, died, edge_id_ref, seq,"
+                " src_seq, dst_seq, label_ref) VALUES (?, 1, ?, ?, ?, ?, ?, ?, ?)",
                 self._pending_edges,
             )
             self._conn.executemany(
-                "INSERT INTO edge_props (tenant, version, layer, pos, ordinal,"
-                " name_ref, value_ref) VALUES (?, ?, ?, ?, ?, ?, ?)",
+                "INSERT INTO edge_props (tenant, bare, born, died, owner, ordinal,"
+                " name_ref, value_ref) VALUES (?, 1, ?, ?, ?, ?, ?, ?)",
                 self._pending_edge_props,
             )
             self._conn.commit()
@@ -314,15 +325,19 @@ class StreamingGraphWriter:
         chunk = self.chunk_rows
 
         # 1. intern codes: sorted id order, assigned via a disk-backed
-        #    SQLite sort; code_of_pos maps insertion position -> code.
-        #    Two passes — the scan must finish before the table is
-        #    updated (same-connection write-under-read is undefined).
+        #    SQLite sort; code_of_pos maps insertion position -> code and
+        #    ref_of_pos -> the node's id ref (its row key).  Two passes —
+        #    the scan must finish before the table is updated
+        #    (same-connection write-under-read is undefined).
         code_of_pos = np.lib.format.open_memmap(
             vdir / "_tmp_code_of_pos.npy", mode="w+", dtype=np.int64, shape=(n,)
         )
+        ref_of_pos = np.lib.format.open_memmap(
+            vdir / "_tmp_ref_of_pos.npy", mode="w+", dtype=np.int64, shape=(n,)
+        )
         cursor = conn.execute(
-            "SELECT n.pos FROM nodes n JOIN vals v ON v.id = n.id_ref"
-            " WHERE n.tenant = ? AND n.version = ? ORDER BY v.value",
+            "SELECT n.seq, n.id_ref FROM nodes n JOIN vals v ON v.id = n.id_ref"
+            " WHERE n.tenant = ? AND n.bare = 1 AND n.born = ? ORDER BY v.value",
             (self.tenant, version),
         )
         code = 0
@@ -330,19 +345,22 @@ class StreamingGraphWriter:
             rows = cursor.fetchmany(chunk)
             if not rows:
                 break
-            for (pos,) in rows:
+            for pos, id_ref in rows:
                 code_of_pos[pos] = code
+                ref_of_pos[pos] = id_ref
                 code += 1
         code_of_pos.flush()
         for start in range(0, n, chunk):
-            block = np.asarray(code_of_pos[start : start + chunk]).tolist()
+            codes = np.asarray(code_of_pos[start : start + chunk]).tolist()
+            refs = np.asarray(ref_of_pos[start : start + chunk]).tolist()
             conn.execute("BEGIN")
             conn.executemany(
                 "UPDATE nodes SET intern = ?"
-                " WHERE tenant = ? AND version = ? AND pos = ?",
-                ((c, self.tenant, version, start + i) for i, c in enumerate(block)),
+                " WHERE tenant = ? AND bare = 1 AND id_ref = ? AND born = ?",
+                ((c, self.tenant, r, version) for c, r in zip(codes, refs)),
             )
             conn.commit()
+        del ref_of_pos
 
         # 2. remap the temporary position-based edge endpoints to codes.
         for tmp_name, out_name in (
@@ -469,11 +487,7 @@ class StreamingGraphWriter:
         self._conn.rollback()  # discard the open add-phase transaction
         for writer in (self._tmp_src, self._tmp_dst, self._w_writer, self._label_writer):
             writer.abort()
-        for table in cat.VERSIONED_TABLES:
-            self._conn.execute(
-                f"DELETE FROM {table} WHERE tenant = ? AND version = ?",
-                (self.tenant, self.version),
-            )
+        cat.purge_unpublished(self._conn, self.tenant, self.version)
         self._conn.commit()
         self._conn.close()
         shutil.rmtree(self._vdir, ignore_errors=True)
@@ -532,8 +546,7 @@ class OutOfCoreGraph:
 
     def code_of(self, node_id: str) -> int:
         row = self._conn.execute(
-            "SELECT n.intern FROM nodes n JOIN vals v ON v.id = n.id_ref"
-            " WHERE n.tenant = ? AND n.version = ? AND v.kind = 's' AND v.value = ?",
+            f"SELECT n.intern {_NODE_BY_ID}",
             (self.tenant, self.version, node_id.encode("utf-8")),
         ).fetchone()
         if row is None:
@@ -543,7 +556,7 @@ class OutOfCoreGraph:
     def id_of(self, code: int) -> str:
         row = self._conn.execute(
             "SELECT v.value FROM nodes n JOIN vals v ON v.id = n.id_ref"
-            " WHERE n.tenant = ? AND n.version = ? AND n.intern = ?",
+            " WHERE n.tenant = ? AND n.bare = 1 AND n.born = ? AND n.intern = ?",
             (self.tenant, self.version, code),
         ).fetchone()
         if row is None:
@@ -553,8 +566,7 @@ class OutOfCoreGraph:
     def node(self, node_id: str) -> dict[str, Any]:
         """Label and properties of one node."""
         row = self._conn.execute(
-            "SELECT n.pos, n.label_ref FROM nodes n JOIN vals v ON v.id = n.id_ref"
-            " WHERE n.tenant = ? AND n.version = ? AND v.kind = 's' AND v.value = ?",
+            f"SELECT n.seq, n.label_ref {_NODE_BY_ID}",
             (self.tenant, self.version, node_id.encode("utf-8")),
         ).fetchone()
         if row is None:
@@ -562,9 +574,9 @@ class OutOfCoreGraph:
         pos, label_ref = row
         props = {}
         for name_ref, value_ref in self._conn.execute(
-            "SELECT name_ref, value_ref FROM node_props"
-            " WHERE tenant = ? AND version = ? AND pos = ? ORDER BY ordinal",
-            (self.tenant, self.version, pos),
+            "SELECT name_ref, value_ref FROM node_props WHERE tenant = ?"
+            " AND bare = 1 AND owner = ? AND born = ? ORDER BY ordinal",
+            (self.tenant, pos, self.version),
         ):
             props[self._loader.get(name_ref)] = self._loader.get(value_ref)
         return {"id": node_id, "label": self._loader.get(label_ref), "properties": props}

@@ -359,3 +359,119 @@ class TestGenerateStore:
             assert ooc.node_count == info["nodes"] > 0
         finally:
             ooc.close()
+
+
+class _Served:
+    """``python -m repro serve <args>`` in a child process."""
+
+    def __init__(self, args, cwd):
+        import re
+
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+        self.proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", *args, "--port", "0"],
+            cwd=cwd, env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+        )
+        self.banner = self.proc.stdout.readline()
+        match = re.search(r"serving snapshot v(\d+) .* on http://[^:]+:(\d+)", self.banner)
+        assert match, f"no banner, got {self.banner!r}"
+        self.version, self.port = int(match.group(1)), int(match.group(2))
+
+    def request(self, path, body=None):
+        from urllib.request import Request, urlopen
+
+        data = None if body is None else json.dumps(body).encode()
+        with urlopen(Request(f"http://127.0.0.1:{self.port}{path}", data=data),
+                     timeout=60) as reply:
+            return json.loads(reply.read())
+
+    def stop(self):
+        import signal
+
+        self.proc.send_signal(signal.SIGTERM if "workers" in self.banner else signal.SIGINT)
+        try:
+            self.proc.wait(timeout=30)
+        finally:
+            self.proc.kill()
+            self.proc.stdout.close()
+
+
+class TestServeRollbackKeepsPersisting:
+    """``serve --store S --version N`` serves the old version N but numbers
+    its next publish after the store's newest, so the write is durable."""
+
+    @pytest.fixture
+    def store_dir(self, tmp_path):
+        from repro.datagen.company_generator import CompanySpec, generate_company_graph
+        from repro.service import SnapshotBuilder, SnapshotConfig
+        from repro.storage import FrameStore
+
+        graph, _ = generate_company_graph(CompanySpec(persons=20, companies=15, seed=1))
+        builder = SnapshotBuilder(SnapshotConfig(augment=False))
+        store = FrameStore.create(tmp_path / "store")
+        for i in range(5):
+            graph = graph.copy()
+            graph.add_company(f"C_V{i + 1}")
+            store.persist(builder.build(graph))
+        return tmp_path / "store"
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_mutation_after_rollback_becomes_version_6(self, store_dir, tmp_path, workers):
+        from repro.storage import FrameStore
+
+        args = ["--store", str(store_dir), "--version", "2"]
+        if workers > 1:
+            args += ["--workers", str(workers)]
+        served = _Served(args, tmp_path)
+        try:
+            assert served.version == 2
+            assert served.request("/healthz")["version"] == 2
+            reply = served.request(
+                "/mutations?wait=1", {"deltas": [{"op": "add_company", "id": "C_NEW"}]}
+            )
+            assert reply["status"] == "published" and reply["version"] == 6
+            persist = served.request("/stats")["persist"]
+            assert persist["persist_failures"] == 0
+            assert persist["last_persist_error"] is None
+            wrote = persist["last_persist"]
+            assert wrote["version"] == 6
+            assert {"rows_inserted", "rows_closed", "column_bytes", "seconds"} <= set(wrote)
+        finally:
+            served.stop()
+
+        store = FrameStore.open(store_dir)
+        assert store.published_versions() == [1, 2, 3, 4, 5, 6]
+        # version 6 continues version 2's graph: the rollback is what was served
+        graph = store.attach(6).graph
+        assert graph.has_node("C_NEW") and graph.has_node("C_V2")
+        assert not graph.has_node("C_V3")
+
+        restarted = _Served(["--store", str(store_dir)], tmp_path)
+        try:
+            assert restarted.version == 6
+            assert restarted.request("/neighbors/C_NEW")["id"] == "C_NEW"
+        finally:
+            restarted.stop()
+
+
+class TestStoreVersionsCommand:
+    def test_lists_model_rows_per_version(self, tmp_path, capsys):
+        from repro.datagen.company_generator import CompanySpec, generate_company_graph
+        from repro.service import SnapshotBuilder, SnapshotConfig
+        from repro.storage import FrameStore
+
+        graph, _ = generate_company_graph(CompanySpec(persons=20, companies=15, seed=1))
+        builder = SnapshotBuilder(SnapshotConfig(augment=False))
+        store = FrameStore.create(tmp_path / "store")
+        store.persist(builder.build(graph))
+        first = store.last_persist["rows_inserted"]
+        graph = graph.copy()
+        graph.add_company("C_TWO")
+        store.persist(builder.build(graph))
+        capsys.readouterr()
+        assert main(["store", "versions", str(tmp_path / "store")]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines[0] == "tenant,version,state,kind,nodes,edges,model_rows"
+        assert lines[1].startswith("default,1,published,snapshot,")
+        assert lines[1].endswith(f",{first}")
+        assert lines[2].endswith(",1")  # one node row, no properties

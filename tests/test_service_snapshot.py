@@ -177,3 +177,90 @@ def test_minimal_graph_snapshot():
     snapshot = SnapshotBuilder().build(graph)
     assert snapshot.control == {("p", "c")}
     assert snapshot.ubo["c"][0].person == "p"
+
+
+# ----------------------------------------------------------------------
+# /neighbors lists derived edges in one defined order
+# ----------------------------------------------------------------------
+
+_NEIGHBORS_SCRIPT = """
+import json
+from repro.datagen.company_generator import CompanySpec, generate_company_graph
+from repro.service import SnapshotBuilder
+
+graph, _ = generate_company_graph(CompanySpec(persons=30, companies=24, seed=11))
+snapshot = SnapshotBuilder().build(graph)
+derived = {
+    node
+    for edge in snapshot.augmented.edges()
+    if not graph.has_edge(edge.id)
+    for node in (edge.source, edge.target)
+}
+assert len(derived) > 20
+print(json.dumps([snapshot.neighbors_payload(node) for node in sorted(derived)]))
+"""
+
+
+class TestNeighborsOrder:
+    def test_two_processes_with_different_hash_seeds_agree_byte_for_byte(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        outputs = []
+        for hash_seed in ("1", "2"):
+            env = dict(
+                os.environ,
+                PYTHONHASHSEED=hash_seed,
+                PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]),
+            )
+            done = subprocess.run(
+                [sys.executable, "-c", _NEIGHBORS_SCRIPT],
+                env=env, check=True, capture_output=True, timeout=120,
+            )
+            outputs.append(done.stdout)
+        assert outputs[0] == outputs[1]
+
+    def test_built_shm_attached_and_store_attached_agree(self, graph, snapshot, tmp_path):
+        import json
+
+        from repro.service import attach_snapshot, encode_snapshot
+        from repro.storage import FrameStore
+
+        from .test_service_shm import _PARKED_HANDLES, detach
+
+        def every_neighbors(snap):
+            return json.dumps([snap.neighbors_payload(n.id) for n in graph.nodes()])
+
+        expected = every_neighbors(snapshot)
+        segment = encode_snapshot(snapshot)
+        attached = attach_snapshot(segment.name)
+        try:
+            assert every_neighbors(attached) == expected
+        finally:
+            detach(attached)
+            segment.unlink()
+            try:
+                segment.close()
+            except BufferError:
+                _PARKED_HANDLES.append(segment)
+        store = FrameStore.create(tmp_path / "store")
+        store.persist(snapshot)
+        assert every_neighbors(store.attach(snapshot.version)) == expected
+
+    def test_ids_with_equal_strings_are_ordered_by_intern_code(self):
+        from repro.graph import GraphFrame, PropertyGraph
+        from repro.service.snapshot import canonical_rows
+
+        graph = PropertyGraph()
+        for node in (1, "1", "a"):
+            graph.add_node(node)
+        frame = GraphFrame.of(graph)
+        first, second = sorted((1, "1"), key=lambda n: frame.index[n])
+        expected = [(first, "a"), (second, "a")]
+        for pairs in ([(1, "a"), ("1", "a")], [("1", "a"), (1, "a")]):
+            _family, control, close = canonical_rows(frame, (), pairs, reversed(pairs))
+            assert control == close == expected

@@ -1,0 +1,362 @@
+"""The delta store equals the full store, always.
+
+``FrameStore.persist`` writes only what changed since the tenant's
+newest persisted version.  Whatever the history, attaching version *k*
+of a store that received every version must equal attaching a fresh
+store that received version *k* alone — node order, edge order,
+properties (type-exact), ``_next_edge_id``, row state and the bytes of
+all six endpoint payloads.
+"""
+
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.datagen.company_generator import CompanySpec, generate_company_graph
+from repro.graph import CompanyGraph
+from repro.service import SnapshotBuilder, SnapshotConfig
+from repro.storage import FrameStore, InjectedCrash, StoreError
+from repro.storage import catalog as cat
+from repro.storage.stream import OutOfCoreGraph, StreamingGraphWriter
+
+from .test_storage_migration import fingerprint
+
+CONFIG = SnapshotConfig(augment=False)
+
+COMPANIES = tuple(f"C{i}" for i in range(6))
+PERSONS = ("P0", "P1")
+EXTRAS = ("X0", "X1")  # isolated, free to change label
+VALUES = ("v", "w", 1, 1.0, True, None, [1, 2], {"a": 1})
+SHARES = (0.1, 0.2, 0.6)
+
+
+def seed_graph():
+    graph = CompanyGraph()
+    for company in COMPANIES[:4]:
+        graph.add_company(company, name=f"{company} SRL", tag="v")
+    for person in PERSONS:
+        graph.add_person(person, name=person, surname="Rossi")
+    graph.add_node("X0", "Trust", tag=1)
+    graph.add_shareholding("P0", "C0", 0.6)
+    graph.add_shareholding("C0", "C1", 0.6)
+    graph.add_shareholding("C1", "C2", 0.2)
+    return graph
+
+
+def apply_op(graph, op, a, b, c):
+    """One mutation of ``graph`` chosen by ``op``; the integers pick the
+    operands among whatever the graph holds, so every op is applicable
+    (or a no-op) on every graph."""
+    nodes = [n.id for n in graph.nodes()]
+    edges = [e.id for e in graph.edges()]
+    pick = lambda seq, i: seq[i % len(seq)]
+    if op == "add_node":
+        candidate = pick(COMPANIES + EXTRAS, a)
+        if not graph.has_node(candidate):
+            if candidate in EXTRAS:
+                graph.add_node(candidate, "Trust", tag=pick(VALUES, b))
+            else:
+                graph.add_company(candidate, name=f"{candidate} SpA")
+    elif op == "remove_node" and len(nodes) > 2:
+        graph.remove_node(pick(nodes, a))
+    elif op == "add_edge":
+        companies = [n.id for n in graph.companies()]
+        owners = companies + [n.id for n in graph.persons()]
+        if companies and owners:
+            owner, company = pick(owners, a), pick(companies, b)
+            held = sum(e.properties["w"] for e in graph.in_edges(company))
+            share = pick(SHARES, c)
+            if owner != company and not graph.share(owner, company) and held + share <= 1:
+                graph.add_shareholding(owner, company, share, note=pick(VALUES, c))
+    elif op == "remove_edge" and edges:
+        graph.remove_edge(pick(edges, a))
+    elif op == "set_value" and nodes:
+        graph.set_property(pick(nodes, a), pick(("tag", "score"), b), pick(VALUES, c))
+    elif op == "del_key" and nodes:
+        properties = graph.node(pick(nodes, a)).properties
+        for key in ("tag", "score"):
+            if key in properties:
+                del properties[key]
+                break
+    elif op == "set_edge_value" and edges:
+        graph.edge(pick(edges, a)).properties["note"] = pick(VALUES, c)
+    elif op == "relabel":
+        for extra in EXTRAS:
+            if graph.has_node(extra):
+                node = graph.node(extra)
+                node.label = "Fund" if node.label == "Trust" else "Trust"
+                break
+    elif op == "readd" and nodes:
+        node = graph.node(pick(nodes, a))
+        graph.remove_node(node.id)
+        graph.add_node(node.id, node.label, **node.properties)
+    # "same": an update that leaves the graph equal
+
+
+OPS = ("add_node", "remove_node", "add_edge", "remove_edge", "set_value", "del_key",
+       "set_edge_value", "relabel", "readd", "same")
+steps = st.lists(
+    st.tuples(st.sampled_from(OPS), st.integers(0, 50), st.integers(0, 50),
+              st.integers(0, 50)),
+    min_size=1, max_size=6,
+)
+
+
+@settings(max_examples=20, deadline=None)
+@given(steps)
+def test_every_version_equals_a_fresh_full_store(ops):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        delta_store = FrameStore.create(tmp / "delta")
+        builder = SnapshotBuilder(CONFIG)
+        graph = seed_graph()
+        snapshots = [builder.build(graph)]
+        for op in ops:
+            graph = graph.copy()
+            apply_op(graph, *op)
+            snapshots.append(builder.build(graph))
+        for snapshot in snapshots:
+            delta_store.persist(snapshot)
+        for snapshot in snapshots:
+            fresh = FrameStore.create(tmp / f"fresh-{snapshot.version}")
+            fresh.persist(snapshot)
+            expected = fingerprint(fresh.attach(snapshot.version))
+            assert expected == fingerprint(snapshot)
+            assert fingerprint(delta_store.attach(snapshot.version)) == expected
+
+
+def model_row_count(store, where="1"):
+    with store._connect() as conn:
+        return sum(
+            conn.execute(f"SELECT COUNT(*) FROM {table} WHERE {where}").fetchone()[0]
+            for table in cat.MODEL_TABLES
+        )
+
+
+def vals_count(store):
+    with store._connect() as conn:
+        return conn.execute("SELECT COUNT(*) FROM vals").fetchone()[0]
+
+
+def history(versions, seed=3):
+    """Snapshots over a graph that gains a company and a stake, renames a
+    node and loses an edge as it goes — every kind of row dies."""
+    graph, _ = generate_company_graph(CompanySpec(persons=14, companies=12, seed=seed))
+    builder = SnapshotBuilder(CONFIG)
+    out = [builder.build(graph)]
+    for i in range(versions - 1):
+        graph = graph.copy()
+        companies = [n.id for n in graph.companies()]
+        graph.add_company(f"C_NEW{i}", name=f"New {i}")
+        graph.add_shareholding(companies[i % len(companies)], f"C_NEW{i}", 0.4)
+        graph.set_property(companies[0], "name", f"Renamed {i}")
+        if i % 3 == 2:
+            graph.remove_edge(next(iter(graph.edges())).id)
+        out.append(builder.build(graph))
+    return out
+
+
+class TestWhatAPersistWrites:
+    def test_ownership_only_publish_writes_a_few_rows_and_interns_only_new_values(
+        self, tmp_path
+    ):
+        graph, _ = generate_company_graph(CompanySpec(persons=60, companies=45, seed=2))
+        builder = SnapshotBuilder(CONFIG)
+        store = FrameStore.create(tmp_path / "store")
+        store.persist(builder.build(graph))
+        first = store.last_persist
+        assert set(first) >= {"rows_inserted", "rows_closed", "column_bytes", "seconds"}
+        assert first["rows_inserted"] == model_row_count(store) > 400
+        assert first["rows_closed"] == 0
+        assert first["column_bytes"] > 0 and first["seconds"] > 0
+
+        companies = [n.id for n in graph.companies()]
+        graph = graph.copy()
+        graph.add_shareholding(companies[3], companies[7], 0.031)
+        graph.add_shareholding(companies[5], companies[9], 0.017)
+        vals_before = vals_count(store)
+        store.persist(builder.build(graph))
+        wrote = store.last_persist
+        assert (wrote["tenant"], wrote["version"]) == ("default", 2)
+        # two edge rows and their ``w`` properties; nothing else moved
+        assert wrote["rows_inserted"] == 4 and wrote["rows_closed"] == 0
+        # two edge ids and two share values are the only unseen values
+        assert vals_count(store) - vals_before == 4
+
+        graph = graph.copy()
+        graph.remove_edge(next(iter(graph.edges())).id)
+        graph.set_property(companies[0], "name", "Renamed SpA")
+        store.persist(builder.build(graph))
+        wrote = store.last_persist
+        assert wrote["rows_closed"] == 3  # the edge, its ``w``, the old name
+        assert wrote["rows_inserted"] == 1  # the new name
+
+    def test_unchanged_graph_writes_no_model_rows(self, tmp_path):
+        snap1, = history(1)
+        store = FrameStore.create(tmp_path / "store")
+        store.persist(snap1)
+        again = SnapshotBuilder(CONFIG, start_version=1).build(snap1.graph.copy())
+        store.persist(again)
+        assert store.last_persist["rows_inserted"] == 0
+        assert store.last_persist["rows_closed"] == 0
+        assert fingerprint(store.attach(2)) == fingerprint(again)
+
+    def test_older_version_is_refused(self, tmp_path):
+        snap1, snap2 = history(2)
+        store = FrameStore.create(tmp_path / "store")
+        store.persist(snap2)
+        with pytest.raises(StoreError, match="older than the newest persisted"):
+            store.persist(snap1)
+        assert [v["version"] for v in store.versions()] == [2]
+
+
+class TestCrashLeavesNoModelRows:
+    @pytest.mark.parametrize(
+        "stage", ["before_files", "mid_files", "after_files", "before_publish"]
+    )
+    def test_crash_at_version_k_touches_nothing_below_k(self, tmp_path, stage):
+        snap1, snap2, snap3 = history(3)
+        root = tmp_path / "store"
+        store = FrameStore.create(root)
+        store.persist(snap1)
+        store.persist(snap2)
+        before = [fingerprint(store.attach(v)) for v in (1, 2)]
+        rows_before = model_row_count(store)
+        store.crash_point = stage
+        with pytest.raises(InjectedCrash):
+            store.persist(snap3)
+
+        reopened = FrameStore.open(root)
+        assert model_row_count(reopened) == rows_before
+        assert model_row_count(reopened, "born = 3 OR died = 3") == 0
+        assert [fingerprint(reopened.attach(v)) for v in (1, 2)] == before
+        assert reopened.persist(snap3) == 3
+        assert fingerprint(reopened.attach(3)) == fingerprint(snap3)
+        # the store that crashed kept a baseline of version 2, not 3
+        store.crash_point = None
+        assert fingerprint(store.attach(3)) == fingerprint(snap3)
+
+
+class TestGcOnIntervals:
+    def test_gc_keeps_kept_versions_identical_with_fewer_rows(self, tmp_path):
+        snapshots = history(10)
+        store = FrameStore.create(tmp_path / "store")
+        for snapshot in snapshots:
+            store.persist(snapshot)
+        before = [fingerprint(store.attach(v)) for v in (9, 10)]
+        rows_before = model_row_count(store)
+
+        pruned = store.gc(keep=2)
+        assert [p["version"] for p in pruned] == list(range(1, 9))
+        assert store.published_versions() == [9, 10]
+        assert [fingerprint(store.attach(v)) for v in (9, 10)] == before
+        assert model_row_count(store) < rows_before
+        assert model_row_count(store, "died <= 9") == 0
+        # the pruned stream keeps growing from its newest version
+        graph = snapshots[-1].graph.copy()
+        graph.add_company("C_AFTER_GC")
+        snap = SnapshotBuilder(CONFIG, start_version=10).build(graph)
+        store.persist(snap)
+        assert store.last_persist["rows_inserted"] < 5
+        assert fingerprint(store.attach(11)) == fingerprint(snap)
+
+
+class TestStreamsDoNotMix:
+    def test_bare_graph_between_snapshots_changes_neither(self, tmp_path):
+        snap1, snap2 = history(2)
+        store = FrameStore.create(tmp_path / "store")
+        store.persist(snap1)
+        writer = StreamingGraphWriter(store)
+        writer.add_person("P1", name="Ada")
+        writer.add_company("C1")
+        writer.add_shareholding("P1", "C1", 0.5)
+        assert writer.finalize() == 2
+        late = SnapshotBuilder(CONFIG, start_version=2).build(snap2.graph)
+        assert store.persist(late) == 3
+        assert store.last_persist["rows_inserted"] < 10  # diffed against v1, not v2
+
+        assert fingerprint(store.attach(1)) == fingerprint(snap1)
+        assert fingerprint(store.attach(3)) == fingerprint(late)
+        ooc = OutOfCoreGraph(store, 2)
+        try:
+            assert ooc.node_count == 2
+            assert ooc.share("P1", "C1") == 0.5
+            assert ooc.node("P1") == {
+                "id": "P1", "label": "P", "properties": {"name": "Ada"}
+            }
+            with pytest.raises(Exception, match="does not exist"):
+                ooc.node(next(iter(snap1.graph.node_ids())))
+        finally:
+            ooc.close()
+        # pruning one stream leaves the other's rows alone
+        store.gc(keep=1, kind="snapshot")
+        assert store.published_versions() == [3]
+        ooc = OutOfCoreGraph(store, 2)
+        try:
+            assert ooc.share("P1", "C1") == 0.5
+        finally:
+            ooc.close()
+
+    def test_tenants_keep_separate_baselines(self, tmp_path):
+        (snap_a,), (snap_b,) = history(1, seed=3), history(1, seed=7)
+        store = FrameStore.create(tmp_path / "store")
+        store.persist(snap_a, tenant="alpha")
+        store.persist(snap_b, tenant="beta")
+        assert store.last_persist["rows_closed"] == 0
+        assert fingerprint(store.attach(1, tenant="alpha")) == fingerprint(snap_a)
+        assert fingerprint(store.attach(1, tenant="beta")) == fingerprint(snap_b)
+
+
+class TestBaselineIsVerified:
+    def test_baseline_made_stale_by_a_second_store_is_reread(self, tmp_path):
+        snap1, snap2, snap3 = history(3)
+        root = tmp_path / "store"
+        first = FrameStore.create(root)
+        first.persist(snap1)
+        second = FrameStore.open(root)
+        second.persist(snap2)  # ``first`` still remembers version 1
+        first.persist(snap3)
+        # a diff against the stale version-1 baseline would re-insert
+        # what version 2 already added
+        assert first.last_persist["rows_inserted"] < 10
+        for snapshot in (snap1, snap2, snap3):
+            assert fingerprint(first.attach(snapshot.version)) == fingerprint(snapshot)
+
+    def test_corrupt_newest_version_is_still_the_baseline(self, tmp_path):
+        snap1, snap2, snap3 = history(3)
+        store = FrameStore.create(tmp_path / "store")
+        store.persist(snap1)
+        store.persist(snap2)
+        (store.version_dir(2) / "edge_src.npy").write_bytes(b"torn")
+        fresh = FrameStore.open(tmp_path / "store")
+        assert fresh.attach_latest().version == 1  # demotes 2, remembers 1
+        fresh.persist(snap3)  # its model rows still continue version 2's
+        assert fingerprint(fresh.attach(3)) == fingerprint(snap3)
+        assert fingerprint(fresh.attach(1)) == fingerprint(snap1)
+
+    def test_hand_reordered_graph_is_rewritten_whole(self, tmp_path):
+        snap1, = history(1)
+        store = FrameStore.create(tmp_path / "store")
+        store.persist(snap1)
+        rows_v1 = model_row_count(store)
+
+        reordered = CompanyGraph()
+        for node in reversed(list(snap1.graph.nodes())):
+            reordered.add_node(node.id, node.label, **node.properties)
+        for edge in snap1.graph.edges():
+            reordered.add_edge(edge.source, edge.target, edge.label,
+                               edge_id=edge.id, **edge.properties)
+        reordered._next_edge_id = snap1.graph._next_edge_id
+        snap2 = SnapshotBuilder(CONFIG, start_version=1).build(reordered)
+        store.persist(snap2)
+        assert store.last_persist["rows_closed"] == rows_v1
+        assert store.last_persist["rows_inserted"] == rows_v1
+        attached = store.attach(2)
+        assert [n.id for n in attached.graph.nodes()] == [
+            n.id for n in reordered.nodes()
+        ]
+        assert fingerprint(attached) == fingerprint(snap2)
+        assert fingerprint(store.attach(1)) == fingerprint(snap1)

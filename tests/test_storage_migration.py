@@ -1,0 +1,388 @@
+"""In-place catalog migration: formats 1 and 2 -> 3.
+
+Formats 1 and 2 store one full copy of the property model per version
+(``pos``-keyed rows, plus the derived edges as ``layer = 1`` rows);
+format 3 stores interval rows.  The legacy DDL and the legacy model
+writer live *here*, not in ``src/``: a store written by the current
+code is rewritten into the exact catalog the previous release produced,
+then opened — the migration must leave every version attaching to the
+same graph, row state and payload bytes.
+"""
+
+import json
+import sqlite3
+
+import pytest
+
+from repro.datagen.company_generator import CompanySpec, generate_company_graph
+from repro.service import SnapshotBuilder, SnapshotConfig
+from repro.storage import FrameStore, StoreError
+from repro.storage import catalog as cat
+from repro.storage import model
+from repro.storage.stream import OutOfCoreGraph, StreamingGraphWriter
+
+#: The model and version tables of catalog format 2, verbatim from the
+#: release that wrote it (``store_meta``, ``columns`` and ``vals`` did not
+#: change and are left in place).
+FORMAT2_DDL = """
+CREATE TABLE versions (
+    tenant        TEXT NOT NULL DEFAULT 'default',
+    version       INTEGER NOT NULL,
+    state         TEXT NOT NULL CHECK (state IN ('staging', 'published', 'corrupt')),
+    kind          TEXT NOT NULL CHECK (kind IN ('snapshot', 'graph')),
+    parent        INTEGER,
+    generation    INTEGER,
+    created_at    REAL NOT NULL,
+    published_at  REAL,
+    built_s       REAL,
+    nodes         INTEGER,
+    edges         INTEGER,
+    graph_class   TEXT,
+    next_edge_id  INTEGER,
+    aug_next_edge_id INTEGER,
+    meta          BLOB,
+    PRIMARY KEY (tenant, version)
+);
+CREATE TABLE nodes (
+    tenant    TEXT NOT NULL DEFAULT 'default',
+    version   INTEGER NOT NULL,
+    pos       INTEGER NOT NULL,
+    id_ref    INTEGER NOT NULL,
+    label_ref INTEGER,
+    intern    INTEGER,
+    PRIMARY KEY (tenant, version, pos)
+);
+CREATE INDEX nodes_by_id ON nodes (tenant, version, id_ref);
+CREATE INDEX nodes_by_intern ON nodes (tenant, version, intern);
+CREATE TABLE node_props (
+    tenant    TEXT NOT NULL DEFAULT 'default',
+    version   INTEGER NOT NULL,
+    pos       INTEGER NOT NULL,
+    ordinal   INTEGER NOT NULL,
+    name_ref  INTEGER NOT NULL,
+    value_ref INTEGER NOT NULL,
+    PRIMARY KEY (tenant, version, pos, ordinal)
+);
+CREATE TABLE edges (
+    tenant      TEXT NOT NULL DEFAULT 'default',
+    version     INTEGER NOT NULL,
+    layer       INTEGER NOT NULL,
+    pos         INTEGER NOT NULL,
+    edge_id_ref INTEGER NOT NULL,
+    src_pos     INTEGER NOT NULL,
+    dst_pos     INTEGER NOT NULL,
+    label_ref   INTEGER,
+    PRIMARY KEY (tenant, version, layer, pos)
+);
+CREATE TABLE edge_props (
+    tenant    TEXT NOT NULL DEFAULT 'default',
+    version   INTEGER NOT NULL,
+    layer     INTEGER NOT NULL,
+    pos       INTEGER NOT NULL,
+    ordinal   INTEGER NOT NULL,
+    name_ref  INTEGER NOT NULL,
+    value_ref INTEGER NOT NULL,
+    PRIMARY KEY (tenant, version, layer, pos, ordinal)
+);
+"""
+
+LEGACY_TABLES = ("versions", "nodes", "node_props", "edges", "edge_props")
+
+#: Format-1 column lists: format 2 minus the tenant dimension.
+FORMAT1_COLUMNS = {
+    "versions": (
+        "version, state, kind, parent, generation, created_at, published_at,"
+        " built_s, nodes, edges, graph_class, next_edge_id, aug_next_edge_id, meta"
+    ),
+    "columns": "version, name, dtype, length, nbytes, crc32",
+    "nodes": "version, pos, id_ref, label_ref, intern",
+    "node_props": "version, pos, ordinal, name_ref, value_ref",
+    "edges": "version, layer, pos, edge_id_ref, src_pos, dst_pos, label_ref",
+    "edge_props": "version, layer, pos, ordinal, name_ref, value_ref",
+}
+
+
+def write_format2_model(conn, tenant, version, snapshot):
+    """The previous release's per-version model writer: every node, node
+    property, base edge (layer 0) and derived edge (layer 1), keyed by
+    position."""
+    interner = cat.ValueInterner(conn)
+    graph, augmented, index = snapshot.graph, snapshot.augmented, snapshot.frame.index
+    node_pos = {}
+    for pos, node in enumerate(graph.nodes()):
+        node_pos[node.id] = pos
+        label_ref = None if node.label is None else interner.ref(node.label)
+        conn.execute(
+            "INSERT INTO nodes VALUES (?, ?, ?, ?, ?, ?)",
+            (tenant, version, pos, interner.ref(node.id), label_ref, index[node.id]),
+        )
+        for ordinal, (name, value) in enumerate(node.properties.items()):
+            conn.execute(
+                "INSERT INTO node_props VALUES (?, ?, ?, ?, ?, ?)",
+                (tenant, version, pos, ordinal, interner.ref(name), interner.ref(value)),
+            )
+    base_edge_ids = {edge.id for edge in graph.edges()}
+    layers = (
+        (0, list(graph.edges())),
+        (1, [e for e in augmented.edges() if e.id not in base_edge_ids]),
+    )
+    for layer, edges in layers:
+        for pos, edge in enumerate(edges):
+            label_ref = None if edge.label is None else interner.ref(edge.label)
+            conn.execute(
+                "INSERT INTO edges VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
+                (tenant, version, layer, pos, interner.ref(edge.id),
+                 node_pos[edge.source], node_pos[edge.target], label_ref),
+            )
+            for ordinal, (name, value) in enumerate(edge.properties.items()):
+                conn.execute(
+                    "INSERT INTO edge_props VALUES (?, ?, ?, ?, ?, ?, ?)",
+                    (tenant, version, layer, pos, ordinal,
+                     interner.ref(name), interner.ref(value)),
+                )
+    conn.execute(
+        "UPDATE versions SET aug_next_edge_id = ? WHERE tenant = ? AND version = ?",
+        (augmented._next_edge_id, tenant, version),
+    )
+
+
+def downgrade_to_format2(root, snapshots):
+    """Rewrite the catalog of the store at ``root`` as format 2.
+
+    ``snapshots`` maps ``(tenant, version)`` to the snapshot persisted
+    under it; bare-graph versions are converted row by row in SQL.
+    """
+    conn = sqlite3.connect(str(root / "catalog.db"), isolation_level=None)
+    conn.execute("BEGIN")
+    conn.execute("DROP INDEX nodes_by_intern")
+    for table in LEGACY_TABLES:
+        conn.execute(f"ALTER TABLE {table} RENAME TO {table}_new")
+    for statement in FORMAT2_DDL.split(";"):
+        if statement.strip():
+            conn.execute(statement)
+    copied = FORMAT1_COLUMNS["versions"].replace("aug_next_edge_id, ", "")
+    conn.execute(
+        f"INSERT INTO versions (tenant, {copied}) SELECT tenant, {copied}"
+        " FROM versions_new"
+    )
+    conn.execute(
+        "INSERT INTO nodes SELECT tenant, born, seq, id_ref, label_ref, intern"
+        " FROM nodes_new WHERE bare = 1"
+    )
+    conn.execute(
+        "INSERT INTO edges SELECT tenant, born, 0, seq, edge_id_ref, src_seq,"
+        " dst_seq, label_ref FROM edges_new WHERE bare = 1"
+    )
+    conn.execute(
+        "INSERT INTO node_props SELECT tenant, born, owner, ordinal, name_ref,"
+        " value_ref FROM node_props_new WHERE bare = 1"
+    )
+    conn.execute(
+        "INSERT INTO edge_props SELECT tenant, born, 0, owner, ordinal, name_ref,"
+        " value_ref FROM edge_props_new WHERE bare = 1"
+    )
+    for (tenant, version), snapshot in snapshots.items():
+        write_format2_model(conn, tenant, version, snapshot)
+    for table in LEGACY_TABLES:
+        conn.execute(f"DROP TABLE {table}_new")
+    conn.execute("UPDATE store_meta SET value = '2' WHERE key = 'format'")
+    conn.execute("COMMIT")
+    conn.execute("VACUUM")
+    conn.close()
+
+
+def downgrade_to_format1(root):
+    """Rewrite a format-2 store as the exact format-1 layout: tenantless
+    tables, top-level ``versions/v*`` directories, format marker 1."""
+    conn = sqlite3.connect(str(root / "catalog.db"))
+    for table, cols in FORMAT1_COLUMNS.items():
+        conn.execute(f"ALTER TABLE {table} RENAME TO {table}_v2")
+        conn.execute(f"CREATE TABLE {table} AS SELECT {cols} FROM {table}_v2")
+        conn.execute(f"DROP TABLE {table}_v2")
+    conn.execute("DROP INDEX IF EXISTS nodes_by_id")
+    conn.execute("DROP INDEX IF EXISTS nodes_by_intern")
+    conn.execute("UPDATE store_meta SET value = '1' WHERE key = 'format'")
+    conn.commit()
+    conn.close()
+    default_dir = root / "versions" / "default"
+    for entry in list(default_dir.iterdir()):
+        entry.rename(root / "versions" / entry.name)
+    default_dir.rmdir()
+
+
+def fingerprint(snapshot):
+    """Everything an attach must reproduce, in a comparable form."""
+    graph, augmented = snapshot.graph, snapshot.augmented
+    companies = [node.id for node in graph.companies()]
+    return {
+        "nodes": repr([(n.id, n.label, list(n.properties.items()))
+                       for n in graph.nodes()]),
+        "edges": repr([(e.id, e.source, e.target, e.label, list(e.properties.items()))
+                       for e in graph.edges()]),
+        "next_edge_id": graph._next_edge_id,
+        "augmented": repr([(e.id, e.source, e.target, e.label)
+                           for e in augmented.edges()]),
+        "rows": (snapshot.family_rows, snapshot.control_rows, snapshot.close_rows,
+                 snapshot.ubo),
+        "payloads": json.dumps([
+            snapshot.control_payload(),
+            snapshot.close_links_payload(),
+            snapshot.family_payload(),
+            snapshot.ubo_payloads(companies),
+            snapshot.stats_payload(),
+            [snapshot.neighbors_payload(n.id) for n in graph.nodes()],
+        ]),
+    }
+
+
+def evolving_snapshots(seed, versions):
+    """Consecutive snapshots whose graphs add, change and remove things."""
+    graph, _ = generate_company_graph(
+        CompanySpec(persons=24, companies=20, seed=seed)
+    )
+    builder = SnapshotBuilder(
+        SnapshotConfig(augment=True, first_level_clusters=1, use_embeddings=False)
+    )
+    out = [builder.build(graph)]
+    for i in range(versions - 1):
+        graph = graph.copy()
+        graph.add_company(f"C_EXTRA{i}", name=f"Extra {i}")
+        first = next(iter(graph.companies()))
+        graph.add_shareholding(first.id, f"C_EXTRA{i}", 0.3)
+        graph.set_property(first.id, "name", f"Renamed {i}")
+        if i % 2:
+            graph.remove_edge(next(iter(graph.edges())).id)
+        out.append(builder.build(graph))
+    return out
+
+
+@pytest.fixture
+def legacy_store(tmp_path):
+    """A two-tenant store, one tenant with an interleaved bare graph,
+    rewritten as format 2; yields ``(root, fingerprints, bare point
+    queries)`` taken before the rewrite."""
+    root = tmp_path / "store"
+    store = FrameStore.create(root)
+    snapshots = {}
+    for version, snapshot in enumerate(evolving_snapshots(5, 2), start=1):
+        store.persist(snapshot)
+        snapshots["default", version] = snapshot
+    writer = StreamingGraphWriter(store)  # default tenant's version 3
+    writer.add_person("P1", name="Ada")
+    writer.add_company("C1")
+    writer.add_shareholding("P1", "C1", 0.5)
+    assert writer.finalize() == 3
+    late = SnapshotBuilder(SnapshotConfig(augment=False), start_version=3).build(
+        snapshots["default", 2].graph
+    )
+    store.persist(late)
+    snapshots["default", 4] = late
+    for version, snapshot in enumerate(evolving_snapshots(7, 3), start=1):
+        store.persist(snapshot, tenant="beta")
+        snapshots["beta", version] = snapshot
+    before = {key: fingerprint(store.attach(key[1], tenant=key[0])) for key in snapshots}
+    downgrade_to_format2(root, snapshots)
+    return root, before
+
+
+class TestMigration:
+    def test_format2_store_migrates_and_every_version_attaches_equal(
+        self, legacy_store
+    ):
+        root, before = legacy_store
+        legacy_bytes = (root / "catalog.db").stat().st_size
+        with sqlite3.connect(str(root / "catalog.db")) as conn:
+            assert cat.catalog_format(conn) == 2
+            assert conn.execute(
+                "SELECT COUNT(*) FROM edges WHERE layer = 1"
+            ).fetchone()[0] > 0
+
+        migrated = FrameStore.open(root)  # migration runs inside open
+        with migrated._connect() as conn:
+            assert cat.catalog_format(conn) == cat.CATALOG_FORMAT
+            tables = {row[0] for row in conn.execute(
+                "SELECT name FROM sqlite_master WHERE type = 'table'"
+            )}
+            assert not {t for t in tables if t.endswith("_legacy")}
+            assert "layer" not in {row[1] for row in conn.execute(
+                "PRAGMA table_info(edges)"
+            )}
+        assert migrated.tenants() == ["beta", "default"]
+        assert migrated.published_versions() == [1, 2, 4]
+        assert migrated.published_versions(kind="graph") == [3]
+        for (tenant, version), expected in before.items():
+            assert fingerprint(migrated.attach(version, tenant=tenant)) == expected
+        ooc = OutOfCoreGraph(migrated, 3)
+        try:
+            assert ooc.share("P1", "C1") == 0.5
+            assert ooc.node("P1")["properties"] == {"name": "Ada"}
+            assert ooc.id_of(ooc.code_of("C1")) == "C1"
+        finally:
+            ooc.close()
+        # the per-version copies are gone and the file actually shrank
+        assert (root / "catalog.db").stat().st_size < legacy_bytes
+        # the migrated streams keep growing
+        graph = migrated.attach(3, tenant="beta").graph.copy()
+        graph.add_company("C_AFTER")
+        snap = SnapshotBuilder(
+            SnapshotConfig(augment=False), start_version=3
+        ).build(graph)
+        assert migrated.persist(snap, tenant="beta") == 4
+        assert migrated.attach(4, tenant="beta").graph.has_node("C_AFTER")
+        assert migrated.last_persist["rows_inserted"] < 10
+
+    def test_failed_migration_rolls_back_to_the_intact_legacy_catalog(
+        self, legacy_store, monkeypatch
+    ):
+        root, before = legacy_store
+
+        def explode(*args, **kwargs):
+            raise RuntimeError("power cut")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(model, "write_delta", explode)
+            with pytest.raises(RuntimeError, match="power cut"):
+                FrameStore.open(root)
+        with sqlite3.connect(str(root / "catalog.db")) as conn:
+            assert cat.catalog_format(conn) == 2
+            assert conn.execute(
+                "SELECT COUNT(*) FROM edges WHERE layer = 1"
+            ).fetchone()[0] > 0
+        migrated = FrameStore.open(root)
+        for (tenant, version), expected in before.items():
+            assert fingerprint(migrated.attach(version, tenant=tenant)) == expected
+
+    def test_format1_store_reaches_format3(self, tmp_path):
+        root = tmp_path / "store"
+        store = FrameStore.create(root)
+        snapshots = {}
+        for version, snapshot in enumerate(evolving_snapshots(5, 3), start=1):
+            store.persist(snapshot)
+            snapshots["default", version] = snapshot
+        before = {key: fingerprint(store.attach(key[1])) for key in snapshots}
+        downgrade_to_format2(root, snapshots)
+        downgrade_to_format1(root)
+        assert (root / "versions" / "v00000001").is_dir()
+
+        migrated = FrameStore.open(root)
+        with migrated._connect() as conn:
+            assert cat.catalog_format(conn) == cat.CATALOG_FORMAT
+        assert migrated.tenants() == ["default"]
+        assert migrated.published_versions() == [1, 2, 3]
+        assert not (root / "versions" / "v00000001").exists()
+        assert migrated.version_dir(1).is_dir()
+        for (tenant, version), expected in before.items():
+            attached = migrated.attach(version)
+            assert attached.store_tenant == "default"
+            assert fingerprint(attached) == expected
+
+    def test_unknown_format_fails_with_one_line(self, tmp_path):
+        root = tmp_path / "store"
+        FrameStore.create(root)
+        with sqlite3.connect(str(root / "catalog.db")) as conn:
+            conn.execute("UPDATE store_meta SET value = '9' WHERE key = 'format'")
+        with pytest.raises(StoreError) as raised:
+            FrameStore.open(root)
+        message = str(raised.value)
+        assert "catalog format 9 unsupported" in message
+        assert "\n" not in message

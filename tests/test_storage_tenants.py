@@ -1,19 +1,16 @@
 """Tenant dimension of the durable frame store.
 
 Per-tenant version streams (two tenants both holding a version 1 without
-colliding in the catalog or on disk), tenant-scoped attach, the v1 -> v2
-in-place catalog migration, and ``gc`` history pruning that never
-touches staging rows or a stream's latest published version.
+colliding in the catalog or on disk), tenant-scoped attach, and ``gc``
+history pruning that never touches staging rows or a stream's latest
+published version.  (Catalog migration: ``test_storage_migration.py``.)
 """
-
-import sqlite3
 
 import pytest
 
 from repro.datagen.company_generator import CompanySpec, generate_company_graph
 from repro.service import SnapshotBuilder, SnapshotConfig, TenantError
 from repro.storage import FrameStore, StoreError
-from repro.storage import catalog as cat
 from repro.storage.stream import OutOfCoreGraph, StreamingGraphWriter
 
 
@@ -114,56 +111,6 @@ class TestTenantStreams:
         finally:
             ooc_a.close()
             ooc_b.close()
-
-
-class TestMigration:
-    def _downgrade_to_v1(self, root):
-        """Rewrite a fresh v2 store as the exact v1 layout: tenantless
-        tables, top-level ``versions/v*`` directories, format marker 1."""
-        store = FrameStore(root)
-        conn = sqlite3.connect(str(store.catalog_path))
-        conn.execute("PRAGMA foreign_keys=OFF")
-        for table in cat.VERSIONED_TABLES:
-            cols = cat._V1_COLUMNS[table]
-            conn.execute(f"ALTER TABLE {table} RENAME TO {table}_new")
-            conn.execute(
-                f"CREATE TABLE {table} AS SELECT {cols} FROM {table}_new"
-            )
-            conn.execute(f"DROP TABLE {table}_new")
-        conn.execute("DROP INDEX IF EXISTS nodes_by_id")
-        conn.execute("DROP INDEX IF EXISTS nodes_by_intern")
-        conn.execute("UPDATE store_meta SET value = '1' WHERE key = 'format'")
-        conn.commit()
-        conn.close()
-        default_dir = store.versions_root / "default"
-        if default_dir.is_dir():
-            for entry in list(default_dir.iterdir()):
-                entry.rename(store.versions_root / entry.name)
-            default_dir.rmdir()
-
-    def test_v1_store_migrates_in_place_and_serves(self, tmp_path):
-        root = tmp_path / "store"
-        store = FrameStore.create(root)
-        snap1, snap2 = build_snapshots(seed=5, versions=2)
-        store.persist(snap1)
-        store.persist(snap2)
-        before = graph_model(store.attach(2).graph)
-        self._downgrade_to_v1(root)
-        assert (root / "versions" / "v00000001").is_dir()
-
-        migrated = FrameStore.open(root)  # migration runs inside open
-        with migrated._connect() as conn:
-            assert cat.catalog_format(conn) == cat.CATALOG_FORMAT
-        assert migrated.tenants() == ["default"]
-        assert migrated.published_versions() == [1, 2]
-        assert not (root / "versions" / "v00000001").exists()
-        assert migrated.version_dir(1).is_dir()
-        att = migrated.attach(2)
-        assert graph_model(att.graph) == before
-        assert att.store_tenant == "default"
-        # the migrated stream keeps growing
-        snap3 = build_snapshots(seed=5, versions=3)[2]
-        assert migrated.persist(snap3) == 3
 
 
 class TestGc:
