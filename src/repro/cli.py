@@ -376,28 +376,10 @@ def _reason(args: argparse.Namespace) -> int:
 MAX_WORKERS = 64
 
 
-def _persist_hook(store):
-    """A ``(snapshot, tenant)`` persist hook over ``store``; returns what
-    the persist wrote (``FrameStore.last_persist``) for ``/stats``."""
-
-    def hook(snapshot, tenant: str):
-        store.persist(snapshot, tenant=tenant)
-        return store.last_persist
-
-    return hook
-
-
-def _tenant_persist_hook(store, tenant: str):
-    """A 1-arg updater persist hook bound to one tenant's stream."""
-    hook = _persist_hook(store)
-    return lambda snapshot: hook(snapshot, tenant)
-
-
 def _serve(args: argparse.Namespace) -> int:
     import asyncio
 
-    from .service import ServiceConfig, SnapshotConfig, TenantError, build_service
-    from .service import validate_tenant
+    from .service import ReasoningService, ServiceConfig, TenantError, validate_tenant
 
     try:
         validate_tenant(args.tenant)
@@ -418,29 +400,10 @@ def _serve(args: argparse.Namespace) -> int:
                        "drop the extract directory argument")
     if args.directory is None and args.store is None:
         raise CLIError("serve needs an extract directory or --store")
-    if args.directory is None:
-        return _serve_attached(args)
-    if not args.directory.is_dir():
+    if args.directory is not None and not args.directory.is_dir():
         raise CLIError(f"extract directory not found: {args.directory}")
-    store = None
-    if args.store is not None:
-        from .storage import FrameStore, StoreError
-
-        try:
-            store = FrameStore.open_or_create(args.store)
-        except StoreError as exc:
-            raise CLIError(str(exc)) from exc
-    graph = read_company_csv(args.directory)
-    classifiers = None
-    truth_path = args.directory / "ground_truth.json"
-    if truth_path.exists():
-        classifiers = train_classifiers(persons_of(graph), _load_truth_links(truth_path))
-    snapshot_config = SnapshotConfig(
-        augment=not args.no_augment,
-        first_level_clusters=args.clusters,
-        use_embeddings=args.clusters > 1,
-    )
-    service_config = ServiceConfig(
+    registry = _serve_registry(args)
+    config = ServiceConfig(
         host=args.host,
         port=args.port,
         max_concurrency=args.max_concurrency,
@@ -448,187 +411,106 @@ def _serve(args: argparse.Namespace) -> int:
         request_timeout_s=args.request_timeout,
         cache_capacity=args.cache_capacity,
     )
-    start_version = store.newest_version(args.tenant) if store is not None else 0
-    if args.workers > 1:
-        return _serve_pool(
-            args, graph, service_config, snapshot_config, classifiers,
-            store=store, start_versions={args.tenant: start_version},
+
+    def ready(port: int, fleet: str = "") -> None:
+        snapshot = registry.get(args.tenant).manager.current
+        origin = (
+            f"built in {snapshot.built_s:.2f}s" if args.directory is not None
+            else f"attached from {args.store}, {len(registry)} tenant(s)"
         )
-    service = build_service(
-        graph,
-        config=service_config,
-        snapshot_config=snapshot_config,
-        classifiers=classifiers,
-        tracer=_tracer_of(args),
-        start_version=start_version,
-        tenant=args.tenant,
-    )
-    if store is not None:
-        _persist_initial(store, service.manager.current, args.tenant)
-        service.updater.persist_hook = _tenant_persist_hook(store, args.tenant)
-        # tenants created later over PUT /t/{tenant} persist too
-        service.registry.persist_hook_factory = (
-            lambda name: _tenant_persist_hook(store, name)
-        )
-
-    def ready(svc) -> None:
-        snapshot = svc.manager.current
-        print(
-            f"serving snapshot v{snapshot.version} "
-            f"({graph.node_count} nodes, {graph.edge_count} edges, "
-            f"built in {snapshot.built_s:.2f}s) "
-            f"on http://{args.host}:{svc.port}",
-            flush=True,
-        )
-
-    try:
-        asyncio.run(service.run(ready=ready))
-    except KeyboardInterrupt:
-        print("shutting down", file=sys.stderr)
-    return 0
-
-
-def _persist_initial(store, snapshot, tenant: str) -> None:
-    """Persist the boot snapshot; a version collision just means a
-    snapshot with this number is already durable — not fatal."""
-    from .storage import StoreError
-
-    try:
-        store.persist(snapshot, tenant=tenant)
-    except StoreError as exc:
-        print(f"# store: initial persist skipped ({exc})", file=sys.stderr)
-
-
-def _serve_attached(args: argparse.Namespace) -> int:
-    """``serve --store DIR`` with no extract: mmap-attach every tenant's
-    durable version and serve them without running the build pipeline."""
-    import asyncio
-
-    from .service import (
-        GraphRegistry,
-        ReasoningService,
-        ServiceConfig,
-        SnapshotBuilder,
-        SnapshotManager,
-    )
-    from .storage import FrameStore, StoreError
-
-    try:
-        store = FrameStore.open(args.store)
-        if args.version is not None:
-            attached = store.attach(args.version, tenant=args.tenant)
-        else:
-            attached = store.attach_latest(tenant=args.tenant)
-    except StoreError as exc:
-        raise CLIError(str(exc)) from exc
-    # every other tenant with a published snapshot comes back too; a
-    # tenant whose stream holds only bare graphs (or is corrupt) is
-    # reported and skipped rather than failing the boot
-    extras = {}
-    for name in store.tenants():
-        if name == args.tenant:
-            continue
-        try:
-            extras[name] = store.attach_latest(tenant=name)
-        except StoreError as exc:
-            print(f"# store: tenant {name} not attached ({exc})", file=sys.stderr)
-    service_config = ServiceConfig(
-        host=args.host,
-        port=args.port,
-        max_concurrency=args.max_concurrency,
-        max_queue=args.max_queue,
-        request_timeout_s=args.request_timeout,
-        cache_capacity=args.cache_capacity,
-    )
-    # mutations keep working: every builder resumes numbering after its
-    # tenant's newest stored version — not after the attached one, which
-    # ``--version N`` may have rolled back — and every rebuild is
-    # persisted back.  (link classifiers are not stored, so
-    # re-augmentation after a mutation detects family links without
-    # them — see docs/STORAGE.md)
-    start_versions = {
-        name: store.newest_version(name) for name in (args.tenant, *extras)
-    }
-    if args.workers > 1:
-        return _serve_pool(
-            args, attached.graph, service_config, attached.config, None,
-            store=store, start_versions=start_versions,
-            initial_snapshot=attached, initial_snapshots=extras,
-        )
-    manager = SnapshotManager()
-    manager.publish(attached)
-    registry = GraphRegistry(
-        snapshot_config=attached.config, tracer=_tracer_of(args)
-    )
-    registry.persist_hook_factory = lambda name: _tenant_persist_hook(store, name)
-    builder = SnapshotBuilder(
-        attached.config,
-        tracer=_tracer_of(args),
-        start_version=start_versions[args.tenant],
-    )
-    service = ReasoningService(
-        manager,
-        builder=builder,
-        base_graph=attached.graph,
-        config=service_config,
-        tracer=_tracer_of(args),
-        registry=registry,
-        tenant=args.tenant,
-    )
-    for name, snapshot in extras.items():
-        extra_manager = SnapshotManager()
-        extra_manager.publish(snapshot)
-        registry.adopt(
-            name,
-            extra_manager,
-            builder=SnapshotBuilder(
-                snapshot.config,
-                tracer=_tracer_of(args),
-                start_version=start_versions[name],
-            ),
-            base_graph=snapshot.graph,
-        )
-
-    def ready(svc) -> None:
-        snapshot = svc.manager.current
         print(
             f"serving snapshot v{snapshot.version} "
             f"({snapshot.graph.node_count} nodes, {snapshot.graph.edge_count} edges, "
-            f"attached from {args.store}, "
-            f"{len(svc.registry)} tenant(s)) "
-            f"on http://{args.host}:{svc.port}",
+            f"{origin}) on http://{args.host}:{port}{fleet}",
             flush=True,
         )
 
+    if args.workers > 1:
+        return _serve_pool(args, registry, config, ready)
+    service = ReasoningService(config=config, tracer=_tracer_of(args), registry=registry)
     try:
-        asyncio.run(service.run(ready=ready))
+        asyncio.run(service.run(ready=lambda svc: ready(svc.port)))
     except KeyboardInterrupt:
         print("shutting down", file=sys.stderr)
     return 0
 
 
-def _serve_pool(args, graph, service_config, snapshot_config, classifiers,
-                store=None, start_versions=None, initial_snapshot=None,
-                initial_snapshots=None) -> int:
+def _serve_registry(args: argparse.Namespace):
+    """Boot the registry ``serve`` runs, single-process or pooled:
+    ``--tenant`` from the extract (built as the version after the store's
+    newest) or from ``--store`` (mmap-attached, ``--version`` or latest,
+    without running the build pipeline), plus every other tenant the
+    store holds; ``--store`` is wired once as the registry's persist
+    target, so tenants created over ``PUT /t/{tenant}`` are durable too."""
+    from .service import GraphRegistry, SnapshotConfig
+
+    tracer = _tracer_of(args)
+    store = persist = None
+    if args.store is not None:
+        from .storage import FrameStore, StoreError
+
+        opener = FrameStore.open if args.directory is None else FrameStore.open_or_create
+        try:
+            store = opener(args.store)
+        except StoreError as exc:
+            raise CLIError(str(exc)) from exc
+
+        def persist(snapshot, tenant: str):
+            store.persist(snapshot, tenant=tenant)
+            return store.last_persist  # what it wrote, for /stats
+
+    def resume(name: str) -> int:
+        # builders number after the tenant's newest stored version — not
+        # after the attached one, which ``--version N`` may have rolled back
+        return store.newest_version(name) if store is not None else 0
+
+    if args.directory is not None:
+        graph = read_company_csv(args.directory)
+        classifiers = None
+        truth_path = args.directory / "ground_truth.json"
+        if truth_path.exists():
+            classifiers = train_classifiers(persons_of(graph), _load_truth_links(truth_path))
+        snapshot_config = SnapshotConfig(
+            augment=not args.no_augment,
+            first_level_clusters=args.clusters,
+            use_embeddings=args.clusters > 1,
+        )
+        registry = GraphRegistry(snapshot_config, classifiers, tracer, persist=persist)
+        registry.create(args.tenant, graph, start_version=resume(args.tenant))
+    else:
+        try:
+            if args.version is not None:
+                attached = store.attach(args.version, tenant=args.tenant)
+            else:
+                attached = store.attach_latest(tenant=args.tenant)
+        except StoreError as exc:
+            raise CLIError(str(exc)) from exc
+        # link classifiers are not stored, so re-augmentation after a
+        # mutation detects family links without them — see docs/STORAGE.md
+        registry = GraphRegistry(attached.config, tracer=tracer, persist=persist)
+        registry.create(args.tenant, snapshot=attached, start_version=resume(args.tenant))
+    # a tenant whose stream holds only bare graphs (or is corrupt) is
+    # reported and skipped rather than failing the boot
+    for name in store.tenants() if store is not None else ():
+        if name == args.tenant:
+            continue
+        try:
+            snapshot = store.attach_latest(tenant=name)
+        except StoreError as exc:
+            print(f"# store: tenant {name} not attached ({exc})", file=sys.stderr)
+            continue
+        registry.create(name, snapshot=snapshot, start_version=resume(name))
+    return registry
+
+
+def _serve_pool(args, registry, config, ready) -> int:
     """``serve --workers N``: the SO_REUSEPORT pool, SIGTERM drains."""
     import signal
     import threading
 
     from .service.workers import PoolError, ServicePool
 
-    pool = ServicePool(
-        graph,
-        workers=args.workers,
-        config=service_config,
-        snapshot_config=snapshot_config,
-        classifiers=classifiers,
-        tracer=_tracer_of(args),
-        start_versions=start_versions,
-        initial_snapshot=initial_snapshot,
-        initial_snapshots=initial_snapshots,
-        persist_hook=_persist_hook(store) if store is not None else None,
-        tenant=args.tenant,
-    )
+    pool = ServicePool(registry, workers=args.workers, config=config)
     stop = threading.Event()
     for signum in (signal.SIGTERM, signal.SIGINT):
         signal.signal(signum, lambda *_: stop.set())
@@ -636,15 +518,7 @@ def _serve_pool(args, graph, service_config, snapshot_config, classifiers,
         pool.start()
     except (PoolError, OSError) as exc:
         raise CLIError(f"worker pool failed to start: {exc}") from exc
-    snapshot = pool.oracle
-    print(
-        f"serving snapshot v{snapshot.version} "
-        f"({graph.node_count} nodes, {graph.edge_count} edges, "
-        f"built in {snapshot.built_s:.2f}s) "
-        f"on http://{args.host}:{pool.port} "
-        f"across {args.workers} workers",
-        flush=True,
-    )
+    ready(pool.port, f" across {args.workers} workers")
     try:
         stop.wait()
     finally:

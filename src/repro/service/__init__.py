@@ -22,8 +22,9 @@ snapshots.
 * :mod:`~repro.service.server` — the stdlib asyncio HTTP/1.1 server
   with admission control (concurrency semaphore, bounded queue -> 429,
   per-request deadline -> 504) and ``/metrics`` telemetry export;
-* :mod:`~repro.service.updates` — the ``POST /mutations`` path: deltas
-  against a staging graph, background re-augmentation through the warm
+* :mod:`~repro.service.updates` — the one tenant write path (stage →
+  build → publish → hand-off → persist): deltas against a staging
+  graph, re-augmentation through the warm
   :class:`~repro.embeddings.IncrementalEmbedder`, atomic publish of the
   next snapshot version while the old one keeps serving;
 * :mod:`~repro.service.shm` — the shared-memory snapshot codec: one
@@ -53,7 +54,7 @@ from .shm import (
     unlink_segment,
 )
 from .snapshot import Snapshot, SnapshotBuilder, SnapshotConfig, SnapshotManager
-from .updates import GraphUpdater, MutationError, apply_deltas
+from .updates import GraphUpdater, MutationError, Persister, apply_deltas
 from .workers import PoolConfig, PoolError, ServicePool
 
 __all__ = [
@@ -68,6 +69,7 @@ __all__ = [
     "MicroBatcher",
     "MutationError",
     "PoolConfig",
+    "Persister",
     "PoolError",
     "ReasoningCache",
     "ReasoningService",

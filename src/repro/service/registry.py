@@ -1,14 +1,17 @@
 """Tenant-scoped graph registry: one service, many isolated graphs.
 
-Every layer of the service historically assumed exactly one graph per
-process — one :class:`~repro.service.snapshot.SnapshotManager`, one
-updater, one cache keyspace, one shared-memory segment lineage, one
-catalog stream.  The registry is the refactor point that removes that
-assumption: a :class:`GraphRegistry` maps a **tenant id** to its own
-:class:`TenantBinding` (snapshot manager + builder + updater), and the
-HTTP server routes ``/t/{tenant}/...`` onto it while un-prefixed routes
-keep working against the *alias* tenant (``default`` unless the service
-was seeded under another name).
+A :class:`GraphRegistry` maps a **tenant id** to its own
+:class:`TenantBinding` (snapshot manager + builder + updater).  Every
+process that builds snapshots owns one — the single-process service and
+the parent of ``serve --workers N`` alike — and it is where a tenant's
+builder side is put together: :meth:`GraphRegistry.create` is the one
+place a tenant's ``SnapshotBuilder`` is constructed, and the registry
+holds the process's one :class:`~repro.service.updates.Persister`, which
+every updater it binds persists through.  Pool workers hold a registry
+of bare managers (read-only bindings).  The HTTP server routes
+``/t/{tenant}/...`` onto the registry while un-prefixed routes keep
+working against the *alias* tenant (``default`` unless the service was
+seeded under another name).
 
 Isolation contract (the tenant-isolation tests assert it byte-for-byte):
 
@@ -32,12 +35,18 @@ from __future__ import annotations
 import re
 import time
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from ..graph.company_graph import CompanyGraph
 from ..telemetry import NULL_TRACER
-from .snapshot import DEFAULT_TENANT, SnapshotBuilder, SnapshotConfig, SnapshotManager
-from .updates import GraphUpdater
+from .snapshot import (
+    DEFAULT_TENANT,
+    Snapshot,
+    SnapshotBuilder,
+    SnapshotConfig,
+    SnapshotManager,
+)
+from .updates import GraphUpdater, Persister
 
 __all__ = [
     "DEFAULT_TENANT",
@@ -87,9 +96,6 @@ class TenantBinding:
     manager: SnapshotManager
     builder: SnapshotBuilder | None = None
     updater: GraphUpdater | None = None
-    #: on a pool worker, the builder process's persist counters for this
-    #: tenant as of the served version (``/stats`` -> ``persist``)
-    persist_stats: dict[str, Any] | None = None
     created_at: float = field(default_factory=time.time)
 
     @property
@@ -122,9 +128,13 @@ class GraphRegistry:
     with the caller.  ``alias`` records the first tenant bound, which the
     server uses as the target of un-prefixed (legacy) routes.
 
-    ``snapshot_config`` / ``classifiers`` seed the builder of tenants
-    created empty through the admin API, so a ``PUT /t/{tenant}`` tenant
-    augments exactly like the seeded one.
+    ``snapshot_config`` / ``classifiers`` seed the builder of every
+    tenant :meth:`create` builds, so a ``PUT /t/{tenant}`` tenant
+    augments exactly like the seeded one.  ``persist`` is the durable
+    write target ``(snapshot, tenant) -> dict | None`` (``serve --store``
+    passes one over ``FrameStore.persist``): every version any bound
+    updater publishes goes through it, tenants created over HTTP
+    included.
     """
 
     def __init__(
@@ -132,18 +142,15 @@ class GraphRegistry:
         snapshot_config: SnapshotConfig | None = None,
         classifiers: Sequence[Any] | None = None,
         tracer=None,
+        persist: Callable[[Snapshot, str], "dict[str, Any] | None"] | None = None,
     ):
         self.snapshot_config = snapshot_config
         self.classifiers = classifiers
         self.tracer = tracer if tracer is not None else NULL_TRACER
+        self.persist = Persister(persist) if persist is not None else None
         self._bindings: dict[str, TenantBinding] = {}
         #: the tenant un-prefixed routes resolve to (first bound wins)
         self.alias: str = DEFAULT_TENANT
-        #: optional ``tenant -> persist_hook`` factory: when set, every
-        #: updater bound after that point persists its published
-        #: snapshots through the returned hook (``serve --store`` wires
-        #: this so tenants created over HTTP are durable too)
-        self.persist_hook_factory = None
         self.created = 0
         self.dropped = 0
 
@@ -158,19 +165,22 @@ class GraphRegistry:
     ) -> TenantBinding:
         """Bind an existing manager (and optionally its build chain)."""
         validate_tenant(name)
-        if name in self._bindings:
-            raise TenantError(f"tenant {name!r} already registered")
         updater = None
         if builder is not None and base_graph is not None:
-            updater = GraphUpdater(manager, builder, base_graph, tracer=self.tracer)
-            if self.persist_hook_factory is not None:
-                updater.persist_hook = self.persist_hook_factory(name)
-        binding = TenantBinding(
-            name=name, manager=manager, builder=builder, updater=updater
+            updater = GraphUpdater(
+                manager, builder, base_graph,
+                tracer=self.tracer, tenant=name, persist=self.persist,
+            )
+        return self._bind(
+            TenantBinding(name=name, manager=manager, builder=builder, updater=updater)
         )
+
+    def _bind(self, binding: TenantBinding) -> TenantBinding:
+        if binding.name in self._bindings:
+            raise TenantError(f"tenant {binding.name!r} already registered")
         if not self._bindings:
-            self.alias = name
-        self._bindings[name] = binding
+            self.alias = binding.name
+        self._bindings[binding.name] = binding
         return binding
 
     def create(
@@ -178,34 +188,46 @@ class GraphRegistry:
         name: str,
         graph: CompanyGraph | None = None,
         start_version: int = 0,
+        snapshot: Snapshot | None = None,
+        handoff: Callable[[Snapshot, str], None] | None = None,
     ) -> TenantBinding:
-        """Build version 1 for a new tenant and bind it.
+        """Put a tenant's builder side together and bind it.
 
-        With no ``graph`` the tenant starts empty — its graph grows
-        through ``/t/{tenant}/mutations``.  Safe to call from an executor
+        From a ``graph`` (empty when omitted — the tenant then grows
+        through ``/t/{tenant}/mutations``) version ``start_version + 1``
+        is built, handed off and persisted by the updater's write path,
+        so a created-but-never-mutated tenant survives a restart too.
+        From a ``snapshot`` attached from the durable store nothing is
+        built or persisted; the builder resumes numbering after
+        ``start_version`` — the store's newest, which a rolled-back
+        snapshot may be older than.  Safe to call from an executor
         thread; the build itself is synchronous.
         """
         validate_tenant(name)
         if name in self._bindings:
             raise TenantError(f"tenant {name!r} already registered")
-        if graph is None:
+        if snapshot is not None:
+            graph = snapshot.graph
+        elif graph is None:
             graph = CompanyGraph()
         builder = SnapshotBuilder(
-            self.snapshot_config,
+            snapshot.config if snapshot is not None else self.snapshot_config,
             classifiers=self.classifiers,
             tracer=self.tracer,
             start_version=start_version,
         )
-        manager = SnapshotManager()
-        snapshot = builder.build(graph)
-        manager.publish(snapshot)
-        binding = self.adopt(name, manager, builder=builder, base_graph=graph)
-        if binding.updater is not None and binding.updater.persist_hook is not None:
-            # make v1 durable immediately — a created-but-never-mutated
-            # tenant must survive a restart too
-            binding.updater._persist_sync(snapshot)
+        manager = SnapshotManager(snapshot)
+        updater = GraphUpdater(
+            manager, builder, graph,
+            tracer=self.tracer, tenant=name, persist=self.persist,
+        )
+        if snapshot is None:
+            updater.publish(graph, handoff=handoff)
         self.created += 1
-        return binding
+        # bound only now: a visible tenant always has a version to serve
+        return self._bind(
+            TenantBinding(name=name, manager=manager, builder=builder, updater=updater)
+        )
 
     def drop(self, name: str) -> TenantBinding:
         """Unbind a tenant; raises :class:`UnknownTenantError` if absent."""

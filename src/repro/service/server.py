@@ -314,9 +314,10 @@ class ReasoningService:
             raise ValueError("service needs a manager or a non-empty registry")
         #: pool hook — routes ``POST /mutations`` to the builder process
         #: when this service has no local updater (read-only worker);
-        #: called as ``(tenant, deltas, wait)``
+        #: called as ``(tenant, deltas)`` and answers once the fleet
+        #: serves the new version (``?wait`` has nothing to choose)
         self.mutation_forwarder: (
-            Callable[[str, list[Any], bool], Awaitable[tuple[int, Any]]] | None
+            Callable[[str, list[Any]], Awaitable[tuple[int, Any]]] | None
         ) = None
         #: pool hook — routes tenant create/delete to the parent so the
         #: whole fleet (not one worker) gains or drops the tenant;
@@ -327,6 +328,9 @@ class ReasoningService:
         #: pool hook — answers ``GET /metrics?scope=cluster`` with the
         #: parent's merged per-worker counters
         self.cluster_metrics_provider: Callable[[], Awaitable[Any]] | None = None
+        #: pool hook — the builder process's ``Persister.stats()`` as of
+        #: its last persist, served as the ``persist`` section of ``/stats``
+        self.builder_persist: dict[str, Any] | None = None
         self.metrics = Metrics()
         self.cache = ReasoningCache(self.config.cache_capacity)
         self._semaphore = asyncio.Semaphore(self.config.max_concurrency)
@@ -729,10 +733,10 @@ class ReasoningService:
         payload["snapshot_version"] = snapshot.version
         payload["worker_id"] = self.worker_id
         payload["tenant"] = binding.name
-        if binding.updater is not None:
-            payload["persist"] = binding.updater.persist_stats()
-        elif binding.persist_stats is not None:
-            payload["persist"] = binding.persist_stats
+        if self.registry.persist is not None:
+            payload["persist"] = self.registry.persist.stats()
+        elif self.builder_persist is not None:
+            payload["persist"] = self.builder_persist
         return payload
 
     async def _ubo(self, tenant: str, company: str, query: dict[str, str]) -> Any:
@@ -828,10 +832,10 @@ class ReasoningService:
         deltas = payload.get("deltas") if isinstance(payload, dict) else None
         if not isinstance(deltas, list):
             raise HttpError(400, 'body must be {"deltas": [...]}')
-        wait = query.get("wait", "").lower() in ("1", "true", "yes")
         if binding.updater is None:
             assert self.mutation_forwarder is not None
-            return await self.mutation_forwarder(tenant, deltas, wait)
+            return await self.mutation_forwarder(tenant, deltas)
+        wait = query.get("wait", "").lower() in ("1", "true", "yes")
         result = await binding.updater.apply(deltas, wait=wait)
         return (200 if wait else 202), result
 
@@ -888,24 +892,11 @@ def build_service(
     latest version so the freshly built snapshot extends it.  ``tenant``
     names the seeded (alias) tenant; un-prefixed routes resolve to it.
     """
-    builder = SnapshotBuilder(
-        snapshot_config, classifiers=classifiers, tracer=tracer,
-        start_version=start_version,
-    )
-    manager = SnapshotManager()
-    manager.publish(builder.build(graph))
     registry = GraphRegistry(
         snapshot_config=snapshot_config, classifiers=classifiers, tracer=tracer
     )
-    return ReasoningService(
-        manager,
-        builder=builder,
-        base_graph=graph,
-        config=config,
-        tracer=tracer,
-        registry=registry,
-        tenant=tenant,
-    )
+    registry.create(tenant, graph, start_version=start_version)
+    return ReasoningService(config=config, tracer=tracer, registry=registry)
 
 
 def _float_param(query: dict[str, str], name: str) -> float | None:

@@ -1,36 +1,45 @@
-"""Live graph updates: deltas -> staging graph -> background re-augment.
+"""Live graph updates: the one tenant write path.
 
-``POST /mutations`` lands here.  The updater keeps a *staging* copy of
-the company graph (the accumulated state of every accepted delta batch).
-Applying a batch is two phases:
+Every snapshot version of a tenant — a ``POST /mutations`` batch or its
+first version (``PUT /t/{tenant}``, the extract ``serve`` boots from) —
+comes out of the same synchronous core on :class:`GraphUpdater`, in the
+single-process service and in the pool parent alike::
 
-1. **validate + apply** (fast, on the event loop): the deltas run
-   against a copy of the staging graph; any malformed op raises
-   :class:`MutationError` and the whole batch is rejected — the staging
-   graph only advances on success;
-2. **rebuild + publish** (slow, in an executor thread): the snapshot
-   builder re-augments the new graph — warm incremental embedding when
-   the batch only *added* edges — and the manager publishes the next
-   version atomically.  The previous snapshot keeps serving reads the
-   whole time.
+    stage -> build -> publish -> hand-off -> persist -> ack
 
-Rebuilds are serialized by an asyncio lock; a second batch accepted
-during a rebuild simply queues its own rebuild, which starts from the
-staging state that already includes both batches.
+* **stage** (fast): the deltas run against a copy of the *staging*
+  graph (the accumulated state of every accepted batch); any malformed
+  op raises :class:`MutationError` and the whole batch is rejected —
+  staging only advances on success;
+* **build**, **publish** (slow): the builder re-augments the new graph —
+  warm incremental embedding when the batch only *added* edges — and
+  the manager swaps to the next version atomically; the previous
+  snapshot keeps serving reads the whole time;
+* **hand-off**: what shows the version beyond this process — nothing
+  single-process; seal a segment, broadcast, await the fleet in the pool;
+* **persist**: the process's one :class:`Persister`, non-fatally; a
+  failure before it rolls staging back to the served graph.
+
+:meth:`GraphUpdater.apply` is the asyncio front (the pool parent calls
+``stage`` / ``publish`` itself): it stages on the event loop and runs
+the rest in an executor thread.  Rebuilds are serialized by an asyncio
+lock; a second batch accepted during a rebuild simply queues its own,
+which starts from the staging state that already includes both batches.
 """
 
 from __future__ import annotations
 
 import asyncio
 import logging
+import threading
 import time
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from ..graph.company_graph import COMPANY, PERSON, SHAREHOLDING, CompanyGraph
 from ..graph.property_graph import GraphError
 from ..telemetry import NULL_TRACER
 from .incremental import DeltaBatch
-from .snapshot import SnapshotBuilder, SnapshotManager
+from .snapshot import DEFAULT_TENANT, Snapshot, SnapshotBuilder, SnapshotManager
 
 logger = logging.getLogger(__name__)
 
@@ -130,8 +139,59 @@ def apply_deltas(
     return batch
 
 
+class Persister:
+    """The process's one durable write target, with its accounting.
+
+    ``write`` is ``(snapshot, tenant) -> dict | None`` — ``serve --store``
+    passes one over ``FrameStore.persist`` returning what it wrote.  A
+    call never raises: a version is persisted *after* its in-memory
+    publish and non-fatally, so serving never stalls or fails because a
+    disk write did; the failure is counted and kept for ``/stats``.
+    """
+
+    def __init__(self, write: Callable[[Snapshot, str], "dict[str, Any] | None"]):
+        self._write = write
+        # tenants rebuild on different executor threads (the store
+        # serializes its writers anyway)
+        self._lock = threading.Lock()
+        self.persists = 0
+        self.persist_failures = 0
+        #: what the last successful persist wrote (``FrameStore.last_persist``)
+        self.last_persist: dict[str, Any] | None = None
+        #: ``{"tenant", "version", "error"}`` of the most recent failure,
+        #: so an operator can see *why* durable persistence failed
+        self.last_persist_error: dict[str, Any] | None = None
+
+    def __call__(self, snapshot: Snapshot, tenant: str) -> None:
+        with self._lock:
+            try:
+                wrote = self._write(snapshot, tenant)
+                self.persists += 1
+                if isinstance(wrote, dict):
+                    self.last_persist = wrote
+            except Exception as exc:
+                self.persist_failures += 1
+                self.last_persist_error = {
+                    "tenant": tenant, "version": snapshot.version, "error": repr(exc),
+                }
+                logger.exception(
+                    "durable persist of tenant %s version %s failed",
+                    tenant, snapshot.version,
+                )
+
+    def stats(self) -> dict[str, Any]:
+        """The ``persist`` section of ``/stats``."""
+        return {
+            "persists": self.persists,
+            "persist_failures": self.persist_failures,
+            "last_persist_error": self.last_persist_error,
+            "last_persist": self.last_persist,
+        }
+
+
 class GraphUpdater:
-    """Applies mutation batches and publishes new snapshot versions."""
+    """One tenant's write path: ``stage`` + ``publish`` are the
+    synchronous core, ``apply`` its asyncio front."""
 
     def __init__(
         self,
@@ -139,15 +199,22 @@ class GraphUpdater:
         builder: SnapshotBuilder,
         base_graph: CompanyGraph,
         tracer=None,
+        tenant: str = DEFAULT_TENANT,
+        persist: Persister | None = None,
     ):
         self._manager = manager
         self._builder = builder
+        self.tenant = tenant
+        self._persist = persist
         # staging starts as the *same object* the initial snapshot was
         # built from: the first accepted batch then carries that object
         # as its base, which is what lets the builder take the
-        # incremental path from version 1 on.  Safe to alias — ``apply``
+        # incremental path from version 1 on.  Safe to alias — ``stage``
         # only ever copies staging, never mutates it in place.
         self._staging = base_graph
+        # ``stage`` runs on the event loop, the rollback of a failed
+        # build in an executor thread
+        self._staging_lock = threading.Lock()
         self._build_lock = asyncio.Lock()
         #: strong references to in-flight rebuild tasks — the event loop
         #: only keeps weak ones, so an unreferenced task could be
@@ -162,28 +229,91 @@ class GraphUpdater:
         self.staging_rollbacks = 0
         self.last_rebuild_error: str | None = None
         self.last_rebuild_s = 0.0
-        #: when set (a callable taking the snapshot, e.g.
-        #: ``FrameStore.persist``), every published version is also
-        #: written to the durable store — in the executor, *after* the
-        #: in-memory publish, and non-fatally: serving never stalls or
-        #: fails because a disk write did
-        self.persist_hook = None
-        self.persists = 0
-        self.persist_failures = 0
-        #: what the most recent successful persist wrote, when the hook
-        #: reports it (a dict such as ``FrameStore.last_persist``)
-        self.last_persist: dict[str, Any] | None = None
-        #: ``{"version": int, "error": str}`` of the most recent persist
-        #: failure — surfaced in ``/stats`` so an operator can see *why*
-        #: (and for which version) durable persistence failed
-        self.last_persist_error: dict[str, Any] | None = None
         #: test / bench hook — artificial build slowdown (seconds)
         self.build_delay_s = 0.0
-        self._rebuilding = 0
 
     @property
     def rebuild_in_progress(self) -> bool:
-        return self._rebuilding > 0
+        return self._build_lock.locked()
+
+    def stage(self, deltas: Sequence[dict[str, Any]]) -> tuple[CompanyGraph, DeltaBatch]:
+        """Validate one batch against a copy of staging and accept it;
+        returns the new staging graph and the batch chained onto its
+        base — the arguments of :meth:`publish`."""
+        if not deltas:
+            raise MutationError("empty delta batch")
+        with self._staging_lock:
+            base = self._staging
+            candidate = base.copy()
+            try:
+                batch = apply_deltas(candidate, deltas)
+            except MutationError:
+                self.batches_rejected += 1
+                raise
+            batch.base = base
+            batch.base_generation = base.generation
+            self._staging = candidate
+        self.batches_accepted += 1
+        self.deltas_applied += len(deltas)
+        return candidate, batch
+
+    def publish(
+        self,
+        graph: CompanyGraph,
+        batch: DeltaBatch | None = None,
+        handoff: Callable[[Snapshot, str], None] | None = None,
+    ) -> Snapshot:
+        """Build ``graph`` (with the ``batch`` :meth:`stage` returned;
+        ``None`` for a tenant's first version), publish, hand off
+        (``handoff(snapshot, tenant)``), persist.  Synchronous and
+        CPU-bound; the caller serializes calls.  A failure rolls staging
+        back and re-raises."""
+        started = time.perf_counter()
+        try:
+            if self.build_delay_s:
+                time.sleep(self.build_delay_s)
+            new_edges = None if batch is None or batch.removed_any else batch.new_edges
+            snapshot = self._builder.build(graph, new_edges=new_edges, delta=batch)
+            self._manager.publish(snapshot)
+            if handoff is not None:
+                handoff(snapshot, self.tenant)
+            if batch is not None:  # a tenant's first version is no *re*build
+                self.rebuilds += 1
+                self.last_rebuild_s = time.perf_counter() - started
+            if self._persist is not None:
+                self._persist(snapshot, self.tenant)
+            return snapshot
+        except BaseException as exc:
+            self.rebuild_failures += 1
+            self.last_rebuild_error = repr(exc)
+            with self.tracer.span("rebuild.failed", error=repr(exc)):
+                logger.exception("snapshot rebuild failed; resyncing staging")
+            self._resync_staging(graph)
+            raise
+
+    def _resync_staging(self, failed_graph: CompanyGraph) -> None:
+        """Roll staging back to the published graph after a failed build.
+
+        Without this, a failed rebuild leaves ``_staging`` permanently
+        ahead of the served snapshot: the batch was accepted, the build
+        died, and every later batch keeps stacking on state that will
+        never be published.  If a newer batch was accepted while this
+        build ran, staging has moved on — that batch's own rebuild will
+        publish (or resync) it, so we leave it alone.
+        """
+        with self._staging_lock:
+            if self._staging is not failed_graph:
+                return
+            try:
+                current = self._manager.current
+            except RuntimeError:  # nothing published yet — keep staging as is
+                return
+            self._staging = current.graph
+        # the failed build may have half-advanced builder-side caches
+        # (warm embedder, row state) — drop them so the next build
+        # starts cold from a consistent base
+        self._builder.reset_incremental()
+        self.staging_rollbacks += 1
 
     async def apply(
         self, deltas: Sequence[dict[str, Any]], wait: bool = False
@@ -194,21 +324,8 @@ class GraphUpdater:
         the background) unless ``wait`` is true, in which case the reply
         carries the newly published version.
         """
-        if not deltas:
-            raise MutationError("empty delta batch")
-        base = self._staging
-        candidate = base.copy()
-        try:
-            batch = apply_deltas(candidate, deltas)
-        except MutationError:
-            self.batches_rejected += 1
-            raise
-        batch.base = base
-        batch.base_generation = base.generation
-        self._staging = candidate
-        self.batches_accepted += 1
-        self.deltas_applied += len(deltas)
-        task = asyncio.get_running_loop().create_task(self._rebuild(candidate, batch))
+        graph, batch = self.stage(deltas)
+        task = asyncio.get_running_loop().create_task(self._rebuild(graph, batch))
         self._tasks.add(task)
         task.add_done_callback(self._on_rebuild_done)
         if wait:
@@ -229,90 +346,14 @@ class GraphUpdater:
 
     def _on_rebuild_done(self, task: asyncio.Task) -> None:
         self._tasks.discard(task)
-        if task.cancelled():
-            return
-        task.exception()  # mark retrieved; _rebuild already recorded it
+        if not task.cancelled():
+            task.exception()  # mark retrieved; publish already recorded it
 
-    async def _rebuild(self, graph: CompanyGraph, batch: DeltaBatch):
+    async def _rebuild(self, graph: CompanyGraph, batch: DeltaBatch) -> Snapshot:
         async with self._build_lock:
-            self._rebuilding += 1
-            started = time.perf_counter()
-            try:
-                snapshot = await asyncio.get_running_loop().run_in_executor(
-                    None, self._build_sync, graph, batch
-                )
-                self._manager.publish(snapshot)
-                self.rebuilds += 1
-                self.last_rebuild_s = time.perf_counter() - started
-                if self.persist_hook is not None:
-                    await asyncio.get_running_loop().run_in_executor(
-                        None, self._persist_sync, snapshot
-                    )
-                return snapshot
-            except BaseException as exc:
-                self.rebuild_failures += 1
-                self.last_rebuild_error = repr(exc)
-                with self.tracer.span("rebuild.failed", error=repr(exc)):
-                    logger.exception("snapshot rebuild failed; resyncing staging")
-                self._resync_staging(graph)
-                raise
-            finally:
-                self._rebuilding -= 1
-
-    def _resync_staging(self, failed_graph: CompanyGraph) -> None:
-        """Roll staging back to the published graph after a failed build.
-
-        Without this, a failed rebuild leaves ``_staging`` permanently
-        ahead of the served snapshot: the batch was accepted, the build
-        died, and every later batch keeps stacking on state that will
-        never be published.  Rolling back to the served snapshot's graph
-        re-synchronises accepted state with published state.  If a newer
-        batch was accepted while this build ran, staging has moved on —
-        that batch's own rebuild will publish (or resync) it, so we
-        leave it alone.
-        """
-        if self._staging is not failed_graph:
-            return
-        try:
-            current = self._manager.current
-        except RuntimeError:  # nothing published yet — keep staging as is
-            return
-        self._staging = current.graph
-        # the failed build may have half-advanced builder-side caches
-        # (warm embedder, row state) — drop them so the next build
-        # starts cold from a consistent base
-        self._builder.reset_incremental()
-        self.staging_rollbacks += 1
-
-    def _build_sync(self, graph: CompanyGraph, batch: DeltaBatch):
-        if self.build_delay_s:
-            time.sleep(self.build_delay_s)
-        new_edges = None if batch.removed_any else batch.new_edges
-        return self._builder.build(graph, new_edges=new_edges, delta=batch)
-
-    def _persist_sync(self, snapshot) -> None:
-        try:
-            wrote = self.persist_hook(snapshot)
-            self.persists += 1
-            if isinstance(wrote, dict):
-                self.last_persist = wrote
-        except Exception as exc:
-            self.persist_failures += 1
-            self.last_persist_error = {
-                "version": snapshot.version,
-                "error": repr(exc),
-            }
-            with self.tracer.span("persist.failed", error=repr(exc)):
-                logger.exception("durable persist of version %s failed", snapshot.version)
-
-    def persist_stats(self) -> dict[str, Any]:
-        """The ``persist`` section of ``/stats``."""
-        return {
-            "persists": self.persists,
-            "persist_failures": self.persist_failures,
-            "last_persist_error": self.last_persist_error,
-            "last_persist": self.last_persist,
-        }
+            return await asyncio.get_running_loop().run_in_executor(
+                None, self.publish, graph, batch
+            )
 
     def stats(self) -> dict[str, Any]:
         return {
@@ -325,7 +366,6 @@ class GraphUpdater:
             "last_rebuild_error": self.last_rebuild_error,
             "rebuild_in_progress": self.rebuild_in_progress,
             "last_rebuild_s": round(self.last_rebuild_s, 4),
-            **self.persist_stats(),
             "staging_nodes": self._staging.node_count,
             "staging_edges": self._staging.edge_count,
         }

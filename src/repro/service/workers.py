@@ -13,28 +13,33 @@ Topology::
 
     parent (ServicePool)                     worker i (x N)
     ------------------------                 -----------------------------
-    builds snapshots (one lineage            attaches segments (zero-copy),
-    per tenant), seals segments,             binds each to its tenant in a
-    supervises workers,        == Pipe ==>   GraphRegistry, runs a
-    serializes mutations and   <== Pipe ==   ReasoningService with
-    tenant admin, merges                     reuse_port=True, forwards
-    metrics                                  mutations + tenant admin
+    owns the GraphRegistry of                attaches segments (zero-copy),
+    builders, hands every new                binds each to its tenant in a
+    version off as a segment,  == Pipe ==>   registry of bare managers,
+    supervises workers,        <== Pipe ==   runs a ReasoningService with
+    serializes mutations and                 reuse_port=True, forwards
+    tenant admin, merges                     mutations + tenant admin
+    metrics
 
-The parent is the **single builder** for every tenant: it owns each
-tenant's staging graph and incremental :class:`SnapshotBuilder`, applies
-mutation batches one at a time, seals each new version into a fresh
-segment (the segment name and TOC carry the tenant), and publishes by
-*version handoff* — a ``publish`` message naming the tenant and the
-segment.  Workers attach the new segment, swap **that tenant's**
-:class:`SnapshotManager` atomically (readers in flight keep the old
-snapshot via their reference — no torn reads; other tenants' managers
-are untouched), acknowledge, and retire the old attachment.  Retirement
-is refcount-safe by construction: ``SharedMemory.close`` raises
-``BufferError`` while any numpy view into the mapping is still alive,
-so each worker just retries the close until its in-flight readers are
-done, then reports ``released``; the parent unlinks a segment only
-after every worker that attached it has released it (a crashed worker
-counts as released — the kernel dropped its maps).
+The parent is the **single builder** for every tenant, and it builds
+through the same code as the single-process service: its
+:class:`GraphRegistry` binds each tenant's manager, builder and
+:class:`~repro.service.updates.GraphUpdater`, and a mutation batch or a
+tenant creation runs that updater's write path (stage -> build ->
+publish -> hand-off -> persist) one at a time under the pool's mutate
+lock.  The pool contributes only the **hand-off**: seal the new version
+into a fresh segment (the segment name and TOC carry the tenant),
+broadcast a ``publish`` message naming the tenant and the segment, and
+wait until every live worker swapped.  Workers attach the new segment,
+swap **that tenant's** :class:`SnapshotManager` atomically (readers in
+flight keep the old snapshot via their reference — no torn reads; other
+tenants' managers are untouched), acknowledge, and retire the old
+attachment.  Retirement is refcount-safe by construction:
+``SharedMemory.close`` raises ``BufferError`` while any numpy view into
+the mapping is still alive, so each worker just retries the close until
+its in-flight readers are done, then reports ``released``; the parent
+unlinks a segment only after every worker that attached it has released
+it (a crashed worker counts as released — the kernel dropped its maps).
 
 Tenant admin from any worker (``PUT/DELETE /t/{tenant}``) is forwarded
 to the parent, which creates (or retires) the tenant fleet-wide so every
@@ -42,9 +47,10 @@ worker serves the same tenant set.
 
 Failure handling: the parent supervises worker processes and restarts a
 crashed worker against the current segment set (bounded by
-``PoolConfig.restart_limit``); ``SIGTERM`` triggers a graceful drain —
-workers stop accepting, finish in-flight requests, and exit before the
-parent unlinks the segments.
+``PoolConfig.restart_limit``); a worker that cannot attach a published
+segment fails that publish at once; ``SIGTERM`` triggers a graceful
+drain — workers stop accepting, finish in-flight requests, and exit
+before the parent unlinks the segments.
 """
 
 from __future__ import annotations
@@ -62,19 +68,11 @@ from dataclasses import dataclass
 from typing import Any, Sequence
 
 from ..graph.company_graph import CompanyGraph
-from ..linkage.bayes import BayesianLinkClassifier
-from ..telemetry import NULL_TRACER
 from . import shm as shm_codec
 from .registry import GraphRegistry, TenantError, UnknownTenantError, validate_tenant
 from .server import Metrics, ReasoningService, ServiceConfig
-from .snapshot import (
-    DEFAULT_TENANT,
-    Snapshot,
-    SnapshotBuilder,
-    SnapshotConfig,
-    SnapshotManager,
-)
-from .updates import MutationError, apply_deltas
+from .snapshot import DEFAULT_TENANT, Snapshot, SnapshotManager
+from .updates import MutationError
 
 logger = logging.getLogger(__name__)
 
@@ -103,19 +101,6 @@ class PoolError(RuntimeError):
     """The pool could not reach or keep its requested worker fleet."""
 
 
-@dataclass
-class _PoolTenant:
-    """Parent-side build state of one tenant: its staging graph, its
-    incremental builder, and the oracle snapshot equal to what the
-    workers serve for it."""
-
-    name: str
-    staging: CompanyGraph
-    builder: SnapshotBuilder
-    oracle: Snapshot | None = None
-    current_version: int = 0
-
-
 # ======================================================================
 # parent side
 # ======================================================================
@@ -124,87 +109,54 @@ class _PoolTenant:
 class ServicePool:
     """N SO_REUSEPORT serving processes + this process as the builder.
 
-    ``start()`` builds snapshot v1 of every seeded tenant, seals each
-    into a shared segment, reserves the port, launches the workers, and
-    returns once every worker accepts connections.  ``oracle`` always
-    holds the in-process :class:`Snapshot` equal to what the workers
-    serve for the *primary* tenant (the one un-prefixed routes alias
-    to) — the benchmark and the race tests assert per-row response
-    identity against it; ``oracle_for(tenant)`` is the per-tenant view.
+    ``source`` is the populated :class:`GraphRegistry` the pool builds
+    through — ``serve --workers N`` boots one exactly as ``serve`` does —
+    or, for convenience, a bare graph, which becomes version 1 of the
+    ``default`` tenant.  ``start()`` seals every tenant's current
+    snapshot into a shared segment, reserves the port, launches the
+    workers, and returns once every worker accepts connections.
+    ``oracle`` always holds the in-process :class:`Snapshot` equal to
+    what the workers serve for the *primary* tenant (the registry's
+    alias, which un-prefixed routes resolve to) — the benchmark and the
+    race tests assert per-row response identity against it;
+    ``oracle_for(tenant)`` is the per-tenant view.
     """
 
     def __init__(
         self,
-        graph: CompanyGraph,
+        source: GraphRegistry | CompanyGraph,
         workers: int,
         config: ServiceConfig | None = None,
-        snapshot_config: SnapshotConfig | None = None,
-        classifiers: Sequence[BayesianLinkClassifier] | None = None,
-        tracer=None,
         pool_config: PoolConfig | None = None,
-        start_versions: dict[str, int] | None = None,
-        initial_snapshot: Snapshot | None = None,
-        persist_hook=None,
-        tenant: str = DEFAULT_TENANT,
-        initial_snapshots: dict[str, Snapshot] | None = None,
     ):
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        validate_tenant(tenant)
+        if not isinstance(source, GraphRegistry):
+            graph, source = source, GraphRegistry()
+            source.create(DEFAULT_TENANT, graph)
+        #: the builder side of every tenant, as in the single-process service
+        self.registry = source
+        #: the tenant un-prefixed routes resolve to on every worker
+        self.primary = source.alias
         self.requested_workers = workers
         self.config = config if config is not None else ServiceConfig()
         self.pool_config = pool_config if pool_config is not None else PoolConfig()
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self._snapshot_config = snapshot_config
-        self._classifiers = classifiers
-        #: the tenant un-prefixed routes resolve to on every worker
-        self.primary = tenant
-        #: tenant -> the version number its builder resumes after (a
-        #: durable store's newest, which a rolled-back
-        #: ``initial_snapshot`` may be older than)
-        self._start_versions = dict(start_versions or {})
-        self._tenants: dict[str, _PoolTenant] = {
-            tenant: _PoolTenant(
-                name=tenant,
-                staging=graph,
-                builder=SnapshotBuilder(
-                    snapshot_config, classifiers=classifiers, tracer=self.tracer,
-                    start_version=self._start_versions.get(
-                        tenant, initial_snapshot.version if initial_snapshot else 0
-                    ),
-                ),
-            )
-        }
-        #: pre-built snapshot adopted by ``start()`` instead of a cold
-        #: build — how ``serve --store --workers N`` boots from a durable
-        #: attach.  Not re-persisted (it came from the store).
-        self._initial_snapshot = initial_snapshot
-        #: additional tenants booted from durable snapshots
-        #: (``serve --store`` restart attaching every tenant's latest)
-        self._initial_snapshots = dict(initial_snapshots or {})
-        self._initial_snapshots.pop(tenant, None)
-        #: callable(snapshot, tenant) persisting each freshly built
-        #: version (e.g. wrapping ``FrameStore.persist``); failures are
-        #: counted, not fatal.  It may return a dict saying what it wrote
-        #: (``FrameStore.last_persist``), kept as ``last_persist``.
-        self.persist_hook = persist_hook
-        self.persists = 0
-        self.persist_failures = 0
-        self.last_persist_error: dict[str, Any] | None = None
-        self.last_persist: dict[str, Any] | None = None
         self._ctx = multiprocessing.get_context(self.pool_config.start_method)
         self._procs: dict[int, multiprocessing.process.BaseProcess] = {}
         self._conns: dict[int, multiprocessing.connection.Connection] = {}
         self._restarts: dict[int, int] = {}
         self.restarts = 0
         #: segment bookkeeping: (tenant, version) -> creator handle /
-        #: name / attached workers
+        #: attached workers / the attach error a worker reported
         self._segments: dict[tuple[str, int], Any] = {}
-        self._segment_names: dict[tuple[str, int], str] = {}
         self._attached: dict[tuple[str, int], set[int]] = {}
+        self._attach_errors: dict[tuple[str, int], str] = {}
+        #: tenant -> the version last handed to the fleet; its segment is
+        #: what a (re)started worker attaches and is never unlinked
+        self._current: dict[str, int] = {}
         self._segment_seq = itertools.count(1)
-        #: worker -> last primary-tenant version it acknowledged
-        self.worker_versions: dict[int, int] = {}
+        #: workers that accept connections
+        self._ready: set[int] = set()
         #: worker -> {tenant: version} across every tenant it serves
         self.worker_tenant_versions: dict[int, dict[str, int]] = {}
         #: worker -> (attach_s, swap_pause_s) of its last publish swap
@@ -223,37 +175,23 @@ class ServicePool:
     # -- lifecycle -----------------------------------------------------
 
     @property
-    def _builder(self) -> SnapshotBuilder:
-        """The primary tenant's builder (kept for pre-tenancy callers)."""
-        return self._tenants[self.primary].builder
-
-    @property
     def oracle(self) -> Snapshot:
         """The in-process snapshot identical to what workers serve for
         the primary tenant."""
         return self.oracle_for(self.primary)
 
     def oracle_for(self, tenant: str) -> Snapshot:
-        state = self._tenants.get(tenant)
-        if state is None:
-            raise UnknownTenantError(tenant)
-        if state.oracle is None:
-            raise PoolError("pool not started")
-        return state.oracle
+        return self.registry.get(tenant).manager.current
 
     @property
     def version(self) -> int:
-        return self._tenants[self.primary].current_version
+        return self.version_for(self.primary)
 
     def version_for(self, tenant: str) -> int:
-        state = self._tenants.get(tenant)
-        if state is None:
-            raise UnknownTenantError(tenant)
-        return state.current_version
+        return self.registry.get(tenant).version
 
     def tenants(self) -> list[str]:
-        with self._lock:
-            return sorted(self._tenants)
+        return sorted(self.registry.names())
 
     def live_workers(self) -> list[int]:
         with self._lock:
@@ -264,28 +202,11 @@ class ServicePool:
     def segment_names(self) -> list[str]:
         """Names of segments the pool still holds (leak check hook)."""
         with self._lock:
-            return [self._segment_names[k] for k in sorted(self._segments)]
+            return [self._segments[k].name for k in sorted(self._segments)]
 
     def start(self) -> "ServicePool":
-        primary = self._tenants[self.primary]
-        if self._initial_snapshot is not None:
-            snapshot = self._initial_snapshot
-        else:
-            snapshot = primary.builder.build(primary.staging)
-            self._persist(snapshot, self.primary)
-        self._adopt_version(self.primary, snapshot)
-        for name, extra in self._initial_snapshots.items():
-            validate_tenant(name)
-            self._tenants[name] = _PoolTenant(
-                name=name,
-                staging=extra.graph,
-                builder=SnapshotBuilder(
-                    self._snapshot_config, classifiers=self._classifiers,
-                    tracer=self.tracer,
-                    start_version=self._start_versions.get(name, extra.version),
-                ),
-            )
-            self._adopt_version(name, extra)
+        for name, binding in self.registry.items():
+            self._seal(binding.manager.current, name)
         self._reserve_port()
         for worker_id in range(self.requested_workers):
             self._spawn(worker_id)
@@ -296,73 +217,31 @@ class ServicePool:
         deadline = time.monotonic() + self.pool_config.start_timeout_s
         while True:
             with self._lock:
-                current = self.version
-                ready = [
-                    w
-                    for w in range(self.requested_workers)
-                    if self.worker_versions.get(w) == current
-                ]
-            if len(ready) == self.requested_workers:
+                ready = len(self._ready)
+            if ready == self.requested_workers:
                 return self
             if time.monotonic() >= deadline:
                 self.stop(drain=False)
                 raise PoolError(
-                    f"only {len(ready)}/{self.requested_workers} workers came up "
+                    f"only {ready}/{self.requested_workers} workers came up "
                     f"within {self.pool_config.start_timeout_s}s"
                 )
             time.sleep(0.01)
 
-    def _persist(self, snapshot: Snapshot, tenant: str) -> None:
-        if self.persist_hook is None:
-            return
-        try:
-            wrote = self.persist_hook(snapshot, tenant)
-            self.persists += 1
-            if isinstance(wrote, dict):
-                self.last_persist = wrote
-        except Exception as exc:
-            self.persist_failures += 1
-            self.last_persist_error = {
-                "tenant": tenant,
-                "version": snapshot.version,
-                "error": repr(exc),
-            }
-            logger.exception(
-                "durable persist of tenant %s version %s failed",
-                tenant, snapshot.version,
-            )
-
-    def persist_stats(self) -> dict[str, Any] | None:
-        """The ``persist`` section workers serve under ``/stats`` (pool-wide
-        counters; ``None`` without a persist hook)."""
-        if self.persist_hook is None:
-            return None
-        return {
-            "persists": self.persists,
-            "persist_failures": self.persist_failures,
-            "last_persist_error": self.last_persist_error,
-            "last_persist": self.last_persist,
-        }
-
-    def _segment_name(self, tenant: str, version: int) -> str:
+    def _seal(self, snapshot: Snapshot, tenant: str) -> None:
+        """Encode ``snapshot`` into a fresh segment and make it the
+        tenant's current one."""
         # deterministic prefix (leak checks grep for it) + a sequence
         # number so a tenant re-created after deletion can reuse version
         # numbers while its old segment is still draining
-        return f"rkgs_{tenant}_v{version}_{os.getpid()}_{next(self._segment_seq)}"
-
-    def _adopt_version(self, tenant: str, snapshot: Snapshot) -> None:
-        segment = shm_codec.encode_snapshot(
-            snapshot, name=self._segment_name(tenant, snapshot.version), tenant=tenant
-        )
-        state = self._tenants[tenant]
+        name = f"rkgs_{tenant}_v{snapshot.version}_{os.getpid()}_{next(self._segment_seq)}"
+        segment = shm_codec.encode_snapshot(snapshot, name=name, tenant=tenant)
         with self._lock:
             key = (tenant, snapshot.version)
             self._segments[key] = segment
-            self._segment_names[key] = segment.name
             self._attached[key] = set()
-            previous = state.current_version
-            state.current_version = snapshot.version
-            state.oracle = snapshot
+            previous = self._current.get(tenant)
+            self._current[tenant] = snapshot.version
         if previous:
             self._maybe_unlink((tenant, previous))
 
@@ -384,11 +263,8 @@ class ServicePool:
         config = ServiceConfig(**{**self.config.__dict__, "port": self.port})
         with self._lock:
             segments = {
-                name: (
-                    self._segment_names[(name, state.current_version)],
-                    state.current_version,
-                )
-                for name, state in self._tenants.items()
+                tenant: (self._segments[(tenant, version)].name, version)
+                for tenant, version in self._current.items()
             }
         proc = self._ctx.Process(
             target=_worker_main,
@@ -399,7 +275,7 @@ class ServicePool:
                 segments,
                 self.primary,
                 self.pool_config.sweep_interval_s,
-                self.persist_stats(),
+                self.registry.persist.stats() if self.registry.persist else None,
             ),
             name=f"repro-serve-{worker_id}",
             daemon=True,
@@ -410,20 +286,22 @@ class ServicePool:
             self._procs[worker_id] = proc
             self._conns[worker_id] = parent_conn
 
+    def _broadcast(self, message: dict[str, Any]) -> None:
+        with self._lock:
+            conns = list(self._conns.values())
+        for conn in conns:
+            _try_send(conn, message)
+
     def stop(self, drain: bool = True) -> None:
         """Shut the pool down; with ``drain`` workers finish in-flight
         requests (bounded by ``drain_timeout_s``) before exiting."""
         self._stopping.set()
-        with self._lock:
-            conns = dict(self._conns)
         if drain:
-            for conn in conns.values():
-                _try_send(conn, {"op": "drain", "timeout_s": self.pool_config.drain_timeout_s})
+            self._broadcast({"op": "drain", "timeout_s": self.pool_config.drain_timeout_s})
             deadline = time.monotonic() + self.pool_config.drain_timeout_s + 2.0
             for proc in list(self._procs.values()):
                 proc.join(timeout=max(0.0, deadline - time.monotonic()))
-        for conn in conns.values():
-            _try_send(conn, {"op": "stop"})
+        self._broadcast({"op": "stop"})
         for proc in list(self._procs.values()):
             proc.join(timeout=2.0)
             if proc.is_alive():
@@ -456,38 +334,25 @@ class ServicePool:
     # -- mutations: the parent is the single builder -------------------
 
     def mutate(
-        self,
-        deltas: Sequence[dict[str, Any]],
-        wait: bool = True,
-        tenant: str | None = None,
+        self, deltas: Sequence[dict[str, Any]], tenant: str | None = None
     ) -> dict[str, Any]:
-        """Apply one mutation batch to ``tenant`` (primary when omitted),
-        build, seal, publish to all workers.
+        """Apply one mutation batch to ``tenant`` (primary when omitted)
+        and return once every worker serves the new version.
 
-        Mirrors :class:`GraphUpdater` semantics (staging copy, whole-batch
-        validation, incremental build) but runs synchronously in the
-        parent — the pool serializes batches, workers only forward.
-        Other tenants' versions are untouched.
+        The tenant's updater stages, builds, publishes and persists as
+        it does single-process; the pool serializes batches (workers
+        only forward) and supplies the hand-off.  Other tenants'
+        versions are untouched.
         """
-        if not deltas:
-            raise MutationError("empty delta batch")
         name = tenant if tenant is not None else self.primary
         with self._mutate_lock:
-            state = self._tenants.get(name)
-            if state is None:
-                raise UnknownTenantError(name)
-            base = state.staging
-            candidate = base.copy()
-            batch = apply_deltas(candidate, deltas)  # MutationError -> 400 upstream
-            batch.base = base
-            batch.base_generation = base.generation
-            new_edges = None if batch.removed_any else batch.new_edges
+            updater = self.registry.get(name).updater  # UnknownTenantError -> 404
+            graph, batch = updater.stage(deltas)  # MutationError -> 400 upstream
             started = time.perf_counter()
-            snapshot = state.builder.build(candidate, new_edges=new_edges, delta=batch)
-            state.staging = candidate
-            self._adopt_version(name, snapshot)
-            self._persist(snapshot, name)
-            published = self._await_fleet(name, snapshot.version)
+            snapshot = updater.publish(graph, batch, handoff=self._handoff)
+            self._sync_persist()
+            with self._lock:
+                attached = sorted(self._attached[(name, snapshot.version)])
             return {
                 "status": "published",
                 "applied": len(deltas),
@@ -495,8 +360,20 @@ class ServicePool:
                 "version": snapshot.version,
                 "build_s": round(time.perf_counter() - started, 4),
                 "warm_build": snapshot.warm,
-                "workers_attached": published,
+                "workers_attached": attached,
             }
+
+    def _handoff(self, snapshot: Snapshot, tenant: str) -> None:
+        """The pool's hand-off of a published version: seal it into a
+        segment, broadcast it, wait until every live worker swapped."""
+        self._seal(snapshot, tenant)
+        self._await_fleet(tenant, snapshot.version)
+
+    def _sync_persist(self) -> None:
+        """Workers answer ``/stats`` -> ``persist`` from the parent's
+        counters; refresh their copy after a persist."""
+        if self.registry.persist is not None:
+            self._broadcast({"op": "persist", "stats": self.registry.persist.stats()})
 
     # -- tenant admin: the parent owns the tenant set ------------------
 
@@ -508,29 +385,23 @@ class ServicePool:
         """
         validate_tenant(name)
         with self._mutate_lock:
-            state = self._tenants.get(name)
-            if state is not None:
+            existing = self.registry.peek(name)
+            if existing is not None:
                 return 200, {
                     "status": "exists",
                     "tenant": name,
-                    "version": state.current_version,
+                    "version": existing.version,
                 }
-            graph = CompanyGraph()
-            builder = SnapshotBuilder(
-                self._snapshot_config, classifiers=self._classifiers,
-                tracer=self.tracer,
-            )
-            snapshot = builder.build(graph)
-            self._tenants[name] = _PoolTenant(
-                name=name, staging=graph, builder=builder
-            )
-            self._adopt_version(name, snapshot)
-            self._persist(snapshot, name)
-            self._await_fleet(name, snapshot.version)
+            try:
+                binding = self.registry.create(name, handoff=self._handoff)
+            except BaseException:
+                self._retire(name)  # a failed hand-off may have reached some workers
+                raise
+            self._sync_persist()
             return 201, {
                 "status": "created",
                 "tenant": name,
-                "version": snapshot.version,
+                "version": binding.version,
                 "workers": self.live_workers(),
             }
 
@@ -539,20 +410,19 @@ class ServicePool:
         if name == self.primary:
             return 400, {"error": f"cannot delete the alias tenant {name!r}"}
         with self._mutate_lock:
-            state = self._tenants.pop(name, None)
-            if state is None:
-                return 404, {"error": f"unknown tenant: {name}"}
-            version = state.current_version
-            with self._lock:
-                conns = dict(self._conns)
-            for conn in conns.values():
-                _try_send(conn, {"op": "retire_tenant", "tenant": name})
-            # workers drop the binding immediately (404s start now) and
-            # release the segment once their in-flight reads finish; the
-            # release messages drive the unlink.  Dropping the oracle
-            # here lets the parent-side views die with it.
-            self._maybe_unlink((name, version))
-            return 200, {"status": "deleted", "tenant": name, "version": version}
+            binding = self.registry.drop(name)  # UnknownTenantError -> 404
+            self._retire(name)
+            return 200, {"status": "deleted", "tenant": name, "version": binding.version}
+
+    def _retire(self, tenant: str) -> None:
+        with self._lock:
+            version = self._current.pop(tenant, None)
+        # workers drop the binding immediately (404s start now) and
+        # release the segment once their in-flight reads finish; the
+        # release messages drive the unlink
+        self._broadcast({"op": "retire_tenant", "tenant": tenant})
+        if version is not None:
+            self._maybe_unlink((tenant, version))
 
     def _await_fleet(self, tenant: str, version: int) -> list[int]:
         """Broadcast ``publish`` and wait until every live worker swapped."""
@@ -560,33 +430,33 @@ class ServicePool:
         key = (tenant, version)
         with self._lock:
             self._publish_events[key] = event
-            conns = dict(self._conns)
-            name = self._segment_names[key]
-        for conn in conns.values():
-            _try_send(
-                conn,
-                {
-                    "op": "publish",
-                    "tenant": tenant,
-                    "name": name,
-                    "version": version,
-                    "persist": self.persist_stats(),
-                },
-            )
+            name = self._segments[key].name
+        self._broadcast(
+            {"op": "publish", "tenant": tenant, "name": name, "version": version}
+        )
         deadline = time.monotonic() + self.pool_config.publish_timeout_s
-        while not self._fleet_attached(key):
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
+        try:
+            while not self._fleet_attached(key):
                 with self._lock:
+                    error = self._attach_errors.get(key)
                     attached = sorted(self._attached.get(key, ()))
-                raise PoolError(
-                    f"tenant {tenant} version {version} reached only workers "
-                    f"{attached} within {self.pool_config.publish_timeout_s}s"
-                )
-            event.wait(timeout=min(remaining, 0.05))
-            event.clear()
+                if error is not None:
+                    raise PoolError(
+                        f"tenant {tenant} version {version} failed to attach: {error}"
+                    )
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    raise PoolError(
+                        f"tenant {tenant} version {version} reached only workers "
+                        f"{attached} within {self.pool_config.publish_timeout_s}s"
+                    )
+                event.wait(timeout=min(remaining, 0.05))
+                event.clear()
+        finally:
+            with self._lock:
+                self._publish_events.pop(key, None)
+                self._attach_errors.pop(key, None)
         with self._lock:
-            self._publish_events.pop(key, None)
             return sorted(self._attached.get(key, ()))
 
     def _fleet_attached(self, key: tuple[str, int]) -> bool:
@@ -606,9 +476,7 @@ class ServicePool:
             request_id = self._request_seq
             self._metric_replies[request_id] = {}
             event = self._metric_events[request_id] = threading.Event()
-            conns = dict(self._conns)
-        for conn in conns.values():
-            _try_send(conn, {"op": "metrics?", "id": request_id})
+        self._broadcast({"op": "metrics?", "id": request_id})
         deadline = time.monotonic() + timeout_s
         while True:
             with self._lock:
@@ -622,23 +490,22 @@ class ServicePool:
         with self._lock:
             replies = self._metric_replies.pop(request_id)
             self._metric_events.pop(request_id, None)
-            worker_versions = dict(self.worker_versions)
             worker_tenant_versions = {
                 w: dict(v) for w, v in self.worker_tenant_versions.items()
             }
             last_swap = {w: dict(s) for w, s in self.last_swap.items()}
-            tenant_versions = {
-                name: state.current_version
-                for name, state in self._tenants.items()
-            }
         ordered = [replies[w] for w in sorted(replies)]
         return {
             "scope": "cluster",
             "workers": sorted(replies),
             "snapshot_version": self.version,
             "primary_tenant": self.primary,
-            "tenants": tenant_versions,
-            "worker_versions": worker_versions,
+            "tenants": self.registry.stats()["versions"],
+            "worker_versions": {
+                w: v[self.primary]
+                for w, v in worker_tenant_versions.items()
+                if self.primary in v
+            },
             "worker_tenant_versions": worker_tenant_versions,
             "restarts": self.restarts,
             "last_swap": last_swap,
@@ -680,32 +547,26 @@ class ServicePool:
     def _on_message(self, worker_id: int, message: dict[str, Any]) -> None:
         op = message.get("op")
         if op == "ready":
-            versions: dict[str, int] = message.get("versions") or {}
             with self._lock:
-                for tenant, version in versions.items():
-                    self._attached.setdefault((tenant, version), set()).add(worker_id)
-                    self.worker_tenant_versions.setdefault(worker_id, {})[tenant] = version
-                if self.primary in versions:
-                    self.worker_versions[worker_id] = versions[self.primary]
-                events = [
-                    self._publish_events.get((t, v)) for t, v in versions.items()
-                ]
-            for event in events:
-                if event is not None:
-                    event.set()
+                self._ready.add(worker_id)
         elif op == "attached":
-            tenant = message.get("tenant", self.primary)
-            version = message["version"]
+            key = (message.get("tenant", self.primary), message["version"])
             with self._lock:
-                self._attached.setdefault((tenant, version), set()).add(worker_id)
-                self.worker_tenant_versions.setdefault(worker_id, {})[tenant] = version
-                if tenant == self.primary:
-                    self.worker_versions[worker_id] = version
+                self._attached.setdefault(key, set()).add(worker_id)
+                self.worker_tenant_versions.setdefault(worker_id, {})[key[0]] = key[1]
                 self.last_swap[worker_id] = {
                     "attach_s": message.get("attach_s", 0.0),
                     "swap_pause_s": message.get("swap_pause_s", 0.0),
                 }
-                event = self._publish_events.get((tenant, version))
+                event = self._publish_events.get(key)
+            if event is not None:
+                event.set()
+        elif op == "attach_failed":
+            key = (message.get("tenant", self.primary), message["version"])
+            with self._lock:
+                event = self._publish_events.get(key)
+                if event is not None:  # fails the publish waiting on it at once
+                    self._attach_errors[key] = f"worker {worker_id}: {message.get('error')}"
             if event is not None:
                 event.set()
         elif op == "released":
@@ -727,76 +588,36 @@ class ServicePool:
                 event = self._metric_events.get(request_id)
             if event is not None:
                 event.set()
-        elif op == "mutate":
+        elif op in ("mutate", "admin", "metrics_cluster?"):
+            # these block on the fleet, which this thread must keep serving
             threading.Thread(
-                target=self._handle_forwarded_mutation,
-                args=(worker_id, message),
-                daemon=True,
-            ).start()
-        elif op == "admin":
-            threading.Thread(
-                target=self._handle_forwarded_admin,
-                args=(worker_id, message),
-                daemon=True,
-            ).start()
-        elif op == "metrics_cluster?":
-            threading.Thread(
-                target=self._handle_cluster_metrics,
-                args=(worker_id, message),
-                daemon=True,
+                target=self._handle_forwarded, args=(worker_id, message), daemon=True
             ).start()
 
-    def _handle_forwarded_mutation(self, worker_id: int, message: dict[str, Any]) -> None:
-        request_id = message.get("id")
+    def _handle_forwarded(self, worker_id: int, message: dict[str, Any]) -> None:
+        """Answer a worker's forwarded mutation, tenant admin or cluster
+        metrics request; the worker always gets a reply."""
+        op = message["op"]
+        tenant = message.get("tenant")
         try:
-            result = self.mutate(
-                message.get("deltas") or [],
-                wait=True,
-                tenant=message.get("tenant"),
-            )
-            reply = {"op": "mutate_result", "id": request_id, "status": 200, "payload": result}
-        except MutationError as exc:
-            reply = {
-                "op": "mutate_result",
-                "id": request_id,
-                "status": 400,
-                "payload": {"error": str(exc)},
-            }
-        except UnknownTenantError as exc:
-            reply = {
-                "op": "mutate_result",
-                "id": request_id,
-                "status": 404,
-                "payload": {"error": str(exc)},
-            }
-        except Exception as exc:  # noqa: BLE001 - worker must get an answer
-            logger.exception("forwarded mutation failed")
-            reply = {
-                "op": "mutate_result",
-                "id": request_id,
-                "status": 500,
-                "payload": {"error": f"{type(exc).__name__}: {exc}"},
-            }
-        with self._lock:
-            conn = self._conns.get(worker_id)
-        if conn is not None:
-            _try_send(conn, reply)
-
-    def _handle_forwarded_admin(self, worker_id: int, message: dict[str, Any]) -> None:
-        request_id = message.get("id")
-        action = message.get("action")
-        tenant = message.get("tenant", "")
-        try:
-            if action == "create":
+            if op == "mutate":
+                status, payload = 200, self.mutate(message.get("deltas") or [], tenant)
+            elif op == "metrics_cluster?":
+                status, payload = 200, self.cluster_metrics()
+            elif message.get("action") == "create":
                 status, payload = self.create_tenant(tenant)
-            elif action == "delete":
+            elif message.get("action") == "delete":
                 status, payload = self.delete_tenant(tenant)
             else:
-                status, payload = 400, {"error": f"unknown admin action {action!r}"}
-        except TenantError as exc:
+                status, payload = 400, {
+                    "error": f"unknown admin action {message.get('action')!r}"
+                }
+        except (MutationError, TenantError) as exc:
             status, payload = 400, {"error": str(exc)}
+        except UnknownTenantError as exc:
+            status, payload = 404, {"error": str(exc)}
         except Exception as exc:  # noqa: BLE001 - worker must get an answer
-            logger.exception("forwarded tenant admin failed")
+            logger.exception("forwarded %s failed", op)
             status, payload = 500, {"error": f"{type(exc).__name__}: {exc}"}
         with self._lock:
             conn = self._conns.get(worker_id)
@@ -804,21 +625,11 @@ class ServicePool:
             _try_send(
                 conn,
                 {
-                    "op": "admin_result",
-                    "id": request_id,
+                    "op": "result",
+                    "id": message.get("id"),
                     "status": status,
                     "payload": payload,
                 },
-            )
-
-    def _handle_cluster_metrics(self, worker_id: int, message: dict[str, Any]) -> None:
-        payload = self.cluster_metrics()
-        with self._lock:
-            conn = self._conns.get(worker_id)
-        if conn is not None:
-            _try_send(
-                conn,
-                {"op": "metrics_cluster", "id": message.get("id"), "payload": payload},
             )
 
     def _on_worker_gone(self, worker_id: int) -> None:
@@ -827,7 +638,7 @@ class ServicePool:
                 return  # sentinel + pipe EOF both fired; already handled
             proc = self._procs.pop(worker_id, None)
             conn = self._conns.pop(worker_id, None)
-            self.worker_versions.pop(worker_id, None)
+            self._ready.discard(worker_id)
             self.worker_tenant_versions.pop(worker_id, None)
             # the kernel unmapped the dead worker's segments: that IS a release
             touched = [k for k, who in self._attached.items() if worker_id in who]
@@ -863,10 +674,9 @@ class ServicePool:
     def _maybe_unlink(self, key: tuple[str, int]) -> None:
         tenant, version = key
         with self._lock:
-            state = self._tenants.get(tenant)
             # a dropped tenant's segments are all retired; a live
             # tenant's current version never is
-            retired = state is None or version != state.current_version
+            retired = self._current.get(tenant) != version
             unreferenced = not self._attached.get(key)
         if retired and unreferenced:
             self._unlink(key)
@@ -874,7 +684,6 @@ class ServicePool:
     def _unlink(self, key: tuple[str, int]) -> None:
         with self._lock:
             segment = self._segments.pop(key, None)
-            self._segment_names.pop(key, None)
             self._attached.pop(key, None)
         if segment is None:
             return
@@ -908,7 +717,7 @@ def _worker_main(
     segments: dict[str, tuple[str, int]],
     primary: str,
     sweep_interval_s: float,
-    persist_stats: dict[str, Any] | None,
+    builder_persist: dict[str, Any] | None,
 ) -> None:
     """Entry point of one serving process (must stay picklable for spawn)."""
     import signal
@@ -918,7 +727,7 @@ def _worker_main(
         asyncio.run(
             _Worker(
                 worker_id, conn, config, segments, primary, sweep_interval_s,
-                persist_stats,
+                builder_persist,
             ).run()
         )
     except Exception:  # pragma: no cover - crash path exercised via kill tests
@@ -942,7 +751,7 @@ class _Worker:
         segments: dict[str, tuple[str, int]],
         primary: str,
         sweep_interval_s: float,
-        persist_stats: dict[str, Any] | None,
+        builder_persist: dict[str, Any] | None,
     ):
         self.worker_id = worker_id
         self.conn = conn
@@ -950,9 +759,9 @@ class _Worker:
         self.segments = segments
         self.primary = primary
         self.sweep_interval_s = sweep_interval_s
-        #: the parent's persist counters as of spawn; every ``publish``
-        #: message refreshes its tenant's copy
-        self._persist_stats = persist_stats
+        #: the parent's persist counters as of spawn; every ``persist``
+        #: message replaces the service's copy
+        self._builder_persist = builder_persist
         self.service: ReasoningService | None = None
         self.registry = GraphRegistry()
         #: (tenant, version, SharedMemory) of swapped-out snapshots;
@@ -962,38 +771,26 @@ class _Worker:
         self._pending: dict[int, asyncio.Future] = {}
         self._seq = 0
         self._stop = asyncio.Event()
-        self._drain_timeout_s = 10.0
         self._send_lock = threading.Lock()
 
     def _send(self, message: dict[str, Any]) -> None:
         with self._send_lock:
             _try_send(self.conn, message)
 
-    def _bind_tenant(self, tenant: str, segment_name: str) -> int:
-        """Attach a segment and bind it as a fresh tenant; returns the
-        attached snapshot version."""
-        # no local snapshot binding outlives this call: a longer-lived
-        # local would pin the version's views (and so its segment) forever
-        manager = SnapshotManager()
-        manager.publish(shm_codec.attach_snapshot(segment_name))
-        self.registry.adopt(tenant, manager).persist_stats = self._persist_stats
-        return manager.version
-
     async def run(self) -> None:
         loop = asyncio.get_running_loop()
-        versions: dict[str, int] = {}
-        # primary first: the first adopted tenant becomes the registry
-        # alias, which is what un-prefixed routes resolve to
-        ordered = [self.primary] + sorted(set(self.segments) - {self.primary})
-        for tenant in ordered:
-            name, _version = self.segments[tenant]
-            versions[tenant] = self._bind_tenant(tenant, name)
+        # start-up is one publish per initial segment — primary first:
+        # the first bound tenant becomes the registry alias, which is
+        # what un-prefixed routes resolve to
+        for tenant in [self.primary] + sorted(set(self.segments) - {self.primary}):
+            await self._on_publish(tenant, *self.segments[tenant])
         service = ReasoningService(
             config=self.config, worker_id=self.worker_id, registry=self.registry
         )
         service.mutation_forwarder = self._forward_mutation
         service.admin_forwarder = self._forward_admin
         service.cluster_metrics_provider = self._cluster_metrics
+        service.builder_persist = self._builder_persist
         self.service = service
         await service.start(reuse_port=True)
 
@@ -1003,14 +800,7 @@ class _Worker:
         )
         reader.start()
         sweeper = asyncio.create_task(self._sweep_retired())
-        self._send(
-            {
-                "op": "ready",
-                "worker": self.worker_id,
-                "pid": os.getpid(),
-                "versions": versions,
-            }
-        )
+        self._send({"op": "ready", "worker": self.worker_id, "pid": os.getpid()})
         try:
             while not self._stop.is_set():
                 getter = asyncio.create_task(queue.get())
@@ -1040,25 +830,21 @@ class _Worker:
 
     async def _handle(self, message: dict[str, Any]) -> None:
         op = message.get("op")
+        assert self.service is not None
         if op == "publish":
             await self._on_publish(
-                message.get("tenant", self.primary),
-                message["name"],
-                message["version"],
-                message.get("persist"),
+                message.get("tenant", self.primary), message["name"], message["version"]
             )
+        elif op == "persist":
+            self.service.builder_persist = message["stats"]
         elif op == "retire_tenant":
             self._on_retire_tenant(message["tenant"])
         elif op == "drain":
-            self._drain_timeout_s = message.get("timeout_s", self._drain_timeout_s)
-            assert self.service is not None
-            await self.service.drain(self._drain_timeout_s)
-            self._send({"op": "drained", "worker": self.worker_id})
+            await self.service.drain(message.get("timeout_s", 10.0))
             self._stop.set()
         elif op == "stop":
             self._stop.set()
         elif op == "metrics?":
-            assert self.service is not None
             self._send(
                 {
                     "op": "metrics",
@@ -1066,18 +852,12 @@ class _Worker:
                     "payload": self.service.metrics.to_dict(),
                 }
             )
-        elif op in ("mutate_result", "metrics_cluster", "admin_result"):
+        elif op == "result":
             future = self._pending.pop(message.get("id"), None)
             if future is not None and not future.done():
                 future.set_result(message)
 
-    async def _on_publish(
-        self,
-        tenant: str,
-        name: str,
-        version: int,
-        persist_stats: dict[str, Any] | None,
-    ) -> None:
+    async def _on_publish(self, tenant: str, name: str, version: int) -> None:
         loop = asyncio.get_running_loop()
         started = time.perf_counter()
         try:
@@ -1100,24 +880,17 @@ class _Worker:
         attach_s = time.perf_counter() - started
         binding = self.registry.peek(tenant)
         if binding is None:
-            # a tenant created after this worker spawned: bind fresh
-            manager = SnapshotManager()
-            manager.publish(snapshot)
-            try:
-                binding = self.registry.adopt(tenant, manager)
-            except TenantError:  # raced a concurrent bind: retire ours
-                self._retired.append((tenant, version, snapshot.shm))
-                del snapshot
-                return
-            swap_pause_s = 0.0
+            # unknown to this worker (start-up, or created since): bind fresh
+            binding = self.registry.adopt(tenant, SnapshotManager())
+            old = None
         else:
             old = binding.manager.current
-            binding.manager.publish(snapshot)  # the swap: one reference store
-            swap_pause_s = binding.manager.last_swap_pause_s
-            if isinstance(old, shm_codec.AttachedSnapshot):
-                self._retired.append((tenant, old.version, old.shm))
-            del old  # our reference; in-flight reads keep theirs
-        binding.persist_stats = persist_stats
+        binding.manager.publish(snapshot)  # the swap: one reference store
+        if isinstance(old, shm_codec.AttachedSnapshot):
+            self._retired.append((tenant, old.version, old.shm))
+        # our references only — in-flight reads keep theirs; a longer-lived
+        # local would pin the version's views (and so its segment) forever
+        del old, snapshot
         self._send(
             {
                 "op": "attached",
@@ -1125,7 +898,7 @@ class _Worker:
                 "tenant": tenant,
                 "version": version,
                 "attach_s": attach_s,
-                "swap_pause_s": swap_pause_s,
+                "swap_pause_s": binding.manager.last_swap_pause_s,
             }
         )
 
@@ -1187,45 +960,21 @@ class _Worker:
 
     # -- forwarded endpoints -------------------------------------------
 
-    def _next_request(self) -> tuple[int, asyncio.Future]:
+    async def _forward(self, message: dict[str, Any]) -> dict[str, Any]:
+        """Send one request to the parent and await its ``result``."""
         self._seq += 1
         future = asyncio.get_running_loop().create_future()
         self._pending[self._seq] = future
-        return self._seq, future
+        self._send({**message, "id": self._seq, "worker": self.worker_id})
+        return await future
 
-    async def _forward_mutation(
-        self, tenant: str, deltas: list[Any], wait: bool
-    ) -> tuple[int, Any]:
-        request_id, future = self._next_request()
-        self._send(
-            {
-                "op": "mutate",
-                "id": request_id,
-                "worker": self.worker_id,
-                "tenant": tenant,
-                "deltas": deltas,
-                "wait": wait,
-            }
-        )
-        reply = await future
+    async def _forward_mutation(self, tenant: str, deltas: list[Any]) -> tuple[int, Any]:
+        reply = await self._forward({"op": "mutate", "tenant": tenant, "deltas": deltas})
         return reply.get("status", 500), reply.get("payload")
 
     async def _forward_admin(self, action: str, tenant: str) -> tuple[int, Any]:
-        request_id, future = self._next_request()
-        self._send(
-            {
-                "op": "admin",
-                "id": request_id,
-                "worker": self.worker_id,
-                "action": action,
-                "tenant": tenant,
-            }
-        )
-        reply = await future
+        reply = await self._forward({"op": "admin", "action": action, "tenant": tenant})
         return reply.get("status", 500), reply.get("payload")
 
     async def _cluster_metrics(self) -> Any:
-        request_id, future = self._next_request()
-        self._send({"op": "metrics_cluster?", "id": request_id, "worker": self.worker_id})
-        reply = await future
-        return reply.get("payload")
+        return (await self._forward({"op": "metrics_cluster?"})).get("payload")

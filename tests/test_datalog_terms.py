@@ -57,7 +57,12 @@ class TestSkolem:
         st.lists(st.one_of(st.integers(), st.text(), st.floats(allow_nan=False)), max_size=4),
     )
     def test_property_injectivity(self, left, right):
-        if tuple(left) != tuple(right):
+        # Skolem arguments are typed: ``0`` and ``0.0`` (or ``0.0`` and
+        # ``-0.0``) compare equal in Python yet are different arguments
+        def typed(values):
+            return [(type(v), repr(v)) for v in values]
+
+        if typed(left) != typed(right):
             assert skolem("f", tuple(left)) != skolem("f", tuple(right))
         else:
             assert skolem("f", tuple(left)) == skolem("f", tuple(right))

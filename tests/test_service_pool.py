@@ -27,7 +27,7 @@ import pytest
 
 from repro.datagen.company_generator import CompanySpec, generate_company_graph
 from repro.service import ServiceConfig
-from repro.service.workers import PoolConfig, ServicePool
+from repro.service.workers import PoolConfig, PoolError, ServicePool
 
 
 @pytest.fixture(scope="module")
@@ -268,8 +268,9 @@ class TestSupervision:
         os.kill(pid, signal.SIGKILL)
         assert wait_until(lambda: pool.restarts == restarts_before + 1)
         assert wait_until(
-            lambda: pool.worker_versions.get(victim) == pool.version
-        ), pool.worker_versions
+            lambda: pool.worker_tenant_versions.get(victim, {}).get(pool.primary)
+            == pool.version
+        ), pool.worker_tenant_versions
         seen = healthz_by_worker(pool.port)
         assert set(seen.values()) == {pool.version}
 
@@ -289,6 +290,52 @@ class TestSupervision:
         for name in names:
             assert not os.path.exists(f"/dev/shm/{name}")
         assert pool.live_workers() == []
+
+
+class TestAttachFailure:
+    def test_attach_failed_fails_the_publish_at_once(self, graph):
+        """A worker that cannot attach a segment says so; the publish
+        waiting on it must not sit out ``publish_timeout_s`` (60 s)."""
+
+        class LiveWorker:
+            def is_alive(self):
+                return True
+
+        class Pipe:
+            def send(self, message):
+                pass
+
+        pool = ServicePool(graph, workers=1, config=ServiceConfig(port=0))
+        pool._procs[0], pool._conns[0] = LiveWorker(), Pipe()
+        snapshot = pool.oracle
+        pool._seal(snapshot, pool.primary)
+        failures = []
+
+        def publish():
+            try:
+                pool._await_fleet(pool.primary, snapshot.version)
+            except PoolError as exc:
+                failures.append(str(exc))
+
+        try:
+            started = time.monotonic()
+            thread = threading.Thread(target=publish)
+            thread.start()
+            assert wait_until(lambda: pool._publish_events)  # the publish is out
+            pool._on_message(0, {
+                "op": "attach_failed", "worker": 0, "tenant": pool.primary,
+                "version": snapshot.version, "error": "SegmentError: truncated segment",
+            })
+            thread.join(10.0)
+            assert not thread.is_alive()
+            assert time.monotonic() - started < 5.0
+            (message,) = failures
+            assert "worker 0" in message and "SegmentError: truncated segment" in message
+        finally:
+            pool._procs.clear()
+            pool._conns.clear()
+            pool.stop(drain=False)
+        assert pool.segment_names() == []
 
 
 class TestMultiTenantPool:

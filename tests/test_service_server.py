@@ -572,8 +572,8 @@ class TestPoolHooks:
         assert service.updater is None
         forwarded = []
 
-        async def forwarder(tenant, deltas, wait):
-            forwarded.append((tenant, deltas, wait))
+        async def forwarder(tenant, deltas):
+            forwarded.append((tenant, deltas))
             return 200, {"status": "published", "version": 99}
 
         service.mutation_forwarder = forwarder
@@ -590,7 +590,7 @@ class TestPoolHooks:
         status, payload = asyncio.run(main())
         assert status == 200
         assert payload["version"] == 99
-        assert forwarded == [("default", [{"op": "x"}], True)]
+        assert forwarded == [("default", [{"op": "x"}])]
 
     def test_cluster_metrics_provider_answers_scoped_metrics(self, graph):
         service = make_service(graph)

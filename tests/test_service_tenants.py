@@ -131,18 +131,17 @@ class TestRegistry:
             "versions": {},
         }
 
-    def test_persist_hook_factory_wires_new_updaters(self):
+    def test_persist_target_wires_new_updaters(self):
         seen = []
-        registry = GraphRegistry()
-        registry.persist_hook_factory = lambda name: lambda snap: seen.append(
-            (name, snap.version)
+        registry = GraphRegistry(
+            persist=lambda snap, tenant: seen.append((tenant, snap.version))
         )
         binding = registry.create("acme")
-        # create() persists v1 through the hook on its own, so a
+        # create() persists v1 through the target on its own, so a
         # created-but-never-mutated tenant survives a restart
         assert seen == [("acme", 1)]
-        assert binding.updater.persists == 1
-        binding.updater.persist_hook(binding.manager.current)
+        assert registry.persist.persists == 1
+        registry.persist(binding.manager.current, binding.updater.tenant)
         assert seen == [("acme", 1), ("acme", 1)]
 
 

@@ -11,6 +11,7 @@ from repro.datagen.company_generator import CompanySpec, generate_company_graph
 from repro.graph.columnar import EXPORT_DTYPES, GraphFrame
 from repro.service import (
     GraphUpdater,
+    Persister,
     SnapshotBuilder,
     SnapshotConfig,
     SnapshotManager,
@@ -190,7 +191,7 @@ class TestCrashSafety:
         assert store.attach_latest().version == 1
 
 
-class TestUpdaterPersistHook:
+class TestUpdaterPersists:
     def test_mutation_persists_next_version(self, tmp_path):
         graph, _ = generate_company_graph(CompanySpec(persons=40, companies=30, seed=4))
         config = SnapshotConfig(augment=True, first_level_clusters=1, use_embeddings=False)
@@ -201,8 +202,8 @@ class TestUpdaterPersistHook:
         store = FrameStore.create(tmp_path / "store")
         store.persist(snap1)
 
-        updater = GraphUpdater(manager, builder, graph)
-        updater.persist_hook = store.persist
+        persister = Persister(lambda snap, tenant: store.persist(snap, tenant=tenant))
+        updater = GraphUpdater(manager, builder, graph, persist=persister)
 
         async def mutate():
             return await updater.apply(
@@ -217,8 +218,8 @@ class TestUpdaterPersistHook:
 
         reply = asyncio.run(mutate())
         assert reply["status"] == "published"
-        assert updater.persists == 1
-        assert updater.persist_failures == 0
+        assert persister.persists == 1
+        assert persister.persist_failures == 0
         assert store.latest_version() == 2
         att = store.attach(2)
         assert att.graph.has_node("C_HOOK")
@@ -231,12 +232,11 @@ class TestUpdaterPersistHook:
         manager = SnapshotManager()
         manager.publish(builder.build(graph))
 
-        updater = GraphUpdater(manager, builder, graph)
-
-        def explode(snapshot):
+        def explode(snapshot, tenant):
             raise RuntimeError("disk on fire")
 
-        updater.persist_hook = explode
+        persister = Persister(explode)
+        updater = GraphUpdater(manager, builder, graph, persist=persister)
 
         async def mutate():
             return await updater.apply(
@@ -245,7 +245,7 @@ class TestUpdaterPersistHook:
 
         reply = asyncio.run(mutate())
         assert reply["status"] == "published"  # serving survived the disk
-        assert updater.persist_failures == 1
-        assert "disk on fire" in updater.last_persist_error["error"]
-        assert updater.last_persist_error["version"] == 2
+        assert persister.persist_failures == 1
+        assert "disk on fire" in persister.last_persist_error["error"]
+        assert persister.last_persist_error["version"] == 2
         assert manager.current.graph.has_node("C_X")
