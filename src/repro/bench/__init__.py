@@ -1,54 +1,18 @@
 """Experiment harness: timers, workloads, baselines, recall protocol."""
 
-from .harness import (
-    Experiment,
-    Measurement,
-    check_shape,
-    timed,
-    timed_repeat,
-    timed_traced,
-)
-from .naive import naive_comparison_count, naive_family_detection
-from .recall import (
-    RecallPoint,
-    no_cluster_ground_truth,
-    predicted_links,
-    recall_at_clusters,
-    recall_curve,
-)
-from .workloads import (
-    CLUSTER_SWEEP,
-    DENSITY_SCENARIOS,
-    FIG4A_SIZES,
-    FIG4B_SIZES,
-    FIG4D_SIZES,
-    dense_synthetic,
-    density_scenario,
-    ownership_pyramid,
-    realworld_like,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CLUSTER_SWEEP",
-    "DENSITY_SCENARIOS",
-    "Experiment",
-    "FIG4A_SIZES",
-    "FIG4B_SIZES",
-    "FIG4D_SIZES",
-    "Measurement",
-    "RecallPoint",
-    "check_shape",
-    "dense_synthetic",
-    "density_scenario",
-    "naive_comparison_count",
-    "naive_family_detection",
-    "no_cluster_ground_truth",
-    "ownership_pyramid",
-    "predicted_links",
-    "realworld_like",
-    "recall_at_clusters",
-    "recall_curve",
-    "timed",
-    "timed_repeat",
-    "timed_traced",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "harness": (
+        "check_shape", "Experiment", "Measurement", "timed", "timed_repeat", "timed_traced",
+    ),
+    "naive": ("naive_comparison_count", "naive_family_detection"),
+    "recall": (
+        "no_cluster_ground_truth", "predicted_links", "recall_at_clusters", "recall_curve",
+        "RecallPoint",
+    ),
+    "workloads": (
+        "CLUSTER_SWEEP", "dense_synthetic", "density_scenario", "DENSITY_SCENARIOS", "FIG4A_SIZES",
+        "FIG4B_SIZES", "FIG4D_SIZES", "ownership_pyramid", "realworld_like",
+    ),
+})

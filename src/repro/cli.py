@@ -21,7 +21,11 @@ shareholdings.csv):
 
 Every command exits nonzero with a one-line ``error: ...`` message (no
 traceback) on bad input paths, unreadable extracts, malformed programs,
-or unusable ports.
+out-of-range thresholds or counts, or unusable ports.
+
+Each handler imports what its command runs, so a process loads only the
+components it uses (``generate`` needs neither numpy nor scipy,
+``augment`` no scipy).
 """
 
 from __future__ import annotations
@@ -31,23 +35,18 @@ import json
 import sys
 from pathlib import Path
 
-from .core.pipeline import PipelineConfig, ReasoningPipeline
-from .datagen.company_generator import CompanySpec, generate_company_graph
-from .datalog.engine import Engine
-from .datalog.errors import DatalogError
-from .graph.property_graph import GraphError
-from .datalog.parser import parse_program
-from .graph.io import read_company_csv, save_json, write_company_csv
-from .graph.metrics import profile
-from .graph.relational import to_facts
-from .linkage.training import persons_of, train_classifiers
-from .ownership.close_links import close_link_pairs
-from .ownership.control import control_closure, controlled_by
-from .ownership.ubo import all_beneficial_owners
-
 
 class CLIError(Exception):
     """A user-facing error: printed as one line, exit status 2."""
+
+
+def _reported_errors() -> tuple[type[BaseException], ...]:
+    """What ``main`` turns into one ``error:`` line.  Evaluated by its
+    ``except`` clause, i.e. only once a command has raised."""
+    from .datalog.errors import DatalogError
+    from .graph.property_graph import GraphError
+
+    return (CLIError, OSError, json.JSONDecodeError, DatalogError, GraphError)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -200,7 +199,45 @@ def _tracer_of(args: argparse.Namespace):
         return NULL_TRACER
     return tracer
 
+
+def _read_extract(directory: Path):
+    from .graph.io import read_company_csv
+
+    return read_company_csv(directory)
+
+
+def _trained_classifiers(graph, truth_path: Path):
+    """Link classifiers trained on the planted links in *truth_path*."""
+    from .linkage.training import persons_of, train_classifiers
+
+    with open(truth_path) as handle:
+        links = {tuple(link) for link in json.load(handle).get("links", [])}
+    return train_classifiers(persons_of(graph), links)
+
+
+def _pipeline(args: argparse.Namespace, graph, clusters: int, classifiers=None):
+    from .core.pipeline import PipelineConfig, ReasoningPipeline
+
+    config = PipelineConfig(first_level_clusters=clusters, use_embeddings=clusters > 1)
+    return ReasoningPipeline(
+        graph, config, classifiers=classifiers, tracer=_tracer_of(args)
+    )
+
+
+def _check_threshold(value: float) -> None:
+    if not 0.0 <= value <= 1.0:  # also false for nan
+        raise CLIError(f"--threshold must be in [0, 1], got {value}")
+
+
 def _generate(args: argparse.Namespace) -> int:
+    from .datagen.company_generator import CompanySpec, generate_company_graph
+    from .graph.io import write_company_csv
+
+    if args.persons < 0 or args.companies < 0:
+        raise CLIError(
+            f"--persons and --companies must be >= 0, "
+            f"got {args.persons} and {args.companies}"
+        )
     spec = CompanySpec(
         persons=args.persons, companies=args.companies,
         density=args.density, seed=args.seed,
@@ -215,7 +252,7 @@ def _generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _generate_streamed(args: argparse.Namespace, spec: CompanySpec) -> int:
+def _generate_streamed(args: argparse.Namespace, spec) -> int:
     """``generate --store``: stream straight into the durable store."""
     from .storage import FrameStore, StoreError, generate_company_graph_stream
 
@@ -247,14 +284,19 @@ def _write_truth(directory: Path, truth) -> Path:
 
 
 def _profile(args: argparse.Namespace) -> int:
-    graph = read_company_csv(args.directory)
+    from .graph.metrics import profile
+
+    graph = _read_extract(args.directory)
     for name, value in profile(graph).as_rows():
         print(f"{name:<30}{value:>18}")
     return 0
 
 
 def _control(args: argparse.Namespace) -> int:
-    graph = read_company_csv(args.directory)
+    from .ownership.control import control_closure, controlled_by
+
+    _check_threshold(args.threshold)
+    graph = _read_extract(args.directory)
     with _tracer_of(args).span("control.procedural") as span:
         if args.source:
             pairs = sorted(
@@ -271,7 +313,10 @@ def _control(args: argparse.Namespace) -> int:
 
 
 def _close_links(args: argparse.Namespace) -> int:
-    graph = read_company_csv(args.directory)
+    from .ownership.close_links import close_link_pairs
+
+    _check_threshold(args.threshold)
+    graph = _read_extract(args.directory)
     with _tracer_of(args).span("close_links.procedural") as span:
         pairs = sorted(close_link_pairs(graph, args.threshold))
         span.set("pairs", len(pairs))
@@ -282,26 +327,10 @@ def _close_links(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_truth_links(path: Path) -> set[tuple[str, str, str]]:
-    with open(path) as handle:
-        payload = json.load(handle)
-    return {tuple(link) for link in payload.get("links", [])}
-
-
 def _family(args: argparse.Namespace) -> int:
-    graph = read_company_csv(args.directory)
-    classifiers = None
-    if args.truth:
-        links = _load_truth_links(args.truth)
-        classifiers = train_classifiers(persons_of(graph), links)
-    config = PipelineConfig(
-        first_level_clusters=args.clusters,
-        use_embeddings=args.clusters > 1,
-    )
-    pipeline = ReasoningPipeline(
-        graph, config, classifiers=classifiers, tracer=_tracer_of(args)
-    )
-    links = sorted(pipeline.family_links())
+    graph = _read_extract(args.directory)
+    classifiers = _trained_classifiers(graph, args.truth) if args.truth else None
+    links = sorted(_pipeline(args, graph, args.clusters, classifiers).family_links())
     for x, y, link_class in links:
         print(f"{x},{y},{link_class}")
     print(f"# {len(links)} personal links", file=sys.stderr)
@@ -309,7 +338,10 @@ def _family(args: argparse.Namespace) -> int:
 
 
 def _ubo(args: argparse.Namespace) -> int:
-    graph = read_company_csv(args.directory)
+    from .ownership.ubo import all_beneficial_owners
+
+    _check_threshold(args.threshold)
+    graph = _read_extract(args.directory)
     with _tracer_of(args).span("ubo") as span:
         owners_by_company = all_beneficial_owners(graph, args.threshold)
         span.set("companies", len(owners_by_company))
@@ -322,19 +354,13 @@ def _ubo(args: argparse.Namespace) -> int:
 
 
 def _augment(args: argparse.Namespace) -> int:
-    graph = read_company_csv(args.directory)
+    from .graph.io import save_json
+
+    args.output.parent.mkdir(parents=True, exist_ok=True)  # fail before the work
+    graph = _read_extract(args.directory)
     truth_path = args.directory / "ground_truth.json"
-    classifiers = None
-    if truth_path.exists():
-        classifiers = train_classifiers(persons_of(graph), _load_truth_links(truth_path))
-    config = PipelineConfig(
-        first_level_clusters=args.clusters,
-        use_embeddings=args.clusters > 1,
-    )
-    pipeline = ReasoningPipeline(
-        graph, config, classifiers=classifiers, tracer=_tracer_of(args)
-    )
-    augmented = pipeline.augment()
+    classifiers = _trained_classifiers(graph, truth_path) if truth_path.exists() else None
+    augmented = _pipeline(args, graph, args.clusters, classifiers).augment()
     save_json(augmented, args.output)
     print(f"augmented graph: {augmented.edge_count - graph.edge_count} new edges "
           f"-> {args.output}")
@@ -344,10 +370,10 @@ def _augment(args: argparse.Namespace) -> int:
 def _export_dot(args: argparse.Namespace) -> int:
     from .graph.dot import save_dot
 
-    graph = read_company_csv(args.directory)
+    args.output.parent.mkdir(parents=True, exist_ok=True)  # fail before the work
+    graph = _read_extract(args.directory)
     if args.augment:
-        config = PipelineConfig(first_level_clusters=1, use_embeddings=False)
-        graph = ReasoningPipeline(graph, config, tracer=_tracer_of(args)).augment()
+        graph = _pipeline(args, graph, clusters=1).augment()
     save_dot(graph, args.output)
     print(f"wrote DOT ({graph.node_count} nodes, {graph.edge_count} edges) "
           f"to {args.output}")
@@ -355,7 +381,11 @@ def _export_dot(args: argparse.Namespace) -> int:
 
 
 def _reason(args: argparse.Namespace) -> int:
-    graph = read_company_csv(args.directory)
+    from .datalog.engine import Engine
+    from .datalog.parser import parse_program
+    from .graph.relational import to_facts
+
+    graph = _read_extract(args.directory)
     program = parse_program(args.program.read_text())
     engine = Engine(
         program,
@@ -465,11 +495,11 @@ def _serve_registry(args: argparse.Namespace):
         return store.newest_version(name) if store is not None else 0
 
     if args.directory is not None:
-        graph = read_company_csv(args.directory)
-        classifiers = None
+        graph = _read_extract(args.directory)
         truth_path = args.directory / "ground_truth.json"
-        if truth_path.exists():
-            classifiers = train_classifiers(persons_of(graph), _load_truth_links(truth_path))
+        classifiers = (
+            _trained_classifiers(graph, truth_path) if truth_path.exists() else None
+        )
         snapshot_config = SnapshotConfig(
             augment=not args.no_augment,
             first_level_clusters=args.clusters,
@@ -581,7 +611,7 @@ def main(argv: list[str] | None = None) -> int:
     args.tracer = tracer
     try:
         status = _HANDLERS[args.command](args)
-    except (CLIError, OSError, json.JSONDecodeError, DatalogError, GraphError) as exc:
+    except _reported_errors() as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if tracer is not None:

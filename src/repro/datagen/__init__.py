@@ -1,30 +1,13 @@
 """Synthetic data: scale-free generators and the Italian-company surrogate."""
 
-from .barabasi import barabasi_albert_edges, barabasi_company_graph
-from .company_generator import (
-    DENSITY_PRESETS,
-    CompanySpec,
-    GroundTruth,
-    generate_company_graph,
-)
-from .distributions import (
-    clipped_normal,
-    power_law_int,
-    random_shares,
-    zipf_choice,
-    zipf_sampler,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CompanySpec",
-    "DENSITY_PRESETS",
-    "GroundTruth",
-    "barabasi_albert_edges",
-    "barabasi_company_graph",
-    "clipped_normal",
-    "generate_company_graph",
-    "power_law_int",
-    "random_shares",
-    "zipf_choice",
-    "zipf_sampler",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "barabasi": ("barabasi_albert_edges", "barabasi_company_graph"),
+    "company_generator": (
+        "CompanySpec", "DENSITY_PRESETS", "generate_company_graph", "GroundTruth",
+    ),
+    "distributions": (
+        "clipped_normal", "power_law_int", "random_shares", "zipf_choice", "zipf_sampler",
+    ),
+})

@@ -10,89 +10,28 @@ Public surface:
 * Term/rule constructors for programmatic rule building.
 """
 
-from .atoms import (
-    AGGREGATE_FUNCS,
-    Aggregate,
-    Assignment,
-    Atom,
-    Comparison,
-    Negation,
-    make_atom,
-)
-from .builtins import FunctionRegistry, compare, evaluate
-from .database import Database
-from .engine import Derivation, Engine, EngineStats, solve
-from .errors import (
-    DatalogError,
-    EvaluationError,
-    ParseError,
-    StratificationError,
-    UnknownFunctionError,
-    UnsafeRuleError,
-)
-from .incremental import IncrementalEngine, UpdateStats
-from .parser import parse_program, parse_rule
-from .rules import Program, Rule
-from .stratify import Stratum, stratify
-from .warded import (
-    WardednessReport,
-    affected_positions,
-    check_wardedness,
-    dangerous_variables,
-    harmful_variables,
-)
-from .terms import (
-    Constant,
-    Expr,
-    FunctionTerm,
-    Null,
-    SkolemTerm,
-    Variable,
-    is_null,
-    skolem,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AGGREGATE_FUNCS",
-    "Aggregate",
-    "Assignment",
-    "Atom",
-    "Comparison",
-    "Constant",
-    "Database",
-    "DatalogError",
-    "Derivation",
-    "Engine",
-    "EngineStats",
-    "EvaluationError",
-    "Expr",
-    "FunctionRegistry",
-    "FunctionTerm",
-    "IncrementalEngine",
-    "Negation",
-    "Null",
-    "ParseError",
-    "Program",
-    "Rule",
-    "SkolemTerm",
-    "StratificationError",
-    "Stratum",
-    "UnknownFunctionError",
-    "UnsafeRuleError",
-    "UpdateStats",
-    "Variable",
-    "WardednessReport",
-    "affected_positions",
-    "check_wardedness",
-    "dangerous_variables",
-    "harmful_variables",
-    "compare",
-    "evaluate",
-    "is_null",
-    "make_atom",
-    "parse_program",
-    "parse_rule",
-    "skolem",
-    "solve",
-    "stratify",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "atoms": (
+        "Aggregate", "AGGREGATE_FUNCS", "Assignment", "Atom", "Comparison", "make_atom", "Negation",
+    ),
+    "builtins": ("compare", "evaluate", "FunctionRegistry"),
+    "database": ("Database",),
+    "engine": ("Derivation", "Engine", "EngineStats", "solve"),
+    "errors": (
+        "DatalogError", "EvaluationError", "ParseError", "StratificationError",
+        "UnknownFunctionError", "UnsafeRuleError",
+    ),
+    "incremental": ("IncrementalEngine", "UpdateStats"),
+    "parser": ("parse_program", "parse_rule"),
+    "rules": ("Program", "Rule"),
+    "stratify": ("stratify", "Stratum"),
+    "terms": (
+        "Constant", "Expr", "FunctionTerm", "is_null", "Null", "skolem", "SkolemTerm", "Variable",
+    ),
+    "warded": (
+        "affected_positions", "check_wardedness", "dangerous_variables", "harmful_variables",
+        "WardednessReport",
+    ),
+})

@@ -1,24 +1,11 @@
 """node2vec embeddings and clustering — the paper's first-level grouping."""
 
-from .incremental import IncrementalEmbedder
-from .kmeans import cluster_inertia, kmeans
-from .node2vec import (Node2Vec, Node2VecConfig, embed_and_cluster,
-                       feature_token_adjacency)
-from .skipgram import SkipGramModel, train_skipgram, update_skipgram
-from .walks import RandomWalker, build_adjacency, generate_walks
+from .._lazy import lazy_exports
 
-__all__ = [
-    "IncrementalEmbedder",
-    "Node2Vec",
-    "Node2VecConfig",
-    "RandomWalker",
-    "SkipGramModel",
-    "build_adjacency",
-    "cluster_inertia",
-    "embed_and_cluster",
-    "feature_token_adjacency",
-    "generate_walks",
-    "kmeans",
-    "train_skipgram",
-    "update_skipgram",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "incremental": ("IncrementalEmbedder",),
+    "kmeans": ("cluster_inertia", "kmeans"),
+    "node2vec": ("embed_and_cluster", "feature_token_adjacency", "Node2Vec", "Node2VecConfig"),
+    "skipgram": ("SkipGramModel", "train_skipgram", "update_skipgram"),
+    "walks": ("build_adjacency", "generate_walks", "RandomWalker"),
+})

@@ -1,91 +1,28 @@
 """Property-graph substrate: the data model of Definitions 2.1 and 2.2."""
 
-from .columnar import GraphFrame
-from .company_graph import (
-    COMPANY,
-    FAMILY,
-    PERSON,
-    SHAREHOLDING,
-    CompanyGraph,
-    figure1_graph,
-    figure2_graph,
-)
-from .io import (
-    from_json,
-    load_json,
-    read_company_csv,
-    save_json,
-    to_json,
-    write_company_csv,
-)
-from .metrics import (
-    GraphProfile,
-    average_clustering,
-    clustering_coefficient,
-    count_self_loops,
-    degree_histogram,
-    power_law_alpha,
-    profile,
-    strongly_connected_components,
-    weakly_connected_components,
-)
-from .property_graph import Edge, GraphError, Node, PropertyGraph
-from .relational import (
-    COMPANY_SCHEMA,
-    EdgeRelation,
-    NodeRelation,
-    RelationalSchema,
-    company_graph_from_facts,
-    roundtrip,
-    to_facts,
-)
-from .store import GraphStore
-from .temporal import ControlChange, OwnershipHistory, evolve
-from .dot import save_dot, to_dot
-from .validation import Finding, quality_report, validate
+from .._lazy import lazy_exports
 
-__all__ = [
-    "COMPANY",
-    "COMPANY_SCHEMA",
-    "CompanyGraph",
-    "Edge",
-    "EdgeRelation",
-    "FAMILY",
-    "GraphError",
-    "GraphFrame",
-    "GraphProfile",
-    "GraphStore",
-    "ControlChange",
-    "OwnershipHistory",
-    "evolve",
-    "Finding",
-    "quality_report",
-    "validate",
-    "save_dot",
-    "to_dot",
-    "Node",
-    "NodeRelation",
-    "PERSON",
-    "PropertyGraph",
-    "RelationalSchema",
-    "SHAREHOLDING",
-    "average_clustering",
-    "clustering_coefficient",
-    "company_graph_from_facts",
-    "count_self_loops",
-    "degree_histogram",
-    "figure1_graph",
-    "figure2_graph",
-    "from_json",
-    "load_json",
-    "power_law_alpha",
-    "profile",
-    "read_company_csv",
-    "roundtrip",
-    "save_json",
-    "strongly_connected_components",
-    "to_facts",
-    "to_json",
-    "weakly_connected_components",
-    "write_company_csv",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "columnar": ("GraphFrame",),
+    "company_graph": (
+        "COMPANY", "CompanyGraph", "FAMILY", "figure1_graph", "figure2_graph", "PERSON",
+        "SHAREHOLDING",
+    ),
+    "dot": ("save_dot", "to_dot"),
+    "io": (
+        "from_json", "load_json", "read_company_csv", "save_json", "to_json", "write_company_csv",
+    ),
+    "metrics": (
+        "average_clustering", "clustering_coefficient", "count_self_loops", "degree_histogram",
+        "GraphProfile", "power_law_alpha", "profile", "strongly_connected_components",
+        "weakly_connected_components",
+    ),
+    "property_graph": ("Edge", "GraphError", "Node", "PropertyGraph"),
+    "relational": (
+        "company_graph_from_facts", "COMPANY_SCHEMA", "EdgeRelation", "NodeRelation",
+        "RelationalSchema", "roundtrip", "to_facts",
+    ),
+    "store": ("GraphStore",),
+    "temporal": ("ControlChange", "evolve", "OwnershipHistory"),
+    "validation": ("Finding", "quality_report", "validate"),
+})

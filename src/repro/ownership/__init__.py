@@ -5,92 +5,33 @@ Definitions 2.3, 2.5, 2.6, 2.8 and 2.9.  The declarative Vadalog
 programs in :mod:`repro.core.programs` are cross-validated against them.
 """
 
-from .close_links import (
-    CLOSE_LINK_THRESHOLD,
-    CloseLink,
-    accumulated_ownership,
-    accumulated_ownership_dag,
-    accumulated_ownership_from,
-    all_accumulated_ownership,
-    close_link_pairs,
-    close_links,
-    closely_linked,
-    is_acyclic,
-)
-from .control import (
-    CONTROL_THRESHOLD,
-    control_chain,
-    control_closure,
-    controlled_by,
-    controls,
-    group_controlled,
-)
-from .family_control import (
-    all_family_close_links,
-    all_family_control,
-    families_from_graph,
-    family_close_links,
-    family_controlled,
-)
-from .groups import (
-    ControlGroup,
-    connected_clients,
-    control_groups,
-    group_exposure,
-    ultimate_controller,
-)
-from .matrix import (
-    integrated_ownership,
-    integrated_ownership_from,
-    integrated_ownership_matrix,
-    ownership_matrix,
-)
-from .paths import PathBudgetExceeded, path_weight, simple_paths
-from .ubo import (
-    UBO_THRESHOLD,
-    BeneficialOwner,
-    all_beneficial_owners,
-    beneficial_owners,
-    opaque_companies,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CLOSE_LINK_THRESHOLD",
-    "CONTROL_THRESHOLD",
-    "CloseLink",
-    "PathBudgetExceeded",
-    "accumulated_ownership",
-    "accumulated_ownership_dag",
-    "accumulated_ownership_from",
-    "all_accumulated_ownership",
-    "all_family_close_links",
-    "all_family_control",
-    "close_link_pairs",
-    "close_links",
-    "closely_linked",
-    "control_chain",
-    "control_closure",
-    "controlled_by",
-    "controls",
-    "families_from_graph",
-    "family_close_links",
-    "family_controlled",
-    "group_controlled",
-    "is_acyclic",
-    "path_weight",
-    "simple_paths",
-    "integrated_ownership",
-    "integrated_ownership_from",
-    "integrated_ownership_matrix",
-    "ownership_matrix",
-    "UBO_THRESHOLD",
-    "BeneficialOwner",
-    "all_beneficial_owners",
-    "beneficial_owners",
-    "opaque_companies",
-    "ControlGroup",
-    "connected_clients",
-    "control_groups",
-    "group_exposure",
-    "ultimate_controller",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "close_links": (
+        "accumulated_ownership", "accumulated_ownership_dag", "accumulated_ownership_from",
+        "all_accumulated_ownership", "close_link_pairs", "CLOSE_LINK_THRESHOLD", "close_links",
+        "CloseLink", "closely_linked", "is_acyclic",
+    ),
+    "control": (
+        "control_chain", "control_closure", "CONTROL_THRESHOLD", "controlled_by", "controls",
+        "group_controlled",
+    ),
+    "family_control": (
+        "all_family_close_links", "all_family_control", "families_from_graph", "family_close_links",
+        "family_controlled",
+    ),
+    "groups": (
+        "connected_clients", "control_groups", "ControlGroup", "group_exposure",
+        "ultimate_controller",
+    ),
+    "matrix": (
+        "integrated_ownership", "integrated_ownership_from", "integrated_ownership_matrix",
+        "ownership_matrix",
+    ),
+    "paths": ("path_weight", "PathBudgetExceeded", "simple_paths"),
+    "ubo": (
+        "all_beneficial_owners", "beneficial_owners", "BeneficialOwner", "opaque_companies",
+        "UBO_THRESHOLD",
+    ),
+})

@@ -28,13 +28,16 @@ ambiguous.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
-from scipy.sparse import identity, lil_matrix
-from scipy.sparse.linalg import spsolve
 
 from ..graph.columnar import GraphFrame
 from ..graph.company_graph import CompanyGraph
 from ..graph.property_graph import NodeId
+
+if TYPE_CHECKING:  # pragma: no cover
+    from scipy.sparse import lil_matrix
 
 
 #: Largest shareholding-edit batch handled by a low-rank solver update;
@@ -160,6 +163,9 @@ def integrated_ownership_matrix(
     Returns (node order, dense Y) — dense because Y is generally dense;
     intended for graphs up to a few thousand nodes.
     """
+    from scipy.sparse import identity
+    from scipy.sparse.linalg import spsolve
+
     frame = GraphFrame.of(graph)
     nodes = list(frame.nodes)
     if not nodes:

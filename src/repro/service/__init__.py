@@ -35,59 +35,20 @@ snapshots.
   parent as single builder/supervisor publishing by version handoff.
 """
 
-from .cache import LRUCache, MicroBatcher, ReasoningCache, SingleFlight
-from .incremental import DeltaBatch
-from .registry import (
-    DEFAULT_TENANT,
-    GraphRegistry,
-    TenantBinding,
-    TenantError,
-    UnknownTenantError,
-    validate_tenant,
-)
-from .server import HttpError, Metrics, ReasoningService, ServiceConfig, build_service
-from .shm import (
-    AttachedSnapshot,
-    SegmentError,
-    attach_snapshot,
-    encode_snapshot,
-    unlink_segment,
-)
-from .snapshot import Snapshot, SnapshotBuilder, SnapshotConfig, SnapshotManager
-from .updates import GraphUpdater, MutationError, Persister, apply_deltas
-from .workers import PoolConfig, PoolError, ServicePool
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AttachedSnapshot",
-    "DEFAULT_TENANT",
-    "DeltaBatch",
-    "GraphRegistry",
-    "GraphUpdater",
-    "HttpError",
-    "LRUCache",
-    "Metrics",
-    "MicroBatcher",
-    "MutationError",
-    "PoolConfig",
-    "Persister",
-    "PoolError",
-    "ReasoningCache",
-    "ReasoningService",
-    "SegmentError",
-    "ServiceConfig",
-    "ServicePool",
-    "SingleFlight",
-    "Snapshot",
-    "SnapshotBuilder",
-    "SnapshotConfig",
-    "SnapshotManager",
-    "TenantBinding",
-    "TenantError",
-    "UnknownTenantError",
-    "apply_deltas",
-    "attach_snapshot",
-    "build_service",
-    "encode_snapshot",
-    "unlink_segment",
-    "validate_tenant",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "cache": ("LRUCache", "MicroBatcher", "ReasoningCache", "SingleFlight"),
+    "incremental": ("DeltaBatch",),
+    "registry": (
+        "DEFAULT_TENANT", "GraphRegistry", "TenantBinding", "TenantError", "UnknownTenantError",
+        "validate_tenant",
+    ),
+    "server": ("build_service", "HttpError", "Metrics", "ReasoningService", "ServiceConfig"),
+    "shm": (
+        "attach_snapshot", "AttachedSnapshot", "encode_snapshot", "SegmentError", "unlink_segment",
+    ),
+    "snapshot": ("Snapshot", "SnapshotBuilder", "SnapshotConfig", "SnapshotManager"),
+    "updates": ("apply_deltas", "GraphUpdater", "MutationError", "Persister"),
+    "workers": ("PoolConfig", "PoolError", "ServicePool"),
+})

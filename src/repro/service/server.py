@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import asyncio
 import bisect
+import importlib
 import json
 import time
 from collections import defaultdict
@@ -115,6 +116,17 @@ _TENANT_ENDPOINTS = (
     "stats",
     "mutations",
 )
+
+
+def import_before_serving() -> None:
+    """Load the one module a request would otherwise import: the sparse
+    solver behind a custom-threshold ``/ubo``.  A boot that builds has
+    factorised and holds it already; one that attaches from ``--store``
+    would pay ≈ 0.3 s inside its first such request — and under
+    ``--workers`` once per worker, ≈ 30 MB each, which is why the pool
+    parent calls this before it forks.  Everything else a request runs
+    is imported by this module (``tests/test_import_hygiene.py``)."""
+    importlib.import_module("scipy.sparse.linalg")
 
 
 def _route(path: str) -> tuple[str | None, str, list[str]]:
@@ -366,6 +378,7 @@ class ReasoningService:
         worker processes can each listen on the same address and let the
         kernel load-balance accepted connections between them.
         """
+        import_before_serving()
         self._server = await asyncio.start_server(
             self.handle_connection,
             self.config.host,
@@ -407,6 +420,18 @@ class ReasoningService:
     # ------------------------------------------------------------------
 
     async def handle_connection(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        try:
+            await self._serve_connection(reader, writer)
+        except asyncio.CancelledError:
+            # nothing but the loop shutting down (SIGINT) cancels a
+            # connection's task; ending it normally keeps asyncio's stream
+            # callback (``task.exception()``, unguarded before 3.12) from
+            # writing a traceback to stderr per connection still open
+            pass
+
+    async def _serve_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         try:
@@ -707,13 +732,13 @@ class ReasoningService:
 
     async def _control(self, tenant: str, query: dict[str, str]) -> Any:
         source = query.get("source")
-        threshold = _float_param(query, "threshold")
+        threshold = _threshold_param(query)
         snapshot = self.registry.get(tenant).manager.current
         key = snapshot_key(snapshot.version, "control", (source, threshold), tenant)
         return await self._cached(key, lambda: snapshot.control_payload(source, threshold))
 
     async def _close_links(self, tenant: str, query: dict[str, str]) -> Any:
-        threshold = _float_param(query, "threshold")
+        threshold = _threshold_param(query)
         snapshot = self.registry.get(tenant).manager.current
         key = snapshot_key(snapshot.version, "close-links", (threshold,), tenant)
         return await self._cached(key, lambda: snapshot.close_links_payload(threshold))
@@ -740,7 +765,7 @@ class ReasoningService:
         return payload
 
     async def _ubo(self, tenant: str, company: str, query: dict[str, str]) -> Any:
-        threshold = _float_param(query, "threshold")
+        threshold = _threshold_param(query)
         snapshot = self.registry.get(tenant).manager.current
         if not snapshot.graph.has_node(company):
             raise HttpError(404, f"unknown node: {company}")
@@ -899,14 +924,20 @@ def build_service(
     return ReasoningService(config=config, tracer=tracer, registry=registry)
 
 
-def _float_param(query: dict[str, str], name: str) -> float | None:
-    raw = query.get(name)
+def _threshold_param(query: dict[str, str]) -> float | None:
+    """``?threshold=`` as a share in [0, 1], or None when absent.  ``nan``
+    and ``inf`` parse as floats but are not shares — and ``nan != nan``
+    would make every such request a cache key that can never hit."""
+    raw = query.get("threshold")
     if raw is None or raw == "":
         return None
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
-        raise HttpError(400, f"bad {name!r}: {raw!r} is not a number") from None
+        raise HttpError(400, f"bad 'threshold': {raw!r} is not a number") from None
+    if not 0.0 <= value <= 1.0:  # also false for nan
+        raise HttpError(400, f"bad 'threshold': {raw!r} is not in [0, 1]")
+    return value
 
 
 def _int_param(

@@ -70,7 +70,7 @@ from typing import Any, Sequence
 from ..graph.company_graph import CompanyGraph
 from . import shm as shm_codec
 from .registry import GraphRegistry, TenantError, UnknownTenantError, validate_tenant
-from .server import Metrics, ReasoningService, ServiceConfig
+from .server import Metrics, ReasoningService, ServiceConfig, import_before_serving
 from .snapshot import DEFAULT_TENANT, Snapshot, SnapshotManager
 from .updates import MutationError
 
@@ -205,6 +205,7 @@ class ServicePool:
             return [self._segments[k].name for k in sorted(self._segments)]
 
     def start(self) -> "ServicePool":
+        import_before_serving()  # once, shared by every fork
         for name, binding in self.registry.items():
             self._seal(binding.manager.current, name)
         self._reserve_port()

@@ -10,43 +10,17 @@ buffer-layout contract shared with the shared-memory codec
 (``repro.service.shm``) so the two serialisation paths cannot drift, and
 :mod:`~repro.storage.stream` adds out-of-core graph construction plus
 point queries over stores bigger than RAM.
-
-``store``/``stream`` symbols are re-exported lazily: they import
-``repro.service`` (which itself imports :mod:`~repro.storage.layout`),
-and the deferral keeps either import order acyclic.
 """
 
-from . import catalog, layout, npyio  # noqa: F401
-from .layout import ROW_DTYPES, decode_rows, encode_rows  # noqa: F401
+from .._lazy import lazy_exports
 
-_LAZY = {
-    "FrameStore": "store",
-    "StoreError": "store",
-    "StoredSnapshot": "store",
-    "InjectedCrash": "store",
-    "GRAPH_CLASSES": "store",
-    "SNAPSHOT_COLUMNS": "store",
-    "StreamingGraphWriter": "stream",
-    "OutOfCoreGraph": "stream",
-    "GRAPH_COLUMNS": "stream",
-    "generate_company_graph_stream": "stream",
-}
-
-__all__ = [
-    "ROW_DTYPES",
-    "decode_rows",
-    "encode_rows",
-    "catalog",
-    "layout",
-    "npyio",
-    *_LAZY,
-]
-
-
-def __getattr__(name: str):
-    module = _LAZY.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    return getattr(importlib.import_module(f".{module}", __name__), name)
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "layout": ("decode_rows", "encode_rows", "ROW_DTYPES"),
+    "store": (
+        "FrameStore", "GRAPH_CLASSES", "InjectedCrash", "SNAPSHOT_COLUMNS", "StoredSnapshot",
+        "StoreError",
+    ),
+    "stream": (
+        "generate_company_graph_stream", "GRAPH_COLUMNS", "OutOfCoreGraph", "StreamingGraphWriter",
+    ),
+}, submodules=("catalog", "layout", "npyio"))

@@ -6,6 +6,8 @@ optional :class:`Tracer`; when none is given they use the zero-cost
 :data:`NULL_TRACER` and tracing adds no measurable overhead.
 """
 
-from .tracer import NULL_TRACER, NullTracer, Span, Tracer
+from .._lazy import lazy_exports
 
-__all__ = ["NULL_TRACER", "NullTracer", "Span", "Tracer"]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "tracer": ("NULL_TRACER", "NullTracer", "Span", "Tracer"),
+})

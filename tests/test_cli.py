@@ -130,6 +130,10 @@ class TestErrorExitPaths:
         assert "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
 
+    @staticmethod
+    def must_not_run(*_args, **_kwargs):
+        raise AssertionError("the pipeline started before the input was checked")
+
     def test_missing_extract_directory(self, tmp_path, capsys):
         missing = tmp_path / "nowhere"
         assert main(["control", str(missing)]) == 2
@@ -194,6 +198,52 @@ class TestErrorExitPaths:
                 "serve", str(extract), "--port", str(port), "--no-augment",
             ]) == 2
         self.assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize("command", ["control", "close-links", "ubo"])
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-1", "7", "1.0001"])
+    def test_threshold_outside_the_unit_interval(
+        self, command, threshold, extract, capsys, monkeypatch
+    ):
+        monkeypatch.setattr("repro.cli._read_extract", self.must_not_run)
+        assert main([command, str(extract), "--threshold", threshold]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --threshold must be in [0, 1]")
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("threshold", ["0", "1", "0.25"])
+    def test_threshold_bounds_are_inclusive(self, threshold, extract, capsys):
+        assert main(["control", str(extract), "--threshold", threshold]) == 0
+
+    @pytest.mark.parametrize("counts", [
+        ["--persons", "-1"], ["--companies", "-1"],
+        ["--persons", "-5", "--companies", "-5"],
+    ])
+    def test_generate_rejects_negative_counts(self, counts, tmp_path, capsys):
+        target = tmp_path / "extract"
+        assert main(["generate", str(target), *counts]) == 2
+        self.assert_one_line_error(capsys)
+        assert not target.exists()
+
+    @pytest.mark.parametrize("command", ["augment", "export-dot"])
+    def test_unusable_output_fails_before_the_pipeline(
+        self, command, extract, tmp_path, capsys, monkeypatch
+    ):
+        (tmp_path / "file").write_text("not a directory")
+        monkeypatch.setattr("repro.cli._read_extract", self.must_not_run)
+        assert main([command, str(extract), str(tmp_path / "file" / "out")]) == 2
+        self.assert_one_line_error(capsys)
+
+
+class TestOutputDirectoryIsCreated:
+    def test_augment(self, extract, tmp_path):
+        output = tmp_path / "sub" / "dir" / "out.json"
+        assert main(["augment", str(extract), str(output)]) == 0
+        assert json.loads(output.read_text())["nodes"]
+
+    def test_export_dot(self, extract, tmp_path):
+        output = tmp_path / "sub" / "dir" / "out.dot"
+        assert main(["export-dot", str(extract), str(output)]) == 0
+        assert output.read_text().startswith("digraph")
 
 
 class TestProfileFlags:
@@ -394,6 +444,34 @@ class _Served:
         finally:
             self.proc.kill()
             self.proc.stdout.close()
+
+
+class TestServeShutdownIsQuiet:
+    def test_sigint_with_a_connection_open_writes_no_traceback(self, extract):
+        """An open keep-alive connection is cancelled by the loop's
+        shutdown; that is not an error and must not reach stderr (it
+        also lands in the e2e benchmark's ``disk_mb``)."""
+        import re
+        import signal
+        import socket
+
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", str(extract), "--no-augment",
+             "--port", "0"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        try:
+            port = int(re.search(r":(\d+)$", proc.stdout.readline().strip()).group(1))
+            with socket.create_connection(("127.0.0.1", port), timeout=30) as conn:
+                conn.sendall(b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n")
+                assert conn.recv(65536).startswith(b"HTTP/1.1 200")
+                proc.send_signal(signal.SIGINT)  # the connection is still open
+                _out, err = proc.communicate(timeout=30)
+        finally:
+            proc.kill()
+        assert proc.returncode == 0
+        assert err == "shutting down\n"
 
 
 class TestServeRollbackKeepsPersisting:

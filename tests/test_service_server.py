@@ -126,6 +126,36 @@ class TestEndpoints:
         for _status, payload in results.values():
             assert "error" in payload
 
+    def test_threshold_outside_the_unit_interval_is_400_and_never_cached(self, graph):
+        service = make_service(graph)
+        company = next(graph.companies()).id
+        bad = ("nan", "NaN", "inf", "-inf", "-1", "7", "1.0001")
+
+        async def main():
+            await service.start()
+            port = service.port
+            rejected = [
+                await http_request(port, "GET", f"{path}?threshold={value}")
+                for path in ("/control", "/close-links", f"/ubo/{company}")
+                for value in bad
+            ]
+            entries = len(service.cache.lru) + service.cache.computations
+            accepted = [
+                await http_request(port, "GET", f"/control?threshold={value}")
+                for value in ("0", "1", "0.5", "")
+            ]
+            await service.stop()
+            return rejected, entries, accepted
+
+        rejected, entries, accepted = asyncio.run(main())
+        for status, payload in rejected:
+            assert status == 400
+            assert list(payload) == ["error"] and "\n" not in payload["error"]
+            assert "not in [0, 1]" in payload["error"]
+        assert entries == 0
+        assert [status for status, _ in accepted] == [200] * 4
+        assert [payload["threshold"] for _, payload in accepted] == [0.0, 1.0, 0.5, 0.5]
+
     def test_keep_alive_connection_serves_multiple_requests(self, graph):
         service = make_service(graph)
 
