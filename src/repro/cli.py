@@ -565,13 +565,19 @@ def _store_cmd(args: argparse.Namespace) -> int:
         if args.store_command == "versions":
             rows = store.versions(kind=args.kind, tenant=args.tenant)
             model_rows = store.model_rows()
-            print("tenant,version,state,kind,nodes,edges,model_rows")
+            column_files = store.column_files()
+            print(
+                "tenant,version,state,kind,nodes,edges,model_rows,"
+                "columns_written,column_bytes"
+            )
             for row in rows:
+                key = (row["tenant"], row["version"])
+                files, nbytes = column_files.get(key, (0, 0))
                 print(
                     f"{row['tenant']},{row['version']},{row['state']},"
                     f"{row['kind']},{row['nodes'] if row['nodes'] is not None else ''},"
                     f"{row['edges'] if row['edges'] is not None else ''},"
-                    f"{model_rows.get((row['tenant'], row['version']), 0)}"
+                    f"{model_rows.get(key, 0)},{files},{nbytes}"
                 )
             print(f"# {len(rows)} versions", file=sys.stderr)
             return 0

@@ -42,7 +42,6 @@ factorisation defaults) — asserted by the oracle suite in
 
 from __future__ import annotations
 
-from pathlib import Path
 from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
@@ -539,36 +538,6 @@ class GraphFrame:
             node_objects,
         )
         return frame
-
-    @classmethod
-    def attach_mmap(
-        cls,
-        graph: PropertyGraph,
-        directory: "str | Path",
-        weight_property: str = "w",
-    ) -> "GraphFrame":
-        """:meth:`attach` with per-column npy files as the buffer source.
-
-        The disk twin of the shared-memory attach: each
-        :data:`EXPORT_DTYPES` buffer is mapped read-only straight off
-        ``directory/<name>.npy`` (``np.load(..., mmap_mode="r")``), so
-        the kernel pages columns in on demand and attach cost is
-        independent of buffer size.  The durable frame store
-        (:class:`repro.storage.FrameStore`) layers manifest and checksum
-        validation on top; this raw entry point serves any directory of
-        well-formed columns.
-        """
-        directory = Path(directory)
-        buffers: dict[str, np.ndarray] = {}
-        for name, dtype in EXPORT_DTYPES.items():
-            view = np.load(directory / f"{name}.npy", mmap_mode="r")
-            if view.dtype != dtype:
-                raise ValueError(
-                    f"column {name!r} has dtype {view.dtype}, expected {dtype}"
-                )
-            view.flags.writeable = False
-            buffers[name] = view
-        return cls.attach(graph, buffers, weight_property=weight_property)
 
     def adopt_as_cache_of(self, graph: PropertyGraph) -> None:
         """Install this frame as ``graph``'s cached frame, so every

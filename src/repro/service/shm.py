@@ -54,9 +54,9 @@ from typing import Any
 
 import numpy as np
 
-from ..graph.columnar import _CACHE_ATTR, GraphFrame
+from ..graph.columnar import _CACHE_ATTR, EXPORT_DTYPES, GraphFrame
 from ..graph.property_graph import PropertyGraph
-from ..storage.layout import ROW_DTYPES, encode_rows
+from ..storage.layout import ROW_DTYPES
 from .snapshot import DEFAULT_TENANT, Snapshot
 
 #: Segment magic — "Repro KG Snapshot".
@@ -155,7 +155,7 @@ def encode_snapshot(
     if not frame.is_current(snapshot.graph):  # out-of-band mutation: re-pin
         frame = GraphFrame.of(snapshot.graph)
     buffers = dict(frame.buffers())
-    row_buffers, classes = encode_rows(snapshot, frame)
+    row_buffers, classes = snapshot.row_columns(frame)
     buffers.update(row_buffers)
 
     blob = pickle.dumps(
@@ -309,9 +309,15 @@ def attach_snapshot(name: str) -> AttachedSnapshot:
             bytes(shm.buf[objects["offset"] : objects["offset"] + objects["nbytes"]])
         )
 
+        graph = _restore_graph(blob["graph"])
         snapshot = AttachedSnapshot.from_columns(
             blob["version"],
-            _restore_graph(blob["graph"]),
+            graph,
+            GraphFrame.attach(
+                graph,
+                {buf_name: views[buf_name] for buf_name in EXPORT_DTYPES},
+                weight_property=blob["weight_property"],
+            ),
             views,
             blob,
             blob["built_s"],

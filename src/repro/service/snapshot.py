@@ -26,7 +26,7 @@ from typing import Any, Iterable, Sequence
 from ..core.pipeline import PipelineConfig, ReasoningPipeline
 from ..embeddings.incremental import IncrementalEmbedder
 from ..embeddings.node2vec import Node2VecConfig
-from ..graph.columnar import EXPORT_DTYPES, GraphFrame
+from ..graph.columnar import GraphFrame
 from ..graph.company_graph import CompanyGraph
 from ..graph.property_graph import Edge, NodeId
 from ..graph.store import GraphStore
@@ -49,7 +49,7 @@ from ..ownership.ubo import (
     assemble_beneficial_owners,
     beneficial_owner_rows,
 )
-from ..storage.layout import decode_rows
+from ..storage.layout import decode_rows, encode_rows
 from ..telemetry import NULL_TRACER
 from .incremental import (
     DeltaBatch,
@@ -227,26 +227,34 @@ class Snapshot:
         self._control_by_source: dict[NodeId, list[NodeId]] = {}
         for x, y in self.control_rows:
             self._control_by_source.setdefault(x, []).append(y)
+        self._row_columns: tuple[GraphFrame, tuple] | None = None
+
+    def row_columns(self, frame: GraphFrame) -> tuple[dict[str, Any], list[str]]:
+        """The row state as code columns under ``frame``'s interning
+        (:func:`repro.storage.layout.encode_rows`), encoded once per
+        snapshot: the shared-memory codec and the durable store both
+        read this, in that order, on every pool publish."""
+        cached = self._row_columns
+        if cached is None or cached[0] is not frame:
+            cached = self._row_columns = (frame, encode_rows(self, frame))
+        return cached[1]
 
     @classmethod
     def from_columns(
         cls,
         version: int,
         graph: CompanyGraph,
+        frame: GraphFrame,
         views: dict[str, Any],
         meta: dict[str, Any],
         built_s: float,
     ) -> "Snapshot":
-        """Rehydrate a snapshot from its decoded base graph, its numeric
-        columns (frame buffers + row state) and the object metadata the
-        codec carried (``config``, ``family_classes``,
-        ``weight_property``, ``created_at``, ``warm``, ``incremental``)
-        — the shared tail of the shared-memory and the store attach."""
-        frame = GraphFrame.attach(
-            graph,
-            {name: views[name] for name in EXPORT_DTYPES},
-            weight_property=meta["weight_property"],
-        )
+        """Rehydrate a snapshot from its decoded base graph, a frame over
+        it (attached to shared buffers, or rebuilt — the store keeps only
+        what numpy cannot recompute), its row-state columns and the
+        object metadata the codec carried (``config``,
+        ``family_classes``, ``created_at``, ``warm``, ``incremental``) —
+        the shared tail of the shared-memory and the store attach."""
         frame.adopt_as_cache_of(graph)
         control_rows, close_rows, family_rows, ubo = decode_rows(
             views, frame.nodes, meta["family_classes"]

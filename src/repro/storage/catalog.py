@@ -6,7 +6,7 @@ the node/edge property model, value-interned so a property value is
 stored once no matter how many rows carry it, and *interval-encoded* so
 a row is stored once no matter how many versions it lives through.
 
-Schema overview (format 3):
+Schema overview (format 4):
 
 ``store_meta``
     key/value pairs for the store itself — format version, creation time.
@@ -19,9 +19,13 @@ Schema overview (format 3):
     snapshots from bare streamed graphs.  Version numbers are
     per-tenant: two tenants may both hold a version 3.
 ``columns``
-    the per-version manifest: one row per npy column file with dtype,
-    length, byte size, and data CRC-32.  Attach refuses any column whose
-    on-disk bytes disagree with this manifest.
+    the per-version manifest: one row per npy column a version carries,
+    with dtype, length, byte size, data CRC-32 and ``origin`` — the
+    version (of the same tenant) in whose directory the file lives.  A
+    snapshot version whose column equals its predecessor's byte for byte
+    names the predecessor's file instead of writing its own, so a column
+    file exists exactly as long as some manifest row names it.  Attach
+    refuses any column whose on-disk bytes disagree with this manifest.
 ``vals``
     the value-intern table.  Every node id, label, property name, and
     property value is one row, referenced by integer id from the graph
@@ -61,8 +65,8 @@ import sqlite3
 from typing import Any, Iterable
 
 #: Bump on incompatible schema changes; open rejects mismatches (after
-#: attempting the supported in-place migration, formats 1 and 2 -> 3).
-CATALOG_FORMAT = 3
+#: attempting the supported in-place migrations, formats 1, 2 and 3 -> 4).
+CATALOG_FORMAT = 4
 
 SCHEMA = """
 CREATE TABLE IF NOT EXISTS store_meta (
@@ -94,6 +98,7 @@ CREATE TABLE IF NOT EXISTS columns (
     length  INTEGER NOT NULL,
     nbytes  INTEGER NOT NULL,
     crc32   INTEGER NOT NULL,
+    origin  INTEGER NOT NULL,
     PRIMARY KEY (tenant, version, name)
 );
 CREATE TABLE IF NOT EXISTS vals (
@@ -202,6 +207,46 @@ def purge_unpublished(conn: sqlite3.Connection, tenant: str, version: int) -> No
             f"DELETE FROM {table} WHERE tenant = ? AND version = ?",
             (tenant, version),
         )
+
+
+def adopt_legacy_columns(
+    conn: sqlite3.Connection, snapshot_columns: Iterable[str]
+) -> None:
+    """Fill the format-4 ``columns`` table from ``columns_legacy`` (the
+    manifest of formats 1 to 3, tenant column present): every row owns
+    its file, and a snapshot version keeps only ``snapshot_columns`` —
+    the frame-buffer columns older formats also persisted are recomputed
+    from the graph on attach, so their rows go (and with them, on the
+    next :meth:`FrameStore.open`, their files).  Drops the legacy table."""
+    names = tuple(snapshot_columns)
+    conn.execute(
+        "INSERT INTO columns (tenant, version, name, dtype, length, nbytes, crc32,"
+        " origin) SELECT c.tenant, c.version, c.name, c.dtype, c.length, c.nbytes,"
+        " c.crc32, c.version FROM columns_legacy c JOIN versions v"
+        " ON v.tenant = c.tenant AND v.version = c.version"
+        f" WHERE v.kind = 'graph' OR c.name IN ({','.join('?' * len(names))})",
+        names,
+    )
+    conn.execute("DROP TABLE columns_legacy")
+
+
+def migrate_v3(conn: sqlite3.Connection, snapshot_columns: Iterable[str]) -> None:
+    """Rewrite a format-3 catalog in place as format 4: only the
+    ``columns`` manifest changed (see :func:`adopt_legacy_columns`).  One
+    transaction, so a crash leaves the intact format-3 catalog."""
+    conn.execute("BEGIN IMMEDIATE")
+    try:
+        conn.execute("ALTER TABLE columns RENAME TO columns_legacy")
+        create_tables(conn)
+        adopt_legacy_columns(conn, snapshot_columns)
+        conn.execute(
+            "UPDATE store_meta SET value = ? WHERE key = 'format'",
+            (str(CATALOG_FORMAT),),
+        )
+        conn.execute("COMMIT")
+    except BaseException:
+        conn.execute("ROLLBACK")
+        raise
 
 
 def check_format(conn: sqlite3.Connection) -> None:

@@ -326,25 +326,23 @@ def read_model(
 
 # -- migration --------------------------------------------------------
 
-#: Columns copied verbatim from a legacy ``versions`` / ``columns`` table
-#: (the tenant column is added for format 1, carried for format 2).
-_LEGACY_COPIED = {
-    "versions": (
-        "version, state, kind, parent, generation, created_at, published_at,"
-        " built_s, nodes, edges, graph_class, next_edge_id, meta"
-    ),
-    "columns": "version, name, dtype, length, nbytes, crc32",
-}
+#: Columns copied verbatim from a legacy ``versions`` table (the tenant
+#: column is added for format 1, carried for format 2).
+_LEGACY_VERSIONS = (
+    "version, state, kind, parent, generation, created_at, published_at,"
+    " built_s, nodes, edges, graph_class, next_edge_id, meta"
+)
 
 
-def migrate_legacy(conn: sqlite3.Connection) -> None:
-    """Rewrite a format-1 or format-2 catalog in place as format 3.
+def migrate_legacy(conn: sqlite3.Connection, snapshot_columns: Iterable[str]) -> None:
+    """Rewrite a format-1 or format-2 catalog in place as the current format.
 
     Both legacy formats store one full copy of the property model per
     version, keyed by ``pos``.  Every table is renamed aside (a format-1
     table first gains the ``tenant`` column format 2 added — its single
-    stream becomes the ``default`` tenant's) and the format-3 schema is
-    created; ``versions`` / ``columns`` rows are copied across,
+    stream becomes the ``default`` tenant's) and the current schema is
+    created; ``versions`` rows are copied across, the ``columns``
+    manifest is adopted (:func:`repro.storage.catalog.adopt_legacy_columns`),
     bare-graph rows become ``born = v, died = v + 1, seq = pos`` rows,
     and each tenant's snapshot stream is replayed oldest to newest
     through :func:`write_delta`, which keeps only what changed.  The
@@ -356,13 +354,13 @@ def migrate_legacy(conn: sqlite3.Connection) -> None:
     freed pages back to the filesystem.
     """
     add_tenant = cat.catalog_format(conn) == 1
-    legacy = (*_LEGACY_COPIED, *cat.MODEL_TABLES)
+    legacy = ("versions", *cat.MODEL_TABLES)
     conn.execute("BEGIN IMMEDIATE")
     try:
         # Index names are database-global; drop before recreating.
         conn.execute("DROP INDEX IF EXISTS nodes_by_id")
         conn.execute("DROP INDEX IF EXISTS nodes_by_intern")
-        for table in legacy:
+        for table in (*legacy, "columns"):
             conn.execute(f"ALTER TABLE {table} RENAME TO {table}_legacy")
             if add_tenant:
                 conn.execute(
@@ -370,11 +368,11 @@ def migrate_legacy(conn: sqlite3.Connection) -> None:
                     " ADD COLUMN tenant TEXT NOT NULL DEFAULT 'default'"
                 )
         cat.create_tables(conn)
-        for table, cols in _LEGACY_COPIED.items():
-            conn.execute(
-                f"INSERT INTO {table} (tenant, {cols})"
-                f" SELECT tenant, {cols} FROM {table}_legacy"
-            )
+        conn.execute(
+            f"INSERT INTO versions (tenant, {_LEGACY_VERSIONS})"
+            f" SELECT tenant, {_LEGACY_VERSIONS} FROM versions_legacy"
+        )
+        cat.adopt_legacy_columns(conn, snapshot_columns)
 
         # bare graphs: the same rows under the new keys, copied in SQL
         # (a streamed version may hold far more rows than fit in memory)

@@ -94,6 +94,21 @@ def write_column(path: str | Path, array: np.ndarray) -> int:
     return writer.crc32
 
 
+def column_equals(path: str | Path, array: np.ndarray) -> bool:
+    """Whether the column file at ``path`` decodes to exactly ``array``:
+    same dtype, same length, same data bytes.  Reads the file itself — a
+    missing, torn or foreign file is simply not equal."""
+    try:
+        stored = np.load(path)
+    except (OSError, ValueError, EOFError):
+        return False
+    return (
+        stored.dtype == array.dtype
+        and stored.shape == array.shape
+        and stored.tobytes() == array.tobytes()
+    )
+
+
 def read_header(path: str | Path) -> tuple[np.dtype, int]:
     """``(dtype, length)`` of a 1-D npy column, without touching the data."""
     with open(path, "rb") as fh:

@@ -6,38 +6,44 @@ A store is one directory::
       catalog.db            # SQLite catalog (see repro.storage.catalog)
       versions/
         default/            # one directory per tenant...
-          v00000001/        # ...one per persisted version of that tenant
-            edge_src.npy    # every GraphFrame buffer (EXPORT_DTYPES)...
-            ...
-            control_x.npy   # ...plus the snapshot row state (ROW_DTYPES)
+          v00000001/        # ...one per version that owns column files
+            control_x.npy   # the snapshot row state (ROW_DTYPES): what
+            ...             # reasoning derived, nothing numpy can rebuild
 
 Version streams are per tenant: two tenants may both hold a version 3,
 and every catalog row carries its tenant.  Older stores are migrated in
 place on first open: a format-1 store (single stream, ``versions/v*`` at
-the top level) becomes the ``default`` tenant's stream, and the
-per-version model copies of formats 1 and 2 are folded into interval
-rows (:func:`repro.storage.model.migrate_legacy`).
+the top level) becomes the ``default`` tenant's stream, the per-version
+model copies of formats 1 and 2 are folded into interval rows
+(:func:`repro.storage.model.migrate_legacy`), and the frame-buffer
+columns of formats 1 to 3 are dropped (:func:`.catalog.migrate_v3`).
 
-:meth:`FrameStore.persist` makes a snapshot durable: its numeric columns
-as npy files, and into the catalog **only what changed** in the graph
-object model since the tenant's newest persisted version — the model
-tables are interval tables (:mod:`repro.storage.catalog`), the delta is
-computed by :mod:`repro.storage.model` against a baseline the store keeps
-in memory.  There is one code path: a first version is a delta against
-an empty baseline.  The publish discipline is the in-memory
+:meth:`FrameStore.persist` makes a snapshot durable by writing **only
+what changed** since the tenant's newest persisted version: into the
+catalog the model rows that differ (interval tables, diffed by
+:mod:`repro.storage.model` against a baseline kept in memory), onto disk
+the row-state columns whose bytes differ from the file the parent's
+manifest names — an equal column gets a manifest row pointing at that
+file's owning version (the file itself is compared, never a checksum,
+so a corrupt parent is not inherited).  The frame buffers are pure
+functions of the graph and are not stored.  One code path: a first
+version has an empty baseline and no parent.  The publish discipline is
+the in-memory
 :class:`~repro.service.snapshot.SnapshotManager` swap's:
 
 1. **claim** — a ``versions`` row is inserted in state ``staging``
    (its own transaction, so a concurrent persist of the same version
    fails fast);
-2. **write** — column files land in a fresh version directory and are
-   fsynced (file and directory);
+2. **write** — the columns that changed land in a fresh version
+   directory and are fsynced (file and directory; often there are none);
 3. **flip** — one transaction inserts the manifest, closes and inserts
    the model rows that changed, and runs the
    ``UPDATE versions SET state='published'``.  That commit *is* the
    publish: a crash anywhere before it leaves a ``staging`` carcass —
    and not one model row touched — that :meth:`open` purges on the next
-   boot, and a crash after it leaves a fully published version.
+   boot, and a crash after it leaves a fully published version.  A
+   persist that fails without killing the process (disk full) purges
+   its own claim before the error propagates.
 
 The baseline is trusted only for the version it was taken from: inside
 the flip transaction the store checks that this is still the catalog's
@@ -46,49 +52,52 @@ catalog when it is not (a restart, a second process writing the same
 directory).  :attr:`FrameStore.last_persist` says what the last persist
 wrote.
 
-:meth:`FrameStore.attach` is the inverse of
-``service.shm.attach_snapshot`` with the disk as the segment: columns
-come back as read-only ``np.load(..., mmap_mode="r")`` views — the
-kernel pages them in on demand, so attach cost is catalog metadata, not
-buffer size — the base graph is rebuilt from the catalog rows visible at
-that version, and the augmented graph is recomputed from it and the
-row-state columns.  Both paths share :mod:`repro.storage.layout` and
-:meth:`Snapshot.from_columns`, so a snapshot persisted here decodes
-exactly like one served from shared memory.
+:meth:`FrameStore.attach` is the inverse: the base graph is rebuilt
+from the catalog rows visible at that version, its frame recomputed
+(``GraphFrame.of`` — byte-identical to the builder's), the row-state
+columns mapped read-only (``np.load(..., mmap_mode="r")``) from whichever
+version owns each file, and the augmented graph recomputed from both.
+Shared memory shares what is heavy, disk keeps what cannot be
+recomputed; both paths end in :mod:`repro.storage.layout` and
+:meth:`Snapshot.from_columns`, so a snapshot decodes the same from either.
 
 :meth:`FrameStore.attach_latest` self-heals: a published version that
 fails verification (truncated column, checksum mismatch) is demoted to
 ``corrupt`` in the catalog and the next older published version is
 tried, so one bad version never bricks a store.
 
-:meth:`FrameStore.gc` prunes history: old published versions beyond the
-newest ``keep`` per ``(tenant, kind)`` stream are dropped from catalog
-and disk, together with the model rows that died at or before the oldest
-kept version.  The latest published version of every stream and staging
-rows are never pruned.
+:meth:`FrameStore.gc` prunes history: published versions beyond the
+newest ``keep`` per ``(tenant, kind)`` stream, and ``corrupt`` ones older
+than the oldest kept, are dropped from the catalog together with the
+model rows that died at or before the oldest kept version.  On disk a
+column file is deleted exactly when no manifest row names it, a version
+directory when it is empty.  The latest published version of every
+stream and staging rows are never pruned.
 """
 
 from __future__ import annotations
 
+import contextlib
 import pickle
 import shutil
 import sqlite3
 import threading
 import time
+import zlib
 from pathlib import Path
 from typing import Any
 
 import numpy as np
 
-from ..graph.columnar import EXPORT_DTYPES, GraphFrame
+from ..graph.columnar import GraphFrame
 from ..graph.company_graph import CompanyGraph
 from ..graph.property_graph import PropertyGraph
 from ..service.registry import validate_tenant
 from ..service.snapshot import DEFAULT_TENANT, Snapshot
 from . import catalog as cat
-from .layout import ROW_DTYPES, encode_rows
+from .layout import ROW_DTYPES
 from .model import Baseline, migrate_legacy, read_model, write_delta
-from .npyio import data_crc32, fsync_dir, write_column
+from .npyio import column_equals, data_crc32, fsync_dir, write_column
 
 #: Graph classes a stored model may rebuild into.
 GRAPH_CLASSES: dict[str, type[PropertyGraph]] = {
@@ -96,8 +105,9 @@ GRAPH_CLASSES: dict[str, type[PropertyGraph]] = {
     "CompanyGraph": CompanyGraph,
 }
 
-#: Columns a snapshot version must carry, exactly.
-SNAPSHOT_COLUMNS = dict(EXPORT_DTYPES) | dict(ROW_DTYPES)
+#: Columns a snapshot version must carry: the row state, which cost
+#: reasoning time.  The frame buffers are recomputed from the graph.
+SNAPSHOT_COLUMNS = ROW_DTYPES
 
 
 class StoreError(RuntimeError):
@@ -109,7 +119,7 @@ class InjectedCrash(RuntimeError):
 
 
 class StoredSnapshot(Snapshot):
-    """A snapshot whose frame buffers are read-only mmaps of store files.
+    """A snapshot whose row-state columns are read-only mmaps of store files.
 
     Behaves exactly like a built :class:`Snapshot` (the per-row identity
     tests assert it); additionally records where it came from.
@@ -138,7 +148,8 @@ class FrameStore:
         self.crash_point: str | None = None
         #: what the most recent successful :meth:`persist` wrote:
         #: ``tenant``, ``version``, ``rows_inserted`` / ``rows_closed``
-        #: (model rows), ``column_bytes`` and ``seconds``
+        #: (model rows), ``columns_written`` / ``columns_shared``,
+        #: ``column_bytes`` (bytes of the written ones) and ``seconds``
         self.last_persist: dict[str, Any] | None = None
         self._persist_lock = threading.Lock()
         #: tenant -> model of the newest snapshot version this object
@@ -169,10 +180,8 @@ class FrameStore:
 
     @classmethod
     def open_or_create(cls, root: str | Path) -> "FrameStore":
-        store = cls(root)
-        if store.catalog_path.is_file():
-            return cls.open(root)
-        return cls.create(root)
+        exists = cls(root).catalog_path.is_file()
+        return cls.open(root) if exists else cls.create(root)
 
     def _connect(self, init: bool = False) -> sqlite3.Connection:
         try:
@@ -185,7 +194,9 @@ class FrameStore:
                     # crash between the two steps re-runs it harmlessly).
                     self._relocate_v1_dirs()
                 if found in (1, 2):
-                    migrate_legacy(conn)
+                    migrate_legacy(conn, SNAPSHOT_COLUMNS)
+                elif found == 3:
+                    cat.migrate_v3(conn, SNAPSHOT_COLUMNS)
                 cat.check_format(conn)
             return conn
         except (sqlite3.DatabaseError, ValueError) as exc:
@@ -207,27 +218,45 @@ class FrameStore:
             fsync_dir(self.versions_root)
 
     def _recover(self, conn: sqlite3.Connection) -> None:
-        """Purge staging carcasses left by a crash mid-persist."""
+        """Purge staging carcasses left by a crash mid-persist, and every
+        file a crash (or a migration) left without a manifest row."""
         staged = conn.execute(
             "SELECT tenant, version FROM versions WHERE state = 'staging'"
         ).fetchall()
         for tenant, version in staged:
             cat.purge_unpublished(conn, tenant, version)
         conn.commit()
-        known = {
-            (tenant, version)
-            for tenant, version in conn.execute("SELECT tenant, version FROM versions")
-        }
-        if self.versions_root.is_dir():
-            for tenant_dir in self.versions_root.iterdir():
-                if not tenant_dir.is_dir():
+        self._sweep(conn)
+
+    def _sweep(self, conn: sqlite3.Connection) -> None:
+        """Delete every file in a version directory that no manifest row
+        names, and every version directory that leaves empty.  The
+        directory of a ``staging`` version is a writer's work in progress
+        (its manifest rows arrive with the flip) and is left alone."""
+        named: dict[tuple[str, int], set[str]] = {}
+        for tenant, origin, name in conn.execute(
+            "SELECT DISTINCT tenant, origin, name FROM columns"
+        ):
+            named.setdefault((tenant, origin), set()).add(f"{name}.npy")
+        staging = set(
+            conn.execute("SELECT tenant, version FROM versions WHERE state = 'staging'")
+        )
+        for vdir in list(self.versions_root.glob("*/v*")):
+            if not (vdir.is_dir() and vdir.name[1:].isdigit()):
+                continue
+            key = (vdir.parent.name, int(vdir.name[1:]))
+            if key in staging:
+                continue
+            keep = named.get(key, ())
+            for entry in vdir.iterdir():
+                if entry.name in keep:
                     continue
-                for entry in tenant_dir.iterdir():
-                    name = entry.name
-                    if not (name.startswith("v") and name[1:].isdigit()):
-                        continue
-                    if (tenant_dir.name, int(name[1:])) not in known:
-                        shutil.rmtree(entry, ignore_errors=True)
+                if entry.is_dir():
+                    shutil.rmtree(entry, ignore_errors=True)
+                else:
+                    entry.unlink()
+            if not keep:
+                vdir.rmdir()
 
     def version_dir(self, version: int, tenant: str = DEFAULT_TENANT) -> Path:
         return self.versions_root / tenant / f"v{version:08d}"
@@ -242,10 +271,11 @@ class FrameStore:
         self, kind: str | None = None, tenant: str | None = None
     ) -> list[dict[str, Any]]:
         """Catalog rows for every version, oldest first per tenant."""
-        query = (
-            "SELECT tenant, version, state, kind, parent, generation, created_at,"
-            " published_at, built_s, nodes, edges FROM versions"
+        keys = (
+            "tenant", "version", "state", "kind", "parent", "generation",
+            "created_at", "published_at", "built_s", "nodes", "edges",
         )
+        query = f"SELECT {', '.join(keys)} FROM versions"
         clauses = []
         params: list[Any] = []
         if kind is not None:
@@ -259,10 +289,6 @@ class FrameStore:
         query += " ORDER BY tenant, version"
         with self._connect() as conn:
             rows = conn.execute(query, tuple(params)).fetchall()
-        keys = (
-            "tenant", "version", "state", "kind", "parent", "generation",
-            "created_at", "published_at", "built_s", "nodes", "edges",
-        )
         return [dict(zip(keys, row)) for row in rows]
 
     def model_rows(self) -> dict[tuple[str, int], int]:
@@ -277,6 +303,18 @@ class FrameStore:
                 ):
                     counts[tenant, born] = counts.get((tenant, born), 0) + n
         return counts
+
+    def column_files(self) -> dict[tuple[str, int], tuple[int, int]]:
+        """``(tenant, version)`` -> ``(files, bytes)`` of the column files
+        that version owns: what each persist added to the disk."""
+        with self._connect() as conn:
+            return {
+                (tenant, version): (files, nbytes)
+                for tenant, version, files, nbytes in conn.execute(
+                    "SELECT tenant, version, COUNT(*), SUM(nbytes) FROM columns"
+                    " WHERE origin = version GROUP BY tenant, version"
+                )
+            }
 
     def tenants(self) -> list[str]:
         """Every tenant holding at least one version, sorted."""
@@ -337,9 +375,7 @@ class FrameStore:
         frame = snapshot.frame
         if not frame.is_current(snapshot.graph):  # out-of-band mutation: re-pin
             frame = GraphFrame.of(snapshot.graph)
-        buffers = dict(frame.buffers())
-        row_buffers, classes = encode_rows(snapshot, frame)
-        buffers.update(row_buffers)
+        buffers, classes = snapshot.row_columns(frame)
 
         graph = snapshot.graph
         meta = pickle.dumps(
@@ -355,6 +391,8 @@ class FrameStore:
         )
 
         version = snapshot.version
+        vdir = self.version_dir(version, tenant)
+        claimed = False
         conn = self._connect()
         try:
             # 1. claim: a staging row, committed on its own so concurrent
@@ -395,15 +433,29 @@ class FrameStore:
                 ),
             )
             conn.commit()
+            claimed = True
+            inherited = dict(
+                conn.execute(
+                    "SELECT name, origin FROM columns WHERE tenant = ? AND version = ?",
+                    (tenant, parent),
+                )
+            )
 
-            # 2. write: column files into a fresh version directory.
-            vdir = self.version_dir(version, tenant)
-            vdir.mkdir(parents=True, exist_ok=True)
+            # 2. write: a column whose bytes equal the file the parent's
+            #    manifest names is shared, the others get a file here.
             self._maybe_crash("before_files")
-            manifest: list[tuple[str, int, str, str, int, int, int]] = []
-            for i, name in enumerate(SNAPSHOT_COLUMNS):
-                array = np.ascontiguousarray(buffers[name], dtype=SNAPSHOT_COLUMNS[name])
-                crc = write_column(vdir / f"{name}.npy", array)
+            manifest: list[tuple[str, int, str, str, int, int, int, int]] = []
+            for i, (name, dtype) in enumerate(SNAPSHOT_COLUMNS.items()):
+                array = np.ascontiguousarray(buffers[name], dtype=dtype)
+                origin = inherited.get(name)
+                if origin is not None and column_equals(
+                    self.version_dir(origin, tenant) / f"{name}.npy", array
+                ):
+                    crc = zlib.crc32(array.tobytes())
+                else:
+                    origin = version
+                    vdir.mkdir(parents=True, exist_ok=True)
+                    crc = write_column(vdir / f"{name}.npy", array)
                 manifest.append(
                     (
                         tenant,
@@ -413,20 +465,23 @@ class FrameStore:
                         array.shape[0],
                         array.nbytes,
                         crc,
+                        origin,
                     )
                 )
                 if i == 0:
                     self._maybe_crash("mid_files")
             self._maybe_crash("after_files")
-            fsync_dir(vdir)
-            fsync_dir(vdir.parent)
-            fsync_dir(self.versions_root)
+            own = [row for row in manifest if row[7] == version]
+            if own:
+                fsync_dir(vdir)
+                fsync_dir(vdir.parent)
+                fsync_dir(self.versions_root)
 
             # 3. manifest + model delta + the atomic flip, one transaction.
             conn.execute("BEGIN IMMEDIATE")
             conn.executemany(
                 "INSERT INTO columns (tenant, version, name, dtype, length, nbytes,"
-                " crc32) VALUES (?, ?, ?, ?, ?, ?, ?)",
+                " crc32, origin) VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
                 manifest,
             )
             baseline, rows_inserted, rows_closed = write_delta(
@@ -439,6 +494,19 @@ class FrameStore:
                 (time.time(), tenant, version),
             )
             conn.commit()
+        except InjectedCrash:
+            raise  # leave exactly what a kill would leave
+        except Exception:
+            if claimed:
+                # the process lives on: free the version number and the
+                # disk now rather than at the next open()
+                with contextlib.suppress(sqlite3.Error, OSError):
+                    if conn.in_transaction:
+                        conn.rollback()
+                    cat.purge_unpublished(conn, tenant, version)
+                    conn.commit()
+                    self._sweep(conn)
+            raise
         finally:
             conn.close()
         self._baselines[tenant] = baseline
@@ -447,7 +515,9 @@ class FrameStore:
             "version": version,
             "rows_inserted": rows_inserted,
             "rows_closed": rows_closed,
-            "column_bytes": sum(row[5] for row in manifest),
+            "columns_written": len(own),
+            "columns_shared": len(manifest) - len(own),
+            "column_bytes": sum(row[5] for row in own),
             "seconds": round(time.perf_counter() - started, 6),
         }
         return version
@@ -500,35 +570,28 @@ class FrameStore:
 
         ``version=None`` attaches the tenant's newest published version.
         With ``verify`` every column file's data CRC-32 is checked
-        against the catalog manifest before it is mapped.
+        against the catalog manifest before it is mapped.  The graph,
+        its frame, the decoded rows and the augmented graph are rebuilt
+        in Python, so attach time grows with nodes + edges.
         """
+        if version is None:
+            version = self.latest_version("snapshot", tenant)
+            if version is None:
+                raise StoreError(
+                    f"store has no published snapshot versions for tenant {tenant}"
+                )
         conn = self._connect()
         try:
-            if version is None:
-                row = conn.execute(
-                    "SELECT MAX(version) FROM versions"
-                    " WHERE state = 'published' AND kind = 'snapshot' AND tenant = ?",
-                    (tenant,),
-                ).fetchone()
-                if row[0] is None:
-                    raise StoreError(
-                        f"store has no published snapshot versions for tenant {tenant}"
-                    )
-                version = row[0]
             row = conn.execute(
                 "SELECT state, kind, graph_class, next_edge_id, meta, built_s"
                 " FROM versions WHERE tenant = ? AND version = ?",
                 (tenant, version),
             ).fetchone()
             if row is None:
-                published = ", ".join(
-                    str(v)
-                    for (v,) in conn.execute(
-                        "SELECT version FROM versions WHERE state = 'published'"
-                        " AND kind = 'snapshot' AND tenant = ? ORDER BY version",
-                        (tenant,),
-                    )
-                ) or "none"
+                published = (
+                    ", ".join(map(str, self.published_versions("snapshot", tenant)))
+                    or "none"
+                )
                 raise StoreError(
                     f"version {version} not found in store (published: {published})"
                 )
@@ -556,7 +619,10 @@ class FrameStore:
         remembered = self._baselines.get(tenant)
         if remembered is None or remembered.version < version:
             self._baselines[tenant] = Baseline.of(version, graph, *seqs)
-        snapshot = StoredSnapshot.from_columns(version, graph, views, meta, built_s)
+        frame = GraphFrame.of(graph, weight_property=meta["weight_property"])
+        snapshot = StoredSnapshot.from_columns(
+            version, graph, frame, views, meta, built_s
+        )
         snapshot.store_path = self.root
         snapshot.store_version = version
         snapshot.store_tenant = tenant
@@ -603,9 +669,9 @@ class FrameStore:
         verify: bool,
     ) -> dict[str, np.ndarray]:
         manifest = {
-            name: (dtype, length, nbytes, crc)
-            for name, dtype, length, nbytes, crc in conn.execute(
-                "SELECT name, dtype, length, nbytes, crc32 FROM columns"
+            name: (dtype, length, crc, origin)
+            for name, dtype, length, crc, origin in conn.execute(
+                "SELECT name, dtype, length, crc32, origin FROM columns"
                 " WHERE tenant = ? AND version = ?",
                 (tenant, version),
             )
@@ -615,10 +681,9 @@ class FrameStore:
             raise StoreError(
                 f"version {version} manifest is incomplete (missing {sorted(missing)})"
             )
-        vdir = self.version_dir(version, tenant)
         views: dict[str, np.ndarray] = {}
-        for name, (dtype_str, length, nbytes, crc) in manifest.items():
-            path = vdir / f"{name}.npy"
+        for name, (dtype_str, length, crc, origin) in manifest.items():
+            path = self.version_dir(origin, tenant) / f"{name}.npy"
             if not path.is_file():
                 raise StoreError(f"version {version} column file missing: {path.name}")
             if verify:
@@ -659,20 +724,22 @@ class FrameStore:
         tenant: str | None = None,
         kind: str | None = None,
     ) -> list[dict[str, Any]]:
-        """Prune old published versions beyond the newest ``keep``.
+        """Prune old versions beyond the newest ``keep`` published ones.
 
         Versions are grouped into ``(tenant, kind)`` streams; within each
         stream the newest ``keep`` published versions survive and every
-        older published version is deleted from the catalog and disk,
-        along with the model rows no kept version can see.  Staging rows and the latest published version of a stream are
-        never pruned (``keep`` must be at least 1).  Restrict with
-        ``tenant`` and/or ``kind``; returns one dict per pruned version.
+        older published or ``corrupt`` version is deleted from the
+        catalog, along with the model rows no kept version can see and
+        the column files no kept version reads (:meth:`_sweep`).  Staging
+        rows and the latest published version of a stream are never
+        pruned (``keep`` must be at least 1).  Restrict with ``tenant``
+        and/or ``kind``; returns one dict per pruned version.
         """
         if keep < 1:
             raise StoreError(
                 "gc keep must be >= 1 (the latest published version always stays)"
             )
-        query = "SELECT tenant, version, kind FROM versions WHERE state = 'published'"
+        query = "SELECT tenant, version, kind, state FROM versions WHERE state != 'staging'"
         params: list[Any] = []
         if tenant is not None:
             query += " AND tenant = ?"
@@ -682,16 +749,22 @@ class FrameStore:
             params.append(kind)
         query += " ORDER BY tenant, kind, version"
         doomed: list[tuple[str, int, str]] = []
-        conn = self._connect()
-        try:
-            streams: dict[tuple[str, str], list[int]] = {}
-            for row_tenant, row_version, row_kind in conn.execute(
+        # under the persist lock: a persist between claim and flip is
+        # about to name files of its parent that no row of its own names yet
+        with self._persist_lock, contextlib.closing(self._connect()) as conn:
+            streams: dict[tuple[str, str], list[tuple[int, str]]] = {}
+            for row_tenant, row_version, row_kind, state in conn.execute(
                 query, tuple(params)
             ):
-                streams.setdefault((row_tenant, row_kind), []).append(row_version)
+                streams.setdefault((row_tenant, row_kind), []).append((row_version, state))
             conn.execute("BEGIN IMMEDIATE")
             for (row_tenant, row_kind), stream in streams.items():
-                if len(stream) <= keep:
+                published = [v for v, state in stream if state == "published"]
+                if not published:
+                    continue
+                oldest_kept = published[-keep:][0]
+                dropped = [v for v, _state in stream if v < oldest_kept]
+                if not dropped:
                     continue
                 # model rows that died at or before the oldest kept
                 # version are visible to no kept version
@@ -699,9 +772,9 @@ class FrameStore:
                     conn.execute(
                         f"DELETE FROM {table}"
                         " WHERE tenant = ? AND bare = ? AND died <= ?",
-                        (row_tenant, int(row_kind == "graph"), stream[-keep]),
+                        (row_tenant, int(row_kind == "graph"), oldest_kept),
                     )
-                for row_version in stream[:-keep]:
+                for row_version in dropped:
                     doomed.append((row_tenant, row_version, row_kind))
                     for table in ("columns", "versions"):
                         conn.execute(
@@ -709,14 +782,10 @@ class FrameStore:
                             (row_tenant, row_version),
                         )
             conn.commit()
-        finally:
-            conn.close()
-        # Directory removal happens after the catalog commit: a crash in
-        # between leaves orphan directories, which open() purges.
-        pruned = []
-        for row_tenant, row_version, row_kind in doomed:
-            shutil.rmtree(self.version_dir(row_version, row_tenant), ignore_errors=True)
-            pruned.append(
-                {"tenant": row_tenant, "version": row_version, "kind": row_kind}
-            )
-        return pruned
+            # File removal happens after the catalog commit: a crash in
+            # between leaves unnamed files, which open() sweeps.
+            self._sweep(conn)
+        return [
+            {"tenant": row_tenant, "version": row_version, "kind": row_kind}
+            for row_tenant, row_version, row_kind in doomed
+        ]

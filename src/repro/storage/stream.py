@@ -403,12 +403,13 @@ class StreamingGraphWriter:
                     length,
                     length * file_dtype.itemsize,
                     data_crc32(path),
+                    version,  # a streamed version owns every file it names
                 )
             )
         conn.execute("BEGIN IMMEDIATE")
         conn.executemany(
             "INSERT INTO columns (tenant, version, name, dtype, length, nbytes,"
-            " crc32) VALUES (?, ?, ?, ?, ?, ?, ?)",
+            " crc32, origin) VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
             manifest,
         )
         conn.execute(

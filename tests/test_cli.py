@@ -513,7 +513,8 @@ class TestServeRollbackKeepsPersisting:
             assert persist["last_persist_error"] is None
             wrote = persist["last_persist"]
             assert wrote["version"] == 6
-            assert {"rows_inserted", "rows_closed", "column_bytes", "seconds"} <= set(wrote)
+            assert {"rows_inserted", "rows_closed", "columns_written",
+                    "columns_shared", "column_bytes", "seconds"} <= set(wrote)
         finally:
             served.stop()
 
@@ -542,14 +543,24 @@ class TestStoreVersionsCommand:
         builder = SnapshotBuilder(SnapshotConfig(augment=False))
         store = FrameStore.create(tmp_path / "store")
         store.persist(builder.build(graph))
-        first = store.last_persist["rows_inserted"]
+        first = store.last_persist
         graph = graph.copy()
         graph.add_company("C_TWO")
         store.persist(builder.build(graph))
+        second = store.last_persist
         capsys.readouterr()
         assert main(["store", "versions", str(tmp_path / "store")]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
-        assert lines[0] == "tenant,version,state,kind,nodes,edges,model_rows"
+        assert lines[0] == (
+            "tenant,version,state,kind,nodes,edges,model_rows,"
+            "columns_written,column_bytes"
+        )
         assert lines[1].startswith("default,1,published,snapshot,")
-        assert lines[1].endswith(f",{first}")
-        assert lines[2].endswith(",1")  # one node row, no properties
+        assert lines[1].endswith(
+            f",{first['rows_inserted']},11,{first['column_bytes']}"
+        )
+        # one node row, no properties; only the columns its code shifted
+        assert second["columns_written"] < 11
+        assert lines[2].endswith(
+            f",1,{second['columns_written']},{second['column_bytes']}"
+        )

@@ -1,8 +1,9 @@
 """Durable frame store: persist/attach round-trips, version rollback,
-atomic-publish crash safety, checksum rejection, and the updater's
-persist hook."""
+atomic-publish crash safety, checksum rejection, failed-persist and gc
+clean-up, and the updater's persist hook."""
 
 import asyncio
+import errno
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from repro.service import (
     SnapshotManager,
 )
 from repro.storage import FrameStore, InjectedCrash, StoreError
+from repro.storage import store as store_module
+from repro.storage.layout import ROW_DTYPES
 
 
 def graph_model(graph):
@@ -25,6 +28,37 @@ def graph_model(graph):
         [(e.id, e.source, e.target, e.label, dict(e.properties)) for e in graph.edges()],
         graph._next_edge_id,
     )
+
+
+def manifest(store, tenant="default"):
+    """``{version: {column: origin}}`` of ``tenant``, from the catalog."""
+    out = {}
+    with store._connect() as conn:
+        for version, name, origin in conn.execute(
+            "SELECT version, name, origin FROM columns WHERE tenant = ?", (tenant,)
+        ):
+            out.setdefault(version, {})[name] = origin
+    return out
+
+
+def column_path(store, version, name, tenant="default"):
+    """The file version ``version`` reads column ``name`` from."""
+    return store.version_dir(manifest(store, tenant)[version][name], tenant) / f"{name}.npy"
+
+
+def assert_files_match_manifest(store):
+    """No manifest row without its file, no file without a manifest row,
+    no empty version directory."""
+    with store._connect() as conn:
+        named = {
+            store.version_dir(origin, tenant) / f"{name}.npy"
+            for tenant, origin, name in conn.execute(
+                "SELECT tenant, origin, name FROM columns"
+            )
+        }
+    on_disk = {p for p in store.versions_root.glob("*/v*/*")}
+    assert on_disk == named
+    assert all(any(d.iterdir()) for d in store.versions_root.glob("*/v*"))
 
 
 @pytest.fixture(scope="module")
@@ -66,19 +100,26 @@ class TestPersistAttach:
         att = store.attach(1)
 
         assert GraphFrame.of(att.graph) is att.frame
+        # the frame is recomputed from the attached graph, not stored:
+        # every buffer must come out byte-identical to the builder's
         buffers = dict(att.frame.buffers())
         oracle = dict(snap1.frame.buffers())
         assert set(buffers) == set(dict(EXPORT_DTYPES))
-        for name, view in buffers.items():
-            assert np.array_equal(view, oracle[name]), name
-        # the raw edge/adjacency columns are served straight off the
-        # mmapped files (scipy-wrapped buffers get re-materialized)
-        for name in ("edge_src", "edge_dst", "walk_weights", "insertion_codes",
-                     "csr_indptr", "csr_targets", "csr_positions",
-                     "csc_indptr", "csc_sources", "csc_positions"):
-            view = buffers[name]
-            assert isinstance(view, np.memmap), name
+        for name, array in buffers.items():
+            assert array.dtype == oracle[name].dtype, name
+            assert array.tobytes() == oracle[name].tobytes(), name
+        assert not list(store.versions_root.glob("*/v*/edge_src.npy"))
+        # the row-state columns are served straight off the mmapped files
+        with store._connect() as conn:
+            views = store._load_columns(conn, "default", 1, ROW_DTYPES, verify=True)
+        rows, _classes = snap1.row_columns(snap1.frame)
+        assert set(views) == set(ROW_DTYPES)
+        for name, view in views.items():
+            assert np.array_equal(view, rows[name]), name
             assert not view.flags.writeable, name
+            if len(view):  # a zero-length column is never mapped
+                assert isinstance(view, np.memmap), name
+        assert any(len(view) for view in views.values())
 
     def test_version_rollback(self, tmp_path, built):
         _, snap1, _, snap2 = built
@@ -119,6 +160,31 @@ class TestPersistAttach:
             FrameStore.open(root)
 
 
+    def test_row_state_is_encoded_once_for_both_codecs(self, tmp_path, monkeypatch):
+        from repro.service import shm
+        from repro.service import snapshot as snapshot_module
+
+        graph, _ = generate_company_graph(CompanySpec(persons=20, companies=15, seed=5))
+        snap = SnapshotBuilder(SnapshotConfig(augment=False)).build(graph)
+        real = snapshot_module.encode_rows
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(snapshot_module, "encode_rows", counted)
+        store = FrameStore.create(tmp_path / "store")
+        segment = shm.encode_snapshot(snap)  # a pool publish: seal, then persist
+        try:
+            store.persist(snap)
+        finally:
+            segment.close()
+            segment.unlink()
+        assert len(calls) == 1
+        assert store.attach(1).ubo == snap.ubo
+
+
 class TestCrashSafety:
     """Kill the persist at every stage; the store must self-heal to the
     last complete version on reattach."""
@@ -153,7 +219,8 @@ class TestCrashSafety:
         store = FrameStore.create(tmp_path / "store")
         store.persist(snap1)
         store.persist(snap2)
-        victim = store.version_dir(2) / "edge_src.npy"
+        victim = column_path(store, 2, "control_x")
+        assert victim.parent == store.version_dir(2)  # v2's own file
         blob = bytearray(victim.read_bytes())
         blob[-1] ^= 0xFF  # flip one payload byte; length stays right
         victim.write_bytes(bytes(blob))
@@ -171,7 +238,7 @@ class TestCrashSafety:
         store = FrameStore.create(tmp_path / "store")
         store.persist(snap1)
         store.persist(snap2)
-        victim = store.version_dir(2) / "edge_dst.npy"
+        victim = store.version_dir(2) / "ubo_person.npy"
         blob = victim.read_bytes()
         victim.write_bytes(blob[:-8])
 
@@ -184,11 +251,155 @@ class TestCrashSafety:
         store = FrameStore.create(tmp_path / "store")
         store.persist(snap1)
         store.persist(snap2)
-        (store.version_dir(2) / "walk_weights.npy").unlink()
+        (store.version_dir(2) / "ubo_share.npy").unlink()
 
         with pytest.raises(StoreError, match="missing"):
             store.attach(2)
         assert store.attach_latest().version == 1
+
+
+def sharing_history():
+    """Four versions: v2 changes who controls what, v3 and v4 only add a
+    small stake each — their control and UBO columns equal v2's."""
+    graph, _ = generate_company_graph(CompanySpec(persons=30, companies=24, seed=6))
+    builder = SnapshotBuilder(SnapshotConfig(augment=False))
+    out = [builder.build(graph)]
+    companies = sorted(node.id for node in graph.companies())
+    graph = graph.copy()
+    graph.add_person("P_SHARED")
+    graph.add_company("C_SHARED")
+    graph.add_shareholding("P_SHARED", "C_SHARED", 0.9)
+    out.append(builder.build(graph))
+    for owner, company in ((0, 1), (2, 3)):
+        graph = graph.copy()
+        graph.add_shareholding(companies[owner], "C_SHARED", 0.001 * (company + 1))
+        out.append(builder.build(graph))
+    return out
+
+
+class TestColumnSharing:
+    def test_a_version_writes_only_the_columns_that_changed(self, tmp_path):
+        store = FrameStore.create(tmp_path / "store")
+        snapshots = sharing_history()
+        wrote = []
+        for snapshot in snapshots:
+            store.persist(snapshot)
+            wrote.append(store.last_persist)
+        first, second, third, fourth = wrote
+        assert first["columns_written"] == len(ROW_DTYPES)
+        assert first["columns_shared"] == 0
+        assert first["column_bytes"] == sum(
+            p.stat().st_size - 128 for p in store.version_dir(1).iterdir()
+        )
+        assert 0 < second["columns_written"]
+        for later in (third, fourth):  # same control, same UBO index
+            assert later["columns_written"] == 0 and later["column_bytes"] == 0
+            assert later["columns_shared"] == len(ROW_DTYPES)
+        assert not store.version_dir(3).exists()
+        assert set(manifest(store)[4].values()) <= {1, 2}
+        assert store.column_files() == {
+            ("default", 1): (first["columns_written"], first["column_bytes"]),
+            ("default", 2): (second["columns_written"], second["column_bytes"]),
+        }
+        assert_files_match_manifest(store)
+        for snapshot in snapshots:
+            att = store.attach(snapshot.version)
+            assert att.control == snapshot.control and att.ubo == snapshot.ubo
+
+    def test_a_corrupt_parent_file_is_not_inherited(self, tmp_path):
+        store = FrameStore.create(tmp_path / "store")
+        snap1, snap2, snap3, snap4 = sharing_history()
+        store.persist(snap1)
+        store.persist(snap2)
+        victim = column_path(store, 2, "control_x")
+        blob = bytearray(victim.read_bytes())
+        blob[-1] ^= 0xFF  # same length, and the manifest still carries the old CRC
+        victim.write_bytes(bytes(blob))
+        store.persist(snap3)
+        assert manifest(store)[3]["control_x"] == 3  # compared, not trusted
+        assert store.last_persist["columns_written"] == 1
+        assert store.attach(3).control == snap3.control
+        with pytest.raises(StoreError, match="checksum mismatch"):
+            store.attach(2)
+
+    def test_corrupting_a_shared_file_fails_every_version_that_names_it(
+        self, tmp_path
+    ):
+        store = FrameStore.create(tmp_path / "store")
+        snapshots = sharing_history()
+        for snapshot in snapshots:
+            store.persist(snapshot)
+        victim = column_path(store, 4, "ubo_share")
+        assert victim.parent == store.version_dir(2)  # v2's file, read by 3 and 4
+        victim.write_bytes(victim.read_bytes()[:-8])
+
+        for version in (2, 3, 4):
+            with pytest.raises(StoreError):
+                store.attach(version)
+        att = store.attach_latest()  # falls back past all three
+        assert att.version == 1 and att.ubo == snapshots[0].ubo
+        states = {v["version"]: v["state"] for v in store.versions()}
+        assert states == {1: "published", 2: "corrupt", 3: "corrupt", 4: "corrupt"}
+
+    def test_gc_keeps_a_pruned_version_s_files_while_a_kept_one_names_them(
+        self, tmp_path
+    ):
+        store = FrameStore.create(tmp_path / "store")
+        snapshots = sharing_history()
+        for snapshot in snapshots:
+            store.persist(snapshot)
+        assert [p["version"] for p in store.gc(keep=1)] == [1, 2, 3]
+        assert store.version_dir(2).is_dir()  # v4 reads v2's columns
+        assert_files_match_manifest(store)
+        att = FrameStore.open(store.root).attach_latest()
+        assert att.version == 4 and att.control == snapshots[3].control
+
+    def test_gc_reclaims_corrupt_versions_below_the_oldest_kept(self, tmp_path):
+        store = FrameStore.create(tmp_path / "store")
+        snap1, snap2, snap3, snap4 = sharing_history()
+        store.persist(snap1)
+        store.persist(snap2)
+        own = column_path(store, 2, "control_x")
+        assert own.parent == store.version_dir(2)
+        own.write_bytes(b"torn")
+        assert store.attach_latest().version == 1  # demotes v2
+        store.persist(snap3)
+        store.persist(snap4)
+        assert manifest(store)[4]["control_x"] == 3  # never v2's torn file
+
+        assert store.gc(keep=5) == [], "v1 is kept and v2 is newer than it"
+        pruned = store.gc(keep=2)
+        assert [p["version"] for p in pruned] == [1, 2]
+        assert [(v["version"], v["state"]) for v in store.versions()] == [
+            (3, "published"), (4, "published")
+        ]
+        assert not own.exists()
+        assert_files_match_manifest(store)
+        assert store.attach(4).control == snap4.control
+
+    def test_a_persist_that_fails_leaves_no_claim_behind(self, tmp_path, monkeypatch):
+        store = FrameStore.create(tmp_path / "store")
+        snap1 = sharing_history()[0]
+        real = store_module.write_column
+        calls = []
+
+        def disk_full(path, array):
+            calls.append(path)
+            if len(calls) == 3:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return real(path, array)
+
+        monkeypatch.setattr(store_module, "write_column", disk_full)
+        with pytest.raises(OSError, match="No space left"):
+            store.persist(snap1)
+        assert store.versions() == []
+        assert not store.version_dir(1).exists()
+        assert store.last_persist is None
+
+        monkeypatch.setattr(store_module, "write_column", real)
+        assert store.persist(snap1) == 1  # same process, same number
+        assert store.attach(1).control == snap1.control
+        assert_files_match_manifest(store)
 
 
 class TestUpdaterPersists:

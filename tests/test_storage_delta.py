@@ -1,11 +1,14 @@
 """The delta store equals the full store, always.
 
 ``FrameStore.persist`` writes only what changed since the tenant's
-newest persisted version.  Whatever the history, attaching version *k*
-of a store that received every version must equal attaching a fresh
-store that received version *k* alone — node order, edge order,
-properties (type-exact), ``_next_edge_id``, row state and the bytes of
-all six endpoint payloads.
+newest persisted version: model rows into the catalog, row-state columns
+onto disk, and no frame buffer at all.  Whatever the history, attaching
+version *k* of a store that received every version must equal attaching
+a fresh store that received version *k* alone — node order, edge order,
+properties (type-exact), ``_next_edge_id``, row state, the bytes of all
+six endpoint payloads and the bytes of every recomputed frame buffer —
+and gc, reopen, corruption and crashes must leave files and manifest in
+step.
 """
 
 import tempfile
@@ -22,7 +25,8 @@ from repro.storage import FrameStore, InjectedCrash, StoreError
 from repro.storage import catalog as cat
 from repro.storage.stream import OutOfCoreGraph, StreamingGraphWriter
 
-from .test_storage_migration import fingerprint
+from .test_storage import assert_files_match_manifest, column_path
+from .test_storage_migration import fingerprint, frame_bytes
 
 CONFIG = SnapshotConfig(augment=False)
 
@@ -125,7 +129,152 @@ def test_every_version_equals_a_fresh_full_store(ops):
             fresh.persist(snapshot)
             expected = fingerprint(fresh.attach(snapshot.version))
             assert expected == fingerprint(snapshot)
-            assert fingerprint(delta_store.attach(snapshot.version)) == expected
+            attached = delta_store.attach(snapshot.version)
+            assert fingerprint(attached) == expected
+            # the frame is not stored: rebuilt from the attached graph it
+            # must be the builder's, buffer for buffer, byte for byte
+            assert frame_bytes(attached.graph) == frame_bytes(snapshot.graph)
+        assert_files_match_manifest(delta_store)
+
+
+AUGMENTING = SnapshotConfig(augment=True, first_level_clusters=1, use_embeddings=False)
+
+
+def apply_batch(graph, kind, a, b):
+    """One mutation batch of the kinds the service sees: ``ownership``
+    (stakes only), ``node`` (a new company or person with a stake) and
+    ``family`` (a person sharing surname and address with another)."""
+    companies = [n.id for n in graph.companies()]
+    persons = [n.id for n in graph.persons()]
+    owner, company = companies[a % len(companies)], companies[b % len(companies)]
+    fresh = f"{graph.node_count:03d}"
+    if kind == "ownership":
+        held = [e.id for e in graph.out_edges(owner) if e.target == company]
+        if held:
+            graph.remove_edge(held[0])
+        elif owner != company:
+            graph.add_shareholding(owner, company, 0.01 + (a % 7) / 100)
+    elif kind == "node":
+        if a % 2:
+            graph.add_company(f"CN{fresh}", name=f"New {fresh} SRL")
+            graph.add_shareholding(owner, f"CN{fresh}", 0.6)
+        else:
+            graph.add_person(f"PN{fresh}", name="Nuovo", surname=f"Unico{fresh}")
+            graph.add_shareholding(f"PN{fresh}", company, 0.05)
+    else:
+        model = dict(graph.node(persons[a % len(persons)]).properties)
+        graph.add_person(f"PF{fresh}", **{**model, "name": f"Parente{fresh}"})
+        graph.add_shareholding(f"PF{fresh}", company, 0.05)
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    st.integers(0, 5),
+    st.lists(
+        st.tuples(st.sampled_from(("ownership", "node", "family")),
+                  st.integers(0, 50), st.integers(0, 50)),
+        min_size=1, max_size=4,
+    ),
+)
+def test_attached_frames_and_rows_equal_the_builders(seed, batches):
+    with tempfile.TemporaryDirectory() as tmp:
+        store = FrameStore.create(Path(tmp) / "store")
+        graph, _ = generate_company_graph(
+            CompanySpec(persons=12, companies=10, seed=seed)
+        )
+        builder = SnapshotBuilder(AUGMENTING)
+        snapshots = [builder.build(graph)]
+        for batch in batches:
+            graph = graph.copy()
+            apply_batch(graph, *batch)
+            snapshots.append(builder.build(graph))
+        for snapshot in snapshots:
+            store.persist(snapshot)
+        for snapshot in snapshots:
+            attached = FrameStore.open(store.root).attach(snapshot.version)
+            assert frame_bytes(attached.graph) == frame_bytes(snapshot.graph)
+            assert fingerprint(attached) == fingerprint(snapshot)
+        assert_files_match_manifest(store)
+
+
+CRASH_POINTS = ("before_files", "mid_files", "after_files", "before_publish")
+store_steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("persist"), st.sampled_from(OPS), st.integers(0, 50),
+                  st.integers(0, 50), st.integers(0, 50)),
+        st.tuples(st.just("crash"), st.sampled_from(CRASH_POINTS),
+                  st.sampled_from(OPS), st.integers(0, 50)),
+        st.tuples(st.just("gc"), st.integers(1, 3)),
+        st.tuples(st.just("corrupt"), st.integers(0, 50)),
+        st.tuples(st.just("reopen")),
+    ),
+    min_size=2, max_size=8,
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(store_steps)
+def test_files_and_manifest_stay_in_step_and_the_newest_intact_version_serves(steps):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp) / "store"
+        store = FrameStore.create(root)
+        builder = SnapshotBuilder(CONFIG)
+        graph = seed_graph()
+        built = {1: builder.build(graph)}  # version -> snapshot, minus pruned
+        store.persist(built[1])
+        torn: set[Path] = set()
+
+        def check():
+            assert_files_match_manifest(store)
+            with store._connect() as conn:
+                reads = {}
+                for version, origin, name in conn.execute(
+                    "SELECT version, origin, name FROM columns"
+                ):
+                    reads.setdefault(version, set()).add(
+                        store.version_dir(origin) / f"{name}.npy"
+                    )
+            assert set(reads) == set(built)
+            intact = [v for v, paths in reads.items() if not paths & torn]
+            if not intact:
+                with pytest.raises(StoreError):
+                    store.attach_latest()
+                return
+            attached = store.attach_latest()
+            assert attached.version == max(intact)
+            assert fingerprint(attached) == fingerprint(built[max(intact)])
+
+        for step in steps:
+            if step[0] in ("persist", "crash"):
+                graph = graph.copy()
+                apply_op(graph, *(step[1:] if step[0] == "persist"
+                                  else (step[2], step[3], step[3], step[3])))
+                snapshot = builder.build(graph)
+                if step[0] == "crash":
+                    store.crash_point = step[1]
+                    with pytest.raises(InjectedCrash):
+                        store.persist(snapshot)
+                    store = FrameStore.open(root)  # the process died
+                    assert_files_match_manifest(store)
+                store.persist(snapshot)
+                built[snapshot.version] = snapshot
+            elif step[0] == "gc":
+                for pruned in store.gc(keep=step[1]):
+                    del built[pruned["version"]]
+            elif step[0] == "corrupt":
+                # prefer a file several versions read
+                with store._connect() as conn:
+                    files = conn.execute(
+                        "SELECT origin, name FROM columns GROUP BY origin, name"
+                        " ORDER BY COUNT(*) DESC, origin, name"
+                    ).fetchall()
+                origin, name = files[step[1] % min(len(files), 4)]
+                victim = store.version_dir(origin) / f"{name}.npy"
+                victim.write_bytes(b"torn")
+                torn.add(victim)
+            else:
+                store = FrameStore.open(root)
+            check()
 
 
 def model_row_count(store, where="1"):
@@ -168,7 +317,8 @@ class TestWhatAPersistWrites:
         store = FrameStore.create(tmp_path / "store")
         store.persist(builder.build(graph))
         first = store.last_persist
-        assert set(first) >= {"rows_inserted", "rows_closed", "column_bytes", "seconds"}
+        assert set(first) >= {"rows_inserted", "rows_closed", "columns_written",
+                              "columns_shared", "column_bytes", "seconds"}
         assert first["rows_inserted"] == model_row_count(store) > 400
         assert first["rows_closed"] == 0
         assert first["column_bytes"] > 0 and first["seconds"] > 0
@@ -330,7 +480,9 @@ class TestBaselineIsVerified:
         store = FrameStore.create(tmp_path / "store")
         store.persist(snap1)
         store.persist(snap2)
-        (store.version_dir(2) / "edge_src.npy").write_bytes(b"torn")
+        victim = column_path(store, 2, "ubo_company")
+        assert victim.parent == store.version_dir(2)  # not a file v1 reads too
+        victim.write_bytes(b"torn")
         fresh = FrameStore.open(tmp_path / "store")
         assert fresh.attach_latest().version == 1  # demotes 2, remembers 1
         fresh.persist(snap3)  # its model rows still continue version 2's

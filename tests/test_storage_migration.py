@@ -1,29 +1,92 @@
-"""In-place catalog migration: formats 1 and 2 -> 3.
+"""In-place catalog migration: formats 1, 2 and 3 -> 4.
 
 Formats 1 and 2 store one full copy of the property model per version
 (``pos``-keyed rows, plus the derived edges as ``layer = 1`` rows);
-format 3 stores interval rows.  The legacy DDL and the legacy model
-writer live *here*, not in ``src/``: a store written by the current
-code is rewritten into the exact catalog the previous release produced,
-then opened — the migration must leave every version attaching to the
-same graph, row state and payload bytes.
+format 3 stores interval rows; all three write every frame buffer and
+every row-state column of every version as a file of its own, where
+format 4 keeps row-state columns only and shares the unchanged ones.
+The legacy DDL and the legacy writers live *here*, not in ``src/``: a
+store written by the current code is rewritten into the exact catalog
+and directories a previous release produced, then opened — the
+migration must leave every version attaching to the same graph, row
+state, frame and payload bytes.
 """
 
 import json
 import sqlite3
 
+import numpy as np
 import pytest
 
 from repro.datagen.company_generator import CompanySpec, generate_company_graph
+from repro.graph.columnar import EXPORT_DTYPES, GraphFrame
 from repro.service import SnapshotBuilder, SnapshotConfig
 from repro.storage import FrameStore, StoreError
 from repro.storage import catalog as cat
 from repro.storage import model
+from repro.storage.layout import ROW_DTYPES, encode_rows
+from repro.storage.npyio import write_column
 from repro.storage.stream import OutOfCoreGraph, StreamingGraphWriter
 
+from .test_storage import assert_files_match_manifest
+
+#: The ``columns`` manifest of formats 1 to 3 (format 1 without the
+#: tenant): no ``origin`` — every version owned a file per row.
+FORMAT3_COLUMNS_DDL = """
+CREATE TABLE columns (
+    tenant  TEXT NOT NULL DEFAULT 'default',
+    version INTEGER NOT NULL,
+    name    TEXT NOT NULL,
+    dtype   TEXT NOT NULL,
+    length  INTEGER NOT NULL,
+    nbytes  INTEGER NOT NULL,
+    crc32   INTEGER NOT NULL,
+    PRIMARY KEY (tenant, version, name)
+)
+"""
+
+#: What a snapshot version carried up to format 3.
+FORMAT3_SNAPSHOT_COLUMNS = dict(EXPORT_DTYPES) | dict(ROW_DTYPES)
+
+
+def downgrade_to_format3(root, snapshots):
+    """Rewrite the column side of the store at ``root`` as format 3 did
+    it: the previous release's persist loop, per snapshot version all 31
+    columns written whole into its own directory, and a manifest without
+    ``origin`` (streamed graph versions keep their rows and files)."""
+    store = FrameStore(root)
+    conn = sqlite3.connect(str(root / "catalog.db"), isolation_level=None)
+    conn.execute("BEGIN")
+    conn.execute("ALTER TABLE columns RENAME TO columns_new")
+    conn.execute(FORMAT3_COLUMNS_DDL)
+    conn.execute(
+        "INSERT INTO columns SELECT c.tenant, c.version, c.name, c.dtype, c.length,"
+        " c.nbytes, c.crc32 FROM columns_new c JOIN versions v"
+        " ON v.tenant = c.tenant AND v.version = c.version WHERE v.kind = 'graph'"
+    )
+    conn.execute("DROP TABLE columns_new")
+    for (tenant, version), snapshot in snapshots.items():
+        frame = snapshot.frame
+        buffers = dict(frame.buffers())
+        buffers.update(encode_rows(snapshot, frame)[0])
+        vdir = store.version_dir(version, tenant)
+        vdir.mkdir(parents=True, exist_ok=True)
+        for name, dtype in FORMAT3_SNAPSHOT_COLUMNS.items():
+            array = np.ascontiguousarray(buffers[name], dtype=dtype)
+            crc = write_column(vdir / f"{name}.npy", array)
+            conn.execute(
+                "INSERT INTO columns VALUES (?, ?, ?, ?, ?, ?, ?)",
+                (tenant, version, name, array.dtype.str, array.shape[0],
+                 array.nbytes, crc),
+            )
+    conn.execute("UPDATE store_meta SET value = '3' WHERE key = 'format'")
+    conn.execute("COMMIT")
+    conn.close()
+
+
 #: The model and version tables of catalog format 2, verbatim from the
-#: release that wrote it (``store_meta``, ``columns`` and ``vals`` did not
-#: change and are left in place).
+#: release that wrote it (``store_meta`` and ``vals`` did not change and
+#: are left in place; ``columns`` is format 3's).
 FORMAT2_DDL = """
 CREATE TABLE versions (
     tenant        TEXT NOT NULL DEFAULT 'default',
@@ -152,6 +215,7 @@ def downgrade_to_format2(root, snapshots):
     ``snapshots`` maps ``(tenant, version)`` to the snapshot persisted
     under it; bare-graph versions are converted row by row in SQL.
     """
+    downgrade_to_format3(root, snapshots)
     conn = sqlite3.connect(str(root / "catalog.db"), isolation_level=None)
     conn.execute("BEGIN")
     conn.execute("DROP INDEX nodes_by_intern")
@@ -235,6 +299,13 @@ def fingerprint(snapshot):
     }
 
 
+def frame_bytes(graph):
+    """Every frame buffer of ``graph`` as ``(dtype, bytes)``."""
+    buffers = GraphFrame.of(graph).buffers()
+    assert set(buffers) == set(EXPORT_DTYPES)
+    return {name: (array.dtype.str, array.tobytes()) for name, array in buffers.items()}
+
+
 def evolving_snapshots(seed, versions):
     """Consecutive snapshots whose graphs add, change and remove things."""
     graph, _ = generate_company_graph(
@@ -256,12 +327,9 @@ def evolving_snapshots(seed, versions):
     return out
 
 
-@pytest.fixture
-def legacy_store(tmp_path):
-    """A two-tenant store, one tenant with an interleaved bare graph,
-    rewritten as format 2; yields ``(root, fingerprints, bare point
-    queries)`` taken before the rewrite."""
-    root = tmp_path / "store"
+def mixed_store(root):
+    """A two-tenant store, one tenant with an interleaved bare graph:
+    ``(snapshots by (tenant, version), their attach fingerprints)``."""
     store = FrameStore.create(root)
     snapshots = {}
     for version, snapshot in enumerate(evolving_snapshots(5, 2), start=1):
@@ -281,6 +349,15 @@ def legacy_store(tmp_path):
         store.persist(snapshot, tenant="beta")
         snapshots["beta", version] = snapshot
     before = {key: fingerprint(store.attach(key[1], tenant=key[0])) for key in snapshots}
+    return snapshots, before
+
+
+@pytest.fixture
+def legacy_store(tmp_path):
+    """:func:`mixed_store` rewritten as format 2; yields ``(root,
+    fingerprints taken before the rewrite)``."""
+    root = tmp_path / "store"
+    snapshots, before = mixed_store(root)
     downgrade_to_format2(root, snapshots)
     return root, before
 
@@ -312,6 +389,7 @@ class TestMigration:
         assert migrated.published_versions(kind="graph") == [3]
         for (tenant, version), expected in before.items():
             assert fingerprint(migrated.attach(version, tenant=tenant)) == expected
+        assert_files_match_manifest(migrated)
         ooc = OutOfCoreGraph(migrated, 3)
         try:
             assert ooc.share("P1", "C1") == 0.5
@@ -352,7 +430,64 @@ class TestMigration:
         for (tenant, version), expected in before.items():
             assert fingerprint(migrated.attach(version, tenant=tenant)) == expected
 
-    def test_format1_store_reaches_format3(self, tmp_path):
+    def test_format3_store_drops_its_frame_buffers_and_attaches_byte_identically(
+        self, tmp_path, monkeypatch
+    ):
+        root = tmp_path / "store"
+        snapshots, before = mixed_store(root)
+        downgrade_to_format3(root, snapshots)
+        legacy_bytes = sum(p.stat().st_size for p in root.glob("versions/*/v*/*"))
+        for tenant, version in snapshots:
+            files = {p.stem for p in (root / "versions" / tenant
+                                      / f"v{version:08d}").iterdir()}
+            assert files == set(FORMAT3_SNAPSHOT_COLUMNS)
+
+        def explode(*args, **kwargs):
+            raise RuntimeError("power cut")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(cat, "adopt_legacy_columns", explode)
+            with pytest.raises(RuntimeError, match="power cut"):
+                FrameStore.open(root)
+        with sqlite3.connect(str(root / "catalog.db")) as conn:
+            assert cat.catalog_format(conn) == 3
+            assert "origin" not in {row[1] for row in conn.execute(
+                "PRAGMA table_info(columns)"
+            )}
+        assert sum(p.stat().st_size for p in root.glob("versions/*/v*/*")) == legacy_bytes
+
+        migrated = FrameStore.open(root)  # migration runs inside open
+        with migrated._connect() as conn:
+            assert cat.catalog_format(conn) == cat.CATALOG_FORMAT == 4
+            assert conn.execute(
+                "SELECT COUNT(*) FROM columns WHERE origin != version"
+            ).fetchone()[0] == 0  # existing rows own their files
+        assert_files_match_manifest(migrated)
+        for (tenant, version), snapshot in snapshots.items():
+            files = {p.stem for p in migrated.version_dir(version, tenant).iterdir()}
+            assert files == set(ROW_DTYPES)  # no frame-buffer file left
+            attached = migrated.attach(version, tenant=tenant)
+            assert fingerprint(attached) == before[tenant, version]
+            assert frame_bytes(attached.graph) == frame_bytes(snapshot.graph)
+        ooc = OutOfCoreGraph(migrated, 3)  # a streamed graph keeps its columns
+        try:
+            assert ooc.share("P1", "C1") == 0.5
+        finally:
+            ooc.close()
+        assert sum(
+            p.stat().st_size for p in root.glob("versions/*/v*/*")
+        ) < legacy_bytes / 2
+        # the migrated streams keep growing, sharing what did not change
+        graph = snapshots["beta", 3].graph.copy()
+        graph.add_company("C_AFTER")
+        snap = SnapshotBuilder(
+            SnapshotConfig(augment=False), start_version=3
+        ).build(graph)
+        assert migrated.persist(snap, tenant="beta") == 4
+        assert migrated.last_persist["columns_shared"] > 0
+        assert fingerprint(migrated.attach(4, tenant="beta")) == fingerprint(snap)
+
+    def test_format1_store_reaches_the_current_format(self, tmp_path):
         root = tmp_path / "store"
         store = FrameStore.create(root)
         snapshots = {}
@@ -375,6 +510,7 @@ class TestMigration:
             attached = migrated.attach(version)
             assert attached.store_tenant == "default"
             assert fingerprint(attached) == expected
+        assert_files_match_manifest(migrated)
 
     def test_unknown_format_fails_with_one_line(self, tmp_path):
         root = tmp_path / "store"

@@ -13,6 +13,8 @@ from repro.service import SnapshotBuilder, SnapshotConfig, TenantError
 from repro.storage import FrameStore, StoreError
 from repro.storage.stream import OutOfCoreGraph, StreamingGraphWriter
 
+from .test_storage import assert_files_match_manifest, manifest
+
 
 def graph_model(graph):
     return (
@@ -128,15 +130,24 @@ class TestGc:
         assert [(p["tenant"], p["version"]) for p in pruned] == [("alpha", 1)]
         assert store.published_versions(tenant="alpha") == [2, 3]
         assert store.published_versions(tenant="beta") == [1, 2]
-        assert not store.version_dir(1, "alpha").exists()
-        # catalog rows are gone too, not just the files
+        # the catalog rows are gone; of the files, exactly those no kept
+        # version still reads (an isolated company changes few columns)
         assert store.versions(tenant="alpha")[0]["version"] == 2
+        assert_files_match_manifest(store)
+        v1_files = {p.stem for p in store.version_dir(1, "alpha").iterdir()}
+        assert v1_files == {
+            name for name, origin in manifest(store, "alpha")[2].items() if origin == 1
+        } | {
+            name for name, origin in manifest(store, "alpha")[3].items() if origin == 1
+        }
+        assert v1_files < set(manifest(store, "alpha")[2])
 
         # keep=1 leaves exactly the latest of every stream
         store.gc(keep=1)
         assert store.published_versions(tenant="alpha") == [3]
         assert store.published_versions(tenant="beta") == [2]
         store.gc(keep=1)  # idempotent: nothing below the floor
+        assert_files_match_manifest(store)
         assert store.attach_latest(tenant="alpha").version == 3
         assert store.attach_latest(tenant="beta").version == 2
 
