@@ -1,32 +1,21 @@
-"""Durable-store bench — mmap attach vs cold rebuild, out-of-core RAM cap.
+"""Durable-store bench — mmap attach vs cold rebuild.
 
-Two sections, both measured in **subprocesses** so wall clock and peak
-memory belong to exactly one boot path:
-
-* **attach_vs_cold** — a scale ladder; at each size the parent builds a
-  snapshot, persists it to a :class:`repro.storage.FrameStore`, and
-  computes the oracle payloads (control / close-link / family / UBO
-  rows).  A *cold* child then boots the full pipeline from the CSV
-  extract and an *attach* child boots by ``FrameStore.attach_latest``
-  (mmap, no pipeline).  Both children recompute the payloads, which
-  must match the oracle **row for row** — the speedup only counts if
-  the answers are identical.  Reported per scale: wall seconds and
-  ``ru_maxrss`` for both paths, and the attach speedup.
-* **out_of_core** — the RAM-budget proof.  Uncapped probe children
-  measure ``VmPeak`` for (a) streaming generation into the store via
-  :class:`~repro.storage.StreamingGraphWriter` + point queries through
-  :class:`~repro.storage.OutOfCoreGraph`, and (b) the same spec built
-  fully in memory.  The harness then sets ``RLIMIT_AS`` halfway
-  between the two peaks and reruns both: streaming must still succeed
-  under the cap, in-memory generation must die with ``MemoryError`` —
-  i.e. the streamed graph is provably bigger than the RAM budget.
+Measured in **subprocesses** so wall clock and peak memory belong to
+exactly one boot path: a scale ladder; at each size the parent builds a
+snapshot, persists it to a :class:`repro.storage.FrameStore`, and
+computes the oracle payloads (control / close-link / family / UBO
+rows).  A *cold* child then boots the full pipeline from the CSV
+extract and an *attach* child boots by ``FrameStore.attach_latest``
+(mmap, no pipeline).  Both children recompute the payloads, which
+must match the oracle **row for row** — the speedup only counts if
+the answers are identical.  Reported per scale: wall seconds and
+``ru_maxrss`` for both paths, and the attach speedup.
 
 Standalone on purpose (argparse, not pytest): CI's storage smoke job
 runs ``python benchmarks/bench_storage.py --smoke`` and archives
-``BENCH_storage.json``.  The full run enforces the PR's acceptance
-floors: attach >= 10x faster than the cold rebuild at the largest
-scale, and the out-of-core flip (streaming ok / in-memory OOM) under
-the cap.  Smoke measures the same numbers without gating, recording
+``BENCH_storage.json``.  The full run enforces the acceptance floor:
+attach >= 10x faster than the cold rebuild at the largest scale.  Smoke
+measures the same numbers without gating, recording
 ``gate.enforced = false`` and the reason.
 """
 
@@ -46,9 +35,6 @@ SCALES = {
     "smoke": [(300, 220)],
     "full": [(600, 450), (2000, 1500), (5000, 3800)],
 }
-#: (persons, companies) of the out-of-core section — large enough that
-#: the in-memory graph dwarfs the fixed interpreter/numpy footprint
-OOC_SCALES = {"smoke": (100000, 75000), "full": (300000, 230000)}
 ATTACH_SPEEDUP_TARGET = 10.0
 SEED = 17
 
@@ -73,13 +59,6 @@ def _payloads(snapshot) -> dict:
             for company, owners in snapshot.ubo.items()
         },
     }))
-
-
-def _vm_peak_kb() -> int:
-    for line in open("/proc/self/status"):
-        if line.startswith("VmPeak:"):
-            return int(line.split()[1])
-    return 0
 
 
 # ----------------------------------------------------------------------
@@ -119,75 +98,13 @@ def _child_attach(store_dir: str) -> dict:
     }
 
 
-def _apply_cap(cap_kb: int) -> None:
-    # soft limit only: a child that OOMs can lift it again just to
-    # report the outcome (the hard limit would trap it mid-traceback)
-    if cap_kb:
-        import resource
-
-        resource.setrlimit(resource.RLIMIT_AS, (cap_kb * 1024, resource.RLIM_INFINITY))
-
-
-def _lift_cap() -> None:
-    import resource
-
-    resource.setrlimit(
-        resource.RLIMIT_AS, (resource.RLIM_INFINITY, resource.RLIM_INFINITY)
-    )
-
-
-def _child_ooc_stream(store_dir: str, persons: int, companies: int, cap_kb: int) -> dict:
-    _apply_cap(cap_kb)
-    from repro.datagen.company_generator import CompanySpec
-    from repro.storage import FrameStore, OutOfCoreGraph, generate_company_graph_stream
-
-    spec = CompanySpec(persons=persons, companies=companies, seed=SEED)
-    store = FrameStore.open_or_create(store_dir)
-    version, _truth = generate_company_graph_stream(spec, store)
-    ooc = OutOfCoreGraph(store, version)
-    # point queries against the published columns, still under the cap
-    probes = [f"P{i:06d}" for i in range(0, persons, max(1, persons // 16))]
-    touched = 0
-    for person in probes:
-        try:
-            touched += len(ooc.successors(person))
-        except Exception:
-            continue  # generator ids are dense but not guaranteed
-    info = {"nodes": ooc.node_count, "edges": ooc.edge_count}
-    ooc.close()
-    return {
-        "ok": True, "version": version, "edges_touched": touched,
-        "vm_peak_kb": _vm_peak_kb(), **info,
-    }
-
-
-def _child_ooc_inmem(persons: int, companies: int, cap_kb: int) -> dict:
-    _apply_cap(cap_kb)
-    from repro.datagen.company_generator import CompanySpec, generate_company_graph
-
-    spec = CompanySpec(persons=persons, companies=companies, seed=SEED)
-    try:
-        graph, _ = generate_company_graph(spec)
-    except MemoryError:
-        _lift_cap()
-        return {"ok": False, "oom": True, "vm_peak_kb": _vm_peak_kb()}
-    return {
-        "ok": True, "oom": False, "vm_peak_kb": _vm_peak_kb(),
-        "nodes": graph.node_count, "edges": graph.edge_count,
-    }
-
-
-def _run_child(args: list[str], oom_ok: bool = False) -> dict:
+def _run_child(args: list[str]) -> dict:
     """Run this file as a child measurement process; parse its JSON."""
     proc = subprocess.run(
         [sys.executable, str(Path(__file__).resolve()), "--child", *args],
         capture_output=True, text=True,
     )
     if proc.returncode != 0:
-        # a capped child can die so hard (MemoryError while handling
-        # MemoryError) that it never reports; the crash is the datum
-        if oom_ok and "MemoryError" in proc.stderr:
-            return {"ok": False, "oom": True, "vm_peak_kb": None}
         raise SystemExit(
             f"FATAL: child {args[0]} exited {proc.returncode}:\n{proc.stderr[-2000:]}"
         )
@@ -195,7 +112,7 @@ def _run_child(args: list[str], oom_ok: bool = False) -> dict:
 
 
 # ----------------------------------------------------------------------
-# sections
+# the ladder
 # ----------------------------------------------------------------------
 
 def _bench_attach_vs_cold(mode: str, workdir: Path) -> dict:
@@ -252,49 +169,6 @@ def _bench_attach_vs_cold(mode: str, workdir: Path) -> dict:
     }
 
 
-def _bench_out_of_core(mode: str, workdir: Path) -> dict:
-    persons, companies = OOC_SCALES[mode]
-    size = [str(persons), str(companies)]
-
-    print(f"  probing uncapped VmPeak at {persons} persons ...", flush=True)
-    stream_probe = _run_child(
-        ["ooc-stream", str(workdir / "ooc_probe_store"), *size, "0"])
-    inmem_probe = _run_child(["ooc-inmem", *size, "0"])
-    stream_vm = stream_probe["vm_peak_kb"]
-    inmem_vm = inmem_probe["vm_peak_kb"]
-    cap_kb = stream_vm + max(0, (inmem_vm - stream_vm) // 2)
-
-    print(f"  stream VmPeak {stream_vm} kB, in-memory VmPeak {inmem_vm} kB "
-          f"-> cap {cap_kb} kB", flush=True)
-    stream_capped = _run_child(
-        ["ooc-stream", str(workdir / "ooc_capped_store"), *size, str(cap_kb)])
-    inmem_capped = _run_child(["ooc-inmem", *size, str(cap_kb)], oom_ok=True)
-
-    reason = None
-    if mode == "smoke":
-        reason = "smoke mode measures but does not gate"
-    elif inmem_vm - stream_vm < 51200:  # < 50 MB of headroom: cap is noise
-        reason = (f"in-memory/stream VmPeak gap only {inmem_vm - stream_vm} kB; "
-                  "cap would measure allocator noise")
-    return {
-        "persons": persons,
-        "companies": companies,
-        "nodes": stream_probe["nodes"],
-        "edges": stream_probe["edges"],
-        "stream_vm_peak_kb": stream_vm,
-        "inmem_vm_peak_kb": inmem_vm,
-        "cap_kb": cap_kb,
-        "stream_ok_under_cap": bool(stream_capped.get("ok")),
-        "stream_vm_peak_under_cap_kb": stream_capped.get("vm_peak_kb"),
-        "inmem_oom_under_cap": bool(inmem_capped.get("oom")),
-        "edges_touched_under_cap": stream_capped.get("edges_touched"),
-        "gate": {
-            "enforced": reason is None,
-            **({"reason": reason} if reason else {}),
-        },
-    }
-
-
 # ----------------------------------------------------------------------
 # driver
 # ----------------------------------------------------------------------
@@ -317,11 +191,6 @@ def main(argv: list[str] | None = None) -> int:
             result = _child_cold(rest[0])
         elif kind == "attach":
             result = _child_attach(rest[0])
-        elif kind == "ooc-stream":
-            result = _child_ooc_stream(
-                rest[0], int(rest[1]), int(rest[2]), int(rest[3]))
-        elif kind == "ooc-inmem":
-            result = _child_ooc_inmem(int(rest[0]), int(rest[1]), int(rest[2]))
         else:
             raise SystemExit(f"FATAL: unknown child kind {kind!r}")
         print(json.dumps(result))
@@ -340,16 +209,10 @@ def main(argv: list[str] | None = None) -> int:
 
     print(f"[bench_storage] attach_vs_cold ({mode})", flush=True)
     attach_vs_cold = _bench_attach_vs_cold(mode, workdir)
-    print(f"[bench_storage] out_of_core ({mode})", flush=True)
-    out_of_core = _bench_out_of_core(mode, workdir)
     if scratch is not None:
         scratch.cleanup()
 
-    report = {
-        "mode": mode,
-        "attach_vs_cold": attach_vs_cold,
-        "out_of_core": out_of_core,
-    }
+    report = {"mode": mode, "attach_vs_cold": attach_vs_cold}
     args.output.write_text(json.dumps(report, indent=2) + "\n")
     print(f"[bench_storage] report -> {args.output}")
 
@@ -359,14 +222,6 @@ def main(argv: list[str] | None = None) -> int:
             raise SystemExit(
                 f"FATAL: attach speedup {measured} below the "
                 f"{ATTACH_SPEEDUP_TARGET}x floor at the largest scale"
-            )
-    if out_of_core["gate"]["enforced"]:
-        if not out_of_core["stream_ok_under_cap"]:
-            raise SystemExit("FATAL: streaming generation failed under the RAM cap")
-        if not out_of_core["inmem_oom_under_cap"]:
-            raise SystemExit(
-                "FATAL: in-memory generation survived the RAM cap — the "
-                "out-of-core path proved nothing"
             )
     return 0
 

@@ -72,10 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
     generate.add_argument("--density", default="sparse",
                           choices=("sparse", "normal", "dense", "superdense"))
     generate.add_argument("--seed", type=int, default=0)
-    generate.add_argument("--store", type=Path, metavar="DIR",
-                          help="stream the graph into a durable frame store "
-                               "(out-of-core: the graph never fully "
-                               "materializes in RAM; no CSV is written)")
 
     profile_cmd = commands.add_parser("profile", help="Section 2 statistics of an extract")
     profile_cmd.add_argument("directory", type=Path)
@@ -169,20 +165,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     store_versions.add_argument("directory", type=Path)
     store_versions.add_argument("--tenant", default=None,
-                                help="restrict to one tenant's stream")
-    store_versions.add_argument("--kind", default=None,
-                                choices=("snapshot", "graph"))
+                                help="restrict to one tenant")
     store_gc = store_sub.add_parser(
         "gc", help="prune old published versions (never the latest published "
                    "or staging)"
     )
     store_gc.add_argument("directory", type=Path)
     store_gc.add_argument("--keep", type=int, required=True,
-                          help="published versions to keep per (tenant, kind) "
-                               "stream (>= 1)")
+                          help="published versions to keep per tenant (>= 1)")
     store_gc.add_argument("--tenant", default=None,
                           help="restrict pruning to one tenant")
-    store_gc.add_argument("--kind", default=None, choices=("snapshot", "graph"))
     return parser
 
 
@@ -242,36 +234,9 @@ def _generate(args: argparse.Namespace) -> int:
         persons=args.persons, companies=args.companies,
         density=args.density, seed=args.seed,
     )
-    if args.store is not None:
-        return _generate_streamed(args, spec)
     graph, truth = generate_company_graph(spec)
     write_company_csv(graph, args.directory)
-    truth_path = _write_truth(args.directory, truth)
-    print(f"wrote {graph.node_count} nodes / {graph.edge_count} edges to {args.directory}")
-    print(f"ground truth ({len(truth.links)} links) in {truth_path}")
-    return 0
-
-
-def _generate_streamed(args: argparse.Namespace, spec) -> int:
-    """``generate --store``: stream straight into the durable store."""
-    from .storage import FrameStore, StoreError, generate_company_graph_stream
-
-    try:
-        store = FrameStore.open_or_create(args.store)
-        version, truth = generate_company_graph_stream(spec, store)
-    except StoreError as exc:
-        raise CLIError(str(exc)) from exc
-    args.directory.mkdir(parents=True, exist_ok=True)
-    truth_path = _write_truth(args.directory, truth)
-    (info,) = [v for v in store.versions(kind="graph") if v["version"] == version]
-    print(f"streamed {info['nodes']} nodes / {info['edges']} edges "
-          f"into {args.store} as graph version {version}")
-    print(f"ground truth ({len(truth.links)} links) in {truth_path}")
-    return 0
-
-
-def _write_truth(directory: Path, truth) -> Path:
-    truth_path = directory / "ground_truth.json"
+    truth_path = args.directory / "ground_truth.json"
     with open(truth_path, "w") as handle:
         json.dump(
             {
@@ -280,7 +245,9 @@ def _write_truth(directory: Path, truth) -> Path:
             },
             handle,
         )
-    return truth_path
+    print(f"wrote {graph.node_count} nodes / {graph.edge_count} edges to {args.directory}")
+    print(f"ground truth ({len(truth.links)} links) in {truth_path}")
+    return 0
 
 
 def _profile(args: argparse.Namespace) -> int:
@@ -519,8 +486,8 @@ def _serve_registry(args: argparse.Namespace):
         # mutation detects family links without them — see docs/STORAGE.md
         registry = GraphRegistry(attached.config, tracer=tracer, persist=persist)
         registry.create(args.tenant, snapshot=attached, start_version=resume(args.tenant))
-    # a tenant whose stream holds only bare graphs (or is corrupt) is
-    # reported and skipped rather than failing the boot
+    # a tenant with no intact published version is reported and skipped
+    # rather than failing the boot
     for name in store.tenants() if store is not None else ():
         if name == args.tenant:
             continue
@@ -563,11 +530,11 @@ def _store_cmd(args: argparse.Namespace) -> int:
     try:
         store = FrameStore.open(args.directory)
         if args.store_command == "versions":
-            rows = store.versions(kind=args.kind, tenant=args.tenant)
+            rows = store.versions(tenant=args.tenant)
             model_rows = store.model_rows()
             column_files = store.column_files()
             print(
-                "tenant,version,state,kind,nodes,edges,model_rows,"
+                "tenant,version,state,nodes,edges,model_rows,"
                 "columns_written,column_bytes"
             )
             for row in rows:
@@ -575,17 +542,17 @@ def _store_cmd(args: argparse.Namespace) -> int:
                 files, nbytes = column_files.get(key, (0, 0))
                 print(
                     f"{row['tenant']},{row['version']},{row['state']},"
-                    f"{row['kind']},{row['nodes'] if row['nodes'] is not None else ''},"
+                    f"{row['nodes'] if row['nodes'] is not None else ''},"
                     f"{row['edges'] if row['edges'] is not None else ''},"
                     f"{model_rows.get(key, 0)},{files},{nbytes}"
                 )
             print(f"# {len(rows)} versions", file=sys.stderr)
             return 0
         # gc — the store refuses keep < 1, so the latest published
-        # version of every stream (and all staging rows) always survive
-        pruned = store.gc(args.keep, tenant=args.tenant, kind=args.kind)
+        # version of every tenant (and all staging rows) always survive
+        pruned = store.gc(args.keep, tenant=args.tenant)
         for row in pruned:
-            print(f"{row['tenant']},{row['version']},{row['kind']}")
+            print(f"{row['tenant']},{row['version']}")
         print(f"# pruned {len(pruned)} version(s)", file=sys.stderr)
         return 0
     except StoreError as exc:

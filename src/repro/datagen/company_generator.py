@@ -94,20 +94,6 @@ class GroundTruth:
 def generate_company_graph(spec: CompanySpec) -> tuple[CompanyGraph, GroundTruth]:
     """Generate a synthetic company graph and its planted ground truth."""
     graph = CompanyGraph()
-    truth = generate_company_graph_into(graph, spec)
-    return graph, truth
-
-
-def generate_company_graph_into(graph, spec: CompanySpec) -> GroundTruth:
-    """Generate the same graph into any ``CompanyGraph``-shaped sink.
-
-    ``graph`` only needs the construction surface (``add_person`` /
-    ``add_company`` / ``add_shareholding`` / ``add_node`` /
-    ``add_edge``), so an out-of-core sink such as
-    :class:`repro.storage.StreamingGraphWriter` receives the exact same
-    node/edge stream — bit-identical RNG draws — as an in-memory
-    :class:`CompanyGraph` for the same spec.
-    """
     rng = random.Random(spec.seed)
     truth = GroundTruth()
 
@@ -121,7 +107,7 @@ def generate_company_graph_into(graph, spec: CompanySpec) -> GroundTruth:
     _generate_shareholdings(graph, truth, person_ids, company_ids, spec, rng)
     if spec.add_family_nodes:
         _materialise_family_nodes(graph, truth)
-    return truth
+    return graph, truth
 
 
 # ----------------------------------------------------------------------

@@ -47,39 +47,29 @@ def write_company_csv(graph: CompanyGraph, directory: str | Path) -> None:
             )
 
 
-def load_company_csv_into(directory: str | Path, sink):
-    """Stream a CSV extract row-by-row into ``sink``; returns the sink.
-
-    ``sink`` is anything with the ``add_company`` / ``add_person`` /
-    ``add_shareholding`` surface — a :class:`CompanyGraph`, or a
-    :class:`~repro.storage.StreamingGraphWriter` when the extract is too
-    large to hold in memory.  Only one CSV row is resident at a time.
-    """
+def read_company_csv(directory: str | Path) -> CompanyGraph:
+    """Load a company graph written by :func:`write_company_csv`."""
     directory = Path(directory)
+    graph = CompanyGraph()
 
     with open(directory / "companies.csv", newline="") as handle:
         for row in csv.DictReader(handle):
             properties = {k: v for k, v in row.items() if k != "id" and v}
-            sink.add_company(row["id"], **properties)
+            graph.add_company(row["id"], **properties)
 
     with open(directory / "persons.csv", newline="") as handle:
         for row in csv.DictReader(handle):
             properties = {k: v for k, v in row.items() if k != "id" and v}
-            sink.add_person(row["id"], **properties)
+            graph.add_person(row["id"], **properties)
 
     with open(directory / "shareholdings.csv", newline="") as handle:
         for row in csv.DictReader(handle):
             extra: dict[str, Any] = {}
             if row.get("right"):
                 extra["right"] = row["right"]
-            sink.add_shareholding(row["owner"], row["company"], float(row["w"]), **extra)
+            graph.add_shareholding(row["owner"], row["company"], float(row["w"]), **extra)
 
-    return sink
-
-
-def read_company_csv(directory: str | Path) -> CompanyGraph:
-    """Load a company graph written by :func:`write_company_csv`."""
-    return load_company_csv_into(directory, CompanyGraph())
+    return graph
 
 
 def to_json(graph: PropertyGraph) -> dict[str, Any]:

@@ -7,9 +7,7 @@ object side — node/edge properties, value interning, version metadata
 and the atomic-publish manifest — lives in a SQLite catalog
 (:mod:`~repro.storage.catalog`).  :mod:`~repro.storage.layout` is the
 buffer-layout contract shared with the shared-memory codec
-(``repro.service.shm``) so the two serialisation paths cannot drift, and
-:mod:`~repro.storage.stream` adds out-of-core graph construction plus
-point queries over stores bigger than RAM.
+(``repro.service.shm``) so the two serialisation paths cannot drift.
 """
 
 from .._lazy import lazy_exports
@@ -19,8 +17,5 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "store": (
         "FrameStore", "GRAPH_CLASSES", "InjectedCrash", "SNAPSHOT_COLUMNS", "StoredSnapshot",
         "StoreError",
-    ),
-    "stream": (
-        "generate_company_graph_stream", "GRAPH_COLUMNS", "OutOfCoreGraph", "StreamingGraphWriter",
     ),
 }, submodules=("catalog", "layout", "npyio"))

@@ -6,7 +6,7 @@ the node/edge property model, value-interned so a property value is
 stored once no matter how many rows carry it, and *interval-encoded* so
 a row is stored once no matter how many versions it lives through.
 
-Schema overview (format 4):
+Schema overview (format 5):
 
 ``store_meta``
     key/value pairs for the store itself — format version, creation time.
@@ -15,14 +15,13 @@ Schema overview (format 4):
     publish state machine: rows are born ``staging``, flip to
     ``published`` in a single ``UPDATE`` (the atomic-publish instant),
     and can be demoted to ``corrupt`` by the self-heal path when an
-    attach fails verification.  ``kind`` distinguishes full service
-    snapshots from bare streamed graphs.  Version numbers are
-    per-tenant: two tenants may both hold a version 3.
+    attach fails verification.  Version numbers are per-tenant: two
+    tenants may both hold a version 3.
 ``columns``
     the per-version manifest: one row per npy column a version carries,
     with dtype, length, byte size, data CRC-32 and ``origin`` — the
     version (of the same tenant) in whose directory the file lives.  A
-    snapshot version whose column equals its predecessor's byte for byte
+    version whose column equals its predecessor's byte for byte
     names the predecessor's file instead of writing its own, so a column
     file exists exactly as long as some manifest row names it.  Attach
     refuses any column whose on-disk bytes disagree with this manifest.
@@ -30,9 +29,7 @@ Schema overview (format 4):
     the value-intern table.  Every node id, label, property name, and
     property value is one row, referenced by integer id from the graph
     tables.  ``kind`` is a one-byte type tag (see :func:`encode_value`);
-    ``value`` is the encoded BLOB.  For strings the BLOB is UTF-8, whose
-    bytewise order equals Python ``str`` order — the streaming writer's
-    disk-backed sort relies on that.
+    ``value`` is the encoded BLOB.
 ``nodes`` / ``node_props`` / ``edges`` / ``edge_props``
     the property-graph model as **interval tables**.  A row is keyed by
     the stable identity of what it describes — the node's id ref, the
@@ -42,19 +39,15 @@ Schema overview (format 4):
     assigned when the identity first appears and unchanged while it
     lives; edges name their endpoints by node ``seq`` and properties
     name their ``owner`` by its ``seq``.  The model of version *v* of a
-    tenant's snapshot stream is::
+    tenant is::
 
-        WHERE tenant = ? AND bare = 0 AND born <= v
+        WHERE tenant = ? AND born <= v
               AND (died IS NULL OR died > v)   ORDER BY seq
 
     so a publish that changes three shareholdings writes a handful of
     rows, not a copy of the graph (:mod:`repro.storage.model` computes
-    the delta).  ``bare = 1`` marks the rows of a streamed
-    ``kind='graph'`` version: written once with ``born = v``,
-    ``died = v + 1`` and ``seq`` = insertion position (plus the frame's
-    ``intern`` code per node), so the two kinds of one tenant never see
-    each other's rows.  ``gc`` deletes what no kept version can see:
-    ``died <=`` the oldest kept version of the stream.
+    the delta).  ``gc`` deletes what no kept version can see:
+    ``died <=`` the oldest kept version of the tenant.
 """
 
 from __future__ import annotations
@@ -65,8 +58,8 @@ import sqlite3
 from typing import Any, Iterable
 
 #: Bump on incompatible schema changes; open rejects mismatches (after
-#: attempting the supported in-place migrations, formats 1, 2 and 3 -> 4).
-CATALOG_FORMAT = 4
+#: attempting the supported in-place migrations, formats 1 to 4 -> 5).
+CATALOG_FORMAT = 5
 
 SCHEMA = """
 CREATE TABLE IF NOT EXISTS store_meta (
@@ -77,7 +70,6 @@ CREATE TABLE IF NOT EXISTS versions (
     tenant        TEXT NOT NULL DEFAULT 'default',
     version       INTEGER NOT NULL,
     state         TEXT NOT NULL CHECK (state IN ('staging', 'published', 'corrupt')),
-    kind          TEXT NOT NULL CHECK (kind IN ('snapshot', 'graph')),
     parent        INTEGER,
     generation    INTEGER,
     created_at    REAL NOT NULL,
@@ -109,31 +101,25 @@ CREATE TABLE IF NOT EXISTS vals (
 );
 CREATE TABLE IF NOT EXISTS nodes (
     tenant    TEXT NOT NULL DEFAULT 'default',
-    bare      INTEGER NOT NULL DEFAULT 0,
     id_ref    INTEGER NOT NULL,
     born      INTEGER NOT NULL,
     died      INTEGER,
     seq       INTEGER NOT NULL,
     label_ref INTEGER,
-    intern    INTEGER,
-    PRIMARY KEY (tenant, bare, id_ref, born)
+    PRIMARY KEY (tenant, id_ref, born)
 ) WITHOUT ROWID;
-CREATE INDEX IF NOT EXISTS nodes_by_intern ON nodes (tenant, born, intern)
-    WHERE intern IS NOT NULL;
 CREATE TABLE IF NOT EXISTS node_props (
     tenant    TEXT NOT NULL DEFAULT 'default',
-    bare      INTEGER NOT NULL DEFAULT 0,
     owner     INTEGER NOT NULL,
     ordinal   INTEGER NOT NULL,
     born      INTEGER NOT NULL,
     died      INTEGER,
     name_ref  INTEGER NOT NULL,
     value_ref INTEGER NOT NULL,
-    PRIMARY KEY (tenant, bare, owner, ordinal, born)
+    PRIMARY KEY (tenant, owner, ordinal, born)
 ) WITHOUT ROWID;
 CREATE TABLE IF NOT EXISTS edges (
     tenant      TEXT NOT NULL DEFAULT 'default',
-    bare        INTEGER NOT NULL DEFAULT 0,
     edge_id_ref INTEGER NOT NULL,
     born        INTEGER NOT NULL,
     died        INTEGER,
@@ -141,18 +127,17 @@ CREATE TABLE IF NOT EXISTS edges (
     src_seq     INTEGER NOT NULL,
     dst_seq     INTEGER NOT NULL,
     label_ref   INTEGER,
-    PRIMARY KEY (tenant, bare, edge_id_ref, born)
+    PRIMARY KEY (tenant, edge_id_ref, born)
 ) WITHOUT ROWID;
 CREATE TABLE IF NOT EXISTS edge_props (
     tenant    TEXT NOT NULL DEFAULT 'default',
-    bare      INTEGER NOT NULL DEFAULT 0,
     owner     INTEGER NOT NULL,
     ordinal   INTEGER NOT NULL,
     born      INTEGER NOT NULL,
     died      INTEGER,
     name_ref  INTEGER NOT NULL,
     value_ref INTEGER NOT NULL,
-    PRIMARY KEY (tenant, bare, owner, ordinal, born)
+    PRIMARY KEY (tenant, owner, ordinal, born)
 ) WITHOUT ROWID;
 """
 
@@ -194,14 +179,8 @@ def init_schema(conn: sqlite3.Connection) -> None:
 
 def purge_unpublished(conn: sqlite3.Connection, tenant: str, version: int) -> None:
     """Delete every trace of a version that never published: its
-    ``versions`` and ``columns`` rows and the bare model rows a streaming
-    writer flushed for it.  (A snapshot version writes its model rows in
-    the transaction that publishes it, so a staging one has none.)"""
-    for table in MODEL_TABLES:
-        conn.execute(
-            f"DELETE FROM {table} WHERE tenant = ? AND bare = 1 AND born = ?",
-            (tenant, version),
-        )
+    ``versions`` and ``columns`` rows.  (A version writes its model rows
+    in the transaction that publishes it, so a staging one has none.)"""
     for table in ("columns", "versions"):
         conn.execute(
             f"DELETE FROM {table} WHERE tenant = ? AND version = ?",
@@ -212,49 +191,95 @@ def purge_unpublished(conn: sqlite3.Connection, tenant: str, version: int) -> No
 def adopt_legacy_columns(
     conn: sqlite3.Connection, snapshot_columns: Iterable[str]
 ) -> None:
-    """Fill the format-4 ``columns`` table from ``columns_legacy`` (the
-    manifest of formats 1 to 3, tenant column present): every row owns
-    its file, and a snapshot version keeps only ``snapshot_columns`` —
-    the frame-buffer columns older formats also persisted are recomputed
-    from the graph on attach, so their rows go (and with them, on the
-    next :meth:`FrameStore.open`, their files).  Drops the legacy table."""
+    """Fill the ``columns`` table from ``columns_legacy`` (the manifest
+    of formats 1 to 3, tenant column present): every row owns its file,
+    and a version keeps only ``snapshot_columns`` — the frame-buffer
+    columns older formats also persisted are recomputed from the graph
+    on attach, so their rows go (and with them, on the next
+    :meth:`FrameStore.open`, their files).  Drops the legacy table."""
     names = tuple(snapshot_columns)
     conn.execute(
         "INSERT INTO columns (tenant, version, name, dtype, length, nbytes, crc32,"
         " origin) SELECT c.tenant, c.version, c.name, c.dtype, c.length, c.nbytes,"
         " c.crc32, c.version FROM columns_legacy c JOIN versions v"
         " ON v.tenant = c.tenant AND v.version = c.version"
-        f" WHERE v.kind = 'graph' OR c.name IN ({','.join('?' * len(names))})",
+        f" WHERE c.name IN ({','.join('?' * len(names))})",
         names,
     )
     conn.execute("DROP TABLE columns_legacy")
 
 
+def set_format(conn: sqlite3.Connection, value: int) -> None:
+    conn.execute(
+        "UPDATE store_meta SET value = ? WHERE key = 'format'", (str(value),)
+    )
+
+
 def migrate_v3(conn: sqlite3.Connection, snapshot_columns: Iterable[str]) -> None:
-    """Rewrite a format-3 catalog in place as format 4: only the
-    ``columns`` manifest changed (see :func:`adopt_legacy_columns`).  One
-    transaction, so a crash leaves the intact format-3 catalog."""
+    """Rewrite a format-3 catalog in place as format 4 — only the
+    ``columns`` manifest changed (see :func:`adopt_legacy_columns`) —
+    and carry on to the current format (:func:`migrate_v4`).  One
+    transaction per step, so a crash leaves an intact catalog of the
+    format it had reached."""
     conn.execute("BEGIN IMMEDIATE")
     try:
         conn.execute("ALTER TABLE columns RENAME TO columns_legacy")
         create_tables(conn)
         adopt_legacy_columns(conn, snapshot_columns)
-        conn.execute(
-            "UPDATE store_meta SET value = ? WHERE key = 'format'",
-            (str(CATALOG_FORMAT),),
-        )
+        set_format(conn, 4)
         conn.execute("COMMIT")
     except BaseException:
         conn.execute("ROLLBACK")
         raise
+    migrate_v4(conn)
 
 
-def check_format(conn: sqlite3.Connection) -> None:
-    found = catalog_format(conn)
-    if found != CATALOG_FORMAT:
-        raise ValueError(
-            f"catalog format {found} unsupported (this build reads {CATALOG_FORMAT})"
+def table_columns(conn: sqlite3.Connection, table: str) -> str:
+    """The columns of ``table`` as an SQL list — what a migration copies
+    out of the renamed-aside table of the same name."""
+    return ", ".join(row[1] for row in conn.execute(f"PRAGMA table_info({table})"))
+
+
+def migrate_v4(conn: sqlite3.Connection) -> None:
+    """Rewrite a format-4 catalog in place as format 5, which has one
+    kind of version: format 4 also held ``kind = 'graph'`` versions
+    (streamed graphs nothing could serve) whose model rows carried
+    ``bare = 1``.  Those versions, their manifest and their rows are
+    dropped — the next :meth:`FrameStore.open` sweeps their directories
+    — and every other row is copied without the ``kind`` / ``bare`` /
+    ``intern`` columns.  One transaction, so a crash leaves the intact
+    format-4 catalog."""
+    kept = {"versions": "kind = 'snapshot'", **dict.fromkeys(MODEL_TABLES, "bare = 0")}
+    conn.execute("BEGIN IMMEDIATE")
+    try:
+        for table in kept:
+            conn.execute(f"ALTER TABLE {table} RENAME TO {table}_legacy")
+        create_tables(conn)
+        for table, where in kept.items():
+            columns = table_columns(conn, table)
+            conn.execute(
+                f"INSERT INTO {table} ({columns})"
+                f" SELECT {columns} FROM {table}_legacy WHERE {where}"
+            )
+            conn.execute(f"DROP TABLE {table}_legacy")
+        conn.execute(
+            "DELETE FROM columns WHERE (tenant, version) NOT IN"
+            " (SELECT tenant, version FROM versions)"
         )
+        set_format(conn, CATALOG_FORMAT)
+        conn.execute("COMMIT")
+    except BaseException:
+        conn.execute("ROLLBACK")
+        raise
+    compact(conn)
+
+
+def compact(conn: sqlite3.Connection) -> None:
+    """Hand the pages a migration freed back to the filesystem.  In WAL
+    mode the rebuilt file lands in the log; the checkpoint is what
+    truncates ``catalog.db`` itself."""
+    conn.execute("VACUUM")
+    conn.execute("PRAGMA wal_checkpoint(TRUNCATE)")
 
 
 def catalog_format(conn: sqlite3.Connection) -> int:
@@ -321,8 +346,8 @@ class ValueInterner:
     costs one read and the table is only written for values it has never
     seen.  The cache is bounded: mostly-unique value streams (every node
     id, every birth date) would otherwise grow it linearly with graph
-    size, which is exactly what the out-of-core writer must not do.  On
-    overflow it is simply cleared — the table stays authoritative.
+    size.  On overflow it is simply cleared — the table stays
+    authoritative.
     """
 
     def __init__(self, conn: sqlite3.Connection, cache_limit: int = 1 << 17) -> None:

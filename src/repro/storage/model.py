@@ -3,20 +3,20 @@
 The catalog's four model tables (:mod:`repro.storage.catalog`) hold each
 node, edge and property row once per *lifetime* — ``born`` / ``died``
 version numbers — instead of once per version.  This module is the only
-code that knows how a snapshot stream's rows are produced and read back:
+code that knows how a tenant's rows are produced and read back:
 
 * :func:`read_model` rebuilds the graph of version *v* from the rows
   visible at *v*, in ``seq`` order;
 * :func:`write_delta` compares a graph against a :class:`Baseline` (the
-  model of the stream's previous version), closes (``died = v``) the rows
+  model of the tenant's previous version), closes (``died = v``) the rows
   that left or changed and inserts the rows that are new.  A first
   version is the same code against an empty baseline, and so is a graph
   whose surviving nodes or edges are no longer in the baseline's relative
   order — stored order *is* ``seq`` order, so such a graph keeps nothing:
   every live row is closed and the graph is written whole;
 * :func:`migrate_legacy` folds the per-version copies of a format-1 or
-  format-2 catalog into interval rows by replaying each stream through
-  :func:`write_delta`.
+  format-2 catalog into interval rows by replaying each tenant's
+  versions through :func:`write_delta`.
 
 Identity is decided on *encoded* values (:func:`key_of`), the same
 ``(kind, blob)`` pairs ``vals`` is unique on, so ``1``, ``1.0``, ``True``
@@ -54,7 +54,7 @@ def _items(properties: dict[Any, Any]) -> tuple:
 
 @dataclass
 class Baseline:
-    """The model of one persisted snapshot version, as the diff sees it.
+    """The model of one persisted version, as the diff sees it.
 
     Holds keys only (strings shared with the graph they came from, small
     tuples otherwise) — never the graph, which its owner may mutate.
@@ -185,9 +185,9 @@ def write_delta(
     graph: PropertyGraph,
     base: Baseline,
 ) -> tuple[Baseline, int, int]:
-    """Make ``graph`` the model of snapshot ``version`` of ``tenant``.
+    """Make ``graph`` the model of ``version`` of ``tenant``.
 
-    ``base`` must be the model of the stream's newest persisted version
+    ``base`` must be the model of the tenant's newest persisted version
     (empty for a first version).  Runs inside the caller's transaction;
     returns ``(baseline of this version, rows inserted, rows closed)``.
     """
@@ -196,8 +196,7 @@ def write_delta(
     if seqs is None:
         for table in cat.MODEL_TABLES:
             rows_closed += conn.execute(
-                f"UPDATE {table} SET died = ?"
-                " WHERE tenant = ? AND bare = 0 AND died IS NULL",
+                f"UPDATE {table} SET died = ? WHERE tenant = ? AND died IS NULL",
                 (version, tenant),
             ).rowcount
         base = Baseline()
@@ -222,11 +221,11 @@ def write_delta(
         # ``died IS NULL`` until the close has run
         rows_closed += conn.executemany(
             f"UPDATE {table} SET died = ?"
-            f" WHERE tenant = ? AND bare = 0 AND {id_col} = ? AND died IS NULL",
+            f" WHERE tenant = ? AND {id_col} = ? AND died IS NULL",
             [(version, tenant, ref(ident)) for ident in closed],
         ).rowcount
         rows_closed += conn.executemany(
-            f"UPDATE {prop_table} SET died = ? WHERE tenant = ? AND bare = 0"
+            f"UPDATE {prop_table} SET died = ? WHERE tenant = ?"
             " AND owner = ? AND ordinal = ? AND died IS NULL",
             [(version, tenant, owner, ordinal) for owner, ordinal in closed_props],
         ).rowcount
@@ -297,10 +296,10 @@ def read_model(
     version: int,
     graph_class: type[PropertyGraph] = PropertyGraph,
 ) -> tuple[PropertyGraph, list[int], list[int]]:
-    """The graph of snapshot ``version`` of ``tenant`` with the seq
+    """The graph of ``version`` of ``tenant`` with the seq
     numbers of its nodes and of its edges (the arguments of
     :meth:`Baseline.of`)."""
-    live = f"WHERE tenant = ? AND bare = 0 AND {cat.LIVE_AT}"
+    live = f"WHERE tenant = ? AND {cat.LIVE_AT}"
     at = (tenant, version, version)
     node_rows = conn.execute(
         f"SELECT seq, id_ref, label_ref FROM nodes {live} ORDER BY seq", at
@@ -326,14 +325,6 @@ def read_model(
 
 # -- migration --------------------------------------------------------
 
-#: Columns copied verbatim from a legacy ``versions`` table (the tenant
-#: column is added for format 1, carried for format 2).
-_LEGACY_VERSIONS = (
-    "version, state, kind, parent, generation, created_at, published_at,"
-    " built_s, nodes, edges, graph_class, next_edge_id, meta"
-)
-
-
 def migrate_legacy(conn: sqlite3.Connection, snapshot_columns: Iterable[str]) -> None:
     """Rewrite a format-1 or format-2 catalog in place as the current format.
 
@@ -341,25 +332,23 @@ def migrate_legacy(conn: sqlite3.Connection, snapshot_columns: Iterable[str]) ->
     version, keyed by ``pos``.  Every table is renamed aside (a format-1
     table first gains the ``tenant`` column format 2 added — its single
     stream becomes the ``default`` tenant's) and the current schema is
-    created; ``versions`` rows are copied across, the ``columns``
-    manifest is adopted (:func:`repro.storage.catalog.adopt_legacy_columns`),
-    bare-graph rows become ``born = v, died = v + 1, seq = pos`` rows,
-    and each tenant's snapshot stream is replayed oldest to newest
-    through :func:`write_delta`, which keeps only what changed.  The
-    stored derived-edge rows (``layer = 1``) are dropped: attach
-    recomputes them from the row-state columns.
+    created; the ``versions`` rows of snapshots are copied across (the
+    ``kind = 'graph'`` versions those formats also held are dropped,
+    as :func:`repro.storage.catalog.migrate_v4` drops them), the
+    ``columns`` manifest is adopted
+    (:func:`repro.storage.catalog.adopt_legacy_columns`), and each
+    tenant's versions are replayed oldest to newest through
+    :func:`write_delta`, which keeps only what changed.  The stored
+    derived-edge rows (``layer = 1``) are dropped: attach recomputes
+    them from the row-state columns.
 
     One transaction: a crash mid-migration rolls back to the intact
-    legacy catalog.  The ``VACUUM`` and checkpoint afterwards hand the
-    freed pages back to the filesystem.
+    legacy catalog.
     """
     add_tenant = cat.catalog_format(conn) == 1
     legacy = ("versions", *cat.MODEL_TABLES)
     conn.execute("BEGIN IMMEDIATE")
     try:
-        # Index names are database-global; drop before recreating.
-        conn.execute("DROP INDEX IF EXISTS nodes_by_id")
-        conn.execute("DROP INDEX IF EXISTS nodes_by_intern")
         for table in (*legacy, "columns"):
             conn.execute(f"ALTER TABLE {table} RENAME TO {table}_legacy")
             if add_tenant:
@@ -368,44 +357,19 @@ def migrate_legacy(conn: sqlite3.Connection, snapshot_columns: Iterable[str]) ->
                     " ADD COLUMN tenant TEXT NOT NULL DEFAULT 'default'"
                 )
         cat.create_tables(conn)
+        kept = cat.table_columns(conn, "versions")
         conn.execute(
-            f"INSERT INTO versions (tenant, {_LEGACY_VERSIONS})"
-            f" SELECT tenant, {_LEGACY_VERSIONS} FROM versions_legacy"
+            f"INSERT INTO versions ({kept}) SELECT {kept} FROM versions_legacy"
+            " WHERE kind = 'snapshot'"
         )
         cat.adopt_legacy_columns(conn, snapshot_columns)
 
-        # bare graphs: the same rows under the new keys, copied in SQL
-        # (a streamed version may hold far more rows than fit in memory)
-        bare = (
-            "FROM {table}_legacy t JOIN versions v"
-            " ON v.tenant = t.tenant AND v.version = t.version"
-            " WHERE v.kind = 'graph'"
-        )
-        conn.execute(
-            "INSERT INTO nodes (tenant, bare, id_ref, born, died, seq, label_ref,"
-            " intern) SELECT t.tenant, 1, t.id_ref, t.version, t.version + 1, t.pos,"
-            " t.label_ref, t.intern " + bare.format(table="nodes")
-        )
-        conn.execute(
-            "INSERT INTO edges (tenant, bare, edge_id_ref, born, died, seq, src_seq,"
-            " dst_seq, label_ref) SELECT t.tenant, 1, t.edge_id_ref, t.version,"
-            " t.version + 1, t.pos, t.src_pos, t.dst_pos, t.label_ref "
-            + bare.format(table="edges")
-        )
-        for table in ("node_props", "edge_props"):
-            conn.execute(
-                f"INSERT INTO {table} (tenant, bare, owner, ordinal, born, died,"
-                " name_ref, value_ref) SELECT t.tenant, 1, t.pos, t.ordinal,"
-                " t.version, t.version + 1, t.name_ref, t.value_ref "
-                + bare.format(table=table)
-            )
-
-        # snapshot streams: replay the per-version copies through the diff
+        # replay each tenant's per-version copies through the diff
         base = Baseline()
         previous = None
         for tenant, version in conn.execute(
             "SELECT tenant, version FROM versions"
-            " WHERE kind = 'snapshot' AND state != 'staging' ORDER BY tenant, version"
+            " WHERE state != 'staging' ORDER BY tenant, version"
         ).fetchall():
             if tenant != previous:
                 base, previous = Baseline(), tenant
@@ -431,15 +395,9 @@ def migrate_legacy(conn: sqlite3.Connection, snapshot_columns: Iterable[str]) ->
 
         for table in legacy:
             conn.execute(f"DROP TABLE {table}_legacy")
-        conn.execute(
-            "UPDATE store_meta SET value = ? WHERE key = 'format'",
-            (str(cat.CATALOG_FORMAT),),
-        )
+        cat.set_format(conn, cat.CATALOG_FORMAT)
         conn.execute("COMMIT")
     except BaseException:
         conn.execute("ROLLBACK")
         raise
-    # in WAL mode the rebuilt file lands in the log; the checkpoint is
-    # what truncates catalog.db itself
-    conn.execute("VACUUM")
-    conn.execute("PRAGMA wal_checkpoint(TRUNCATE)")
+    cat.compact(conn)

@@ -1,13 +1,11 @@
-"""Plain ``.npy`` column files with append, checksum, and fsync support.
+"""Plain ``.npy`` column files with checksum and fsync support.
 
 The durable store keeps every numeric column as one standard npy-1.0
 file — readable by any numpy (``np.load``), mmap-attachable with
-``mmap_mode="r"``, and dead simple to inspect.  What numpy's own writer
-lacks is a *streaming* path: :class:`NpyColumnWriter` reserves a fixed
-128-byte header, appends raw chunks while accumulating a CRC-32, and
-patches the true length into the header on close, so out-of-core
-producers (the streaming graph writer) can emit columns whose final
-length they do not know up front.
+``mmap_mode="r"``, and dead simple to inspect.  :func:`write_column`
+writes a fixed 128-byte header and the data, fsyncs, and returns the
+data checksum, so a column is durable and its manifest row known after
+one pass over the array.
 
 Checksums always cover the **data region only** (everything after the
 header), never the header itself: the attach path verifies a memory-map
@@ -41,57 +39,15 @@ def _header_bytes(dtype: np.dtype, length: int) -> bytes:
     return _MAGIC + len(payload).to_bytes(2, "little") + payload
 
 
-class NpyColumnWriter:
-    """Append-only writer for one npy column of a fixed dtype.
-
-    The header is written up front with a zero length and rewritten with
-    the final element count on :meth:`close`; until then the file is a
-    valid (empty) npy followed by untracked bytes, so a crash mid-append
-    never yields a file that silently decodes to partial data.
-    """
-
-    def __init__(self, path: str | Path, dtype: np.dtype | str) -> None:
-        self.path = Path(path)
-        self.dtype = np.dtype(dtype)
-        self.length = 0
-        self.crc32 = 0
-        self._fh = open(self.path, "wb")
-        self._fh.write(_header_bytes(self.dtype, 0))
-
-    def append(self, array: np.ndarray) -> None:
-        array = np.ascontiguousarray(array, dtype=self.dtype)
-        data = array.tobytes()
-        self._fh.write(data)
-        self.crc32 = zlib.crc32(data, self.crc32)
-        self.length += array.shape[0]
-
-    @property
-    def nbytes(self) -> int:
-        return self.length * self.dtype.itemsize
-
-    def close(self, sync: bool = True) -> None:
-        self._fh.seek(0)
-        self._fh.write(_header_bytes(self.dtype, self.length))
-        self._fh.flush()
-        if sync:
-            os.fsync(self._fh.fileno())
-        self._fh.close()
-
-    def abort(self) -> None:
-        """Close the handle without finalising (leaves a zero-length npy)."""
-        self._fh.close()
-
-
 def write_column(path: str | Path, array: np.ndarray) -> int:
-    """Write ``array`` as an npy column file; returns the data CRC-32."""
-    writer = NpyColumnWriter(path, array.dtype)
-    try:
-        writer.append(array)
-    except BaseException:
-        writer.abort()
-        raise
-    writer.close()
-    return writer.crc32
+    """Write ``array`` as a durable npy column file; returns the data CRC-32."""
+    data = array.tobytes()  # C order, whatever the strides
+    with open(path, "wb") as fh:
+        fh.write(_header_bytes(array.dtype, array.shape[0]))
+        fh.write(data)
+        fh.flush()
+        os.fsync(fh.fileno())
+    return zlib.crc32(data)
 
 
 def column_equals(path: str | Path, array: np.ndarray) -> bool:

@@ -15,8 +15,10 @@ and every catalog row carries its tenant.  Older stores are migrated in
 place on first open: a format-1 store (single stream, ``versions/v*`` at
 the top level) becomes the ``default`` tenant's stream, the per-version
 model copies of formats 1 and 2 are folded into interval rows
-(:func:`repro.storage.model.migrate_legacy`), and the frame-buffer
-columns of formats 1 to 3 are dropped (:func:`.catalog.migrate_v3`).
+(:func:`repro.storage.model.migrate_legacy`), the frame-buffer
+columns of formats 1 to 3 are dropped (:func:`.catalog.migrate_v3`), and
+the streamed ``kind='graph'`` versions formats 1 to 4 could also hold —
+nothing ever read them — are discarded (:func:`.catalog.migrate_v4`).
 
 :meth:`FrameStore.persist` makes a snapshot durable by writing **only
 what changed** since the tenant's newest persisted version: into the
@@ -47,7 +49,7 @@ the in-memory
 
 The baseline is trusted only for the version it was taken from: inside
 the flip transaction the store checks that this is still the catalog's
-newest snapshot version of the tenant, and re-reads the model from the
+newest version of the tenant, and re-reads the model from the
 catalog when it is not (a restart, a second process writing the same
 directory).  :attr:`FrameStore.last_persist` says what the last persist
 wrote.
@@ -67,12 +69,12 @@ fails verification (truncated column, checksum mismatch) is demoted to
 tried, so one bad version never bricks a store.
 
 :meth:`FrameStore.gc` prunes history: published versions beyond the
-newest ``keep`` per ``(tenant, kind)`` stream, and ``corrupt`` ones older
+newest ``keep`` per tenant, and ``corrupt`` ones older
 than the oldest kept, are dropped from the catalog together with the
 model rows that died at or before the oldest kept version.  On disk a
 column file is deleted exactly when no manifest row names it, a version
 directory when it is empty.  The latest published version of every
-stream and staging rows are never pruned.
+tenant and staging rows are never pruned.
 """
 
 from __future__ import annotations
@@ -105,7 +107,7 @@ GRAPH_CLASSES: dict[str, type[PropertyGraph]] = {
     "CompanyGraph": CompanyGraph,
 }
 
-#: Columns a snapshot version must carry: the row state, which cost
+#: Columns a version must carry: the row state, which cost
 #: reasoning time.  The frame buffers are recomputed from the graph.
 SNAPSHOT_COLUMNS = ROW_DTYPES
 
@@ -152,7 +154,7 @@ class FrameStore:
         #: ``column_bytes`` (bytes of the written ones) and ``seconds``
         self.last_persist: dict[str, Any] | None = None
         self._persist_lock = threading.Lock()
-        #: tenant -> model of the newest snapshot version this object
+        #: tenant -> model of the newest version this object
         #: persisted or attached; only ever used after the flip
         #: transaction has confirmed it is still the catalog's newest
         self._baselines: dict[str, Baseline] = {}
@@ -188,6 +190,11 @@ class FrameStore:
             conn = cat.connect(str(self.catalog_path))
             if not init:
                 found = cat.catalog_format(conn)
+                if found > cat.CATALOG_FORMAT:
+                    raise StoreError(
+                        f"store {self.root} was written by a newer build: catalog"
+                        f" format {found}, this build reads up to {cat.CATALOG_FORMAT}"
+                    )
                 if found == 1:
                     # Move the single v1 stream's directories under the
                     # default tenant first (the move is idempotent, so a
@@ -197,7 +204,10 @@ class FrameStore:
                     migrate_legacy(conn, SNAPSHOT_COLUMNS)
                 elif found == 3:
                     cat.migrate_v3(conn, SNAPSHOT_COLUMNS)
-                cat.check_format(conn)
+                elif found == 4:
+                    cat.migrate_v4(conn)
+                elif found != cat.CATALOG_FORMAT:
+                    raise ValueError(f"catalog format {found} unsupported")
             return conn
         except (sqlite3.DatabaseError, ValueError) as exc:
             raise StoreError(f"corrupt store catalog: {exc}") from exc
@@ -267,28 +277,20 @@ class FrameStore:
 
     # -- introspection --------------------------------------------------
 
-    def versions(
-        self, kind: str | None = None, tenant: str | None = None
-    ) -> list[dict[str, Any]]:
+    def versions(self, tenant: str | None = None) -> list[dict[str, Any]]:
         """Catalog rows for every version, oldest first per tenant."""
         keys = (
-            "tenant", "version", "state", "kind", "parent", "generation",
+            "tenant", "version", "state", "parent", "generation",
             "created_at", "published_at", "built_s", "nodes", "edges",
         )
         query = f"SELECT {', '.join(keys)} FROM versions"
-        clauses = []
-        params: list[Any] = []
-        if kind is not None:
-            clauses.append("kind = ?")
-            params.append(kind)
+        params: tuple[Any, ...] = ()
         if tenant is not None:
-            clauses.append("tenant = ?")
-            params.append(tenant)
-        if clauses:
-            query += " WHERE " + " AND ".join(clauses)
+            query += " WHERE tenant = ?"
+            params = (tenant,)
         query += " ORDER BY tenant, version"
         with self._connect() as conn:
-            rows = conn.execute(query, tuple(params)).fetchall()
+            rows = conn.execute(query, params).fetchall()
         return [dict(zip(keys, row)) for row in rows]
 
     def model_rows(self) -> dict[tuple[str, int], int]:
@@ -326,30 +328,25 @@ class FrameStore:
                 )
             ]
 
-    def published_versions(
-        self, kind: str = "snapshot", tenant: str = DEFAULT_TENANT
-    ) -> list[int]:
+    def published_versions(self, tenant: str = DEFAULT_TENANT) -> list[int]:
         with self._connect() as conn:
             return [
                 row[0]
                 for row in conn.execute(
                     "SELECT version FROM versions"
-                    " WHERE state = 'published' AND kind = ? AND tenant = ?"
-                    " ORDER BY version",
-                    (kind, tenant),
+                    " WHERE state = 'published' AND tenant = ? ORDER BY version",
+                    (tenant,),
                 )
             ]
 
-    def latest_version(
-        self, kind: str = "snapshot", tenant: str = DEFAULT_TENANT
-    ) -> int | None:
-        published = self.published_versions(kind, tenant=tenant)
+    def latest_version(self, tenant: str = DEFAULT_TENANT) -> int | None:
+        published = self.published_versions(tenant)
         return published[-1] if published else None
 
     def newest_version(self, tenant: str = DEFAULT_TENANT) -> int:
         """The highest version number ``tenant`` has used, in any state
-        and of either kind (0 for none) — what a service resumes its
-        numbering after, whichever version it *serves*."""
+        (0 for none) — what a service resumes its numbering after,
+        whichever version it *serves*."""
         with self._connect() as conn:
             row = conn.execute(
                 "SELECT MAX(version) FROM versions WHERE tenant = ?", (tenant,)
@@ -361,7 +358,7 @@ class FrameStore:
     def persist(self, snapshot: Snapshot, tenant: str = DEFAULT_TENANT) -> int:
         """Write ``snapshot`` as a durable version of ``tenant``.
 
-        Versions of a tenant's snapshot stream are append-only: the
+        Versions of a tenant are append-only: the
         model tables record what changed *since the newest version*, so
         a number below it is refused.  What was written is left in
         :attr:`last_persist`.
@@ -410,14 +407,14 @@ class FrameStore:
             self._newest_snapshot(conn, tenant, version)  # refuses a non-append
             parent = conn.execute(
                 "SELECT MAX(version) FROM versions"
-                " WHERE state = 'published' AND kind = 'snapshot' AND tenant = ?",
+                " WHERE state = 'published' AND tenant = ?",
                 (tenant,),
             ).fetchone()[0]
             conn.execute(
-                "INSERT INTO versions (tenant, version, state, kind, parent,"
+                "INSERT INTO versions (tenant, version, state, parent,"
                 " generation, created_at, built_s, nodes, edges, graph_class,"
                 " next_edge_id, meta)"
-                " VALUES (?, ?, 'staging', 'snapshot', ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+                " VALUES (?, ?, 'staging', ?, ?, ?, ?, ?, ?, ?, ?, ?)",
                 (
                     tenant,
                     version,
@@ -528,7 +525,7 @@ class FrameStore:
         Called inside the flip transaction (the write lock is held, so
         the answer cannot go stale before the delta commits).  The
         remembered baseline is used only if it is of the catalog's
-        newest snapshot version — published or demoted to ``corrupt``,
+        newest version — published or demoted to ``corrupt``,
         either way its model rows are the live ones; otherwise the model
         is read back from the catalog.
         """
@@ -544,11 +541,11 @@ class FrameStore:
     def _newest_snapshot(
         conn: sqlite3.Connection, tenant: str, version: int
     ) -> int | None:
-        """The newest snapshot version of ``tenant`` whose model rows are
-        in the catalog; refuses a ``version`` that would not append."""
+        """The newest version of ``tenant`` whose model rows are in the
+        catalog; refuses a ``version`` that would not append."""
         newest = conn.execute(
             "SELECT MAX(version) FROM versions WHERE tenant = ?"
-            " AND kind = 'snapshot' AND state != 'staging'",
+            " AND state != 'staging'",
             (tenant,),
         ).fetchone()[0]
         if newest is not None and newest > version:
@@ -566,7 +563,7 @@ class FrameStore:
         verify: bool = True,
         tenant: str = DEFAULT_TENANT,
     ) -> StoredSnapshot:
-        """Rehydrate a published snapshot version as a serving snapshot.
+        """Rehydrate a published version as a serving snapshot.
 
         ``version=None`` attaches the tenant's newest published version.
         With ``verify`` every column file's data CRC-32 is checked
@@ -575,7 +572,7 @@ class FrameStore:
         in Python, so attach time grows with nodes + edges.
         """
         if version is None:
-            version = self.latest_version("snapshot", tenant)
+            version = self.latest_version(tenant)
             if version is None:
                 raise StoreError(
                     f"store has no published snapshot versions for tenant {tenant}"
@@ -583,25 +580,21 @@ class FrameStore:
         conn = self._connect()
         try:
             row = conn.execute(
-                "SELECT state, kind, graph_class, next_edge_id, meta, built_s"
+                "SELECT state, graph_class, next_edge_id, meta, built_s"
                 " FROM versions WHERE tenant = ? AND version = ?",
                 (tenant, version),
             ).fetchone()
             if row is None:
                 published = (
-                    ", ".join(map(str, self.published_versions("snapshot", tenant)))
+                    ", ".join(map(str, self.published_versions(tenant)))
                     or "none"
                 )
                 raise StoreError(
                     f"version {version} not found in store (published: {published})"
                 )
-            state, kind, graph_class, next_edge_id, blob, built_s = row
+            state, graph_class, next_edge_id, blob, built_s = row
             if state != "published":
                 raise StoreError(f"version {version} is not published (state={state})")
-            if kind != "snapshot":
-                raise StoreError(
-                    f"version {version} is a bare graph, not a servable snapshot"
-                )
             cls = GRAPH_CLASSES.get(graph_class)
             if cls is None:
                 raise StoreError(
@@ -638,7 +631,7 @@ class FrameStore:
         older published version is tried — the self-heal path after a
         torn write that somehow made it past publish.
         """
-        candidates = self.published_versions("snapshot", tenant=tenant)
+        candidates = self.published_versions(tenant)
         last_error: StoreError | None = None
         for version in reversed(candidates):
             try:
@@ -718,64 +711,52 @@ class FrameStore:
 
     # -- garbage collection ---------------------------------------------
 
-    def gc(
-        self,
-        keep: int,
-        tenant: str | None = None,
-        kind: str | None = None,
-    ) -> list[dict[str, Any]]:
+    def gc(self, keep: int, tenant: str | None = None) -> list[dict[str, Any]]:
         """Prune old versions beyond the newest ``keep`` published ones.
 
-        Versions are grouped into ``(tenant, kind)`` streams; within each
-        stream the newest ``keep`` published versions survive and every
-        older published or ``corrupt`` version is deleted from the
+        Per tenant the newest ``keep`` published versions survive and
+        every older published or ``corrupt`` version is deleted from the
         catalog, along with the model rows no kept version can see and
         the column files no kept version reads (:meth:`_sweep`).  Staging
-        rows and the latest published version of a stream are never
-        pruned (``keep`` must be at least 1).  Restrict with ``tenant``
-        and/or ``kind``; returns one dict per pruned version.
+        rows and the latest published version of a tenant are never
+        pruned (``keep`` must be at least 1).  Restrict with ``tenant``;
+        returns one dict per pruned version.
         """
         if keep < 1:
             raise StoreError(
                 "gc keep must be >= 1 (the latest published version always stays)"
             )
-        query = "SELECT tenant, version, kind, state FROM versions WHERE state != 'staging'"
-        params: list[Any] = []
+        query = "SELECT tenant, version, state FROM versions WHERE state != 'staging'"
+        params: tuple[Any, ...] = ()
         if tenant is not None:
             query += " AND tenant = ?"
-            params.append(tenant)
-        if kind is not None:
-            query += " AND kind = ?"
-            params.append(kind)
-        query += " ORDER BY tenant, kind, version"
-        doomed: list[tuple[str, int, str]] = []
+            params = (tenant,)
+        query += " ORDER BY tenant, version"
+        doomed: list[tuple[str, int]] = []
         # under the persist lock: a persist between claim and flip is
         # about to name files of its parent that no row of its own names yet
         with self._persist_lock, contextlib.closing(self._connect()) as conn:
-            streams: dict[tuple[str, str], list[tuple[int, str]]] = {}
-            for row_tenant, row_version, row_kind, state in conn.execute(
-                query, tuple(params)
-            ):
-                streams.setdefault((row_tenant, row_kind), []).append((row_version, state))
+            histories: dict[str, list[tuple[int, str]]] = {}
+            for row_tenant, row_version, state in conn.execute(query, params):
+                histories.setdefault(row_tenant, []).append((row_version, state))
             conn.execute("BEGIN IMMEDIATE")
-            for (row_tenant, row_kind), stream in streams.items():
-                published = [v for v, state in stream if state == "published"]
+            for row_tenant, history in histories.items():
+                published = [v for v, state in history if state == "published"]
                 if not published:
                     continue
                 oldest_kept = published[-keep:][0]
-                dropped = [v for v, _state in stream if v < oldest_kept]
+                dropped = [v for v, _state in history if v < oldest_kept]
                 if not dropped:
                     continue
                 # model rows that died at or before the oldest kept
                 # version are visible to no kept version
                 for table in cat.MODEL_TABLES:
                     conn.execute(
-                        f"DELETE FROM {table}"
-                        " WHERE tenant = ? AND bare = ? AND died <= ?",
-                        (row_tenant, int(row_kind == "graph"), oldest_kept),
+                        f"DELETE FROM {table} WHERE tenant = ? AND died <= ?",
+                        (row_tenant, oldest_kept),
                     )
                 for row_version in dropped:
-                    doomed.append((row_tenant, row_version, row_kind))
+                    doomed.append((row_tenant, row_version))
                     for table in ("columns", "versions"):
                         conn.execute(
                             f"DELETE FROM {table} WHERE tenant = ? AND version = ?",
@@ -786,6 +767,6 @@ class FrameStore:
             # between leaves unnamed files, which open() sweeps.
             self._sweep(conn)
         return [
-            {"tenant": row_tenant, "version": row_version, "kind": row_kind}
-            for row_tenant, row_version, row_kind in doomed
+            {"tenant": row_tenant, "version": row_version}
+            for row_tenant, row_version in doomed
         ]

@@ -385,32 +385,6 @@ class TestAugmentOutputIsPinned:
         assert digest == self.DIGEST
 
 
-class TestGenerateStore:
-    def test_generate_streams_into_store(self, tmp_path, capsys):
-        truth_dir = tmp_path / "truth"
-        store_dir = tmp_path / "store"
-        assert main([
-            "generate", str(truth_dir),
-            "--persons", "30", "--companies", "20", "--seed", "6",
-            "--store", str(store_dir),
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "streamed" in out and "graph version 1" in out
-        assert (truth_dir / "ground_truth.json").exists()
-        assert not (truth_dir / "companies.csv").exists()  # no CSV in stream mode
-
-        from repro.storage import FrameStore, OutOfCoreGraph
-
-        store = FrameStore.open(store_dir)
-        (info,) = store.versions(kind="graph")
-        assert info["state"] == "published"
-        ooc = OutOfCoreGraph(store, info["version"])
-        try:
-            assert ooc.node_count == info["nodes"] > 0
-        finally:
-            ooc.close()
-
-
 class _Served:
     """``python -m repro serve <args>`` in a child process."""
 
@@ -552,10 +526,10 @@ class TestStoreVersionsCommand:
         assert main(["store", "versions", str(tmp_path / "store")]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == (
-            "tenant,version,state,kind,nodes,edges,model_rows,"
+            "tenant,version,state,nodes,edges,model_rows,"
             "columns_written,column_bytes"
         )
-        assert lines[1].startswith("default,1,published,snapshot,")
+        assert lines[1].startswith("default,1,published,")
         assert lines[1].endswith(
             f",{first['rows_inserted']},11,{first['column_bytes']}"
         )

@@ -123,27 +123,3 @@ class TestStreamingLoaders:
         path.write_text('{"nodes": [{"id": "P1"')
         with pytest.raises(ValueError):
             load_json(path)
-
-    def test_csv_sink_streams_rows(self, tmp_path, graph):
-        from repro.graph.io import load_company_csv_into
-
-        write_company_csv(graph, tmp_path)
-
-        class Recorder:
-            def __init__(self):
-                self.calls = []
-
-            def add_company(self, company_id, **props):
-                self.calls.append(("company", company_id))
-
-            def add_person(self, person_id, **props):
-                self.calls.append(("person", person_id))
-
-            def add_shareholding(self, owner, company, share, **props):
-                self.calls.append(("share", owner, company, share))
-
-        sink = load_company_csv_into(tmp_path, Recorder())
-        kinds = [c[0] for c in sink.calls]
-        assert kinds.count("company") == sum(1 for _ in graph.companies())
-        assert kinds.count("person") == sum(1 for _ in graph.persons())
-        assert kinds.count("share") == sum(1 for _ in graph.shareholdings())

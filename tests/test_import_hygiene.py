@@ -121,8 +121,9 @@ class TestImportSets:
         assert "scipy" not in cli_modules(*argv)
 
     def test_store_versions_loads_no_scipy(self, tmp_path):
-        assert main(["generate", str(tmp_path / "ex"), "--persons", "30",
-                     "--companies", "20", "--store", str(tmp_path / "store")]) == 0
+        from repro.storage import FrameStore
+
+        FrameStore.create(tmp_path / "store")
         assert "scipy" not in cli_modules("store", "versions", tmp_path / "store")
 
     def test_ubo_is_the_command_that_solves(self, extract):
@@ -180,6 +181,20 @@ class TestSurfaceParity:
     def test_every_parent_export_resolves_unchanged(self, package):
         report = run_fresh(CHECK_SURFACE, f"repro.{package}", json.dumps(SURFACE[package]))
         assert report == {"problems": [], "extra": []}
+
+
+    def test_the_out_of_core_stream_is_gone(self, tmp_path, capsys):
+        import repro.storage
+
+        for name in ("GRAPH_COLUMNS", "OutOfCoreGraph", "StreamingGraphWriter",
+                     "generate_company_graph_stream"):
+            with pytest.raises(AttributeError):
+                getattr(repro.storage, name)
+        with pytest.raises(SystemExit) as exited:  # argparse: unrecognized arguments
+            main(["generate", str(tmp_path / "ex"), "--store", "x"])
+        assert exited.value.code == 2
+        assert "--store" in capsys.readouterr().err
+        assert not (tmp_path / "ex").exists()
 
 
 class TestLazyHelper:

@@ -78,7 +78,7 @@ class Served(_Served):
 
 def catalog_rows(store_dir):
     return [
-        (row["tenant"], row["version"], row["state"], row["kind"], row["parent"])
+        (row["tenant"], row["version"], row["state"], row["parent"])
         for row in FrameStore.open(store_dir).versions()
     ]
 
@@ -183,10 +183,10 @@ def test_serve_and_serve_workers_are_one_write_path(extract, tmp_path):
     assert all(row.get("persist_failures", 0) == 0 for row in single)
     # every acknowledged version is in the catalog, and only those
     assert by_step["catalog after SIGTERM"]["rows"] == [
-        ("default", 1, "published", "snapshot", None),
-        ("default", 2, "published", "snapshot", 1),
-        ("x", 1, "published", "snapshot", None),
-        ("x", 2, "published", "snapshot", 1),
+        ("default", 1, "published", None),
+        ("default", 2, "published", 1),
+        ("x", 1, "published", None),
+        ("x", 2, "published", 1),
     ]
     # the restart serves what was served before the shutdown
     assert by_step["restart"]["served_version"] == 2
@@ -197,5 +197,5 @@ def test_serve_and_serve_workers_are_one_write_path(extract, tmp_path):
     # (the catalog's parent is the version the persist was diffed against)
     assert by_step["final catalog"]["rows"] == sorted(
         by_step["catalog after SIGTERM"]["rows"]
-        + [("default", 3, "published", "snapshot", 2)]
+        + [("default", 3, "published", 2)]
     )

@@ -277,6 +277,34 @@ def sharing_history():
     return out
 
 
+class TestColumnFile:
+    #: the 128 bytes every column of this dtype and length has started
+    #: with since format 1 — frozen here, not computed by the code under test
+    HEADER = (
+        b"\x93NUMPY\x01\x00v\x00{'descr': '<i8', 'fortran_order': False,"
+        b" 'shape': (3,), }" + b" " * 60 + b"\n"
+    )
+
+    def test_write_column_bytes_are_the_frozen_layout(self, tmp_path):
+        from repro.storage import npyio
+
+        array = np.array([3, -1, 2**40], dtype=np.int64)
+        path = tmp_path / "a.npy"
+        crc = npyio.write_column(path, array)
+        assert len(self.HEADER) == npyio.HEADER_SIZE
+        assert path.read_bytes() == self.HEADER + array.tobytes()
+        assert crc == 1836286981 == npyio.data_crc32(path)
+        assert npyio.read_header(path) == (array.dtype, 3)
+        assert np.array_equal(np.load(path), array)
+        assert npyio.column_equals(path, array)
+        # a strided view lands as its C-order bytes; empty is header only
+        strided = np.arange(6, dtype=np.int32)[::2]
+        assert npyio.write_column(path, strided) == 3063043653
+        assert path.read_bytes()[npyio.HEADER_SIZE:] == strided.tobytes()
+        assert npyio.write_column(path, np.empty(0)) == 0
+        assert path.stat().st_size == npyio.HEADER_SIZE
+
+
 class TestColumnSharing:
     def test_a_version_writes_only_the_columns_that_changed(self, tmp_path):
         store = FrameStore.create(tmp_path / "store")

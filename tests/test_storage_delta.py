@@ -23,7 +23,6 @@ from repro.graph import CompanyGraph
 from repro.service import SnapshotBuilder, SnapshotConfig
 from repro.storage import FrameStore, InjectedCrash, StoreError
 from repro.storage import catalog as cat
-from repro.storage.stream import OutOfCoreGraph, StreamingGraphWriter
 
 from .test_storage import assert_files_match_manifest, column_path
 from .test_storage_migration import fingerprint, frame_bytes
@@ -415,41 +414,6 @@ class TestGcOnIntervals:
 
 
 class TestStreamsDoNotMix:
-    def test_bare_graph_between_snapshots_changes_neither(self, tmp_path):
-        snap1, snap2 = history(2)
-        store = FrameStore.create(tmp_path / "store")
-        store.persist(snap1)
-        writer = StreamingGraphWriter(store)
-        writer.add_person("P1", name="Ada")
-        writer.add_company("C1")
-        writer.add_shareholding("P1", "C1", 0.5)
-        assert writer.finalize() == 2
-        late = SnapshotBuilder(CONFIG, start_version=2).build(snap2.graph)
-        assert store.persist(late) == 3
-        assert store.last_persist["rows_inserted"] < 10  # diffed against v1, not v2
-
-        assert fingerprint(store.attach(1)) == fingerprint(snap1)
-        assert fingerprint(store.attach(3)) == fingerprint(late)
-        ooc = OutOfCoreGraph(store, 2)
-        try:
-            assert ooc.node_count == 2
-            assert ooc.share("P1", "C1") == 0.5
-            assert ooc.node("P1") == {
-                "id": "P1", "label": "P", "properties": {"name": "Ada"}
-            }
-            with pytest.raises(Exception, match="does not exist"):
-                ooc.node(next(iter(snap1.graph.node_ids())))
-        finally:
-            ooc.close()
-        # pruning one stream leaves the other's rows alone
-        store.gc(keep=1, kind="snapshot")
-        assert store.published_versions() == [3]
-        ooc = OutOfCoreGraph(store, 2)
-        try:
-            assert ooc.share("P1", "C1") == 0.5
-        finally:
-            ooc.close()
-
     def test_tenants_keep_separate_baselines(self, tmp_path):
         (snap_a,), (snap_b,) = history(1, seed=3), history(1, seed=7)
         store = FrameStore.create(tmp_path / "store")

@@ -1,15 +1,17 @@
-"""In-place catalog migration: formats 1, 2 and 3 -> 4.
+"""In-place catalog migration: formats 1 to 4 -> 5.
 
 Formats 1 and 2 store one full copy of the property model per version
 (``pos``-keyed rows, plus the derived edges as ``layer = 1`` rows);
 format 3 stores interval rows; all three write every frame buffer and
 every row-state column of every version as a file of its own, where
 format 4 keeps row-state columns only and shares the unchanged ones.
-The legacy DDL and the legacy writers live *here*, not in ``src/``: a
-store written by the current code is rewritten into the exact catalog
-and directories a previous release produced, then opened — the
-migration must leave every version attaching to the same graph, row
-state, frame and payload bytes.
+Formats 1 to 4 also hold streamed ``kind = 'graph'`` versions, which
+format 5 drops.  The legacy DDL and the legacy writers live *here*, not
+in ``src/``: a store written by the current code is rewritten into the
+exact catalog and directories a previous release produced, then opened —
+the migration must leave every snapshot version attaching to the same
+graph, row state, frame and payload bytes, and no trace of a graph
+version.
 """
 
 import json
@@ -26,9 +28,163 @@ from repro.storage import catalog as cat
 from repro.storage import model
 from repro.storage.layout import ROW_DTYPES, encode_rows
 from repro.storage.npyio import write_column
-from repro.storage.stream import OutOfCoreGraph, StreamingGraphWriter
 
-from .test_storage import assert_files_match_manifest
+from .test_storage import assert_files_match_manifest, column_path
+
+#: The version and model tables of catalog format 4, verbatim from the
+#: release that wrote it (``store_meta``, ``vals`` and ``columns`` did
+#: not change and are left in place).
+FORMAT4_DDL = """
+CREATE TABLE versions (
+    tenant        TEXT NOT NULL DEFAULT 'default',
+    version       INTEGER NOT NULL,
+    state         TEXT NOT NULL CHECK (state IN ('staging', 'published', 'corrupt')),
+    kind          TEXT NOT NULL CHECK (kind IN ('snapshot', 'graph')),
+    parent        INTEGER,
+    generation    INTEGER,
+    created_at    REAL NOT NULL,
+    published_at  REAL,
+    built_s       REAL,
+    nodes         INTEGER,
+    edges         INTEGER,
+    graph_class   TEXT,
+    next_edge_id  INTEGER,
+    meta          BLOB,
+    PRIMARY KEY (tenant, version)
+);
+CREATE TABLE nodes (
+    tenant    TEXT NOT NULL DEFAULT 'default',
+    bare      INTEGER NOT NULL DEFAULT 0,
+    id_ref    INTEGER NOT NULL,
+    born      INTEGER NOT NULL,
+    died      INTEGER,
+    seq       INTEGER NOT NULL,
+    label_ref INTEGER,
+    intern    INTEGER,
+    PRIMARY KEY (tenant, bare, id_ref, born)
+) WITHOUT ROWID;
+CREATE INDEX nodes_by_intern ON nodes (tenant, born, intern)
+    WHERE intern IS NOT NULL;
+CREATE TABLE node_props (
+    tenant    TEXT NOT NULL DEFAULT 'default',
+    bare      INTEGER NOT NULL DEFAULT 0,
+    owner     INTEGER NOT NULL,
+    ordinal   INTEGER NOT NULL,
+    born      INTEGER NOT NULL,
+    died      INTEGER,
+    name_ref  INTEGER NOT NULL,
+    value_ref INTEGER NOT NULL,
+    PRIMARY KEY (tenant, bare, owner, ordinal, born)
+) WITHOUT ROWID;
+CREATE TABLE edges (
+    tenant      TEXT NOT NULL DEFAULT 'default',
+    bare        INTEGER NOT NULL DEFAULT 0,
+    edge_id_ref INTEGER NOT NULL,
+    born        INTEGER NOT NULL,
+    died        INTEGER,
+    seq         INTEGER NOT NULL,
+    src_seq     INTEGER NOT NULL,
+    dst_seq     INTEGER NOT NULL,
+    label_ref   INTEGER,
+    PRIMARY KEY (tenant, bare, edge_id_ref, born)
+) WITHOUT ROWID;
+CREATE TABLE edge_props (
+    tenant    TEXT NOT NULL DEFAULT 'default',
+    bare      INTEGER NOT NULL DEFAULT 0,
+    owner     INTEGER NOT NULL,
+    ordinal   INTEGER NOT NULL,
+    born      INTEGER NOT NULL,
+    died      INTEGER,
+    name_ref  INTEGER NOT NULL,
+    value_ref INTEGER NOT NULL,
+    PRIMARY KEY (tenant, bare, owner, ordinal, born)
+) WITHOUT ROWID;
+"""
+
+#: Per format-4 table, the columns format 5 kept (its whole row).
+FORMAT5_COLUMNS = {
+    "versions": (
+        "tenant, version, state, parent, generation, created_at, published_at,"
+        " built_s, nodes, edges, graph_class, next_edge_id, meta"
+    ),
+    "nodes": "tenant, id_ref, born, died, seq, label_ref",
+    "node_props": "tenant, owner, ordinal, born, died, name_ref, value_ref",
+    "edges": "tenant, edge_id_ref, born, died, seq, src_seq, dst_seq, label_ref",
+    "edge_props": "tenant, owner, ordinal, born, died, name_ref, value_ref",
+}
+
+
+def write_format4_graph(conn, vdir, tenant, version):
+    """One published ``kind = 'graph'`` version as the out-of-core writer
+    of formats 1 to 4 left it: P1 --0.5--> C1 in ``bare = 1`` rows alive
+    at exactly ``version``, ``seq`` = insertion position, ``intern`` =
+    rank of the id, and a directory of edge columns the version owns."""
+    ref = cat.ValueInterner(conn).ref
+    life = (tenant, version, version + 1)
+    conn.execute(
+        "INSERT INTO versions (tenant, version, state, kind, created_at,"
+        " published_at, nodes, edges, graph_class, next_edge_id)"
+        " VALUES (?, ?, 'published', 'graph', 0.0, 0.0, 2, 1, 'CompanyGraph', 1)",
+        (tenant, version),
+    )
+    conn.executemany(
+        "INSERT INTO nodes (tenant, bare, born, died, id_ref, seq, label_ref, intern)"
+        " VALUES (?, 1, ?, ?, ?, ?, ?, ?)",
+        [(*life, ref("P1"), 0, ref("person"), 1),
+         (*life, ref("C1"), 1, ref("company"), 0)],
+    )
+    conn.execute(
+        "INSERT INTO node_props (tenant, bare, born, died, owner, ordinal,"
+        " name_ref, value_ref) VALUES (?, 1, ?, ?, 0, 0, ?, ?)",
+        (*life, ref("name"), ref("Ada")),
+    )
+    conn.execute(
+        "INSERT INTO edges (tenant, bare, born, died, edge_id_ref, seq, src_seq,"
+        " dst_seq, label_ref) VALUES (?, 1, ?, ?, ?, 0, 0, 1, ?)",
+        (*life, ref("e0"), ref("shareholding")),
+    )
+    conn.execute(
+        "INSERT INTO edge_props (tenant, bare, born, died, owner, ordinal,"
+        " name_ref, value_ref) VALUES (?, 1, ?, ?, 0, 0, ?, ?)",
+        (*life, ref("w"), ref(0.5)),
+    )
+    vdir.mkdir(parents=True)
+    for name, array in (
+        ("edge_src", np.array([1], dtype=np.int64)),
+        ("edge_dst", np.array([0], dtype=np.int64)),
+        ("edge_w", np.array([0.5])),
+    ):
+        crc = write_column(vdir / f"{name}.npy", array)
+        conn.execute(
+            "INSERT INTO columns VALUES (?, ?, ?, ?, 1, ?, ?, ?)",
+            (tenant, version, name, array.dtype.str, array.nbytes, crc, version),
+        )
+
+
+def downgrade_to_format4(root, graphs=()):
+    """Rewrite the catalog of the store at ``root`` as format 4: every
+    version a ``kind = 'snapshot'``, every model row ``bare = 0``, plus
+    one streamed graph version per ``(tenant, version)`` of ``graphs``."""
+    store = FrameStore(root)
+    conn = sqlite3.connect(str(root / "catalog.db"), isolation_level=None)
+    conn.execute("BEGIN")
+    for table in FORMAT5_COLUMNS:
+        conn.execute(f"ALTER TABLE {table} RENAME TO {table}_new")
+    for statement in FORMAT4_DDL.split(";"):
+        if statement.strip():
+            conn.execute(statement)
+    for table, columns in FORMAT5_COLUMNS.items():
+        extra, value = ("kind", "'snapshot'") if table == "versions" else ("bare", "0")
+        conn.execute(
+            f"INSERT INTO {table} ({columns}, {extra})"
+            f" SELECT {columns}, {value} FROM {table}_new"
+        )
+        conn.execute(f"DROP TABLE {table}_new")
+    for tenant, version in graphs:
+        write_format4_graph(conn, store.version_dir(version, tenant), tenant, version)
+    conn.execute("UPDATE store_meta SET value = '4' WHERE key = 'format'")
+    conn.execute("COMMIT")
+    conn.close()
 
 #: The ``columns`` manifest of formats 1 to 3 (format 1 without the
 #: tenant): no ``origin`` — every version owned a file per row.
@@ -49,11 +205,12 @@ CREATE TABLE columns (
 FORMAT3_SNAPSHOT_COLUMNS = dict(EXPORT_DTYPES) | dict(ROW_DTYPES)
 
 
-def downgrade_to_format3(root, snapshots):
+def downgrade_to_format3(root, snapshots, graphs=()):
     """Rewrite the column side of the store at ``root`` as format 3 did
     it: the previous release's persist loop, per snapshot version all 31
     columns written whole into its own directory, and a manifest without
     ``origin`` (streamed graph versions keep their rows and files)."""
+    downgrade_to_format4(root, graphs)
     store = FrameStore(root)
     conn = sqlite3.connect(str(root / "catalog.db"), isolation_level=None)
     conn.execute("BEGIN")
@@ -209,13 +366,13 @@ def write_format2_model(conn, tenant, version, snapshot):
     )
 
 
-def downgrade_to_format2(root, snapshots):
+def downgrade_to_format2(root, snapshots, graphs=()):
     """Rewrite the catalog of the store at ``root`` as format 2.
 
     ``snapshots`` maps ``(tenant, version)`` to the snapshot persisted
     under it; bare-graph versions are converted row by row in SQL.
     """
-    downgrade_to_format3(root, snapshots)
+    downgrade_to_format3(root, snapshots, graphs)
     conn = sqlite3.connect(str(root / "catalog.db"), isolation_level=None)
     conn.execute("BEGIN")
     conn.execute("DROP INDEX nodes_by_intern")
@@ -327,19 +484,19 @@ def evolving_snapshots(seed, versions):
     return out
 
 
+#: Where the legacy fixtures of :func:`mixed_store` hold a streamed graph.
+MIXED_GRAPHS = (("default", 3),)
+
+
 def mixed_store(root):
-    """A two-tenant store, one tenant with an interleaved bare graph:
+    """A two-tenant store, one tenant's numbering skipping the version
+    :data:`MIXED_GRAPHS` interleaves a streamed graph at:
     ``(snapshots by (tenant, version), their attach fingerprints)``."""
     store = FrameStore.create(root)
     snapshots = {}
     for version, snapshot in enumerate(evolving_snapshots(5, 2), start=1):
         store.persist(snapshot)
         snapshots["default", version] = snapshot
-    writer = StreamingGraphWriter(store)  # default tenant's version 3
-    writer.add_person("P1", name="Ada")
-    writer.add_company("C1")
-    writer.add_shareholding("P1", "C1", 0.5)
-    assert writer.finalize() == 3
     late = SnapshotBuilder(SnapshotConfig(augment=False), start_version=3).build(
         snapshots["default", 2].graph
     )
@@ -358,11 +515,107 @@ def legacy_store(tmp_path):
     fingerprints taken before the rewrite)``."""
     root = tmp_path / "store"
     snapshots, before = mixed_store(root)
-    downgrade_to_format2(root, snapshots)
+    downgrade_to_format2(root, snapshots, MIXED_GRAPHS)
     return root, before
 
 
+def assert_no_trace_of(store, graphs):
+    """The streamed graph versions a legacy fixture held are gone: no
+    catalog row, no model row, no manifest row, no directory."""
+    listed = {(v["tenant"], v["version"]) for v in store.versions()}
+    with store._connect() as conn:
+        for tenant, version in graphs:
+            assert (tenant, version) not in listed
+            assert not store.version_dir(version, tenant).exists()
+            for table, column in (
+                ("columns", "version"), *((t, "born") for t in cat.MODEL_TABLES)
+            ):
+                assert conn.execute(
+                    f"SELECT COUNT(*) FROM {table} WHERE tenant = ? AND {column} = ?",
+                    (tenant, version),
+                ).fetchone()[0] == 0
+
+
+def schema_columns(conn):
+    """Every column name of the version and model tables."""
+    return {
+        row[1]
+        for table in ("versions", *cat.MODEL_TABLES)
+        for row in conn.execute(f"PRAGMA table_info({table})")
+    }
+
+
 class TestMigration:
+    def test_format4_store_loses_its_graph_versions_and_nothing_else(
+        self, tmp_path, monkeypatch
+    ):
+        root = tmp_path / "store"
+        store = FrameStore.create(root)
+        first, second, third = evolving_snapshots(5, 3)
+        second.version = 3  # alpha's numbering leaves 2 to the graph
+        for snapshot in (first, second):
+            store.persist(snapshot, tenant="alpha")
+        before = {v: fingerprint(store.attach(v, tenant="alpha")) for v in (1, 3)}
+        files = {
+            (v, name): column_path(store, v, name, "alpha").read_bytes()
+            for v in (1, 3) for name in ROW_DTYPES
+        }
+        graphs = (("alpha", 2), ("beta", 1))
+        downgrade_to_format4(root, graphs)
+        assert (root / "versions" / "alpha" / "v00000002" / "edge_w.npy").is_file()
+        assert (root / "versions" / "beta" / "v00000001").is_dir()
+
+        def counts():
+            with sqlite3.connect(str(root / "catalog.db")) as conn:
+                assert cat.catalog_format(conn) == 4
+                return {
+                    table: conn.execute(f"SELECT COUNT(*) FROM {table}").fetchone()[0]
+                    for table in ("versions", "columns", *cat.MODEL_TABLES)
+                }
+
+        legacy_counts = counts()
+        assert legacy_counts["versions"] == 4
+
+        def explode(*args, **kwargs):
+            raise RuntimeError("power cut")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(cat, "set_format", explode)  # after every copy and drop
+            with pytest.raises(RuntimeError, match="power cut"):
+                FrameStore.open(root)
+        assert counts() == legacy_counts
+        assert (root / "versions" / "beta" / "v00000001").is_dir()
+
+        migrated = FrameStore.open(root)  # migration runs inside open
+        with migrated._connect() as conn:
+            assert cat.catalog_format(conn) == cat.CATALOG_FORMAT == 5
+            assert not {"kind", "bare", "intern"} & schema_columns(conn)
+            assert conn.execute(
+                "SELECT COUNT(*) FROM sqlite_master"
+                " WHERE name = 'nodes_by_intern' OR name LIKE '%_legacy'"
+            ).fetchone()[0] == 0
+        assert migrated.tenants() == ["alpha"]
+        assert [(v["tenant"], v["version"]) for v in migrated.versions()] == [
+            ("alpha", 1), ("alpha", 3),
+        ]
+        assert_no_trace_of(migrated, graphs)
+        assert_files_match_manifest(migrated)
+        for version, snapshot in ((1, first), (3, second)):
+            attached = migrated.attach(version, tenant="alpha")
+            assert fingerprint(attached) == before[version]
+            assert frame_bytes(attached.graph) == frame_bytes(snapshot.graph)
+        assert files == {
+            (v, name): column_path(migrated, v, name, "alpha").read_bytes()
+            for v, name in files
+        }
+        # the migrated tenant keeps growing: a delta against v3, shared columns
+        third.version = 4
+        assert migrated.persist(third, tenant="alpha") == 4
+        assert migrated.versions(tenant="alpha")[-1]["parent"] == 3
+        assert migrated.last_persist["rows_inserted"] < 10
+        assert migrated.last_persist["columns_shared"] > 0
+        assert fingerprint(migrated.attach(4, tenant="alpha")) == fingerprint(third)
+
     def test_format2_store_migrates_and_every_version_attaches_equal(
         self, legacy_store
     ):
@@ -386,17 +639,10 @@ class TestMigration:
             )}
         assert migrated.tenants() == ["beta", "default"]
         assert migrated.published_versions() == [1, 2, 4]
-        assert migrated.published_versions(kind="graph") == [3]
+        assert_no_trace_of(migrated, MIXED_GRAPHS)
         for (tenant, version), expected in before.items():
             assert fingerprint(migrated.attach(version, tenant=tenant)) == expected
         assert_files_match_manifest(migrated)
-        ooc = OutOfCoreGraph(migrated, 3)
-        try:
-            assert ooc.share("P1", "C1") == 0.5
-            assert ooc.node("P1")["properties"] == {"name": "Ada"}
-            assert ooc.id_of(ooc.code_of("C1")) == "C1"
-        finally:
-            ooc.close()
         # the per-version copies are gone and the file actually shrank
         assert (root / "catalog.db").stat().st_size < legacy_bytes
         # the migrated streams keep growing
@@ -435,7 +681,7 @@ class TestMigration:
     ):
         root = tmp_path / "store"
         snapshots, before = mixed_store(root)
-        downgrade_to_format3(root, snapshots)
+        downgrade_to_format3(root, snapshots, MIXED_GRAPHS)
         legacy_bytes = sum(p.stat().st_size for p in root.glob("versions/*/v*/*"))
         for tenant, version in snapshots:
             files = {p.stem for p in (root / "versions" / tenant
@@ -458,22 +704,18 @@ class TestMigration:
 
         migrated = FrameStore.open(root)  # migration runs inside open
         with migrated._connect() as conn:
-            assert cat.catalog_format(conn) == cat.CATALOG_FORMAT == 4
+            assert cat.catalog_format(conn) == cat.CATALOG_FORMAT
             assert conn.execute(
                 "SELECT COUNT(*) FROM columns WHERE origin != version"
             ).fetchone()[0] == 0  # existing rows own their files
         assert_files_match_manifest(migrated)
+        assert_no_trace_of(migrated, MIXED_GRAPHS)
         for (tenant, version), snapshot in snapshots.items():
             files = {p.stem for p in migrated.version_dir(version, tenant).iterdir()}
             assert files == set(ROW_DTYPES)  # no frame-buffer file left
             attached = migrated.attach(version, tenant=tenant)
             assert fingerprint(attached) == before[tenant, version]
             assert frame_bytes(attached.graph) == frame_bytes(snapshot.graph)
-        ooc = OutOfCoreGraph(migrated, 3)  # a streamed graph keeps its columns
-        try:
-            assert ooc.share("P1", "C1") == 0.5
-        finally:
-            ooc.close()
         assert sum(
             p.stat().st_size for p in root.glob("versions/*/v*/*")
         ) < legacy_bytes / 2
@@ -495,9 +737,10 @@ class TestMigration:
             store.persist(snapshot)
             snapshots["default", version] = snapshot
         before = {key: fingerprint(store.attach(key[1])) for key in snapshots}
-        downgrade_to_format2(root, snapshots)
+        downgrade_to_format2(root, snapshots, graphs=(("default", 4),))
         downgrade_to_format1(root)
         assert (root / "versions" / "v00000001").is_dir()
+        assert (root / "versions" / "v00000004").is_dir()
 
         migrated = FrameStore.open(root)
         with migrated._connect() as conn:
@@ -506,13 +749,16 @@ class TestMigration:
         assert migrated.published_versions() == [1, 2, 3]
         assert not (root / "versions" / "v00000001").exists()
         assert migrated.version_dir(1).is_dir()
+        assert_no_trace_of(migrated, (("default", 4),))
         for (tenant, version), expected in before.items():
             attached = migrated.attach(version)
             assert attached.store_tenant == "default"
             assert fingerprint(attached) == expected
         assert_files_match_manifest(migrated)
 
-    def test_unknown_format_fails_with_one_line(self, tmp_path):
+    def test_unknown_format_fails_with_one_line(self, tmp_path, capsys):
+        from repro.cli import main
+
         root = tmp_path / "store"
         FrameStore.create(root)
         with sqlite3.connect(str(root / "catalog.db")) as conn:
@@ -520,5 +766,17 @@ class TestMigration:
         with pytest.raises(StoreError) as raised:
             FrameStore.open(root)
         message = str(raised.value)
-        assert "catalog format 9 unsupported" in message
-        assert "\n" not in message
+        assert "newer build" in message and "format 9" in message
+        assert f"reads up to {cat.CATALOG_FORMAT}" in message
+        assert "corrupt" not in message and "\n" not in message
+
+        assert main(["store", "versions", str(root)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+        # a catalog that cannot say what it is stays "corrupt"
+        with sqlite3.connect(str(root / "catalog.db")) as conn:
+            conn.execute("DELETE FROM store_meta WHERE key = 'format'")
+        with pytest.raises(StoreError, match="corrupt store catalog"):
+            FrameStore.open(root)

@@ -2,7 +2,7 @@
 
 Per-tenant version streams (two tenants both holding a version 1 without
 colliding in the catalog or on disk), tenant-scoped attach, and ``gc``
-history pruning that never touches staging rows or a stream's latest
+history pruning that never touches staging rows or a tenant's latest
 published version.  (Catalog migration: ``test_storage_migration.py``.)
 """
 
@@ -11,7 +11,6 @@ import pytest
 from repro.datagen.company_generator import CompanySpec, generate_company_graph
 from repro.service import SnapshotBuilder, SnapshotConfig, TenantError
 from repro.storage import FrameStore, StoreError
-from repro.storage.stream import OutOfCoreGraph, StreamingGraphWriter
 
 from .test_storage import assert_files_match_manifest, manifest
 
@@ -86,8 +85,8 @@ class TestTenantStreams:
         # fake a crash mid-persist of beta's v2: staging row + orphan dir
         with store._connect() as conn:
             conn.execute(
-                "INSERT INTO versions (tenant, version, state, kind,"
-                " created_at) VALUES ('beta', 2, 'staging', 'snapshot', 0)"
+                "INSERT INTO versions (tenant, version, state, created_at)"
+                " VALUES ('beta', 2, 'staging', 0)"
             )
             conn.commit()
         store.version_dir(2, "beta").mkdir(parents=True)
@@ -97,28 +96,14 @@ class TestTenantStreams:
         # alpha is untouched by beta's recovery
         assert reopened.attach_latest(tenant="alpha").version == snap_a.version
 
-    def test_streaming_writer_per_tenant(self, tmp_path):
-        store = FrameStore.create(tmp_path / "store")
-        for tenant, share in (("alpha", 0.5), ("beta", 0.9)):
-            writer = StreamingGraphWriter(store, tenant=tenant)
-            writer.add_person("P1")
-            writer.add_company("C1")
-            writer.add_shareholding("P1", "C1", share)
-            assert writer.finalize() == 1
-        ooc_a = OutOfCoreGraph(store, tenant="alpha")
-        ooc_b = OutOfCoreGraph(store, tenant="beta")
-        try:
-            assert ooc_a.share("P1", "C1") == 0.5
-            assert ooc_b.share("P1", "C1") == 0.9
-        finally:
-            ooc_a.close()
-            ooc_b.close()
-
 
 class TestGc:
     def test_gc_keeps_newest_per_stream_and_refuses_keep_zero(self, tmp_path):
         store = FrameStore.create(tmp_path / "store")
-        for snap in build_snapshots(seed=3, versions=3):
+        # alpha's numbering has a gap, like a tenant whose version 2 a
+        # migration dropped: gc counts versions, not version numbers
+        for version, snap in zip((1, 3, 4), build_snapshots(seed=3, versions=3)):
+            snap.version = version
             store.persist(snap, tenant="alpha")
         for snap in build_snapshots(seed=7, versions=2):
             store.persist(snap, tenant="beta")
@@ -127,28 +112,28 @@ class TestGc:
             store.gc(0)
 
         pruned = store.gc(keep=2)
-        assert [(p["tenant"], p["version"]) for p in pruned] == [("alpha", 1)]
-        assert store.published_versions(tenant="alpha") == [2, 3]
+        assert pruned == [{"tenant": "alpha", "version": 1}]
+        assert store.published_versions(tenant="alpha") == [3, 4]
         assert store.published_versions(tenant="beta") == [1, 2]
         # the catalog rows are gone; of the files, exactly those no kept
         # version still reads (an isolated company changes few columns)
-        assert store.versions(tenant="alpha")[0]["version"] == 2
+        assert store.versions(tenant="alpha")[0]["version"] == 3
         assert_files_match_manifest(store)
         v1_files = {p.stem for p in store.version_dir(1, "alpha").iterdir()}
         assert v1_files == {
-            name for name, origin in manifest(store, "alpha")[2].items() if origin == 1
-        } | {
             name for name, origin in manifest(store, "alpha")[3].items() if origin == 1
+        } | {
+            name for name, origin in manifest(store, "alpha")[4].items() if origin == 1
         }
-        assert v1_files < set(manifest(store, "alpha")[2])
+        assert v1_files < set(manifest(store, "alpha")[3])
 
-        # keep=1 leaves exactly the latest of every stream
+        # keep=1 leaves exactly the latest of every tenant
         store.gc(keep=1)
-        assert store.published_versions(tenant="alpha") == [3]
+        assert store.published_versions(tenant="alpha") == [4]
         assert store.published_versions(tenant="beta") == [2]
         store.gc(keep=1)  # idempotent: nothing below the floor
         assert_files_match_manifest(store)
-        assert store.attach_latest(tenant="alpha").version == 3
+        assert store.attach_latest(tenant="alpha").version == 4
         assert store.attach_latest(tenant="beta").version == 2
 
     def test_gc_never_touches_staging_and_scopes_by_tenant(self, tmp_path):
@@ -159,8 +144,8 @@ class TestGc:
             store.persist(snap, tenant="beta")
         with store._connect() as conn:
             conn.execute(
-                "INSERT INTO versions (tenant, version, state, kind,"
-                " created_at) VALUES ('alpha', 9, 'staging', 'snapshot', 0)"
+                "INSERT INTO versions (tenant, version, state, created_at)"
+                " VALUES ('alpha', 9, 'staging', 0)"
             )
             conn.commit()
 
