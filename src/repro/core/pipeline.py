@@ -23,7 +23,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ..datalog.engine import Engine
-from ..datalog.incremental import IncrementalEngine
 from ..datalog.terms import skolem
 from ..datalog.vectorized import VectorRuntimeFallback
 from ..embeddings.node2vec import Node2VecConfig, embed_and_cluster
@@ -73,12 +72,6 @@ class PipelineConfig:
     blocking: BlockingScheme = field(default_factory=BlockingScheme.default)
     close_links_via: str = "auto"  # "auto" | "datalog" | "procedural"
     max_path_depth: int = 12       # procedural fallback bound on cyclic graphs
-    #: maintain one IncrementalEngine per rule-set selection instead of
-    #: re-running each fixpoint from scratch: repeated :meth:`reason`
-    #: calls over a drifting extensional component apply only the EDB
-    #: delta (the cold per-call engine remains the oracle; provenance
-    #: requests always take the cold path)
-    incremental_reasoning: bool = False
 
 
 class ReasoningPipeline:
@@ -103,13 +96,6 @@ class ReasoningPipeline:
         if classifiers is None:
             classifiers = default_classifiers()
         self.classifiers = {c.link_class: c for c in classifiers}
-        # rule-set selection -> maintained IncrementalEngine (only used
-        # when config.incremental_reasoning is on); reset whenever the KG
-        # object is rebuilt (e.g. by materialise_families)
-        self._incremental_cache: dict[
-            tuple, tuple[IncrementalEngine, frozenset]
-        ] = {}
-        self._incremental_kg: KnowledgeGraph | None = None
         with self.tracer.span("pipeline.build", nodes=graph.node_count):
             self.kg = KnowledgeGraph(graph)
             self._add_family_member_facts()
@@ -295,57 +281,7 @@ class ReasoningPipeline:
         with self.tracer.span(label):
             if with_blocks:
                 self._inject_block_facts()
-            if self.config.incremental_reasoning and not provenance:
-                return self._incremental_reason(names)
             return self.kg.reason(names, provenance=provenance, tracer=self.tracer)
-
-    def _incremental_reason(self, names: list[str] | None) -> Engine:
-        """Serve :meth:`reason` from a maintained incremental fixpoint.
-
-        One :class:`IncrementalEngine` is kept per rule-set selection; on
-        each call the KG's extensional component is diffed against the
-        maintained EDB (order-preserving) and only the delta is applied.
-        The cache is dropped whenever ``self.kg`` is rebuilt, since a new
-        KG means new rule sets and new facts wholesale.
-        """
-        if self._incremental_kg is not self.kg:
-            self._incremental_cache.clear()
-            self._incremental_kg = self.kg
-        if names is None:
-            key: tuple = ("*", tuple(self.kg.rule_sets()))
-        else:
-            key = tuple(names)
-        current = list(self.kg.extensional.all_facts())
-        cached = self._incremental_cache.get(key)
-        if cached is None:
-            program = self.kg.program(names)
-            # facts declared by the rule sets themselves (e.g. the
-            # link_class vocabulary) live in the maintained EDB but not
-            # in kg.extensional: exempt them from the removal diff
-            program_facts = frozenset(
-                (predicate, tuple(values)) for predicate, values in program.facts
-            )
-            maintained = IncrementalEngine(
-                program,
-                current,
-                functions=self.kg.functions,
-                tracer=self.tracer,
-            )
-            self._incremental_cache[key] = (maintained, program_facts)
-            return maintained.engine
-        maintained, program_facts = cached
-        current_set = set(current)
-        edb = maintained.edb_facts()
-        edb_set = set(edb)
-        additions = [fact for fact in current if fact not in edb_set]
-        removals = [
-            fact
-            for fact in edb
-            if fact not in current_set and fact not in program_facts
-        ]
-        if additions or removals:
-            maintained.update(additions=additions, removals=removals)
-        return maintained.engine
 
     def control_pairs(self, provenance: bool = False) -> set[tuple[NodeId, NodeId]]:
         """Control pairs (external ids) via the declarative Algorithm 5."""
@@ -479,14 +415,21 @@ class ReasoningPipeline:
                 if augmented.has_node(x) and augmented.has_node(y):
                     augmented.add_edge(x, y, label, **properties)
 
-            for x, y, link_class in self.family_links():
+            for x, y, link_class in _ordered(self.family_links()):
                 add(x, y, link_class)
-            for x, y in self.control_pairs():
+            for x, y in _ordered(self.control_pairs()):
                 add(x, y, "control")
-            for x, y in self.close_link_pairs():
+            for x, y in _ordered(self.close_link_pairs()):
                 add(x, y, "close_link")
             span.set("new_edges", augmented.edge_count - self.graph.edge_count)
         return augmented
+
+
+def _ordered(rows: set[tuple]) -> list[tuple]:
+    """A derived relation in the order :meth:`ReasoningPipeline.augment`
+    adds it: sorted, so the order and ids of the new edges do not follow
+    the process's str-hash seed."""
+    return sorted(rows, key=lambda row: tuple(map(str, row)))
 
 
 def _is_codes(arg: object) -> bool:

@@ -23,7 +23,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "DatalogError", "EvaluationError", "ParseError", "StratificationError",
         "UnknownFunctionError", "UnsafeRuleError",
     ),
-    "incremental": ("IncrementalEngine", "UpdateStats"),
     "parser": ("parse_program", "parse_rule"),
     "rules": ("Program", "Rule"),
     "stratify": ("stratify", "Stratum"),

@@ -15,12 +15,11 @@ bodies whole-relation-at-a-time.  This module supplies its data layer:
   float64 without diverging from Python scalar arithmetic;
 * :class:`ColumnStore` — per (predicate, arity) struct-of-arrays blocks
   of codes, synced incrementally against the database's live row lists.
-  The sync key is ``(len(rows), removal_count)``: while a predicate only
-  grows, new rows are appended to the existing arrays; a removal forces a
-  rebuild of that predicate's blocks (removals are rare outside DRed).
-  The store also caches join build sides (stable argsort + packed keys
-  per probe signature) so a relation that several rules probe the same
-  way is sorted once per version.
+  A fact store is append-only, so the sync key is the number of rows
+  consumed: rows past it are appended to the existing arrays and a block
+  is never rebuilt.  The store also caches join build sides (stable
+  argsort + packed keys per probe signature) so a relation that several
+  rules probe the same way is sorted once per version.
 
 Everything here degrades gracefully without numpy: ``NUMPY_AVAILABLE``
 is False and the engine keeps the per-tuple compiled path.
@@ -175,13 +174,11 @@ class ColumnStore:
         self._database = database
         self.interner = interner if interner is not None else ValueInterner()
         self._blocks: dict[tuple[str, int], Block] = {}
-        # predicate -> (rows consumed, removal count at last sync)
-        self._synced: dict[str, tuple[int, int]] = {}
+        # predicate -> rows consumed at last sync
+        self._synced: dict[str, int] = {}
         # (predicate, arity, probe positions, build filter signature)
         #   -> (block size, cached build-side structures)
         self._build_cache: dict[tuple, tuple[int, tuple]] = {}
-        #: blocks rebuilt because the predicate saw removals
-        self.rebuilds = 0
 
     # ------------------------------------------------------------------
     # sync
@@ -193,21 +190,11 @@ class ColumnStore:
         return self._blocks.get((predicate, arity))
 
     def sync(self, predicate: str) -> None:
-        """Fold any new (or rebuild after removed) rows into the blocks."""
-        database = self._database
-        rows = database.live_rows(predicate)
-        removals = database.removal_count(predicate)
-        consumed, seen_removals = self._synced.get(predicate, (0, 0))
-        if removals != seen_removals:
-            # rows were deleted: positions shifted, start over
-            self.rebuilds += 1
-            consumed = 0
-            for key in [k for k in self._blocks if k[0] == predicate]:
-                del self._blocks[key]
-            for key in [k for k in self._build_cache if k[0] == predicate]:
-                del self._build_cache[key]
+        """Fold the rows added since the last sync into the blocks."""
+        rows = self._database.live_rows(predicate)
+        consumed = self._synced.get(predicate, 0)
         total = len(rows)
-        if consumed == total and removals == seen_removals:
+        if consumed == total:
             return
         by_arity: dict[int, list[tuple]] = {}
         for values in rows[consumed:]:
@@ -219,7 +206,7 @@ class ColumnStore:
                     arity, capacity=len(fresh)
                 )
             block.append_rows(self.interner, fresh)
-        self._synced[predicate] = (total, removals)
+        self._synced[predicate] = total
 
     def preload(self, predicate: str) -> None:
         """Eagerly sync one predicate (boot-time hook for loaders)."""
@@ -231,16 +218,12 @@ class ColumnStore:
         Intended for :meth:`Database.copy`: the clone's row lists equal
         ours right now, so blocks carry over as numpy copies (no
         re-interning) and the append-only interner is shared by
-        reference.  Sync state restarts from the clone's own counters.
+        reference.
         """
         store = ColumnStore(clone_database, interner=self.interner)
         for key, block in self._blocks.items():
             store._blocks[key] = block.snapshot()
-        for predicate, (consumed, _) in self._synced.items():
-            store._synced[predicate] = (
-                consumed,
-                clone_database.removal_count(predicate),
-            )
+        store._synced = dict(self._synced)
         return store
 
     # ------------------------------------------------------------------

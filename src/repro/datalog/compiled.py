@@ -11,9 +11,10 @@ into a chain of closures over a flat register file —
   the planned order, so there is no per-tuple "is this variable bound?"
   question left);
 * each atom step captures the **live index dict** (or row list) of its
-  predicate at compile time — :class:`~repro.datalog.database.Database`
-  guarantees those objects are updated in place across semi-naive rounds
-  — and probes it with a precompiled key builder;
+  predicate at compile time — facts are append-only, and
+  :class:`~repro.datalog.database.Database` extends those objects in
+  place, never replaces them, across semi-naive rounds — and probes it
+  with a precompiled key builder;
 * negations become set-membership tests, comparisons/assignments become
   precompiled expression closures, aggregates call into the engine's
   shared monotone accumulator state;

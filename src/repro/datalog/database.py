@@ -6,25 +6,26 @@ store builds (and caches) a hash index over the bound positions the first
 time a given binding shape is used for a predicate, so repeated joins run
 at dictionary-lookup speed.
 
-The join planner and the compiled rule evaluators
-(:mod:`repro.datalog.planner` / :mod:`repro.datalog.compiled`) lean on two
-extra guarantees this module provides:
+Facts are append-only: there is no removal.  That is what the chase
+assumes (derived facts only accumulate, aggregates are monotonic), and a
+caller that needs a retraction builds a new ``Database`` from the changed
+input and runs the engine again.  The join planner and the compiled rule
+evaluators (:mod:`repro.datalog.planner` / :mod:`repro.datalog.compiled`)
+and the columnar cache (:mod:`repro.datalog.columns`) lean on what
+follows from it:
 
 * **index stability** — once built, the dict returned by
-  :meth:`index_for` (and its bucket lists) is updated *in place* by
-  :meth:`add` and :meth:`remove`, never replaced, so compiled evaluators
-  may capture it once and probe it across semi-naive rounds;
+  :meth:`index_for` (and its bucket lists) is extended *in place* by
+  :meth:`add`, never replaced, so compiled evaluators may capture it once
+  and probe it across semi-naive rounds;
 * **cheap statistics** — :meth:`cardinality` and :meth:`distinct_count`
   expose the per-predicate row counts and per-index key counts the
   planner's selectivity estimates are built from.  Both answer purely
   from maintained state (list lengths / index key counts) so the
   replanning path never rescans a relation;
-* **mutation counters** — :meth:`removal_count` reports how many facts
-  have ever been removed from a predicate.  The columnar cache
-  (:mod:`repro.datalog.columns`) keys its incremental append-sync on
-  (row-list length, removal count): unchanged removals mean the live
-  row list only grew, so column blocks extend in place instead of
-  rebuilding.
+* **the row count is the version** — a live row list only grows, so the
+  columnar cache syncs by consuming the rows past the count it last saw
+  and extends its column blocks in place.
 
 Predicates may mix arities under one name (the engine stores ``link/3``
 and ``link/4`` together); an index over positions a short tuple does not
@@ -55,8 +56,6 @@ class Database:
         # predicate -> its cached positional indexes (kept per predicate so
         # ``add`` only maintains the indexes of the predicate it touches)
         self._indexes: dict[str, _PredicateIndexes] = {}
-        # predicate -> total facts ever removed (column-cache invalidation)
-        self._removals: dict[str, int] = {}
         # lazily attached repro.datalog.columns.ColumnStore
         self._columns = None
         for predicate, values in facts:
@@ -89,35 +88,6 @@ class Database:
             if self.add(predicate, values):
                 added += 1
         return added
-
-    def remove(self, predicate: str, values: FactValues) -> bool:
-        """Remove one fact; returns True when it was present.
-
-        Cached indexes survive a removal: the tuple is deleted from each
-        affected index bucket in place, so index dicts captured by
-        compiled evaluators (and the work spent building them) are not
-        thrown away.
-        """
-        existing = self._sets.get(predicate)
-        if existing is None or values not in existing:
-            return False
-        existing.remove(values)
-        self._facts[predicate].remove(values)
-        self._removals[predicate] = self._removals.get(predicate, 0) + 1
-        indexes = self._indexes.get(predicate)
-        if indexes:
-            width = len(values)
-            for positions, index in indexes.items():
-                if positions[-1] >= width:
-                    continue
-                key = tuple(values[p] for p in positions)
-                bucket = index.get(key)
-                if bucket is None:
-                    continue
-                bucket.remove(values)
-                if not bucket:
-                    del index[key]
-        return True
 
     # ------------------------------------------------------------------
     # queries
@@ -171,9 +141,9 @@ class Database:
         """The live hash index of ``predicate`` over ``positions``.
 
         Builds the index on first use (this doubles as the planner's
-        pre-warm hook) and returns the *live* dict: subsequent ``add`` /
-        ``remove`` calls update it in place, so holding a reference stays
-        valid for the lifetime of this database.  ``positions`` must be
+        pre-warm hook) and returns the *live* dict: subsequent ``add``
+        calls extend it in place, so holding a reference stays valid for
+        the lifetime of this database.  ``positions`` must be
         sorted ascending.
         """
         indexes = self._indexes.get(predicate)
@@ -225,21 +195,11 @@ class Database:
                 best = len(index)
         return best
 
-    def removal_count(self, predicate: str) -> int:
-        """How many facts have ever been removed from ``predicate``.
-
-        Together with ``len(live_rows(predicate))`` this versions the
-        live row list: an unchanged removal count means the list has only
-        been appended to since last observed, so columnar caches can sync
-        by consuming the tail instead of rebuilding.
-        """
-        return self._removals.get(predicate, 0)
-
     def column_store(self):
         """The lazily attached columnar cache (see :mod:`.columns`).
 
         One store per database: interned code columns per (predicate,
-        arity), kept in sync with the row lists via :meth:`removal_count`.
+        arity), kept in sync with the row lists by their length.
         Raises ImportError when numpy is unavailable — callers gate on
         :data:`repro.datalog.columns.NUMPY_AVAILABLE` instead of catching.
         """

@@ -31,11 +31,11 @@ planner replaces that with a per-(rule, seed-occurrence) plan:
   :func:`order_sensitive_predicates`), since delta order steers the
   contribution sequence of later rounds.
 
-Plans record the cardinality snapshot they were derived from;
-:meth:`JoinPlan.stale` reports when the database has drifted far enough
-(ratio past :data:`REPLAN_RATIO`) that the engine should re-plan — the
-usual case being IDB predicates that were empty at round 0 and dominate
-the join a few semi-naive rounds later.
+Plans record the cardinality snapshot they were derived from.  Facts are
+append-only, so a relation only grows; :meth:`JoinPlan.stale` reports
+when one has grown far enough (ratio past :data:`REPLAN_RATIO`) that the
+engine should re-plan — the usual case being IDB predicates that were
+empty at round 0 and dominate the join a few semi-naive rounds later.
 
 Ordering only ever changes *when* a pure literal is evaluated, never the
 set of satisfying bindings, so planned evaluation is equivalent for the
@@ -58,9 +58,9 @@ DEFAULT_SELECTIVITY = 0.1
 #: Estimated cost of a fully-bound existence probe (cheaper than any scan).
 MEMBERSHIP_COST = 0.5
 
-#: Re-plan when a body predicate's cardinality grew or shrank by this
-#: factor relative to the plan-time snapshot (small counts are exempt —
-#: see :meth:`JoinPlan.stale`).
+#: Re-plan when a body predicate's cardinality grew by this factor
+#: relative to the plan-time snapshot (small counts are exempt — see
+#: :meth:`JoinPlan.stale`).
 REPLAN_RATIO = 4.0
 
 #: Cardinalities below this never trigger a re-plan on their own: the
@@ -111,15 +111,10 @@ class JoinPlan:
         return (self.order, tuple(step.probe_positions for step in self.steps))
 
     def stale(self, database: Database) -> bool:
-        """Has the database drifted enough to make this plan suspect?"""
+        """Has the database grown enough to make this plan suspect?"""
         for predicate, then in self.cardinalities.items():
             now = database.cardinality(predicate)
-            if now == then:
-                continue
-            low, high = (then, now) if then < now else (now, then)
-            if high < REPLAN_MIN_ROWS:
-                continue
-            if low * REPLAN_RATIO <= high:
+            if now >= REPLAN_MIN_ROWS and then * REPLAN_RATIO <= now:
                 return True
         return False
 

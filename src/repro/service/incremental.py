@@ -38,6 +38,7 @@ from ..graph.property_graph import Edge, NodeId
 from ..ownership.close_links import (
     accumulated_ownership_dag,
     accumulated_ownership_from,
+    all_accumulated_ownership,
     is_acyclic,
 )
 from ..ownership.control import controlled_by
@@ -50,8 +51,6 @@ class DeltaBatch:
 
     Produced by :func:`~repro.service.updates.apply_deltas` and threaded
     through :meth:`~repro.service.snapshot.SnapshotBuilder.build`.
-    Unpacks as the historical ``(new_edges, removed_any)`` pair for
-    callers that only feed the warm embedder.
     """
 
     #: shareholding edges added (in application order)
@@ -71,10 +70,6 @@ class DeltaBatch:
     #: build, still at the generation it was built at (the chain check)
     base: CompanyGraph | None = None
     base_generation: int = -1
-
-    def __iter__(self):
-        yield self.new_edges
-        yield self.removed_any
 
     def dirty_nodes(self) -> set[NodeId]:
         """Nodes whose incident shareholding structure changed."""
@@ -197,20 +192,9 @@ def control_pairs_from_rows(
 def phi_rows(
     graph: CompanyGraph, max_depth: int | None
 ) -> tuple[dict[NodeId, dict[NodeId, float]], bool]:
-    """Per-source Phi rows plus the strategy flag (DAG DP vs DFS).
-
-    Mirrors :func:`~repro.ownership.close_links.all_accumulated_ownership`
-    exactly — same strategy choice, same per-source functions — so the
-    rows are bit-identical to what the cold build computes.
-    """
+    """Per-source Phi rows plus the strategy flag (DAG DP vs DFS)."""
     use_dag = max_depth is None and is_acyclic(graph)
-    rows: dict[NodeId, dict[NodeId, float]] = {}
-    for source in graph.node_ids():
-        if use_dag:
-            rows[source] = accumulated_ownership_dag(graph, source)
-        else:
-            rows[source] = accumulated_ownership_from(graph, source, max_depth=max_depth)
-    return rows, use_dag
+    return all_accumulated_ownership(graph, max_depth=max_depth), use_dag
 
 
 def patch_phi_rows(

@@ -45,7 +45,6 @@ from ..ownership.matrix import (
 from ..ownership.ubo import (
     UBO_THRESHOLD,
     BeneficialOwner,
-    all_beneficial_owners,
     assemble_beneficial_owners,
     beneficial_owner_rows,
 )
@@ -94,9 +93,10 @@ class SnapshotConfig:
     max_path_depth: int = 12
     #: node properties indexed in the snapshot's :class:`GraphStore`
     index_properties: tuple[str, ...] = ("name", "surname", "address")
-    #: maintain snapshot relations incrementally from accepted delta
-    #: batches; False is the escape hatch forcing a cold recompute of
-    #: every relation on every build (the pre-incremental behaviour)
+    #: keep the per-source rows of each build so the next one patches
+    #: them from its accepted delta batch; False keeps no state, so every
+    #: build derives every row cold (the oracle the tests and the e2e
+    #: benchmark compare against)
     incremental: bool = True
     #: correct the previous build's ``splu`` factorisation with a
     #: Sherman-Morrison-Woodbury update for small shareholding deltas
@@ -601,15 +601,9 @@ class SnapshotBuilder:
                         config.control_threshold,
                         affected=affected,
                     )
-                    control = control_pairs_from_rows(c_rows)
-                elif config.incremental:
-                    c_rows = control_rows(graph, config.control_threshold)
-                    control = control_pairs_from_rows(c_rows)
                 else:
-                    c_rows = None
-                    control = set(
-                        control_closure(graph, threshold=config.control_threshold)
-                    )
+                    c_rows = control_rows(graph, config.control_threshold)
+                control = control_pairs_from_rows(c_rows)
             with self.tracer.span("snapshot.close_links"):
                 if incremental:
                     p_rows, use_dag = patch_phi_rows(
@@ -621,26 +615,15 @@ class SnapshotBuilder:
                         config.max_path_depth,
                         affected=affected,
                     )
-                elif config.incremental:
+                else:
                     p_rows, use_dag = phi_rows(graph, config.max_path_depth)
-                else:
-                    p_rows, use_dag = None, False
-                if p_rows is not None:
-                    company_ids = {node.id for node in graph.companies()}
-                    close = {
-                        (link.x, link.y)
-                        for link in links_from_phi(
-                            p_rows, company_ids, config.close_link_threshold
-                        )
-                    }
-                else:
-                    close = set(
-                        close_link_pairs(
-                            graph,
-                            config.close_link_threshold,
-                            max_depth=config.max_path_depth,
-                        )
+                company_ids = {node.id for node in graph.companies()}
+                close = {
+                    (link.x, link.y)
+                    for link in links_from_phi(
+                        p_rows, company_ids, config.close_link_threshold
                     )
+                }
             with self.tracer.span("snapshot.ubo"):
                 # the UBO index pairs integrated ownership with control at
                 # the *definitional* vote-majority threshold, independent
@@ -655,19 +638,13 @@ class SnapshotBuilder:
                         CONTROL_THRESHOLD,
                         affected=affected,
                     )
-                    ubo = assemble_beneficial_owners(
-                        graph, integrated, controlled, config.ubo_threshold
-                    )
-                elif config.incremental:
+                else:
                     integrated, controlled = beneficial_owner_rows(
                         graph, CONTROL_THRESHOLD
                     )
-                    ubo = assemble_beneficial_owners(
-                        graph, integrated, controlled, config.ubo_threshold
-                    )
-                else:
-                    integrated, controlled = None, None
-                    ubo = all_beneficial_owners(graph, config.ubo_threshold)
+                ubo = assemble_beneficial_owners(
+                    graph, integrated, controlled, config.ubo_threshold
+                )
 
             with self.tracer.span("snapshot.materialise"):
                 rows = canonical_rows(frame, family_links, control, close)

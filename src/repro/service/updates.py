@@ -66,7 +66,6 @@ def apply_deltas(
 
     Returns a :class:`~repro.service.incremental.DeltaBatch` recording
     exactly what changed — the fuel of the incremental snapshot build.
-    It still unpacks as the historical ``(new_edges, removed_any)`` pair.
     Raises :class:`MutationError` on the first bad op; callers apply to a
     throwaway copy so a failed batch leaves no trace.
     """

@@ -154,48 +154,3 @@ class TestProvenance:
         engine = pipeline.last_engine
         lines = engine.explain("control", ("P1", "C"))
         assert any("ctrl" in line or "extensional" in line for line in lines)
-
-
-class TestIncrementalReasoning:
-    """config.incremental_reasoning serves reason() from a maintained
-    fixpoint; the cold KnowledgeGraph.reason path is the oracle."""
-
-    def test_results_match_cold_pipeline(self):
-        graph = figure1_graph()
-        warm = ReasoningPipeline(graph, fast_config(incremental_reasoning=True))
-        cold = ReasoningPipeline(graph, fast_config())
-        assert warm.control_pairs() == cold.control_pairs()
-        # second call answers from the maintained engine, delta-free
-        assert warm.control_pairs() == cold.control_pairs()
-        assert len(warm._incremental_cache) == 1
-
-    def test_maintained_engine_is_reused_across_calls(self):
-        graph = figure1_graph()
-        warm = ReasoningPipeline(graph, fast_config(incremental_reasoning=True))
-        warm.control_pairs()
-        maintained, _facts = next(iter(warm._incremental_cache.values()))
-        warm.control_pairs()
-        kept, _facts = next(iter(warm._incremental_cache.values()))
-        assert kept is maintained
-        assert maintained.full_recomputes == 0
-
-    def test_extensional_delta_flows_through_maintenance(self):
-        graph = figure1_graph()
-        warm = ReasoningPipeline(graph, fast_config(incremental_reasoning=True))
-        warm.control_pairs()
-        maintained, _facts = next(iter(warm._incremental_cache.values()))
-        warm.kg.extensional.add("own", ("C", "I", 0.9, None))
-        got = warm.control_pairs()
-        cold = ReasoningPipeline(graph, fast_config())
-        cold.kg.extensional.add("own", ("C", "I", 0.9, None))
-        assert got == cold.control_pairs()
-        assert maintained.full_recomputes == 0  # served by the delta path
-
-    def test_provenance_requests_bypass_the_maintained_engine(self):
-        graph = figure1_graph()
-        warm = ReasoningPipeline(graph, fast_config(incremental_reasoning=True))
-        warm.control_pairs(provenance=True)
-        engine = warm.last_engine
-        lines = engine.explain("control", ("P1", "C"))
-        assert lines
-        assert warm._incremental_cache == {}

@@ -85,7 +85,6 @@ class TestColumnStore:
         grown = store.block("edge", 2)
         assert grown is block  # the same block object grew in place
         assert grown.size == 2
-        assert store.rebuilds == 0
 
     def test_block_growth_beyond_initial_capacity(self):
         database = Database()
@@ -96,15 +95,6 @@ class TestColumnStore:
         assert block.size == 100
         decoded = [store.interner.values[c] for c in block.column(0).tolist()]
         assert decoded == list(range(100))
-
-    def test_removal_forces_rebuild(self):
-        database, store = self._store([("edge", (1, 2)), ("edge", (2, 3))])
-        store.block("edge", 2)
-        database.remove("edge", (1, 2))
-        block = store.block("edge", 2)
-        assert store.rebuilds == 1
-        assert block.size == 1
-        assert store.interner.values[block.column(0)[0]] == 2
 
     def test_mixed_arities_get_separate_blocks(self):
         database, store = self._store([("p", (1,)), ("p", (1, 2))])
@@ -224,11 +214,3 @@ class TestPlannerStatistics:
             for predicate, indexes in database._indexes.items()
         }
         assert indexes_after == indexes_before
-
-    def test_removal_count_versions_the_row_list(self):
-        database = self._database()
-        assert database.removal_count("own") == 0
-        database.remove("own", ("a", "b", 0.5))
-        assert database.removal_count("own") == 1
-        database.remove("own", ("zz", "zz", 0.0))  # absent: no version bump
-        assert database.removal_count("own") == 1

@@ -16,12 +16,6 @@ class TestAddRemove:
         assert not db.contains("q", (1,))
         assert ("p", (1,)) in db
 
-    def test_remove(self):
-        db = Database([("p", (1,)), ("p", (2,))])
-        assert db.remove("p", (1,))
-        assert not db.remove("p", (1,))
-        assert db.facts("p") == [(2,)]
-
     def test_add_all_counts_new(self):
         db = Database()
         added = db.add_all([("p", (1,)), ("p", (1,)), ("q", (2,))])
@@ -58,12 +52,6 @@ class TestMatch:
         db.add("p", (2, "b"))
         assert list(db.match("p", {0: 2})) == [(2, "b")]
 
-    def test_index_invalidated_by_remove(self):
-        db = Database([("p", (1, "a")), ("p", (2, "b"))])
-        assert list(db.match("p", {0: 1})) == [(1, "a")]
-        db.remove("p", (1, "a"))
-        assert list(db.match("p", {0: 1})) == []
-
     def test_mixed_arity_same_predicate(self):
         # the engine stores link/3 and link/4 under one name
         db = Database([("link", (1, 2, 3)), ("link", (1, 2, 3, 0.5))])
@@ -85,8 +73,8 @@ class TestBulk:
 
     def test_predicates_skips_empty(self):
         db = Database([("p", (1,))])
-        db.remove("p", (1,))
-        assert db.predicates() == []
+        db.live_rows("q")  # leaves an empty predicate entry behind
+        assert db.predicates() == ["p"]
 
     def test_repr(self):
         db = Database([("p", (1,))])
@@ -95,45 +83,13 @@ class TestBulk:
 
 class TestIndexStability:
     """Compiled evaluators capture index dicts once and probe them across
-    semi-naive rounds: add/remove must update those dicts in place."""
-
-    def test_remove_updates_index_in_place(self):
-        db = Database([("p", (1, "a")), ("p", (1, "b")), ("p", (2, "c"))])
-        index = db.index_for("p", (0,))
-        assert db.remove("p", (1, "a"))
-        # same dict object, bucket shrunk in place
-        assert db.index_for("p", (0,)) is index
-        assert index[(1,)] == [(1, "b")]
-
-    def test_remove_drops_empty_bucket(self):
-        db = Database([("p", (1, "a"))])
-        index = db.index_for("p", (0,))
-        db.remove("p", (1, "a"))
-        assert (1,) not in index
-        db.add("p", (1, "z"))
-        assert index[(1,)] == [(1, "z")]
+    semi-naive rounds: add must extend those dicts in place."""
 
     def test_add_updates_captured_index(self):
         db = Database([("p", (1, "a"))])
         index = db.index_for("p", (1,))
         db.add("p", (2, "a"))
         assert sorted(index[("a",)]) == [(1, "a"), (2, "a")]
-
-    def test_mixed_arity_remove_skips_short_tuples(self):
-        db = Database([("link", (1, 2)), ("link", (1, 2, 3))])
-        index = db.index_for("link", (2,))  # only link/3 participates
-        assert index == {(3,): [(1, 2, 3)]}
-        assert db.remove("link", (1, 2))  # must not KeyError on the index
-        assert db.remove("link", (1, 2, 3))
-        assert index == {}
-
-    def test_remove_keeps_live_set_and_rows_in_sync(self):
-        db = Database([("p", (1,)), ("p", (2,))])
-        rows = db.live_rows("p")
-        members = db.live_set("p")
-        db.remove("p", (1,))
-        assert rows == [(2,)]
-        assert members == {(2,)}
 
     def test_distinct_count_reports_only_built_indexes(self):
         db = Database([("p", (1, "a")), ("p", (2, "a"))])
@@ -188,12 +144,12 @@ class TestFactsIsolation:
         assert db.facts("absent") == []
 
     def test_copy_rebuilds_sets_from_rows(self):
-        db = Database([("p", (1,)), ("q", (2,))])
-        db.remove("q", (2,))  # leaves an empty predicate entry behind
+        db = Database([("p", (1,))])
+        db.live_rows("q")  # leaves an empty predicate entry behind
         clone = db.copy()
         assert clone.count() == 1
         assert clone.contains("p", (1,))
-        assert not clone.contains("q", (2,))
+        assert "q" not in clone._facts
         # clone indexes are built independently of the original's
         assert list(clone.match("p", {0: 1})) == [(1,)]
         clone.add("p", (5,))

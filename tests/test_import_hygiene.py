@@ -196,6 +196,23 @@ class TestSurfaceParity:
         assert "--store" in capsys.readouterr().err
         assert not (tmp_path / "ex").exists()
 
+    def test_the_dred_maintainer_is_gone(self):
+        import importlib
+
+        import repro.datalog
+        from repro.core.pipeline import PipelineConfig
+
+        for name in ("IncrementalEngine", "UpdateStats"):
+            with pytest.raises(AttributeError):
+                getattr(repro.datalog, name)
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.datalog.incremental")
+        # facts are append-only: nothing can take one back out
+        assert not hasattr(repro.datalog.Database, "remove")
+        assert not hasattr(repro.datalog.Database, "removal_count")
+        with pytest.raises(TypeError):
+            PipelineConfig(incremental_reasoning=True)
+
 
 class TestLazyHelper:
     @pytest.mark.parametrize("package, name", [

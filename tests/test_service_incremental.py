@@ -5,8 +5,8 @@ for any accepted mutation batch, a builder that patches its previous row
 state produces the same control closure, close-link pairs, family links
 and (up to payload rounding) UBO index as a builder that recomputes the
 world from scratch.  The cold oracle here is a builder with
-``SnapshotConfig(incremental=False)`` — the exact pre-incremental code
-path, kept as the escape hatch.
+``SnapshotConfig(incremental=False)``: it keeps no row state, so every
+build derives every row cold (with the same per-source functions).
 """
 
 import asyncio
@@ -17,11 +17,7 @@ from hypothesis import strategies as st
 
 from repro.datagen.company_generator import CompanySpec, generate_company_graph
 from repro.service import SnapshotBuilder, SnapshotConfig, SnapshotManager
-from repro.service.incremental import (
-    DeltaBatch,
-    affected_sources,
-    shareholding_ancestors,
-)
+from repro.service.incremental import affected_sources, shareholding_ancestors
 from repro.service.updates import GraphUpdater, apply_deltas
 
 
@@ -50,7 +46,8 @@ def assert_snapshots_equivalent(actual, expected):
 
 def build_pair(graph, deltas_seq):
     """Run the same delta batches through an incremental and a cold
-    builder; return the final (incremental, cold) snapshots."""
+    builder; return the final (incremental, cold) snapshots.  Every delta
+    build must take the patch path and equal the cold build row for row."""
     warm = SnapshotBuilder()
     cold = SnapshotBuilder(SnapshotConfig(incremental=False))
     staging = graph
@@ -63,6 +60,8 @@ def build_pair(graph, deltas_seq):
         batch.base_generation = staging.generation
         warm_snap = warm.build(candidate, delta=batch)
         cold_snap = cold.build(candidate)
+        assert warm_snap.incremental and not cold_snap.incremental
+        assert_snapshots_equivalent(warm_snap, cold_snap)
         staging = candidate
     return warm_snap, cold_snap
 
@@ -161,9 +160,19 @@ class TestIncrementalBuild:
         assert not builder.build(candidate, delta=batch).incremental
 
     def test_escape_hatch_never_keeps_state(self):
+        graph = make_graph()
         builder = SnapshotBuilder(SnapshotConfig(incremental=False))
-        builder.build(make_graph())
+        cold = builder.build(graph)
         assert builder._state is None
+        # keeping no state is the only difference: a first build derives
+        # the same rows, in the same order, under either setting
+        first = SnapshotBuilder().build(graph)
+        assert first.control_rows == cold.control_rows
+        assert first.close_rows == cold.close_rows
+        assert first.family_rows == cold.family_rows
+        assert list(first.ubo) == list(cold.ubo)
+        companies = [node.id for node in graph.companies()]
+        assert first.ubo_payloads(companies) == cold.ubo_payloads(companies)
 
     def test_reset_incremental_forces_cold_build(self):
         graph = make_graph()
@@ -210,11 +219,6 @@ class TestAffectedSources:
         affected = affected_sources(batch, graph, candidate)
         # ancestors via the *old* graph still see the removed edge's source
         assert shareholding_ancestors(graph, [edge.source]) <= affected
-
-    def test_delta_batch_unpacks_as_legacy_pair(self):
-        batch = DeltaBatch(new_edges=["e"], removed_any=True)
-        new_edges, removed_any = batch
-        assert new_edges == ["e"] and removed_any is True
 
 
 class TestUpdaterIntegration:
