@@ -22,7 +22,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "company_graph_from_facts", "COMPANY_SCHEMA", "EdgeRelation", "NodeRelation",
         "RelationalSchema", "roundtrip", "to_facts",
     ),
-    "store": ("GraphStore",),
     "temporal": ("ControlChange", "evolve", "OwnershipHistory"),
     "validation": ("Finding", "quality_report", "validate"),
 })

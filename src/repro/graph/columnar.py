@@ -397,20 +397,15 @@ class GraphFrame:
             self._ownership_systems[damping] = cached
         return cached
 
-    def has_ownership_system(self, damping: float = 1.0) -> bool:
-        """Whether a factorised ownership system is already cached."""
-        return damping in self._ownership_systems
+    def release_ownership_systems(self) -> None:
+        """Drop the cached factorisations; the next solve factorises again.
 
-    def adopt_ownership_system(self, damping: float, system: tuple) -> None:
-        """Install an externally derived ``(w, transpose, solver)`` triple.
-
-        Used by the low-rank (Sherman-Morrison-Woodbury) update path in
-        :mod:`repro.ownership.matrix`: after a small shareholding delta
-        the previous frame's factorisation is corrected instead of
-        redone, and the corrected solver is adopted by the new frame so
-        every later point solve on this frame reuses it.
+        scipy's SuperLU returns a factorisation's memory only when the
+        object dies on the thread that created it; dropped anywhere else
+        it leaks.  A thread that factorised a frame it then hands to
+        other threads calls this first.
         """
-        self._ownership_systems[damping] = system
+        self._ownership_systems.clear()
 
     # ------------------------------------------------------------------
     # buffer export / attach (the shared-memory substrate)

@@ -70,9 +70,8 @@ class PropertyGraph:
         derived views (notably :class:`~repro.graph.columnar.GraphFrame`)
         are valid exactly as long as the generation they were built at is
         still current.  Mutating ``node.properties`` dicts directly
-        bypasses the counter — use :meth:`set_property` (or
-        :meth:`GraphStore.set_property <repro.graph.store.GraphStore.set_property>`)
-        when cached views must notice.
+        bypasses the counter — use :meth:`set_property` when cached views
+        must notice.
         """
         return self._generation
 

@@ -40,106 +40,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from scipy.sparse import lil_matrix
 
 
-#: Largest shareholding-edit batch handled by a low-rank solver update;
-#: bigger deltas refactorise (the correction term grows as O(n * k)).
-DEFAULT_MAX_UPDATE_RANK = 32
-#: Conditioning guard on the k x k capacitance matrix of the Woodbury
-#: identity — an ill-conditioned capacitance would amplify the update's
-#: rounding error far beyond a fresh factorisation's.
-DEFAULT_CAPACITANCE_COND_LIMIT = 1e8
-#: Longest chain of stacked low-rank corrections before forcing a fresh
-#: factorisation (each layer adds a solve + an O(n * k) correction).
-DEFAULT_MAX_UPDATE_CHAIN = 8
-
-
-def try_low_rank_update(
-    old_frame: GraphFrame,
-    new_frame: GraphFrame,
-    damping: float = 1.0,
-    *,
-    max_rank: int = DEFAULT_MAX_UPDATE_RANK,
-    cond_limit: float = DEFAULT_CAPACITANCE_COND_LIMIT,
-    max_chain: int = DEFAULT_MAX_UPDATE_CHAIN,
-) -> bool:
-    """Update ``old_frame``'s cached ``splu(I - W^T)`` solver to ``new_frame``.
-
-    When a mutation batch only edits a few shareholdings, the new system
-    matrix differs from the factorised one by a rank-``k`` term
-    (one rank-1 term per changed ``W^T`` cell).  The Sherman-Morrison-
-    Woodbury identity then solves the *new* system with the *old*
-    factorisation plus a ``k x k`` correction::
-
-        (A + U V^T)^-1 b = A^-1 b - A^-1 U (I_k + V^T A^-1 U)^-1 V^T A^-1 b
-
-    with ``A = I - W_old^T`` and ``U V^T = -(W_new^T - W_old^T)``.  On
-    success the corrected solver is installed on ``new_frame`` (via
-    :meth:`~repro.graph.columnar.GraphFrame.adopt_ownership_system`) and
-    ``True`` is returned; on any fallback condition the frames are left
-    untouched and ``False`` means "refactorise as usual":
-
-    * the node sets differ (added/removed nodes change the dimension);
-    * more than ``max_rank`` cells of ``W^T`` changed;
-    * the old system was singular (its solver already fell back to
-      per-call ``spsolve``) or produces non-finite intermediates;
-    * the capacitance matrix is ill-conditioned (``cond > cond_limit``);
-    * ``max_chain`` corrections are already stacked on the old solver.
-
-    The corrected solves are mathematically exact but follow a different
-    floating-point path than a fresh factorisation, so results can
-    differ in the last ulps — callers needing bit-identity with a cold
-    factorisation must refactorise instead.
-    """
-    from scipy.linalg import lu_factor, lu_solve
-
-    if new_frame.has_ownership_system(damping):
-        return True  # already factorised — nothing to save
-    if old_frame.nodes != new_frame.nodes:
-        return False
-    n = len(new_frame.nodes)
-    if n == 0:
-        return False
-    w_old, t_old, solve_old = old_frame.ownership_system(damping)
-    depth = getattr(solve_old, "low_rank_depth", 0)
-    if depth >= max_chain:
-        return False
-    w_new = new_frame.ownership_w()
-    if damping != 1.0:
-        w_new = (w_new * damping).tocsc()
-    t_new = w_new.T.tocsc()
-    delta = (t_new - t_old).tocoo()
-    delta.sum_duplicates()
-    mask = delta.data != 0.0
-    rows, cols, data = delta.row[mask], delta.col[mask], delta.data[mask]
-    k = len(data)
-    if k == 0:
-        new_frame.adopt_ownership_system(damping, (w_new, t_new, solve_old))
-        return True
-    if k > max_rank:
-        return False
-
-    # A_new = A_old - (T_new - T_old) = A_old + U V^T with
-    # U[:, t] = -data_t * e_{rows_t} and V[:, t] = e_{cols_t}
-    u = np.zeros((n, k))
-    u[rows, np.arange(k)] = -data
-    z = solve_old(u)  # A_old^-1 U, one multi-rhs solve on the old factors
-    if not np.isfinite(z).all():
-        return False  # singular/overflowed old system — refactorise
-    capacitance = np.eye(k) + z[cols, :]
-    cond = np.linalg.cond(capacitance)
-    if not np.isfinite(cond) or cond > cond_limit:
-        return False
-    factors = lu_factor(capacitance)
-
-    def solver(rhs: np.ndarray) -> np.ndarray:
-        base = solve_old(rhs)
-        return base - z @ lu_solve(factors, base[cols])
-
-    solver.low_rank_depth = depth + 1
-    solver.low_rank_k = k
-    new_frame.adopt_ownership_system(damping, (w_new, t_new, solver))
-    return True
-
-
 def ownership_matrix(
     graph: CompanyGraph,
 ) -> tuple[list[NodeId], "lil_matrix"]:

@@ -7,8 +7,8 @@ service*.  This package is that layer for the reproduction: a
 dependency-free asyncio HTTP JSON API over immutable, versioned KG
 snapshots.
 
-* :mod:`~repro.service.snapshot` — read-optimized snapshots (augmented
-  graph, control closure, close links, UBO indexes, property indexes),
+* :mod:`~repro.service.snapshot` — read-optimized snapshots (the graph,
+  family links, control closure, close links, UBO index),
   identified by a monotonically increasing version and swapped
   atomically so readers never block;
 * :mod:`~repro.service.registry` — the tenant dimension: a

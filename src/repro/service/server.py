@@ -782,7 +782,7 @@ class ReasoningService:
         depth = _int_param(query, "depth", default=1, low=1, high=8)
         label = query.get("label")
         snapshot = self.registry.get(tenant).manager.current
-        if not snapshot.augmented.has_node(node_id):
+        if not snapshot.graph.has_node(node_id):
             raise HttpError(404, f"unknown node: {node_id}")
         key = snapshot_key(snapshot.version, "neighbors", (node_id, depth, label), tenant)
 

@@ -3,9 +3,10 @@
 A :class:`Snapshot` is the unit the service reads from: one immutable
 view of the company KG with everything the endpoints need precomputed —
 the augmentation pipeline's family links, the control closure
-(Definition 2.3), the close-link pairs (Definition 2.6), the beneficial-
-owner index, and a :class:`~repro.graph.GraphStore` with property
-indexes over the augmented graph.  Snapshots are identified by a
+(Definition 2.3), the close-link pairs (Definition 2.6) and the
+beneficial-owner index.  It holds one graph, the extensional one; what
+reasoning derived stays in three row lists, indexed by endpoint for
+``/neighbors``.  Snapshots are identified by a
 monotonically increasing version; :class:`SnapshotManager` swaps the
 current snapshot with one reference assignment so readers never block
 and never observe a half-built state.
@@ -21,7 +22,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from ..core.pipeline import PipelineConfig, ReasoningPipeline
 from ..embeddings.incremental import IncrementalEmbedder
@@ -29,7 +30,6 @@ from ..embeddings.node2vec import Node2VecConfig
 from ..graph.columnar import GraphFrame
 from ..graph.company_graph import CompanyGraph
 from ..graph.property_graph import Edge, NodeId
-from ..graph.store import GraphStore
 from ..linkage.bayes import BayesianLinkClassifier
 from ..ownership.close_links import (
     CLOSE_LINK_THRESHOLD,
@@ -37,11 +37,7 @@ from ..ownership.close_links import (
     links_from_phi,
 )
 from ..ownership.control import CONTROL_THRESHOLD, control_closure, controlled_by
-from ..ownership.matrix import (
-    DEFAULT_MAX_UPDATE_RANK,
-    integrated_ownership_from,
-    try_low_rank_update,
-)
+from ..ownership.matrix import integrated_ownership_from
 from ..ownership.ubo import (
     UBO_THRESHOLD,
     BeneficialOwner,
@@ -91,19 +87,11 @@ class SnapshotConfig:
     dirty_hops: int = 2
     #: path-depth bound of the procedural close-link fallback on cycles
     max_path_depth: int = 12
-    #: node properties indexed in the snapshot's :class:`GraphStore`
-    index_properties: tuple[str, ...] = ("name", "surname", "address")
     #: keep the per-source rows of each build so the next one patches
     #: them from its accepted delta batch; False keeps no state, so every
     #: build derives every row cold (the oracle the tests and the e2e
     #: benchmark compare against)
     incremental: bool = True
-    #: correct the previous build's ``splu`` factorisation with a
-    #: Sherman-Morrison-Woodbury update for small shareholding deltas
-    #: instead of refactorising (requires ``incremental``)
-    low_rank_updates: bool = True
-    #: largest changed-cell count handled by a low-rank update
-    max_update_rank: int = DEFAULT_MAX_UPDATE_RANK
 
 
 #: The snapshot's derived relations as lists in the canonical row order:
@@ -123,11 +111,11 @@ def canonical_rows(
 ) -> Rows:
     """The three derived relations sorted into the one order everything
     downstream uses: the row-state columns of both codecs
-    (:func:`repro.storage.layout.encode_rows`), the derived edges of the
-    augmented graph (:func:`augment`) and so the ``out`` / ``in`` lists
-    of ``/neighbors``.  Pairs sort by ``(str(x), str(y))``; ids whose
-    strings collide (``1`` and ``"1"``) are told apart by ``frame``'s
-    intern codes, so the order never depends on set iteration."""
+    (:func:`repro.storage.layout.encode_rows`) and the derived entries
+    of the ``out`` / ``in`` lists of ``/neighbors``.  Pairs sort by
+    ``(str(x), str(y))``; ids whose strings collide (``1`` and ``"1"``)
+    are told apart by ``frame``'s intern codes, so the order never
+    depends on set iteration."""
     index = frame.index
 
     def pair_key(row: tuple) -> tuple:
@@ -141,36 +129,8 @@ def canonical_rows(
     )
 
 
-def augment(
-    graph: CompanyGraph,
-    family_rows: Iterable[tuple[NodeId, NodeId, str]],
-    control_rows: Iterable[tuple[NodeId, NodeId]],
-    close_rows: Iterable[tuple[NodeId, NodeId]],
-) -> CompanyGraph:
-    """A copy of ``graph`` plus one edge per derived row, in row order:
-    family links (labelled by their class), then ``control``, then
-    ``close_link``.  A pure function of its arguments — builders and
-    both attach paths call it, so the augmented graph is never stored."""
-    augmented = graph.copy()
-    for x, y, link_class in family_rows:
-        augmented.add_edge(x, y, link_class)
-    for x, y in control_rows:
-        augmented.add_edge(x, y, "control")
-    for x, y in close_rows:
-        augmented.add_edge(x, y, "close_link")
-    return augmented
-
-
-def indexed_store(augmented: CompanyGraph, config: "SnapshotConfig") -> GraphStore:
-    """The snapshot's :class:`GraphStore` with its configured indexes."""
-    store = GraphStore(augmented)
-    for prop in config.index_properties:
-        store.ensure_index(prop)
-    return store
-
-
 class Snapshot:
-    """One immutable, fully indexed view of the KG.
+    """One immutable view of the KG with its derived relations.
 
     All mutating happens *before* the snapshot is handed to the manager;
     afterwards every method is a read (custom-threshold queries compute
@@ -188,8 +148,6 @@ class Snapshot:
         self,
         version: int,
         graph: CompanyGraph,
-        augmented: CompanyGraph,
-        store: GraphStore,
         config: SnapshotConfig,
         control: set[tuple[NodeId, NodeId]],
         close_links: set[tuple[NodeId, NodeId]],
@@ -207,8 +165,6 @@ class Snapshot:
         self.graph = graph
         #: the columnar frame shared by every read path of this snapshot
         self.frame = frame if frame is not None else GraphFrame.of(graph)
-        self.augmented = augmented
-        self.store = store
         self.config = config
         self.control = control
         self.close_links = close_links
@@ -218,15 +174,24 @@ class Snapshot:
         self.warm = warm
         self.created_at = time.time()
         #: the three relations as lists in canonical order (sorted once;
-        #: the codecs and ``augmented`` follow it)
+        #: the codecs and ``/neighbors`` follow it)
         self.family_rows, self.control_rows, self.close_rows = (
             rows
             if rows is not None
             else canonical_rows(self.frame, family_links, control, close_links)
         )
-        self._control_by_source: dict[NodeId, list[NodeId]] = {}
-        for x, y in self.control_rows:
-            self._control_by_source.setdefault(x, []).append(y)
+        #: node -> ``[(other end, label), ...]`` over the derived rows in
+        #: row order: family links, then ``control``, then ``close_link``
+        self._derived_out: dict[NodeId, list[tuple[NodeId, str]]] = {}
+        self._derived_in: dict[NodeId, list[tuple[NodeId, str]]] = {}
+        for labelled in (
+            self.family_rows,
+            ((x, y, "control") for x, y in self.control_rows),
+            ((x, y, "close_link") for x, y in self.close_rows),
+        ):
+            for x, y, label in labelled:
+                self._derived_out.setdefault(x, []).append((y, label))
+                self._derived_in.setdefault(y, []).append((x, label))
         self._row_columns: tuple[GraphFrame, tuple] | None = None
 
     def row_columns(self, frame: GraphFrame) -> tuple[dict[str, Any], list[str]]:
@@ -259,14 +224,10 @@ class Snapshot:
         control_rows, close_rows, family_rows, ubo = decode_rows(
             views, frame.nodes, meta["family_classes"]
         )
-        augmented = augment(graph, family_rows, control_rows, close_rows)
-        config = meta["config"]
         snapshot = cls(
             version=version,
             graph=graph,
-            augmented=augmented,
-            store=indexed_store(augmented, config),
-            config=config,
+            config=meta["config"],
             control=set(control_rows),
             close_links=set(close_rows),
             family_links=set(family_rows),
@@ -290,7 +251,11 @@ class Snapshot:
         t = self.config.control_threshold if threshold is None else threshold
         if t == self.config.control_threshold:
             if source is not None:
-                pairs = [[source, y] for y in self._control_by_source.get(source, [])]
+                pairs = [
+                    [source, y]
+                    for y, derived_label in self._derived_out.get(source, ())
+                    if derived_label == "control"
+                ]
             else:
                 pairs = sorted([x, y] for x, y in self.control)
         elif source is not None:
@@ -373,33 +338,63 @@ class Snapshot:
     def neighbors_payload(
         self, node_id: NodeId, depth: int = 1, label: str | None = None
     ) -> dict[str, Any]:
-        """One node of the *augmented* graph with its incident edges."""
-        graph = self.augmented
-        node = graph.node(node_id)
-        out_edges = [
-            {"target": e.target, "label": e.label, "properties": dict(e.properties)}
-            for e in graph.out_edges(node_id, label)
-        ]
-        in_edges = [
-            {"source": e.source, "label": e.label, "properties": dict(e.properties)}
-            for e in graph.in_edges(node_id, label)
-        ]
+        """One node with its incident edges, extensional and derived."""
+        node = self.graph.node(node_id)
         payload: dict[str, Any] = {
             "version": self.version,
             "id": node_id,
             "label": node.label,
             "properties": dict(node.properties),
-            "out": out_edges,
-            "in": in_edges,
+            "out": [
+                {"target": y, "label": edge_label, "properties": dict(properties)}
+                for y, edge_label, properties in self._incident(node_id, label)
+            ],
+            "in": [
+                {"source": x, "label": edge_label, "properties": dict(properties)}
+                for x, edge_label, properties in self._incident(node_id, label, incoming=True)
+            ],
         }
         if depth > 1:
-            payload["reachable"] = sorted(
-                self.store.expand(node_id, label, depth), key=str
-            )
+            payload["reachable"] = sorted(self._reachable(node_id, label, depth), key=str)
         return payload
 
+    def _incident(
+        self, node_id: NodeId, label: str | None, incoming: bool = False
+    ) -> Iterator[tuple[NodeId, str | None, dict[str, Any]]]:
+        """``(other end, label, properties)`` per edge leaving (with
+        ``incoming``: entering) ``node_id``, optionally of one label: the
+        base graph's edges, then the derived rows in row order."""
+        if incoming:
+            for edge in self.graph.in_edges(node_id, label):
+                yield edge.source, edge.label, edge.properties
+            derived = self._derived_in
+        else:
+            for edge in self.graph.out_edges(node_id, label):
+                yield edge.target, edge.label, edge.properties
+            derived = self._derived_out
+        for other, derived_label in derived.get(node_id, ()):
+            if label is None or derived_label == label:
+                yield other, derived_label, {}
+
+    def _reachable(self, node_id: NodeId, label: str | None, depth: int) -> set[NodeId]:
+        """Nodes within ``depth`` hops of ``node_id`` along out-edges."""
+        frontier = {node_id}
+        visited = {node_id}
+        for _ in range(depth):
+            next_frontier: set[NodeId] = set()
+            for current in frontier:
+                for successor, _, _ in self._incident(current, label):
+                    if successor not in visited:
+                        visited.add(successor)
+                        next_frontier.add(successor)
+            frontier = next_frontier
+            if not frontier:
+                break
+        visited.discard(node_id)
+        return visited
+
     def stats_payload(self) -> dict[str, Any]:
-        graph, augmented = self.graph, self.augmented
+        graph = self.graph
         return {
             "version": self.version,
             "warm_build": self.warm,
@@ -410,12 +405,13 @@ class Snapshot:
             "edges": graph.edge_count,
             "companies": sum(1 for _ in graph.companies()),
             "persons": sum(1 for _ in graph.persons()),
-            "augmented_edges": augmented.edge_count - graph.edge_count,
+            "augmented_edges": (
+                len(self.family_rows) + len(self.control_rows) + len(self.close_rows)
+            ),
             "control_pairs": len(self.control),
             "close_link_pairs": len(self.close_links),
             "family_links": len(self.family_links),
             "companies_with_ubo": len(self.ubo),
-            "indexed_properties": list(self.config.index_properties),
         }
 
 
@@ -432,7 +428,6 @@ class _BuilderState:
 
     graph: CompanyGraph
     generation: int
-    frame: GraphFrame
     control_rows: dict[NodeId, set[NodeId]]
     phi_rows: dict[NodeId, dict[NodeId, float]]
     phi_use_dag: bool
@@ -545,15 +540,6 @@ class SnapshotBuilder:
                 with self.tracer.span("snapshot.affected_sources"):
                     affected = affected_sources(delta, state.graph, graph)
                     span.set("affected_sources", len(affected))
-                if config.low_rank_updates:
-                    # correct the previous factorisation instead of
-                    # refactorising when only a few W^T cells changed;
-                    # on any fallback the frame just factorises lazily
-                    with self.tracer.span("snapshot.low_rank_update") as lr_span:
-                        adopted = try_low_rank_update(
-                            state.frame, frame, max_rank=config.max_update_rank
-                        )
-                        lr_span.set("adopted", adopted)
 
             assignment = None
             if self._embedder is not None:
@@ -645,11 +631,14 @@ class SnapshotBuilder:
                 ubo = assemble_beneficial_owners(
                     graph, integrated, controlled, config.ubo_threshold
                 )
+                # free the factorisation on the thread that made it (the
+                # snapshot is retired by whichever thread publishes the
+                # next version); a custom-threshold solve factorises
+                # again, as it does on every attached snapshot
+                frame.release_ownership_systems()
 
-            with self.tracer.span("snapshot.materialise"):
+            with self.tracer.span("snapshot.canonical_rows"):
                 rows = canonical_rows(frame, family_links, control, close)
-                augmented = augment(graph, *rows)
-                store = indexed_store(augmented, config)
 
             span.set("control_pairs", len(control))
             span.set("close_link_pairs", len(close))
@@ -659,7 +648,6 @@ class SnapshotBuilder:
             self._state = _BuilderState(
                 graph=graph,
                 generation=graph.generation,
-                frame=frame,
                 control_rows=c_rows,
                 phi_rows=p_rows,
                 phi_use_dag=use_dag,
@@ -674,8 +662,6 @@ class SnapshotBuilder:
         return Snapshot(
             version=version,
             graph=graph,
-            augmented=augmented,
-            store=store,
             config=config,
             control=control,
             close_links=close,

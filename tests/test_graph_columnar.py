@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 from repro.bench.workloads import realworld_like
 from repro.embeddings.walks import RandomWalker, build_adjacency, generate_walks
-from repro.graph import CompanyGraph, GraphFrame, figure2_graph
+from repro.graph import CompanyGraph, GraphFrame, PropertyGraph, figure2_graph
 from repro.graph.columnar import intern_sort_key
 from repro.ownership.matrix import integrated_ownership_from
 from repro.ownership.ubo import all_beneficial_owners
@@ -237,6 +237,59 @@ def test_every_write_surface_bumps_generation():
     bumped()
     graph.remove_node("p0")
     bumped()
+
+
+_WRITE_NODE_IDS = st.sampled_from(("n0", "n1", "n2", "n3", "n4"))
+_WRITES = st.one_of(
+    st.tuples(st.just("create"), _WRITE_NODE_IDS, st.sampled_from((None, "P", "C"))),
+    st.tuples(st.just("set"), _WRITE_NODE_IDS, st.sampled_from((None, 0, 1, "v"))),
+    st.tuples(st.just("delete"), _WRITE_NODE_IDS),
+    st.tuples(st.just("edge"), _WRITE_NODE_IDS, _WRITE_NODE_IDS),
+    st.tuples(st.just("unedge"), _WRITE_NODE_IDS, _WRITE_NODE_IDS),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_WRITES, max_size=40))
+def test_frame_matches_graph_under_random_interleavings(ops):
+    """Whatever the order of node/edge creates, removals and property
+    writes, a frame taken afterwards agrees with a plain-list model of
+    the graph: every write went through the generation-bumping surface,
+    so frame caching can never serve a stale view."""
+    graph = PropertyGraph()
+    nodes: set = set()
+    edges: list = []  # (source, target) pairs, insertion order
+    for kind, node_id, *rest in ops:
+        if kind == "create":
+            if node_id not in nodes:
+                graph.add_node(node_id, rest[0])
+                nodes.add(node_id)
+        elif node_id not in nodes:
+            continue
+        elif kind == "set":
+            graph.set_property(node_id, "p", rest[0])
+        elif kind == "delete":
+            graph.remove_node(node_id)
+            nodes.discard(node_id)
+            edges = [(s, t) for s, t in edges if node_id not in (s, t)]
+        elif kind == "edge":
+            if rest[0] in nodes:
+                graph.add_edge(node_id, rest[0], "E")
+                edges.append((node_id, rest[0]))
+        elif (node_id, rest[0]) in edges:
+            edge = next(e for e in graph.out_edges(node_id) if e.target == rest[0])
+            graph.remove_edge(edge.id)
+            edges.remove((node_id, rest[0]))
+        GraphFrame.of(graph)  # a cached frame every later write must invalidate
+
+    assert sorted((e.source, e.target) for e in graph.edges()) == sorted(edges)
+    frame = GraphFrame.of(graph)
+    assert frame.is_current(graph)
+    assert sorted(frame.nodes) == sorted(nodes)
+    assert frame.edge_count == len(edges)
+    for node_id in nodes:
+        successors = sorted(frame.node_ids_at(frame.successor_codes(node_id)))
+        assert successors == sorted(t for s, t in edges if s == node_id)
 
 
 def test_intern_order_is_collision_free_and_str_compatible():

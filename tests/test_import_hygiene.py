@@ -8,6 +8,7 @@ long since imported every ``repro`` module (and numpy, and scipy).
 
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -177,6 +178,32 @@ class TestSurfaceParity:
         }
         assert packages == set(SURFACE)
 
+    def test_every_package_directory_is_installed(self):
+        """``pip install .`` ships what setuptools' ``include`` patterns
+        match — a package missing there imports fine from a checkout."""
+        from fnmatch import fnmatchcase
+
+        text = Path(SRC).parent.joinpath("pyproject.toml").read_text()
+        try:
+            import tomllib
+        except ModuleNotFoundError:  # Python 3.10
+            block = re.search(
+                r"^\[tool\.setuptools\.packages\.find\].*?^include\s*=\s*\[(.*?)\]",
+                text, re.S | re.M,
+            ).group(1)
+            patterns = re.findall(r'"([^"]+)"', block)
+        else:
+            patterns = tomllib.loads(text)["tool"]["setuptools"]["packages"]["find"]["include"]
+        packages = {
+            ".".join(path.parent.relative_to(SRC).parts)
+            for path in Path(SRC, "repro").rglob("__init__.py")
+        }
+        assert {"repro", "repro.service", "repro.storage"} <= packages
+        assert [
+            package for package in sorted(packages)
+            if not any(fnmatchcase(package, pattern) for pattern in patterns)
+        ] == []
+
     @pytest.mark.parametrize("package", sorted(SURFACE))
     def test_every_parent_export_resolves_unchanged(self, package):
         report = run_fresh(CHECK_SURFACE, f"repro.{package}", json.dumps(SURFACE[package]))
@@ -212,6 +239,24 @@ class TestSurfaceParity:
         assert not hasattr(repro.datalog.Database, "removal_count")
         with pytest.raises(TypeError):
             PipelineConfig(incremental_reasoning=True)
+
+    def test_the_graph_store_is_gone(self):
+        import importlib
+
+        import repro.graph
+        from repro.service import SnapshotConfig
+
+        with pytest.raises(AttributeError):
+            repro.graph.GraphStore
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.graph.store")
+        # a snapshot holds one graph, and the solver is never patched
+        for name in ("index_properties", "low_rank_updates", "max_update_rank"):
+            with pytest.raises(TypeError):
+                SnapshotConfig(**{name: None})
+        assert not hasattr(repro.graph.GraphFrame, "adopt_ownership_system")
+        assert not hasattr(importlib.import_module("repro.ownership.matrix"),
+                           "try_low_rank_update")
 
 
 class TestLazyHelper:

@@ -194,117 +194,3 @@ class TestUbo:
         graph.add_shareholding("holding", "sub", 0.9)
         assert beneficial_owners(graph, "sub") == []
         assert "sub" in opaque_companies(graph)
-
-
-class TestLowRankUpdate:
-    """Sherman-Morrison-Woodbury updates of the cached ownership solver."""
-
-    @staticmethod
-    def _chain(n=12, extra=()):
-        import numpy as np  # noqa: F401 — scipy stack guaranteed with frames
-
-        graph = CompanyGraph()
-        graph.add_person("p")
-        for i in range(n):
-            graph.add_company(f"c{i}")
-        graph.add_shareholding("p", "c0", 0.8)
-        for i in range(n - 1):
-            graph.add_shareholding(f"c{i}", f"c{i+1}", 0.6)
-        for owner, company, share in extra:
-            graph.add_shareholding(owner, company, share)
-        return graph
-
-    def test_single_edge_update_matches_fresh_factorisation(self):
-        import numpy as np
-
-        from repro.graph.columnar import GraphFrame
-        from repro.ownership.matrix import try_low_rank_update
-
-        old_graph = self._chain()
-        old_frame = GraphFrame.of(old_graph)
-        old_frame.ownership_system()  # factorise the base
-
-        new_graph = self._chain(extra=[("c3", "c7", 0.25)])
-        updated = GraphFrame.of(new_graph)
-        fresh = GraphFrame.of(new_graph)
-
-        assert try_low_rank_update(old_frame, updated)
-        assert updated.has_ownership_system()
-        _, _, corrected = updated.ownership_system()
-        assert corrected.low_rank_depth == 1
-        _, _, reference = fresh.ownership_system()
-        rhs = np.eye(len(updated.nodes))[:, 0]
-        assert np.allclose(corrected(rhs), reference(rhs), atol=1e-12)
-
-    def test_weight_change_and_multi_edge_delta(self):
-        import numpy as np
-
-        from repro.graph.columnar import GraphFrame
-        from repro.ownership.matrix import try_low_rank_update
-
-        old_graph = self._chain()
-        old_frame = GraphFrame.of(old_graph)
-        old_frame.ownership_system()
-
-        new_graph = CompanyGraph()
-        new_graph.add_person("p")
-        for i in range(12):
-            new_graph.add_company(f"c{i}")
-        new_graph.add_shareholding("p", "c0", 0.8)
-        for i in range(11):
-            # every chain weight shifts: rank-11 delta, still <= max_rank
-            new_graph.add_shareholding(f"c{i}", f"c{i+1}", 0.55)
-        updated = GraphFrame.of(new_graph)
-        assert try_low_rank_update(old_frame, updated)
-        _, _, corrected = updated.ownership_system()
-        _, _, reference = GraphFrame.of(new_graph).ownership_system()
-        rhs = np.ones(len(updated.nodes))
-        assert np.allclose(corrected(rhs), reference(rhs), atol=1e-10)
-
-    def test_node_set_change_refuses(self):
-        from repro.graph.columnar import GraphFrame
-        from repro.ownership.matrix import try_low_rank_update
-
-        old_frame = GraphFrame.of(self._chain())
-        old_frame.ownership_system()
-        bigger = self._chain()
-        bigger.add_company("extra")
-        new_frame = GraphFrame.of(bigger)
-        assert not try_low_rank_update(old_frame, new_frame)
-        assert not new_frame.has_ownership_system()
-
-    def test_rank_budget_refuses_large_deltas(self):
-        from repro.graph.columnar import GraphFrame
-        from repro.ownership.matrix import try_low_rank_update
-
-        old_frame = GraphFrame.of(self._chain())
-        old_frame.ownership_system()
-        new_frame = GraphFrame.of(self._chain(extra=[("c0", "c5", 0.1)]))
-        assert not try_low_rank_update(old_frame, new_frame, max_rank=0)
-
-    def test_identical_weights_reuse_old_solver(self):
-        from repro.graph.columnar import GraphFrame
-        from repro.ownership.matrix import try_low_rank_update
-
-        old_frame = GraphFrame.of(self._chain())
-        _, _, old_solver = old_frame.ownership_system()
-        new_frame = GraphFrame.of(self._chain())
-        assert try_low_rank_update(old_frame, new_frame)
-        _, _, adopted = new_frame.ownership_system()
-        assert adopted is old_solver  # zero-rank delta: no correction layer
-
-    def test_chain_depth_limit_forces_refactorisation(self):
-        from repro.graph.columnar import GraphFrame
-        from repro.ownership.matrix import try_low_rank_update
-
-        frame = GraphFrame.of(self._chain())
-        frame.ownership_system()
-        for step in range(3):
-            graph = self._chain(extra=[("c0", "c4", 0.02 * (step + 1))])
-            nxt = GraphFrame.of(graph)
-            assert try_low_rank_update(frame, nxt, max_chain=3)
-            frame = nxt
-        _, _, solver = frame.ownership_system()
-        assert solver.low_rank_depth == 3
-        final = GraphFrame.of(self._chain(extra=[("c0", "c4", 0.99)]))
-        assert not try_low_rank_update(frame, final, max_chain=3)

@@ -241,10 +241,12 @@ class TestMutations:
             saw_rebuild_flag = False
             deadline = time.monotonic() + 10.0
             while time.monotonic() < deadline:
+                # read first, then ask which version serves: versions only
+                # grow, so "still 1 afterwards" dates the read before the swap
+                _s, payload = await http_request(port, "GET", "/control")
                 _s, health = await http_request(port, "GET", "/healthz")
                 if health["rebuild_in_progress"]:
                     saw_rebuild_flag = True
-                    _s, payload = await http_request(port, "GET", "/control")
                     during.append((health["version"], payload["version"]))
                 if health["version"] == 2:
                     break

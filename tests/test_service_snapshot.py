@@ -1,9 +1,11 @@
 """Tests for versioned snapshots: builds, payloads, atomic swaps."""
 
+import json
+
 import pytest
 
 from repro.datagen.company_generator import CompanySpec, generate_company_graph
-from repro.graph import CompanyGraph
+from repro.graph import SHAREHOLDING, CompanyGraph
 from repro.ownership.close_links import close_link_pairs
 from repro.ownership.control import control_closure
 from repro.service import Snapshot, SnapshotBuilder, SnapshotConfig, SnapshotManager
@@ -20,6 +22,66 @@ def snapshot(graph):
     return SnapshotBuilder().build(graph)
 
 
+def reference_augmented(snapshot):
+    """The second graph every snapshot used to hold: a copy of the base
+    graph plus one edge per derived row, in canonical row order."""
+    augmented = snapshot.graph.copy()
+    for x, y, link_class in snapshot.family_rows:
+        augmented.add_edge(x, y, link_class)
+    for x, y in snapshot.control_rows:
+        augmented.add_edge(x, y, "control")
+    for x, y in snapshot.close_rows:
+        augmented.add_edge(x, y, "close_link")
+    return augmented
+
+
+def reference_neighbors(snapshot, augmented, node_id, depth, label):
+    """``/neighbors`` as it was served from ``reference_augmented``:
+    the node's edge lists, and a BFS over ``successors``."""
+    node = augmented.node(node_id)
+    payload = {
+        "version": snapshot.version,
+        "id": node_id,
+        "label": node.label,
+        "properties": dict(node.properties),
+        "out": [
+            {"target": e.target, "label": e.label, "properties": dict(e.properties)}
+            for e in augmented.out_edges(node_id, label)
+        ],
+        "in": [
+            {"source": e.source, "label": e.label, "properties": dict(e.properties)}
+            for e in augmented.in_edges(node_id, label)
+        ],
+    }
+    if depth > 1:
+        frontier = {node_id}
+        visited = {node_id}
+        for _ in range(depth):
+            next_frontier = set()
+            for current in frontier:
+                for successor in augmented.successors(current, label):
+                    if successor not in visited:
+                        visited.add(successor)
+                        next_frontier.add(successor)
+            frontier = next_frontier
+        visited.discard(node_id)
+        payload["reachable"] = sorted(visited, key=str)
+    return payload
+
+
+def assert_neighbors_match_reference(snapshot):
+    """Every node x depth x label body equals the frozen reference."""
+    augmented = reference_augmented(snapshot)
+    family_class = snapshot.family_rows[0][2]
+    labels = (None, SHAREHOLDING, "control", "close_link", family_class, "no_such_label")
+    for node in snapshot.graph.nodes():
+        for depth in (1, 2, 3):
+            for label in labels:
+                got = snapshot.neighbors_payload(node.id, depth, label)
+                expected = reference_neighbors(snapshot, augmented, node.id, depth, label)
+                assert json.dumps(got) == json.dumps(expected), (node.id, depth, label)
+
+
 class TestBuild:
     def test_versions_increase_monotonically(self, graph):
         builder = SnapshotBuilder()
@@ -34,13 +96,29 @@ class TestBuild:
         assert snapshot.close_links == close_link_pairs(graph, 0.2, max_depth=12)
 
     def test_augmented_graph_has_typed_edges(self, graph, snapshot):
-        assert snapshot.augmented.edge_count >= graph.edge_count + len(snapshot.control)
-        control_edges = sum(1 for _ in snapshot.augmented.edges("control"))
+        augmented = reference_augmented(snapshot)
+        derived = augmented.edge_count - graph.edge_count
+        assert derived >= len(snapshot.control)
+        assert snapshot.stats_payload()["augmented_edges"] == derived == (
+            len(snapshot.family_rows) + len(snapshot.control_rows) + len(snapshot.close_rows)
+        )
+        control_edges = sum(
+            len(snapshot.neighbors_payload(node.id, label="control")["out"])
+            for node in graph.nodes()
+        )
         assert control_edges == len(snapshot.control)
 
-    def test_store_indexes_built(self, snapshot):
-        for prop in snapshot.config.index_properties:
-            assert (None, prop) in snapshot.store._property_indexes
+    def test_build_keeps_no_factorisation_on_the_frame_it_hands_over(self, graph):
+        # SuperLU leaks when freed off the thread that factorised, and a
+        # snapshot is retired by whichever thread publishes the next one
+        snapshot = SnapshotBuilder().build(graph)
+        assert not snapshot.frame._ownership_systems
+        company = next(iter(snapshot.ubo))
+        custom = snapshot.ubo_payloads([company], threshold=0.0)[company]
+        assert snapshot.frame._ownership_systems  # factorised again on demand
+        assert {o["person"] for o in custom["owners"]} >= {
+            o.person for o in snapshot.ubo[company]
+        }
 
     def test_no_augment_skips_family_detection(self, graph):
         snapshot = SnapshotBuilder(SnapshotConfig(augment=False)).build(graph)
@@ -192,9 +270,9 @@ graph, _ = generate_company_graph(CompanySpec(persons=30, companies=24, seed=11)
 snapshot = SnapshotBuilder().build(graph)
 derived = {
     node
-    for edge in snapshot.augmented.edges()
-    if not graph.has_edge(edge.id)
-    for node in (edge.source, edge.target)
+    for rows in (snapshot.family_rows, snapshot.control_rows, snapshot.close_rows)
+    for row in rows
+    for node in row[:2]
 }
 assert len(derived) > 20
 print(json.dumps([snapshot.neighbors_payload(node) for node in sorted(derived)]))
@@ -224,22 +302,17 @@ class TestNeighborsOrder:
             outputs.append(done.stdout)
         assert outputs[0] == outputs[1]
 
-    def test_built_shm_attached_and_store_attached_agree(self, graph, snapshot, tmp_path):
-        import json
-
+    def test_built_shm_attached_and_store_attached_agree(self, snapshot, tmp_path):
         from repro.service import attach_snapshot, encode_snapshot
         from repro.storage import FrameStore
 
         from .test_service_shm import _PARKED_HANDLES, detach
 
-        def every_neighbors(snap):
-            return json.dumps([snap.neighbors_payload(n.id) for n in graph.nodes()])
-
-        expected = every_neighbors(snapshot)
+        assert_neighbors_match_reference(snapshot)
         segment = encode_snapshot(snapshot)
         attached = attach_snapshot(segment.name)
         try:
-            assert every_neighbors(attached) == expected
+            assert_neighbors_match_reference(attached)
         finally:
             detach(attached)
             segment.unlink()
@@ -249,7 +322,51 @@ class TestNeighborsOrder:
                 _PARKED_HANDLES.append(segment)
         store = FrameStore.create(tmp_path / "store")
         store.persist(snapshot)
-        assert every_neighbors(store.attach(snapshot.version)) == expected
+        assert_neighbors_match_reference(store.attach(snapshot.version))
+
+    def test_delta_built_snapshots_match_the_reference(self, graph):
+        from repro.service.updates import apply_deltas
+
+        builder = SnapshotBuilder()
+        staging = graph
+        builder.build(staging)
+        edge = next(iter(graph.edges(SHAREHOLDING)))
+        owner = next(iter(graph.companies())).id
+        for deltas in (
+            [
+                {"op": "add_company", "id": "C_NEW"},
+                {"op": "add_shareholding", "owner": owner, "company": "C_NEW", "share": 0.7},
+            ],
+            [{"op": "remove_edge", "id": edge.id}],
+        ):
+            candidate = staging.copy()
+            batch = apply_deltas(candidate, deltas)
+            batch.base = staging
+            batch.base_generation = staging.generation
+            built = builder.build(candidate, delta=batch)
+            assert built.incremental
+            assert_neighbors_match_reference(built)
+            staging = candidate
+
+    def test_store_whose_config_carries_the_removed_fields_attaches_and_serves(
+        self, graph, tmp_path
+    ):
+        from repro.storage import FrameStore
+
+        # what unpickling an older build's SnapshotConfig leaves behind:
+        # pickle restores the instance __dict__, declared field or not
+        config = SnapshotConfig()
+        removed = {
+            "index_properties": ("name", "surname", "address"),
+            "low_rank_updates": True,
+            "max_update_rank": 32,
+        }
+        vars(config).update(removed)
+        FrameStore.create(tmp_path / "store").persist(SnapshotBuilder(config).build(graph))
+        attached = FrameStore.open(tmp_path / "store").attach(1)
+        assert {name: vars(attached.config)[name] for name in removed} == removed
+        assert_neighbors_match_reference(attached)
+        assert "indexed_properties" not in attached.stats_payload()
 
     def test_ids_with_equal_strings_are_ordered_by_intern_code(self):
         from repro.graph import GraphFrame, PropertyGraph

@@ -21,6 +21,8 @@ from repro.storage import FrameStore, InjectedCrash, StoreError
 from repro.storage import store as store_module
 from repro.storage.layout import ROW_DTYPES
 
+from .test_service_snapshot import reference_augmented
+
 
 def graph_model(graph):
     return (
@@ -89,7 +91,7 @@ class TestPersistAttach:
         assert att.family_links == snap1.family_links
         assert att.ubo == snap1.ubo
         assert graph_model(att.graph) == graph_model(snap1.graph)
-        assert graph_model(att.augmented) == graph_model(snap1.augmented)
+        assert graph_model(reference_augmented(att)) == graph_model(reference_augmented(snap1))
         assert att.created_at == snap1.created_at
         assert att.store_version == 1
 

@@ -29,6 +29,7 @@ from repro.storage import model
 from repro.storage.layout import ROW_DTYPES, encode_rows
 from repro.storage.npyio import write_column
 
+from .test_service_snapshot import reference_augmented
 from .test_storage import assert_files_match_manifest, column_path
 
 #: The version and model tables of catalog format 4, verbatim from the
@@ -327,7 +328,7 @@ def write_format2_model(conn, tenant, version, snapshot):
     property, base edge (layer 0) and derived edge (layer 1), keyed by
     position."""
     interner = cat.ValueInterner(conn)
-    graph, augmented, index = snapshot.graph, snapshot.augmented, snapshot.frame.index
+    graph, augmented, index = snapshot.graph, reference_augmented(snapshot), snapshot.frame.index
     node_pos = {}
     for pos, node in enumerate(graph.nodes()):
         node_pos[node.id] = pos
@@ -433,7 +434,7 @@ def downgrade_to_format1(root):
 
 def fingerprint(snapshot):
     """Everything an attach must reproduce, in a comparable form."""
-    graph, augmented = snapshot.graph, snapshot.augmented
+    graph, augmented = snapshot.graph, reference_augmented(snapshot)
     companies = [node.id for node in graph.companies()]
     return {
         "nodes": repr([(n.id, n.label, list(n.properties.items()))
