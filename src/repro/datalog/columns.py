@@ -247,13 +247,16 @@ class ColumnStore:
         cached = self._build_cache.get(key)
         if cached is not None and cached[0] == block.size:
             return cached[1]
-        if len(key_positions) == 1:
-            packed = block.column(key_positions[0])
-        else:
-            packed = (block.column(key_positions[0]) << 32) | block.column(
-                key_positions[1]
-            )
-        order = np.argsort(packed, kind="stable")
-        entry = (order, packed[order])
+        entry = sort_keys(block, key_positions)
         self._build_cache[key] = (block.size, entry)
         return entry
+
+
+def sort_keys(block, key_positions: tuple[int, ...]):
+    """(stable sort order, sorted packed keys) of a block-shaped relation
+    (anything with ``column(position)``) on one or two key positions."""
+    packed = block.column(key_positions[0])
+    if len(key_positions) == 2:
+        packed = (packed << 32) | block.column(key_positions[1])
+    order = np.argsort(packed, kind="stable")
+    return order, packed[order]

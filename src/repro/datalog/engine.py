@@ -505,8 +505,10 @@ class Engine:
         smallest over the pairs; ``len(order)`` means only the head did)
         or "none" when every pair stayed vectorized end to end;
         ``external_rows`` / ``external_distinct`` count the rows their
-        batch externals saw and the distinct argument tuples they scored.
-        Sets nothing when no pair runs vectorized."""
+        batch externals saw and the distinct argument tuples they scored;
+        ``reduced_in`` / ``reduced_out`` the relation rows their reduced
+        atoms stood for and the rows they joined instead (absent when no
+        atom is reduced).  Sets nothing when no pair runs vectorized."""
         entries = [
             self._vector_cache.get(key)
             for key in keys
@@ -521,6 +523,10 @@ class Engine:
         if externals:
             span.set("external_rows", sum(rows for rows, _ in externals))
             span.set("external_distinct", sum(distinct for _, distinct in externals))
+        reductions = [rule.reduced for rule in lowered if rule.reduced is not None]
+        if reductions:
+            span.set("reduced_in", sum(scanned for scanned, _ in reductions))
+            span.set("reduced_out", sum(kept for _, kept in reductions))
 
     def _apply_compiled(self, compiled, seed_facts: list[FactValues] | None) -> list[Fact]:
         derived, firings = compiled.execute(seed_facts)
@@ -542,8 +548,10 @@ class Engine:
         """EXPLAIN: one child span per (rule, seed occurrence) plan.
 
         ``estimated_rows`` is the planner's per-application estimate for
-        each step; ``actual_rows`` counts bindings that survived the step
-        summed over the whole run.
+        each step; ``actual_rows`` counts what left the step summed over
+        the whole run: bindings on the compiled backend, binding-table
+        rows (after reduction, so possibly fewer than bindings) on the
+        vectorized one.
         """
         rules_by_id = {id(rule): rule for rule in self.program.rules}
         parent = run_span.child("planner")
@@ -563,6 +571,7 @@ class Engine:
             else:
                 compiled_rules += 1
                 plan = compiled.plan
+                counts = compiled.counts
                 if self.vectorize_enabled:
                     entry = self._vector_cache.get((rule_id, seed_index))
                     vectorized = (
@@ -570,6 +579,8 @@ class Engine:
                         and entry[1] is not None
                         and (rule_id, seed_index) not in self._vector_disabled
                     )
+                    if vectorized:
+                        counts = entry[1].counts
                     child.set("backend", "vectorized" if vectorized else "compiled")
                     self._set_vector_attributes(child, [(rule_id, seed_index)])
                     if not vectorized:
@@ -583,8 +594,8 @@ class Engine:
                     "estimated_rows",
                     [round(step.estimated_rows, 1) for step in plan.steps],
                 )
-                if compiled.counts is not None:
-                    child.set("actual_rows", list(compiled.counts))
+                if counts is not None:
+                    child.set("actual_rows", list(counts))
                 if compiled.replans:
                     child.set("replans", compiled.replans)
             child.finish(duration=0.0)

@@ -18,6 +18,9 @@ Execution model
   expansion emits, for every binding row in order, its matching relation
   rows in insertion order — exactly the compiled path's nested-loop
   order, so the derived fact sequence is identical;
+* **relations are reduced before they are joined** when the rule stays
+  columnar to the head and the atom binds a variable that dies right
+  away (see *Reduction and multiplicities* below);
 * **negations / fully-bound atoms** are semi-join membership masks over
   the same sorted keys;
 * **comparisons / assignments** are boolean masks / new columns, with
@@ -42,6 +45,44 @@ Execution model
   aggregate-state dicts, so aggregate totals fold in the identical
   order with identical float arithmetic — bit-identity needs no
   separate proof for the hard part.
+
+Reduction and multiplicities
+----------------------------
+
+A monotone aggregate leaves every intermediate total behind as a fact,
+so a relation like ``acc(X, Y, W)`` holds many rows per ``(X, Y)``, and a
+rule that reads ``W`` through one threshold filter and never again
+(Algorithm 6's ``cl_common``) would join all of them.  For rules with no
+per-row tail, an atom that binds a variable no later step and no head
+term reads has its relation reduced first — O(|relation|) work, redone
+only when the relation has grown:
+
+1. *selection*: constants, repeated variables, and the comparisons the
+   plan places directly after the atom that read only the atom's own
+   variables run against the relation's columns (a comparison overtakes
+   one that stays in the table only if that one cannot raise, so what is
+   left behind sees the rows it always saw);
+2. *projection*: the dead variables are dropped;
+3. *duplicate elimination*: the first occurrence of each remaining row
+   is kept, in insertion order, with a count of the rows it stands for.
+
+The table joins the reduced side on its already-bound variables.  The
+semi-naive delta of a seeded plan is reduced the same way, which is what
+de-duplicates the outer side.  The table carries the counts as an
+optional int64 multiplicity column (:attr:`_Run.mult`: product on a
+join, carried through filters), and ``firings`` is the sum of the
+multiplicities reaching the head: ``EngineStats.rule_firings`` counts
+*bindings of the body*, as the per-tuple paths do, not table rows.
+
+Order is preserved because rows equal on every live column are
+indistinguishable from here on, the join key is live on both sides
+(every member of an outer group matches every member of a relation
+group), and the nested loop enumerates (outer row, relation row)
+lexicographically: the first binding of a pair of groups is the pair of
+their first members, so first occurrences keep their relative order and
+so does the first occurrence of every head tuple.  A joined table is
+never sorted or de-duplicated — on a cross product nothing collapses and
+the sort would cost more than the join.
 
 Identity discipline
 -------------------
@@ -78,10 +119,10 @@ from __future__ import annotations
 from typing import Any, Callable
 
 from .atoms import Aggregate, Assignment, Atom, Comparison, Negation
-from .columns import MAX_CODES, NUMPY_AVAILABLE
-from .compiled import CompilationFallback, _Lowering
+from .columns import MAX_CODES, NUMPY_AVAILABLE, sort_keys
+from .compiled import CompilationFallback, _counted, _Lowering
 from .errors import EvaluationError
-from .planner import JoinPlan
+from .planner import JoinPlan, _calls_external
 from .terms import Constant, Expr, FunctionTerm, Variable
 
 if NUMPY_AVAILABLE:  # pragma: no branch
@@ -109,13 +150,19 @@ class VectorRuntimeFallback(Exception):
 
 
 class _Run:
-    """The binding table: one column per slot, ``n`` rows."""
+    """The binding table: one column per slot, ``n`` rows.
 
-    __slots__ = ("n", "cols")
+    ``mult`` is the optional int64 multiplicity column: how many
+    bindings of the nested-loop enumeration each row stands for (None:
+    one each).  Only joining a reduced relation makes it differ from 1.
+    """
 
-    def __init__(self, n: int, cols: list):
+    __slots__ = ("n", "cols", "mult")
+
+    def __init__(self, n: int, cols: list, mult=None):
         self.n = n
         self.cols = cols
+        self.mult = mult
 
     def col(self, slot: int):
         return self.cols[slot]
@@ -126,14 +173,22 @@ class _Run:
             cols.append(None)
         cols[slot] = values
 
+    def with_col(self, slot: int, values) -> "_Run":
+        """The same rows with one more (or one replaced) column."""
+        out = _Run(self.n, list(self.cols), self.mult)
+        out.set_col(slot, values)
+        return out
+
     def gather(self, take) -> "_Run":
         """Rows at positions ``take`` (any numpy index), in that order."""
         cols = [None if c is None else c[take] for c in self.cols]
-        return _Run(int(len(take)), cols)
+        mult = None if self.mult is None else self.mult[take]
+        return _Run(int(len(take)), cols, mult)
 
     def filter(self, mask) -> "_Run":
         cols = [None if c is None else c[mask] for c in self.cols]
-        return _Run(int(mask.sum()), cols)
+        mult = None if self.mult is None else self.mult[mask]
+        return _Run(int(mask.sum()), cols, mult)
 
 
 # ----------------------------------------------------------------------
@@ -186,10 +241,13 @@ def _float_codes(interner, col):
 class _VecLowering:
     """Single-use context lowering one planned rule to vector steps."""
 
-    def __init__(self, engine, rule, plan: JoinPlan):
+    def __init__(self, engine, rule, plan: JoinPlan, reduce: bool):
         self.engine = engine
         self.rule = rule
         self.plan = plan
+        #: reduce relations before joining them; only sound when the rule
+        #: stays columnar to the head (a per-row tail reads every binding)
+        self.reduce = reduce
         self.store = engine.database.column_store()
         self.interner = self.store.interner
         self.slots: dict[str, int] = {}
@@ -201,6 +259,11 @@ class _VecLowering:
         #: [rows seen, distinct argument tuples scored] summed over the
         #: rule's batch externals and executions; None without one
         self.external: list[int] | None = None
+        #: plan steps (comparisons) already applied inside a reduction
+        self.pushed: set[int] = set()
+        #: [relation rows scanned, rows kept] summed over the rule's
+        #: reduced atoms and executions; None without one
+        self.reduced: list[int] | None = None
 
     def slot_for(self, name: str, kind: str) -> int:
         index = self.slots.get(name)
@@ -348,23 +411,85 @@ class _VecLowering:
             return divide
         raise VectorizationFallback(f"operator {op!r} not vectorized")
 
+    # -- reduction ------------------------------------------------------
+
+    def _reduction(self, atom: Atom, after: int):
+        """What can be taken out of ``atom``'s relation before it meets
+        the binding table, or None when no variable it binds dies.
+
+        Returns ``(pushed, live)``: ``pushed`` numbers the comparisons
+        the plan places directly after the atom (plan step ``after``; -1
+        for the seed) that read only the atom's variables — recorded in
+        :attr:`pushed` so the step loop skips them; ``live`` holds the
+        names some later step or the head still reads.  A variable whose
+        slot holds floats (bound by an assignment) keeps its comparisons
+        in the table: the relation side would offer codes for it.
+        """
+        if not self.reduce:
+            return None
+        order = self.plan.order
+        literals = self.rule.body
+        names = {t.name for t in atom.terms if isinstance(t, Variable)}
+        local = {
+            name for name in names
+            if name not in self.bound or self.kinds[self.slots[name]] == "code"
+        }
+        pushed: list[int] = []
+        live = {v.name for v in self.rule.head_variables()}
+        pushing = True
+        for number in range(after + 1, len(order)):
+            literal = literals[order[number]]
+            reads = {v.name for v in literal.variables()}
+            if pushing and isinstance(literal, Comparison):
+                if reads <= local and not _calls_external(literal):
+                    pushed.append(number)
+                    continue
+                # a later comparison may overtake this one only if it
+                # cannot raise on the rows that comparison would remove
+                pushing = literal.op in ("==", "!=") and all(
+                    isinstance(side, (Variable, Constant))
+                    for side in (literal.lhs, literal.rhs)
+                )
+            else:
+                pushing = False
+            live |= reads
+            if isinstance(literal, Assignment):
+                live.add(literal.variable.name)  # re-assignment compares
+        if names - self.bound <= live:
+            return None
+        if self.reduced is None:
+            self.reduced = [0, 0]
+        self.pushed.update(pushed)
+        return pushed, live
+
+    def _pushed_masks(self, pushed: list[int]):
+        """The mask functions of the comparisons at plan steps ``pushed``
+        (lowered once their variables have slots)."""
+        literals = self.rule.body
+        comparisons = [literals[self.plan.order[number]] for number in pushed]
+        return [self._comparison_mask(c.op, c.lhs, c.rhs) for c in comparisons]
+
     # -- seed -----------------------------------------------------------
 
     def lower_seed(self, atom: Atom):
         """Seed loader: delta tuples -> initial run, mirroring the
         compiled seed entry (arity filter, constant and repeat checks in
-        plain Python on the raw tuples)."""
+        plain Python on the raw tuples); the delta is then reduced like
+        any other relation."""
+        reduction = self._reduction(atom, -1)
         bind_pairs: list[tuple[int, int]] = []
         const_checks: list[tuple[int, Any]] = []
         repeat_checks: list[tuple[int, int]] = []
         fresh: dict[str, int] = {}
+        first_at: dict[str, int] = {}
         for position, term in enumerate(atom.terms):
             if isinstance(term, Variable):
                 if term.name in fresh:
-                    repeat_checks.append((fresh[term.name], position))
+                    repeat_checks.append((first_at[term.name], position))
                 else:
                     slot = self.slot_for(term.name, "code")
                     fresh[term.name] = slot
+                    first_at[term.name] = position
                     bind_pairs.append((slot, position))
             elif isinstance(term, Constant):
                 const_checks.append((position, term.value))
@@ -372,10 +497,18 @@ class _VecLowering:
                 raise VectorizationFallback(
                     f"seed atom {atom} has a complex term"
                 )
+        masks: list = []
+        keep: tuple[int, ...] = ()
+        if reduction is not None:
+            pushed, live = reduction
+            masks = self._pushed_masks(pushed)
+            fresh = {name: slot for name, slot in fresh.items() if name in live}
+            keep = tuple(fresh.values())
         self.bound.update(fresh)
         arity = atom.arity
         interner = self.interner
         n_slots_at_seed = len(self.kinds)
+        stats = self.reduced
 
         def entry(seed_facts) -> _Run:
             intern = interner.intern
@@ -403,14 +536,24 @@ class _VecLowering:
             cols: list = [None] * n_slots_at_seed
             for j, (slot, _) in enumerate(bind_pairs):
                 cols[slot] = np.asarray(columns[j], dtype=np.int64)
-            return _Run(rows, cols)
+            run = _Run(rows, cols)
+            if reduction is not None:
+                stats[0] += rows
+                run = _reduce(run, masks, keep)
+                stats[1] += run.n
+            return run
 
         return entry
 
     # -- atoms ----------------------------------------------------------
 
-    def lower_atom(self, atom: Atom):
-        """One positive-atom step: membership, probe join, or scan."""
+    def lower_atom(self, atom: Atom, after: int):
+        """One positive-atom step (plan step ``after``): membership,
+        probe join, or scan — against the relation's block, or against
+        its reduction when a variable the atom binds dies right away."""
+        reduction = self._reduction(atom, after)
+        if reduction is not None:
+            return self._lower_reduced_atom(atom, *reduction)
         probe_specs: list[tuple[str, Any]] = []   # ("slot", i) | ("const", v)
         probe_positions: list[int] = []
         bind_pairs: list[tuple[int, int]] = []
@@ -435,14 +578,124 @@ class _VecLowering:
                     f"atom {atom} has a complex term"
                 )
         self.bound.update(fresh)
-        self.joins_lowered += 1
+        predicate = atom.predicate
+        arity = atom.arity
+        store = self.store
+        positions = tuple(probe_positions)
 
+        def build():
+            block = store.block(predicate, arity)
+            if block is None or block.size == 0:
+                return None
+            return block, None
+
+        return self._join_step(
+            build,
+            lambda block: store.sorted_keys(predicate, arity, positions),
+            probe_specs, positions, bind_pairs, check_pairs,
+            membership=len(positions) == arity and not bind_pairs and not check_pairs,
+        )
+
+    def _lower_reduced_atom(self, atom: Atom, pushed: list[int], live: set[str]):
+        """The atom step over the reduced relation: constants, repeated
+        variables and the pushed comparisons select on the relation side,
+        dead variables are projected away, duplicates collapse into a
+        count, and the table joins what is left on its bound variables.
+        The reduction is redone only when the relation has grown."""
+        #: (slot, first position) of the variables: already bound (the
+        #: join keys) / fresh and live / all of them
+        probe_pairs: list[tuple[int, int]] = []
+        bind_pairs: list[tuple[int, int]] = []
+        view_pairs: list[tuple[int, int]] = []
+        const_checks: list[tuple[int, Any]] = []
+        #: (first position, position, fresh?) — a fresh repeat is a
+        #: Python ``==`` (NaN equals nothing), a bound one an index probe
+        repeat_checks: list[tuple[int, int, bool]] = []
+        first_at: dict[str, int] = {}
+        for position, term in enumerate(atom.terms):
+            if isinstance(term, Variable):
+                name = term.name
+                if name in first_at:
+                    repeat_checks.append(
+                        (first_at[name], position, name not in self.bound)
+                    )
+                    continue
+                first_at[name] = position
+                if name in self.bound:
+                    slot = self.slots[name]
+                    probe_pairs.append((slot, position))
+                else:
+                    slot = self.slot_for(name, "code")
+                    if name in live:
+                        bind_pairs.append((slot, position))
+                view_pairs.append((slot, position))
+            elif isinstance(term, Constant):
+                const_checks.append((position, term.value))
+            else:
+                raise VectorizationFallback(
+                    f"atom {atom} has a complex term"
+                )
+        masks = self._pushed_masks(pushed)
+        self.bound.update(first_at.keys() & live)
         predicate = atom.predicate
         arity = atom.arity
         store = self.store
         interner = self.interner
-        positions = tuple(probe_positions)
-        membership = len(positions) == arity and not bind_pairs and not check_pairs
+        kinds = self.kinds
+        probe_specs = [("slot", slot) for slot, _ in probe_pairs]
+        positions = tuple(position for _, position in probe_pairs)
+        kept = probe_pairs + bind_pairs
+        keep = tuple(slot for slot, _ in kept)
+        stats = self.reduced
+        cache: list = [0, None]  # relation size, its _Reduced (None: empty)
+
+        def reduce_block(block):
+            select = None
+            for position, value in const_checks:
+                hit = block.column(position) == interner.lookup(value)
+                select = hit if select is None else select & hit
+            for first, position, is_fresh in repeat_checks:
+                codes = block.column(first)
+                hit = codes == block.column(position)
+                if is_fresh:
+                    hit &= ~interner.tables()[3][codes]
+                select = hit if select is None else select & hit
+            cols: list = [None] * len(kinds)
+            for slot, position in view_pairs:
+                col = block.column(position)
+                cols[slot] = col if select is None else col[select]
+            size = block.size if select is None else int(select.sum())
+            run = _reduce(_Run(size, cols), masks, keep)
+            return _Reduced(run, kept) if run.n else None
+
+        def build():
+            block = store.block(predicate, arity)
+            size = 0 if block is None else block.size
+            if size != cache[0]:
+                cache[1] = reduce_block(block)
+                cache[0] = size
+            side = cache[1]
+            stats[0] += size
+            if side is None:
+                return None
+            stats[1] += side.size
+            return side, side.mult
+
+        return self._join_step(
+            build, lambda side: side.sorted_keys(positions),
+            probe_specs, positions, bind_pairs, (), membership=False,
+        )
+
+    def _join_step(
+        self, build, sorted_keys, probe_specs, positions, bind_pairs, check_pairs,
+        membership: bool,
+    ):
+        """The step joining the table to a build side.  ``build()`` is
+        ``(block-shaped relation, its row multiplicities or None)``, or
+        None when empty; ``sorted_keys(relation)`` its cached stable sort
+        on one or two ``positions``."""
+        self.joins_lowered += 1
+        interner = self.interner
         kinds = self.kinds
 
         def probe_columns(run):
@@ -464,24 +717,20 @@ class _VecLowering:
                 columns.append(col)
             return columns, (None if valid is None else ~valid)
 
-        def counts_for(run):
+        def counts_for(run, side):
             """Per-row match counts + (order, left) into the build side."""
-            block = store.block(predicate, arity)
-            if block is None or block.size == 0:
-                return None
             if not positions:  # zero-arity atom: the unit key matches all
-                counts = np.full(run.n, block.size, dtype=np.int64)
-                return counts, np.arange(block.size), np.zeros(run.n, dtype=np.int64)
+                counts = np.full(run.n, side.size, dtype=np.int64)
+                return counts, np.arange(side.size), np.zeros(run.n, dtype=np.int64)
             columns, valid = probe_columns(run)
             if len(positions) <= 2:
-                built = store.sorted_keys(predicate, arity, positions)
-                order, sorted_keys = built
+                order, sorted_keys_ = sorted_keys(side)
                 if len(columns) == 1:
                     probe = columns[0]
                 else:
                     probe = _pack_pair(columns[0], columns[1])
             else:
-                build_cols = [block.column(p) for p in positions]
+                build_cols = [side.column(p) for p in positions]
                 build_packed = build_cols[0]
                 probe = columns[0]
                 for j in range(1, len(positions)):
@@ -492,9 +741,9 @@ class _VecLowering:
                     )
                     probe = _pack_pair(dense[len(build_cols[0]) :], columns[j])
                 order = np.argsort(build_packed, kind="stable")
-                sorted_keys = build_packed[order]
-            left = np.searchsorted(sorted_keys, probe, side="left")
-            right = np.searchsorted(sorted_keys, probe, side="right")
+                sorted_keys_ = build_packed[order]
+            left = np.searchsorted(sorted_keys_, probe, side="left")
+            right = np.searchsorted(sorted_keys_, probe, side="right")
             counts = right - left
             if valid is not None:
                 counts[~valid] = 0
@@ -502,20 +751,31 @@ class _VecLowering:
 
         if membership:
             def membership_step(run: _Run) -> _Run:
-                found = counts_for(run)
-                if found is None:
+                built = build()
+                if built is None:
                     return _Run(0, run.cols)
-                counts, _, _ = found
+                counts, _, _ = counts_for(run, built[0])
                 return run.filter(counts > 0)
 
             return membership_step
 
+        def joined(run: _Run, side, mult, probe_rep, rows) -> _Run:
+            out = run.gather(probe_rep)
+            for slot, position in bind_pairs:
+                out.set_col(slot, side.column(position)[rows])
+            if mult is not None:
+                # each side row stands for ``mult`` relation rows
+                taken = mult[rows]
+                out.mult = taken if out.mult is None else out.mult * taken
+            return _apply_checks(out, side, rows, check_pairs, interner)
+
         if positions:
             def probe_step(run: _Run) -> _Run:
-                found = counts_for(run)
-                if found is None:
+                built = build()
+                if built is None:
                     return _Run(0, run.cols)
-                counts, order, left = found
+                side, mult = built
+                counts, order, left = counts_for(run, side)
                 total = int(counts.sum())
                 if total == 0:
                     return _Run(0, run.cols)
@@ -525,28 +785,21 @@ class _VecLowering:
                 offsets = np.cumsum(counts) - counts
                 within = np.arange(total) - np.repeat(offsets, counts)
                 rows = order[np.repeat(left, counts) + within]
-                out = run.gather(probe_rep)
-                block = store.block(predicate, arity)
-                for slot, position in bind_pairs:
-                    out.set_col(slot, block.column(position)[rows])
-                return _apply_checks(out, block, rows, check_pairs, interner)
+                return joined(run, side, mult, probe_rep, rows)
 
             return probe_step
 
         def scan_step(run: _Run) -> _Run:
-            block = store.block(predicate, arity)
-            size = 0 if block is None else block.size
-            if size == 0 or run.n == 0:
+            built = build()
+            if built is None or run.n == 0:
                 return _Run(0, run.cols)
-            total = run.n * size
+            side, mult = built
+            total = run.n * side.size
             if total > MAX_EXPANSION:
                 raise VectorRuntimeFallback("scan expansion too large")
-            probe_rep = np.repeat(np.arange(run.n), size)
-            rows = np.tile(np.arange(size), run.n)
-            out = run.gather(probe_rep)
-            for slot, position in bind_pairs:
-                out.set_col(slot, block.column(position)[rows])
-            return _apply_checks(out, block, rows, check_pairs, interner)
+            probe_rep = np.repeat(np.arange(run.n), side.size)
+            rows = np.tile(np.arange(side.size), run.n)
+            return joined(run, side, mult, probe_rep, rows)
 
         return scan_step
 
@@ -734,18 +987,14 @@ class _VecLowering:
             self.bound.add(name)
 
             def bind_const(run: _Run) -> _Run:
-                out = _Run(run.n, list(run.cols))
-                out.set_col(slot, np.full(run.n, code, dtype=np.int64))
-                return out
+                return run.with_col(slot, np.full(run.n, code, dtype=np.int64))
 
             return bind_const
         slot = self.slot_for(name, kind)
         self.bound.add(name)
 
         def bind_value(run: _Run, fn=payload) -> _Run:
-            out = _Run(run.n, list(run.cols))
-            out.set_col(slot, fn(run))
-            return out
+            return run.with_col(slot, fn(run))
 
         return bind_value
 
@@ -755,6 +1004,55 @@ def _mask_filter(run: _Run, mask) -> _Run:
     if isinstance(mask, (bool, np.bool_)):
         return run if mask else _Run(0, run.cols)
     return run.filter(mask)
+
+
+def _reduce(run: _Run, masks, keep: tuple[int, ...]) -> _Run:
+    """A relation (or delta) ready to be joined: the rows passing
+    ``masks``, projected onto the slots ``keep``, first occurrence of
+    each distinct row only — in original order, with the number of rows
+    it stands for as ``mult`` (None when nothing collapsed)."""
+    for mask_fn in masks:
+        run = _mask_filter(run, mask_fn(run))
+    if run.n == 0:
+        return run
+    if keep:
+        _, first, counts = np.unique(
+            _pack_rows([("code", run.cols[slot]) for slot in keep]),
+            return_index=True,
+            return_counts=True,
+        )
+        order = np.argsort(first)
+        first, counts = first[order], counts[order]
+    else:  # every variable is dead: one row standing for them all
+        first = np.zeros(1, dtype=np.int64)
+        counts = np.full(1, run.n, dtype=np.int64)
+    cols: list = [None] * len(run.cols)
+    for slot in keep:
+        cols[slot] = run.cols[slot][first]
+    return _Run(len(first), cols, None if len(first) == run.n else counts)
+
+
+class _Reduced:
+    """A reduced relation as a join build side: block-shaped (``size``,
+    ``column(position)``) over the kept positions, plus ``mult``."""
+
+    __slots__ = ("size", "mult", "_columns", "_sorted")
+
+    def __init__(self, run: _Run, kept):
+        self.size = run.n
+        self.mult = run.mult
+        self._columns = {position: run.cols[slot] for slot, position in kept}
+        self._sorted = None
+
+    def column(self, position: int):
+        return self._columns[position]
+
+    def sorted_keys(self, positions: tuple[int, ...]):
+        """(stable sort order, sorted packed keys) on the one probe
+        signature its atom uses, computed on first need."""
+        if self._sorted is None:
+            self._sorted = sort_keys(self, positions)
+        return self._sorted
 
 
 def _apply_checks(run: _Run, block, rows, check_pairs, interner) -> _Run:
@@ -813,8 +1111,9 @@ class _Tail:
         return sink, self.firings[0]
 
 
-def _build_tail(engine, rule, plan, vec: _VecLowering, cut: int):
-    """Lower plan steps [cut:] plus the head through the compiled path."""
+def _build_tail(engine, rule, plan, vec: _VecLowering, cut: int, counts):
+    """Lower plan steps [cut:] plus the head through the compiled path;
+    with ``counts`` the tail adds the bindings leaving each of its steps."""
     lowering = _Lowering(engine, rule, plan, counting=False)
     lowering.slots = dict(vec.slots)
     lowering.bound = set(vec.bound)
@@ -841,7 +1140,9 @@ def _build_tail(engine, rule, plan, vec: _VecLowering, cut: int):
         step = lowering.lower_final()
     except CompilationFallback as fallback:
         raise VectorizationFallback(str(fallback)) from None
-    for maker in reversed(makers):
+    for offset, maker in reversed(list(enumerate(makers))):
+        if counts is not None:
+            step = _counted(step, counts, cut + offset)
         step = maker(step)
     regs = [None] * len(lowering.slots)
     # only slots the vectorized prefix actually bound carry columns — an
@@ -870,9 +1171,10 @@ class _VecFinal:
         self.interner = interner
 
     def emit(self, run: _Run) -> tuple[list, int]:
-        firings = run.n
-        if firings == 0:
+        if run.n == 0:
             return [], 0
+        # a firing is a binding of the body, not a table row
+        firings = run.n if run.mult is None else int(run.mult.sum())
         rows = self._first_occurrences(run)
         decoded: dict[int, list] = {}
         values = self.interner.values
@@ -924,12 +1226,13 @@ class VectorizedRule:
     """A planned rule lowered to batch steps (plus optional per-row tail)."""
 
     __slots__ = (
-        "plan", "signature", "interner", "cut", "external", "_seed_entry",
-        "_steps", "_tail", "_final",
+        "plan", "signature", "interner", "cut", "external", "reduced", "counts",
+        "_seed_entry", "_steps", "_tail", "_final",
     )
 
     def __init__(
-        self, plan, signature, interner, seed_entry, steps, tail, final, cut, external
+        self, plan, signature, interner, seed_entry, steps, tail, final, cut,
+        external, reduced, counts,
     ):
         self.plan = plan
         self.signature = signature
@@ -941,7 +1244,16 @@ class VectorizedRule:
         #: [rows seen, distinct tuples scored] by the rule's batch
         #: externals over all executions; None when it has none
         self.external = external
+        #: [relation rows its reduced atoms stood for, rows they joined
+        #: instead] over all executions; None when no atom is reduced
+        self.reduced = reduced
+        #: rows leaving each plan step summed over all executions (table
+        #: rows in the batch prefix, bindings in the per-row tail); None
+        #: unless the engine's tracer was enabled at lowering time
+        self.counts = counts
         self._seed_entry = seed_entry
+        #: one entry per batch plan step; None for a comparison its
+        #: atom's reduction already applied
         self._steps = steps
         self._tail = tail
         self._final = final
@@ -961,10 +1273,14 @@ class VectorizedRule:
             run = self._seed_entry(seed_facts)
         else:
             run = _Run(1, [])
-        for step in self._steps:
+        counts = self.counts
+        for number, step in enumerate(self._steps):
             if run.n == 0:
                 return [], 0
-            run = step(run)
+            if step is not None:
+                run = step(run)
+            if counts is not None:
+                counts[number] += run.n
         if run.n == 0:
             return [], 0
         if self._tail is not None:
@@ -978,7 +1294,9 @@ def compile_rule_vectorized(engine, rule, plan: JoinPlan) -> VectorizedRule:
     Steps the backend does not cover become a per-row tail built from
     the compiled lowering; if that cut would arrive before the first
     join there is nothing to batch, and the whole rule falls back with
-    :class:`VectorizationFallback`.
+    :class:`VectorizationFallback`.  Relations are reduced before they
+    are joined only when the rule stays columnar to the head: the tail
+    runs once per row, so a row may not stand for several bindings.
     """
     if not NUMPY_AVAILABLE:
         raise VectorizationFallback("numpy unavailable")
@@ -986,19 +1304,51 @@ def compile_rule_vectorized(engine, rule, plan: JoinPlan) -> VectorizedRule:
         raise VectorizationFallback("plan fell back to textual order")
     if engine.provenance_enabled:
         raise VectorizationFallback("provenance requires per-row traces")
-    vec = _VecLowering(engine, rule, plan)
+
+    vec, seed_entry, cut = _lower_body(engine, rule, plan, reduce=True)
+    final = None
+    if cut is None:
+        final = _lower_final_vectorized(engine, rule, vec)
+    if final is None and vec.reduced is not None:
+        vec, seed_entry, cut = _lower_body(engine, rule, plan, reduce=False)
+
+    if cut is not None and vec.joins_lowered == 0:
+        # nothing batched before the per-row cut: the tail would just be
+        # the compiled rule plus decode overhead
+        raise VectorizationFallback("no join reached before the cut")
+
+    counts = [0] * len(plan.order) if engine.tracer.enabled else None
+    tail = None
+    if final is None:
+        if cut is None:
+            cut = len(plan.order)
+        tail = _build_tail(engine, rule, plan, vec, cut, counts)
+    signature = (plan.order, tuple(step.probe_positions for step in plan.steps))
+    return VectorizedRule(
+        plan, signature, vec.interner, seed_entry, vec.steps, tail, final,
+        cut, vec.external, vec.reduced, counts,
+    )
+
+
+def _lower_body(engine, rule, plan: JoinPlan, reduce: bool):
+    """(lowering, seed entry, cut): the plan's steps lowered in order up
+    to the first one the batch backend does not cover (``cut``; None
+    when it covers them all)."""
+    vec = _VecLowering(engine, rule, plan, reduce)
     literals = rule.body
 
     seed_entry = None
     if plan.seed_index is not None:
         seed_entry = vec.lower_seed(literals[plan.seed_index])
 
-    cut: int | None = None
     for step_number, index in enumerate(plan.order):
+        if step_number in vec.pushed:
+            vec.steps.append(None)
+            continue
         literal = literals[index]
         try:
             if isinstance(literal, Atom):
-                step = vec.lower_atom(literal)
+                step = vec.lower_atom(literal, step_number)
             elif isinstance(literal, Negation):
                 step = vec.lower_negation(literal)
             elif isinstance(literal, Comparison):
@@ -1008,29 +1358,9 @@ def compile_rule_vectorized(engine, rule, plan: JoinPlan) -> VectorizedRule:
             else:  # Aggregate and anything unexpected: per-row territory
                 raise VectorizationFallback("aggregate folds per row")
         except VectorizationFallback:
-            cut = step_number
-            break
+            return vec, seed_entry, step_number
         vec.steps.append(step)
-
-    if cut is not None and vec.joins_lowered == 0:
-        # nothing batched before the per-row cut: the tail would just be
-        # the compiled rule plus decode overhead
-        raise VectorizationFallback("no join reached before the cut")
-
-    tail = None
-    final = None
-    if cut is not None:
-        tail = _build_tail(engine, rule, plan, vec, cut)
-    else:
-        final = _lower_final_vectorized(engine, rule, vec)
-        if final is None:
-            cut = len(plan.order)
-            tail = _build_tail(engine, rule, plan, vec, cut)
-    signature = (plan.order, tuple(step.probe_positions for step in plan.steps))
-    return VectorizedRule(
-        plan, signature, vec.interner, seed_entry, vec.steps, tail, final,
-        cut, vec.external,
-    )
+    return vec, seed_entry, None
 
 
 def _lower_final_vectorized(engine, rule, vec: _VecLowering):

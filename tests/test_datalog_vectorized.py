@@ -16,6 +16,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bench.workloads import density_scenario, ownership_pyramid
 from repro.core import (
@@ -31,6 +32,8 @@ from repro.datalog import Database, Engine, FunctionRegistry, parse_program
 from repro.datalog.columns import NUMPY_AVAILABLE
 from repro.datalog.vectorized import VectorRuntimeFallback
 from repro.graph.relational import to_facts
+from repro.ownership import close_link_pairs
+from repro.telemetry import Tracer
 from tests.test_datalog_properties import recursive_aggregate_programs
 
 pytestmark = pytest.mark.skipif(
@@ -124,6 +127,10 @@ def _vector_rules(engine):
         for (rule_id, seed), entry in engine._vector_cache.items()
         if entry[1] is not None
     }
+
+
+def _spans(tracer, prefix):
+    return [s for s in tracer.root.walk() if s.name.startswith(prefix)]
 
 
 class TestBatchExternals:
@@ -405,6 +412,17 @@ class TestComparisonsAndAssignments:
         _assert_three_way_identity(program, facts)
 
 
+    def test_seed_repeat_check_compares_positions_not_slots(self):
+        # the delta seeds ``p("c", X, X)``: X has slot 0 but sits at
+        # positions 1 and 2 — comparing values[slot] read the constant
+        program = """
+        p("c", X, X) -> p("d", X, X).
+        e(X) -> p("c", X, X).
+        """
+        vec, _ = _assert_three_way_identity(program, [("e", (1,)), ("e", (2,))])
+        assert ("d", 2, 2) in vec.query("p")
+
+
 class TestLoweringFallbacks:
     """Rules the lowering cannot express fall back per (rule, seed) with a
     recorded reason — never a wrong answer."""
@@ -506,11 +524,7 @@ class TestExplainBackendAttribute:
     """EXPLAIN spans name the backend per (rule, seed occurrence)."""
 
     def _plan_spans(self, engine_tracer):
-        spans = []
-        for span in engine_tracer.root.walk():
-            if span.name.startswith("plan:"):
-                spans.append(span)
-        return spans
+        return _spans(engine_tracer, "plan:")
 
     def test_vectorized_rules_are_labelled(self):
         from repro.telemetry import Tracer
@@ -563,6 +577,186 @@ class TestExplainBackendAttribute:
         assert backends == {"compiled"}
 
 
+class TestReduction:
+    """A relation is filtered, projected and de-duplicated (with counts)
+    before it is joined whenever a variable its atom binds dies right
+    away; firings keep counting bindings, not table rows."""
+
+    FACTS = [("acc", (z, x, w))
+             for z, x in [("z", "a"), ("z", "b"), ("y", "a"), ("y", "c")]
+             for w in (0.1, 0.25, 0.5)]
+    COMMON = "acc(Z, X, W1), acc(Z, Y, W2), W1 >= 0.2, W2 >= 0.2, X != Y -> pair(X, Y)."
+
+    def test_duplicate_counts_keep_firings_exact(self):
+        tracer = Tracer()
+        vec = _fixpoint(self.COMMON, self.FACTS, tracer=tracer)
+        cmp = _fixpoint(self.COMMON, self.FACTS, vectorize=False)
+        interp = _fixpoint(self.COMMON, self.FACTS, plan=False)
+        assert list(vec.database.all_facts()) == list(cmp.database.all_facts())
+        # (a, b), (b, a) under z and (a, c), (c, a) under y, 2 x 2 weights each
+        assert vec.stats.rule_firings == 16
+        assert cmp.stats.rule_firings == interp.stats.rule_firings == 16
+        (rule,) = _vector_rules(vec).values()
+        assert rule.cut is None
+        # 12 rows scanned twice; 4 distinct (Z, X) kept each time
+        assert rule.reduced == [24, 8]
+        # table rows per step: 4 after the first atom and its two pushed
+        # filters' positions, 4 joined pairs after X != Y
+        assert rule.counts == [4, 4, 8, 8, 4]
+
+    def test_span_attributes_only_on_reduced_rules(self):
+        tracer = Tracer()
+        _fixpoint(
+            self.COMMON + "\npair(X, Y) -> linked(Y, X).", self.FACTS, tracer=tracer
+        )
+        for prefix in ("rule:", "plan:"):
+            reduced, plain = _spans(tracer, prefix)
+            assert reduced.attributes["reduced_in"] == 24
+            assert reduced.attributes["reduced_out"] == 8
+            assert "reduced_in" not in plain.attributes
+            assert "reduced_out" not in plain.attributes
+
+    def test_explain_reports_table_rows_for_vectorized_plans(self):
+        tracer = Tracer()
+        _fixpoint(
+            "edge(X, Y), edge(Y, Z) -> hop(X, Z).",
+            [("edge", (1, 2)), ("edge", (2, 3)), ("edge", (3, 4))],
+            tracer=tracer,
+        )
+        (plan,) = _spans(tracer, "plan:")
+        assert plan.attributes["backend"] == "vectorized"
+        assert plan.attributes["actual_rows"] == [3, 2]
+
+    def test_explain_counts_the_per_row_tail_too(self):
+        tracer = Tracer()
+        _fixpoint(
+            "own(X, Y, W), W > 0.1, T = msum(W, <Y>) -> total(X, T).",
+            [("own", ("a", "b", 0.5)), ("own", ("a", "c", 0.05)),
+             ("own", ("b", "c", 0.3))],
+            tracer=tracer,
+        )
+        (plan,) = _spans(tracer, "plan:")
+        assert plan.attributes["cut"] == 2
+        assert plan.attributes["actual_rows"] == [3, 2, 2]
+
+    def test_rules_with_a_per_row_tail_are_not_reduced(self):
+        # E dies after the atom, but the aggregate runs once per row
+        vec, _ = _assert_three_way_identity(
+            "link(E, X, Y, W), W > 0.1, T = msum(W, <Y>) -> total(X, T).",
+            [("link", (e, "a", "b", 0.5)) for e in range(3)],
+        )
+        (rule,) = _vector_rules(vec).values()
+        assert rule.cut is not None and rule.reduced is None
+
+    def test_pushed_comparison_still_falls_back_while_pure(self):
+        big = 2**53 + 1
+        facts = [("acc", ("z", "a", big)), ("acc", ("z", "b", 0.5)),
+                 ("acc", ("z", "a", 0.5))]
+        vec, _ = _assert_three_way_identity(self.COMMON, facts)
+        assert vec._vector_disabled
+        assert set(vec.query("pair")) == {("a", "b"), ("b", "a")}
+
+    def test_pushed_comparison_never_overtakes_one_that_can_raise(self):
+        # ("s", 0.1) fails W > 0.5, but ``X > Y`` comes first and must
+        # still see it: str > int is an error on every backend
+        from repro.datalog.errors import EvaluationError
+
+        facts = [("q", (1,)), ("p", ("s", 0.1)), ("p", (2, 0.9)), ("p", (2, 0.7))]
+        for kwargs in ({}, {"vectorize": False}):
+            with pytest.raises(EvaluationError):
+                _fixpoint("q(Y), p(X, W), X > Y, W > 0.5 -> r(X).", facts, **kwargs)
+        # an inequality cannot raise, so the weight filter overtakes it
+        vec, _ = _assert_three_way_identity(
+            "q(Y), p(X, W), X != Y, W > 0.5 -> r(X).", facts
+        )
+        (rule,) = _vector_rules(vec).values()
+        assert rule._steps[-1] is None and vec.query("r") == [(2,)]
+
+    def test_close_links_pyramid_tables_stay_small(self):
+        graph = ownership_pyramid(32, m=3)
+        kg = KnowledgeGraph(graph)
+        kg.add_rules("map", input_mapping(False))
+        kg.add_rules("task", close_link_program(0.2))
+        tracer = Tracer()
+        vec = kg.reason(tracer=tracer)
+        cmp = Engine(kg.program(), to_facts(graph), vectorize=False)
+        cmp.run()
+        assert vec.stats.rule_firings == cmp.stats.rule_firings
+        assert vec._vector_disabled == set()
+        ids = dict(vec.query("id_of"))
+        assert {
+            (ids[x], ids[y]) for x, y, kind in vec.query("candidate")
+            if kind == "close_link"
+        } == close_link_pairs(graph)
+        (span,) = _spans(tracer, "rule:cl_common")
+        firings = span.attributes["firings"]
+        tables = [
+            rows
+            for (label, _), rule in _vector_rules(vec).items()
+            if label == "cl_common"
+            for rows in rule.counts
+        ]
+        assert firings > 100_000
+        assert max(tables) < firings / 20
+
+
+@st.composite
+def reduction_programs(draw):
+    """Rule shapes where a variable bound by an atom dies after a filter
+    local to that atom, over relations carrying several weights per key
+    pair.  ``acc`` and ``link`` are mutually recursive, so every positive
+    occurrence gets seeded by a delta."""
+    rules = [
+        "own(X, Y, W) -> acc(X, Y, W).",
+        "link(X, Y), own(Y, Z, W) -> acc(X, Z, W).",
+        # both weights die after their own filter (Algorithm 6's shape)
+        "acc(Z, X, W1), acc(Z, Y, W2), W1 >= 0.3, W2 >= 0.3, X != Y, Z != X "
+        "-> link(X, Y).",
+    ]
+    optional = [
+        # the same variable dying / kept alive by the head
+        "acc(X, Y, W), W >= 0.3 -> strong(X, Y).",
+        "acc(X, Y, W), W >= 0.3 -> weighed(X, Y, W).",
+        # a repeated variable inside the reduced atom: fresh, then bound
+        "acc(X, X, W), W > 0.2 -> selfheld(X).",
+        "typ(X, K), acc(X, X, W), W > 0.2 -> selfheld_kind(X, K).",
+        # a constant in it
+        "tag(X, \"a\", W), W >= 0.3 -> tagged(X).",
+        "typ(X, \"c\"), tag(X, \"b\", W), acc(X, Y, V), V != W -> mixed(X, Y).",
+        # a join key bound by an assignment (float-kind slot)
+        "own(X, Y, W), K = W * 2.0, acc(K, Z, V), V >= 0.3, K != Z -> via(X, Z).",
+        # every variable of the atom dies
+        "acc(A, B, W), typ(X, \"c\") -> some_company(X).",
+        # a negation and an assignment reading across the reduced atom
+        "acc(X, Y, W), W >= 0.3, not typ(Y, \"p\") -> to_company(X).",
+        "typ(X, K), acc(X, Y, W), W < 0.9, N = 1.5 -> marked(X, N).",
+        # an empty relation, scanned and probed
+        "ghost(X, Y, W), W >= 0.3 -> haunted(X).",
+        "typ(X, K), ghost(X, Y, W), W > 0.1 -> haunted_kind(X, K).",
+    ]
+    rules += [rule for rule in optional if draw(st.booleans())]
+
+    n = draw(st.integers(min_value=1, max_value=5))
+    node = st.integers(min_value=0, max_value=n - 1)
+    exotic = draw(st.sampled_from(
+        [(), (float("nan"),), (1, 0), (2**60, -(2**60)), (float("nan"), 1, 2**60)]
+    ))
+    # no float equal to a node id: ``1.0`` would share the code of ``1``
+    # and send the arithmetic in ``via`` to the compiled path every time
+    weight = st.sampled_from((0.25, 0.5, 0.3, 0.1, 0.9, 1.5) + exotic)
+    own = draw(st.lists(st.tuples(node, node, weight), max_size=14))
+    tags = draw(st.lists(
+        st.tuples(node, st.sampled_from(["a", "b"]), weight), max_size=8
+    ))
+    kinds = draw(st.lists(st.tuples(node, st.sampled_from(["c", "p"])), max_size=5))
+    facts = (
+        [("own", fact) for fact in own]
+        + [("tag", fact) for fact in tags]
+        + [("typ", fact) for fact in kinds]
+    )
+    return "\n".join(rules), facts
+
+
 class TestHypothesisOracle:
     """Random recursive/aggregate/negation/Skolem programs: the vectorized
     fixpoint is the compiled fixpoint, insertion order and firings
@@ -573,6 +767,24 @@ class TestHypothesisOracle:
     def test_vectorized_equals_compiled_equals_interpreted(self, case):
         program_text, facts = case
         _assert_three_way_identity(program_text, facts)
+
+    @given(reduction_programs())
+    @settings(max_examples=120, deadline=None)
+    def test_reduced_relations_change_neither_order_nor_firings(self, case):
+        program_text, facts = case
+        program = parse_program(program_text)
+        vec = _fixpoint(program, facts)
+        cmp = _fixpoint(program, facts, vectorize=False)
+        interp = _fixpoint(program, facts, plan=False)
+        assert list(vec.database.all_facts()) == list(cmp.database.all_facts())
+        # the planner may start a rule from another atom than the text
+        # does, so the unplanned path agrees on the facts, not their order
+        assert set(vec.database.all_facts()) == set(interp.database.all_facts())
+        assert (
+            vec.stats.rule_firings
+            == cmp.stats.rule_firings
+            == interp.stats.rule_firings
+        )
 
     @given(recursive_aggregate_programs())
     @settings(max_examples=25, deadline=None)
