@@ -119,7 +119,6 @@ class CloseLinkCandidate:
 
     link_class: str = "close_link"
     threshold: float = CLOSE_LINK_THRESHOLD
-    max_depth: int | None = 12
     blocking: Any = None
     _pairs: dict[tuple[NodeId, NodeId], dict[str, Any]] | None = None
 
@@ -130,7 +129,7 @@ class CloseLinkCandidate:
         if self._pairs is None:
             assert isinstance(graph, CompanyGraph)
             self._pairs = {}
-            for link in close_links(graph, self.threshold, self.max_depth):
+            for link in close_links(graph, self.threshold):
                 self._pairs.setdefault(
                     (link.x, link.y),
                     {"reason": link.reason, "witness": link.witness, "phi": link.phi},

@@ -19,12 +19,9 @@ from dataclasses import dataclass, field
 from ..graph.company_graph import CompanyGraph
 from ..graph.property_graph import NodeId
 from ..linkage.bayes import BayesianLinkClassifier
-from ..ownership.close_links import (
-    CLOSE_LINK_THRESHOLD,
-    accumulated_ownership_from,
-)
+from ..ownership.close_links import CLOSE_LINK_THRESHOLD, all_accumulated_ownership
 from ..ownership.control import CONTROL_THRESHOLD, control_chain
-from ..ownership.paths import path_weight, simple_paths
+from ..ownership.paths import simple_paths
 
 
 @dataclass
@@ -80,26 +77,23 @@ def explain_close_link(
     x: NodeId,
     y: NodeId,
     threshold: float = CLOSE_LINK_THRESHOLD,
-    max_depth: int | None = 10,
 ) -> Explanation:
     """Why (not) are ``x`` and ``y`` closely linked? (Definition 2.6)."""
     question = f"are {x} and {y} closely linked (t = {threshold:.0%})?"
     steps: list[str] = []
     verdict = False
+    phi_all = all_accumulated_ownership(graph)
 
     for source, target, tag in ((x, y, "i"), (y, x, "ii")):
-        paths = list(
-            simple_paths(graph, source, target, max_depth=max_depth, max_paths=50)
-        )
-        if not paths:
+        total = phi_all.get(source, {}).get(target)
+        if total is None:  # target is not reachable from source
             continue
-        total = sum(path_weight(graph, p) for p in paths)
         if total >= threshold:
             verdict = True
+            example = next(simple_paths(graph, source, target))
             steps.append(
                 f"condition ({tag}): Phi({source}, {target}) = {total:.1%} "
-                f">= {threshold:.0%} via {len(paths)} path(s), e.g. "
-                + " -> ".join(str(n) for n in paths[0])
+                f">= {threshold:.0%}, e.g. via " + " -> ".join(str(n) for n in example)
             )
         else:
             steps.append(
@@ -108,10 +102,9 @@ def explain_close_link(
 
     # condition (iii): common third party
     witnesses = []
-    for node in graph.node_ids():
+    for node, phi in phi_all.items():
         if node in (x, y):
             continue
-        phi = accumulated_ownership_from(graph, node, max_depth=max_depth)
         phi_x, phi_y = phi.get(x, 0.0), phi.get(y, 0.0)
         if phi_x >= threshold and phi_y >= threshold:
             witnesses.append((node, phi_x, phi_y))

@@ -7,9 +7,9 @@ component from the Algorithm 2-9 programs), wires the external functions
 exposes the per-problem entry points applications call:
 
 * :meth:`control_pairs` — company control (Definition 2.3);
-* :meth:`close_link_pairs` — close links (Definition 2.6), with an
-  automatic procedural fallback on cyclic graphs where the declarative
-  walk-sum would diverge;
+* :meth:`close_link_pairs` — close links (Definition 2.6): the declarative
+  program on acyclic graphs, the exact procedural route on cyclic ones,
+  where the declarative walk-sum would diverge;
 * :meth:`family_links` — Bayesian personal-link detection within blocks;
 * :meth:`family_control_pairs` — family control (Definition 2.8);
 * :meth:`augment` — everything at once, returning the augmented graph.
@@ -70,8 +70,6 @@ class PipelineConfig:
         default_factory=lambda: {"surname": 1.0, "address": 3.0}
     )
     blocking: BlockingScheme = field(default_factory=BlockingScheme.default)
-    close_links_via: str = "auto"  # "auto" | "datalog" | "procedural"
-    max_path_depth: int = 12       # procedural fallback bound on cyclic graphs
 
 
 class ReasoningPipeline:
@@ -296,16 +294,14 @@ class ReasoningPipeline:
         return pairs
 
     def close_link_pairs(self) -> set[tuple[NodeId, NodeId]]:
-        """Close-link pairs; declarative when safe, procedural otherwise."""
-        mode = self.config.close_links_via
-        if mode == "auto":
-            mode = "datalog" if is_acyclic(self.graph) else "procedural"
+        """Close-link pairs: the Datalog program on an acyclic graph, the
+        exact accumulated-ownership route on a cyclic one (where the
+        program's walk sums would not converge)."""
+        mode = "datalog" if is_acyclic(self.graph) else "procedural"
         with self.tracer.span("problem.close_link", mode=mode) as span:
             if mode == "procedural":
                 pairs = procedural_close_links(
-                    self.graph,
-                    self.config.close_link_threshold,
-                    max_depth=self.config.max_path_depth,
+                    self.graph, self.config.close_link_threshold
                 )
             else:
                 engine = self.reason(

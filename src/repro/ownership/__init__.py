@@ -9,9 +9,9 @@ from .._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "close_links": (
-        "accumulated_ownership", "accumulated_ownership_dag", "accumulated_ownership_from",
-        "all_accumulated_ownership", "close_link_pairs", "CLOSE_LINK_THRESHOLD", "close_links",
-        "CloseLink", "closely_linked", "is_acyclic",
+        "accumulated_ownership", "accumulated_ownership_from", "all_accumulated_ownership",
+        "close_link_pairs", "CLOSE_LINK_THRESHOLD", "close_links", "CloseLink", "closely_linked",
+        "is_acyclic",
     ),
     "control": (
         "control_chain", "control_closure", "CONTROL_THRESHOLD", "controlled_by", "controls",

@@ -7,14 +7,16 @@ Two companies x and y are *closely linked* for threshold t when
 ``Phi(z,x) >= t`` and ``Phi(z,y) >= t`` (the ECB's "common third party
 owning more than 20% of both" rule — t defaults to 0.2).
 
-Two evaluation strategies are provided:
-
-* :func:`accumulated_ownership` — exact simple-path enumeration, always
-  correct, worst-case exponential (the paper acknowledges path
-  enumeration as the worst case);
-* :func:`accumulated_ownership_dag` — linear-time dynamic programming
-  used automatically when the graph is acyclic (on a DAG every path is
-  simple, so the DP is exact and much faster).
+``Phi`` has one evaluation route, :func:`all_accumulated_ownership` /
+:func:`accumulated_ownership_from`: exact, with no depth bound.  A simple
+path crosses each strongly connected component (SCC) in one contiguous
+segment, so ``Phi(s, ·)`` is a dynamic programme in topological order
+over the SCCs reachable from ``s``; only the entry -> member path sums
+*inside* an SCC are enumerated.  That is linear on a DAG and exponential
+only in the largest SCC (cross-holdings — buy-back self-loops never lie
+on a simple path).  :func:`accumulated_ownership` enumerates the simple
+paths of one pair verbatim and is kept as the reference the tests
+compare the route against.
 """
 
 from __future__ import annotations
@@ -44,49 +46,125 @@ def accumulated_ownership(
     return total
 
 
-def accumulated_ownership_from(
-    graph: CompanyGraph,
-    source: NodeId,
-    max_depth: int | None = None,
-) -> dict[NodeId, float]:
-    """``Phi(source, y)`` for every y reachable from ``source``.
+class _PhiRows:
+    """``Phi`` rows of one graph, sharing work between sources.
 
-    Enumerates simple paths once from ``source`` (DFS with the running
-    product), accumulating into a per-target total — cheaper than calling
-    :func:`accumulated_ownership` per target.
+    A row reads only the subgraph reachable from its source — the SCCs
+    are found by a Tarjan pass rooted at the source, and the cached
+    per-SCC sums depend on the SCC alone — so a row is the same float
+    for float whichever other rows are computed with it (the contract
+    the incremental snapshot maintainer relies on).
     """
-    totals: dict[NodeId, float] = {}
-    if not graph.has_node(source):
-        return totals
 
-    def distinct_holdings(node: NodeId) -> list[tuple[NodeId, float]]:
-        merged: dict[NodeId, float] = {}
-        for edge in graph.out_edges(node, SHAREHOLDING):
-            merged[edge.target] = merged.get(edge.target, 0.0) + edge.get("w", 0.0)
-        return list(merged.items())
+    def __init__(self, graph: CompanyGraph):
+        self.graph = graph
+        self._holdings: dict[NodeId, list[tuple[NodeId, float]]] = {}
+        #: entry node -> simple-path sums to every member of its SCC
+        self._inside: dict[NodeId, list[tuple[NodeId, float]]] = {}
 
-    on_path: set[NodeId] = {source}
-    # stack holds (iterator over (child, share), running product)
-    stack: list = [(iter(distinct_holdings(source)), 1.0)]
-    path: list[NodeId] = [source]
-    while stack:
-        children, product = stack[-1]
-        entry = next(children, None)
-        if entry is None:
-            stack.pop()
-            on_path.discard(path.pop())
-            continue
-        child, share = entry
-        if child in on_path:
-            continue
-        weight = product * share
-        totals[child] = totals.get(child, 0.0) + weight
-        if max_depth is not None and len(path) >= max_depth:
-            continue
-        path.append(child)
-        on_path.add(child)
-        stack.append((iter(distinct_holdings(child)), weight))
-    return totals
+    def holdings(self, node: NodeId) -> list[tuple[NodeId, float]]:
+        """Distinct shareholding targets of ``node``, parallel edges summed."""
+        merged = self._holdings.get(node)
+        if merged is None:
+            shares: dict[NodeId, float] = {}
+            for edge in self.graph.out_edges(node, SHAREHOLDING):
+                shares[edge.target] = shares.get(edge.target, 0.0) + edge.get("w", 0.0)
+            merged = self._holdings[node] = list(shares.items())
+        return merged
+
+    def components(self, source: NodeId) -> list[list[NodeId]]:
+        """The SCCs reachable from ``source`` in topological order
+        (``source``'s first), by an iterative Tarjan pass."""
+        index = {source: 0}
+        low = {source: 0}
+        stack = [source]
+        on_stack = {source}
+        components: list[list[NodeId]] = []
+        work = [(source, iter(self.holdings(source)))]
+        while work:
+            node, children = work[-1]
+            for child, _share in children:
+                if child not in index:
+                    index[child] = low[child] = len(index)
+                    stack.append(child)
+                    on_stack.add(child)
+                    work.append((child, iter(self.holdings(child))))
+                    break
+                if child in on_stack:
+                    low[node] = min(low[node], index[child])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] == index[node]:
+                    component = []
+                    while True:
+                        member = stack.pop()
+                        on_stack.discard(member)
+                        component.append(member)
+                        if member == node:
+                            break
+                    components.append(component)
+        components.reverse()
+        return components
+
+    def inside(self, entry: NodeId, members: set[NodeId]) -> list[tuple[NodeId, float]]:
+        """Sum of share products over the simple paths from ``entry`` to
+        each member of its SCC ``members`` that stay inside it
+        (``entry`` itself: the empty path, 1)."""
+        sums = self._inside.get(entry)
+        if sums is None:
+            totals = {entry: 1.0}
+            path = [entry]
+            on_path = {entry}
+            stack = [(iter(self.holdings(entry)), 1.0)]
+            while stack:
+                children, product = stack[-1]
+                for child, share in children:
+                    if child in members and child not in on_path:
+                        weight = product * share
+                        totals[child] = totals.get(child, 0.0) + weight
+                        path.append(child)
+                        on_path.add(child)
+                        stack.append((iter(self.holdings(child)), weight))
+                        break
+                else:
+                    stack.pop()
+                    on_path.discard(path.pop())
+            sums = self._inside[entry] = list(totals.items())
+        return sums
+
+    def row(self, source: NodeId) -> dict[NodeId, float]:
+        """``Phi(source, y)`` for every y reachable from ``source``."""
+        phi: dict[NodeId, float] = {}
+        if not self.graph.has_node(source):
+            return phi
+        # the share mass entering each node over an edge from an earlier SCC
+        mass = {source: 1.0}
+        for component in self.components(source):
+            if len(component) == 1:
+                (node,) = component
+                value = {node: mass[node]}
+            else:
+                members = set(component)
+                value = {}
+                for entry in component:
+                    if entry in mass:
+                        for member, share in self.inside(entry, members):
+                            value[member] = value.get(member, 0.0) + mass[entry] * share
+            for node, total in value.items():
+                for child, share in self.holdings(node):
+                    if child not in value:  # an edge leaving the SCC
+                        mass[child] = mass.get(child, 0.0) + total * share
+            value.pop(source, None)
+            phi.update(value)
+        return phi
+
+
+def accumulated_ownership_from(graph: CompanyGraph, source: NodeId) -> dict[NodeId, float]:
+    """``Phi(source, y)`` for every y reachable from ``source`` (exact)."""
+    return _PhiRows(graph).row(source)
 
 
 def is_acyclic(graph: CompanyGraph) -> bool:
@@ -114,74 +192,15 @@ def is_acyclic(graph: CompanyGraph) -> bool:
     return True
 
 
-def accumulated_ownership_dag(graph: CompanyGraph, source: NodeId) -> dict[NodeId, float]:
-    """``Phi(source, y)`` for all y, by topological DP (graph must be acyclic).
-
-    On a DAG every directed path is simple, so
-    ``Phi(source, y) = sum over predecessors p of Phi(source, p) * w(p, y)``
-    (with ``Phi(source, source) = 1``) computed in topological order.
-    """
-    # Kahn's topological order restricted to nodes reachable from source.
-    reachable: set[NodeId] = {source}
-    frontier = [source]
-    while frontier:
-        node = frontier.pop()
-        for successor in graph.successors(node, SHAREHOLDING):
-            if successor not in reachable:
-                reachable.add(successor)
-                frontier.append(successor)
-
-    in_degree: dict[NodeId, int] = {node: 0 for node in reachable}
-    for node in reachable:
-        for successor in graph.successors(node, SHAREHOLDING):
-            if successor in reachable:
-                in_degree[successor] += 1
-
-    phi: dict[NodeId, float] = {source: 1.0}
-    queue = [node for node, degree in in_degree.items() if degree == 0]
-    order: list[NodeId] = []
-    while queue:
-        node = queue.pop()
-        order.append(node)
-        for successor in graph.successors(node, SHAREHOLDING):
-            if successor not in reachable:
-                continue
-            in_degree[successor] -= 1
-            if in_degree[successor] == 0:
-                queue.append(successor)
-    if len(order) != len(reachable):
-        raise ValueError("graph reachable from source contains a cycle; use the exact method")
-
-    for node in order:
-        base = phi.get(node, 0.0)
-        if base == 0.0:
-            continue
-        merged: dict[NodeId, float] = {}
-        for edge in graph.out_edges(node, SHAREHOLDING):
-            if edge.target in reachable:
-                merged[edge.target] = merged.get(edge.target, 0.0) + edge.get("w", 0.0)
-        for target, share in merged.items():
-            phi[target] = phi.get(target, 0.0) + base * share
-    phi.pop(source, None)
-    return phi
-
-
 def all_accumulated_ownership(
     graph: CompanyGraph,
     sources: Iterable[NodeId] | None = None,
-    max_depth: int | None = None,
 ) -> dict[NodeId, dict[NodeId, float]]:
-    """``Phi`` from every source; picks the DAG fast path when possible."""
+    """``Phi`` from every source (every node, by default)."""
     if sources is None:
         sources = list(graph.node_ids())
-    use_dag = max_depth is None and is_acyclic(graph)
-    result: dict[NodeId, dict[NodeId, float]] = {}
-    for source in sources:
-        if use_dag:
-            result[source] = accumulated_ownership_dag(graph, source)
-        else:
-            result[source] = accumulated_ownership_from(graph, source, max_depth=max_depth)
-    return result
+    rows = _PhiRows(graph)
+    return {source: rows.row(source) for source in sources}
 
 
 @dataclass(frozen=True)
@@ -239,7 +258,6 @@ def links_from_phi(
 def close_links(
     graph: CompanyGraph,
     threshold: float = CLOSE_LINK_THRESHOLD,
-    max_depth: int | None = None,
 ) -> list[CloseLink]:
     """All close-link pairs of *companies* per Definition 2.6.
 
@@ -247,7 +265,7 @@ def close_links(
     (a pair may be justified several ways).  Persons participate only as
     common third parties (condition iii), matching the regulation.
     """
-    phi = all_accumulated_ownership(graph, max_depth=max_depth)
+    phi = all_accumulated_ownership(graph)
     company_ids = {node.id for node in graph.companies()}
     return links_from_phi(phi, company_ids, threshold)
 
@@ -255,10 +273,17 @@ def close_links(
 def close_link_pairs(
     graph: CompanyGraph,
     threshold: float = CLOSE_LINK_THRESHOLD,
-    max_depth: int | None = None,
+    *,
+    max_depth: None = None,
 ) -> set[tuple[NodeId, NodeId]]:
-    """The symmetric close-link relation as a set of ordered pairs."""
-    return {(link.x, link.y) for link in close_links(graph, threshold, max_depth)}
+    """The symmetric close-link relation as a set of ordered pairs.
+
+    ``Phi`` has no depth bound.  ``max_depth`` only accepts ``None``: the
+    end-to-end benchmark's oracle still passes it by keyword.
+    """
+    if max_depth is not None:
+        raise ValueError(f"max_depth={max_depth!r}: accumulated ownership is exact, pass None")
+    return {(link.x, link.y) for link in close_links(graph, threshold)}
 
 
 def closely_linked(
@@ -266,7 +291,6 @@ def closely_linked(
     x: NodeId,
     y: NodeId,
     threshold: float = CLOSE_LINK_THRESHOLD,
-    max_depth: int | None = None,
 ) -> bool:
     """Are companies ``x`` and ``y`` closely linked? (Definition 2.6)."""
-    return (x, y) in close_link_pairs(graph, threshold, max_depth)
+    return (x, y) in close_link_pairs(graph, threshold)

@@ -39,7 +39,6 @@ def family_close_links(
     graph: CompanyGraph,
     members: Sequence[NodeId],
     threshold: float = CLOSE_LINK_THRESHOLD,
-    max_depth: int | None = None,
 ) -> set[tuple[NodeId, NodeId]]:
     """Close links induced by a family (Definition 2.9 part ii).
 
@@ -50,7 +49,7 @@ def family_close_links(
     company_ids = {node.id for node in graph.companies()}
     significant: list[set[NodeId]] = []
     for member in members:
-        phi = accumulated_ownership_from(graph, member, max_depth=max_depth)
+        phi = accumulated_ownership_from(graph, member)
         significant.append(
             {company for company, value in phi.items()
              if company in company_ids and value >= threshold}
@@ -98,10 +97,9 @@ def all_family_control(
 def all_family_close_links(
     graph: CompanyGraph,
     threshold: float = CLOSE_LINK_THRESHOLD,
-    max_depth: int | None = None,
 ) -> set[tuple[NodeId, NodeId]]:
     """Family-induced close links for every family declared in the graph."""
     links: set[tuple[NodeId, NodeId]] = set()
     for members in families_from_graph(graph).values():
-        links |= family_close_links(graph, sorted(members, key=str), threshold, max_depth)
+        links |= family_close_links(graph, sorted(members, key=str), threshold)
     return links

@@ -101,7 +101,6 @@ def connected_clients(
     graph: CompanyGraph,
     control_threshold: float = CONTROL_THRESHOLD,
     close_link_threshold: float = CLOSE_LINK_THRESHOLD,
-    max_depth: int | None = 12,
 ) -> list[set[NodeId]]:
     """Groups of connected clients: components of control ∪ close links.
 
@@ -123,7 +122,7 @@ def connected_clients(
 
     for x, y in control_closure(graph, threshold=control_threshold):
         union(x, y)
-    for x, y in close_link_pairs(graph, close_link_threshold, max_depth=max_depth):
+    for x, y in close_link_pairs(graph, close_link_threshold):
         union(x, y)
 
     components: dict[NodeId, set[NodeId]] = {}

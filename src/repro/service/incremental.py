@@ -31,18 +31,14 @@ last ulps, which the service's 6-decimal payload rounding absorbs.)
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Callable, Iterable, TypeVar
 
 from ..graph.company_graph import PERSON, SHAREHOLDING, CompanyGraph
 from ..graph.property_graph import Edge, NodeId
-from ..ownership.close_links import (
-    accumulated_ownership_dag,
-    accumulated_ownership_from,
-    all_accumulated_ownership,
-    is_acyclic,
-)
 from ..ownership.control import controlled_by
 from ..ownership.ubo import beneficial_owner_rows
+
+Row = TypeVar("Row")
 
 
 @dataclass
@@ -142,7 +138,7 @@ def affected_sources(
 
 
 # ----------------------------------------------------------------------
-# control closure rows
+# per-source rows: control closure and accumulated ownership (Phi)
 # ----------------------------------------------------------------------
 
 
@@ -156,23 +152,21 @@ def control_rows(
     }
 
 
-def patch_control_rows(
-    rows: dict[NodeId, set[NodeId]],
-    old_graph: CompanyGraph,
+def patch_rows(
+    rows: dict[NodeId, Row],
     new_graph: CompanyGraph,
     delta: DeltaBatch,
-    threshold: float,
-    affected: set[NodeId] | None = None,
-) -> dict[NodeId, set[NodeId]]:
-    """Recompute only the rows whose source reaches the delta."""
-    if affected is None:
-        affected = affected_sources(delta, old_graph, new_graph)
+    affected: set[NodeId],
+    row_fn: Callable[[NodeId], Row],
+) -> dict[NodeId, Row]:
+    """Recompute with ``row_fn`` only the rows whose source reaches the
+    delta (``affected``); every other row is carried over."""
     patched = dict(rows)
     for node, _label in delta.removed_nodes:
         patched.pop(node, None)
     for source in affected:
         if new_graph.has_node(source):
-            patched[source] = controlled_by(new_graph, source, threshold)
+            patched[source] = row_fn(source)
         else:
             patched.pop(source, None)
     return patched
@@ -182,52 +176,6 @@ def control_pairs_from_rows(
     rows: dict[NodeId, set[NodeId]]
 ) -> set[tuple[NodeId, NodeId]]:
     return {(source, target) for source, row in rows.items() for target in row}
-
-
-# ----------------------------------------------------------------------
-# accumulated-ownership (Phi) rows for close links
-# ----------------------------------------------------------------------
-
-
-def phi_rows(
-    graph: CompanyGraph, max_depth: int | None
-) -> tuple[dict[NodeId, dict[NodeId, float]], bool]:
-    """Per-source Phi rows plus the strategy flag (DAG DP vs DFS)."""
-    use_dag = max_depth is None and is_acyclic(graph)
-    return all_accumulated_ownership(graph, max_depth=max_depth), use_dag
-
-
-def patch_phi_rows(
-    rows: dict[NodeId, dict[NodeId, float]],
-    prev_use_dag: bool,
-    old_graph: CompanyGraph,
-    new_graph: CompanyGraph,
-    delta: DeltaBatch,
-    max_depth: int | None,
-    affected: set[NodeId] | None = None,
-) -> tuple[dict[NodeId, dict[NodeId, float]], bool]:
-    """Patch Phi rows for a delta; falls back to a full recompute when
-    the evaluation strategy flips (a delta opening or closing the last
-    cycle switches between the DAG DP and the bounded DFS, which changes
-    every row's float accumulation order)."""
-    use_dag = max_depth is None and is_acyclic(new_graph)
-    if use_dag != prev_use_dag:
-        return phi_rows(new_graph, max_depth)
-    if affected is None:
-        affected = affected_sources(delta, old_graph, new_graph)
-    patched = dict(rows)
-    for node, _label in delta.removed_nodes:
-        patched.pop(node, None)
-    for source in affected:
-        if not new_graph.has_node(source):
-            patched.pop(source, None)
-        elif use_dag:
-            patched[source] = accumulated_ownership_dag(new_graph, source)
-        else:
-            patched[source] = accumulated_ownership_from(
-                new_graph, source, max_depth=max_depth
-            )
-    return patched, use_dag
 
 
 # ----------------------------------------------------------------------

@@ -33,6 +33,8 @@ from ..graph.property_graph import Edge, NodeId
 from ..linkage.bayes import BayesianLinkClassifier
 from ..ownership.close_links import (
     CLOSE_LINK_THRESHOLD,
+    accumulated_ownership_from,
+    all_accumulated_ownership,
     close_link_pairs,
     links_from_phi,
 )
@@ -51,10 +53,8 @@ from .incremental import (
     affected_sources,
     control_pairs_from_rows,
     control_rows,
-    patch_control_rows,
-    patch_phi_rows,
+    patch_rows,
     patch_ubo_rows,
-    phi_rows,
 )
 
 #: The tenant un-prefixed routes and single-graph callers resolve to.
@@ -85,8 +85,6 @@ class SnapshotConfig:
     )
     #: dirty-region radius of the warm embedder between snapshot builds
     dirty_hops: int = 2
-    #: path-depth bound of the procedural close-link fallback on cycles
-    max_path_depth: int = 12
     #: keep the per-source rows of each build so the next one patches
     #: them from its accepted delta batch; False keeps no state, so every
     #: build derives every row cold (the oracle the tests and the e2e
@@ -275,7 +273,7 @@ class Snapshot:
         if t == self.config.close_link_threshold:
             links = self.close_links
         else:
-            links = close_link_pairs(self.graph, t, max_depth=self.config.max_path_depth)
+            links = close_link_pairs(self.graph, t)
         pairs = sorted([x, y] for x, y in links if str(x) <= str(y))
         return {
             "version": self.version,
@@ -430,7 +428,6 @@ class _BuilderState:
     generation: int
     control_rows: dict[NodeId, set[NodeId]]
     phi_rows: dict[NodeId, dict[NodeId, float]]
-    phi_use_dag: bool
     integrated: dict[NodeId, dict[NodeId, float]]
     controlled: dict[NodeId, set[NodeId]]
     family_links: set[tuple[NodeId, NodeId, str]]
@@ -569,7 +566,6 @@ class SnapshotBuilder:
                             use_embeddings=config.use_embeddings,
                             node2vec=config.node2vec,
                             embedding_features=config.embedding_features,
-                            max_path_depth=config.max_path_depth,
                         ),
                         classifiers=self.classifiers,
                         tracer=self.tracer,
@@ -579,30 +575,29 @@ class SnapshotBuilder:
 
             with self.tracer.span("snapshot.control"):
                 if incremental:
-                    c_rows = patch_control_rows(
+                    c_rows = patch_rows(
                         state.control_rows,
-                        state.graph,
                         graph,
                         delta,
-                        config.control_threshold,
-                        affected=affected,
+                        affected,
+                        lambda source: controlled_by(
+                            graph, source, config.control_threshold
+                        ),
                     )
                 else:
                     c_rows = control_rows(graph, config.control_threshold)
                 control = control_pairs_from_rows(c_rows)
             with self.tracer.span("snapshot.close_links"):
                 if incremental:
-                    p_rows, use_dag = patch_phi_rows(
+                    p_rows = patch_rows(
                         state.phi_rows,
-                        state.phi_use_dag,
-                        state.graph,
                         graph,
                         delta,
-                        config.max_path_depth,
-                        affected=affected,
+                        affected,
+                        lambda source: accumulated_ownership_from(graph, source),
                     )
                 else:
-                    p_rows, use_dag = phi_rows(graph, config.max_path_depth)
+                    p_rows = all_accumulated_ownership(graph)
                 company_ids = {node.id for node in graph.companies()}
                 close = {
                     (link.x, link.y)
@@ -650,7 +645,6 @@ class SnapshotBuilder:
                 generation=graph.generation,
                 control_rows=c_rows,
                 phi_rows=p_rows,
-                phi_use_dag=use_dag,
                 integrated=integrated,
                 controlled=controlled,
                 family_links=family_links,

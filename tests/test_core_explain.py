@@ -1,7 +1,6 @@
 """Tests for the business-facing explanation service."""
 
-import pytest
-
+from repro.bench import ownership_pyramid
 from repro.core.explain import (
     Explanation,
     explain_close_link,
@@ -11,6 +10,9 @@ from repro.core.explain import (
 from repro.graph import figure1_graph, figure2_graph
 from repro.linkage import BayesianLinkClassifier, partner_features
 from repro.linkage.training import default_classifiers
+from repro.ownership import close_link_pairs
+
+from .test_definitions_differential import twenty_hop_chain
 
 
 class TestExplainControl:
@@ -53,6 +55,32 @@ class TestExplainCloseLink:
         explanation = explain_close_link(figure1_graph(), "C", "G")
         assert not explanation.verdict
         assert any("no third party" in step for step in explanation.steps)
+
+    def test_a_dense_pyramid_needs_no_path_budget(self):
+        graph = ownership_pyramid(48, m=3, seed=1)
+        pairs = close_link_pairs(graph)
+        for x in graph.node_ids():
+            for y in graph.node_ids():
+                if x != y:
+                    assert explain_close_link(graph, x, y).verdict == ((x, y) in pairs)
+
+    def test_a_deep_chain_is_linked(self):
+        explanation = explain_close_link(twenty_hop_chain(), "c0", "c15")
+        assert explanation.verdict
+        assert any(step.startswith("condition (i): Phi(c0, c15) = 46.3%")
+                   for step in explanation.steps)
+
+    def test_the_verdict_is_the_close_link_relation_on_a_cyclic_graph(self):
+        graph = figure1_graph()
+        graph.add_shareholding("L", "D", 0.3)  # closes D -> F -> L -> D
+        graph.add_shareholding("I", "G", 0.4)  # a cross-holding
+        graph.add_shareholding("F", "F", 0.1)  # a buy-back
+        pairs = close_link_pairs(graph)
+        companies = [node.id for node in graph.companies()]
+        for x in companies:
+            for y in companies:
+                if x != y:
+                    assert explain_close_link(graph, x, y).verdict == ((x, y) in pairs)
 
 
 class TestExplainFamilyLink:

@@ -44,10 +44,14 @@ class TestDeterministicProblems:
         pairs = pipeline.close_link_pairs()  # must not diverge
         assert ("a", "c") in pairs
 
-    def test_forced_procedural_mode(self):
+    def test_cyclic_graph_matches_the_reference(self):
         graph = figure1_graph()
-        pipeline = ReasoningPipeline(graph, fast_config(close_links_via="procedural"))
-        assert pipeline.close_link_pairs() == close_link_pairs(graph)
+        graph.add_shareholding("L", "D", 0.3)  # closes D -> F -> L -> D
+        graph.add_shareholding("F", "F", 0.1)  # a buy-back
+        pipeline = ReasoningPipeline(graph, fast_config())
+        pairs = pipeline.close_link_pairs()
+        assert pairs == close_link_pairs(graph)
+        assert ("L", "D") in pairs
 
 
 class TestFamilyDetection:

@@ -258,6 +258,27 @@ class TestSurfaceParity:
         assert not hasattr(importlib.import_module("repro.ownership.matrix"),
                            "try_low_rank_update")
 
+    def test_the_depth_bound_is_gone(self):
+        import repro.ownership
+        from repro.core.pipeline import PipelineConfig
+        from repro.graph import figure2_graph
+        from repro.service import SnapshotConfig
+
+        # accumulated ownership is exact: no depth bound, no strategy switch
+        with pytest.raises(TypeError):
+            SnapshotConfig(max_path_depth=12)
+        for name in ("max_path_depth", "close_links_via"):
+            with pytest.raises(TypeError):
+                PipelineConfig(**{name: None})
+        with pytest.raises(AttributeError):
+            repro.ownership.accumulated_ownership_dag
+        graph = figure2_graph()
+        with pytest.raises(ValueError):
+            repro.ownership.close_link_pairs(graph, max_depth=12)
+        assert repro.ownership.close_link_pairs(graph, max_depth=None) == (
+            repro.ownership.close_link_pairs(graph)
+        )
+
 
 class TestLazyHelper:
     @pytest.mark.parametrize("package, name", [

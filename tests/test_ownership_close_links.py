@@ -1,7 +1,5 @@
 """Tests for accumulated ownership and close links (Definitions 2.5/2.6)."""
 
-import random
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,7 +8,6 @@ from repro.graph import CompanyGraph, figure2_graph
 from repro.ownership import (
     PathBudgetExceeded,
     accumulated_ownership,
-    accumulated_ownership_dag,
     accumulated_ownership_from,
     all_accumulated_ownership,
     close_link_pairs,
@@ -92,17 +89,23 @@ class TestAccumulatedOwnership:
     def test_dag_dp_matches_enumeration(self):
         graph = diamond()
         assert is_acyclic(graph)
-        dp = accumulated_ownership_dag(graph, "a")
+        dp = accumulated_ownership_from(graph, "a")
         assert dp["d"] == pytest.approx(0.35)
 
-    def test_dag_dp_rejects_cycles(self):
+    def test_cross_holding_counts_each_simple_path_once(self):
+        """a <-> b hold half of each other: the walk a -> b -> a -> c is
+        not simple, so Phi(a, c) = 0.1 + 0.5 * 0.4 (and not a walk sum)."""
         graph = CompanyGraph()
-        graph.add_company("a")
-        graph.add_company("b")
+        for company in ("a", "b", "c"):
+            graph.add_company(company)
         graph.add_shareholding("a", "b", 0.5)
         graph.add_shareholding("b", "a", 0.5)
-        with pytest.raises(ValueError):
-            accumulated_ownership_dag(graph, "a")
+        graph.add_shareholding("a", "c", 0.1)
+        graph.add_shareholding("b", "c", 0.4)
+        graph.add_shareholding("c", "c", 0.3)  # a buy-back lies on no simple path
+        phi = accumulated_ownership_from(graph, "a")
+        assert phi == {"b": 0.5, "c": pytest.approx(0.3)}
+        assert accumulated_ownership_from(graph, "b")["c"] == pytest.approx(0.45)
 
     def test_is_acyclic_detects_self_loop(self):
         graph = CompanyGraph()
@@ -113,38 +116,45 @@ class TestAccumulatedOwnership:
 
 
 @st.composite
-def random_dag(draw):
-    """A random weighted DAG over ordered company nodes."""
-    n = draw(st.integers(min_value=2, max_value=8))
-    edges = []
-    for target in range(1, n):
-        sources = draw(
-            st.lists(
-                st.integers(min_value=0, max_value=target - 1),
-                unique=True, max_size=3,
-            )
-        )
-        for source in sources:
-            weight = draw(st.floats(min_value=0.05, max_value=1.0))
-            edges.append((source, target, weight))
-    return n, edges
+def random_graph(draw):
+    """A random weighted shareholding graph: cycles, self-loops, parallel
+    edges and persons all allowed."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    persons = draw(st.integers(min_value=0, max_value=2))
+    graph = CompanyGraph()
+    for i in range(n):
+        graph.add_company(f"c{i}")
+    for i in range(persons):
+        graph.add_person(f"p{i}")
+    owners = [f"c{i}" for i in range(n)] + [f"p{i}" for i in range(persons)]
+    for _ in range(draw(st.integers(min_value=0, max_value=3 * n))):
+        owner = draw(st.sampled_from(owners))
+        target = draw(st.integers(min_value=0, max_value=n - 1))
+        weight = draw(st.floats(min_value=0.01, max_value=1.0))
+        graph.add_shareholding(owner, f"c{target}", weight)
+    return graph
 
 
-class TestDagProperty:
-    @given(random_dag())
-    @settings(max_examples=40, deadline=None)
-    def test_dp_equals_path_enumeration(self, data):
-        n, edges = data
-        graph = CompanyGraph()
-        for i in range(n):
-            graph.add_company(f"c{i}")
-        for source, target, weight in edges:
-            graph.add_shareholding(f"c{source}", f"c{target}", weight)
-        dp = accumulated_ownership_dag(graph, "c0")
-        enumerated = accumulated_ownership_from(graph, "c0")
-        assert set(dp) == set(enumerated)
-        for company, value in dp.items():
-            assert value == pytest.approx(enumerated[company])
+class TestExactRouteProperty:
+    @given(random_graph())
+    @settings(max_examples=120, deadline=None)
+    def test_dp_equals_path_enumeration(self, graph):
+        """The condensation DP equals Definition 2.5 verbatim: the same
+        reachable targets, the same sums; and a row is the same float
+        for float whether computed alone or with every other row."""
+        rows = all_accumulated_ownership(graph)
+        for source in graph.node_ids():
+            row = accumulated_ownership_from(graph, source)
+            assert row == rows[source]
+            reachable = {
+                target for target in graph.node_ids()
+                if target != source and next(simple_paths(graph, source, target), None)
+            }
+            assert set(row) == reachable
+            for target, value in row.items():
+                assert value == pytest.approx(
+                    accumulated_ownership(graph, source, target), rel=1e-9, abs=1e-12
+                )
 
 
 class TestCloseLinks:
@@ -185,11 +195,3 @@ class TestCloseLinks:
         pairs = close_link_pairs(graph)
         assert ("C4", "C7") in pairs   # Phi(C4, C7) = 0.2, Def 2.6-(i)
         assert ("C4", "C6") in pairs   # P3 owns >= 20% of both, Def 2.6-(iii)
-
-    def test_all_accumulated_ownership_modes_agree(self):
-        graph = diamond()
-        exact = all_accumulated_ownership(graph)
-        bounded = all_accumulated_ownership(graph, max_depth=10)
-        for source, targets in exact.items():
-            for target, value in targets.items():
-                assert value == pytest.approx(bounded[source][target])

@@ -89,7 +89,7 @@ class TestOwnershipInvariants:
     @settings(max_examples=40, deadline=None)
     def test_accumulated_ownership_positive_and_bounded_hops(self, graph):
         for source in list(graph.node_ids())[:4]:
-            phi = accumulated_ownership_from(graph, source, max_depth=6)
+            phi = accumulated_ownership_from(graph, source)
             for value in phi.values():
                 assert value > 0
 

@@ -93,7 +93,7 @@ class TestBuild:
         assert snapshot.control == control_closure(graph, threshold=0.5)
 
     def test_precomputed_close_links_match_reference(self, graph, snapshot):
-        assert snapshot.close_links == close_link_pairs(graph, 0.2, max_depth=12)
+        assert snapshot.close_links == close_link_pairs(graph, 0.2)
 
     def test_augmented_graph_has_typed_edges(self, graph, snapshot):
         augmented = reference_augmented(snapshot)
@@ -360,6 +360,7 @@ class TestNeighborsOrder:
             "index_properties": ("name", "surname", "address"),
             "low_rank_updates": True,
             "max_update_rank": 32,
+            "max_path_depth": 12,
         }
         vars(config).update(removed)
         FrameStore.create(tmp_path / "store").persist(SnapshotBuilder(config).build(graph))
