@@ -25,7 +25,7 @@ import numpy as np
 from ..datalog.engine import Engine
 from ..datalog.terms import skolem
 from ..datalog.vectorized import VectorRuntimeFallback
-from ..embeddings.node2vec import Node2VecConfig, embed_and_cluster
+from ..embeddings.node2vec import EMBEDDING_FEATURES, Node2VecConfig, embed_and_cluster
 from ..graph.company_graph import FAMILY, CompanyGraph
 from ..graph.property_graph import NodeId
 from ..linkage.bayes import BayesianLinkClassifier
@@ -59,15 +59,9 @@ class PipelineConfig:
     family_probability_threshold: float = 0.5
     first_level_clusters: int = 10
     use_embeddings: bool = True
-    node2vec: Node2VecConfig = field(
-        default_factory=lambda: Node2VecConfig(
-            dimensions=24, walk_length=15, num_walks=6, epochs=2, window=4
-        )
-    )
-    #: per-feature token weights: the household signal is sharper than the
-    #: (Zipf-heavy) surname signal, so address tokens weigh more
+    node2vec: Node2VecConfig = field(default_factory=Node2VecConfig)
     embedding_features: "tuple[str, ...] | dict[str, float]" = field(
-        default_factory=lambda: {"surname": 1.0, "address": 3.0}
+        default_factory=EMBEDDING_FEATURES.copy
     )
     blocking: BlockingScheme = field(default_factory=BlockingScheme.default)
 
@@ -89,7 +83,7 @@ class ReasoningPipeline:
         #: first-level cluster assignment computed outside the pipeline
         #: (e.g. by a warm :class:`~repro.embeddings.IncrementalEmbedder`
         #: between snapshot builds); when set it replaces the internal
-        #: ``embed_and_cluster`` call in :meth:`compute_blocks`
+        #: ``embed_and_cluster`` call of :meth:`_first_level_assignment`
         self.cluster_assignment = cluster_assignment
         if classifiers is None:
             classifiers = default_classifiers()
@@ -185,25 +179,30 @@ class ReasoningPipeline:
     # blocking (Algorithm 3 rule 1, computed pipeline-side)
     # ------------------------------------------------------------------
 
+    def _first_level_assignment(self) -> dict[NodeId, int]:
+        """``#GraphEmbedClust`` over the pipeline's graph: node -> cluster.
+
+        The assignment handed to the constructor when there is one, else
+        the embedder's cold round, else one cluster (no cluster mode)."""
+        config = self.config
+        if self.cluster_assignment is not None:
+            return self.cluster_assignment
+        if not config.use_embeddings or config.first_level_clusters <= 1:
+            return {node: 0 for node in self.graph.node_ids()}
+        with self.tracer.span("embed_cluster", clusters=config.first_level_clusters):
+            return embed_and_cluster(
+                self.graph,
+                config.first_level_clusters,
+                config.node2vec,
+                feature_properties=config.embedding_features,
+                tracer=self.tracer,
+            )
+
     def compute_blocks(self) -> list[tuple[int, object, str]]:
         """(first-level cluster, second-level block, skolem node id) triples."""
         config = self.config
         with self.tracer.span("pipeline.blocking") as span:
-            if self.cluster_assignment is not None:
-                assignment = self.cluster_assignment
-            elif config.use_embeddings and config.first_level_clusters > 1:
-                with self.tracer.span(
-                    "embed_cluster", clusters=config.first_level_clusters
-                ):
-                    assignment = embed_and_cluster(
-                        self.graph,
-                        config.first_level_clusters,
-                        config.node2vec,
-                        feature_properties=config.embedding_features,
-                        tracer=self.tracer,
-                    )
-            else:
-                assignment = {node: 0 for node in self.graph.node_ids()}
+            assignment = self._first_level_assignment()
             triples: list[tuple[int, object, str]] = []
             for node in self.graph.persons():
                 sk_id = skolem("sk_p", (node.id,))
@@ -232,17 +231,7 @@ class ReasoningPipeline:
         from .programs import blocking_program
 
         config = self.config
-        if config.use_embeddings and config.first_level_clusters > 1:
-            assignment = embed_and_cluster(
-                self.graph,
-                config.first_level_clusters,
-                config.node2vec,
-                feature_properties=config.embedding_features,
-                tracer=self.tracer,
-            )
-        else:
-            assignment = {node: 0 for node in self.graph.node_ids()}
-
+        assignment = self._first_level_assignment()
         sk_to_node = {
             skolem("sk_p", (node.id,)): node for node in self.graph.persons()
         }

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from ..embeddings.incremental import IncrementalEmbedder
-from ..embeddings.node2vec import Node2VecConfig, embed_and_cluster
+from ..embeddings.node2vec import EMBEDDING_FEATURES, Node2VecConfig
 from ..graph.property_graph import Edge, Node, PropertyGraph
 from ..telemetry import NULL_TRACER
 from .blocking import BlockingScheme
@@ -36,27 +36,15 @@ class VadaLinkConfig:
 
     first_level_clusters: int = 10
     use_embeddings: bool = True
-    node2vec: Node2VecConfig = field(
-        default_factory=lambda: Node2VecConfig(
-            dimensions=24, walk_length=15, num_walks=6, epochs=2, window=4
-        )
-    )
+    node2vec: Node2VecConfig = field(default_factory=Node2VecConfig)
     #: node features folded into the embedding as token nodes — the paper's
     #: "similarity evaluated on both features and role in the topology"
-    #: per-feature token weights: the household signal is sharper than the
-    #: (Zipf-heavy) surname signal, so address tokens weigh more
     embedding_features: "tuple[str, ...] | dict[str, float]" = field(
-        default_factory=lambda: {"surname": 1.0, "address": 3.0}
+        default_factory=EMBEDDING_FEATURES.copy
     )
     blocking: BlockingScheme = field(default_factory=BlockingScheme.default)
     max_rounds: int = 3
     recursive: bool = True  # re-embed after each round that added edges
-    #: warm re-embedding between rounds: cache adjacency/walks/model/centroids
-    #: and recompute only the dirty region around the round's new edges;
-    #: False falls back to full from-scratch re-embedding every round
-    incremental: bool = True
-    #: radius (structural hops) of the dirty region around a new edge
-    dirty_hops: int = 2
 
 
 @dataclass
@@ -122,20 +110,7 @@ class VadaLink:
             else:
                 scheme_groups.append((scheme, [rule]))
 
-        embedder: IncrementalEmbedder | None = None
-        if (
-            config.incremental
-            and config.use_embeddings
-            and config.first_level_clusters > 1
-        ):
-            embedder = IncrementalEmbedder(
-                config.first_level_clusters,
-                config.node2vec,
-                feature_properties=config.embedding_features,
-                dirty_hops=config.dirty_hops,
-                tracer=self.tracer,
-            )
-
+        embedder = self._embedder()
         round_new_edges: list[Edge] | None = None
         changed = True
         while changed and rounds < config.max_rounds:
@@ -187,28 +162,29 @@ class VadaLink:
 
     # ------------------------------------------------------------------
 
+    def _embedder(self) -> IncrementalEmbedder | None:
+        """One run's ``GraphEmbedClust``: cold in round one, then warm on
+        each round's new edges; None in no-cluster mode."""
+        config = self.config
+        if not config.use_embeddings or config.first_level_clusters <= 1:
+            return None
+        return IncrementalEmbedder(
+            config.first_level_clusters,
+            config.node2vec,
+            feature_properties=config.embedding_features,
+            tracer=self.tracer,
+        )
+
     def _first_level_clusters(
         self,
         graph: PropertyGraph,
-        embedder: IncrementalEmbedder | None = None,
+        embedder: IncrementalEmbedder | None,
         new_edges: list[Edge] | None = None,
     ) -> dict[int, list[Node]]:
         """``GraphEmbedClust``: node2vec + k-means, or one cluster when off."""
-        config = self.config
-        if not config.use_embeddings or config.first_level_clusters <= 1:
+        if embedder is None:
             return {0: list(graph.nodes())}
-        if embedder is not None:
-            assignment = embedder.embed(graph, new_edges=new_edges)
-        else:
-            # the incremental=False escape hatch: full re-embedding, the
-            # exact seed code path
-            assignment = embed_and_cluster(
-                graph,
-                config.first_level_clusters,
-                config.node2vec,
-                feature_properties=config.embedding_features,
-                tracer=self.tracer,
-            )
+        assignment = embedder.embed(graph, new_edges=new_edges)
         clusters: dict[int, list[Node]] = {}
         for node in graph.nodes():
             clusters.setdefault(assignment.get(node.id, 0), []).append(node)

@@ -1,18 +1,22 @@
-"""Incremental ``#GraphEmbedClust`` for the augmentation loop.
+"""``#GraphEmbedClust``, cold on first use and incremental afterwards.
 
-Algorithm 1's reinforcement principle re-embeds the graph after every
-round that added edges, and the seed implementation paid the full
-node2vec bill each time: re-sample every walk, re-materialise the whole
-pair corpus, re-train SGNS from random vectors, re-seed k-means.  A
+:class:`IncrementalEmbedder` is the one implementation of the primitive:
+its cold round is :func:`~repro.embeddings.node2vec.embed_and_cluster`,
+and the augmentation loop, the reasoning pipeline and the service's
+snapshot builder all cluster through it.  Algorithm 1's reinforcement
+principle re-embeds the graph after every round that added edges; a
+full re-embedding would re-sample every walk, re-materialise the whole
+pair corpus, re-train SGNS from random vectors and re-seed k-means.  A
 round that adds a handful of edges perturbs the walk distribution only
-near those edges, so :class:`IncrementalEmbedder` keeps the expensive
-state between rounds and redoes only the dirty part:
+near those edges, so the embedder keeps the expensive state between
+rounds and redoes only the dirty part:
 
 * **adjacency** (including the feature-token bipartite structure) is
   updated in place with the round's new edges;
-* **walks** are cached per start node; only nodes within ``dirty_hops``
-  structural hops of a new edge are re-sampled, using the deterministic
-  per-(node, walk-index) kernel so the untouched walks stay valid;
+* **walks** are cached per start node; only nodes within
+  :attr:`~IncrementalEmbedder.DIRTY_HOPS` structural hops of a new edge
+  are re-sampled — the walk kernel gives every (node, walk-index) pair
+  its own RNG stream, so the untouched walks stay valid;
 * the **SGNS model** warm-starts from the previous round's vectors and
   trains only on the re-sampled walks (the global negative-sampling
   distribution is maintained incrementally from per-start counts);
@@ -20,8 +24,7 @@ state between rounds and redoes only the dirty part:
 
 Cached walks whose *trajectory* crosses the dirty region (but whose
 start lies outside it) are kept — a deliberate approximation bounded by
-``dirty_hops``; ``VadaLinkConfig(incremental=False)`` falls back to full
-re-embedding through :func:`~repro.embeddings.node2vec.embed_and_cluster`.
+``DIRTY_HOPS``; ``embed(graph)`` without new edges re-embeds cold.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from ..graph.columnar import GraphFrame
 from ..graph.property_graph import Edge, PropertyGraph
 from ..telemetry import NULL_TRACER
 from .kmeans import kmeans
-from .node2vec import Node2VecConfig, _stack_vectors, feature_token_adjacency
+from .node2vec import Node2VecConfig, feature_token_adjacency
 from .skipgram import SkipGramModel, train_skipgram, update_skipgram
 from .walks import RandomWalker
 
@@ -47,8 +50,23 @@ def _is_feature_token(node: NodeId) -> bool:
     return isinstance(node, tuple) and len(node) == 3 and node[0] == _FEATURE_TAG
 
 
+def _stack_vectors(
+    model: SkipGramModel, nodes: list[NodeId], dimensions: int
+) -> np.ndarray:
+    """Stack node vectors into one float32 matrix; unseen nodes get zero
+    rows of the same dtype (a float64 zero row would upcast everything)."""
+    matrix = np.zeros((len(nodes), dimensions), dtype=np.float32)
+    for row, node in enumerate(nodes):
+        if node in model.index:
+            matrix[row] = model.vector(node)
+    return matrix
+
+
 class IncrementalEmbedder:
     """Stateful ``#GraphEmbedClust``: cold on first use, warm afterwards."""
+
+    #: radius (structural hops) of the dirty region around a new edge
+    DIRTY_HOPS = 2
 
     def __init__(
         self,
@@ -56,18 +74,13 @@ class IncrementalEmbedder:
         config: Node2VecConfig | None = None,
         feature_properties: "tuple[str, ...] | dict[str, float]" = (),
         weight_property: str = "w",
-        dirty_hops: int = 2,
         tracer=None,
     ):
         self.clusters = clusters
         self.config = config if config is not None else Node2VecConfig()
         self.feature_properties = feature_properties
         self.weight_property = weight_property
-        self.dirty_hops = dirty_hops
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        #: deterministic kernel is mandatory (cached walks must not depend
-        #: on sampling order), so ``workers=None`` means one worker here
-        self.workers = self.config.workers or 1
         self.cold_rounds = 0
         self.warm_rounds = 0
         self._adjacency: dict[NodeId, dict[NodeId, float]] | None = None
@@ -130,9 +143,9 @@ class IncrementalEmbedder:
             p=config.p, q=config.q, seed=config.seed,
         )
         starts = list(self._sorted)
-        with self.tracer.span("embed.walks", mode="cold", workers=self.workers) as span:
+        with self.tracer.span("embed.walks", mode="cold", workers=config.workers) as span:
             all_walks = walker.walks(
-                starts, config.num_walks, config.walk_length, workers=self.workers
+                starts, config.num_walks, config.walk_length, workers=config.workers
             )
             span.set("walks", len(all_walks))
         self._walks = {}
@@ -166,11 +179,11 @@ class IncrementalEmbedder:
         walker = RandomWalker(self._sorted, p=config.p, q=config.q, seed=config.seed)
         dirty_starts = sorted((n for n in dirty if n in self._sorted), key=str)
         with self.tracer.span(
-            "embed.walks", mode="warm", workers=self.workers
+            "embed.walks", mode="warm", workers=config.workers
         ) as span:
             resampled = walker.walks(
                 dirty_starts, config.num_walks, config.walk_length,
-                workers=self.workers,
+                workers=config.workers,
             )
             span.set("dirty_nodes", len(dirty_starts))
             span.set("walks", len(resampled))
@@ -230,7 +243,7 @@ class IncrementalEmbedder:
         return touched
 
     def _dirty_region(self, touched: set[NodeId]) -> set[NodeId]:
-        """Nodes within ``dirty_hops`` structural hops of a new edge.
+        """Nodes within ``DIRTY_HOPS`` structural hops of a new edge.
 
         Feature tokens are not traversed (their incident structure did
         not change); walks starting at tokens keep their cached samples.
@@ -238,7 +251,7 @@ class IncrementalEmbedder:
         assert self._adjacency is not None
         dirty = {node for node in touched if not _is_feature_token(node)}
         frontier = list(dirty)
-        for _ in range(self.dirty_hops):
+        for _ in range(self.DIRTY_HOPS):
             next_frontier: list[NodeId] = []
             for node in frontier:
                 for neighbor in self._adjacency.get(node, ()):

@@ -1,8 +1,12 @@
 """node2vec: neighbourhood-preserving node embeddings (Grover & Leskovec).
 
 Pipeline: biased second-order random walks -> skip-gram with negative
-sampling -> one dense vector per node.  :func:`embed_and_cluster` adds the
-k-means step that turns vectors into the paper's first-level clusters.
+sampling -> one dense vector per node -> k-means, which turns the vectors
+into the paper's first-level clusters.  :func:`embed_and_cluster` is that
+``#GraphEmbedClust`` primitive; it is the cold round of
+:class:`~repro.embeddings.incremental.IncrementalEmbedder`, which every
+entry point that clusters runs.  The embedding defaults are decided here,
+once: :class:`Node2VecConfig`'s own fields and :data:`EMBEDDING_FEATURES`.
 """
 
 from __future__ import annotations
@@ -10,71 +14,34 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Hashable
 
-import numpy as np
-
-from ..graph.columnar import GraphFrame
 from ..graph.property_graph import PropertyGraph
-from ..telemetry import NULL_TRACER
-from .kmeans import kmeans
-from .skipgram import SkipGramModel, train_skipgram
-from .walks import RandomWalker, build_adjacency
+from .walks import build_adjacency
 
 NodeId = Hashable
+
+#: per-feature token weights of the embedding: the household signal is
+#: sharper than the (Zipf-heavy) surname signal, so address tokens weigh more
+EMBEDDING_FEATURES: dict[str, float] = {"surname": 1.0, "address": 3.0}
 
 
 @dataclass
 class Node2VecConfig:
-    """Hyper-parameters of the node2vec pipeline (paper-typical defaults)."""
+    """Hyper-parameters of the node2vec pipeline, and the one default
+    every clustering entry point embeds with."""
 
-    dimensions: int = 32
-    walk_length: int = 20
-    num_walks: int = 10
+    dimensions: int = 24
+    walk_length: int = 15
+    num_walks: int = 6
     p: float = 1.0
     q: float = 1.0
-    window: int = 5
+    window: int = 4
     negative: int = 5
     epochs: int = 2
     learning_rate: float = 0.025
     seed: int = 0
-    #: None keeps the historical sequential sampler; any integer switches
-    #: to the deterministic per-(node, walk-index) kernel, sharding start
-    #: nodes over that many processes (output is bit-identical for every
-    #: worker count, so 1 is the no-pool oracle setting)
-    workers: int | None = None
-
-
-class Node2Vec:
-    """Fit node embeddings on a property graph."""
-
-    def __init__(self, config: Node2VecConfig | None = None):
-        self.config = config if config is not None else Node2VecConfig()
-        self.model: SkipGramModel | None = None
-
-    def fit(self, graph: PropertyGraph, weight_property: str = "w") -> SkipGramModel:
-        """Sample walks and train SGNS; returns (and retains) the model."""
-        config = self.config
-        frame = GraphFrame.of(graph, weight_property)
-        walker = RandomWalker(frame, p=config.p, q=config.q, seed=config.seed)
-        walks = walker.walks(
-            list(walker.adjacency), config.num_walks, config.walk_length,
-            workers=config.workers,
-        )
-        self.model = train_skipgram(
-            walks,
-            dimensions=config.dimensions,
-            window=config.window,
-            negative=config.negative,
-            epochs=config.epochs,
-            learning_rate=config.learning_rate,
-            seed=config.seed,
-        )
-        return self.model
-
-    def embedding_matrix(self, nodes: list[NodeId]) -> np.ndarray:
-        """Stack the vectors of ``nodes``; isolated/unseen nodes get zeros."""
-        if self.model is None:
-            raise RuntimeError("call fit() before requesting embeddings")
-        return _stack_vectors(self.model, nodes, self.config.dimensions)
+    #: processes the start nodes shard over; the walks are bit-identical
+    #: for every worker count, so 1 (no pool) is the oracle setting
+    workers: int = 1
 
 
 def feature_token_adjacency(
@@ -116,20 +83,6 @@ def feature_token_adjacency(
     }
 
 
-def _stack_vectors(
-    model: SkipGramModel, nodes: list[NodeId], dimensions: int
-) -> np.ndarray:
-    """Stack node vectors into one float32 matrix; unseen nodes get zero
-    rows of the same dtype (a float64 zero row would upcast everything)."""
-    if not nodes:
-        return np.zeros((0, dimensions), dtype=np.float32)
-    matrix = np.zeros((len(nodes), dimensions), dtype=np.float32)
-    for row, node in enumerate(nodes):
-        if node in model.index:
-            matrix[row] = model.vector(node)
-    return matrix
-
-
 def embed_and_cluster(
     graph: PropertyGraph,
     clusters: int,
@@ -142,44 +95,17 @@ def embed_and_cluster(
 
     Embeds the graph with node2vec (over topology, plus feature tokens
     when ``feature_properties`` is given) and k-means-partitions the
-    vectors into ``clusters`` groups.  With ``clusters <= 1`` every node
-    maps to cluster 0 (the paper's "no cluster mode").
+    vectors into ``clusters`` groups — the cold round of an
+    :class:`~repro.embeddings.incremental.IncrementalEmbedder`.  With
+    ``clusters <= 1`` every node maps to cluster 0 (the paper's "no
+    cluster mode").
     """
-    tracer = tracer if tracer is not None else NULL_TRACER
-    nodes = list(graph.node_ids())
-    if clusters <= 1 or len(nodes) <= 1:
-        return {node: 0 for node in nodes}
-    config = config if config is not None else Node2VecConfig()
-    with tracer.span("embed.adjacency"):
-        if feature_properties:
-            # the bipartite token structure is private to this embed, but
-            # the structural half inside it still reads the frame's
-            # cached merged-undirected view through build_adjacency
-            adjacency = feature_token_adjacency(
-                graph, feature_properties, weight_property
-            )
-            walker = RandomWalker(adjacency, p=config.p, q=config.q, seed=config.seed)
-        else:
-            frame = GraphFrame.of(graph, weight_property)
-            walker = RandomWalker(frame, p=config.p, q=config.q, seed=config.seed)
-            adjacency = walker.adjacency
-    with tracer.span("embed.walks", workers=config.workers or "serial") as span:
-        walks = walker.walks(
-            list(adjacency), config.num_walks, config.walk_length,
-            workers=config.workers,
-        )
-        span.set("walks", len(walks))
-    model = train_skipgram(
-        walks,
-        dimensions=config.dimensions,
-        window=config.window,
-        negative=config.negative,
-        epochs=config.epochs,
-        learning_rate=config.learning_rate,
-        seed=config.seed,
+    from .incremental import IncrementalEmbedder
+
+    return IncrementalEmbedder(
+        clusters,
+        config,
+        feature_properties=feature_properties,
+        weight_property=weight_property,
         tracer=tracer,
-    )
-    matrix = _stack_vectors(model, nodes, config.dimensions)
-    with tracer.span("embed.kmeans", clusters=clusters):
-        labels, _ = kmeans(matrix, clusters, seed=config.seed)
-    return {node: int(label) for node, label in zip(nodes, labels)}
+    ).embed(graph)

@@ -14,20 +14,16 @@ the walk local (homophily).  Walks treat the graph as undirected — the
 standard choice for ownership networks, where influence flows both ways
 along a shareholding for similarity purposes.
 
-Sampling uses per-node cumulative-weight tables binary-searched with
-``bisect`` instead of a linear scan per step.  The tables accumulate
-weights in the same left-to-right order the scan summed them, and each
-step still draws exactly one ``random()``, so walks are bit-identical to
-the historical implementation under a fixed seed.
-
-``walks(..., workers=n)`` switches to the *deterministic kernel*: every
-(start node, walk index) pair owns an independent RNG stream seeded from
-a stable hash of (seed, node, index), so the walk set is a pure function
-of the adjacency and the seed — independent of start order, sharding, or
-worker count.  Start nodes shard across a fork-based process pool, and
-the unbiased case (p == q == 1, the paper's default) steps all walks of
-a shard in numpy lockstep over a CSR view of the adjacency instead of
-one Python loop per step.
+Walks come from a *deterministic kernel*: every (start node, walk index)
+pair owns an independent RNG stream seeded from a stable hash of (seed,
+node, index), so the walk set is a pure function of the adjacency and the
+seed — independent of start order, sharding, or worker count.  A step
+draws one uniform from that stream and binary-searches a per-node
+cumulative-weight table with ``bisect``.  ``walks(..., workers=n)``
+shards the start nodes across a fork-based process pool, and the
+unbiased case (p == q == 1, the paper's default) steps all walks of a
+shard in numpy lockstep over a CSR view of the adjacency instead of one
+Python loop per step.
 
 The adjacency and the lockstep CSR live in the columnar core now:
 :class:`RandomWalker` accepts a :class:`~repro.graph.columnar.GraphFrame`
@@ -40,7 +36,6 @@ from __future__ import annotations
 
 import hashlib
 import multiprocessing
-import random
 from bisect import bisect_left
 from itertools import accumulate
 from typing import Hashable, Sequence
@@ -150,7 +145,6 @@ class RandomWalker:
         self.p = p
         self.q = q
         self.seed = seed
-        self._rng = random.Random(seed)
         self._csr: tuple | None = None  # resolved lazily by _ensure_csr
         self._entropy_cache: dict[NodeId, int] = {}
         self._tables: dict[NodeId, _Table] = {}
@@ -170,54 +164,22 @@ class RandomWalker:
         # grows with the distinct directed steps actually walked
         self._biased_tables: dict[tuple[NodeId, NodeId], tuple[tuple, list, float]] = {}
 
-    def walk(self, start: NodeId, length: int) -> list[NodeId]:
-        """One biased walk of at most ``length`` nodes starting at ``start``."""
-        walk = [start]
-        if length <= 1:
-            return walk
-        table = self._tables.get(start)
-        if table is None or not table[0]:
-            return walk
-        current = self._sample(table[0], table[2], table[3])
-        walk.append(current)
-        while len(walk) < length:
-            table = self._tables.get(current)
-            if table is None or not table[0]:
-                break
-            previous = walk[-2]
-            current = self._biased_sample(previous, current, table)
-            walk.append(current)
-        return walk
-
     def walks(
         self,
         nodes: Sequence[NodeId],
         num_walks: int,
         length: int,
         *,
-        workers: int | None = None,
+        workers: int = 1,
     ) -> list[list[NodeId]]:
-        """``num_walks`` walks from every node.
-
-        With ``workers=None`` (the historical default) walks are sampled
-        sequentially from the walker's shared RNG in shuffled start order
-        — bit-identical to the seed implementation.  With any integer
-        ``workers >= 1`` the deterministic kernel takes over: walks come
-        back node-major (all walks of ``nodes[0]``, then ``nodes[1]``,
-        ...) and are bit-identical for every worker count, because each
-        (node, walk-index) pair owns an RNG stream derived only from the
-        walker seed and the node identity.
+        """``num_walks`` walks from every node, node-major (all walks of
+        ``nodes[0]``, then ``nodes[1]``, ...), sharded over ``workers``
+        processes.  The walks are bit-identical for every worker count,
+        because each (node, walk-index) pair owns an RNG stream derived
+        only from the walker seed and the node identity.
         """
-        if workers is None:
-            all_walks: list[list[NodeId]] = []
-            starts = list(nodes)
-            for _ in range(num_walks):
-                self._rng.shuffle(starts)
-                for start in starts:
-                    all_walks.append(self.walk(start, length))
-            return all_walks
         if workers < 1:
-            raise ValueError("workers must be a positive integer (or None)")
+            raise ValueError("workers must be a positive integer")
         starts = list(nodes)
         shard_count = min(workers, max(1, len(starts)))
         bounds = [round(i * len(starts) / shard_count) for i in range(shard_count + 1)]
@@ -435,14 +397,11 @@ class RandomWalker:
 
     # ------------------------------------------------------------------
 
-    def _sample(self, ids: tuple, cumulative: list, total: float) -> NodeId:
-        return self._sample_with(self._rng.random(), ids, cumulative, total)
-
     @staticmethod
     def _sample_with(uniform: float, ids: tuple, cumulative: list, total: float) -> NodeId:
         threshold = uniform * total
-        # leftmost index with cumulative[i] >= threshold: exactly the
-        # first-crossing the historical linear scan returned
+        # leftmost index with cumulative[i] >= threshold: the first
+        # crossing of a left-to-right linear scan
         index = bisect_left(cumulative, threshold)
         if index >= len(ids):
             index = len(ids) - 1
@@ -471,12 +430,6 @@ class RandomWalker:
             self._biased_tables[key] = cached
         return cached
 
-    def _biased_sample(
-        self, previous: NodeId, current: NodeId, table: _Table
-    ) -> NodeId:
-        ids, cumulative, total = self._biased_table(previous, current, table)
-        return self._sample(ids, cumulative, total)
-
 
 def generate_walks(
     graph: PropertyGraph,
@@ -486,7 +439,7 @@ def generate_walks(
     q: float = 1.0,
     seed: int = 0,
     weight_property: str = "w",
-    workers: int | None = None,
+    workers: int = 1,
 ) -> list[list[NodeId]]:
     """Convenience wrapper: frame the graph and sample node2vec walks."""
     frame = GraphFrame.of(graph, weight_property)

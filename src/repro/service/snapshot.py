@@ -21,12 +21,12 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Sequence
 
 from ..core.pipeline import PipelineConfig, ReasoningPipeline
 from ..embeddings.incremental import IncrementalEmbedder
-from ..embeddings.node2vec import Node2VecConfig
+from ..embeddings.node2vec import EMBEDDING_FEATURES
 from ..graph.columnar import GraphFrame
 from ..graph.company_graph import CompanyGraph
 from ..graph.property_graph import Edge, NodeId
@@ -73,18 +73,10 @@ class SnapshotConfig:
     #: run personal-link detection and add the typed edges to the served
     #: graph; False serves the extensional graph plus ownership analytics
     augment: bool = True
+    #: with ``use_embeddings``, the k of the first-level clustering; the
+    #: embedding itself is node2vec's one default, as everywhere else
     first_level_clusters: int = 1
     use_embeddings: bool = False
-    node2vec: Node2VecConfig = field(
-        default_factory=lambda: Node2VecConfig(
-            dimensions=16, walk_length=10, num_walks=4, epochs=1, window=3
-        )
-    )
-    embedding_features: "tuple[str, ...] | dict[str, float]" = field(
-        default_factory=lambda: {"surname": 1.0, "address": 3.0}
-    )
-    #: dirty-region radius of the warm embedder between snapshot builds
-    dirty_hops: int = 2
     #: keep the per-source rows of each build so the next one patches
     #: them from its accepted delta batch; False keeps no state, so every
     #: build derives every row cold (the oracle the tests and the e2e
@@ -470,9 +462,7 @@ class SnapshotBuilder:
     def _fresh_embedder(self) -> IncrementalEmbedder:
         return IncrementalEmbedder(
             self.config.first_level_clusters,
-            self.config.node2vec,
-            feature_properties=self.config.embedding_features,
-            dirty_hops=self.config.dirty_hops,
+            feature_properties=EMBEDDING_FEATURES,
             tracer=self.tracer,
         )
 
@@ -564,8 +554,6 @@ class SnapshotBuilder:
                             close_link_threshold=config.close_link_threshold,
                             first_level_clusters=config.first_level_clusters,
                             use_embeddings=config.use_embeddings,
-                            node2vec=config.node2vec,
-                            embedding_features=config.embedding_features,
                         ),
                         classifiers=self.classifiers,
                         tracer=self.tracer,

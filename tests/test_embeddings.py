@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.embeddings import (
-    Node2Vec,
     Node2VecConfig,
     RandomWalker,
     build_adjacency,
@@ -15,6 +14,7 @@ from repro.embeddings import (
     kmeans,
     train_skipgram,
 )
+from repro.embeddings.walks import _node_entropy, _uniform_matrix, _walk_entropies
 from repro.graph import CompanyGraph, PropertyGraph
 
 
@@ -94,35 +94,40 @@ class TestWalks:
 
 
 class _LinearScanWalker:
-    """The historical per-step linear-scan sampler, kept as an oracle.
+    """A per-step linear-scan sampler over the walk kernel's streams,
+    kept as an oracle.
 
-    :class:`RandomWalker` replaced this with precomputed cumulative-weight
-    tables and ``bisect``; the guarantee is that under a fixed seed the
-    walks are bit-identical (same left-to-right accumulation order, one
-    ``random()`` per step).
+    :class:`RandomWalker` samples from precomputed cumulative-weight
+    tables with ``bisect`` (and, unbiased, with one ``searchsorted`` per
+    lockstep); the guarantee is that the walks are bit-identical to
+    recomputing the biased weights and scanning them left to right, with
+    the same uniform per step from the (node, walk-index) stream.
     """
 
     def __init__(self, adjacency, p=1.0, q=1.0, seed=0):
-        import random as _random
-
         self.adjacency = adjacency
         self.p = p
         self.q = q
-        self._rng = _random.Random(seed)
+        self.seed = seed
         self._neighbor_sets = {
             node: {neighbor for neighbor, _ in neighbors}
             for node, neighbors in adjacency.items()
         }
 
-    def walk(self, start, length):
+    def walk(self, start, index, length):
         walk = [start]
         if length <= 1:
             return walk
         neighbors = self.adjacency.get(start, ())
         if not neighbors:
             return walk
+        stream = _walk_entropies(
+            np.array([_node_entropy(self.seed, start)], dtype=np.uint64),
+            np.array([index], dtype=np.int64),
+        )
+        uniforms = iter(_uniform_matrix(stream, length - 1)[0].tolist())
         weights = [weight for _, weight in neighbors]
-        current = self._choose(neighbors, weights)
+        current = self._choose(neighbors, weights, next(uniforms))
         walk.append(current)
         while len(walk) < length:
             neighbors = self.adjacency.get(current, ())
@@ -138,21 +143,19 @@ class _LinearScanWalker:
                     weights.append(weight)
                 else:
                     weights.append(weight / self.q)
-            current = self._choose(neighbors, weights)
+            current = self._choose(neighbors, weights, next(uniforms))
             walk.append(current)
         return walk
 
     def walks(self, nodes, num_walks, length):
-        all_walks = []
-        starts = list(nodes)
-        for _ in range(num_walks):
-            self._rng.shuffle(starts)
-            for start in starts:
-                all_walks.append(self.walk(start, length))
-        return all_walks
+        return [
+            self.walk(start, index, length)
+            for start in nodes
+            for index in range(num_walks)
+        ]
 
-    def _choose(self, neighbors, weights):
-        threshold = self._rng.random() * sum(weights)
+    def _choose(self, neighbors, weights, uniform):
+        threshold = uniform * sum(weights)
         cumulative = 0.0
         for (node, _), weight in zip(neighbors, weights):
             cumulative += weight
@@ -274,15 +277,15 @@ class TestEmbedAndCluster:
         right = {assignment[i] for i in range(5, 10)}
         assert len(left) == 1 and len(right) == 1 and left != right
 
-    def test_node2vec_class_api(self):
+    def test_every_node_gets_one_of_k_clusters(self):
         graph = two_cliques()
-        embedder = Node2Vec(Node2VecConfig(dimensions=8, num_walks=2, epochs=1))
-        model = embedder.fit(graph)
-        matrix = embedder.embedding_matrix(list(graph.node_ids()))
-        assert matrix.shape == (10, 8)
-        assert model is embedder.model
+        config = Node2VecConfig(dimensions=8, num_walks=2, epochs=1)
+        assignment = embed_and_cluster(graph, 3, config)
+        assert list(assignment) == list(graph.node_ids())
+        assert set(assignment.values()) <= {0, 1, 2}
 
-    def test_embedding_before_fit_raises(self):
-        embedder = Node2Vec()
-        with pytest.raises(RuntimeError):
-            embedder.embedding_matrix([1])
+    def test_graphs_too_small_to_cluster_embed_nothing(self):
+        assert embed_and_cluster(PropertyGraph(), 4) == {}
+        graph = PropertyGraph()
+        graph.add_node("lonely")
+        assert embed_and_cluster(graph, 4) == {"lonely": 0}

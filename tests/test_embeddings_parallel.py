@@ -1,6 +1,6 @@
-"""Tests for the fast-path ``#GraphEmbedClust`` stack: the deterministic
-parallel walk kernel, warm-startable SGNS/k-means, and the incremental
-re-embedder behind ``VadaLinkConfig(incremental=True)``."""
+"""Tests for the ``#GraphEmbedClust`` stack: the deterministic parallel
+walk kernel, warm-startable SGNS/k-means, the incremental re-embedder
+every clustering entry point runs, and that those entry points agree."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from repro.core.blocking import BlockingScheme
 from repro.core.vadalink import VadaLink, VadaLinkConfig
 from repro.embeddings import (
     IncrementalEmbedder,
-    Node2Vec,
     Node2VecConfig,
     RandomWalker,
     build_adjacency,
@@ -18,6 +17,7 @@ from repro.embeddings import (
     train_skipgram,
     update_skipgram,
 )
+from repro.embeddings.incremental import _stack_vectors
 from repro.embeddings.skipgram import SkipGramModel
 from repro.graph import CompanyGraph, PropertyGraph
 
@@ -118,16 +118,6 @@ class TestParallelWalkKernel:
         with pytest.raises(ValueError):
             RandomWalker(adjacency, seed=1).walks([0], 1, 5, workers=0)
 
-    def test_legacy_path_untouched_by_kernel(self):
-        # workers=None must keep drawing from the shared shuffled RNG,
-        # unaffected by the deterministic kernel living alongside it
-        adjacency = build_adjacency(ring_graph())
-        nodes = list(adjacency)
-        first = RandomWalker(adjacency, seed=3).walks(nodes, 2, 8)
-        second = RandomWalker(adjacency, seed=3).walks(nodes, 2, 8)
-        assert first == second
-        assert first != RandomWalker(adjacency, seed=4).walks(nodes, 2, 8)
-
 
 class TestEmbedClusterParallel:
     def test_embed_and_cluster_bit_identical_across_workers(self):
@@ -146,12 +136,12 @@ class TestEmbedClusterParallel:
         assert assignments[0] == assignments[1] == assignments[2]
 
     def test_embedding_matrix_stays_float32(self):
+        # the vectors k-means partitions: embed_and_cluster's own round
         graph = small_company_graph()
-        node2vec = Node2Vec(
-            Node2VecConfig(dimensions=8, walk_length=6, num_walks=2, epochs=1)
-        )
-        node2vec.fit(graph)
-        matrix = node2vec.embedding_matrix(["p0", "never-seen-node"])
+        config = Node2VecConfig(dimensions=8, walk_length=6, num_walks=2, epochs=1)
+        embedder = IncrementalEmbedder(4, config)
+        assert embedder.embed(graph) == embed_and_cluster(graph, 4, config)
+        matrix = _stack_vectors(embedder._model, ["p0", "never-seen-node"], 8)
         assert matrix.dtype == np.float32
         assert np.any(matrix[0] != 0.0)
         assert np.all(matrix[1] == 0.0)
@@ -251,7 +241,7 @@ class TestIncrementalEmbedder:
 
 class _SurnameRule:
     """Links persons sharing a surname — adds edges in round one, which
-    makes round two re-embed (warm under ``incremental=True``)."""
+    makes round two re-embed warm."""
 
     link_class = "same_family"
     blocking = None
@@ -272,48 +262,41 @@ class TestVadaLinkIncremental:
     def _graph(self):
         return small_company_graph(persons=12)
 
-    def _config(self, incremental: bool) -> VadaLinkConfig:
+    def _config(self) -> VadaLinkConfig:
         return VadaLinkConfig(
             first_level_clusters=3,
             node2vec=Node2VecConfig(
                 dimensions=12, walk_length=8, num_walks=3, epochs=1, window=3,
-                seed=0, workers=1,
+                seed=0,
             ),
             embedding_features=("surname",),
             max_rounds=2,
-            incremental=incremental,
         )
 
-    def test_fallback_matches_seed_first_level_clustering(self):
-        # incremental=False must reproduce the seed behaviour: the
-        # from-scratch embed_and_cluster assignment every round
+    def test_round_one_matches_a_cold_embedder(self):
         graph = self._graph()
-        link = VadaLink([_SurnameRule()], self._config(incremental=False))
-        clusters = link._first_level_clusters(graph)
-        config = self._config(incremental=False)
-        expected = embed_and_cluster(
-            graph,
+        link = VadaLink([_SurnameRule()], self._config())
+        clusters = link._first_level_clusters(graph, link._embedder())
+        config = self._config()
+        expected = IncrementalEmbedder(
             config.first_level_clusters,
             config.node2vec,
             feature_properties=config.embedding_features,
-        )
-        for label, members in clusters.items():
-            for node in members:
-                assert expected[node.id] == label
+        ).embed(graph)
+        assert {
+            node.id: label for label, members in clusters.items() for node in members
+        } == expected
 
-    def test_incremental_and_fallback_agree_on_first_round(self):
-        graph = self._graph()
-        incremental = VadaLink([_SurnameRule()], self._config(incremental=True))
-        fallback = VadaLink([_SurnameRule()], self._config(incremental=False))
-        config = VadaLinkConfig()
-        assert config.incremental is True  # the documented default
-        result_inc = incremental.augment(graph)
-        result_full = fallback.augment(graph)
-        # both run the loop to completion and link the same universe of
-        # nodes (round >= 2 embeddings may legitimately differ)
-        assert result_inc.rounds >= 1 and result_full.rounds >= 1
-        assert {e.label for e in result_inc.new_edges} == \
-            {e.label for e in result_full.new_edges}
+    def test_later_rounds_re_embed_warm(self):
+        from repro.telemetry import Tracer
+
+        tracer = Tracer()
+        result = VadaLink([_SurnameRule()], self._config(), tracer=tracer).augment(
+            self._graph()
+        )
+        assert result.rounds == 2 and result.new_edges
+        modes = [span.attributes["mode"] for span in tracer.root.find_all("embed.walks")]
+        assert modes == ["cold", "warm"]
 
 
 class _CountingRule:
@@ -362,3 +345,53 @@ class TestBlockDedup:
         assert max(rule.decided.values()) == 1
         # every ordered pair exactly once: n * (n - 1) comparisons
         assert result.comparisons == 6 * 5
+
+
+class TestOneEmbedderEverywhere:
+    """Every entry point that clusters gives the same assignment, and so
+    the same family links, on the same graph: the snapshot builder, the
+    reasoning pipeline, the augmentation loop's round one and
+    ``repro family --clusters k``."""
+
+    K = 4
+
+    def test_entry_points_agree(self, tmp_path, capsys):
+        from repro.cli import main
+        from repro.core.pipeline import PipelineConfig, ReasoningPipeline
+        from repro.datalog.terms import skolem
+        from repro.graph.io import read_company_csv
+        from repro.service import SnapshotBuilder, SnapshotConfig
+
+        extract = tmp_path / "ex"
+        assert main(["generate", str(extract), "--persons", "40", "--companies",
+                     "30", "--seed", "5"]) == 0
+        graph = read_company_csv(extract)
+        persons = [node.id for node in graph.persons()]
+
+        builder = SnapshotBuilder(
+            SnapshotConfig(first_level_clusters=self.K, use_embeddings=True)
+        )
+        snapshot = builder.build(graph)
+        served = builder._state.assignment
+        assert len(set(served.values())) == self.K
+
+        pipeline = ReasoningPipeline(
+            graph, PipelineConfig(first_level_clusters=self.K)
+        )
+        blocks = {sk: cluster for cluster, _, sk in pipeline.compute_blocks()}
+        assert {p: blocks[skolem("sk_p", (p,))] for p in persons} == {
+            p: served[p] for p in persons
+        }
+        links = pipeline.family_links()
+        assert links and links == snapshot.family_links
+
+        link = VadaLink([_SurnameRule()], VadaLinkConfig(first_level_clusters=self.K))
+        round_one = link._first_level_clusters(graph, link._embedder())
+        assert {
+            node.id: label for label, members in round_one.items() for node in members
+        } == served
+
+        capsys.readouterr()
+        assert main(["family", str(extract), "--clusters", str(self.K)]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert printed == [f"{x},{y},{c}" for x, y, c in sorted(links)]

@@ -279,6 +279,30 @@ class TestSurfaceParity:
             repro.ownership.close_link_pairs(graph)
         )
 
+    def test_the_sequential_sampler_is_gone(self):
+        import repro.embeddings
+        from repro.core.vadalink import VadaLinkConfig
+        from repro.embeddings import Node2VecConfig, RandomWalker
+        from repro.service import SnapshotConfig
+
+        # one walk sampler (the per-(node, walk-index) kernel), one embedder
+        with pytest.raises(AttributeError):
+            repro.embeddings.Node2Vec
+        for name in ("walk", "_sample", "_biased_sample"):
+            assert not hasattr(RandomWalker, name)
+        walker = RandomWalker({0: [(1, 1.0)], 1: [(0, 1.0)]})
+        assert not hasattr(walker, "_rng")
+        with pytest.raises(TypeError):
+            walker.walks([0], 1, 3, workers=None)
+        assert Node2VecConfig().workers == 1
+        # one embedding default, and no switch around the embedder
+        for name in ("incremental", "dirty_hops"):
+            with pytest.raises(TypeError):
+                VadaLinkConfig(**{name: None})
+        for name in ("dirty_hops", "node2vec", "embedding_features"):
+            with pytest.raises(TypeError):
+                SnapshotConfig(**{name: None})
+
 
 class TestLazyHelper:
     @pytest.mark.parametrize("package, name", [

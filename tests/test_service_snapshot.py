@@ -351,16 +351,26 @@ class TestNeighborsOrder:
     def test_store_whose_config_carries_the_removed_fields_attaches_and_serves(
         self, graph, tmp_path
     ):
+        from repro.embeddings import Node2VecConfig
+        from repro.service import GraphRegistry
         from repro.storage import FrameStore
 
         # what unpickling an older build's SnapshotConfig leaves behind:
-        # pickle restores the instance __dict__, declared field or not
-        config = SnapshotConfig()
+        # pickle restores the instance __dict__, declared field or not;
+        # every clustered store carries the old embedding hyper-parameters
+        # and the removed sequential sampler (workers=None)
+        config = SnapshotConfig(first_level_clusters=4, use_embeddings=True)
         removed = {
             "index_properties": ("name", "surname", "address"),
             "low_rank_updates": True,
             "max_update_rank": 32,
             "max_path_depth": 12,
+            "dirty_hops": 2,
+            "node2vec": Node2VecConfig(
+                dimensions=16, walk_length=10, num_walks=4, epochs=1, window=3,
+                workers=None,
+            ),
+            "embedding_features": {"surname": 1.0, "address": 3.0},
         }
         vars(config).update(removed)
         FrameStore.create(tmp_path / "store").persist(SnapshotBuilder(config).build(graph))
@@ -368,6 +378,25 @@ class TestNeighborsOrder:
         assert {name: vars(attached.config)[name] for name in removed} == removed
         assert_neighbors_match_reference(attached)
         assert "indexed_properties" not in attached.stats_payload()
+
+        # mutations re-embed with today's one default: cold after the
+        # attach, warm on the next batch
+        binding = GraphRegistry(attached.config).create(
+            "default", snapshot=attached, start_version=1
+        )
+        company = next(iter(graph.companies())).id
+        for version, person in ((2, "P_NEW_1"), (3, "P_NEW_2")):
+            staged, batch = binding.updater.stage([
+                {"op": "add_person", "id": person},
+                {"op": "add_shareholding", "owner": person, "company": company,
+                 "share": 0.01},
+            ])
+            published = binding.updater.publish(staged, batch)
+            assert published.version == version and published.warm
+            assert_neighbors_match_reference(published)
+        embedder = binding.builder._embedder
+        assert embedder.config == Node2VecConfig()
+        assert (embedder.cold_rounds, embedder.warm_rounds) == (1, 1)
 
     def test_ids_with_equal_strings_are_ordered_by_intern_code(self):
         from repro.graph import GraphFrame, PropertyGraph
