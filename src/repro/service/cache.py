@@ -14,10 +14,11 @@ executor threads but their *registration* is loop-side):
   the first caller becomes the leader and actually computes; followers
   await the leader's future.  N concurrent identical requests trigger
   exactly one underlying computation.
-* :class:`MicroBatcher` — point lookups arriving within a short window
-  are flushed as one batch to a batch function that can share work
-  across keys (e.g. the per-person integrated-ownership solves behind
-  ``/ubo/{id}``).
+* :class:`MicroBatcher` — point lookups submitted in one event-loop
+  turn are flushed as one batch on the next turn to a batch function
+  that can share work across keys (e.g. the per-person
+  integrated-ownership solves behind ``/ubo/{id}``); a lone lookup
+  waits for no timer.
 
 :class:`ReasoningCache` composes the first two into the read-through
 cache the server uses for whole-relation endpoints.
@@ -182,27 +183,22 @@ class ReasoningCache:
 
 
 class MicroBatcher:
-    """Flush point lookups arriving within ``max_delay_s`` as one batch.
+    """Flush the point lookups submitted in one event-loop turn as one batch.
 
     ``batch_fn`` is an async callable taking a list of distinct keys and
-    returning ``{key: value}``.  Duplicate concurrent keys are coalesced
-    onto the same future, so a batch never computes a key twice.  A batch
-    is flushed early once ``max_batch`` distinct keys are pending.
+    returning ``{key: value}``.  The first key into an empty batch
+    schedules the flush for the next loop turn (``call_soon``), so every
+    key submitted before that turn ends joins it and a lone key waits
+    for no timer.  A batch is thus bounded by the requests admitted in
+    one turn.  Duplicate concurrent keys are coalesced onto the same
+    future, so a batch never computes a key twice.
     """
 
     def __init__(
-        self,
-        batch_fn: Callable[[list[Hashable]], Awaitable[dict[Hashable, Any]]],
-        max_batch: int = 16,
-        max_delay_s: float = 0.002,
+        self, batch_fn: Callable[[list[Hashable]], Awaitable[dict[Hashable, Any]]]
     ):
-        if max_batch < 1:
-            raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         self._batch_fn = batch_fn
-        self.max_batch = max_batch
-        self.max_delay_s = max_delay_s
         self._pending: dict[Hashable, list[asyncio.Future]] = {}
-        self._flush_handle: asyncio.TimerHandle | None = None
         #: strong references to in-flight batch tasks — the event loop
         #: only keeps weak ones, so an unreferenced batch task can be
         #: garbage-collected mid-flight, stranding its waiters forever
@@ -215,22 +211,16 @@ class MicroBatcher:
         self.requests += 1
         loop = asyncio.get_running_loop()
         future: asyncio.Future = loop.create_future()
+        if not self._pending:  # empty exactly while no flush is scheduled
+            loop.call_soon(self._flush_pending, loop)
         self._pending.setdefault(key, []).append(future)
-        if len(self._pending) >= self.max_batch:
-            self._flush_pending(loop)
-        elif self._flush_handle is None:
-            self._flush_handle = loop.call_later(self.max_delay_s, self._flush_pending, loop)
         return await future
 
     def _flush_pending(self, loop: asyncio.AbstractEventLoop) -> None:
-        if self._flush_handle is not None:
-            self._flush_handle.cancel()
-            self._flush_handle = None
         pending, self._pending = self._pending, {}
-        if pending:
-            task = loop.create_task(self._run_batch(pending))
-            self._tasks.add(task)
-            task.add_done_callback(self._tasks.discard)
+        task = loop.create_task(self._run_batch(pending))
+        self._tasks.add(task)
+        task.add_done_callback(self._tasks.discard)
 
     async def _run_batch(
         self, pending: dict[Hashable, list[asyncio.Future]]

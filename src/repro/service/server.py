@@ -162,10 +162,10 @@ class ServiceConfig:
     max_queue: int = 128
     #: per-request deadline; expiry answers 504
     request_timeout_s: float = 30.0
+    #: LRU entries.  Point lookups have no batching knob: the ``/ubo``
+    #: misses of one loop turn share one batch of at most
+    #: ``max_concurrency`` keys
     cache_capacity: int = 1024
-    #: micro-batching of point lookups (/ubo, /neighbors)
-    batch_max: int = 16
-    batch_delay_s: float = 0.002
     max_body_bytes: int = 1 << 20
 
 
@@ -347,12 +347,7 @@ class ReasoningService:
         self.cache = ReasoningCache(self.config.cache_capacity)
         self._semaphore = asyncio.Semaphore(self.config.max_concurrency)
         self._admin_lock = asyncio.Lock()
-        self._ubo_batcher = MicroBatcher(
-            self._ubo_batch, self.config.batch_max, self.config.batch_delay_s
-        )
-        self._neighbors_batcher = MicroBatcher(
-            self._neighbors_batch, self.config.batch_max, self.config.batch_delay_s
-        )
+        self._ubo_batcher = MicroBatcher(self._ubo_batch)
         self._server: asyncio.AbstractServer | None = None
         self.port: int | None = None
 
@@ -785,13 +780,9 @@ class ReasoningService:
         if not snapshot.graph.has_node(node_id):
             raise HttpError(404, f"unknown node: {node_id}")
         key = snapshot_key(snapshot.version, "neighbors", (node_id, depth, label), tenant)
-
-        async def compute() -> Any:
-            return await self._neighbors_batcher.submit(
-                (tenant, snapshot, node_id, depth, label)
-            )
-
-        return await self.cache.get_or_compute(key, compute)
+        return await self._cached(
+            key, lambda: snapshot.neighbors_payload(node_id, depth=depth, label=label)
+        )
 
     def _healthz(self) -> Any:
         try:
@@ -814,10 +805,7 @@ class ReasoningService:
         payload = self.metrics.to_dict()
         payload["worker_id"] = self.worker_id
         payload["cache"] = self.cache.stats()
-        payload["batchers"] = {
-            "ubo": self._ubo_batcher.stats(),
-            "neighbors": self._neighbors_batcher.stats(),
-        }
+        payload["batchers"] = {"ubo": self._ubo_batcher.stats()}
         payload["registry"] = self.registry.stats()
         tenants: dict[str, Any] = {}
         for name, binding in sorted(self.registry.items()):
@@ -865,7 +853,7 @@ class ReasoningService:
         return (200 if wait else 202), result
 
     # ------------------------------------------------------------------
-    # micro-batch functions (shared work across point lookups)
+    # micro-batch function (custom-threshold /ubo lookups share solves)
     # ------------------------------------------------------------------
 
     async def _ubo_batch(self, keys: list[Any]) -> dict[Any, Any]:
@@ -887,18 +875,6 @@ class ReasoningService:
             for company in companies:
                 results[(tenant, snapshot, company, threshold)] = payloads[company]
         return results
-
-    async def _neighbors_batch(self, keys: list[Any]) -> dict[Any, Any]:
-        return await asyncio.get_running_loop().run_in_executor(
-            None, self._neighbors_batch_sync, keys
-        )
-
-    @staticmethod
-    def _neighbors_batch_sync(keys: list[Any]) -> dict[Any, Any]:
-        return {
-            key: key[1].neighbors_payload(key[2], depth=key[3], label=key[4])
-            for key in keys
-        }
 
 
 def build_service(

@@ -76,6 +76,10 @@ from .updates import MutationError
 
 logger = logging.getLogger(__name__)
 
+#: segment-name sequence, process-wide: two pools in one process seal the
+#: same (tenant, version) under distinct names
+_SEGMENT_SEQ = itertools.count(1)
+
 
 @dataclass
 class PoolConfig:
@@ -154,7 +158,6 @@ class ServicePool:
         #: tenant -> the version last handed to the fleet; its segment is
         #: what a (re)started worker attaches and is never unlinked
         self._current: dict[str, int] = {}
-        self._segment_seq = itertools.count(1)
         #: workers that accept connections
         self._ready: set[int] = set()
         #: worker -> {tenant: version} across every tenant it serves
@@ -162,6 +165,8 @@ class ServicePool:
         #: worker -> (attach_s, swap_pause_s) of its last publish swap
         self.last_swap: dict[int, dict[str, float]] = {}
         self._lock = threading.RLock()
+        #: notified when a worker turns ready or dies (``start`` waits on it)
+        self._ready_changed = threading.Condition(self._lock)
         self._mutate_lock = threading.Lock()
         self._publish_events: dict[tuple[str, int], threading.Event] = {}
         self._metric_replies: dict[int, dict[int, Any]] = {}
@@ -215,19 +220,19 @@ class ServicePool:
             target=self._supervise, name="pool-supervisor", daemon=True
         )
         self._supervisor.start()
-        deadline = time.monotonic() + self.pool_config.start_timeout_s
-        while True:
-            with self._lock:
-                ready = len(self._ready)
-            if ready == self.requested_workers:
-                return self
-            if time.monotonic() >= deadline:
-                self.stop(drain=False)
-                raise PoolError(
-                    f"only {ready}/{self.requested_workers} workers came up "
-                    f"within {self.pool_config.start_timeout_s}s"
-                )
-            time.sleep(0.01)
+        with self._ready_changed:
+            up = self._ready_changed.wait_for(
+                lambda: len(self._ready) == self.requested_workers,
+                timeout=self.pool_config.start_timeout_s,
+            )
+            ready = len(self._ready)
+        if up:
+            return self
+        self.stop(drain=False)
+        raise PoolError(
+            f"only {ready}/{self.requested_workers} workers came up "
+            f"within {self.pool_config.start_timeout_s}s"
+        )
 
     def _seal(self, snapshot: Snapshot, tenant: str) -> None:
         """Encode ``snapshot`` into a fresh segment and make it the
@@ -235,7 +240,7 @@ class ServicePool:
         # deterministic prefix (leak checks grep for it) + a sequence
         # number so a tenant re-created after deletion can reuse version
         # numbers while its old segment is still draining
-        name = f"rkgs_{tenant}_v{snapshot.version}_{os.getpid()}_{next(self._segment_seq)}"
+        name = f"rkgs_{tenant}_v{snapshot.version}_{os.getpid()}_{next(_SEGMENT_SEQ)}"
         segment = shm_codec.encode_snapshot(snapshot, name=name, tenant=tenant)
         with self._lock:
             key = (tenant, snapshot.version)
@@ -548,8 +553,9 @@ class ServicePool:
     def _on_message(self, worker_id: int, message: dict[str, Any]) -> None:
         op = message.get("op")
         if op == "ready":
-            with self._lock:
+            with self._ready_changed:
                 self._ready.add(worker_id)
+                self._ready_changed.notify_all()
         elif op == "attached":
             key = (message.get("tenant", self.primary), message["version"])
             with self._lock:
@@ -634,12 +640,13 @@ class ServicePool:
             )
 
     def _on_worker_gone(self, worker_id: int) -> None:
-        with self._lock:
+        with self._ready_changed:
             if worker_id not in self._procs and worker_id not in self._conns:
                 return  # sentinel + pipe EOF both fired; already handled
             proc = self._procs.pop(worker_id, None)
             conn = self._conns.pop(worker_id, None)
             self._ready.discard(worker_id)
+            self._ready_changed.notify_all()
             self.worker_tenant_versions.pop(worker_id, None)
             # the kernel unmapped the dead worker's segments: that IS a release
             touched = [k for k, who in self._attached.items() if worker_id in who]

@@ -303,6 +303,31 @@ class TestSurfaceParity:
             with pytest.raises(TypeError):
                 SnapshotConfig(**{name: None})
 
+    def test_the_batch_window_is_gone(self):
+        import inspect
+
+        from repro.graph import figure2_graph
+        from repro.service import (
+            MicroBatcher,
+            ReasoningService,
+            ServiceConfig,
+            build_service,
+        )
+
+        # a batch is one loop turn of /ubo misses; /neighbors is not batched
+        for name in ("batch_max", "batch_delay_s"):
+            with pytest.raises(TypeError):
+                ServiceConfig(**{name: None})
+        assert list(inspect.signature(MicroBatcher.__init__).parameters) == [
+            "self", "batch_fn",
+        ]
+        assert [
+            name for name in dir(ReasoningService)
+            if name.startswith("_neighbors_batch")
+        ] == []
+        service = build_service(figure2_graph(), config=ServiceConfig(port=0))
+        assert not hasattr(service, "_neighbors_batcher")
+
 
 class TestLazyHelper:
     @pytest.mark.parametrize("package, name", [

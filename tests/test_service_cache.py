@@ -169,6 +169,8 @@ class TestReasoningCache:
 
 class TestMicroBatcher:
     def test_window_coalesces_into_one_batch(self):
+        """The window is one loop turn: one ``gather`` is one batch."""
+
         async def main():
             batches = []
 
@@ -176,7 +178,7 @@ class TestMicroBatcher:
                 batches.append(sorted(keys))
                 return {k: k * 10 for k in keys}
 
-            batcher = MicroBatcher(batch_fn, max_batch=64, max_delay_s=0.02)
+            batcher = MicroBatcher(batch_fn)
             results = await asyncio.gather(*(batcher.submit(k) for k in range(6)))
             return batches, results, batcher
 
@@ -186,6 +188,47 @@ class TestMicroBatcher:
         assert batcher.batches == 1
         assert batcher.requests == 6
 
+    def test_a_lone_key_waits_for_no_timer(self):
+        async def main():
+            turns = 0
+
+            async def ticker():
+                nonlocal turns
+                while True:
+                    turns += 1
+                    await asyncio.sleep(0)
+
+            async def batch_fn(keys):  # synchronous inside: no await
+                return {k: k for k in keys}
+
+            batcher = MicroBatcher(batch_fn)
+            ticking = asyncio.ensure_future(ticker())
+            result = await batcher.submit("k")
+            ticking.cancel()
+            return result, turns
+
+        result, turns = asyncio.run(main())
+        assert result == "k"
+        assert turns <= 3  # a timer of any length would let the ticker spin
+
+    def test_later_turns_form_later_batches(self):
+        async def main():
+            batches = []
+
+            async def batch_fn(keys):
+                batches.append(sorted(keys))
+                return {k: k for k in keys}
+
+            batcher = MicroBatcher(batch_fn)
+            first = await asyncio.gather(batcher.submit(1), batcher.submit(2))
+            second = await batcher.submit(3)
+            return batches, first, second, batcher.stats()
+
+        batches, first, second, stats = asyncio.run(main())
+        assert batches == [[1, 2], [3]]
+        assert (first, second) == ([1, 2], 3)
+        assert stats == {"requests": 3, "batches": 2, "batched_keys": 3, "pending": 0}
+
     def test_duplicate_keys_share_one_slot(self):
         async def main():
             seen = []
@@ -194,7 +237,7 @@ class TestMicroBatcher:
                 seen.append(list(keys))
                 return {k: "v" for k in keys}
 
-            batcher = MicroBatcher(batch_fn, max_batch=64, max_delay_s=0.02)
+            batcher = MicroBatcher(batch_fn)
             results = await asyncio.gather(*(batcher.submit("same") for _ in range(5)))
             return seen, results
 
@@ -202,37 +245,18 @@ class TestMicroBatcher:
         assert seen == [["same"]]
         assert results == ["v"] * 5
 
-    def test_max_batch_flushes_early(self):
-        async def main():
-            batches = []
-
-            async def batch_fn(keys):
-                batches.append(len(keys))
-                return {k: k for k in keys}
-
-            batcher = MicroBatcher(batch_fn, max_batch=3, max_delay_s=5.0)
-            await asyncio.gather(*(batcher.submit(k) for k in range(3)))
-            return batches
-
-        # with a 5s window, only the size trigger can have flushed
-        assert asyncio.run(main()) == [3]
-
     def test_batch_error_propagates_to_every_waiter(self):
         async def main():
             async def batch_fn(keys):
                 raise RuntimeError("backend down")
 
-            batcher = MicroBatcher(batch_fn, max_batch=8, max_delay_s=0.01)
+            batcher = MicroBatcher(batch_fn)
             return await asyncio.gather(
                 *(batcher.submit(k) for k in range(3)), return_exceptions=True
             )
 
         results = asyncio.run(main())
         assert all(isinstance(r, RuntimeError) for r in results)
-
-    def test_rejects_bad_max_batch(self):
-        with pytest.raises(ValueError):
-            MicroBatcher(lambda keys: None, max_batch=0)
 
 
 class TestSingleFlightLeaderCancellation:
@@ -322,7 +346,7 @@ class TestMicroBatcherContract:
             async def batch_fn(keys):
                 return {k: k for k in keys if k != "dropped"}
 
-            batcher = MicroBatcher(batch_fn, max_batch=3, max_delay_s=0.01)
+            batcher = MicroBatcher(batch_fn)
             return await asyncio.gather(
                 batcher.submit("a"),
                 batcher.submit("dropped"),
@@ -340,7 +364,7 @@ class TestMicroBatcherContract:
             async def batch_fn(keys):
                 return {k: None for k in keys}
 
-            batcher = MicroBatcher(batch_fn, max_batch=2, max_delay_s=0.01)
+            batcher = MicroBatcher(batch_fn)
             return await asyncio.gather(batcher.submit("x"), batcher.submit("y"))
 
         assert asyncio.run(main()) == [None, None]
@@ -355,9 +379,9 @@ class TestMicroBatcherContract:
                 await asyncio.sleep(0.02)
                 return {k: k for k in keys}
 
-            batcher = MicroBatcher(batch_fn, max_batch=1, max_delay_s=5.0)
+            batcher = MicroBatcher(batch_fn)
             waiter = asyncio.ensure_future(batcher.submit("k"))
-            await asyncio.sleep(0.005)  # size-1 batch flushed immediately
+            await asyncio.sleep(0.005)  # flushed on the next loop turn
             assert len(batcher._tasks) == 1
             result = await waiter
             await asyncio.sleep(0)

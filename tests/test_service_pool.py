@@ -274,6 +274,18 @@ class TestSupervision:
         seen = healthz_by_worker(pool.port)
         assert set(seen.values()) == {pool.version}
 
+    def test_start_timeout_stops_the_pool(self, graph):
+        pool = ServicePool(
+            graph,
+            workers=2,
+            config=ServiceConfig(port=0),
+            pool_config=PoolConfig(start_timeout_s=0.0),
+        )
+        with pytest.raises(PoolError, match="workers came up within 0.0s"):
+            pool.start()
+        assert pool.live_workers() == []
+        assert pool.segment_names() == []
+
     def test_stop_drains_and_unlinks_everything(self, graph):
         pool = ServicePool(
             graph,

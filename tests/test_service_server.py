@@ -8,7 +8,8 @@ The acceptance-critical properties live here:
   from the old snapshot version, until the new version is published
   atomically;
 * admission control: saturation -> 429, deadline expiry -> 504;
-* micro-batching: concurrent point lookups flush as one batch.
+* micro-batching: the ``/ubo`` lookups of one loop turn flush as one
+  batch; concurrent identical ``/neighbors`` misses compute once.
 """
 
 import asyncio
@@ -362,25 +363,52 @@ class TestAdmissionControl:
 
 class TestMicroBatching:
     def test_concurrent_point_lookups_flush_as_one_batch(self, graph):
-        service = make_service(graph, batch_delay_s=0.05, batch_max=64)
+        service = make_service(graph)
         companies = [node.id for node in graph.companies()][:8]
 
         async def main():
-            await service.start()
-            port = service.port
-            responses = await asyncio.gather(
-                *(http_request(port, "GET", f"/ubo/{c}") for c in companies)
-            )
-            await service.stop()
-            return responses
+            return await asyncio.gather(*(
+                service.handle_request("GET", f"/ubo/{c}", {"threshold": "0.3"}, b"")
+                for c in companies
+            ))
 
         responses = asyncio.run(main())
-        assert all(status == 200 for status, _ in responses)
+        assert all(status == 200 for _endpoint, status, _ in responses)
         assert service._ubo_batcher.batches == 1
         assert service._ubo_batcher.batched_keys == len(companies)
-        expected = service.manager.current.ubo_payloads(companies)
-        for company, (_status, payload) in zip(companies, responses):
+        expected = service.manager.current.ubo_payloads(companies, 0.3)
+        for company, (_endpoint, _status, payload) in zip(companies, responses):
             assert payload == expected[company]
+
+    def test_concurrent_identical_neighbors_misses_compute_once(self, graph):
+        service = make_service(graph)
+        node = next(graph.companies()).id
+
+        async def main():
+            return await asyncio.gather(*(
+                service.handle_request("GET", f"/neighbors/{node}", {"depth": "2"}, b"")
+                for _ in range(5)
+            ))
+
+        responses = asyncio.run(main())
+        assert [status for _endpoint, status, _ in responses] == [200] * 5
+        assert service.cache.computations == 1
+        assert service.cache.flight.coalesced == 4
+        expected = service.manager.current.neighbors_payload(node, depth=2)
+        assert all(payload == expected for _endpoint, _status, payload in responses)
+
+    def test_only_ubo_lookups_are_batched(self, graph):
+        service = make_service(graph)
+
+        async def main():
+            return await service.handle_request("GET", "/metrics", {}, b"")
+
+        _endpoint, status, metrics = asyncio.run(main())
+        assert status == 200
+        assert list(metrics["batchers"]) == ["ubo"]
+        assert set(metrics["batchers"]["ubo"]) == {
+            "requests", "batches", "batched_keys", "pending",
+        }
 
 
 class TestMetrics:

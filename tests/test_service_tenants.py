@@ -182,8 +182,8 @@ class TestTenantIsolation:
                 for round_ in range(2):  # round 2 reads through the cache
                     for path in paths:
                         # concurrent same-path requests for both tenants:
-                        # single-flight and the micro-batcher see both in
-                        # one window and must not coalesce across tenants
+                        # single-flight and the /ubo micro-batcher may see
+                        # both at once and must not coalesce across tenants
                         (sa, pa), (sb, pb), (ssa, psa), (ssb, psb) = (
                             await asyncio.gather(
                                 http_request(
