@@ -48,7 +48,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.bench.workloads import realworld_like  # noqa: E402
 from repro.service import ServiceConfig, build_service  # noqa: E402
-from repro.service.workers import PoolConfig, ServicePool  # noqa: E402
+from repro.service.workers import ServicePool  # noqa: E402
 
 #: (persons, total requests, connections) per mode
 SCALES = {"smoke": (150, 300, 8), "full": (500, 2000, 16)}
@@ -424,12 +424,7 @@ def _bench_multiproc(mode: str, smoke: bool) -> dict:
     publish: dict = {}
     identity_checked = 0
     for n in (1, workers):
-        pool = ServicePool(
-            graph,
-            workers=n,
-            config=ServiceConfig(port=0),
-            pool_config=PoolConfig(sweep_interval_s=0.1),
-        )
+        pool = ServicePool(graph, workers=n, config=ServiceConfig(port=0))
         pool.start()
         try:
             asyncio.run(_drive(pool.port, paths[: total // 10], connections))  # warm

@@ -45,9 +45,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "validate_tenant",
     ),
     "server": ("build_service", "HttpError", "Metrics", "ReasoningService", "ServiceConfig"),
-    "shm": (
-        "attach_snapshot", "AttachedSnapshot", "encode_snapshot", "SegmentError", "unlink_segment",
-    ),
+    "shm": ("attach_snapshot", "AttachedSnapshot", "encode_snapshot", "SegmentError"),
     "snapshot": ("Snapshot", "SnapshotBuilder", "SnapshotConfig", "SnapshotManager"),
     "updates": ("apply_deltas", "GraphUpdater", "MutationError", "Persister"),
     "workers": ("PoolConfig", "PoolError", "ServicePool"),

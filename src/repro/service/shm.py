@@ -33,22 +33,24 @@ shared across interpreters without serialisation).  The attached
 custom-threshold endpoint recomputations and ownership sweeps in the
 worker resolve to the shared buffers instead of rebuilding private ones.
 
-Lifecycle discipline: the *creator* (the builder process) owns
-``unlink``; attachers only ever ``close``.  ``SharedMemory.close`` on an
-attachment whose arrays are still referenced raises ``BufferError`` —
-the worker pool exploits exactly that to make segment retirement
-refcount-safe (see ``repro.service.workers``).  Attachers are
-unregistered from the ``multiprocessing`` resource tracker, which would
-otherwise unlink still-shared segments when any single reader exits.
+Lifecycle: the *creator* (the builder process) owns ``unlink``, and may
+unlink while readers are attached — POSIX keeps the pages until the last
+mapping goes.  An attachment is a read-only ``mmap`` that every view
+references, so it lives exactly as long as the
+:class:`AttachedSnapshot` and any view taken from it: a reader retires a
+version by dropping it, with no ``close`` (see
+``repro.service.workers``).
 """
 
 from __future__ import annotations
 
+import _posixshmem
 import json
+import mmap
+import os
 import pickle
 import struct
 import time
-from dataclasses import dataclass
 from multiprocessing import shared_memory
 from typing import Any
 
@@ -56,7 +58,6 @@ import numpy as np
 
 from ..graph.columnar import _CACHE_ATTR, EXPORT_DTYPES, GraphFrame
 from ..graph.property_graph import PropertyGraph
-from ..storage.layout import ROW_DTYPES
 from .snapshot import DEFAULT_TENANT, Snapshot
 
 #: Segment magic — "Repro KG Snapshot".
@@ -69,10 +70,6 @@ ALIGNMENT = 64
 _HEADER = struct.Struct("<4sHHQQQQ")  # magic, format, flags, version, toc_off, toc_len, total
 HEADER_SIZE = ALIGNMENT
 
-#: Row-state dtypes — shared with the durable store (repro.storage.layout)
-#: so the shm segment and the on-disk columns cannot drift.
-_ROW_DTYPES = ROW_DTYPES
-
 
 class SegmentError(RuntimeError):
     """A segment that is missing, foreign, truncated, or version-skewed."""
@@ -82,15 +79,11 @@ def _align(offset: int) -> int:
     return (offset + ALIGNMENT - 1) // ALIGNMENT * ALIGNMENT
 
 
-# Resource-tracker note: CPython registers a segment with the (shared,
-# per-process-tree) resource tracker on EVERY open — attach included —
-# and the tracker's cache is a name-keyed set.  An attacher explicitly
-# unregistering would therefore clobber the creator's registration and
-# the creator's eventual ``unlink`` would double-unregister.  So nobody
-# here unregisters manually: attach registrations dedup against the
-# creator's, and the one ``unlink`` (which unregisters internally)
-# balances them all.  If the whole tree crashes before unlinking, the
-# tracker reaps the segment at shutdown — exactly the safety net we want.
+# Resource-tracker note: only the creator's ``SharedMemory`` registers
+# the segment with the (per-process-tree) resource tracker, and its
+# ``unlink`` unregisters it.  Attaching maps the segment with a plain
+# ``mmap`` and registers nothing.  If the whole tree crashes before
+# unlinking, the tracker reaps the segment at shutdown.
 
 
 def _graph_state(graph: PropertyGraph) -> tuple[type, dict[str, Any]]:
@@ -111,33 +104,15 @@ class AttachedSnapshot(Snapshot):
     """A snapshot whose frame buffers are views over a shared segment.
 
     Behaves exactly like a built :class:`Snapshot` (same payloads, same
-    types — the per-row identity tests assert it); additionally carries
-    the attachment handle so the owner can ``close()`` the mapping once
-    the snapshot is retired.  ``close`` raises ``BufferError`` while any
-    array view is still alive, which is the refcount-safety contract the
-    worker pool relies on.
+    types — the per-row identity tests assert it).  ``shm`` is the
+    read-only mapping every view references, so it unmaps with the last
+    of them.
     """
 
     segment_name: str
-    shm: shared_memory.SharedMemory
+    shm: mmap.mmap
     #: the tenant the segment was encoded for (``default`` pre-tenancy)
     tenant: str
-
-    def close(self) -> None:
-        """Unmap the segment (creator processes must use ``unlink``)."""
-        self.shm.close()
-
-
-@dataclass
-class SegmentInfo:
-    """Decoded header + TOC of a segment (no object rehydration)."""
-
-    name: str
-    format_version: int
-    snapshot_version: int
-    total_size: int
-    buffers: dict[str, dict[str, Any]]
-    meta: dict[str, Any]
 
 
 def encode_snapshot(
@@ -146,8 +121,8 @@ def encode_snapshot(
     """Lay ``snapshot`` into one named shared-memory segment.
 
     Returns the created :class:`SharedMemory`; the caller (the builder
-    process) owns it and is responsible for ``unlink`` once every reader
-    has released its attachment.  ``tenant`` is recorded in the TOC so a
+    process) owns it and is responsible for ``unlink`` — readers already
+    attached keep their mapping past it.  ``tenant`` is recorded in the TOC so a
     worker attaching a handed-off segment can bind it to the right
     registry entry without trusting the segment *name*.
     """
@@ -243,30 +218,11 @@ def encode_snapshot(
     return shm
 
 
-def read_segment_info(name: str) -> SegmentInfo:
-    """Header + TOC of segment ``name`` (validates, decodes no objects)."""
-    shm = shared_memory.SharedMemory(name=name)
-    try:
-        version, toc = _validated_toc(shm, name)
-        return SegmentInfo(
-            name=name,
-            format_version=FORMAT_VERSION,
-            snapshot_version=version,
-            total_size=toc["__total__"],
-            buffers=toc["buffers"],
-            meta=toc["meta"],
-        )
-    finally:
-        shm.close()
-
-
-def _validated_toc(
-    shm: shared_memory.SharedMemory, name: str
-) -> tuple[int, dict[str, Any]]:
-    if shm.size < HEADER_SIZE:
+def _validated_toc(mapping: mmap.mmap, name: str) -> dict[str, Any]:
+    if len(mapping) < HEADER_SIZE:
         raise SegmentError(f"segment {name!r} is smaller than the header")
-    magic, fmt, _flags, version, toc_off, toc_len, total = _HEADER.unpack_from(
-        shm.buf, 0
+    magic, fmt, _flags, _version, toc_off, toc_len, total = _HEADER.unpack_from(
+        mapping, 0
     )
     if magic != MAGIC:
         raise SegmentError(f"segment {name!r} carries no snapshot (bad magic)")
@@ -274,75 +230,56 @@ def _validated_toc(
         raise SegmentError(
             f"segment {name!r} uses format {fmt}, this build reads {FORMAT_VERSION}"
         )
-    if total > shm.size or toc_off + toc_len > shm.size:
+    if total > len(mapping) or toc_off + toc_len > len(mapping):
         raise SegmentError(f"segment {name!r} is truncated")
-    toc = json.loads(bytes(shm.buf[toc_off : toc_off + toc_len]).decode("utf-8"))
-    toc["__total__"] = total
-    return version, toc
+    return json.loads(mapping[toc_off : toc_off + toc_len].decode("utf-8"))
 
 
 def attach_snapshot(name: str) -> AttachedSnapshot:
     """Attach segment ``name`` and rehydrate it as a serving snapshot.
 
-    Numeric buffers are zero-copy read-only views over the mapping; the
-    graph object model is rebuilt per process from the pickled blob.  On
-    any decode error the mapping is closed before the error propagates.
+    Numeric buffers are zero-copy read-only views over a read-only
+    ``mmap`` of the segment; the graph object model is rebuilt per
+    process from the pickled blob.  Every view references the mapping,
+    so it is unmapped when the last of them goes — on a decode error as
+    much as after the snapshot is retired.
     """
     try:
-        shm = shared_memory.SharedMemory(name=name)
+        fd = _posixshmem.shm_open("/" + name, os.O_RDONLY, mode=0)
     except FileNotFoundError:
         raise SegmentError(f"no such segment: {name!r}") from None
     try:
-        _version, toc = _validated_toc(shm, name)
-        views: dict[str, np.ndarray] = {}
-        for buf_name, entry in toc["buffers"].items():
-            view = np.frombuffer(
-                shm.buf,
-                dtype=np.dtype(entry["dtype"]),
-                count=entry["length"],
-                offset=entry["offset"],
-            )
-            view.flags.writeable = False
-            views[buf_name] = view
-        objects = toc["objects"]
-        blob = pickle.loads(
-            bytes(shm.buf[objects["offset"] : objects["offset"] + objects["nbytes"]])
-        )
-
-        graph = _restore_graph(blob["graph"])
-        snapshot = AttachedSnapshot.from_columns(
-            blob["version"],
-            graph,
-            GraphFrame.attach(
-                graph,
-                {buf_name: views[buf_name] for buf_name in EXPORT_DTYPES},
-                weight_property=blob["weight_property"],
-            ),
-            views,
-            blob,
-            blob["built_s"],
-        )
-        snapshot.segment_name = name
-        snapshot.shm = shm
-        snapshot.tenant = toc.get("meta", {}).get("tenant", DEFAULT_TENANT)
-        return snapshot
-    except BaseException:
-        shm.close()
-        raise
-
-
-def unlink_segment(name: str) -> bool:
-    """Best-effort unlink of segment ``name`` (creator-side cleanup).
-
-    Returns whether a segment by that name existed.  The backing memory
-    is freed by the kernel once the last attached process unmaps it.
-    """
-    try:
-        shm = shared_memory.SharedMemory(name=name)
-    except FileNotFoundError:
-        return False
-    try:
-        shm.unlink()  # unregisters from the tracker itself; no _untrack here
+        mapping = mmap.mmap(fd, 0, access=mmap.ACCESS_READ)
     finally:
-        shm.close()
-    return True
+        os.close(fd)
+    toc = _validated_toc(mapping, name)
+    views: dict[str, np.ndarray] = {}
+    for buf_name, entry in toc["buffers"].items():
+        view = np.frombuffer(
+            mapping,
+            dtype=np.dtype(entry["dtype"]),
+            count=entry["length"],
+            offset=entry["offset"],
+        )
+        view.flags.writeable = False
+        views[buf_name] = view
+    objects = toc["objects"]
+    blob = pickle.loads(mapping[objects["offset"] : objects["offset"] + objects["nbytes"]])
+
+    graph = _restore_graph(blob["graph"])
+    snapshot = AttachedSnapshot.from_columns(
+        blob["version"],
+        graph,
+        GraphFrame.attach(
+            graph,
+            {buf_name: views[buf_name] for buf_name in EXPORT_DTYPES},
+            weight_property=blob["weight_property"],
+        ),
+        views,
+        blob,
+        blob["built_s"],
+    )
+    snapshot.segment_name = name
+    snapshot.shm = mapping
+    snapshot.tenant = toc.get("meta", {}).get("tenant", DEFAULT_TENANT)
+    return snapshot

@@ -30,16 +30,20 @@ publish -> hand-off -> persist) one at a time under the pool's mutate
 lock.  The pool contributes only the **hand-off**: seal the new version
 into a fresh segment (the segment name and TOC carry the tenant),
 broadcast a ``publish`` message naming the tenant and the segment, and
-wait until every live worker swapped.  Workers attach the new segment,
-swap **that tenant's** :class:`SnapshotManager` atomically (readers in
-flight keep the old snapshot via their reference — no torn reads; other
-tenants' managers are untouched), acknowledge, and retire the old
-attachment.  Retirement is refcount-safe by construction:
-``SharedMemory.close`` raises ``BufferError`` while any numpy view into
-the mapping is still alive, so each worker just retries the close until
-its in-flight readers are done, then reports ``released``; the parent
-unlinks a segment only after every worker that attached it has released
-it (a crashed worker counts as released — the kernel dropped its maps).
+wait until every live worker acknowledged that segment.  Workers attach
+it and swap **that tenant's** :class:`SnapshotManager` atomically
+(readers in flight keep the old snapshot via their reference — no torn
+reads; other tenants' managers are untouched).
+
+Retiring a segment is unlinking it.  The parent unlinks a tenant's
+previous segment once every live worker acknowledged its successor (or
+that publish failed), and a deleted tenant's segment at once.  A worker
+retires a version by dropping its reference: POSIX keeps an unlinked
+segment's pages alive while any process still maps them, so reads in
+flight finish on their snapshot and the mapping goes with the last of
+them.  Acknowledgements are keyed by segment name, unique per seal, so
+a re-created tenant restarting at version 1 never meets an older
+segment's bookkeeping.
 
 Tenant admin from any worker (``PUT/DELETE /t/{tenant}``) is forwarded
 to the parent, which creates (or retires) the tenant fleet-wide so every
@@ -94,8 +98,6 @@ class PoolConfig:
     start_timeout_s: float = 120.0
     #: graceful-drain budget on stop/SIGTERM
     drain_timeout_s: float = 10.0
-    #: retry cadence of the worker-side retired-segment close sweep
-    sweep_interval_s: float = 0.2
     #: multiprocessing start method; fork is fastest on Linux, and all
     #: worker arguments are picklable so spawn works where fork doesn't
     start_method: str = "fork"
@@ -150,14 +152,13 @@ class ServicePool:
         self._conns: dict[int, multiprocessing.connection.Connection] = {}
         self._restarts: dict[int, int] = {}
         self.restarts = 0
-        #: segment bookkeeping: (tenant, version) -> creator handle /
-        #: attached workers / the attach error a worker reported
-        self._segments: dict[tuple[str, int], Any] = {}
-        self._attached: dict[tuple[str, int], set[int]] = {}
-        self._attach_errors: dict[tuple[str, int], str] = {}
-        #: tenant -> the version last handed to the fleet; its segment is
-        #: what a (re)started worker attaches and is never unlinked
-        self._current: dict[str, int] = {}
+        #: tenant -> creator handle of the segment last handed to the
+        #: fleet, which a (re)started worker attaches
+        self._segments: dict[str, Any] = {}
+        #: segment name -> workers that acknowledged it / the attach
+        #: error a worker reported while its publish waited
+        self._acks: dict[str, set[int]] = {}
+        self._attach_errors: dict[str, str] = {}
         #: workers that accept connections
         self._ready: set[int] = set()
         #: worker -> {tenant: version} across every tenant it serves
@@ -168,7 +169,7 @@ class ServicePool:
         #: notified when a worker turns ready or dies (``start`` waits on it)
         self._ready_changed = threading.Condition(self._lock)
         self._mutate_lock = threading.Lock()
-        self._publish_events: dict[tuple[str, int], threading.Event] = {}
+        self._publish_events: dict[str, threading.Event] = {}
         self._metric_replies: dict[int, dict[int, Any]] = {}
         self._metric_events: dict[int, threading.Event] = {}
         self._request_seq = 0
@@ -207,7 +208,7 @@ class ServicePool:
     def segment_names(self) -> list[str]:
         """Names of segments the pool still holds (leak check hook)."""
         with self._lock:
-            return [self._segments[k].name for k in sorted(self._segments)]
+            return [self._segments[t].name for t in sorted(self._segments)]
 
     def start(self) -> "ServicePool":
         import_before_serving()  # once, shared by every fork
@@ -234,22 +235,21 @@ class ServicePool:
             f"within {self.pool_config.start_timeout_s}s"
         )
 
-    def _seal(self, snapshot: Snapshot, tenant: str) -> None:
-        """Encode ``snapshot`` into a fresh segment and make it the
-        tenant's current one."""
+    def _seal(self, snapshot: Snapshot, tenant: str) -> Any:
+        """Encode ``snapshot`` into a fresh segment, make it the tenant's
+        current one, and return the segment it replaces (or ``None``)."""
         # deterministic prefix (leak checks grep for it) + a sequence
-        # number so a tenant re-created after deletion can reuse version
-        # numbers while its old segment is still draining
+        # number, because a re-created tenant restarts at version 1
         name = f"rkgs_{tenant}_v{snapshot.version}_{os.getpid()}_{next(_SEGMENT_SEQ)}"
         segment = shm_codec.encode_snapshot(snapshot, name=name, tenant=tenant)
+        # the parent never reads it back, and a worker forked later must
+        # not inherit a mapping that would pin the segment past its unlink
+        segment.close()
         with self._lock:
-            key = (tenant, snapshot.version)
-            self._segments[key] = segment
-            self._attached[key] = set()
-            previous = self._current.get(tenant)
-            self._current[tenant] = snapshot.version
-        if previous:
-            self._maybe_unlink((tenant, previous))
+            previous = self._segments.get(tenant)
+            self._segments[tenant] = segment
+            self._acks[name] = set()
+        return previous
 
     def _reserve_port(self) -> None:
         """Pin the port with a bound (never listening) SO_REUSEPORT socket.
@@ -268,10 +268,7 @@ class ServicePool:
         parent_conn, child_conn = self._ctx.Pipe()
         config = ServiceConfig(**{**self.config.__dict__, "port": self.port})
         with self._lock:
-            segments = {
-                tenant: (self._segments[(tenant, version)].name, version)
-                for tenant, version in self._current.items()
-            }
+            segments = {tenant: segment.name for tenant, segment in self._segments.items()}
         proc = self._ctx.Process(
             target=_worker_main,
             args=(
@@ -280,7 +277,6 @@ class ServicePool:
                 config,
                 segments,
                 self.primary,
-                self.pool_config.sweep_interval_s,
                 self.registry.persist.stats() if self.registry.persist else None,
             ),
             name=f"repro-serve-{worker_id}",
@@ -321,9 +317,10 @@ class ServicePool:
                     pass
             self._conns.clear()
             self._procs.clear()
-            keys = list(self._segments)
-        for key in keys:
-            self._unlink(key)
+            segments = list(self._segments.values())
+            self._segments.clear()
+        for segment in segments:
+            self._unlink(segment)
         if self._reserve_sock is not None:
             self._reserve_sock.close()
             self._reserve_sock = None
@@ -358,7 +355,7 @@ class ServicePool:
             snapshot = updater.publish(graph, batch, handoff=self._handoff)
             self._sync_persist()
             with self._lock:
-                attached = sorted(self._attached[(name, snapshot.version)])
+                attached = sorted(self._acks[self._segments[name].name])
             return {
                 "status": "published",
                 "applied": len(deltas),
@@ -371,9 +368,15 @@ class ServicePool:
 
     def _handoff(self, snapshot: Snapshot, tenant: str) -> None:
         """The pool's hand-off of a published version: seal it into a
-        segment, broadcast it, wait until every live worker swapped."""
-        self._seal(snapshot, tenant)
-        self._await_fleet(tenant, snapshot.version)
+        segment, broadcast it, wait until every live worker swapped, then
+        unlink the segment it replaced (workers still reading that one
+        keep their mapping)."""
+        previous = self._seal(snapshot, tenant)
+        try:
+            self._await_fleet(tenant, snapshot.version)
+        finally:
+            if previous is not None:
+                self._unlink(previous)
 
     def _sync_persist(self) -> None:
         """Workers answer ``/stats`` -> ``persist`` from the parent's
@@ -421,31 +424,28 @@ class ServicePool:
             return 200, {"status": "deleted", "tenant": name, "version": binding.version}
 
     def _retire(self, tenant: str) -> None:
-        with self._lock:
-            version = self._current.pop(tenant, None)
-        # workers drop the binding immediately (404s start now) and
-        # release the segment once their in-flight reads finish; the
-        # release messages drive the unlink
+        # workers drop the binding at once (404s start now); reads in
+        # flight keep their mapping past the unlink
         self._broadcast({"op": "retire_tenant", "tenant": tenant})
-        if version is not None:
-            self._maybe_unlink((tenant, version))
-
-    def _await_fleet(self, tenant: str, version: int) -> list[int]:
-        """Broadcast ``publish`` and wait until every live worker swapped."""
-        event = threading.Event()
-        key = (tenant, version)
         with self._lock:
-            self._publish_events[key] = event
-            name = self._segments[key].name
-        self._broadcast(
-            {"op": "publish", "tenant": tenant, "name": name, "version": version}
-        )
+            segment = self._segments.pop(tenant, None)
+        if segment is not None:
+            self._unlink(segment)
+
+    def _await_fleet(self, tenant: str, version: int) -> None:
+        """Broadcast the tenant's current segment and wait until every
+        live worker acknowledged it."""
+        event = threading.Event()
+        with self._lock:
+            name = self._segments[tenant].name
+            self._publish_events[name] = event
+        self._broadcast({"op": "publish", "tenant": tenant, "name": name})
         deadline = time.monotonic() + self.pool_config.publish_timeout_s
         try:
-            while not self._fleet_attached(key):
+            while not self._fleet_attached(name):
                 with self._lock:
-                    error = self._attach_errors.get(key)
-                    attached = sorted(self._attached.get(key, ()))
+                    error = self._attach_errors.get(name)
+                    attached = sorted(self._acks.get(name, ()))
                 if error is not None:
                     raise PoolError(
                         f"tenant {tenant} version {version} failed to attach: {error}"
@@ -460,17 +460,13 @@ class ServicePool:
                 event.clear()
         finally:
             with self._lock:
-                self._publish_events.pop(key, None)
-                self._attach_errors.pop(key, None)
-        with self._lock:
-            return sorted(self._attached.get(key, ()))
+                self._publish_events.pop(name, None)
+                self._attach_errors.pop(name, None)
 
-    def _fleet_attached(self, key: tuple[str, int]) -> bool:
+    def _fleet_attached(self, name: str) -> bool:
         with self._lock:
-            live = {
-                w for w, p in self._procs.items() if p.is_alive() and w in self._conns
-            }
-            return live <= self._attached.get(key, set()) and bool(live)
+            live = set(self.live_workers())
+            return live <= self._acks.get(name, set()) and bool(live)
 
     # -- metrics aggregation -------------------------------------------
 
@@ -557,31 +553,28 @@ class ServicePool:
                 self._ready.add(worker_id)
                 self._ready_changed.notify_all()
         elif op == "attached":
-            key = (message.get("tenant", self.primary), message["version"])
+            name, tenant = message["name"], message["tenant"]
             with self._lock:
-                self._attached.setdefault(key, set()).add(worker_id)
-                self.worker_tenant_versions.setdefault(worker_id, {})[key[0]] = key[1]
+                if name in self._acks:  # else unlinked before this ack arrived
+                    self._acks[name].add(worker_id)
+                self.worker_tenant_versions.setdefault(worker_id, {})[tenant] = (
+                    message["version"]
+                )
                 self.last_swap[worker_id] = {
                     "attach_s": message.get("attach_s", 0.0),
                     "swap_pause_s": message.get("swap_pause_s", 0.0),
                 }
-                event = self._publish_events.get(key)
+                event = self._publish_events.get(name)
             if event is not None:
                 event.set()
         elif op == "attach_failed":
-            key = (message.get("tenant", self.primary), message["version"])
+            name = message["name"]
             with self._lock:
-                event = self._publish_events.get(key)
+                event = self._publish_events.get(name)
                 if event is not None:  # fails the publish waiting on it at once
-                    self._attach_errors[key] = f"worker {worker_id}: {message.get('error')}"
+                    self._attach_errors[name] = f"worker {worker_id}: {message.get('error')}"
             if event is not None:
                 event.set()
-        elif op == "released":
-            tenant = message.get("tenant", self.primary)
-            version = message["version"]
-            with self._lock:
-                self._attached.get((tenant, version), set()).discard(worker_id)
-            self._maybe_unlink((tenant, version))
         elif op == "retired_tenant":
             tenant = message["tenant"]
             with self._lock:
@@ -648,18 +641,12 @@ class ServicePool:
             self._ready.discard(worker_id)
             self._ready_changed.notify_all()
             self.worker_tenant_versions.pop(worker_id, None)
-            # the kernel unmapped the dead worker's segments: that IS a release
-            touched = [k for k, who in self._attached.items() if worker_id in who]
-            for key in touched:
-                self._attached[key].discard(worker_id)
             restarts = self._restarts.get(worker_id, 0)
         if conn is not None:
             try:
                 conn.close()
             except OSError:
                 pass
-        for key in touched:
-            self._maybe_unlink(key)
         if proc is not None:
             proc.join(timeout=0.5)
         if self._stopping.is_set():
@@ -677,32 +664,15 @@ class ServicePool:
             self.restarts += 1
         self._spawn(worker_id)
 
-    # -- segment retirement --------------------------------------------
-
-    def _maybe_unlink(self, key: tuple[str, int]) -> None:
-        tenant, version = key
+    def _unlink(self, segment: Any) -> None:
+        """Retire ``segment``: its name goes now, its pages with the last
+        worker mapping them."""
         with self._lock:
-            # a dropped tenant's segments are all retired; a live
-            # tenant's current version never is
-            retired = self._current.get(tenant) != version
-            unreferenced = not self._attached.get(key)
-        if retired and unreferenced:
-            self._unlink(key)
-
-    def _unlink(self, key: tuple[str, int]) -> None:
-        with self._lock:
-            segment = self._segments.pop(key, None)
-            self._attached.pop(key, None)
-        if segment is None:
-            return
+            self._acks.pop(segment.name, None)
         try:
             segment.unlink()
         except FileNotFoundError:
             pass
-        try:
-            segment.close()
-        except BufferError:  # parent still holds views (oracle frame): harmless,
-            pass  # the kernel frees the pages once the mapping dies with us
 
 
 def _try_send(conn: multiprocessing.connection.Connection, message: dict[str, Any]) -> bool:
@@ -722,9 +692,8 @@ def _worker_main(
     worker_id: int,
     conn: multiprocessing.connection.Connection,
     config: ServiceConfig,
-    segments: dict[str, tuple[str, int]],
+    segments: dict[str, str],
     primary: str,
-    sweep_interval_s: float,
     builder_persist: dict[str, Any] | None,
 ) -> None:
     """Entry point of one serving process (must stay picklable for spawn)."""
@@ -733,10 +702,7 @@ def _worker_main(
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # parent coordinates shutdown
     try:
         asyncio.run(
-            _Worker(
-                worker_id, conn, config, segments, primary, sweep_interval_s,
-                builder_persist,
-            ).run()
+            _Worker(worker_id, conn, config, segments, primary, builder_persist).run()
         )
     except Exception:  # pragma: no cover - crash path exercised via kill tests
         logger.exception("worker %d crashed", worker_id)
@@ -756,26 +722,21 @@ class _Worker:
         worker_id: int,
         conn: multiprocessing.connection.Connection,
         config: ServiceConfig,
-        segments: dict[str, tuple[str, int]],
+        segments: dict[str, str],
         primary: str,
-        sweep_interval_s: float,
         builder_persist: dict[str, Any] | None,
     ):
         self.worker_id = worker_id
         self.conn = conn
         self.config = config
+        #: tenant -> segment name to attach at start-up
         self.segments = segments
         self.primary = primary
-        self.sweep_interval_s = sweep_interval_s
         #: the parent's persist counters as of spawn; every ``persist``
         #: message replaces the service's copy
         self._builder_persist = builder_persist
         self.service: ReasoningService | None = None
         self.registry = GraphRegistry()
-        #: (tenant, version, SharedMemory) of swapped-out snapshots;
-        #: holding only the handle (never the snapshot) lets the object
-        #: graph die as soon as the last in-flight read drops it
-        self._retired: list[tuple[str, int, Any]] = []
         self._pending: dict[int, asyncio.Future] = {}
         self._seq = 0
         self._stop = asyncio.Event()
@@ -791,7 +752,7 @@ class _Worker:
         # the first bound tenant becomes the registry alias, which is
         # what un-prefixed routes resolve to
         for tenant in [self.primary] + sorted(set(self.segments) - {self.primary}):
-            await self._on_publish(tenant, *self.segments[tenant])
+            await self._on_publish(tenant, self.segments[tenant])
         service = ReasoningService(
             config=self.config, worker_id=self.worker_id, registry=self.registry
         )
@@ -807,7 +768,6 @@ class _Worker:
             target=self._pump_control, args=(loop, queue), daemon=True
         )
         reader.start()
-        sweeper = asyncio.create_task(self._sweep_retired())
         self._send({"op": "ready", "worker": self.worker_id, "pid": os.getpid()})
         try:
             while not self._stop.is_set():
@@ -821,7 +781,6 @@ class _Worker:
                 if getter in done:
                     await self._handle(getter.result())
         finally:
-            sweeper.cancel()
             await service.stop()
 
     def _pump_control(
@@ -840,9 +799,7 @@ class _Worker:
         op = message.get("op")
         assert self.service is not None
         if op == "publish":
-            await self._on_publish(
-                message.get("tenant", self.primary), message["name"], message["version"]
-            )
+            await self._on_publish(message["tenant"], message["name"])
         elif op == "persist":
             self.service.builder_persist = message["stats"]
         elif op == "retire_tenant":
@@ -865,22 +822,24 @@ class _Worker:
             if future is not None and not future.done():
                 future.set_result(message)
 
-    async def _on_publish(self, tenant: str, name: str, version: int) -> None:
+    async def _on_publish(self, tenant: str, name: str) -> None:
+        """Attach segment ``name`` and swap it in as ``tenant``'s version.
+
+        The swapped-out snapshot is retired by dropping this worker's
+        reference to it: reads in flight keep theirs, and its mapping
+        goes with the last of them.
+        """
         loop = asyncio.get_running_loop()
         started = time.perf_counter()
         try:
             snapshot = await loop.run_in_executor(None, shm_codec.attach_snapshot, name)
         except Exception as exc:  # noqa: BLE001 - stay on the old version
-            logger.exception(
-                "worker %d failed to attach tenant %s version %d",
-                self.worker_id, tenant, version,
-            )
+            logger.exception("worker %d failed to attach segment %s", self.worker_id, name)
             self._send(
                 {
                     "op": "attach_failed",
                     "worker": self.worker_id,
-                    "tenant": tenant,
-                    "version": version,
+                    "name": name,
                     "error": f"{type(exc).__name__}: {exc}",
                 }
             )
@@ -890,21 +849,14 @@ class _Worker:
         if binding is None:
             # unknown to this worker (start-up, or created since): bind fresh
             binding = self.registry.adopt(tenant, SnapshotManager())
-            old = None
-        else:
-            old = binding.manager.current
         binding.manager.publish(snapshot)  # the swap: one reference store
-        if isinstance(old, shm_codec.AttachedSnapshot):
-            self._retired.append((tenant, old.version, old.shm))
-        # our references only — in-flight reads keep theirs; a longer-lived
-        # local would pin the version's views (and so its segment) forever
-        del old, snapshot
         self._send(
             {
                 "op": "attached",
                 "worker": self.worker_id,
+                "name": name,
                 "tenant": tenant,
-                "version": version,
+                "version": snapshot.version,
                 "attach_s": attach_s,
                 "swap_pause_s": binding.manager.last_swap_pause_s,
             }
@@ -912,59 +864,15 @@ class _Worker:
 
     def _on_retire_tenant(self, tenant: str) -> None:
         try:
-            binding = self.registry.drop(tenant)
+            self.registry.drop(tenant)
         except UnknownTenantError:
             return
         if self.service is not None:
             # a same-named tenant created later restarts at version 1
             self.service.cache.evict_tenant(tenant)
-        try:
-            current = binding.manager.current
-        except RuntimeError:
-            current = None
-        if isinstance(current, shm_codec.AttachedSnapshot):
-            self._retired.append((tenant, current.version, current.shm))
-        del current, binding
         self._send(
             {"op": "retired_tenant", "worker": self.worker_id, "tenant": tenant}
         )
-
-    async def _sweep_retired(self) -> None:
-        """Release retired segments once no in-flight read references them.
-
-        A retired snapshot's numpy views keep exported pointers into the
-        mapping, and ``SharedMemory.close`` refuses (``BufferError``) to
-        unmap while any exist — so "retry close until it succeeds" *is*
-        the refcount.  The local reference is dropped first; once the
-        cache keys, batcher groups, and executor reads referencing the
-        snapshot are gone, the close lands and the parent learns the
-        worker released the version.
-        """
-        import gc
-
-        while True:
-            await asyncio.sleep(self.sweep_interval_s)
-            if not self._retired:
-                continue
-            # graph <-> frame form a cycle, so the retired snapshot needs
-            # a collector pass even after the last reader dropped it
-            gc.collect()
-            survivors: list[tuple[str, int, Any]] = []
-            for tenant, version, handle in self._retired:
-                try:
-                    handle.close()
-                except BufferError:  # views still exported: a read is live
-                    survivors.append((tenant, version, handle))
-                    continue
-                self._send(
-                    {
-                        "op": "released",
-                        "worker": self.worker_id,
-                        "tenant": tenant,
-                        "version": version,
-                    }
-                )
-            self._retired = survivors
 
     # -- forwarded endpoints -------------------------------------------
 

@@ -178,8 +178,6 @@ class TestTwentyHopChain:
         from repro.service import attach_snapshot, encode_snapshot
         from repro.storage import FrameStore
 
-        from .test_service_shm import _PARKED_HANDLES, detach
-
         for back_edge in (False, True):
             graph = twenty_hop_chain(back_edge)
             cold = SnapshotBuilder().build(graph)
@@ -199,16 +197,11 @@ class TestTwentyHopChain:
             assert patched.close_links == cold.close_links
 
             segment = encode_snapshot(cold)
-            attached = attach_snapshot(segment.name)
             try:
-                assert attached.close_links == cold.close_links
+                assert attach_snapshot(segment.name).close_links == cold.close_links
             finally:
-                detach(attached)
                 segment.unlink()
-                try:
-                    segment.close()
-                except BufferError:
-                    _PARKED_HANDLES.append(segment)
+                segment.close()
 
             store = FrameStore.create(tmp_path / f"store-{back_edge}")
             store.persist(cold)

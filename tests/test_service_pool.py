@@ -38,12 +38,7 @@ def graph():
 
 @pytest.fixture(scope="module")
 def pool(graph):
-    pool = ServicePool(
-        graph,
-        workers=2,
-        config=ServiceConfig(port=0),
-        pool_config=PoolConfig(sweep_interval_s=0.05),
-    )
+    pool = ServicePool(graph, workers=2, config=ServiceConfig(port=0))
     pool.start()
     yield pool
     pool.stop(drain=False)
@@ -260,6 +255,42 @@ class TestPublishDuringReadRace:
         assert set(healthz_by_worker(pool.port).values()) == {pool.version}
 
 
+def shm_mappings(pid):
+    """The ``rkgs_`` segment mappings of process ``pid``, one per line of
+    its maps (an unlinked segment's path ends in `` (deleted)``)."""
+    with open(f"/proc/{pid}/maps") as maps:
+        return sorted(
+            line.split(None, 5)[5].strip() for line in maps if "/dev/shm/rkgs_" in line
+        )
+
+
+def pool_segments_on_disk():
+    """``rkgs_`` segments this process's pools created that still exist."""
+    return sorted(
+        n for n in os.listdir("/dev/shm") if n.startswith("rkgs_") and f"_{os.getpid()}_" in n
+    )
+
+
+class TestRetirement:
+    def test_workers_keep_no_retired_mapping(self, graph, pool):
+        """A worker retires a version by dropping it: once 4 publishes
+        land with no read in flight, it maps exactly the current segment
+        of each tenant, and no unlinked one."""
+        owner = sorted((n.id for n in graph.persons()), key=str)[2]
+        for k in range(4):
+            pool.mutate([
+                {"op": "add_company", "id": f"MAPCO{k}"},
+                {"op": "add_shareholding", "owner": owner, "company": f"MAPCO{k}",
+                 "share": 0.6},
+            ])
+        expected = [f"/dev/shm/{name}" for name in pool.segment_names()]
+        assert len(expected) == len(pool.tenants())
+        pids = [pool._procs[w].pid for w in pool.live_workers()]
+        assert wait_until(
+            lambda: all(shm_mappings(pid) == expected for pid in pids), timeout_s=2.0
+        ), {pid: shm_mappings(pid) for pid in pids}
+
+
 class TestSupervision:
     def test_crashed_worker_restarts_on_current_version(self, pool):
         victim = pool.live_workers()[0]
@@ -287,12 +318,7 @@ class TestSupervision:
         assert pool.segment_names() == []
 
     def test_stop_drains_and_unlinks_everything(self, graph):
-        pool = ServicePool(
-            graph,
-            workers=2,
-            config=ServiceConfig(port=0),
-            pool_config=PoolConfig(sweep_interval_s=0.05),
-        )
+        pool = ServicePool(graph, workers=2, config=ServiceConfig(port=0))
         pool.start()
         names = pool.segment_names()
         assert names
@@ -335,8 +361,8 @@ class TestAttachFailure:
             thread.start()
             assert wait_until(lambda: pool._publish_events)  # the publish is out
             pool._on_message(0, {
-                "op": "attach_failed", "worker": 0, "tenant": pool.primary,
-                "version": snapshot.version, "error": "SegmentError: truncated segment",
+                "op": "attach_failed", "worker": 0, "name": pool.segment_names()[0],
+                "error": "SegmentError: truncated segment",
             })
             thread.join(10.0)
             assert not thread.is_alive()
@@ -355,12 +381,7 @@ class TestMultiTenantPool:
 
     @pytest.fixture()
     def mt_pool(self, graph):
-        pool = ServicePool(
-            graph,
-            workers=2,
-            config=ServiceConfig(port=0),
-            pool_config=PoolConfig(sweep_interval_s=0.05),
-        )
+        pool = ServicePool(graph, workers=2, config=ServiceConfig(port=0))
         pool.start()
         yield pool
         pool.stop(drain=False)
@@ -420,6 +441,26 @@ class TestMultiTenantPool:
             lambda: not any("acme" in n for n in os.listdir("/dev/shm"))
         ), [n for n in os.listdir("/dev/shm") if "acme" in n]
         assert not any("acme" in n for n in pool.segment_names())
+
+    def test_recreated_tenant_orphans_no_segment(self, mt_pool):
+        """Create, delete, re-create: ``acme`` v1 twice, under two segment
+        names — the first must be gone, not left behind for the resource
+        tracker."""
+        pool = mt_pool
+        others = set(pool_segments_on_disk()) - set(pool.segment_names())  # other pools'
+
+        def on_disk():
+            return sorted(set(pool_segments_on_disk()) - others)
+
+        for method, expected in (("PUT", 201), ("DELETE", 200), ("PUT", 201)):
+            status, payload = request(pool.port, method, "/t/acme")
+            assert status == expected, payload
+        assert request(pool.port, "GET", "/t/acme/stats")[0] == 200
+        assert wait_until(
+            lambda: on_disk() == sorted(pool.segment_names()), timeout_s=2.0
+        ), (on_disk(), pool.segment_names())
+        pool.stop(drain=False)
+        assert on_disk() == []
 
     def test_primary_tenant_is_protected_and_unknown_404s(self, mt_pool):
         pool = mt_pool

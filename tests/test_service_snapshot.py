@@ -306,20 +306,13 @@ class TestNeighborsOrder:
         from repro.service import attach_snapshot, encode_snapshot
         from repro.storage import FrameStore
 
-        from .test_service_shm import _PARKED_HANDLES, detach
-
         assert_neighbors_match_reference(snapshot)
         segment = encode_snapshot(snapshot)
-        attached = attach_snapshot(segment.name)
         try:
-            assert_neighbors_match_reference(attached)
+            assert_neighbors_match_reference(attach_snapshot(segment.name))
         finally:
-            detach(attached)
             segment.unlink()
-            try:
-                segment.close()
-            except BufferError:
-                _PARKED_HANDLES.append(segment)
+            segment.close()
         store = FrameStore.create(tmp_path / "store")
         store.persist(snapshot)
         assert_neighbors_match_reference(store.attach(snapshot.version))

@@ -29,7 +29,7 @@ from repro.service import (
     apply_deltas,
 )
 from repro.service import snapshot as snapshot_module
-from repro.service.workers import PoolConfig, ServicePool
+from repro.service.workers import ServicePool
 from tests.test_service_pool import request
 
 CLUSTERED = dict(augment=True, first_level_clusters=3, use_embeddings=True)
@@ -59,10 +59,7 @@ def deployment(request):
     registry = GraphRegistry(snapshot_config=SnapshotConfig(**CLUSTERED))
     registry.create("default", graph)
     if request.param == "pool":
-        running = ServicePool(
-            registry, workers=2, config=ServiceConfig(port=0),
-            pool_config=PoolConfig(sweep_interval_s=0.05),
-        ).start()
+        running = ServicePool(registry, workers=2, config=ServiceConfig(port=0)).start()
     else:
         running = SingleProcess(registry)
     yield registry, running.port, graph
