@@ -248,7 +248,7 @@ class RandomWalker:
     # ------------------------------------------------------------------
 
     def _ensure_csr(self) -> tuple:
-        """The lockstep CSR: the frame's shared buffers when the walker
+        """The lockstep CSR: the frame's cached one when the walker
         was built from a :class:`GraphFrame`, otherwise built (once) from
         the local adjacency by :func:`build_walker_csr`."""
         if self._csr is None:

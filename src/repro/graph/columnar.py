@@ -17,9 +17,8 @@ CSR discipline of scipy.sparse and PyG:
   by type instead of by dict iteration order;
 * **edge columns** — contiguous numpy arrays for source code, target
   code, label and weight, in edge insertion order;
-* **views** — directed CSR and CSC adjacency, the merged-undirected
-  adjacency (and its lockstep-walk CSR) the node2vec walker needs, the
-  direct-ownership matrix ``W`` and its reusable ``splu`` factorisation,
+* **views** — the merged-undirected adjacency (and its lockstep-walk
+  CSR) the node2vec walker needs, the direct-ownership matrix ``W`` and its reusable ``splu`` factorisation,
   label partitions and per-property columns — all materialised lazily
   and cached on the frame.
 
@@ -42,7 +41,7 @@ factorisation defaults) — asserted by the oracle suite in
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
@@ -54,34 +53,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: attribute under which frames are cached on the graph object
 _CACHE_ATTR = "_columnar_frames"
-
-#: dtype contract of every buffer :meth:`GraphFrame.buffers` exports —
-#: the shared-memory codec's precondition.  Integer columns are always
-#: int64 (scipy may cache int32 index arrays for small matrices; export
-#: normalises them) and float columns always float64, so a segment
-#: written at one graph scale attaches identically at any other.
-EXPORT_DTYPES: dict[str, np.dtype] = {
-    "edge_src": np.dtype(np.int64),
-    "edge_dst": np.dtype(np.int64),
-    "walk_weights": np.dtype(np.float64),
-    "insertion_codes": np.dtype(np.int64),
-    "csr_indptr": np.dtype(np.int64),
-    "csr_targets": np.dtype(np.int64),
-    "csr_positions": np.dtype(np.int64),
-    "csc_indptr": np.dtype(np.int64),
-    "csc_sources": np.dtype(np.int64),
-    "csc_positions": np.dtype(np.int64),
-    "walker_indptr": np.dtype(np.int64),
-    "walker_neighbors": np.dtype(np.int64),
-    "walker_keys": np.dtype(np.float64),
-    "walker_degrees": np.dtype(np.int64),
-    "share_src": np.dtype(np.int64),
-    "share_dst": np.dtype(np.int64),
-    "share_w": np.dtype(np.float64),
-    "ownership_data": np.dtype(np.float64),
-    "ownership_indices": np.dtype(np.int64),
-    "ownership_indptr": np.dtype(np.int64),
-}
 
 
 def intern_sort_key(node: NodeId) -> tuple[str, str, str]:
@@ -153,7 +124,7 @@ class GraphFrame:
 
     Cheap to build (one pass over nodes + edges), everything else lazy.
     All derived views are cached on the frame, so sharing the frame means
-    sharing the buffers.  Do not mutate returned arrays or dicts.
+    sharing the views.  Do not mutate returned arrays or dicts.
     """
 
     def __init__(self, graph: PropertyGraph, weight_property: str = "w"):
@@ -191,8 +162,6 @@ class GraphFrame:
             self.walk_weights[pos] = float(edge.properties.get(weight_property, 1.0) or 1.0)
 
         # lazy caches
-        self._csr: tuple | None = None
-        self._csc: tuple | None = None
         self._undirected: dict[NodeId, list[tuple[NodeId, float]]] | None = None
         self._walker_csr: tuple | None = None
         self._share_coo: tuple | None = None
@@ -231,54 +200,6 @@ class GraphFrame:
     @property
     def edge_count(self) -> int:
         return len(self._edge_objects)
-
-    # ------------------------------------------------------------------
-    # directed adjacency views
-    # ------------------------------------------------------------------
-
-    def csr(self) -> tuple:
-        """Directed out-adjacency ``(indptr, targets, edge_positions)``.
-
-        Row ``i`` spans ``indptr[i]:indptr[i+1]`` of ``targets`` (intern
-        codes) and ``edge_positions`` (indices into the edge columns, so
-        any weight or property column can be gathered).  Within a row,
-        edges keep insertion order — the order of ``PropertyGraph._out``.
-        """
-        if self._csr is None:
-            self._csr = self._build_adjacency_index(self.edge_src, self.edge_dst)
-        return self._csr
-
-    def csc(self) -> tuple:
-        """Directed in-adjacency ``(indptr, sources, edge_positions)``."""
-        if self._csc is None:
-            self._csc = self._build_adjacency_index(self.edge_dst, self.edge_src)
-        return self._csc
-
-    def _build_adjacency_index(self, major: np.ndarray, minor: np.ndarray) -> tuple:
-        n = len(self.nodes)
-        order = np.argsort(major, kind="stable")
-        counts = np.bincount(major, minlength=n)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        return (indptr, minor[order], order)
-
-    def out_degrees(self) -> np.ndarray:
-        indptr, _, _ = self.csr()
-        return np.diff(indptr)
-
-    def in_degrees(self) -> np.ndarray:
-        indptr, _, _ = self.csc()
-        return np.diff(indptr)
-
-    def successor_codes(self, node: NodeId) -> np.ndarray:
-        indptr, targets, _ = self.csr()
-        code = self.index[node]
-        return targets[indptr[code]:indptr[code + 1]]
-
-    def predecessor_codes(self, node: NodeId) -> np.ndarray:
-        indptr, sources, _ = self.csc()
-        code = self.index[node]
-        return sources[indptr[code]:indptr[code + 1]]
 
     # ------------------------------------------------------------------
     # the walker's merged-undirected view
@@ -408,145 +329,6 @@ class GraphFrame:
         self._ownership_systems.clear()
 
     # ------------------------------------------------------------------
-    # buffer export / attach (the shared-memory substrate)
-    # ------------------------------------------------------------------
-
-    def buffers(self) -> dict[str, np.ndarray]:
-        """Every numeric buffer of this frame, keyed by :data:`EXPORT_DTYPES`.
-
-        Materialises the lazy views (CSR/CSC, walker CSR, shareholding
-        COO, ownership ``W``) and returns each as a **C-contiguous,
-        dtype-stable** 1-D array — the precondition of the shared-memory
-        codec in :mod:`repro.service.shm`.  Arrays already satisfying the
-        contract are returned as-is (same objects the frame caches);
-        anything non-contiguous or off-dtype (scipy's int32 index arrays
-        on small matrices) is normalised to a contiguous copy, leaving
-        the cached view untouched.
-        """
-        csr_indptr, csr_targets, csr_positions = self.csr()
-        csc_indptr, csc_sources, csc_positions = self.csc()
-        _, _, w_indptr, w_neighbors, w_keys, w_degrees, _ = self.walker_csr()
-        share_src, share_dst, share_w = self.shareholding_coo()
-        ownership = self.ownership_w()
-        raw = {
-            "edge_src": self.edge_src,
-            "edge_dst": self.edge_dst,
-            "walk_weights": self.walk_weights,
-            "insertion_codes": self.insertion_codes,
-            "csr_indptr": csr_indptr,
-            "csr_targets": csr_targets,
-            "csr_positions": csr_positions,
-            "csc_indptr": csc_indptr,
-            "csc_sources": csc_sources,
-            "csc_positions": csc_positions,
-            "walker_indptr": w_indptr,
-            "walker_neighbors": w_neighbors,
-            "walker_keys": w_keys,
-            "walker_degrees": w_degrees,
-            "share_src": share_src,
-            "share_dst": share_dst,
-            "share_w": share_w,
-            "ownership_data": ownership.data,
-            "ownership_indices": ownership.indices,
-            "ownership_indptr": ownership.indptr,
-        }
-        out: dict[str, np.ndarray] = {}
-        for name, array in raw.items():
-            wanted = EXPORT_DTYPES[name]
-            if array.dtype != wanted:
-                array = array.astype(wanted)
-            if not array.flags.c_contiguous:
-                array = np.ascontiguousarray(array)
-            out[name] = array
-        return out
-
-    @property
-    def nbytes(self) -> int:
-        """Total bytes of the exportable numeric buffers (materialises
-        every lazy view, like :meth:`buffers`)."""
-        return sum(array.nbytes for array in self.buffers().values())
-
-    @classmethod
-    def attach(
-        cls,
-        graph: PropertyGraph,
-        buffers: dict[str, np.ndarray],
-        weight_property: str = "w",
-    ) -> "GraphFrame":
-        """A frame over ``graph`` whose numeric buffers are ``buffers``.
-
-        The attach point of the shared-memory codec: the object-side
-        tables (intern order, labels, node/edge references) are rebuilt
-        from ``graph`` — they are per-process Python objects either way —
-        while every numeric column and lazily cached view is *adopted*
-        from ``buffers`` (typically zero-copy views over one
-        ``multiprocessing.shared_memory`` segment), so N attaching
-        processes share one copy of the heavy arrays and skip the
-        CSR/CSC/COO/W recomputation entirely.  Shapes are validated
-        against the freshly interned structure; the buffers themselves
-        are trusted (the codec's tests assert value equality).
-        """
-        frame = cls(graph, weight_property)
-        for name in ("edge_src", "edge_dst", "walk_weights", "insertion_codes"):
-            mine = getattr(frame, name)
-            theirs = buffers[name]
-            if mine.shape != theirs.shape:
-                raise ValueError(
-                    f"buffer {name!r} shape {theirs.shape} does not match the "
-                    f"graph's structure {mine.shape}"
-                )
-            setattr(frame, name, theirs)
-        frame._csr = (
-            buffers["csr_indptr"], buffers["csr_targets"], buffers["csr_positions"]
-        )
-        frame._csc = (
-            buffers["csc_indptr"], buffers["csc_sources"], buffers["csc_positions"]
-        )
-        frame._share_coo = (
-            buffers["share_src"], buffers["share_dst"], buffers["share_w"]
-        )
-        from scipy.sparse import csc_matrix
-
-        n = len(frame.nodes)
-        frame._ownership_w = csc_matrix(
-            (
-                buffers["ownership_data"],
-                buffers["ownership_indices"],
-                buffers["ownership_indptr"],
-            ),
-            shape=(n, n),
-            copy=False,
-        )
-        # the walker CSR's object tables iterate the merged-undirected
-        # adjacency's key order == graph insertion order
-        node_list = [frame.nodes[code] for code in frame.insertion_codes.tolist()]
-        node_index = {node: i for i, node in enumerate(node_list)}
-        node_objects = np.empty(len(node_list), dtype=object)
-        node_objects[:] = node_list
-        frame._walker_csr = (
-            node_list,
-            node_index,
-            buffers["walker_indptr"],
-            buffers["walker_neighbors"],
-            buffers["walker_keys"],
-            buffers["walker_degrees"],
-            node_objects,
-        )
-        return frame
-
-    def adopt_as_cache_of(self, graph: PropertyGraph) -> None:
-        """Install this frame as ``graph``'s cached frame, so every
-        later ``GraphFrame.of(graph)`` (custom-threshold endpoint
-        recomputations, ownership sweeps) resolves to it instead of
-        rebuilding private buffers."""
-        if self.generation != graph.generation:
-            raise ValueError(
-                f"frame generation {self.generation} does not match the "
-                f"graph's generation {graph.generation}"
-            )
-        graph.__dict__.setdefault(_CACHE_ATTR, {})[self.weight_property] = self
-
-    # ------------------------------------------------------------------
     # label partitions and property columns (the relational mapping's food)
     # ------------------------------------------------------------------
 
@@ -594,11 +376,6 @@ class GraphFrame:
             )
             return np.nonzero(mask)[0]
         return np.nonzero(self.edge_labels == label)[0]
-
-    def node_ids_at(self, codes: Sequence[int] | np.ndarray) -> list[NodeId]:
-        """Node ids for a batch of intern codes."""
-        nodes = self.nodes
-        return [nodes[code] for code in codes]
 
     def __repr__(self) -> str:
         return (

@@ -55,19 +55,14 @@ def beneficial_owners(
     """The beneficial owners of one company, sorted by integrated share.
 
     A person qualifies through integrated ownership >= ``threshold`` or
-    through vote-majority control (Definition 2.3).  The per-person
-    integrated-ownership solves all run against the graph frame's one
-    cached ``splu`` factorisation.
+    through vote-majority control (Definition 2.3): the filter of
+    :func:`assemble_beneficial_owners` over the per-person rows of
+    :func:`beneficial_owner_rows`.
     """
-    GraphFrame.of(graph).ownership_system()  # factorise once before the sweep
-    owners: dict[NodeId, BeneficialOwner] = {}
-    for person_node in graph.persons():
-        person = person_node.id
-        integrated = integrated_ownership_from(graph, person).get(company, 0.0)
-        controls = company in controlled_by(graph, person, control_threshold)
-        if integrated >= threshold or controls:
-            owners[person] = BeneficialOwner(person, company, integrated, controls)
-    return sorted(owners.values(), key=lambda o: (-o.integrated_share, str(o.person)))
+    integrated, controlled = beneficial_owner_rows(graph, control_threshold)
+    return assemble_beneficial_owners(graph, integrated, controlled, threshold).get(
+        company, []
+    )
 
 
 def beneficial_owner_rows(

@@ -28,10 +28,11 @@ snapshots.
   :class:`~repro.embeddings.IncrementalEmbedder`, atomic publish of the
   next snapshot version while the old one keeps serving;
 * :mod:`~repro.service.shm` — the shared-memory snapshot codec: one
-  named segment per version holding every columnar buffer and the
-  precomputed row state, attached zero-copy by reader processes;
+  named segment per version holding the base graph and the precomputed
+  row state — what the durable store holds — decoded by each reader
+  process, which recomputes the columnar frame;
 * :mod:`~repro.service.workers` — ``serve --workers N`` scale-out: N
-  ``SO_REUSEPORT`` serving processes over one attached segment, the
+  ``SO_REUSEPORT`` serving processes decoding each published segment, the
   parent as single builder/supervisor publishing by version handoff.
 """
 

@@ -39,7 +39,6 @@ from ..ownership.close_links import (
     links_from_phi,
 )
 from ..ownership.control import CONTROL_THRESHOLD, control_closure, controlled_by
-from ..ownership.matrix import integrated_ownership_from
 from ..ownership.ubo import (
     UBO_THRESHOLD,
     BeneficialOwner,
@@ -184,11 +183,14 @@ class Snapshot:
                 self._derived_in.setdefault(y, []).append((x, label))
         self._row_columns: tuple[GraphFrame, tuple] | None = None
 
-    def row_columns(self, frame: GraphFrame) -> tuple[dict[str, Any], list[str]]:
-        """The row state as code columns under ``frame``'s interning
-        (:func:`repro.storage.layout.encode_rows`), encoded once per
-        snapshot: the shared-memory codec and the durable store both
-        read this, in that order, on every pool publish."""
+    def row_columns(self) -> tuple[dict[str, Any], list[str]]:
+        """The row state as code columns under the interning of the
+        graph's current frame (:func:`repro.storage.layout.encode_rows`),
+        encoded once per snapshot: the shared-memory codec and the durable
+        store both read this, in that order, on every pool publish."""
+        frame = self.frame
+        if not frame.is_current(self.graph):  # out-of-band mutation: re-pin
+            frame = GraphFrame.of(self.graph)
         cached = self._row_columns
         if cached is None or cached[0] is not frame:
             cached = self._row_columns = (frame, encode_rows(self, frame))
@@ -199,18 +201,18 @@ class Snapshot:
         cls,
         version: int,
         graph: CompanyGraph,
-        frame: GraphFrame,
         views: dict[str, Any],
         meta: dict[str, Any],
         built_s: float,
     ) -> "Snapshot":
-        """Rehydrate a snapshot from its decoded base graph, a frame over
-        it (attached to shared buffers, or rebuilt — the store keeps only
-        what numpy cannot recompute), its row-state columns and the
-        object metadata the codec carried (``config``,
+        """Rehydrate a snapshot from its decoded base graph, its row-state
+        columns and the object metadata the codec carried (``config``,
         ``family_classes``, ``created_at``, ``warm``, ``incremental``) —
-        the shared tail of the shared-memory and the store attach."""
-        frame.adopt_as_cache_of(graph)
+        the shared tail of the shared-memory and the store attach.  Both
+        codecs carry only what reasoning derived: the frame is recomputed
+        from the graph (``GraphFrame.of``, byte-identical to the
+        builder's)."""
+        frame = GraphFrame.of(graph)
         control_rows, close_rows, family_rows, ubo = decode_rows(
             views, frame.nodes, meta["family_classes"]
         )
@@ -292,21 +294,9 @@ class Snapshot:
         if t == self.config.ubo_threshold:
             owners_of = {c: self.ubo.get(c, []) for c in companies}
         else:
-            wanted = set(companies)
-            owners_of = {c: [] for c in companies}
-            for person_node in self.graph.persons():
-                person = person_node.id
-                integrated = integrated_ownership_from(self.graph, person)
-                controlled = controlled_by(self.graph, person)
-                for company in wanted:
-                    share = integrated.get(company, 0.0)
-                    is_controller = company in controlled
-                    if share >= t or is_controller:
-                        owners_of[company].append(
-                            BeneficialOwner(person, company, share, is_controller)
-                        )
-            for company in wanted:
-                owners_of[company].sort(key=lambda o: (-o.integrated_share, str(o.person)))
+            integrated, controlled = beneficial_owner_rows(self.graph)
+            index = assemble_beneficial_owners(self.graph, integrated, controlled, t)
+            owners_of = {c: index.get(c, []) for c in companies}
         return {
             company: {
                 "version": self.version,

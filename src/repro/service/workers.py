@@ -4,16 +4,16 @@ One process cannot outrun its GIL, so scale-out runs N copies of the
 asyncio server (``repro.service.server``) as separate processes, all
 listening on the **same** port via ``SO_REUSEPORT`` — the kernel
 load-balances accepted connections across the listening sockets, no
-userspace proxy involved.  What makes N processes cheap is the segment
-codec (``repro.service.shm``): every worker attaches the same read-only
-shared-memory snapshot, so the heavy columnar buffers exist once in
-physical memory no matter how many workers serve them.
+userspace proxy involved.  The parent builds every version once and
+hands it over as one shared-memory segment (``repro.service.shm``): the
+base graph plus what reasoning derived, which each worker decodes and
+recomputes its columnar frame from, as a store attach does.
 
 Topology::
 
     parent (ServicePool)                     worker i (x N)
     ------------------------                 -----------------------------
-    owns the GraphRegistry of                attaches segments (zero-copy),
+    owns the GraphRegistry of                decodes each segment it is sent,
     builders, hands every new                binds each to its tenant in a
     version off as a segment,  == Pipe ==>   registry of bare managers,
     supervises workers,        <== Pipe ==   runs a ReasoningService with
@@ -28,7 +28,7 @@ through the same code as the single-process service: its
 tenant creation runs that updater's write path (stage -> build ->
 publish -> hand-off -> persist) one at a time under the pool's mutate
 lock.  The pool contributes only the **hand-off**: seal the new version
-into a fresh segment (the segment name and TOC carry the tenant),
+into a fresh segment (its name carries the tenant, for the leak checks),
 broadcast a ``publish`` message naming the tenant and the segment, and
 wait until every live worker acknowledged that segment.  Workers attach
 it and swap **that tenant's** :class:`SnapshotManager` atomically
@@ -38,10 +38,9 @@ reads; other tenants' managers are untouched).
 Retiring a segment is unlinking it.  The parent unlinks a tenant's
 previous segment once every live worker acknowledged its successor (or
 that publish failed), and a deleted tenant's segment at once.  A worker
-retires a version by dropping its reference: POSIX keeps an unlinked
-segment's pages alive while any process still maps them, so reads in
-flight finish on their snapshot and the mapping goes with the last of
-them.  Acknowledgements are keyed by segment name, unique per seal, so
+maps a segment only while attaching it, and retires a version by
+dropping its reference: reads in flight finish on their snapshot.
+Acknowledgements are keyed by segment name, unique per seal, so
 a re-created tenant restarting at version 1 never meets an older
 segment's bookkeeping.
 
@@ -241,7 +240,7 @@ class ServicePool:
         # deterministic prefix (leak checks grep for it) + a sequence
         # number, because a re-created tenant restarts at version 1
         name = f"rkgs_{tenant}_v{snapshot.version}_{os.getpid()}_{next(_SEGMENT_SEQ)}"
-        segment = shm_codec.encode_snapshot(snapshot, name=name, tenant=tenant)
+        segment = shm_codec.encode_snapshot(snapshot, name=name)
         # the parent never reads it back, and a worker forked later must
         # not inherit a mapping that would pin the segment past its unlink
         segment.close()
@@ -369,8 +368,7 @@ class ServicePool:
     def _handoff(self, snapshot: Snapshot, tenant: str) -> None:
         """The pool's hand-off of a published version: seal it into a
         segment, broadcast it, wait until every live worker swapped, then
-        unlink the segment it replaced (workers still reading that one
-        keep their mapping)."""
+        unlink the segment it replaced."""
         previous = self._seal(snapshot, tenant)
         try:
             self._await_fleet(tenant, snapshot.version)
@@ -425,7 +423,7 @@ class ServicePool:
 
     def _retire(self, tenant: str) -> None:
         # workers drop the binding at once (404s start now); reads in
-        # flight keep their mapping past the unlink
+        # flight keep their snapshot
         self._broadcast({"op": "retire_tenant", "tenant": tenant})
         with self._lock:
             segment = self._segments.pop(tenant, None)
@@ -665,8 +663,8 @@ class ServicePool:
         self._spawn(worker_id)
 
     def _unlink(self, segment: Any) -> None:
-        """Retire ``segment``: its name goes now, its pages with the last
-        worker mapping them."""
+        """Retire ``segment``: no worker maps it past its attach, so its
+        name and pages go now."""
         with self._lock:
             self._acks.pop(segment.name, None)
         try:
@@ -826,8 +824,7 @@ class _Worker:
         """Attach segment ``name`` and swap it in as ``tenant``'s version.
 
         The swapped-out snapshot is retired by dropping this worker's
-        reference to it: reads in flight keep theirs, and its mapping
-        goes with the last of them.
+        reference to it: reads in flight keep theirs.
         """
         loop = asyncio.get_running_loop()
         started = time.perf_counter()

@@ -1,14 +1,14 @@
 """The one buffer layout shared by every snapshot serialisation path.
 
-Two codecs lay a :class:`~repro.service.snapshot.Snapshot` into flat
-buffers: the shared-memory segment codec (:mod:`repro.service.shm`,
-process fan-out) and the durable frame store (:mod:`repro.storage.store`,
-disk persistence).  Both must agree — bit for bit — on how the snapshot's
+Two codecs carry a :class:`~repro.service.snapshot.Snapshot`: the
+shared-memory segment codec (:mod:`repro.service.shm`, process fan-out)
+and the durable frame store (:mod:`repro.storage.store`, disk
+persistence).  Both carry the same thing — the base graph plus what
+reasoning derived — and must agree, bit for bit, on how the snapshot's
 precomputed row state becomes numeric columns, or a snapshot persisted by
 one path would decode differently through the other.  This module is that
 agreement: the row-state dtype table and the encode/decode pair both
-codecs import, next to the frame buffers described by
-:data:`~repro.graph.columnar.EXPORT_DTYPES`.
+codecs import.
 
 Row-state layout (all arrays parallel within their group):
 
@@ -33,8 +33,7 @@ from ..graph.columnar import GraphFrame
 from ..graph.property_graph import NodeId
 from ..ownership.ubo import BeneficialOwner
 
-#: dtypes of the row-state arrays (the frame buffers use
-#: :data:`~repro.graph.columnar.EXPORT_DTYPES`)
+#: dtypes of the row-state arrays
 ROW_DTYPES: dict[str, np.dtype] = {
     "control_x": np.dtype(np.int64),
     "control_y": np.dtype(np.int64),
@@ -113,12 +112,12 @@ def decode_rows(
     """Inverse of :func:`encode_rows`.
 
     ``nodes`` is the intern-ordered node-id table of the attached frame;
-    ``buffers`` may hold any array-likes (shared-memory views, disk
-    memmaps, plain arrays).  Returns
+    ``buffers`` may hold any array-likes (disk memmaps, plain
+    arrays).  Returns
     ``(control_rows, close_rows, family_rows, ubo)``: the three relations
     as lists in stored — canonical — order, which
     :meth:`Snapshot.from_columns <repro.service.snapshot.Snapshot.from_columns>`
-    turns back into the snapshot's sets and its augmented graph.
+    hands to the snapshot as its rows and turns into its sets.
     """
     control = [
         (nodes[x], nodes[y])

@@ -55,13 +55,13 @@ directory).  :attr:`FrameStore.last_persist` says what the last persist
 wrote.
 
 :meth:`FrameStore.attach` is the inverse: the base graph is rebuilt
-from the catalog rows visible at that version, its frame recomputed
-(``GraphFrame.of`` — byte-identical to the builder's), the row-state
-columns mapped read-only (``np.load(..., mmap_mode="r")``) from whichever
-version owns each file, and the augmented graph recomputed from both.
-Shared memory shares what is heavy, disk keeps what cannot be
-recomputed; both paths end in :mod:`repro.storage.layout` and
-:meth:`Snapshot.from_columns`, so a snapshot decodes the same from either.
+from the catalog rows visible at that version and the row-state columns
+are mapped read-only (``np.load(..., mmap_mode="r")``) from whichever
+version owns each file.  The shared-memory segment carries the same two
+things, so both paths end in :mod:`repro.storage.layout` and
+:meth:`Snapshot.from_columns`, which recomputes the frame
+(``GraphFrame.of`` — byte-identical to the builder's): a snapshot
+decodes the same from either.
 
 :meth:`FrameStore.attach_latest` self-heals: a published version that
 fails verification (truncated column, checksum mismatch) is demoted to
@@ -91,7 +91,6 @@ from typing import Any
 
 import numpy as np
 
-from ..graph.columnar import GraphFrame
 from ..graph.company_graph import CompanyGraph
 from ..graph.property_graph import PropertyGraph
 from ..service.registry import validate_tenant
@@ -369,17 +368,13 @@ class FrameStore:
 
     def _persist(self, snapshot: Snapshot, tenant: str) -> int:
         started = time.perf_counter()
-        frame = snapshot.frame
-        if not frame.is_current(snapshot.graph):  # out-of-band mutation: re-pin
-            frame = GraphFrame.of(snapshot.graph)
-        buffers, classes = snapshot.row_columns(frame)
+        buffers, classes = snapshot.row_columns()
 
         graph = snapshot.graph
         meta = pickle.dumps(
             {
                 "config": snapshot.config,
                 "family_classes": classes,
-                "weight_property": frame.weight_property,
                 "created_at": snapshot.created_at,
                 "warm": snapshot.warm,
                 "incremental": snapshot.incremental,
@@ -422,8 +417,8 @@ class FrameStore:
                     graph.generation,
                     time.time(),
                     snapshot.built_s,
-                    frame.node_count,
-                    frame.edge_count,
+                    graph.node_count,
+                    graph.edge_count,
                     type(graph).__name__,
                     graph._next_edge_id,
                     meta,
@@ -568,8 +563,8 @@ class FrameStore:
         ``version=None`` attaches the tenant's newest published version.
         With ``verify`` every column file's data CRC-32 is checked
         against the catalog manifest before it is mapped.  The graph,
-        its frame, the decoded rows and the augmented graph are rebuilt
-        in Python, so attach time grows with nodes + edges.
+        its frame and the decoded rows are rebuilt in Python, so attach
+        time grows with nodes + edges.
         """
         if version is None:
             version = self.latest_version(tenant)
@@ -612,10 +607,7 @@ class FrameStore:
         remembered = self._baselines.get(tenant)
         if remembered is None or remembered.version < version:
             self._baselines[tenant] = Baseline.of(version, graph, *seqs)
-        frame = GraphFrame.of(graph, weight_property=meta["weight_property"])
-        snapshot = StoredSnapshot.from_columns(
-            version, graph, frame, views, meta, built_s
-        )
+        snapshot = StoredSnapshot.from_columns(version, graph, views, meta, built_s)
         snapshot.store_path = self.root
         snapshot.store_version = version
         snapshot.store_tenant = tenant

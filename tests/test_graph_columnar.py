@@ -161,20 +161,16 @@ def test_undirected_adjacency_matches_legacy_exactly(graph):
 @settings(max_examples=120, deadline=None)
 @given(company_graphs())
 def test_directed_views_match_naive_iteration(graph):
+    """The edge columns are the directed view: position ``i`` is the
+    ``i``-th edge of ``graph.edges()``, endpoints as intern codes."""
     frame = GraphFrame.of(graph)
-    out_naive = {n: [] for n in graph.node_ids()}
-    in_naive = {n: [] for n in graph.node_ids()}
-    for edge in graph.edges():
-        out_naive[edge.source].append(edge.target)
-        in_naive[edge.target].append(edge.source)
-    out_deg, in_deg = frame.out_degrees(), frame.in_degrees()
-    for node in graph.node_ids():
-        code = frame.index[node]
-        assert out_deg[code] == len(out_naive[node])
-        assert in_deg[code] == len(in_naive[node])
-        # within-row order is edge insertion order, like PropertyGraph._out
-        assert frame.node_ids_at(frame.successor_codes(node)) == out_naive[node]
-        assert frame.node_ids_at(frame.predecessor_codes(node)) == in_naive[node]
+    naive = [(edge.source, edge.target, edge.label) for edge in graph.edges()]
+    assert [
+        (frame.nodes[i], frame.nodes[j], label)
+        for i, j, label in zip(
+            frame.edge_src.tolist(), frame.edge_dst.tolist(), frame.edge_labels.tolist()
+        )
+    ] == naive
 
 
 @settings(max_examples=120, deadline=None)
@@ -287,9 +283,10 @@ def test_frame_matches_graph_under_random_interleavings(ops):
     assert frame.is_current(graph)
     assert sorted(frame.nodes) == sorted(nodes)
     assert frame.edge_count == len(edges)
-    for node_id in nodes:
-        successors = sorted(frame.node_ids_at(frame.successor_codes(node_id)))
-        assert successors == sorted(t for s, t in edges if s == node_id)
+    assert sorted(
+        (frame.nodes[i], frame.nodes[j])
+        for i, j in zip(frame.edge_src.tolist(), frame.edge_dst.tolist())
+    ) == sorted(edges)
 
 
 def test_intern_order_is_collision_free_and_str_compatible():
@@ -385,71 +382,3 @@ def test_golden_pipeline_and_clustering(golden_graph):
         golden_graph, 4, config, feature_properties={"surname": 1.0, "address": 3.0}
     )
     assert _hash(sorted(assign.items(), key=lambda kv: str(kv[0]))) == "dbedbf6e6f3508fb"
-
-
-# ----------------------------------------------------------------------
-# buffer export / attach (the shared-memory codec's preconditions)
-# ----------------------------------------------------------------------
-
-
-def test_buffers_are_contiguous_and_dtype_stable():
-    """Every exported buffer must be C-contiguous with the dtype pinned
-    by EXPORT_DTYPES — scipy's csc index arrays in particular downcast to
-    int32 on small graphs, which the export must normalise away."""
-    from repro.graph.columnar import EXPORT_DTYPES
-
-    for persons in (6, 40):
-        graph, _ = realworld_like(persons, seed=3)
-        frame = GraphFrame.of(graph)
-        buffers = frame.buffers()
-        assert set(buffers) == set(EXPORT_DTYPES)
-        for name, array in buffers.items():
-            assert array.flags.c_contiguous, name
-            assert array.dtype == EXPORT_DTYPES[name], (
-                f"{name}: {array.dtype} != {EXPORT_DTYPES[name]}"
-            )
-        assert frame.nbytes == sum(a.nbytes for a in buffers.values())
-        assert frame.nbytes > 0
-
-
-def test_buffers_round_trip_through_attach():
-    """attach() over exported buffers reproduces every cached view
-    bit-identically, and adopt_as_cache_of makes GraphFrame.of find it."""
-    graph, _ = realworld_like(25, seed=5)
-    frame = GraphFrame.of(graph)
-    buffers = {name: array.copy() for name, array in frame.buffers().items()}
-
-    clone = graph.copy()
-    attached = GraphFrame.attach(clone, buffers)
-    attached.adopt_as_cache_of(clone)
-    assert GraphFrame.of(clone) is attached
-
-    for (a_indptr, a_minor, a_pos), (b_indptr, b_minor, b_pos) in (
-        (frame.csr(), attached.csr()),
-        (frame.csc(), attached.csc()),
-    ):
-        np.testing.assert_array_equal(a_indptr, b_indptr)
-        np.testing.assert_array_equal(a_minor, b_minor)
-        np.testing.assert_array_equal(a_pos, b_pos)
-    np.testing.assert_array_equal(frame.edge_src, attached.edge_src)
-    np.testing.assert_array_equal(frame.walk_weights, attached.walk_weights)
-    assert (frame.ownership_w() != attached.ownership_w()).nnz == 0
-    for original, rebuilt in zip(frame.walker_csr(), attached.walker_csr()):
-        if isinstance(original, np.ndarray) and original.dtype != object:
-            np.testing.assert_array_equal(original, rebuilt)
-        else:
-            assert list(original) == list(rebuilt)
-    # integrated-ownership solves over the attached frame stay identical
-    source = next(iter(graph.persons())).id
-    np.testing.assert_array_equal(
-        integrated_ownership_from(graph, source),
-        integrated_ownership_from(clone, source),
-    )
-
-
-def test_attach_rejects_mismatched_buffers():
-    graph, _ = realworld_like(10, seed=1)
-    buffers = GraphFrame.of(graph).buffers()
-    other, _ = realworld_like(20, seed=2)
-    with pytest.raises(ValueError):
-        GraphFrame.attach(other, buffers)

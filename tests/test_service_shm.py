@@ -3,20 +3,20 @@
 The acceptance-critical property is **per-row identity**: a snapshot
 attached from a segment must answer every endpoint payload byte-equal
 to the in-process snapshot it was encoded from — including the
-custom-threshold paths that recompute over the (attached, zero-copy)
-columnar frame.
+custom-threshold paths that recompute over the columnar frame the
+attacher rebuilt from the decoded graph.
 """
 
 import gc
 import sys
 
-import numpy as np
 import pytest
 
 from repro.datagen.company_generator import CompanySpec, generate_company_graph
-from repro.graph.columnar import GraphFrame
+from repro.graph.columnar import _CACHE_ATTR, GraphFrame
 from repro.service import shm as shm_codec
 from repro.service.snapshot import SnapshotBuilder, SnapshotConfig
+from repro.storage.layout import ROW_DTYPES
 
 
 @pytest.fixture(scope="module")
@@ -84,68 +84,45 @@ class TestRoundTrip:
             snapshot.ubo_payloads(companies, 0.15)
         )
 
-    def test_buffers_are_zero_copy_readonly_views(self, segment):
-        attached = shm_codec.attach_snapshot(segment.name)
-        indptr, targets, positions = attached.frame.csr()
-        for view in (indptr, targets, positions):
-            assert not view.flags.owndata  # a view over the mapping
-            assert not view.flags.writeable
-        with pytest.raises(ValueError):
-            targets[0] = 7
-
-    def test_two_attachments_share_physical_buffers(self, segment):
-        a = shm_codec.attach_snapshot(segment.name)
-        b = shm_codec.attach_snapshot(segment.name)
-        src_a = a.frame.edge_src
-        src_b = b.frame.edge_src
-        assert np.shares_memory(src_a, src_a)  # sanity
-        assert src_a.tolist() == src_b.tolist()
-        # same segment offset: both are views at identical addresses
-        # within their own mmaps of one shared object
-        assert a.segment_name == b.segment_name
-
-    def test_attached_views_are_aligned(self, segment):
-        frame = shm_codec.attach_snapshot(segment.name).frame
-        columns = (frame.edge_src, frame.edge_dst, frame.walk_weights, frame.insertion_codes)
-        for view in (*columns, *frame.csr(), *frame.csc()):
-            assert not view.flags.owndata
-            assert view.ctypes.data % shm_codec.ALIGNMENT == 0
+    def test_segment_carries_what_the_store_carries(self, snapshot, segment):
+        """The row-state columns, the base graph and the snapshot
+        metadata — no frame buffer, no frame."""
+        payload = shm_codec._payload(segment.buf, segment.name)
+        assert set(payload["rows"]) == set(ROW_DTYPES)
+        assert set(payload) == {
+            "graph", "rows", "config", "version", "built_s", "created_at",
+            "warm", "incremental", "family_classes",
+        }
+        _cls, state = payload["graph"]
+        assert _CACHE_ATTR not in state
 
 
 class TestLifecycle:
-    def test_close_refuses_while_views_are_alive(self, segment):
-        """An explicit ``shm.close()`` (the traced benchmark pass makes
-        one) cannot pull the mapping from under a live view."""
+    def test_attach_leaves_no_mapping(self, graph, snapshot, segment):
+        """A worker maps a segment only while attaching it: right after
+        ``attach_snapshot`` no line of this process's maps names the
+        segment, yet the custom-threshold paths answer byte-equal."""
+        segment.close()  # only an attachment could map it now
         attached = shm_codec.attach_snapshot(segment.name)
-        view = attached.frame.edge_src
-        with pytest.raises(BufferError):
-            attached.shm.close()
-        assert view.tolist() == attached.frame.edge_src.tolist()
-
-    def test_close_succeeds_once_references_drop(self, segment):
-        """Once the snapshot is dropped, its views go with it — no
-        collector pass — and the held mapping closes."""
-        attached = shm_codec.attach_snapshot(segment.name)
-        handle = attached.shm
-        with pytest.raises(BufferError):
-            handle.close()
-        collecting = gc.isenabled()
-        gc.disable()
-        try:
-            attached = None  # noqa: F841 - drop the one strong reference
-            handle.close()  # must not raise now
-        finally:
-            if collecting:
-                gc.enable()
-        assert handle.closed
+        assert not mapped(segment.name)
+        assert attached.shm.closed
+        companies = sorted((n.id for n in graph.companies()), key=str)[:10]
+        assert attached.control_payload(threshold=0.4) == (
+            snapshot.control_payload(threshold=0.4)
+        )
+        assert attached.close_links_payload(0.35) == snapshot.close_links_payload(0.35)
+        assert attached.ubo_payloads(companies, 0.15) == (
+            snapshot.ubo_payloads(companies, 0.15)
+        )
+        assert not mapped(segment.name)
 
     def test_unlinked_segment_serves_until_the_last_reference_drops(
         self, graph, snapshot, monkeypatch
     ):
         """Retiring is unlinking: an attachment keeps serving byte-equal
-        payloads after its creator unlinked the segment, and dropping the
-        last reference unmaps it — no ``close()``, no collector pass, no
-        unraisable exception."""
+        payloads after its creator unlinked the segment, and dropping it
+        needs no ``close()``, no collector pass and raises no unraisable
+        exception."""
         companies = sorted((n.id for n in graph.companies()), key=str)[:10]
 
         def payloads(snap):
@@ -166,9 +143,7 @@ class TestLifecycle:
         gc.disable()
         try:
             assert payloads(attached) == payloads(snapshot)
-            assert mapped(segment.name)
             del attached
-            assert not mapped(segment.name)
         finally:
             if collecting:
                 gc.enable()

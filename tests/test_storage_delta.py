@@ -6,7 +6,7 @@ onto disk, and no frame buffer at all.  Whatever the history, attaching
 version *k* of a store that received every version must equal attaching
 a fresh store that received version *k* alone — node order, edge order,
 properties (type-exact), ``_next_edge_id``, row state, the bytes of all
-six endpoint payloads and the bytes of every recomputed frame buffer —
+six endpoint payloads and the bytes of the recomputed frame —
 and gc, reopen, corruption and crashes must leave files and manifest in
 step.
 """

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from repro.datagen.company_generator import CompanySpec, generate_company_graph
-from repro.graph.columnar import EXPORT_DTYPES, GraphFrame
+from repro.graph.columnar import GraphFrame
 from repro.service import SnapshotBuilder, SnapshotConfig
 from repro.storage import FrameStore, StoreError
 from repro.storage import catalog as cat
@@ -30,7 +30,7 @@ from repro.storage.layout import ROW_DTYPES, encode_rows
 from repro.storage.npyio import write_column
 
 from .test_service_snapshot import reference_augmented
-from .test_storage import assert_files_match_manifest, column_path
+from .test_storage import assert_files_match_manifest, column_path, frame_fingerprint
 
 #: The version and model tables of catalog format 4, verbatim from the
 #: release that wrote it (``store_meta``, ``vals`` and ``columns`` did
@@ -202,8 +202,19 @@ CREATE TABLE columns (
 )
 """
 
+#: The frame buffers a snapshot version carried up to format 3, next to
+#: its row state (the shared-memory codec's export of that release).
+FORMAT3_FRAME_COLUMNS = (
+    "edge_src", "edge_dst", "walk_weights", "insertion_codes",
+    "csr_indptr", "csr_targets", "csr_positions",
+    "csc_indptr", "csc_sources", "csc_positions",
+    "walker_indptr", "walker_neighbors", "walker_keys", "walker_degrees",
+    "share_src", "share_dst", "share_w",
+    "ownership_data", "ownership_indices", "ownership_indptr",
+)
+
 #: What a snapshot version carried up to format 3.
-FORMAT3_SNAPSHOT_COLUMNS = dict(EXPORT_DTYPES) | dict(ROW_DTYPES)
+FORMAT3_SNAPSHOT_COLUMNS = (*FORMAT3_FRAME_COLUMNS, *ROW_DTYPES)
 
 
 def downgrade_to_format3(root, snapshots, graphs=()):
@@ -225,12 +236,14 @@ def downgrade_to_format3(root, snapshots, graphs=()):
     conn.execute("DROP TABLE columns_new")
     for (tenant, version), snapshot in snapshots.items():
         frame = snapshot.frame
-        buffers = dict(frame.buffers())
+        # the migration drops the frame buffers unread: an edge-sized
+        # int64 column stands in for each
+        buffers = dict.fromkeys(FORMAT3_FRAME_COLUMNS, frame.edge_src)
         buffers.update(encode_rows(snapshot, frame)[0])
         vdir = store.version_dir(version, tenant)
         vdir.mkdir(parents=True, exist_ok=True)
-        for name, dtype in FORMAT3_SNAPSHOT_COLUMNS.items():
-            array = np.ascontiguousarray(buffers[name], dtype=dtype)
+        for name in FORMAT3_SNAPSHOT_COLUMNS:
+            array = np.ascontiguousarray(buffers[name])
             crc = write_column(vdir / f"{name}.npy", array)
             conn.execute(
                 "INSERT INTO columns VALUES (?, ?, ?, ?, ?, ?, ?)",
@@ -458,10 +471,8 @@ def fingerprint(snapshot):
 
 
 def frame_bytes(graph):
-    """Every frame buffer of ``graph`` as ``(dtype, bytes)``."""
-    buffers = GraphFrame.of(graph).buffers()
-    assert set(buffers) == set(EXPORT_DTYPES)
-    return {name: (array.dtype.str, array.tobytes()) for name, array in buffers.items()}
+    """The frame of ``graph`` as bytes (see ``frame_fingerprint``)."""
+    return frame_fingerprint(GraphFrame.of(graph))
 
 
 def evolving_snapshots(seed, versions):
