@@ -18,14 +18,14 @@ CSR discipline of scipy.sparse and PyG:
 * **edge columns** — contiguous numpy arrays for source code, target
   code, label and weight, in edge insertion order;
 * **views** — the merged-undirected adjacency (and its lockstep-walk
-  CSR) the node2vec walker needs, the direct-ownership matrix ``W`` and its reusable ``splu`` factorisation,
+  CSR) the node2vec walker needs, the direct-ownership matrix ``W``,
   label partitions and per-property columns — all materialised lazily
   and cached on the frame.
 
 Frames are obtained through :meth:`GraphFrame.of`, which caches the
 frame on the graph object keyed by the graph's ``generation`` counter:
 every consumer asking for the same graph version shares one frame (and
-therefore one CSR, one factorisation, ...), and any mutation through the
+therefore one CSR, one ``W``, ...), and any mutation through the
 :class:`~repro.graph.property_graph.PropertyGraph` write surface makes
 the next ``of`` call rebuild.  A frame captures node/edge object
 references at build time, so a superseded frame keeps serving a
@@ -33,10 +33,8 @@ consistent snapshot of the version it was built from.
 
 Bit-identity contract: every view reproduces the numbers of the legacy
 per-consumer builds exactly — same neighbour order, same float
-accumulation order for merged parallel edges, same SuperLU code path for
-the ownership solves (``splu(A).solve(b)`` and ``spsolve(A, b)`` share
-factorisation defaults) — asserted by the oracle suite in
-``tests/test_graph_columnar.py``.
+accumulation order for merged parallel edges — asserted by the oracle
+suite in ``tests/test_graph_columnar.py``.
 """
 
 from __future__ import annotations
@@ -166,7 +164,6 @@ class GraphFrame:
         self._walker_csr: tuple | None = None
         self._share_coo: tuple | None = None
         self._ownership_w: "csc_matrix | None" = None
-        self._ownership_systems: dict[float, tuple] = {}
         self._node_columns: dict[str, np.ndarray] = {}
         self._edge_columns: dict[str, np.ndarray] = {}
         self._label_members: dict[str | None, np.ndarray] = {}
@@ -288,45 +285,11 @@ class GraphFrame:
                 )
         return self._ownership_w
 
-    def ownership_system(self, damping: float = 1.0) -> tuple:
-        """``(W_damped_csc, transpose_csc, solver)`` for integrated-ownership
-        point solves, factorised once per (frame, damping).
-
-        ``solver`` is ``splu(I - W^T).solve`` — bit-identical to the
-        per-source ``spsolve`` the legacy path ran (same SuperLU
-        defaults), but the O(n^1.5..2) factorisation is paid once and
-        shared by every UBO / close-link / endpoint solve on this frame.
-        Falls back to per-call ``spsolve`` when the system is singular
-        (fully circular ownership), preserving the legacy warn-and-return
-        behaviour.
-        """
-        cached = self._ownership_systems.get(damping)
-        if cached is None:
-            from scipy.sparse import identity
-            from scipy.sparse.linalg import splu, spsolve
-
-            w = self.ownership_w()
-            if damping != 1.0:
-                w = (w * damping).tocsc()
-            transpose = w.T.tocsc()
-            system = (identity(len(self.nodes), format="csc") - transpose).tocsc()
-            try:
-                solver = splu(system).solve
-            except RuntimeError:  # singular: keep spsolve's warn + inf result
-                solver = lambda rhs: spsolve(system, rhs)  # noqa: E731
-            cached = (w, transpose, solver)
-            self._ownership_systems[damping] = cached
-        return cached
-
-    def release_ownership_systems(self) -> None:
-        """Drop the cached factorisations; the next solve factorises again.
-
-        scipy's SuperLU returns a factorisation's memory only when the
-        object dies on the thread that created it; dropped anywhere else
-        it leaks.  A thread that factorised a frame it then hands to
-        other threads calls this first.
-        """
-        self._ownership_systems.clear()
+    def ownership_system(self) -> None:
+        """Does nothing: integrated ownership factorises no global system
+        (one small solve per strongly connected component, in
+        :mod:`repro.ownership.close_links`).  Kept only because the
+        end-to-end benchmark's graph layer still times this call."""
 
     # ------------------------------------------------------------------
     # label partitions and property columns (the relational mapping's food)

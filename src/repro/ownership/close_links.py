@@ -17,12 +17,17 @@ only in the largest SCC (cross-holdings — buy-back self-loops never lie
 on a simple path).  :func:`accumulated_ownership` enumerates the simple
 paths of one pair verbatim and is kept as the reference the tests
 compare the route against.
+
+The same pass gives integrated ownership, the walk-sum
+``(I - W)^-1 W`` of :mod:`repro.ownership.matrix`: walks, unlike simple
+paths, may circle inside an SCC, so the sum inside one is a small dense
+solve instead of an enumeration.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Any, Callable, Iterable
 
 from ..graph.company_graph import SHAREHOLDING, CompanyGraph
 from ..graph.property_graph import NodeId
@@ -47,7 +52,8 @@ def accumulated_ownership(
 
 
 class _PhiRows:
-    """``Phi`` rows of one graph, sharing work between sources.
+    """Ownership rows of one graph, sharing work between sources: ``Phi``
+    (:meth:`row`) and integrated ownership (:meth:`integrated`).
 
     A row reads only the subgraph reachable from its source — the SCCs
     are found by a Tarjan pass rooted at the source, and the cached
@@ -61,6 +67,9 @@ class _PhiRows:
         self._holdings: dict[NodeId, list[tuple[NodeId, float]]] = {}
         #: entry node -> simple-path sums to every member of its SCC
         self._inside: dict[NodeId, list[tuple[NodeId, float]]] = {}
+        #: SCC member -> (its SCC in intern order, inverse of I - W_CC^T
+        #: or None when singular)
+        self._solves: dict[NodeId, tuple[list[NodeId], Any]] = {}
 
     def holdings(self, node: NodeId) -> list[tuple[NodeId, float]]:
         """Distinct shareholding targets of ``node``, parallel edges summed."""
@@ -135,31 +144,93 @@ class _PhiRows:
             sums = self._inside[entry] = list(totals.items())
         return sums
 
-    def row(self, source: NodeId) -> dict[NodeId, float]:
-        """``Phi(source, y)`` for every y reachable from ``source``."""
-        phi: dict[NodeId, float] = {}
+    def simple_sums(
+        self, component: list[NodeId], mass: dict[NodeId, float]
+    ) -> dict[NodeId, float]:
+        """``Phi`` inside one SCC: the mass entering at each entry times
+        the simple-path sums from that entry to every member."""
+        if len(component) == 1:
+            (node,) = component
+            return {node: mass[node]}
+        members = set(component)
+        value: dict[NodeId, float] = {}
+        for entry in component:
+            if entry in mass:
+                for member, share in self.inside(entry, members):
+                    value[member] = value.get(member, 0.0) + mass[entry] * share
+        return value
+
+    def walk_sums(
+        self, component: list[NodeId], mass: dict[NodeId, float]
+    ) -> dict[NodeId, float] | None:
+        """The walk-sum inside one SCC, ``x = m + W_CC^T x`` for the mass
+        ``m`` entering it, or None when there is none (a fully circular
+        holding: ``I - W_CC`` singular).  A larger SCC is inverted once,
+        over its members in intern order, so the floats do not depend on
+        which source reached it first."""
+        if len(component) == 1:
+            (node,) = component
+            loop = next((share for child, share in self.holdings(node) if child == node), 0.0)
+            return None if loop == 1.0 else {node: mass[node] / (1.0 - loop)}
+        solved = self._solves.get(component[0])
+        if solved is None:
+            import numpy as np
+
+            from ..graph.columnar import intern_sort_key
+
+            members = sorted(component, key=intern_sort_key)
+            position = {member: i for i, member in enumerate(members)}
+            system = np.eye(len(members))
+            for i, member in enumerate(members):
+                for child, share in self.holdings(member):
+                    if child in position:
+                        system[position[child], i] -= share
+            singular = np.linalg.matrix_rank(system) < len(members)
+            solved = (members, None if singular else np.linalg.inv(system))
+            self._solves.update(dict.fromkeys(members, solved))
+        members, inverse = solved
+        if inverse is None:
+            return None
+        return dict(zip(members, (inverse @ [mass.get(m, 0.0) for m in members]).tolist()))
+
+    def _rows(self, source: NodeId, within: Callable) -> dict[NodeId, float]:
+        """One row: the SCCs reachable from ``source`` in topological
+        order, ``within`` spreading the mass entering each over its
+        members.  An SCC ``within`` finds no sum for is left out, and so
+        is every node it passes mass to."""
+        found: dict[NodeId, float] = {}
         if not self.graph.has_node(source):
-            return phi
+            return found
         # the share mass entering each node over an edge from an earlier SCC
         mass = {source: 1.0}
+        lost: set[NodeId] = set()
         for component in self.components(source):
-            if len(component) == 1:
-                (node,) = component
-                value = {node: mass[node]}
-            else:
-                members = set(component)
-                value = {}
-                for entry in component:
-                    if entry in mass:
-                        for member, share in self.inside(entry, members):
-                            value[member] = value.get(member, 0.0) + mass[entry] * share
+            value = None if lost and not lost.isdisjoint(component) else within(component, mass)
+            if value is None:
+                for node in component:
+                    lost.update(child for child, _share in self.holdings(node))
+                continue
             for node, total in value.items():
                 for child, share in self.holdings(node):
                     if child not in value:  # an edge leaving the SCC
                         mass[child] = mass.get(child, 0.0) + total * share
             value.pop(source, None)
-            phi.update(value)
-        return phi
+            found.update(value)
+        return found
+
+    def row(self, source: NodeId) -> dict[NodeId, float]:
+        """``Phi(source, y)`` for every y reachable from ``source``."""
+        return self._rows(source, self.simple_sums)
+
+    def integrated(self, source: NodeId) -> dict[NodeId, float]:
+        """Integrated ownership of ``source`` over every node it reaches
+        with a walk-sum above 1e-12; nodes at or below an SCC without a
+        finite walk-sum are left out."""
+        return {
+            node: value
+            for node, value in self._rows(source, self.walk_sums).items()
+            if abs(value) > 1e-12
+        }
 
 
 def accumulated_ownership_from(graph: CompanyGraph, source: NodeId) -> dict[NodeId, float]:

@@ -1,4 +1,4 @@
-"""Integrated ownership via sparse linear algebra.
+"""Integrated ownership: the walk-sum of direct ownership.
 
 Definition 2.5's accumulated ownership sums simple paths and is exact
 but worst-case exponential.  Corporate-network economics (the literature
@@ -14,16 +14,21 @@ fully self-owned through cycles, counting circular ownership the way a
 dividend flow would — including a company's indirect stake in itself
 (the buy-back effect).
 
-``W`` comes straight from the graph's columnar frame
-(:class:`~repro.graph.columnar.GraphFrame`): the shareholding COO
-buffers are built once per graph version, and the point solves share one
-``splu`` factorisation of ``I - W^T`` instead of running a fresh
-``spsolve`` per source — bit-identical results (same SuperLU code path),
-O(n·nnz) once instead of per solve.  The node order is the frame's
-intern order: ``str(id)``-sorted like the historical implementation, but
-with a deterministic type/repr tiebreak for ids that stringify
-identically (``1`` vs ``"1"``), which the old ``sorted(key=str)`` left
-ambiguous.
+A row of ``Y`` is computed by the same pass over the strongly connected
+components (SCCs) reachable from its source that gives accumulated
+ownership (:class:`~repro.ownership.close_links._PhiRows`): in
+topological order, the share mass entering each SCC is spread over its
+members by one small dense solve of ``I - W_CC^T``.  A row therefore
+costs what its source reaches, and an SCC without a finite walk-sum
+(``I - W_CC`` singular: a fully circular holding) removes from a row
+only what lies at or below it.
+
+:func:`integrated_ownership_matrix` solves the whole system with one
+sparse ``spsolve`` — the oracle the row computation is tested against.
+The node order of the matrices is the frame's intern order
+(:class:`~repro.graph.columnar.GraphFrame`): ``str(id)``-sorted, with a
+deterministic type/repr tiebreak for ids that stringify identically
+(``1`` vs ``"1"``).
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ import numpy as np
 from ..graph.columnar import GraphFrame
 from ..graph.company_graph import CompanyGraph
 from ..graph.property_graph import NodeId
+from .close_links import _PhiRows
 
 if TYPE_CHECKING:  # pragma: no cover
     from scipy.sparse import lil_matrix
@@ -52,16 +58,12 @@ def ownership_matrix(
     return list(frame.nodes), frame.ownership_w().tolil()
 
 
-def integrated_ownership_matrix(
-    graph: CompanyGraph,
-    damping: float = 1.0,
-) -> tuple[list[NodeId], np.ndarray]:
+def integrated_ownership_matrix(graph: CompanyGraph) -> tuple[list[NodeId], np.ndarray]:
     """The full integrated-ownership matrix ``Y = (I - W)^-1 W``.
 
-    ``damping`` < 1 shrinks W before inversion; useful when a graph has
-    (pathological) fully circular ownership making ``I - W`` singular.
     Returns (node order, dense Y) — dense because Y is generally dense;
-    intended for graphs up to a few thousand nodes.
+    intended for graphs up to a few thousand nodes, and as the reference
+    :func:`integrated_ownership_from` is tested against.
     """
     from scipy.sparse import identity
     from scipy.sparse.linalg import spsolve
@@ -71,8 +73,6 @@ def integrated_ownership_matrix(
     if not nodes:
         return nodes, np.zeros((0, 0))
     w = frame.ownership_w()
-    if damping != 1.0:
-        w = (w * damping).tocsc()
     system = (identity(len(nodes), format="csc") - w)
     solution = spsolve(system, w.toarray())
     result = np.asarray(solution)
@@ -81,43 +81,17 @@ def integrated_ownership_matrix(
     return nodes, result
 
 
-def integrated_ownership(
-    graph: CompanyGraph,
-    source: NodeId,
-    target: NodeId,
-    damping: float = 1.0,
-) -> float:
+def integrated_ownership(graph: CompanyGraph, source: NodeId, target: NodeId) -> float:
     """Integrated ownership of ``source`` over ``target`` (walk-sum)."""
-    nodes, matrix = integrated_ownership_matrix(graph, damping)
-    index = {node: i for i, node in enumerate(nodes)}
-    if source not in index or target not in index:
-        return 0.0
-    return float(matrix[index[source], index[target]])
+    return integrated_ownership_from(graph, source).get(target, 0.0)
 
 
-def integrated_ownership_from(
-    graph: CompanyGraph,
-    source: NodeId,
-    damping: float = 1.0,
-) -> dict[NodeId, float]:
-    """Integrated ownership of ``source`` over every node (one triangular solve).
+def integrated_ownership_from(graph: CompanyGraph, source: NodeId) -> dict[NodeId, float]:
+    """Integrated ownership of ``source`` over every node it reaches.
 
-    Solves ``y = W^T y + W^T e_source`` — the column of Y restricted to
-    the source row — against the frame's cached ``splu`` factorisation,
-    so a sweep over many sources (UBO indexing, close-link screening)
-    factorises ``I - W^T`` exactly once per graph version.
+    Entries of magnitude at most ``1e-12`` are left out, and so is every
+    node at or below an SCC without a finite walk-sum.  A sweep over many
+    sources shares one :class:`~repro.ownership.close_links._PhiRows`
+    instead (:func:`repro.ownership.ubo.beneficial_owner_rows`).
     """
-    frame = GraphFrame.of(graph)
-    index = frame.index
-    if source not in index:
-        return {}
-    _, transpose, solver = frame.ownership_system(damping)
-    unit = np.zeros(len(frame.nodes))
-    unit[index[source]] = 1.0
-    rhs = transpose @ unit
-    solution = solver(rhs)
-    return {
-        node: float(solution[i])
-        for node, i in index.items()
-        if node != source and abs(solution[i]) > 1e-12
-    }
+    return _PhiRows(graph).integrated(source)

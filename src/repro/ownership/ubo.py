@@ -18,11 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from ..graph.columnar import GraphFrame
 from ..graph.company_graph import CompanyGraph
 from ..graph.property_graph import NodeId
+from .close_links import _PhiRows
 from .control import CONTROL_THRESHOLD, controlled_by
-from .matrix import integrated_ownership_from
 
 #: EU AMLD beneficial-ownership threshold.
 UBO_THRESHOLD = 0.25
@@ -72,19 +71,21 @@ def beneficial_owner_rows(
 ) -> tuple[dict[NodeId, dict[NodeId, float]], dict[NodeId, set[NodeId]]]:
     """Per-person ``(integrated ownership, controlled set)`` rows.
 
-    One triangular solve and one control fixpoint per person, all against
-    the graph frame's single cached factorisation.  ``persons`` restricts
-    the sweep (the incremental snapshot maintainer recomputes only the
-    persons whose reachable region a delta touched); the default sweeps
-    every person in the graph.
+    One integrated-ownership row and one control fixpoint per person; the
+    rows share one :class:`~repro.ownership.close_links._PhiRows`, so an
+    SCC's solve is factored once per sweep and a row costs what its
+    person reaches.  ``persons`` restricts the sweep (the incremental
+    snapshot maintainer recomputes only the persons whose reachable
+    region a delta touched); the default sweeps every person in the
+    graph.
     """
-    GraphFrame.of(graph).ownership_system()  # factorise once before the sweep
     if persons is None:
         persons = [node.id for node in graph.persons()]
+    rows = _PhiRows(graph)
     integrated: dict[NodeId, dict[NodeId, float]] = {}
     controlled: dict[NodeId, set[NodeId]] = {}
     for person in persons:
-        integrated[person] = integrated_ownership_from(graph, person)
+        integrated[person] = rows.integrated(person)
         controlled[person] = controlled_by(graph, person, control_threshold)
     return integrated, controlled
 
@@ -131,7 +132,7 @@ def all_beneficial_owners(
     threshold: float = UBO_THRESHOLD,
     control_threshold: float = CONTROL_THRESHOLD,
 ) -> dict[NodeId, list[BeneficialOwner]]:
-    """company -> beneficial owners, computed with one solve per person."""
+    """company -> beneficial owners, computed with one row per person."""
     integrated, controlled = beneficial_owner_rows(graph, control_threshold)
     return assemble_beneficial_owners(graph, integrated, controlled, threshold)
 

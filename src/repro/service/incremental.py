@@ -22,10 +22,8 @@ shareholding edges.  So a changed edge ``u -> v`` (or changed node)
 can only affect rows whose source *reaches* the change — the ancestors
 of the dirty nodes in the shareholding graph.  Patching recomputes
 exactly those rows with the same functions the cold build uses, which
-makes the patched control and close-link relations bit-identical to a
-cold build by construction.  (UBO rows go through the frame's LU solve;
-carried-over rows can differ from a freshly factorised solve in the
-last ulps, which the service's 6-decimal payload rounding absorbs.)
+makes all three patched relations bit-identical to a cold build by
+construction.
 """
 
 from __future__ import annotations

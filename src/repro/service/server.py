@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import asyncio
 import bisect
-import importlib
 import json
 import time
 from collections import defaultdict
@@ -116,17 +115,6 @@ _TENANT_ENDPOINTS = (
     "stats",
     "mutations",
 )
-
-
-def import_before_serving() -> None:
-    """Load the one module a request would otherwise import: the sparse
-    solver behind a custom-threshold ``/ubo``.  A boot that builds has
-    factorised and holds it already; one that attaches from ``--store``
-    would pay ≈ 0.3 s inside its first such request — and under
-    ``--workers`` once per worker, ≈ 30 MB each, which is why the pool
-    parent calls this before it forks.  Everything else a request runs
-    is imported by this module (``tests/test_import_hygiene.py``)."""
-    importlib.import_module("scipy.sparse.linalg")
 
 
 def _route(path: str) -> tuple[str | None, str, list[str]]:
@@ -373,7 +361,6 @@ class ReasoningService:
         worker processes can each listen on the same address and let the
         kernel load-balance accepted connections between them.
         """
-        import_before_serving()
         self._server = await asyncio.start_server(
             self.handle_connection,
             self.config.host,

@@ -64,7 +64,7 @@ class SegmentError(RuntimeError):
 
 def _graph_state(graph: PropertyGraph) -> tuple[type, dict[str, Any]]:
     """``(class, __dict__)`` of ``graph`` minus the cached-frame attribute
-    (frames hold an unpicklable SuperLU factorisation)."""
+    (the attacher recomputes the frame from the graph)."""
     state = {k: v for k, v in graph.__dict__.items() if k != _CACHE_ATTR}
     return type(graph), state
 

@@ -28,7 +28,7 @@ from ..core.pipeline import PipelineConfig, ReasoningPipeline
 from ..embeddings.incremental import IncrementalEmbedder
 from ..embeddings.node2vec import EMBEDDING_FEATURES
 from ..graph.columnar import GraphFrame
-from ..graph.company_graph import CompanyGraph
+from ..graph.company_graph import PERSON, CompanyGraph
 from ..graph.property_graph import Edge, NodeId
 from ..linkage.bayes import BayesianLinkClassifier
 from ..ownership.close_links import (
@@ -54,6 +54,7 @@ from .incremental import (
     control_rows,
     patch_rows,
     patch_ubo_rows,
+    shareholding_ancestors,
 )
 
 #: The tenant un-prefixed routes and single-graph callers resolve to.
@@ -127,10 +128,9 @@ class Snapshot:
     be shared freely between the event loop and executor threads.
 
     The snapshot owns one :class:`~repro.graph.columnar.GraphFrame` over
-    its base graph — the same frame the builder used — so the control,
-    close-link, UBO and neighbour endpoints (and custom-threshold
-    recomputations, which reach it through ``GraphFrame.of``) all share
-    one set of column buffers and one cached ``splu`` factorisation.
+    its base graph — the same frame the builder used — so the canonical
+    row order and both row codecs share one set of column buffers.  No
+    endpoint reads a frame view: ownership rows walk the graph itself.
     """
 
     def __init__(
@@ -286,16 +286,23 @@ class Snapshot:
         """Beneficial-owner payloads for a *batch* of companies.
 
         At the snapshot's default threshold this reads the precomputed
-        index; at a custom threshold the per-person integrated-ownership
-        solves are shared across the whole batch — the reason the server
-        micro-batches ``/ubo/{id}`` point lookups.
+        index; at a custom threshold it computes the rows of the persons
+        that reach a company of the batch through shareholdings — the
+        only ones that can own or control it — once for the whole batch,
+        the reason the server micro-batches ``/ubo/{id}`` point lookups.
         """
         t = self.config.ubo_threshold if threshold is None else threshold
         if t == self.config.ubo_threshold:
             owners_of = {c: self.ubo.get(c, []) for c in companies}
         else:
-            integrated, controlled = beneficial_owner_rows(self.graph)
-            index = assemble_beneficial_owners(self.graph, integrated, controlled, t)
+            graph = self.graph
+            persons = [
+                node
+                for node in shareholding_ancestors(graph, companies)
+                if graph.node(node).label == PERSON
+            ]
+            integrated, controlled = beneficial_owner_rows(graph, persons=persons)
+            index = assemble_beneficial_owners(graph, integrated, controlled, t)
             owners_of = {c: index.get(c, []) for c in companies}
         return {
             company: {
@@ -498,9 +505,9 @@ class SnapshotBuilder:
         config = self.config
         warm = bool(new_edges) and self._embedder is not None
         # pin the columnar frame before any consumer runs: the embedder,
-        # the pipeline, the ownership sweeps and the UBO index below all
-        # resolve GraphFrame.of(graph) to this one object (same buffers,
-        # one splu factorisation), and the snapshot keeps it afterwards
+        # the pipeline and the canonical row order below all resolve
+        # GraphFrame.of(graph) to this one object (same buffers), and the
+        # snapshot keeps it afterwards
         frame = GraphFrame.of(graph)
         state = self._state if config.incremental else None
         incremental = (
@@ -604,11 +611,6 @@ class SnapshotBuilder:
                 ubo = assemble_beneficial_owners(
                     graph, integrated, controlled, config.ubo_threshold
                 )
-                # free the factorisation on the thread that made it (the
-                # snapshot is retired by whichever thread publishes the
-                # next version); a custom-threshold solve factorises
-                # again, as it does on every attached snapshot
-                frame.release_ownership_systems()
 
             with self.tracer.span("snapshot.canonical_rows"):
                 rows = canonical_rows(frame, family_links, control, close)

@@ -73,7 +73,7 @@ from typing import Any, Sequence
 from ..graph.company_graph import CompanyGraph
 from . import shm as shm_codec
 from .registry import GraphRegistry, TenantError, UnknownTenantError, validate_tenant
-from .server import Metrics, ReasoningService, ServiceConfig, import_before_serving
+from .server import Metrics, ReasoningService, ServiceConfig
 from .snapshot import DEFAULT_TENANT, Snapshot, SnapshotManager
 from .updates import MutationError
 
@@ -210,7 +210,6 @@ class ServicePool:
             return [self._segments[t].name for t in sorted(self._segments)]
 
     def start(self) -> "ServicePool":
-        import_before_serving()  # once, shared by every fork
         for name, binding in self.registry.items():
             self._seal(binding.manager.current, name)
         self._reserve_port()

@@ -10,19 +10,26 @@ long chain), parallel edges, persons, and exact ties — control at
 exactly 0.5 and accumulated ownership at exactly the close-link
 threshold, each reached only by summing edges.  Weights are multiples of
 1/64, so sums are exact and the definition, not float order, decides a
-tie.
+tie.  The integrated-ownership rows behind the UBO index are checked
+against the dense global solve, and patched against cold.
 """
 
 import asyncio
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.core import PipelineConfig, ReasoningPipeline
-from repro.graph import CompanyGraph
+from repro.graph import CompanyGraph, GraphFrame
 from repro.graph.io import write_company_csv
-from repro.ownership import close_link_pairs, is_acyclic
+from repro.ownership import (
+    close_link_pairs,
+    integrated_ownership_from,
+    integrated_ownership_matrix,
+    is_acyclic,
+)
 from repro.service import ServiceConfig, SnapshotBuilder, SnapshotConfig, build_service
 from repro.service.updates import apply_deltas
 
@@ -133,6 +140,22 @@ def ownership_world(draw):
     return graph, deltas, threshold
 
 
+def assert_rows_match_oracle(graph, rows):
+    """Integrated-ownership rows within 1e-12 of the dense global solve,
+    on graphs where ``I - W`` is far from singular (elsewhere the oracle
+    has no answer to compare with)."""
+    w = GraphFrame.of(graph).ownership_w().toarray()
+    if np.linalg.cond(np.eye(len(w)) - w) > 1e6:
+        return
+    nodes, matrix = integrated_ownership_matrix(graph)
+    index = {node: i for i, node in enumerate(nodes)}
+    for source, row in rows.items():
+        for target in nodes:
+            if target != source:
+                expected = matrix[index[source], index[target]]
+                assert abs(row.get(target, 0.0) - expected) <= 1e-12, (source, target)
+
+
 def pipeline_relations(graph, threshold):
     pipeline = ReasoningPipeline(
         graph,
@@ -151,6 +174,7 @@ def test_pipeline_equals_cold_and_patched_snapshot_rows(world):
     builder = SnapshotBuilder(config)
     cold = builder.build(graph)
     assert (cold.control, cold.close_links) == pipeline_relations(graph, threshold)
+    assert_rows_match_oracle(graph, builder._state.integrated)
 
     candidate = graph.copy()
     batch = apply_deltas(candidate, deltas)
@@ -159,6 +183,11 @@ def test_pipeline_equals_cold_and_patched_snapshot_rows(world):
     patched = builder.build(candidate, delta=batch)
     assert patched.incremental
     assert (patched.control, patched.close_links) == pipeline_relations(candidate, threshold)
+    # a row depends only on the SCCs its source reaches: carried-over UBO
+    # rows are the floats a cold build derives
+    assert patched.ubo == SnapshotBuilder(config).build(candidate).ubo
+    rows = {node: integrated_ownership_from(candidate, node) for node in candidate.node_ids()}
+    assert_rows_match_oracle(candidate, rows)
 
 
 class TestTwentyHopChain:

@@ -127,9 +127,22 @@ class TestImportSets:
         FrameStore.create(tmp_path / "store")
         assert "scipy" not in cli_modules("store", "versions", tmp_path / "store")
 
-    def test_ubo_is_the_command_that_solves(self, extract):
+    def test_ubo_loads_no_scipy(self, extract):
+        assert "scipy" not in cli_modules("ubo", extract)
         # the positive control: the probe does see scipy when it is used
-        assert "scipy" in cli_modules("ubo", extract)
+        assert "scipy" in import_modules(
+            "from repro.graph import figure1_graph\n"
+            "from repro.ownership import integrated_ownership_matrix\n"
+            "integrated_ownership_matrix(figure1_graph())"
+        )
+
+    def test_only_the_oracle_imports_the_sparse_solver(self):
+        users = [
+            str(path.relative_to(SRC))
+            for path in sorted(Path(SRC, "repro").rglob("*.py"))
+            if "scipy.sparse.linalg" in path.read_text()
+        ]
+        assert users == [str(Path("repro", "ownership", "matrix.py"))]
 
     def test_no_module_level_scipy_import_in_src(self):
         offenders = [
@@ -257,6 +270,24 @@ class TestSurfaceParity:
         assert not hasattr(repro.graph.GraphFrame, "adopt_ownership_system")
         assert not hasattr(importlib.import_module("repro.ownership.matrix"),
                            "try_low_rank_update")
+
+    def test_the_global_factorisation_is_gone(self):
+        import importlib
+        import inspect
+
+        import repro.ownership
+        from repro.graph import GraphFrame, figure2_graph
+
+        assert not hasattr(GraphFrame, "release_ownership_systems")
+        frame = GraphFrame(figure2_graph())
+        assert frame.ownership_system() is None
+        assert not hasattr(frame, "_ownership_systems")
+        assert not hasattr(importlib.import_module("repro.service.server"),
+                           "import_before_serving")
+        for name in ("integrated_ownership", "integrated_ownership_from",
+                     "integrated_ownership_matrix"):
+            parameters = inspect.signature(getattr(repro.ownership, name)).parameters
+            assert "damping" not in parameters
 
     def test_the_depth_bound_is_gone(self):
         import repro.ownership
@@ -443,6 +474,7 @@ SERVE_AND_DIFF = """
             statuses = [asyncio.run(get(pool.port, p.format(node=node)))[0] for p in PATHS]
             served = pool.cluster_metrics()["per_worker"][0]["modules"]
         late = ours(served) - at_fork[0]
+        solver = "scipy" in served
     else:
         from repro.service import ReasoningService
         registry, node = registry_of()
@@ -454,13 +486,15 @@ SERVE_AND_DIFF = """
             await service.stop()
             return statuses, ours(sys.modules) - ready
         statuses, late = asyncio.run(serve())
-    print(json.dumps({"statuses": statuses, "late": sorted(late)}))
+        solver = "scipy" in sys.modules
+    print(json.dumps({"statuses": statuses, "late": sorted(late), "scipy": solver}))
 """
 
 
 class TestForkAfterImport:
     """The hard boot is the attach from ``--store``: nothing was built,
-    so nothing has factorised, so nothing has imported the solver."""
+    so nothing a build imports is loaded.  No request may import a module
+    either, and none needs scipy: serving never loads it."""
 
     @pytest.fixture(scope="class")
     def store(self, tmp_path_factory):
@@ -479,3 +513,4 @@ class TestForkAfterImport:
         report = run_fresh(SERVE_AND_DIFF, mode, store)
         assert report["statuses"] == [200] * 13 + [404]
         assert report["late"] == []
+        assert report["scipy"] is False

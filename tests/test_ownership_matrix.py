@@ -1,5 +1,7 @@
 """Tests for integrated ownership (matrix walk-sum) and UBO detection."""
 
+import warnings
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -143,6 +145,54 @@ class TestIntegratedOwnership:
         accumulated = accumulated_ownership_from(graph, "c0")
         for target, value in integrated.items():
             assert value == pytest.approx(accumulated[target], abs=1e-9)
+
+
+class TestCircularHoldings:
+    """``a`` and ``b`` hold 100 % of each other: no finite walk-sum exists
+    inside that SCC, nor below it.  Only rows that reach it lose entries,
+    and only those at or below it."""
+
+    @staticmethod
+    def build() -> CompanyGraph:
+        graph = CompanyGraph()
+        graph.add_person("q")
+        graph.add_person("p")
+        for company in ("y", "a", "b", "c", "d"):
+            graph.add_company(company)
+        graph.add_shareholding("q", "y", 0.9)
+        graph.add_shareholding("a", "b", 1.0)
+        graph.add_shareholding("b", "a", 1.0)
+        return graph
+
+    def test_an_unrelated_cycle_leaves_other_rows_exact(self):
+        graph = self.build()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert integrated_ownership_from(graph, "q") == {"y": 0.9}
+            (owner,) = all_beneficial_owners(graph)["y"]
+        assert (owner.person, owner.integrated_share) == ("q", 0.9)
+
+    def test_a_row_through_the_cycle_leaves_out_what_lies_below_it(self):
+        graph = self.build()
+        graph.add_shareholding("p", "a", 0.5)
+        graph.add_shareholding("b", "c", 0.4)
+        graph.add_shareholding("p", "c", 0.1)  # c: reached around the cycle too
+        graph.add_shareholding("p", "d", 0.3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert integrated_ownership_from(graph, "p") == {"d": 0.3}
+            assert integrated_ownership_from(graph, "q") == {"y": 0.9}
+
+    def test_a_full_buy_back_is_a_singular_singleton(self):
+        graph = CompanyGraph()
+        graph.add_person("p")
+        for company in ("s", "t", "u"):
+            graph.add_company(company)
+        graph.add_shareholding("p", "s", 0.5)
+        graph.add_shareholding("s", "s", 1.0)
+        graph.add_shareholding("s", "t", 0.2)
+        graph.add_shareholding("p", "u", 0.4)
+        assert integrated_ownership_from(graph, "p") == {"u": 0.4}
 
 
 class TestUbo:

@@ -108,14 +108,9 @@ class TestBuild:
         )
         assert control_edges == len(snapshot.control)
 
-    def test_build_keeps_no_factorisation_on_the_frame_it_hands_over(self, graph):
-        # SuperLU leaks when freed off the thread that factorised, and a
-        # snapshot is retired by whichever thread publishes the next one
-        snapshot = SnapshotBuilder().build(graph)
-        assert not snapshot.frame._ownership_systems
+    def test_custom_threshold_ubo_keeps_the_default_owners(self, snapshot):
         company = next(iter(snapshot.ubo))
         custom = snapshot.ubo_payloads([company], threshold=0.0)[company]
-        assert snapshot.frame._ownership_systems  # factorised again on demand
         assert {o["person"] for o in custom["owners"]} >= {
             o.person for o in snapshot.ubo[company]
         }
@@ -152,6 +147,38 @@ class TestPayloads:
             assert [o["person"] for o in owners] == [
                 o.person for o in snapshot.ubo[company]
             ]
+
+    def test_custom_threshold_ubo_computes_the_rows_that_reach_it(
+        self, graph, snapshot, monkeypatch
+    ):
+        from repro.ownership.close_links import _PhiRows
+        from repro.ownership.ubo import assemble_beneficial_owners, beneficial_owner_rows
+        from repro.service.incremental import shareholding_ancestors
+
+        integrated, controlled = beneficial_owner_rows(graph)
+        full = assemble_beneficial_owners(graph, integrated, controlled, 0.1)
+        computed = []
+        integrated_row = _PhiRows.integrated
+
+        def counting(rows, source):
+            computed.append(source)
+            return integrated_row(rows, source)
+
+        monkeypatch.setattr(_PhiRows, "integrated", counting)
+        persons = {node.id for node in graph.persons()}
+        counts = []
+        for company in (node.id for node in graph.companies()):
+            computed.clear()
+            payload = snapshot.ubo_payloads([company], threshold=0.1)[company]
+            # k persons reach the company: k rows, not one per person
+            assert sorted(computed) == sorted(shareholding_ancestors(graph, [company]) & persons)
+            counts.append(len(computed))
+            assert payload["owners"] == [
+                {"person": o.person, "integrated_share": round(o.integrated_share, 6),
+                 "controls": o.controls, "basis": o.basis}
+                for o in full.get(company, [])
+            ]
+        assert any(0 < k < len(persons) for k in counts)
 
     def test_ubo_batch_custom_threshold(self, snapshot):
         companies = [c for c in snapshot.ubo][:2]
