@@ -255,9 +255,24 @@ class Engine:
         # derived facts), populated only when a live tracer is attached.
         rule_metrics: dict[int, list] | None = {} if span is not None else None
 
-        # Round 0: full evaluation of every rule.
-        delta: list[Fact] = []
+        # Exit rules read nothing this stratum derives, so one application,
+        # before anything else, finds all their facts. Those facts go into
+        # the database but not into the delta: round 0 of the other rules
+        # sees them in full, so no later round needs them as a seed. (The
+        # naive ablation baseline keeps every rule in every round.)
+        rules: list[Rule] = []
+        exit_rules: list[Rule] = []
         for rule in stratum.rules:
+            exits = self.seminaive and not rule.body_predicates() & stratum.predicates
+            (exit_rules if exits else rules).append(rule)
+        for rule in exit_rules:
+            self._apply_rule(rule, None, None, rule_metrics)
+        if span is not None and self.seminaive:
+            span.set("exit_rules", len(exit_rules))
+
+        # Round 0: full evaluation of every other rule.
+        delta: list[Fact] = []
+        for rule in rules:
             delta.extend(self._apply_rule(rule, None, None, rule_metrics))
         self.stats.iterations += 1
         if span is not None:
@@ -284,14 +299,12 @@ class Engine:
             for predicate, values in delta:
                 delta_by_predicate.setdefault(predicate, []).append(values)
             delta = []
-            for rule in stratum.rules:
+            for rule in rules:
                 body = rule.body
-                seen_positions: set[int] = set()
                 for occurrence, literal_index in enumerate(rule.positive_positions()):
                     predicate = body[literal_index].predicate
-                    if predicate not in delta_by_predicate or occurrence in seen_positions:
+                    if predicate not in delta_by_predicate:
                         continue
-                    seen_positions.add(occurrence)
                     delta.extend(
                         self._apply_rule(
                             rule,

@@ -133,6 +133,35 @@ class TestFamilyMaterialisation:
         assert any(company == "firm" for _, company in pairs)
 
 
+class TestExitRulesSeedNoRound:
+    """The input mapping's facts are complete before the ownership rules'
+    first round, so no semi-naive round is seeded with them: the
+    ``edge_type`` seed of ``ctrl_step`` / ``fam_step`` used to cross every
+    shareholding with every unconnected candidate (≈ 600 k rows here)."""
+
+    def test_control_joins_stay_linear_in_the_shareholdings(self):
+        from repro.telemetry import Tracer
+
+        graph, _ = generate_company_graph(CompanySpec(persons=500, companies=400, seed=7))
+        bound = 2 * sum(1 for _ in graph.shareholdings())
+        pipeline = ReasoningPipeline(graph, fast_config())
+        assert pipeline.materialise_families(pipeline.family_links())
+        tracer = Tracer()
+        pipeline.tracer = tracer
+        assert pipeline.control_pairs()
+        assert pipeline.family_control_pairs()
+
+        plans = [
+            span for span in tracer.root.walk()
+            if span.name.startswith(("plan:ctrl_step", "plan:fam_step"))
+        ]
+        assert {span.name.split()[0] for span in plans} == {
+            "plan:ctrl_step", "plan:fam_step"
+        }
+        for span in plans:
+            assert max(span.attributes["actual_rows"]) <= bound, span.name
+
+
 class TestAugment:
     def test_augment_adds_typed_edges(self, world):
         graph, truth = world

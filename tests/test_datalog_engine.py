@@ -13,6 +13,7 @@ from repro.datalog import (
     parse_program,
     solve,
 )
+from repro.telemetry import Tracer
 
 
 class TestBasicEvaluation:
@@ -300,6 +301,41 @@ class TestNaiveMode:
         )
         slow_engine.run()
         assert set(fast.query("path")) == set(slow_engine.query("path"))
+
+    def test_exit_rule_after_the_recursive_rules(self):
+        # the exit rules come last in the text but run first; their facts
+        # seed no round, and the fixpoint is the naive one
+        program = """
+        path(X, Z), edge(Z, Y) -> path(X, Y).
+        reach(X, Z), share(Z, Y, W), T = msum(W, <Z>), T > 0.5 -> reach(X, Y).
+        reach(X, Y), X != Y -> path(X, Y).
+        path(X, Y), hub(Y) -> reach(X, Y).
+        edge(X, Y) -> path(X, Y), seen(X).
+        node(X) -> reach(X, X).
+        """
+        facts = (
+            [("edge", (i, i + 1)) for i in range(4)]
+            + [("node", (i,)) for i in range(6)]
+            + [("share", (i, 5, 0.3)) for i in range(3)]
+            + [("share", (4, 0, 0.6)), ("share", (4, 5, 0.3)), ("hub", (3,))]
+        )
+        tracer = Tracer()
+        fast = Engine(parse_program(program), Database(list(facts)), tracer=tracer)
+        fast.run()
+        for plan in (True, False):
+            slow = Engine(
+                parse_program(program), Database(list(facts)), seminaive=False,
+                plan=plan,
+            )
+            slow.run()
+            assert set(fast.database.all_facts()) == set(slow.database.all_facts())
+        assert (4, 5) in set(fast.query("reach"))
+        (stratum,) = [s for s in tracer.root.walk() if s.name.startswith("stratum[")]
+        assert stratum.attributes["exit_rules"] == 2
+        # round 0 holds what the four other rules derived over every exit
+        # fact (3 two-hop paths, reach(4, 0), path(4, 0), reach(1, 3),
+        # reach(2, 3)) and none of the 14 exit facts
+        assert stratum.attributes["delta_sizes"][0] == 7
 
     def test_iteration_budget_enforced(self):
         program = parse_program(

@@ -132,7 +132,8 @@ class TestPlanShape:
             + [("block", (0, f"s{i % 7}", p)) for i, p in enumerate(persons)]
         )
         (rule,) = parse_program(family_link_program(("partner_of",))).rules
-        # round 0 and both node_type seeds (body positions 3 and 4)
+        # the full plan and both node_type seeds (body positions 3 and 4),
+        # which a program deriving node_type inside the fixpoint still uses
         for seed in (None, 3, 4):
             plan = plan_rule(rule, seed, database)
             assert plan.feasible

@@ -146,10 +146,17 @@ def recursive_aggregate_programs(draw):
     exercised: rules whose body holds a complex term over a predicate
     derived recursively in the same stratum (the semi-naive seed path),
     and monotonic aggregates over recursively derived facts (the
-    duplicate-round pruning path).
+    duplicate-round pruning path).  The exit rule into ``path`` is
+    sometimes multi-head, as the input mapping's rules are, and sometimes
+    comes textually after every recursive rule.
     """
-    rules = ["edge(X, Y) -> path(X, Y).",
-             "path(X, Z), edge(Z, Y) -> path(X, Y)."]
+    exit_rule = draw(st.sampled_from([
+        "edge(X, Y) -> path(X, Y).",
+        "edge(X, Y) -> path(X, Y), seen(X).",
+    ]))
+    exit_last = draw(st.booleans())
+    rules = [] if exit_last else [exit_rule]
+    rules.append("path(X, Z), edge(Z, Y) -> path(X, Y).")
     if draw(st.booleans()):
         rules.append("path(X, Y) -> path(Y, X).")
     if draw(st.booleans()):
@@ -179,6 +186,8 @@ def recursive_aggregate_programs(draw):
         # stratified negation over the recursively derived predicate:
         # isolated sits in a stratum strictly above path
         rules.append("mark(X), not path(X, X) -> isolated(X).")
+    if exit_last:
+        rules.append(exit_rule)
 
     n = draw(st.integers(min_value=1, max_value=6))
     node = st.integers(min_value=0, max_value=n - 1)

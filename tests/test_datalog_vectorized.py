@@ -329,7 +329,10 @@ class TestFamilyLinkParity:
             key: rule for key, rule in _vector_rules(vec).items()
             if key[0].startswith("fl_")
         }
-        assert len(family) == 9  # 3 classes x (round 0 + two node_type seeds)
+        # one full application per class: the input mapping's node_type
+        # facts come from exit rules, so they seed no second round
+        assert len(family) == 3
+        assert {seed for _, seed in family} == {None}
         for rule in family.values():
             assert rule.cut is None
             rows, distinct = rule.external

@@ -227,7 +227,7 @@ class TestPipelineInstrumentation:
         spans = {s.name: s for s in tracer.root.walk()}
 
         # batch external: vectorized to the head, rows and distinct tuples counted
-        for name in ("rule:fl_partner_of", "plan:fl_partner_of", "plan:fl_partner_of seed@3"):
+        for name in ("rule:fl_partner_of", "plan:fl_partner_of"):
             attributes = spans[name].attributes
             assert attributes["cut"] == "none", name
             assert attributes["external_rows"] >= attributes["external_distinct"] > 0
@@ -237,6 +237,12 @@ class TestPipelineInstrumentation:
         assert rule.attributes["external_rows"] == sum(
             s.attributes["external_rows"] for s in plans
         )
+        # node_type comes from the input mapping's exit rules, so it seeds
+        # no round after the first: each family rule runs once
+        family_rules = [s for name, s in spans.items() if name.startswith("rule:fl_")]
+        assert len(family_rules) == 3
+        for span in family_rules:
+            assert span.attributes["applications"] == 1, span.name
         # a Skolem assignment is per-row territory: the cut names its step
         assert spans["plan:map_person"].attributes["cut"] == 1
         assert spans["rule:map_person"].attributes["cut"] == 1
