@@ -31,6 +31,7 @@ components it uses (``generate`` needs neither numpy nor scipy,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from pathlib import Path
@@ -375,6 +376,7 @@ MAX_WORKERS = 64
 
 def _serve(args: argparse.Namespace) -> int:
     import asyncio
+    import signal
 
     from .service import ReasoningService, ServiceConfig, TenantError, validate_tenant
 
@@ -399,40 +401,65 @@ def _serve(args: argparse.Namespace) -> int:
         raise CLIError("serve needs an extract directory or --store")
     if args.directory is not None and not args.directory.is_dir():
         raise CLIError(f"extract directory not found: {args.directory}")
-    registry = _serve_registry(args)
-    config = ServiceConfig(
-        host=args.host,
-        port=args.port,
-        max_concurrency=args.max_concurrency,
-        max_queue=args.max_queue,
-        request_timeout_s=args.request_timeout,
-        cache_capacity=args.cache_capacity,
-    )
-
-    def ready(port: int, fleet: str = "") -> None:
-        snapshot = registry.get(args.tenant).manager.current
-        origin = (
-            f"built in {snapshot.built_s:.2f}s" if args.directory is not None
-            else f"attached from {args.store}, {len(registry)} tenant(s)"
-        )
-        print(
-            f"serving snapshot v{snapshot.version} "
-            f"({snapshot.graph.node_count} nodes, {snapshot.graph.edge_count} edges, "
-            f"{origin}) on http://{args.host}:{port}{fleet}",
-            flush=True,
-        )
-
-    if args.workers > 1:
-        return _serve_pool(args, registry, config, ready)
-    service = ReasoningService(config=config, tracer=_tracer_of(args), registry=registry)
+    store = _serve_store(args)
     try:
-        asyncio.run(service.run(ready=lambda svc: ready(svc.port)))
-    except KeyboardInterrupt:
-        print("shutting down", file=sys.stderr)
-    return 0
+        registry = _serve_registry(args, store)
+        config = ServiceConfig(
+            host=args.host,
+            port=args.port,
+            max_concurrency=args.max_concurrency,
+            max_queue=args.max_queue,
+            request_timeout_s=args.request_timeout,
+            cache_capacity=args.cache_capacity,
+        )
+
+        def ready(port: int, fleet: str = "") -> None:
+            snapshot = registry.get(args.tenant).manager.current
+            origin = (
+                f"built in {snapshot.built_s:.2f}s" if args.directory is not None
+                else f"attached from {args.store}, {len(registry)} tenant(s)"
+            )
+            print(
+                f"serving snapshot v{snapshot.version} "
+                f"({snapshot.graph.node_count} nodes, {snapshot.graph.edge_count} edges, "
+                f"{origin}) on http://{args.host}:{port}{fleet}",
+                flush=True,
+            )
+
+        if args.workers > 1:
+            return _serve_pool(args, registry, config, ready)
+        service = ReasoningService(
+            config=config, tracer=_tracer_of(args), registry=registry
+        )
+        # SIGTERM shuts down the way Ctrl-C does, so the store below closes
+        signal.signal(signal.SIGTERM, signal.default_int_handler)
+        try:
+            asyncio.run(service.run(ready=lambda svc: ready(svc.port)))
+        except KeyboardInterrupt:
+            print("shutting down", file=sys.stderr)
+        return 0
+    finally:
+        # closing the last catalog connection checkpoints the WAL: a
+        # clean shutdown leaves no catalog.db-wal / -shm behind
+        if store is not None:
+            store.close()
 
 
-def _serve_registry(args: argparse.Namespace):
+def _serve_store(args: argparse.Namespace):
+    """``--store``'s :class:`FrameStore` (created when an extract seeds
+    it), or None without the flag."""
+    if args.store is None:
+        return None
+    from .storage import FrameStore, StoreError
+
+    opener = FrameStore.open if args.directory is None else FrameStore.open_or_create
+    try:
+        return opener(args.store)
+    except StoreError as exc:
+        raise CLIError(str(exc)) from exc
+
+
+def _serve_registry(args: argparse.Namespace, store):
     """Boot the registry ``serve`` runs, single-process or pooled:
     ``--tenant`` from the extract (built as the version after the store's
     newest) or from ``--store`` (mmap-attached, ``--version`` or latest,
@@ -442,15 +469,9 @@ def _serve_registry(args: argparse.Namespace):
     from .service import GraphRegistry, SnapshotConfig
 
     tracer = _tracer_of(args)
-    store = persist = None
-    if args.store is not None:
-        from .storage import FrameStore, StoreError
-
-        opener = FrameStore.open if args.directory is None else FrameStore.open_or_create
-        try:
-            store = opener(args.store)
-        except StoreError as exc:
-            raise CLIError(str(exc)) from exc
+    persist = None
+    if store is not None:
+        from .storage import StoreError
 
         def persist(snapshot, tenant: str):
             store.persist(snapshot, tenant=tenant)
@@ -528,33 +549,33 @@ def _store_cmd(args: argparse.Namespace) -> int:
     from .storage import FrameStore, StoreError
 
     try:
-        store = FrameStore.open(args.directory)
-        if args.store_command == "versions":
-            rows = store.versions(tenant=args.tenant)
-            model_rows = store.model_rows()
-            column_files = store.column_files()
-            print(
-                "tenant,version,state,nodes,edges,model_rows,"
-                "columns_written,column_bytes"
-            )
-            for row in rows:
-                key = (row["tenant"], row["version"])
-                files, nbytes = column_files.get(key, (0, 0))
+        with contextlib.closing(FrameStore.open(args.directory)) as store:
+            if args.store_command == "versions":
+                rows = store.versions(tenant=args.tenant)
+                model_rows = store.model_rows()
+                column_files = store.column_files()
                 print(
-                    f"{row['tenant']},{row['version']},{row['state']},"
-                    f"{row['nodes'] if row['nodes'] is not None else ''},"
-                    f"{row['edges'] if row['edges'] is not None else ''},"
-                    f"{model_rows.get(key, 0)},{files},{nbytes}"
+                    "tenant,version,state,nodes,edges,model_rows,"
+                    "columns_written,column_bytes"
                 )
-            print(f"# {len(rows)} versions", file=sys.stderr)
+                for row in rows:
+                    key = (row["tenant"], row["version"])
+                    files, nbytes = column_files.get(key, (0, 0))
+                    print(
+                        f"{row['tenant']},{row['version']},{row['state']},"
+                        f"{row['nodes'] if row['nodes'] is not None else ''},"
+                        f"{row['edges'] if row['edges'] is not None else ''},"
+                        f"{model_rows.get(key, 0)},{files},{nbytes}"
+                    )
+                print(f"# {len(rows)} versions", file=sys.stderr)
+                return 0
+            # gc — the store refuses keep < 1, so the latest published
+            # version of every tenant (and all staging rows) always survive
+            pruned = store.gc(args.keep, tenant=args.tenant)
+            for row in pruned:
+                print(f"{row['tenant']},{row['version']}")
+            print(f"# pruned {len(pruned)} version(s)", file=sys.stderr)
             return 0
-        # gc — the store refuses keep < 1, so the latest published
-        # version of every tenant (and all staging rows) always survive
-        pruned = store.gc(args.keep, tenant=args.tenant)
-        for row in pruned:
-            print(f"{row['tenant']},{row['version']}")
-        print(f"# pruned {len(pruned)} version(s)", file=sys.stderr)
-        return 0
     except StoreError as exc:
         raise CLIError(str(exc)) from exc
 

@@ -4,7 +4,9 @@ Three cooperating pieces, all event-loop local (no thread locks — every
 mutation happens on the loop; the heavy computations themselves run in
 executor threads but their *registration* is loop-side):
 
-* :class:`LRUCache` — a bounded mapping with hit/miss/eviction counters.
+* :class:`LRUCache` — a bounded mapping with hit/miss/eviction counters
+  and the summed length of the ``bytes`` values it holds (the server
+  caches encoded response bodies).
   Keys are ``(tenant, snapshot_version, endpoint, params)`` tuples (see
   :func:`~repro.service.snapshot.snapshot_key`): the tenant keeps
   co-hosted graphs in disjoint keyspaces, and the snapshot version makes
@@ -45,6 +47,8 @@ class LRUCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
+        #: summed length of the held values that are ``bytes``
+        self.bytes = 0
 
     def get(self, key: Hashable, default: Any = None) -> Any:
         try:
@@ -57,10 +61,13 @@ class LRUCache:
         return value
 
     def put(self, key: Hashable, value: Any) -> None:
+        self.bytes -= _nbytes(self._entries.get(key))
         self._entries[key] = value
         self._entries.move_to_end(key)
+        self.bytes += _nbytes(value)
         while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
+            _key, evicted = self._entries.popitem(last=False)
+            self.bytes -= _nbytes(evicted)
             self.evictions += 1
 
     def __contains__(self, key: Hashable) -> bool:
@@ -71,6 +78,7 @@ class LRUCache:
 
     def clear(self) -> None:
         self._entries.clear()
+        self.bytes = 0
 
     def evict_prefix(self, prefix: Any) -> int:
         """Drop every entry whose tuple key leads with ``prefix``.
@@ -85,7 +93,7 @@ class LRUCache:
             if isinstance(key, tuple) and key and key[0] == prefix
         ]
         for key in doomed:
-            del self._entries[key]
+            self.bytes -= _nbytes(self._entries.pop(key))
         self.evictions += len(doomed)
         return len(doomed)
 
@@ -96,7 +104,12 @@ class LRUCache:
             "hits": self.hits,
             "misses": self.misses,
             "evictions": self.evictions,
+            "bytes": self.bytes,
         }
+
+
+def _nbytes(value: Any) -> int:
+    return len(value) if isinstance(value, bytes) else 0
 
 
 class SingleFlight:
@@ -161,7 +174,7 @@ class ReasoningCache:
         return self.flight.leaders
 
     def evict_tenant(self, tenant: str) -> int:
-        """Drop a deleted tenant's cached payloads (keys lead with it)."""
+        """Drop a deleted tenant's cached bodies (keys lead with it)."""
         return self.lru.evict_prefix(tenant)
 
     async def get_or_compute(

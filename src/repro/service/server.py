@@ -3,7 +3,12 @@
 The serving path, per request::
 
     accept -> admission control -> route (tenant, endpoint) -> LRU ->
-    single-flight / micro-batch -> snapshot read (executor thread) -> JSON
+    single-flight / micro-batch -> snapshot read + encode (executor
+    thread) -> LRU of bodies
+
+The cache holds response bodies, not payload objects: a cacheable read
+is encoded to JSON once, in the executor thread that computed it, and a
+hit writes the stored bytes to the socket as they are.
 
 Admission control keeps the event loop honest under overload: at most
 ``max_concurrency`` requests execute at once (semaphore); up to
@@ -421,7 +426,9 @@ class ReasoningService:
                 try:
                     request = await self._read_request(reader)
                 except HttpError as exc:
-                    await self._write(writer, exc.status, {"error": exc.message}, False)
+                    await self._write(
+                        writer, exc.status, _encode({"error": exc.message}), False
+                    )
                     break
                 except (asyncio.IncompleteReadError, ConnectionError):
                     break
@@ -431,11 +438,10 @@ class ReasoningService:
                 keep_alive = headers.get("connection", "keep-alive").lower() != "close"
                 split = urlsplit(target)
                 query = dict(parse_qsl(split.query))
-                started = time.perf_counter()
-                endpoint, status, payload = await self.handle_request(
+                _endpoint, status, response = await self.handle_request(
                     method, split.path, query, body
                 )
-                await self._write(writer, status, payload, keep_alive)
+                await self._write(writer, status, response, keep_alive)
                 if not keep_alive:
                     break
         except ConnectionError:
@@ -479,9 +485,8 @@ class ReasoningService:
         return method.upper(), target, headers, body
 
     async def _write(
-        self, writer: asyncio.StreamWriter, status: int, payload: Any, keep_alive: bool
+        self, writer: asyncio.StreamWriter, status: int, body: bytes, keep_alive: bool
     ) -> None:
-        body = json.dumps(payload, default=str).encode("utf-8")
         head = (
             f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}\r\n"
             "Content-Type: application/json\r\n"
@@ -498,9 +503,10 @@ class ReasoningService:
 
     async def handle_request(
         self, method: str, path: str, query: dict[str, str], body: bytes
-    ) -> tuple[str, int, Any]:
-        """Returns ``(endpoint, status, json_payload)`` — also the entry
-        point the tests and the benchmark drive directly."""
+    ) -> tuple[str, int, bytes]:
+        """Returns ``(endpoint, status, body)`` — the JSON response body,
+        as cached or encoded once here; also the entry point the tests
+        drive directly."""
         tenant, head, rest = _route(path)
         endpoint = head if head in _ENDPOINTS else "unknown"
         started = time.perf_counter()
@@ -526,6 +532,7 @@ class ReasoningService:
                 status, payload = 404, {"error": str(exc)}
             except Exception as exc:  # never leak a traceback to the socket
                 status, payload = 500, {"error": f"{type(exc).__name__}: {exc}"}
+            body = payload if isinstance(payload, bytes) else _encode(payload)
         label = None
         if endpoint in _TENANT_ENDPOINTS:
             label = tenant if tenant is not None else self.registry.alias
@@ -536,11 +543,7 @@ class ReasoningService:
             bypass=bypass,
             tenant=label,
         )
-        return endpoint, status, payload
-
-    def _endpoint_name(self, path: str) -> str:
-        head = _route(path)[1]
-        return head if head in _ENDPOINTS else "unknown"
+        return endpoint, status, body
 
     async def _admitted(
         self,
@@ -691,7 +694,7 @@ class ReasoningService:
                 )
             binding = self.registry.drop(tenant)  # UnknownTenantError -> 404
             # a same-named tenant created later restarts at version 1;
-            # stale cached payloads keyed (tenant, 1, ...) must not serve
+            # stale cached bodies keyed (tenant, 1, ...) must not serve
             self.cache.evict_tenant(tenant)
         return 200, {
             "status": "deleted",
@@ -703,50 +706,56 @@ class ReasoningService:
     # endpoint implementations
     # ------------------------------------------------------------------
 
-    async def _cached(self, key: Any, fn: Callable[[], Any]) -> Any:
-        """LRU -> single-flight -> executor; ``fn`` is a sync snapshot read."""
+    async def _cached(self, key: Any, fn: Callable[[], Any]) -> bytes:
+        """LRU -> single-flight -> executor; ``fn`` is a sync snapshot read,
+        encoded in the same executor call so the LRU holds its body."""
         loop = asyncio.get_running_loop()
 
-        async def compute() -> Any:
-            return await loop.run_in_executor(None, fn)
+        async def compute() -> bytes:
+            return await loop.run_in_executor(None, lambda: _encode(fn()))
 
         return await self.cache.get_or_compute(key, compute)
 
-    async def _control(self, tenant: str, query: dict[str, str]) -> Any:
+    async def _control(self, tenant: str, query: dict[str, str]) -> bytes:
         source = query.get("source")
         threshold = _threshold_param(query)
         snapshot = self.registry.get(tenant).manager.current
         key = snapshot_key(snapshot.version, "control", (source, threshold), tenant)
         return await self._cached(key, lambda: snapshot.control_payload(source, threshold))
 
-    async def _close_links(self, tenant: str, query: dict[str, str]) -> Any:
+    async def _close_links(self, tenant: str, query: dict[str, str]) -> bytes:
         threshold = _threshold_param(query)
         snapshot = self.registry.get(tenant).manager.current
         key = snapshot_key(snapshot.version, "close-links", (threshold,), tenant)
         return await self._cached(key, lambda: snapshot.close_links_payload(threshold))
 
-    async def _family(self, tenant: str) -> Any:
+    async def _family(self, tenant: str) -> bytes:
         snapshot = self.registry.get(tenant).manager.current
         key = snapshot_key(snapshot.version, "family", (), tenant)
         return await self._cached(key, snapshot.family_payload)
 
-    async def _stats(self, tenant: str) -> Any:
+    async def _stats(self, tenant: str) -> bytes:
         binding = self.registry.get(tenant)
         snapshot = binding.manager.current
         key = snapshot_key(snapshot.version, "stats", (), tenant)
-        payload = dict(await self._cached(key, snapshot.stats_payload))
-        # identity fields land outside the cached payload: the cache is
+        cached = await self._cached(key, snapshot.stats_payload)
+        # identity fields land outside the cached body: the cache is
         # version-keyed and must stay byte-identical across workers
-        payload["snapshot_version"] = snapshot.version
-        payload["worker_id"] = self.worker_id
-        payload["tenant"] = binding.name
+        extra: dict[str, Any] = {
+            "snapshot_version": snapshot.version,
+            "worker_id": self.worker_id,
+            "tenant": binding.name,
+        }
         if self.registry.persist is not None:
-            payload["persist"] = self.registry.persist.stats()
+            extra["persist"] = self.registry.persist.stats()
         elif self.builder_persist is not None:
-            payload["persist"] = self.builder_persist
-        return payload
+            extra["persist"] = self.builder_persist
+        # splice the two JSON objects: the body equals the encoding of
+        # the merged dict (the stats payload is never empty and shares
+        # no key with ``extra``)
+        return cached[:-1] + b", " + _encode(extra)[1:]
 
-    async def _ubo(self, tenant: str, company: str, query: dict[str, str]) -> Any:
+    async def _ubo(self, tenant: str, company: str, query: dict[str, str]) -> bytes:
         threshold = _threshold_param(query)
         snapshot = self.registry.get(tenant).manager.current
         if not snapshot.graph.has_node(company):
@@ -755,12 +764,12 @@ class ReasoningService:
             raise HttpError(400, f"{company} is not a company")
         key = snapshot_key(snapshot.version, "ubo", (company, threshold), tenant)
 
-        async def compute() -> Any:
+        async def compute() -> bytes:
             return await self._ubo_batcher.submit((tenant, snapshot, company, threshold))
 
         return await self.cache.get_or_compute(key, compute)
 
-    async def _neighbors(self, tenant: str, node_id: str, query: dict[str, str]) -> Any:
+    async def _neighbors(self, tenant: str, node_id: str, query: dict[str, str]) -> bytes:
         depth = _int_param(query, "depth", default=1, low=1, high=8)
         label = query.get("label")
         snapshot = self.registry.get(tenant).manager.current
@@ -843,24 +852,24 @@ class ReasoningService:
     # micro-batch function (custom-threshold /ubo lookups share solves)
     # ------------------------------------------------------------------
 
-    async def _ubo_batch(self, keys: list[Any]) -> dict[Any, Any]:
+    async def _ubo_batch(self, keys: list[Any]) -> dict[Any, bytes]:
         return await asyncio.get_running_loop().run_in_executor(
             None, self._ubo_batch_sync, keys
         )
 
     @staticmethod
-    def _ubo_batch_sync(keys: list[Any]) -> dict[Any, Any]:
+    def _ubo_batch_sync(keys: list[Any]) -> dict[Any, bytes]:
         # grouping keeps the tenant in the group key: two tenants' point
         # lookups never share a solve even if their snapshots collide in
         # version and node ids
         groups: dict[tuple[str, Snapshot, float | None], list[str]] = {}
         for tenant, snapshot, company, threshold in keys:
             groups.setdefault((tenant, snapshot, threshold), []).append(company)
-        results: dict[Any, Any] = {}
+        results: dict[Any, bytes] = {}
         for (tenant, snapshot, threshold), companies in groups.items():
             payloads = snapshot.ubo_payloads(companies, threshold)
             for company in companies:
-                results[(tenant, snapshot, company, threshold)] = payloads[company]
+                results[(tenant, snapshot, company, threshold)] = _encode(payloads[company])
         return results
 
 
@@ -885,6 +894,11 @@ def build_service(
     )
     registry.create(tenant, graph, start_version=start_version)
     return ReasoningService(config=config, tracer=tracer, registry=registry)
+
+
+def _encode(payload: Any) -> bytes:
+    """A response body: every route's payload goes through this once."""
+    return json.dumps(payload, default=str).encode("utf-8")
 
 
 def _threshold_param(query: dict[str, str]) -> float | None:

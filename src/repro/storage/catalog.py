@@ -151,8 +151,9 @@ LIVE_AT = "born <= ? AND (died IS NULL OR died > ?)"
 def connect(path: str) -> sqlite3.Connection:
     # isolation_level=None puts the driver in autocommit so transaction
     # boundaries are exactly the explicit BEGIN/COMMIT the store issues —
-    # the publish-flip atomicity depends on owning those boundaries.
-    conn = sqlite3.connect(path, isolation_level=None)
+    # the publish-flip atomicity depends on owning those boundaries.  A
+    # store shares its one connection across threads under its own lock.
+    conn = sqlite3.connect(path, isolation_level=None, check_same_thread=False)
     conn.execute("PRAGMA journal_mode=WAL")
     conn.execute("PRAGMA synchronous=FULL")
     conn.execute("PRAGMA foreign_keys=ON")

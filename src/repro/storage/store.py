@@ -85,9 +85,10 @@ import shutil
 import sqlite3
 import threading
 import time
+import weakref
 import zlib
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterator
 
 import numpy as np
 
@@ -134,9 +135,13 @@ class StoredSnapshot(Snapshot):
 class FrameStore:
     """One durable store directory; every public method is self-contained.
 
-    Connections are opened per operation (SQLite WAL handles concurrent
-    readers); :meth:`persist` is additionally serialised in-process so a
-    service's updater thread and control plane cannot interleave claims.
+    A store object keeps one catalog connection from :meth:`open` /
+    :meth:`create` to :meth:`close`, shared by the threads that use it
+    (persists run on a service's executor threads, boot reads on the
+    main thread) under one lock, so persists and reads never interleave.
+    Closing the last connection is what checkpoints the WAL and removes
+    ``catalog.db-wal`` / ``-shm``: a persist pays no checkpoint, and a
+    clean shutdown leaves the catalog as one file.
     """
 
     def __init__(self, root: str | Path) -> None:
@@ -152,7 +157,11 @@ class FrameStore:
         #: (model rows), ``columns_written`` / ``columns_shared``,
         #: ``column_bytes`` (bytes of the written ones) and ``seconds``
         self.last_persist: dict[str, Any] | None = None
-        self._persist_lock = threading.Lock()
+        #: the catalog connection, ``None`` before open and after close
+        self._conn: sqlite3.Connection | None = None
+        #: held for every use of ``_conn`` (re-entrant: attach reads the
+        #: version list through the public methods)
+        self._lock = threading.RLock()
         #: tenant -> model of the newest version this object
         #: persisted or attached; only ever used after the flip
         #: transaction has confirmed it is still the catalog's newest
@@ -165,8 +174,8 @@ class FrameStore:
         store = cls(root)
         store.root.mkdir(parents=True, exist_ok=True)
         store.versions_root.mkdir(exist_ok=True)
-        with store._connect(init=True) as conn:
-            cat.init_schema(conn)
+        store._adopt(store._connect(init=True))
+        cat.init_schema(store._conn)
         fsync_dir(store.root)
         return store
 
@@ -175,8 +184,8 @@ class FrameStore:
         store = cls(root)
         if not store.root.is_dir() or not store.catalog_path.is_file():
             raise StoreError(f"store not found: {store.root}")
-        with store._connect() as conn:
-            store._recover(conn)
+        store._adopt(store._connect())
+        store._recover(store._conn)
         return store
 
     @classmethod
@@ -184,7 +193,33 @@ class FrameStore:
         exists = cls(root).catalog_path.is_file()
         return cls.open(root) if exists else cls.create(root)
 
+    def _adopt(self, conn: sqlite3.Connection) -> None:
+        self._conn = conn
+        # A store dropped without close() closes its connection at once,
+        # and one still open closes at interpreter exit: an sqlite3
+        # connection sits in a reference cycle, so it would otherwise
+        # wait for the cyclic GC, which may run in a forked child.
+        self._closer = weakref.finalize(self, conn.close)
+
+    def close(self) -> None:
+        """Close the catalog connection (idempotent); later calls raise
+        :class:`StoreError`.  Waits for a persist in progress."""
+        with self._lock:
+            if self._conn is not None:
+                self._closer()
+                self._conn = None
+
+    @contextlib.contextmanager
+    def _catalog(self) -> Iterator[sqlite3.Connection]:
+        """The store's connection, held under its lock."""
+        with self._lock:
+            if self._conn is None:
+                raise StoreError(f"store {self.root} is closed")
+            yield self._conn
+
     def _connect(self, init: bool = False) -> sqlite3.Connection:
+        """A new catalog connection, the catalog migrated to the current
+        format; :meth:`open` / :meth:`create` keep the one they open."""
         try:
             conn = cat.connect(str(self.catalog_path))
             if not init:
@@ -288,7 +323,7 @@ class FrameStore:
             query += " WHERE tenant = ?"
             params = (tenant,)
         query += " ORDER BY tenant, version"
-        with self._connect() as conn:
+        with self._catalog() as conn:
             rows = conn.execute(query, params).fetchall()
         return [dict(zip(keys, row)) for row in rows]
 
@@ -297,7 +332,7 @@ class FrameStore:
         each persist added to the catalog (one full scan of the model
         tables — an inspection aid, not a hot path)."""
         counts: dict[tuple[str, int], int] = {}
-        with self._connect() as conn:
+        with self._catalog() as conn:
             for table in cat.MODEL_TABLES:
                 for tenant, born, n in conn.execute(
                     f"SELECT tenant, born, COUNT(*) FROM {table} GROUP BY tenant, born"
@@ -308,7 +343,7 @@ class FrameStore:
     def column_files(self) -> dict[tuple[str, int], tuple[int, int]]:
         """``(tenant, version)`` -> ``(files, bytes)`` of the column files
         that version owns: what each persist added to the disk."""
-        with self._connect() as conn:
+        with self._catalog() as conn:
             return {
                 (tenant, version): (files, nbytes)
                 for tenant, version, files, nbytes in conn.execute(
@@ -319,7 +354,7 @@ class FrameStore:
 
     def tenants(self) -> list[str]:
         """Every tenant holding at least one version, sorted."""
-        with self._connect() as conn:
+        with self._catalog() as conn:
             return [
                 row[0]
                 for row in conn.execute(
@@ -328,7 +363,7 @@ class FrameStore:
             ]
 
     def published_versions(self, tenant: str = DEFAULT_TENANT) -> list[int]:
-        with self._connect() as conn:
+        with self._catalog() as conn:
             return [
                 row[0]
                 for row in conn.execute(
@@ -346,7 +381,7 @@ class FrameStore:
         """The highest version number ``tenant`` has used, in any state
         (0 for none) — what a service resumes its numbering after,
         whichever version it *serves*."""
-        with self._connect() as conn:
+        with self._catalog() as conn:
             row = conn.execute(
                 "SELECT MAX(version) FROM versions WHERE tenant = ?", (tenant,)
             ).fetchone()
@@ -363,10 +398,12 @@ class FrameStore:
         :attr:`last_persist`.
         """
         validate_tenant(tenant)
-        with self._persist_lock:
-            return self._persist(snapshot, tenant)
+        with self._catalog() as conn:
+            return self._persist(conn, snapshot, tenant)
 
-    def _persist(self, snapshot: Snapshot, tenant: str) -> int:
+    def _persist(
+        self, conn: sqlite3.Connection, snapshot: Snapshot, tenant: str
+    ) -> int:
         started = time.perf_counter()
         buffers, classes = snapshot.row_columns()
 
@@ -385,7 +422,6 @@ class FrameStore:
         version = snapshot.version
         vdir = self.version_dir(version, tenant)
         claimed = False
-        conn = self._connect()
         try:
             # 1. claim: a staging row, committed on its own so concurrent
             #    persists of the same version fail before any file I/O.
@@ -486,21 +522,21 @@ class FrameStore:
                 (time.time(), tenant, version),
             )
             conn.commit()
-        except InjectedCrash:
-            raise  # leave exactly what a kill would leave
-        except Exception:
-            if claimed:
+        except BaseException as exc:
+            # the connection outlives this persist: end its transaction,
+            # as a kill would have
+            with contextlib.suppress(sqlite3.Error):
+                if conn.in_transaction:
+                    conn.rollback()
+            if claimed and not isinstance(exc, InjectedCrash):
                 # the process lives on: free the version number and the
-                # disk now rather than at the next open()
+                # disk now rather than at the next open() (an injected
+                # crash leaves exactly what a kill would leave)
                 with contextlib.suppress(sqlite3.Error, OSError):
-                    if conn.in_transaction:
-                        conn.rollback()
                     cat.purge_unpublished(conn, tenant, version)
                     conn.commit()
                     self._sweep(conn)
             raise
-        finally:
-            conn.close()
         self._baselines[tenant] = baseline
         self.last_persist = {
             "tenant": tenant,
@@ -572,8 +608,7 @@ class FrameStore:
                 raise StoreError(
                     f"store has no published snapshot versions for tenant {tenant}"
                 )
-        conn = self._connect()
-        try:
+        with self._catalog() as conn:
             row = conn.execute(
                 "SELECT state, graph_class, next_edge_id, meta, built_s"
                 " FROM versions WHERE tenant = ? AND version = ?",
@@ -601,8 +636,6 @@ class FrameStore:
             )
             graph, *seqs = read_model(conn, tenant, version, cls)
             graph._next_edge_id = next_edge_id
-        finally:
-            conn.close()
 
         remembered = self._baselines.get(tenant)
         if remembered is None or remembered.version < version:
@@ -630,7 +663,7 @@ class FrameStore:
                 return self.attach(version, verify=verify, tenant=tenant)
             except StoreError as exc:
                 last_error = exc
-                with self._connect() as conn:
+                with self._catalog() as conn:
                     conn.execute(
                         "UPDATE versions SET state = 'corrupt'"
                         " WHERE tenant = ? AND version = ?",
@@ -725,9 +758,9 @@ class FrameStore:
             params = (tenant,)
         query += " ORDER BY tenant, version"
         doomed: list[tuple[str, int]] = []
-        # under the persist lock: a persist between claim and flip is
+        # under the store lock: a persist between claim and flip is
         # about to name files of its parent that no row of its own names yet
-        with self._persist_lock, contextlib.closing(self._connect()) as conn:
+        with self._catalog() as conn:
             histories: dict[str, list[tuple[int, str]]] = {}
             for row_tenant, row_version, state in conn.execute(query, params):
                 histories.setdefault(row_tenant, []).append((row_version, state))

@@ -39,6 +39,20 @@ class TestLRUCache:
         with pytest.raises(ValueError):
             LRUCache(0)
 
+    def test_bytes_follow_the_held_bodies(self):
+        cache = LRUCache(2)
+        cache.put(("t", 1, "a"), b"abc")
+        cache.put(("t", 1, "b"), b"de")
+        assert cache.stats()["bytes"] == 5
+        cache.put(("t", 1, "a"), b"a")          # replaced in place
+        assert cache.bytes == 3
+        cache.put(("u", 1, "c"), b"wxyz")       # evicts ("t", 1, "b")
+        assert cache.bytes == 5
+        assert cache.evict_prefix("t") == 1
+        assert cache.bytes == 4
+        cache.clear()
+        assert cache.bytes == 0
+
 
 class TestSingleFlight:
     def test_concurrent_identical_coalesce_to_one(self):

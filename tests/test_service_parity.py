@@ -7,6 +7,7 @@ must produce the same statuses, version numbers, persist counters,
 catalog rows, and byte-equal reasoning payloads after every step.
 """
 
+import contextlib
 import json
 import os
 import re
@@ -77,10 +78,15 @@ class Served(_Served):
 
 
 def catalog_rows(store_dir):
-    return [
-        (row["tenant"], row["version"], row["state"], row["parent"])
-        for row in FrameStore.open(store_dir).versions()
-    ]
+    """The catalog's version rows, after the store directory's entries:
+    a service that shut down cleanly left no ``catalog.db-wal`` / ``-shm``."""
+    files = sorted(path.name for path in store_dir.iterdir())
+    with contextlib.closing(FrameStore.open(store_dir)) as store:
+        rows = [
+            (row["tenant"], row["version"], row["state"], row["parent"])
+            for row in store.versions()
+        ]
+    return {"files": files, "rows": rows}
 
 
 def run_script(work, extract, workers):
@@ -123,7 +129,7 @@ def run_script(work, extract, workers):
         transcript.append({"step": "deleted tenant read", "status": status, "body": raw})
     finally:
         served.terminate()
-    transcript.append({"step": "catalog after SIGTERM", "rows": catalog_rows(store)})
+    transcript.append({"step": "catalog after SIGTERM", **catalog_rows(store)})
 
     served = Served(["--store", str(store), *fleet], work)
     try:
@@ -142,7 +148,7 @@ def run_script(work, extract, workers):
         ]}, 1)
     finally:
         served.terminate()
-    transcript.append({"step": "final catalog", "rows": catalog_rows(store)})
+    transcript.append({"step": "final catalog", **catalog_rows(store)})
     return transcript
 
 
@@ -181,6 +187,9 @@ def test_serve_and_serve_workers_are_one_write_path(extract, tmp_path):
         "status": "published", "version": 2, "error": None,
     }
     assert all(row.get("persist_failures", 0) == 0 for row in single)
+    # SIGTERM closed the store: its WAL is checkpointed into catalog.db
+    assert by_step["catalog after SIGTERM"]["files"] == ["catalog.db", "versions"]
+    assert by_step["final catalog"]["files"] == ["catalog.db", "versions"]
     # every acknowledged version is in the catalog, and only those
     assert by_step["catalog after SIGTERM"]["rows"] == [
         ("default", 1, "published", None),

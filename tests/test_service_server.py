@@ -34,6 +34,12 @@ def make_service(graph, **overrides):
 
 async def http_request(port, method, path, body=None):
     """One HTTP/1.1 request over a fresh connection; returns (status, json)."""
+    status, body_bytes = await http_raw(port, method, path, body)
+    return status, json.loads(body_bytes)
+
+
+async def http_raw(port, method, path, body=None):
+    """One HTTP/1.1 request over a fresh connection; returns (status, body)."""
     reader, writer = await asyncio.open_connection("127.0.0.1", port)
     try:
         payload = json.dumps(body).encode() if body is not None else b""
@@ -50,7 +56,7 @@ async def http_request(port, method, path, body=None):
         except (ConnectionError, OSError):
             pass
     header, _, body_bytes = raw.partition(b"\r\n\r\n")
-    return int(header.split()[1]), json.loads(body_bytes)
+    return int(header.split()[1]), body_bytes
 
 
 def slow_payload(snapshot, attr, delay_s):
@@ -377,8 +383,8 @@ class TestMicroBatching:
         assert service._ubo_batcher.batches == 1
         assert service._ubo_batcher.batched_keys == len(companies)
         expected = service.manager.current.ubo_payloads(companies, 0.3)
-        for company, (_endpoint, _status, payload) in zip(companies, responses):
-            assert payload == expected[company]
+        for company, (_endpoint, _status, body) in zip(companies, responses):
+            assert json.loads(body) == expected[company]
 
     def test_concurrent_identical_neighbors_misses_compute_once(self, graph):
         service = make_service(graph)
@@ -395,7 +401,7 @@ class TestMicroBatching:
         assert service.cache.computations == 1
         assert service.cache.flight.coalesced == 4
         expected = service.manager.current.neighbors_payload(node, depth=2)
-        assert all(payload == expected for _endpoint, _status, payload in responses)
+        assert all(json.loads(body) == expected for _endpoint, _status, body in responses)
 
     def test_only_ubo_lookups_are_batched(self, graph):
         service = make_service(graph)
@@ -403,12 +409,135 @@ class TestMicroBatching:
         async def main():
             return await service.handle_request("GET", "/metrics", {}, b"")
 
-        _endpoint, status, metrics = asyncio.run(main())
+        _endpoint, status, body = asyncio.run(main())
         assert status == 200
+        metrics = json.loads(body)
         assert list(metrics["batchers"]) == ["ubo"]
         assert set(metrics["batchers"]["ubo"]) == {
             "requests", "batches", "batched_keys", "pending",
         }
+
+
+def encoded(payload):
+    """The body the server sends for ``payload``."""
+    return json.dumps(payload, default=str).encode()
+
+
+class TestCachedBodies:
+    """The LRU holds response bodies: a miss encodes once, a hit writes
+    the stored bytes, and both equal the encoding of the payload."""
+
+    def test_miss_and_hit_bodies_equal_the_encoded_payload(self, graph):
+        service = make_service(graph)
+        snapshot = service.manager.current
+        company = min(c for c, owners in snapshot.ubo.items() if owners)
+        cases = [
+            ("/control", {}, snapshot.control_payload()),
+            ("/control", {"threshold": "0.4"}, snapshot.control_payload(None, 0.4)),
+            ("/close-links", {}, snapshot.close_links_payload()),
+            ("/close-links", {"threshold": "0.3"}, snapshot.close_links_payload(0.3)),
+            ("/family", {}, snapshot.family_payload()),
+            (f"/neighbors/{company}", {"depth": "2"},
+             snapshot.neighbors_payload(company, depth=2)),
+            (f"/ubo/{company}", {}, snapshot.ubo_payloads([company])[company]),
+            # custom threshold: through the micro-batcher
+            (f"/ubo/{company}", {"threshold": "0.15"},
+             snapshot.ubo_payloads([company], 0.15)[company]),
+        ]
+
+        async def main():
+            out = []
+            for path, query, _payload in cases:
+                miss = await service.handle_request("GET", path, query, b"")
+                hit = await service.handle_request("GET", path, query, b"")
+                out.append((miss, hit))
+            return out
+
+        hits_before = service.cache.lru.hits
+        for (path, _query, payload), (miss, hit) in zip(cases, asyncio.run(main())):
+            assert miss[1] == hit[1] == 200, path
+            assert miss[2] == hit[2] == encoded(payload), path
+        assert service.cache.lru.hits == hits_before + len(cases)
+
+    def test_stats_body_equals_the_merged_payload(self, graph):
+        service = make_service(graph)
+        service.worker_id = 3
+        service.builder_persist = {"persists": 2, "persist_failures": 0}
+        snapshot = service.manager.current
+
+        async def main():
+            first = await service.handle_request("GET", "/stats", {}, b"")
+            again = await service.handle_request("GET", "/stats", {}, b"")
+            return first[2], again[2]
+
+        first, again = asyncio.run(main())
+        expected = encoded(dict(snapshot.stats_payload()) | {
+            "snapshot_version": 1,
+            "worker_id": 3,
+            "tenant": "default",
+            "persist": {"persists": 2, "persist_failures": 0},
+        })
+        assert first == again == expected
+
+    def test_the_lru_holds_bytes(self, graph):
+        service = make_service(graph)
+        company = next(graph.companies()).id
+
+        async def main():
+            for path, query in (
+                ("/control", {}), ("/close-links", {}), ("/family", {}),
+                ("/stats", {}), (f"/ubo/{company}", {}),
+                (f"/ubo/{company}", {"threshold": "0.2"}),
+                (f"/neighbors/{company}", {}),
+            ):
+                await service.handle_request("GET", path, query, b"")
+
+        asyncio.run(main())
+        values = list(service.cache.lru._entries.values())
+        assert len(values) == 7
+        assert all(type(value) is bytes for value in values)
+        assert service.cache.lru.bytes == sum(map(len, values))
+
+    def test_a_hit_over_the_socket_encodes_nothing(self, graph, monkeypatch):
+        service = make_service(graph)
+        company = next(graph.companies()).id
+        paths = ["/control", "/close-links?threshold=0.3", "/family",
+                 f"/ubo/{company}", f"/ubo/{company}?threshold=0.15",
+                 f"/neighbors/{company}?depth=2"]
+        calls = []
+        dumps = json.dumps
+
+        def counting_dumps(*args, **kwargs):
+            calls.append(args)
+            return dumps(*args, **kwargs)
+
+        async def main():
+            await service.start()
+            misses = [await http_raw(service.port, "GET", p) for p in paths]
+            monkeypatch.setattr(json, "dumps", counting_dumps)
+            hits = [await http_raw(service.port, "GET", p) for p in paths]
+            monkeypatch.undo()
+            await service.stop()
+            return misses, hits
+
+        misses, hits = asyncio.run(main())
+        assert calls == []
+        assert hits == misses
+        assert all(status == 200 for status, _body in hits)
+
+    def test_metrics_report_the_cached_bytes(self, graph):
+        service = make_service(graph)
+
+        async def main():
+            empty = await service.handle_request("GET", "/metrics", {}, b"")
+            control = await service.handle_request("GET", "/control", {}, b"")
+            family = await service.handle_request("GET", "/family", {}, b"")
+            after = await service.handle_request("GET", "/metrics", {}, b"")
+            return empty[2], control[2], family[2], after[2]
+
+        empty, control, family, after = asyncio.run(main())
+        assert json.loads(empty)["cache"]["bytes"] == 0
+        assert json.loads(after)["cache"]["bytes"] == len(control) + len(family)
 
 
 class TestMetrics:

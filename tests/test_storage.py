@@ -199,6 +199,84 @@ class TestPersistAttach:
         assert store.attach(1).ubo == snap.ubo
 
 
+class TestCatalogConnection:
+    """A store keeps one catalog connection from open to close."""
+
+    def test_persists_and_reads_share_one_connection(self, tmp_path, built, monkeypatch):
+        from repro.storage import catalog
+
+        _, snap1, _, snap2 = built
+        opened = []
+        real = catalog.connect
+
+        def counted(path):
+            opened.append(path)
+            return real(path)
+
+        monkeypatch.setattr(catalog, "connect", counted)
+        store = FrameStore.create(tmp_path / "store")
+        for snap in (snap1, snap2):
+            store.persist(snap)
+            assert store.attach(snap.version).version == snap.version
+        assert [v["version"] for v in store.versions()] == [1, 2]
+        store.gc(keep=1)
+        assert len(opened) == 1
+
+    def test_close_checkpoints_the_wal(self, tmp_path, built):
+        _, snap1, _, snap2 = built
+        root = tmp_path / "store"
+        store = FrameStore.create(root)
+        store.persist(snap1)
+        store.persist(snap2)
+        assert (root / "catalog.db-wal").exists()  # no checkpoint per persist
+        store.close()
+        store.close()  # idempotent
+        assert sorted(p.name for p in root.iterdir()) == ["catalog.db", "versions"]
+        with pytest.raises(StoreError, match="closed"):
+            store.versions()
+        assert FrameStore.open(root).latest_version() == 2
+
+    def test_a_dropped_store_closes_its_connection(self, tmp_path, built):
+        _, snap1, _, _ = built
+        root = tmp_path / "store"
+        store = FrameStore.create(root)
+        store.persist(snap1)
+        del store  # no close(), no cyclic GC: the finalizer closes it
+        assert sorted(p.name for p in root.iterdir()) == ["catalog.db", "versions"]
+
+    def test_persist_on_another_thread(self, tmp_path, built):
+        from concurrent.futures import ThreadPoolExecutor
+
+        _, snap1, _, snap2 = built
+        store = FrameStore.create(tmp_path / "store")
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            assert list(pool.map(store.persist, [snap1])) == [1]
+            assert pool.submit(store.persist, snap2).result() == 2
+        assert store.attach_latest().version == 2
+
+    def test_failed_persists_leave_no_transaction_open(self, tmp_path, built):
+        _, snap1, _, snap2 = built
+        root = tmp_path / "store"
+        store = FrameStore.create(root)
+        store.persist(snap2)
+        with pytest.raises(StoreError, match="older than the newest"):
+            store.persist(snap1)  # refused inside the claim transaction
+        assert not store._conn.in_transaction
+
+        root = tmp_path / "crashed"
+        store = FrameStore.create(root)
+        store.persist(snap1)
+        store.crash_point = "before_publish"  # inside the flip transaction
+        with pytest.raises(InjectedCrash):
+            store.persist(snap2)
+        assert not store._conn.in_transaction
+        # the staging row stays for the next open to purge, and that
+        # open can write: the first connection holds no lock
+        assert [v["state"] for v in store.versions()] == ["published", "staging"]
+        reopened = FrameStore.open(root)
+        assert [v["version"] for v in reopened.versions()] == [1]
+
+
 class TestCrashSafety:
     """Kill the persist at every stage; the store must self-heal to the
     last complete version on reattach."""
