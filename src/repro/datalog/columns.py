@@ -20,22 +20,13 @@ bodies whole-relation-at-a-time.  This module supplies its data layer:
   is never rebuilt.  The store also caches join build sides (stable
   argsort + packed keys per probe signature) so a relation that several
   rules probe the same way is sorted once per version.
-
-Everything here degrades gracefully without numpy: ``NUMPY_AVAILABLE``
-is False and the engine keeps the per-tuple compiled path.
 """
 
 from __future__ import annotations
 
 from typing import Any, Iterable
 
-try:  # pragma: no cover - exercised implicitly by every vectorized test
-    import numpy as np
-
-    NUMPY_AVAILABLE = True
-except ImportError:  # pragma: no cover
-    np = None  # type: ignore[assignment]
-    NUMPY_AVAILABLE = False
+import numpy as np
 
 #: Values with |v| <= 2**53 are exactly representable in float64, so
 #: comparisons through the float image agree with Python integer
@@ -169,8 +160,6 @@ class ColumnStore:
     """Keeps code-column blocks in sync with a Database's row lists."""
 
     def __init__(self, database, interner: ValueInterner | None = None):
-        if not NUMPY_AVAILABLE:  # pragma: no cover
-            raise ImportError("repro.datalog.columns requires numpy")
         self._database = database
         self.interner = interner if interner is not None else ValueInterner()
         self._blocks: dict[tuple[str, int], Block] = {}

@@ -200,8 +200,6 @@ class Database:
 
         One store per database: interned code columns per (predicate,
         arity), kept in sync with the row lists by their length.
-        Raises ImportError when numpy is unavailable — callers gate on
-        :data:`repro.datalog.columns.NUMPY_AVAILABLE` instead of catching.
         """
         if self._columns is None:
             from .columns import ColumnStore

@@ -29,7 +29,6 @@ from typing import Any, Iterator
 from ..telemetry import NULL_TRACER
 from .atoms import Aggregate, Assignment, Atom, Comparison, Negation
 from .builtins import Binding, FunctionRegistry, compare, evaluate
-from .columns import NUMPY_AVAILABLE
 from .compiled import CompilationFallback, compile_rule
 from .database import Database, Fact, FactValues
 from .errors import EvaluationError
@@ -147,8 +146,8 @@ class Engine:
         # evaluators do not record body-fact traces
         self.plan_enabled = plan and not provenance
         # vectorize=False keeps the per-tuple compiled path as the
-        # bit-identity oracle; without numpy the flag is inert
-        self.vectorize_enabled = self.plan_enabled and vectorize and NUMPY_AVAILABLE
+        # bit-identity oracle
+        self.vectorize_enabled = self.plan_enabled and vectorize
         # (rule id, seed literal index) -> CompiledRule, or None once a
         # CompilationFallback proved the pair structurally uncompilable
         self._compiled_cache: dict[tuple[int, int | None], Any] = {}

@@ -118,15 +118,14 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
+import numpy as np
+
 from .atoms import Aggregate, Assignment, Atom, Comparison, Negation
-from .columns import MAX_CODES, NUMPY_AVAILABLE, sort_keys
+from .columns import MAX_CODES, sort_keys
 from .compiled import CompilationFallback, _counted, _Lowering
 from .errors import EvaluationError
 from .planner import JoinPlan, _calls_external
 from .terms import Constant, Expr, FunctionTerm, Variable
-
-if NUMPY_AVAILABLE:  # pragma: no branch
-    import numpy as np
 
 #: Hard cap on rows produced by a single join expansion; beyond it the
 #: rule falls back to the compiled path rather than risk an allocation
@@ -1298,8 +1297,6 @@ def compile_rule_vectorized(engine, rule, plan: JoinPlan) -> VectorizedRule:
     are joined only when the rule stays columnar to the head: the tail
     runs once per row, so a row may not stand for several bindings.
     """
-    if not NUMPY_AVAILABLE:
-        raise VectorizationFallback("numpy unavailable")
     if not plan.feasible:
         raise VectorizationFallback("plan fell back to textual order")
     if engine.provenance_enabled:

@@ -143,10 +143,8 @@ class IncrementalEmbedder:
             p=config.p, q=config.q, seed=config.seed,
         )
         starts = list(self._sorted)
-        with self.tracer.span("embed.walks", mode="cold", workers=config.workers) as span:
-            all_walks = walker.walks(
-                starts, config.num_walks, config.walk_length, workers=config.workers
-            )
+        with self.tracer.span("embed.walks", mode="cold") as span:
+            all_walks = walker.walks(starts, config.num_walks, config.walk_length)
             span.set("walks", len(all_walks))
         self._walks = {}
         self._counts = {}
@@ -178,13 +176,8 @@ class IncrementalEmbedder:
         dirty = self._dirty_region(touched)
         walker = RandomWalker(self._sorted, p=config.p, q=config.q, seed=config.seed)
         dirty_starts = sorted((n for n in dirty if n in self._sorted), key=str)
-        with self.tracer.span(
-            "embed.walks", mode="warm", workers=config.workers
-        ) as span:
-            resampled = walker.walks(
-                dirty_starts, config.num_walks, config.walk_length,
-                workers=config.workers,
-            )
+        with self.tracer.span("embed.walks", mode="warm") as span:
+            resampled = walker.walks(dirty_starts, config.num_walks, config.walk_length)
             span.set("dirty_nodes", len(dirty_starts))
             span.set("walks", len(resampled))
         for position, start in enumerate(dirty_starts):

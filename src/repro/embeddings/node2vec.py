@@ -39,9 +39,6 @@ class Node2VecConfig:
     epochs: int = 2
     learning_rate: float = 0.025
     seed: int = 0
-    #: processes the start nodes shard over; the walks are bit-identical
-    #: for every worker count, so 1 (no pool) is the oracle setting
-    workers: int = 1
 
 
 def feature_token_adjacency(

@@ -17,13 +17,11 @@ along a shareholding for similarity purposes.
 Walks come from a *deterministic kernel*: every (start node, walk index)
 pair owns an independent RNG stream seeded from a stable hash of (seed,
 node, index), so the walk set is a pure function of the adjacency and the
-seed — independent of start order, sharding, or worker count.  A step
-draws one uniform from that stream and binary-searches a per-node
-cumulative-weight table with ``bisect``.  ``walks(..., workers=n)``
-shards the start nodes across a fork-based process pool, and the
-unbiased case (p == q == 1, the paper's default) steps all walks of a
-shard in numpy lockstep over a CSR view of the adjacency instead of one
-Python loop per step.
+seed — independent of start order.  A step draws one uniform from that
+stream and binary-searches a per-node cumulative-weight table with
+``bisect``.  The unbiased case (p == q == 1, the paper's default) steps
+all walks in numpy lockstep over a CSR view of the adjacency instead of
+one Python loop per step.
 
 The adjacency and the lockstep CSR live in the columnar core now:
 :class:`RandomWalker` accepts a :class:`~repro.graph.columnar.GraphFrame`
@@ -35,7 +33,6 @@ buffers with every other consumer of that graph version), and
 from __future__ import annotations
 
 import hashlib
-import multiprocessing
 from bisect import bisect_left
 from itertools import accumulate
 from typing import Hashable, Sequence
@@ -55,7 +52,7 @@ _Table = tuple[tuple, tuple, list, float]
 # Counter-based per-walk randomness: each (node, walk-index) pair owns a
 # uniform stream u(t) = splitmix64(entropy(node, index) + t * GOLDEN) that
 # is a pure function of the walker seed and the node identity — no shared
-# RNG state, so any sharding of the start nodes draws identical numbers.
+# RNG state, so any subset of the start nodes draws identical numbers.
 _SPLITMIX_M1 = np.uint64(0xBF58476D1CE4E5B9)
 _SPLITMIX_M2 = np.uint64(0x94D049BB133111EB)
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -93,15 +90,6 @@ def _uniform_matrix(entropies: np.ndarray, steps: int) -> np.ndarray:
     with np.errstate(over="ignore"):
         mixed = _splitmix64(entropies[:, None] + counters[None, :])
     return (mixed >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
-
-
-#: walker shared with forked pool workers by inheritance (no per-task pickling)
-_FORK_WALKER: "RandomWalker | None" = None
-
-
-def _pool_walk_shard(payload: tuple) -> tuple:
-    assert _FORK_WALKER is not None
-    return _FORK_WALKER._eval_payload(payload)
 
 
 def build_adjacency(
@@ -165,83 +153,29 @@ class RandomWalker:
         self._biased_tables: dict[tuple[NodeId, NodeId], tuple[tuple, list, float]] = {}
 
     def walks(
-        self,
-        nodes: Sequence[NodeId],
-        num_walks: int,
-        length: int,
-        *,
-        workers: int = 1,
+        self, nodes: Sequence[NodeId], num_walks: int, length: int
     ) -> list[list[NodeId]]:
         """``num_walks`` walks from every node, node-major (all walks of
-        ``nodes[0]``, then ``nodes[1]``, ...), sharded over ``workers``
-        processes.  The walks are bit-identical for every worker count,
-        because each (node, walk-index) pair owns an RNG stream derived
-        only from the walker seed and the node identity.
+        ``nodes[0]``, then ``nodes[1]``, ...).  Each (node, walk-index)
+        pair owns an RNG stream derived only from the walker seed and the
+        node identity, so a walk does not depend on the other starts.
         """
-        if workers < 1:
-            raise ValueError("workers must be a positive integer")
         starts = list(nodes)
-        shard_count = min(workers, max(1, len(starts)))
-        bounds = [round(i * len(starts) / shard_count) for i in range(shard_count + 1)]
-        spans = list(zip(bounds, bounds[1:]))
         if self._unbiased and length > 1:
-            # precompute in the parent: forked children then only read
-            # numpy buffers, never the Python object heap (whose refcount
-            # writes would copy-on-write the whole graph)
             node_index = self._ensure_csr()[1]
             start_idx = np.fromiter(
                 (node_index.get(start, -1) for start in starts),
                 dtype=np.int64, count=len(starts),
             )
-            start_ent = self._entropy_array(starts)
-            payloads = [
-                ("matrix", start_idx[a:b], start_ent[a:b], num_walks, length)
-                for a, b in spans
-            ]
-            raws = self._map_payloads(payloads)
-            return self._finish_matrices(raws, starts, start_idx, num_walks)
-        payloads = [("walks", starts[a:b], num_walks, length) for a, b in spans]
-        raws = self._map_payloads(payloads)
-        return [walk for _, chunk in raws for walk in chunk]
-
-    def _map_payloads(self, payloads: list[tuple]) -> list[tuple]:
-        """Evaluate shard payloads, through a fork pool when there is more
-        than one; platforms without fork (or with fork blocked) fall back
-        to in-process evaluation — results are identical either way."""
-        if len(payloads) <= 1:
-            return [self._eval_payload(payload) for payload in payloads]
-        global _FORK_WALKER
-        try:
-            context = multiprocessing.get_context("fork")
-        except ValueError:
-            context = None
-        if context is not None:
-            _FORK_WALKER = self
-            try:
-                with context.Pool(processes=len(payloads)) as pool:
-                    return pool.map(_pool_walk_shard, payloads)
-            except OSError:
-                pass  # e.g. sandboxed fork
-            finally:
-                _FORK_WALKER = None
-        return [self._eval_payload(payload) for payload in payloads]
-
-    def _eval_payload(self, payload: tuple) -> tuple:
-        """One shard in wire form: the unbiased case returns the raw int
-        step matrix (a cheap binary pickle), the biased case finished
-        node-id walks."""
-        if payload[0] == "matrix":
-            _, start_idx, start_ent, num_walks, length = payload
             out, lengths = self._lockstep_matrix(
-                start_idx, start_ent, num_walks, length
+                start_idx, self._entropy_array(starts), num_walks, length
             )
-            return ("matrix", out, lengths)
-        _, starts, num_walks, length = payload
-        return ("walks", [
+            return self._finish_matrix(out, lengths, starts, start_idx, num_walks)
+        return [
             self._seeded_walk(start, index, length)
             for start in starts
             for index in range(num_walks)
-        ])
+        ]
 
     # ------------------------------------------------------------------
     # deterministic kernel
@@ -278,11 +212,11 @@ class RandomWalker:
         num_walks: int,
         length: int,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Step every live walk of the shard in numpy lockstep.
+        """Step every live walk in numpy lockstep.
 
         ``start_idx`` holds CSR node indices (``-1`` for unknown starts);
         dead starts (unknown or isolated) are skipped here and filled in
-        by :meth:`_finish_matrices`.  Returns ``(out, lengths)``: the
+        by :meth:`_finish_matrix`.  Returns ``(out, lengths)``: the
         ``(m, length)`` int32 index matrix (``-1`` past the walk end) and
         the per-row walk lengths, one block of ``num_walks`` consecutive
         rows per live start.
@@ -331,14 +265,15 @@ class RandomWalker:
         lengths = (out >= 0).sum(axis=1)
         return (out, lengths)
 
-    def _finish_matrices(
+    def _finish_matrix(
         self,
-        raws: list[tuple],
+        out: np.ndarray,
+        lengths: np.ndarray,
         starts: list[NodeId],
         start_idx: np.ndarray,
         num_walks: int,
     ) -> list[list[NodeId]]:
-        """Expand raw shard matrices into node-id walks.
+        """Expand the lockstep index matrix into node-id walks.
 
         One object-array gather plus one bulk ``tolist`` converts every
         live row; the ``-1`` padding harmlessly indexes the last node
@@ -346,12 +281,6 @@ class RandomWalker:
         singletons interleaved back in node-major order.
         """
         _, _, _, _, _, degrees, node_objects = self._ensure_csr()
-        outs = [out for _, out, _ in raws]
-        out = outs[0] if len(outs) == 1 else np.concatenate(outs, axis=0)
-        lengths = (
-            raws[0][2] if len(raws) == 1
-            else np.concatenate([row_lengths for _, _, row_lengths in raws])
-        )
         rows = node_objects[out].tolist()
         width = out.shape[1] if out.size else 0
         short = np.nonzero(lengths < width)[0]
@@ -439,11 +368,8 @@ def generate_walks(
     q: float = 1.0,
     seed: int = 0,
     weight_property: str = "w",
-    workers: int = 1,
 ) -> list[list[NodeId]]:
     """Convenience wrapper: frame the graph and sample node2vec walks."""
     frame = GraphFrame.of(graph, weight_property)
     walker = RandomWalker(frame, p=p, q=q, seed=seed)
-    return walker.walks(
-        list(walker.adjacency), num_walks, walk_length, workers=workers
-    )
+    return walker.walks(list(walker.adjacency), num_walks, walk_length)

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..datalog.columns import NUMPY_AVAILABLE
 from ..datalog.database import Database
 from .columnar import GraphFrame
 from .company_graph import COMPANY, PERSON, SHAREHOLDING, CompanyGraph
@@ -151,7 +150,7 @@ def to_facts(
         predicate, values, sum_index = merged_template[key]
         row = values[:sum_index] + (total,) + values[sum_index + 1:]
         database.add(predicate, row)
-    if prime_columns and NUMPY_AVAILABLE:
+    if prime_columns:
         store = database.column_store()
         for predicate in database.predicates():
             store.preload(predicate)

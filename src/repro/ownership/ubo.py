@@ -74,10 +74,9 @@ def beneficial_owner_rows(
     One integrated-ownership row and one control fixpoint per person; the
     rows share one :class:`~repro.ownership.close_links._PhiRows`, so an
     SCC's solve is factored once per sweep and a row costs what its
-    person reaches.  ``persons`` restricts the sweep (the incremental
-    snapshot maintainer recomputes only the persons whose reachable
-    region a delta touched); the default sweeps every person in the
-    graph.
+    person reaches.  ``persons`` restricts the sweep (a custom-threshold
+    ``/ubo`` computes only the persons that reach its companies); the
+    default sweeps every person in the graph.
     """
     if persons is None:
         persons = [node.id for node in graph.persons()]

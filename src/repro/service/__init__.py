@@ -49,5 +49,5 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "shm": ("attach_snapshot", "AttachedSnapshot", "encode_snapshot", "SegmentError"),
     "snapshot": ("Snapshot", "SnapshotBuilder", "SnapshotConfig", "SnapshotManager"),
     "updates": ("apply_deltas", "GraphUpdater", "MutationError", "Persister"),
-    "workers": ("PoolConfig", "PoolError", "ServicePool"),
+    "workers": ("PoolError", "ServicePool"),
 })

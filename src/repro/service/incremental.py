@@ -1,29 +1,22 @@
-"""Delta-driven maintenance of snapshot relations.
+"""Snapshot relations as per-source rows, patched from a delta batch.
 
-The cold snapshot build recomputes the control closure, the close-link
-pairs and the UBO index from scratch — O(graph) work per mutation batch,
-~13s at the service benchmark's scale.  This module makes the rebuild
-cost proportional to the *delta* instead, DRed-style: a mutation batch
-dirties a small set of nodes, only the sources whose derivations could
-depend on those nodes are deleted and re-derived, and everything else is
-carried over from the previous build's row state.
-
-The key observation is that all three relations are unions of
-independent *per-source rows*:
+All three derived relations of a snapshot are unions of independent
+*per-source rows*:
 
 * control closure = union over sources of ``controlled_by(source)``;
 * close links derive from the per-source accumulated-ownership rows
   ``Phi(source, ·)``;
-* the UBO index assembles from per-person ``(integrated, controlled)``
-  rows.
+* the UBO index assembles from per-person integrated-ownership rows and
+  the control rows of those persons.
 
 Each row only reads the part of the graph reachable from its source via
 shareholding edges.  So a changed edge ``u -> v`` (or changed node)
 can only affect rows whose source *reaches* the change — the ancestors
-of the dirty nodes in the shareholding graph.  Patching recomputes
-exactly those rows with the same functions the cold build uses, which
-makes all three patched relations bit-identical to a cold build by
-construction.
+of the dirty nodes in the shareholding graph.  :func:`patch_rows`
+re-derives exactly those rows and carries every other one over, and a
+cold build is the same call from the empty state with every source
+affected: one derivation per relation, so a patched build is
+bit-identical to a cold one by construction.
 """
 
 from __future__ import annotations
@@ -33,8 +26,6 @@ from typing import Callable, Iterable, TypeVar
 
 from ..graph.company_graph import PERSON, SHAREHOLDING, CompanyGraph
 from ..graph.property_graph import Edge, NodeId
-from ..ownership.control import controlled_by
-from ..ownership.ubo import beneficial_owner_rows
 
 Row = TypeVar("Row")
 
@@ -136,34 +127,23 @@ def affected_sources(
 
 
 # ----------------------------------------------------------------------
-# per-source rows: control closure and accumulated ownership (Phi)
+# per-source rows
 # ----------------------------------------------------------------------
-
-
-def control_rows(
-    graph: CompanyGraph, threshold: float
-) -> dict[NodeId, set[NodeId]]:
-    """Per-source control rows; their union is ``control_closure``."""
-    return {
-        source: controlled_by(graph, source, threshold)
-        for source in graph.node_ids()
-    }
 
 
 def patch_rows(
     rows: dict[NodeId, Row],
-    new_graph: CompanyGraph,
-    delta: DeltaBatch,
-    affected: set[NodeId],
+    graph: CompanyGraph,
+    affected: Iterable[NodeId],
     row_fn: Callable[[NodeId], Row],
+    label: str | None = None,
 ) -> dict[NodeId, Row]:
-    """Recompute with ``row_fn`` only the rows whose source reaches the
-    delta (``affected``); every other row is carried over."""
+    """``rows`` with the row of every ``affected`` source re-derived by
+    ``row_fn`` — or dropped, when the source is gone from ``graph`` or
+    is not a node of ``label`` — and every other row carried over."""
     patched = dict(rows)
-    for node, _label in delta.removed_nodes:
-        patched.pop(node, None)
     for source in affected:
-        if new_graph.has_node(source):
+        if graph.has_node(source) and (label is None or graph.node(source).label == label):
             patched[source] = row_fn(source)
         else:
             patched.pop(source, None)
@@ -174,42 +154,3 @@ def control_pairs_from_rows(
     rows: dict[NodeId, set[NodeId]]
 ) -> set[tuple[NodeId, NodeId]]:
     return {(source, target) for source, row in rows.items() for target in row}
-
-
-# ----------------------------------------------------------------------
-# UBO rows
-# ----------------------------------------------------------------------
-
-
-def patch_ubo_rows(
-    integrated: dict[NodeId, dict[NodeId, float]],
-    controlled: dict[NodeId, set[NodeId]],
-    old_graph: CompanyGraph,
-    new_graph: CompanyGraph,
-    delta: DeltaBatch,
-    control_threshold: float,
-    affected: set[NodeId] | None = None,
-) -> tuple[dict[NodeId, dict[NodeId, float]], dict[NodeId, set[NodeId]]]:
-    """Recompute the per-person UBO rows the delta could have changed."""
-    if affected is None:
-        affected = affected_sources(delta, old_graph, new_graph)
-    patched_integrated = dict(integrated)
-    patched_controlled = dict(controlled)
-    for node, _label in delta.removed_nodes:
-        patched_integrated.pop(node, None)
-        patched_controlled.pop(node, None)
-    persons = [
-        person
-        for person in affected
-        if new_graph.has_node(person) and new_graph.node(person).label == PERSON
-    ]
-    fresh_integrated, fresh_controlled = beneficial_owner_rows(
-        new_graph, control_threshold, persons=persons
-    )
-    patched_integrated.update(fresh_integrated)
-    patched_controlled.update(fresh_controlled)
-    for person in affected:
-        if not new_graph.has_node(person):
-            patched_integrated.pop(person, None)
-            patched_controlled.pop(person, None)
-    return patched_integrated, patched_controlled

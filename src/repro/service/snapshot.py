@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Sequence
 
 from ..core.pipeline import PipelineConfig, ReasoningPipeline
@@ -33,8 +33,7 @@ from ..graph.property_graph import Edge, NodeId
 from ..linkage.bayes import BayesianLinkClassifier
 from ..ownership.close_links import (
     CLOSE_LINK_THRESHOLD,
-    accumulated_ownership_from,
-    all_accumulated_ownership,
+    _PhiRows,
     close_link_pairs,
     links_from_phi,
 )
@@ -51,9 +50,7 @@ from .incremental import (
     DeltaBatch,
     affected_sources,
     control_pairs_from_rows,
-    control_rows,
     patch_rows,
-    patch_ubo_rows,
     shareholding_ancestors,
 )
 
@@ -65,11 +62,15 @@ DEFAULT_TENANT = "default"
 
 @dataclass
 class SnapshotConfig:
-    """What a snapshot precomputes and how the pipeline runs inside it."""
+    """What a snapshot precomputes and how the pipeline runs inside it.
 
-    control_threshold: float = CONTROL_THRESHOLD
-    close_link_threshold: float = CLOSE_LINK_THRESHOLD
-    ubo_threshold: float = UBO_THRESHOLD
+    The precomputed relations are at the paper's thresholds
+    (:data:`~repro.ownership.control.CONTROL_THRESHOLD`,
+    :data:`~repro.ownership.close_links.CLOSE_LINK_THRESHOLD`,
+    :data:`~repro.ownership.ubo.UBO_THRESHOLD`); a request passing its
+    own ``threshold`` computes from the graph instead.
+    """
+
     #: run personal-link detection and add the typed edges to the served
     #: graph; False serves the extensional graph plus ownership analytics
     augment: bool = True
@@ -78,9 +79,8 @@ class SnapshotConfig:
     first_level_clusters: int = 1
     use_embeddings: bool = False
     #: keep the per-source rows of each build so the next one patches
-    #: them from its accepted delta batch; False keeps no state, so every
-    #: build derives every row cold (the oracle the tests and the e2e
-    #: benchmark compare against)
+    #: them from its accepted delta batch; False keeps no state between
+    #: builds, so every build starts from the empty state
     incremental: bool = True
 
 
@@ -240,8 +240,8 @@ class Snapshot:
     def control_payload(
         self, source: NodeId | None = None, threshold: float | None = None
     ) -> dict[str, Any]:
-        t = self.config.control_threshold if threshold is None else threshold
-        if t == self.config.control_threshold:
+        t = CONTROL_THRESHOLD if threshold is None else threshold
+        if t == CONTROL_THRESHOLD:
             if source is not None:
                 pairs = [
                     [source, y]
@@ -263,8 +263,8 @@ class Snapshot:
         }
 
     def close_links_payload(self, threshold: float | None = None) -> dict[str, Any]:
-        t = self.config.close_link_threshold if threshold is None else threshold
-        if t == self.config.close_link_threshold:
+        t = CLOSE_LINK_THRESHOLD if threshold is None else threshold
+        if t == CLOSE_LINK_THRESHOLD:
             links = self.close_links
         else:
             links = close_link_pairs(self.graph, t)
@@ -291,8 +291,8 @@ class Snapshot:
         only ones that can own or control it — once for the whole batch,
         the reason the server micro-batches ``/ubo/{id}`` point lookups.
         """
-        t = self.config.ubo_threshold if threshold is None else threshold
-        if t == self.config.ubo_threshold:
+        t = UBO_THRESHOLD if threshold is None else threshold
+        if t == UBO_THRESHOLD:
             owners_of = {c: self.ubo.get(c, []) for c in companies}
         else:
             graph = self.graph
@@ -404,23 +404,26 @@ class Snapshot:
 
 @dataclass
 class _BuilderState:
-    """Row-level state of the last successful build — the patch base.
+    """Per-source rows of the last successful build — the patch base.
 
     ``graph``/``generation`` identify the exact graph object and version
     the rows were derived from; a delta batch is only applied on top of
     them when its recorded base matches both (the *chain check*).  Any
     mismatch — first build, escape hatch, failed rebuild, out-of-band
-    mutation — falls back to a cold build, which re-seeds the state.
+    mutation — patches the empty state instead, with every source
+    affected.
     """
 
-    graph: CompanyGraph
-    generation: int
-    control_rows: dict[NodeId, set[NodeId]]
-    phi_rows: dict[NodeId, dict[NodeId, float]]
-    integrated: dict[NodeId, dict[NodeId, float]]
-    controlled: dict[NodeId, set[NodeId]]
-    family_links: set[tuple[NodeId, NodeId, str]]
-    assignment: "dict[NodeId, int] | None"
+    graph: CompanyGraph | None = None
+    generation: int = -1
+    #: source -> the nodes it controls (every node)
+    control_rows: dict[NodeId, set[NodeId]] = field(default_factory=dict)
+    #: source -> ``Phi(source, ·)`` (every node)
+    phi_rows: dict[NodeId, dict[NodeId, float]] = field(default_factory=dict)
+    #: person -> integrated ownership (persons only)
+    integrated: dict[NodeId, dict[NodeId, float]] = field(default_factory=dict)
+    family_links: set[tuple[NodeId, NodeId, str]] = field(default_factory=set)
+    assignment: "dict[NodeId, int] | None" = None
 
 
 class SnapshotBuilder:
@@ -428,13 +431,16 @@ class SnapshotBuilder:
 
     Holds the monotonically increasing version counter, the warm
     embedder state and — when ``config.incremental`` — the per-source
-    row state of the previous build, so a build fed a
-    :class:`~repro.service.incremental.DeltaBatch` patches the previous
-    relations instead of recomputing them.  ``build`` is synchronous and
-    CPU-bound by design — the service runs it in an executor thread
-    while the event loop keeps serving the previous snapshot.  Calls
-    must be serialized by the caller (the updater holds a lock); the
-    builder itself is not re-entrant.
+    row state of the previous build.  Every build derives each relation
+    once, by patching: a build fed a
+    :class:`~repro.service.incremental.DeltaBatch` that chains onto the
+    previous one re-derives the rows of the sources that reach the
+    delta; any other build patches the empty state with every source
+    affected.  ``build`` is synchronous and CPU-bound by design — the
+    service runs it in an executor thread while the event loop keeps
+    serving the previous snapshot.  Calls must be serialized by the
+    caller (the updater holds a lock); the builder itself is not
+    re-entrant.
     """
 
     def __init__(
@@ -496,9 +502,9 @@ class SnapshotBuilder:
         ``delta`` is the full :class:`DeltaBatch` of the accepted
         mutation batch.  When it chains onto the previous build (its
         base is the exact graph object and generation the last state
-        was derived from) and ``config.incremental`` is on, the control
-        closure, close-link pairs and UBO index are *patched*: only the
-        rows of sources that reach the delta are re-derived.
+        was derived from) and ``config.incremental`` is on, only the rows
+        of sources that reach the delta are re-derived; otherwise every
+        row is derived, from the empty state.
         """
         started = time.perf_counter()
         version = self._version + 1
@@ -509,7 +515,7 @@ class SnapshotBuilder:
         # GraphFrame.of(graph) to this one object (same buffers), and the
         # snapshot keeps it afterwards
         frame = GraphFrame.of(graph)
-        state = self._state if config.incremental else None
+        state = self._state
         incremental = (
             state is not None
             and delta is not None
@@ -519,11 +525,13 @@ class SnapshotBuilder:
         with self.tracer.span(
             "snapshot.build", version=version, incremental=incremental
         ) as span:
-            affected: set[NodeId] | None = None
             if incremental:
                 with self.tracer.span("snapshot.affected_sources"):
                     affected = affected_sources(delta, state.graph, graph)
                     span.set("affected_sources", len(affected))
+            else:
+                state = _BuilderState()
+                affected = list(graph.node_ids())
 
             assignment = None
             if self._embedder is not None:
@@ -547,8 +555,6 @@ class SnapshotBuilder:
                     pipeline = ReasoningPipeline(
                         graph,
                         PipelineConfig(
-                            control_threshold=config.control_threshold,
-                            close_link_threshold=config.close_link_threshold,
                             first_level_clusters=config.first_level_clusters,
                             use_embeddings=config.use_embeddings,
                         ),
@@ -558,59 +564,30 @@ class SnapshotBuilder:
                     )
                     family_links = pipeline.family_links()
 
+            # one ownership-row kernel per build: a row's floats do not
+            # depend on which other rows share it
+            ownership = _PhiRows(graph)
             with self.tracer.span("snapshot.control"):
-                if incremental:
-                    c_rows = patch_rows(
-                        state.control_rows,
-                        graph,
-                        delta,
-                        affected,
-                        lambda source: controlled_by(
-                            graph, source, config.control_threshold
-                        ),
-                    )
-                else:
-                    c_rows = control_rows(graph, config.control_threshold)
+                c_rows = patch_rows(
+                    state.control_rows,
+                    graph,
+                    affected,
+                    lambda source: controlled_by(graph, source),
+                )
                 control = control_pairs_from_rows(c_rows)
             with self.tracer.span("snapshot.close_links"):
-                if incremental:
-                    p_rows = patch_rows(
-                        state.phi_rows,
-                        graph,
-                        delta,
-                        affected,
-                        lambda source: accumulated_ownership_from(graph, source),
-                    )
-                else:
-                    p_rows = all_accumulated_ownership(graph)
+                p_rows = patch_rows(state.phi_rows, graph, affected, ownership.row)
                 company_ids = {node.id for node in graph.companies()}
                 close = {
                     (link.x, link.y)
-                    for link in links_from_phi(
-                        p_rows, company_ids, config.close_link_threshold
-                    )
+                    for link in links_from_phi(p_rows, company_ids)
                 }
             with self.tracer.span("snapshot.ubo"):
-                # the UBO index pairs integrated ownership with control at
-                # the *definitional* vote-majority threshold, independent
-                # of the snapshot's configurable control relation
-                if incremental:
-                    integrated, controlled = patch_ubo_rows(
-                        state.integrated,
-                        state.controlled,
-                        state.graph,
-                        graph,
-                        delta,
-                        CONTROL_THRESHOLD,
-                        affected=affected,
-                    )
-                else:
-                    integrated, controlled = beneficial_owner_rows(
-                        graph, CONTROL_THRESHOLD
-                    )
-                ubo = assemble_beneficial_owners(
-                    graph, integrated, controlled, config.ubo_threshold
+                # a person's controlled set is its control row
+                integrated = patch_rows(
+                    state.integrated, graph, affected, ownership.integrated, PERSON
                 )
+                ubo = assemble_beneficial_owners(graph, integrated, c_rows)
 
             with self.tracer.span("snapshot.canonical_rows"):
                 rows = canonical_rows(frame, family_links, control, close)
@@ -626,12 +603,9 @@ class SnapshotBuilder:
                 control_rows=c_rows,
                 phi_rows=p_rows,
                 integrated=integrated,
-                controlled=controlled,
                 family_links=family_links,
                 assignment=assignment,
             )
-        else:
-            self._state = None
         self._version = version
         return Snapshot(
             version=version,

@@ -50,7 +50,7 @@ worker serves the same tenant set.
 
 Failure handling: the parent supervises worker processes and restarts a
 crashed worker against the current segment set (bounded by
-``PoolConfig.restart_limit``); a worker that cannot attach a published
+``RESTART_LIMIT``); a worker that cannot attach a published
 segment fails that publish at once; ``SIGTERM`` triggers a graceful
 drain — workers stop accepting, finish in-flight requests, and exit
 before the parent unlinks the segments.
@@ -67,7 +67,6 @@ import os
 import socket
 import threading
 import time
-from dataclasses import dataclass
 from typing import Any, Sequence
 
 from ..graph.company_graph import CompanyGraph
@@ -84,22 +83,17 @@ logger = logging.getLogger(__name__)
 _SEGMENT_SEQ = itertools.count(1)
 
 
-@dataclass
-class PoolConfig:
-    """Knobs of the worker pool itself (the HTTP knobs live in
-    :class:`ServiceConfig`)."""
-
-    #: restarts allowed per worker slot before the slot is abandoned
-    restart_limit: int = 3
-    #: how long the parent waits for every worker to attach a new version
-    publish_timeout_s: float = 60.0
-    #: how long the parent waits for the initial worker fleet to come up
-    start_timeout_s: float = 120.0
-    #: graceful-drain budget on stop/SIGTERM
-    drain_timeout_s: float = 10.0
-    #: multiprocessing start method; fork is fastest on Linux, and all
-    #: worker arguments are picklable so spawn works where fork doesn't
-    start_method: str = "fork"
+#: restarts allowed per worker slot before the slot is abandoned
+RESTART_LIMIT = 3
+#: how long the parent waits for every worker to attach a new version
+PUBLISH_TIMEOUT_S = 60.0
+#: how long the parent waits for the initial worker fleet to come up
+START_TIMEOUT_S = 120.0
+#: graceful-drain budget on stop/SIGTERM
+DRAIN_TIMEOUT_S = 10.0
+#: multiprocessing start method; fork is fastest on Linux, and all
+#: worker arguments are picklable so spawn works where fork doesn't
+START_METHOD = "fork"
 
 
 class PoolError(RuntimeError):
@@ -132,7 +126,6 @@ class ServicePool:
         source: GraphRegistry | CompanyGraph,
         workers: int,
         config: ServiceConfig | None = None,
-        pool_config: PoolConfig | None = None,
     ):
         if workers < 1:
             raise ValueError("workers must be >= 1")
@@ -145,8 +138,7 @@ class ServicePool:
         self.primary = source.alias
         self.requested_workers = workers
         self.config = config if config is not None else ServiceConfig()
-        self.pool_config = pool_config if pool_config is not None else PoolConfig()
-        self._ctx = multiprocessing.get_context(self.pool_config.start_method)
+        self._ctx = multiprocessing.get_context(START_METHOD)
         self._procs: dict[int, multiprocessing.process.BaseProcess] = {}
         self._conns: dict[int, multiprocessing.connection.Connection] = {}
         self._restarts: dict[int, int] = {}
@@ -222,7 +214,7 @@ class ServicePool:
         with self._ready_changed:
             up = self._ready_changed.wait_for(
                 lambda: len(self._ready) == self.requested_workers,
-                timeout=self.pool_config.start_timeout_s,
+                timeout=START_TIMEOUT_S,
             )
             ready = len(self._ready)
         if up:
@@ -230,7 +222,7 @@ class ServicePool:
         self.stop(drain=False)
         raise PoolError(
             f"only {ready}/{self.requested_workers} workers came up "
-            f"within {self.pool_config.start_timeout_s}s"
+            f"within {START_TIMEOUT_S}s"
         )
 
     def _seal(self, snapshot: Snapshot, tenant: str) -> Any:
@@ -294,11 +286,11 @@ class ServicePool:
 
     def stop(self, drain: bool = True) -> None:
         """Shut the pool down; with ``drain`` workers finish in-flight
-        requests (bounded by ``drain_timeout_s``) before exiting."""
+        requests (bounded by ``DRAIN_TIMEOUT_S``) before exiting."""
         self._stopping.set()
         if drain:
-            self._broadcast({"op": "drain", "timeout_s": self.pool_config.drain_timeout_s})
-            deadline = time.monotonic() + self.pool_config.drain_timeout_s + 2.0
+            self._broadcast({"op": "drain", "timeout_s": DRAIN_TIMEOUT_S})
+            deadline = time.monotonic() + DRAIN_TIMEOUT_S + 2.0
             for proc in list(self._procs.values()):
                 proc.join(timeout=max(0.0, deadline - time.monotonic()))
         self._broadcast({"op": "stop"})
@@ -437,7 +429,7 @@ class ServicePool:
             name = self._segments[tenant].name
             self._publish_events[name] = event
         self._broadcast({"op": "publish", "tenant": tenant, "name": name})
-        deadline = time.monotonic() + self.pool_config.publish_timeout_s
+        deadline = time.monotonic() + PUBLISH_TIMEOUT_S
         try:
             while not self._fleet_attached(name):
                 with self._lock:
@@ -451,7 +443,7 @@ class ServicePool:
                 if remaining <= 0:
                     raise PoolError(
                         f"tenant {tenant} version {version} reached only workers "
-                        f"{attached} within {self.pool_config.publish_timeout_s}s"
+                        f"{attached} within {PUBLISH_TIMEOUT_S}s"
                     )
                 event.wait(timeout=min(remaining, 0.05))
                 event.clear()
@@ -648,11 +640,11 @@ class ServicePool:
             proc.join(timeout=0.5)
         if self._stopping.is_set():
             return
-        if restarts >= self.pool_config.restart_limit:
+        if restarts >= RESTART_LIMIT:
             logger.error(
                 "worker %d exceeded restart limit (%d); slot abandoned",
                 worker_id,
-                self.pool_config.restart_limit,
+                RESTART_LIMIT,
             )
             return
         logger.warning("worker %d died; restarting", worker_id)

@@ -3,15 +3,9 @@ and the index-backed planner statistics it leans on."""
 
 import math
 
-import pytest
-
 from repro.datalog import Database, Engine, parse_program
-from repro.datalog.columns import MAX_CODES, NUMPY_AVAILABLE, ValueInterner
+from repro.datalog.columns import MAX_CODES, ValueInterner
 from repro.datalog.planner import plan_rule
-
-pytestmark = pytest.mark.skipif(
-    not NUMPY_AVAILABLE, reason="columnar cache requires numpy"
-)
 
 
 class TestValueInterner:

@@ -29,16 +29,11 @@ from repro.core import (
 )
 from repro.datagen import CompanySpec, generate_company_graph
 from repro.datalog import Database, Engine, FunctionRegistry, parse_program
-from repro.datalog.columns import NUMPY_AVAILABLE
 from repro.datalog.vectorized import VectorRuntimeFallback
 from repro.graph.relational import to_facts
 from repro.ownership import close_link_pairs
 from repro.telemetry import Tracer
 from tests.test_datalog_properties import recursive_aggregate_programs
-
-pytestmark = pytest.mark.skipif(
-    not NUMPY_AVAILABLE, reason="vectorized backend requires numpy"
-)
 
 
 def _fixpoint(program, facts, **kwargs):

@@ -166,14 +166,25 @@ def pipeline_relations(graph, threshold):
     return pipeline.control_pairs(), pipeline.close_link_pairs()
 
 
+def assert_relations_match_pipeline(snapshot, graph, threshold):
+    """The snapshot's control pairs, and its close links at the drawn
+    ``threshold`` (its rows at the default, the graph elsewhere), equal
+    the Vadalog pipeline's."""
+    control, close = pipeline_relations(graph, threshold)
+    assert snapshot.control == control
+    assert snapshot.close_links_payload(threshold)["pairs"] == sorted(
+        [x, y] for x, y in close if str(x) <= str(y)
+    )
+
+
 @settings(max_examples=40, deadline=None)
 @given(ownership_world())
 def test_pipeline_equals_cold_and_patched_snapshot_rows(world):
     graph, deltas, threshold = world
-    config = SnapshotConfig(augment=False, close_link_threshold=threshold)
+    config = SnapshotConfig(augment=False)
     builder = SnapshotBuilder(config)
     cold = builder.build(graph)
-    assert (cold.control, cold.close_links) == pipeline_relations(graph, threshold)
+    assert_relations_match_pipeline(cold, graph, threshold)
     assert_rows_match_oracle(graph, builder._state.integrated)
 
     candidate = graph.copy()
@@ -182,7 +193,7 @@ def test_pipeline_equals_cold_and_patched_snapshot_rows(world):
     batch.base_generation = graph.generation
     patched = builder.build(candidate, delta=batch)
     assert patched.incremental
-    assert (patched.control, patched.close_links) == pipeline_relations(candidate, threshold)
+    assert_relations_match_pipeline(patched, candidate, threshold)
     # a row depends only on the SCCs its source reaches: carried-over UBO
     # rows are the floats a cold build derives
     assert patched.ubo == SnapshotBuilder(config).build(candidate).ubo

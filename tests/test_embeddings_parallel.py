@@ -1,9 +1,8 @@
-"""Tests for the ``#GraphEmbedClust`` stack: the deterministic parallel
-walk kernel, warm-startable SGNS/k-means, the incremental re-embedder
+"""Tests for the ``#GraphEmbedClust`` stack: the deterministic walk
+kernel, warm-startable SGNS/k-means, the incremental re-embedder
 every clustering entry point runs, and that those entry points agree."""
 
 import numpy as np
-import pytest
 
 from repro.core.blocking import BlockingScheme
 from repro.core.vadalink import VadaLink, VadaLinkConfig
@@ -50,35 +49,14 @@ def small_company_graph(persons: int = 24) -> CompanyGraph:
 
 
 class TestParallelWalkKernel:
-    @pytest.mark.parametrize("workers", [2, 3, 4, 7])
-    def test_worker_count_never_changes_walks(self, workers):
-        adjacency = build_adjacency(ring_graph())
-        nodes = list(adjacency)
-        oracle = RandomWalker(adjacency, seed=5).walks(nodes, 4, 10, workers=1)
-        sharded = RandomWalker(adjacency, seed=5).walks(
-            nodes, 4, 10, workers=workers
-        )
-        assert oracle == sharded
-
-    def test_biased_kernel_worker_invariant(self):
-        adjacency = build_adjacency(ring_graph())
-        nodes = list(adjacency)
-        oracle = RandomWalker(adjacency, p=0.5, q=2.0, seed=5).walks(
-            nodes, 3, 8, workers=1
-        )
-        sharded = RandomWalker(adjacency, p=0.5, q=2.0, seed=5).walks(
-            nodes, 3, 8, workers=4
-        )
-        assert oracle == sharded
-
     def test_walks_independent_of_other_starts(self):
         # each (node, walk index) owns its stream: a subset of starts
         # reproduces exactly its slice of the full run
         adjacency = build_adjacency(ring_graph())
         nodes = list(adjacency)
-        full = RandomWalker(adjacency, seed=5).walks(nodes, 3, 10, workers=1)
+        full = RandomWalker(adjacency, seed=5).walks(nodes, 3, 10)
         subset = nodes[4:7]
-        partial = RandomWalker(adjacency, seed=5).walks(subset, 3, 10, workers=1)
+        partial = RandomWalker(adjacency, seed=5).walks(subset, 3, 10)
         offset = 4 * 3
         assert partial == full[offset:offset + len(subset) * 3]
 
@@ -88,7 +66,7 @@ class TestParallelWalkKernel:
         adjacency = build_adjacency(ring_graph())
         nodes = list(adjacency)
         walker = RandomWalker(adjacency, seed=9)
-        lockstep = walker.walks(nodes, 3, 12, workers=1)
+        lockstep = walker.walks(nodes, 3, 12)
         reference = [
             RandomWalker(adjacency, seed=9)._seeded_walk(node, index, 12)
             for node in nodes
@@ -99,7 +77,7 @@ class TestParallelWalkKernel:
     def test_isolated_and_unknown_starts_yield_singletons(self):
         adjacency = build_adjacency(ring_graph())
         walker = RandomWalker(adjacency, seed=1)
-        walks = walker.walks(["isolated-a", "missing", 0], 2, 6, workers=2)
+        walks = walker.walks(["isolated-a", "missing", 0], 2, 6)
         assert walks[0] == ["isolated-a"]
         assert walks[2] == ["missing"]
         assert len(walks[4]) == 6
@@ -107,34 +85,14 @@ class TestParallelWalkKernel:
     def test_node_major_order(self):
         adjacency = build_adjacency(ring_graph(spokes=False))
         nodes = list(adjacency)
-        walks = RandomWalker(adjacency, seed=2).walks(nodes, 3, 5, workers=1)
+        walks = RandomWalker(adjacency, seed=2).walks(nodes, 3, 5)
         assert len(walks) == len(nodes) * 3
         for position, node in enumerate(nodes):
             for index in range(3):
                 assert walks[position * 3 + index][0] == node
 
-    def test_workers_must_be_positive(self):
-        adjacency = build_adjacency(ring_graph())
-        with pytest.raises(ValueError):
-            RandomWalker(adjacency, seed=1).walks([0], 1, 5, workers=0)
-
 
 class TestEmbedClusterParallel:
-    def test_embed_and_cluster_bit_identical_across_workers(self):
-        graph = small_company_graph()
-        assignments = [
-            embed_and_cluster(
-                graph, 4,
-                Node2VecConfig(
-                    dimensions=12, walk_length=8, num_walks=3, epochs=1,
-                    window=3, seed=0, workers=workers,
-                ),
-                feature_properties=("surname",),
-            )
-            for workers in (1, 2, 4)
-        ]
-        assert assignments[0] == assignments[1] == assignments[2]
-
     def test_embedding_matrix_stays_float32(self):
         # the vectors k-means partitions: embed_and_cluster's own round
         graph = small_company_graph()
@@ -190,7 +148,7 @@ class TestIncrementalEmbedder:
         graph = small_company_graph()
         config = Node2VecConfig(
             dimensions=12, walk_length=8, num_walks=3, epochs=1, window=3,
-            seed=0, workers=1,
+            seed=0,
         )
         embedder = IncrementalEmbedder(4, config, feature_properties=("surname",))
         cold = embedder.embed(graph)
@@ -204,7 +162,7 @@ class TestIncrementalEmbedder:
         graph = small_company_graph()
         config = Node2VecConfig(
             dimensions=12, walk_length=8, num_walks=3, epochs=1, window=3,
-            seed=0, workers=1,
+            seed=0,
         )
         embedder = IncrementalEmbedder(4, config, feature_properties=("surname",))
         embedder.embed(graph)
@@ -218,7 +176,7 @@ class TestIncrementalEmbedder:
         graph = small_company_graph()
         config = Node2VecConfig(
             dimensions=12, walk_length=8, num_walks=3, epochs=1, window=3,
-            seed=0, workers=1,
+            seed=0,
         )
         embedder = IncrementalEmbedder(4, config)
         embedder.embed(graph)

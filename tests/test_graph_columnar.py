@@ -316,16 +316,16 @@ def test_intern_order_is_collision_free_and_str_compatible():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_walks_identical_through_frame_and_legacy_dict(workers):
+# the return parameter p picks the kernel: 1 the lockstep one (p == q == 1),
+# 2 the biased per-walk one
+@pytest.mark.parametrize("p", [1, 2])
+def test_walks_identical_through_frame_and_legacy_dict(p):
     graph = figure2_graph()
-    legacy_walker = RandomWalker(legacy_build_adjacency(graph), seed=7)
-    frame_walker = RandomWalker(GraphFrame.of(graph), seed=7)
+    legacy_walker = RandomWalker(legacy_build_adjacency(graph), p=p, seed=7)
+    frame_walker = RandomWalker(GraphFrame.of(graph), p=p, seed=7)
     starts = list(legacy_walker.adjacency)
     assert starts == list(frame_walker.adjacency)
-    assert legacy_walker.walks(starts, 4, 10, workers=workers) == frame_walker.walks(
-        starts, 4, 10, workers=workers
-    )
+    assert legacy_walker.walks(starts, 4, 10) == frame_walker.walks(starts, 4, 10)
 
 
 # ---------------------------------------------------------------------------
@@ -340,11 +340,8 @@ def golden_graph():
 
 
 def test_golden_walks(golden_graph):
-    for workers in (1, 2):
-        walks = generate_walks(
-            golden_graph, num_walks=3, walk_length=8, seed=4, workers=workers
-        )
-        assert _hash(walks) == "92557588aeccbd0b"
+    walks = generate_walks(golden_graph, num_walks=3, walk_length=8, seed=4)
+    assert _hash(walks) == "92557588aeccbd0b"
 
 
 def test_golden_ownership_sweep(golden_graph):
@@ -370,7 +367,7 @@ def test_golden_pipeline_and_clustering(golden_graph):
     from repro.core.pipeline import PipelineConfig, ReasoningPipeline
     from repro.embeddings.node2vec import Node2VecConfig, embed_and_cluster
 
-    # digests of the walk kernel, as it already ran at workers=1 before it
+    # digests of the walk kernel, as it already ran in-process before it
     # became the only sampler
     config = Node2VecConfig(
         dimensions=12, walk_length=8, num_walks=3, epochs=1, window=3, seed=0

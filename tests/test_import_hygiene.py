@@ -121,6 +121,13 @@ class TestImportSets:
                 for part in command]
         assert "scipy" not in cli_modules(*argv)
 
+    @pytest.mark.parametrize("clusters", [[], ["--clusters", "3"]],
+                             ids=["no-clusters", "clusters"])
+    def test_augment_loads_no_multiprocessing(self, clusters, extract, tmp_path):
+        # walks run in-process: nothing on the batch path forks
+        modules = cli_modules("augment", extract, tmp_path / "out.json", *clusters)
+        assert "multiprocessing" not in modules
+
     def test_store_versions_loads_no_scipy(self, tmp_path):
         from repro.storage import FrameStore
 
@@ -325,7 +332,7 @@ class TestSurfaceParity:
         assert not hasattr(walker, "_rng")
         with pytest.raises(TypeError):
             walker.walks([0], 1, 3, workers=None)
-        assert Node2VecConfig().workers == 1
+        assert not hasattr(Node2VecConfig(), "workers")
         # one embedding default, and no switch around the embedder
         for name in ("incremental", "dirty_hops"):
             with pytest.raises(TypeError):
@@ -333,6 +340,30 @@ class TestSurfaceParity:
         for name in ("dirty_hops", "node2vec", "embedding_features"):
             with pytest.raises(TypeError):
                 SnapshotConfig(**{name: None})
+
+    def test_the_unset_knobs_are_gone(self):
+        import importlib
+
+        import repro.service
+        from repro.embeddings import Node2VecConfig
+        from repro.service import SnapshotConfig
+
+        # a snapshot precomputes at the paper's thresholds
+        for name in ("control_threshold", "close_link_threshold", "ubo_threshold"):
+            with pytest.raises(TypeError):
+                SnapshotConfig(**{name: 0.3})
+        # one derivation per relation: no cold arm, no second control sweep
+        incremental = importlib.import_module("repro.service.incremental")
+        for name in ("control_rows", "patch_ubo_rows"):
+            assert not hasattr(incremental, name)
+        # walks run in-process, the pool's settings are module constants
+        with pytest.raises(TypeError):
+            Node2VecConfig(workers=1)
+        walks = importlib.import_module("repro.embeddings.walks")
+        for name in ("_map_payloads", "_pool_walk_shard", "_FORK_WALKER"):
+            assert not hasattr(walks, name)
+        with pytest.raises(AttributeError):
+            repro.service.PoolConfig
 
     def test_the_batch_window_is_gone(self):
         import inspect

@@ -6,16 +6,21 @@ state produces the same control closure, close-link pairs, family links
 and (up to payload rounding) UBO index as a builder that recomputes the
 world from scratch.  The cold oracle here is a builder with
 ``SnapshotConfig(incremental=False)``: it keeps no row state, so every
-build derives every row cold (with the same per-source functions).
+build patches the empty state with every source affected.  The oracle
+independent of the builder is the Vadalog pipeline
+(``tests/test_definitions_differential.py``).
 """
 
 import asyncio
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.datagen.company_generator import CompanySpec, generate_company_graph
+from repro.ownership.close_links import _PhiRows
+from repro.ownership.control import controlled_by
 from repro.service import SnapshotBuilder, SnapshotConfig, SnapshotManager
 from repro.service.incremental import affected_sources, shareholding_ancestors
 from repro.service.updates import GraphUpdater, apply_deltas
@@ -189,6 +194,58 @@ class TestIncrementalBuild:
         batch.base = graph
         batch.base_generation = graph.generation
         assert not builder.build(candidate, delta=batch).incremental
+
+
+@pytest.fixture
+def derivations(monkeypatch):
+    """Counts ``controlled_by`` calls (wherever a module bound the name)
+    and ``_PhiRows`` constructions."""
+    counts = {"controlled_by": 0, "phi_rows": 0}
+    original = controlled_by
+
+    def counting_controlled_by(*args, **kwargs):
+        counts["controlled_by"] += 1
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("repro") and getattr(module, "controlled_by", None) is original:
+            monkeypatch.setattr(module, "controlled_by", counting_controlled_by)
+    init = _PhiRows.__init__
+
+    def counting_init(self, graph):
+        counts["phi_rows"] += 1
+        init(self, graph)
+
+    monkeypatch.setattr(_PhiRows, "__init__", counting_init)
+    return counts
+
+
+class TestOneDerivation:
+    """Each relation is derived once per build: a cold build is the patch
+    of the empty state, and the UBO index reads the control rows."""
+
+    def test_cold_build_derives_each_row_once(self, derivations):
+        graph = make_graph()
+        SnapshotBuilder(SnapshotConfig(augment=False)).build(graph)
+        assert derivations == {"controlled_by": graph.node_count, "phi_rows": 1}
+
+    def test_patch_shares_one_phi_rows(self, derivations):
+        graph = make_graph()
+        builder = SnapshotBuilder(SnapshotConfig(augment=False))
+        builder.build(graph)
+        companies = [c.id for c in graph.companies()]
+        candidate = graph.copy()
+        batch = apply_deltas(candidate, [
+            {**SOME_SHARE, "owner": companies[0], "company": companies[1]},
+            {**SOME_SHARE, "owner": companies[2], "company": companies[3]},
+        ])
+        batch.base = graph
+        batch.base_generation = graph.generation
+        affected = affected_sources(batch, graph, candidate)
+        assert len(affected) > 2
+        derivations.update(controlled_by=0, phi_rows=0)
+        assert builder.build(candidate, delta=batch).incremental
+        assert derivations == {"controlled_by": len(affected), "phi_rows": 1}
 
 
 class TestAffectedSources:

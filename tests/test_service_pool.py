@@ -27,7 +27,7 @@ import pytest
 
 from repro.datagen.company_generator import CompanySpec, generate_company_graph
 from repro.service import ServiceConfig
-from repro.service.workers import PoolConfig, PoolError, ServicePool
+from repro.service.workers import PoolError, ServicePool
 
 
 @pytest.fixture(scope="module")
@@ -301,13 +301,9 @@ class TestSupervision:
         seen = healthz_by_worker(pool.port)
         assert set(seen.values()) == {pool.version}
 
-    def test_start_timeout_stops_the_pool(self, graph):
-        pool = ServicePool(
-            graph,
-            workers=2,
-            config=ServiceConfig(port=0),
-            pool_config=PoolConfig(start_timeout_s=0.0),
-        )
+    def test_start_timeout_stops_the_pool(self, graph, monkeypatch):
+        monkeypatch.setattr("repro.service.workers.START_TIMEOUT_S", 0.0)
+        pool = ServicePool(graph, workers=2, config=ServiceConfig(port=0))
         with pytest.raises(PoolError, match="workers came up within 0.0s"):
             pool.start()
         assert pool.live_workers() == []

@@ -377,20 +377,25 @@ class TestNeighborsOrder:
 
         # what unpickling an older build's SnapshotConfig leaves behind:
         # pickle restores the instance __dict__, declared field or not;
-        # every clustered store carries the old embedding hyper-parameters
-        # and the removed sequential sampler (workers=None)
+        # every clustered store carries the old embedding hyper-parameters,
+        # the removed sequential sampler (workers=None) and the default
+        # thresholds the config once declared
         config = SnapshotConfig(first_level_clusters=4, use_embeddings=True)
+        node2vec = Node2VecConfig(
+            dimensions=16, walk_length=10, num_walks=4, epochs=1, window=3
+        )
+        vars(node2vec)["workers"] = None
         removed = {
             "index_properties": ("name", "surname", "address"),
             "low_rank_updates": True,
             "max_update_rank": 32,
             "max_path_depth": 12,
             "dirty_hops": 2,
-            "node2vec": Node2VecConfig(
-                dimensions=16, walk_length=10, num_walks=4, epochs=1, window=3,
-                workers=None,
-            ),
+            "node2vec": node2vec,
             "embedding_features": {"surname": 1.0, "address": 3.0},
+            "control_threshold": 0.5,
+            "close_link_threshold": 0.2,
+            "ubo_threshold": 0.25,
         }
         vars(config).update(removed)
         FrameStore.create(tmp_path / "store").persist(SnapshotBuilder(config).build(graph))
