@@ -351,10 +351,12 @@ def _export_dot(args: argparse.Namespace) -> int:
 def _reason(args: argparse.Namespace) -> int:
     from .datalog.engine import Engine
     from .datalog.parser import parse_program
+    from .datalog.slicing import slice_program
     from .graph.relational import to_facts
 
     graph = _read_extract(args.directory)
-    program = parse_program(args.program.read_text())
+    # derive only what the queried relation depends on
+    program = slice_program(parse_program(args.program.read_text()), [args.query])
     engine = Engine(
         program,
         to_facts(graph),

@@ -14,7 +14,8 @@ optionally folded modulo ``k`` — exactly the device used in the Figure
 
 from __future__ import annotations
 
-import hashlib
+# hashlib.blake2b is _blake2.blake2b; importing hashlib would also load OpenSSL
+from _blake2 import blake2b
 from dataclasses import dataclass, field
 from typing import Callable, Hashable
 
@@ -31,7 +32,7 @@ Blocker = Callable[[Node], "BlockKey | list[BlockKey]"]
 
 def stable_hash(*values: object) -> int:
     """A process-stable hash of a feature tuple (``hash()`` is salted per run)."""
-    hasher = hashlib.blake2b(digest_size=8)
+    hasher = blake2b(digest_size=8)
     for value in values:
         hasher.update(repr(value).encode("utf-8"))
         hasher.update(b"\x1f")

@@ -11,13 +11,14 @@ declarative, application logic outside.
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 from ..datalog.builtins import FunctionRegistry
 from ..datalog.database import Database, Fact
 from ..datalog.engine import Engine
 from ..datalog.parser import parse_program
 from ..datalog.rules import Program
+from ..datalog.slicing import read_predicates, slice_program
 from ..graph.property_graph import PropertyGraph
 from ..graph.relational import COMPANY_SCHEMA, RelationalSchema, to_facts
 
@@ -58,8 +59,14 @@ class KnowledgeGraph:
     def rule_sets(self) -> list[str]:
         return list(self._rule_sets)
 
-    def program(self, names: list[str] | None = None) -> Program:
-        """The concatenation of the selected (or all) rule sets."""
+    def program(
+        self, names: list[str] | None = None, outputs: Iterable[str] | None = None
+    ) -> Program:
+        """The concatenation of the selected (or all) rule sets; with
+        ``outputs``, only the part of it those relations depend on (see
+        :func:`repro.datalog.slicing.slice_program`)."""
+        if outputs is not None:
+            return slice_program(self.program(names), outputs)
         combined = Program()
         for name, rules in self._rule_sets.items():
             if names is None or name in names:
@@ -100,18 +107,29 @@ class KnowledgeGraph:
         provenance: bool = False,
         max_iterations: int = 1_000_000,
         tracer=None,
+        outputs: Iterable[str] | None = None,
     ) -> Engine:
         """Run the selected rule sets over a *copy* of the extensional data.
 
         The extensional component is never mutated by reasoning — derived
         facts live in the returned engine's database (the paper's "do not
         let business logic drift into the KG extensional component").
-        ``tracer`` (a :class:`repro.telemetry.Tracer`) collects the
-        engine's per-stratum / per-rule spans when given.
+        ``outputs`` makes the run demand-driven: it derives only what
+        those relations depend on, over a copy of only the relations
+        that derivation reads, and only the outputs are meant to be
+        queried afterwards.  ``tracer`` (a :class:`repro.telemetry.Tracer`)
+        collects the engine's per-stratum / per-rule spans when given.
         """
+        if outputs is None:
+            program = self.program(names)
+            database = self.extensional.copy()
+        else:
+            outputs = tuple(outputs)
+            program = self.program(names, outputs)
+            database = self.extensional.copy(read_predicates(program) | set(outputs))
         engine = Engine(
-            self.program(names),
-            self.extensional.copy(),
+            program,
+            database,
             functions=self.functions,
             provenance=provenance,
             max_iterations=max_iterations,

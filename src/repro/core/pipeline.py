@@ -85,6 +85,8 @@ class ReasoningPipeline:
         #: between snapshot builds); when set it replaces the internal
         #: ``embed_and_cluster`` call of :meth:`_first_level_assignment`
         self.cluster_assignment = cluster_assignment
+        #: the engine of the last ``control_pairs(provenance=True)`` run
+        self.last_engine: Engine | None = None
         if classifiers is None:
             classifiers = default_classifiers()
         self.classifiers = {c.link_class: c for c in classifiers}
@@ -262,22 +264,33 @@ class ReasoningPipeline:
         names: list[str] | None = None,
         provenance: bool = False,
         with_blocks: bool = False,
+        outputs: Sequence[str] | None = None,
     ) -> Engine:
-        """Run the selected rule sets (all, by default) and return the engine."""
+        """Run the selected rule sets (all, by default) and return the
+        engine; with ``outputs``, derive only what those relations need
+        (see :meth:`KnowledgeGraph.reason`)."""
         label = "pipeline.reason[" + (",".join(names) if names else "all") + "]"
         with self.tracer.span(label):
             if with_blocks:
                 self._inject_block_facts()
-            return self.kg.reason(names, provenance=provenance, tracer=self.tracer)
+            return self.kg.reason(
+                names, provenance=provenance, tracer=self.tracer, outputs=outputs
+            )
 
     def control_pairs(self, provenance: bool = False) -> set[tuple[NodeId, NodeId]]:
-        """Control pairs (external ids) via the declarative Algorithm 5."""
+        """Control pairs (external ids) via the declarative Algorithm 5.
+
+        With ``provenance`` the run's engine stays on as
+        :attr:`last_engine`, so its facts can be explained; no other run
+        outlives its answer."""
         with self.tracer.span("problem.control") as span:
             engine = self.reason(
                 ["input_mapping", "control", "link_creation", "output_mapping"],
                 provenance=provenance,
+                outputs=("control",),
             )
-            self.last_engine = engine
+            if provenance:
+                self.last_engine = engine
             pairs = {(x, y) for x, y in engine.query("control")}
             span.set("pairs", len(pairs))
         return pairs
@@ -294,9 +307,9 @@ class ReasoningPipeline:
                 )
             else:
                 engine = self.reason(
-                    ["input_mapping", "close_link", "link_creation", "output_mapping"]
+                    ["input_mapping", "close_link", "link_creation", "output_mapping"],
+                    outputs=("close_link",),
                 )
-                self.last_engine = engine
                 pairs = {(x, y) for x, y in engine.query("close_link")}
             span.set("pairs", len(pairs))
         return pairs
@@ -307,8 +320,8 @@ class ReasoningPipeline:
             engine = self.reason(
                 ["input_mapping", "family_links", "link_creation", "output_mapping"],
                 with_blocks=True,
+                outputs=FAMILY_LINK_CLASSES,
             )
-            self.last_engine = engine
             links: set[tuple[NodeId, NodeId, str]] = set()
             for link_class in FAMILY_LINK_CLASSES:
                 for x, y in engine.query(link_class):
@@ -330,9 +343,9 @@ class ReasoningPipeline:
                     "family_control",
                     "link_creation",
                     "output_mapping",
-                ]
+                ],
+                outputs=("control",),
             )
-            self.last_engine = engine
             family_ids = {edge.target for edge in self.graph.edges(FAMILY)}
             pairs = {(x, y) for x, y in engine.query("control") if x in family_ids}
             span.set("pairs", len(pairs))

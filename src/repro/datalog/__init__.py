@@ -7,6 +7,7 @@ Public surface:
   existentials, Skolem functions, monotonic aggregation, negation and
   external Python functions.
 * :class:`Database` — indexed fact store.
+* :func:`slice_program` — the part of a program some outputs depend on.
 * Term/rule constructors for programmatic rule building.
 """
 
@@ -25,6 +26,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ),
     "parser": ("parse_program", "parse_rule"),
     "rules": ("Program", "Rule"),
+    "slicing": ("slice_program",),
     "stratify": ("stratify", "Stratum"),
     "terms": (
         "Constant", "Expr", "FunctionTerm", "is_null", "Null", "skolem", "SkolemTerm", "Variable",

@@ -205,14 +205,19 @@ class ColumnStore:
         """A store over ``clone_database`` reusing this store's work.
 
         Intended for :meth:`Database.copy`: the clone's row lists equal
-        ours right now, so blocks carry over as numpy copies (no
-        re-interning) and the append-only interner is shared by
-        reference.
+        ours right now for every relation it holds, so their blocks carry
+        over as numpy copies (no re-interning) and the append-only
+        interner is shared by reference.
         """
         store = ColumnStore(clone_database, interner=self.interner)
+        held = clone_database._facts
         for key, block in self._blocks.items():
-            store._blocks[key] = block.snapshot()
-        store._synced = dict(self._synced)
+            if key[0] in held:
+                store._blocks[key] = block.snapshot()
+        store._synced = {
+            predicate: consumed for predicate, consumed in self._synced.items()
+            if predicate in held
+        }
         return store
 
     # ------------------------------------------------------------------

@@ -233,17 +233,20 @@ class Database:
             return len(self._facts.get(predicate, ()))
         return sum(len(rows) for rows in self._facts.values())
 
-    def copy(self) -> "Database":
+    def copy(self, predicates: Iterable[str] | None = None) -> "Database":
         """An independent clone sharing no mutable state with the original.
 
-        The dedup sets are rebuilt from the insertion-order lists (the
-        single source of truth), so a clone is internally consistent even
-        if the two structures ever drifted apart; indexes are not copied
-        — they are rebuilt lazily on first use.
+        ``predicates`` limits the clone to those relations (all, by
+        default): a run that reads three relations copies three.  The
+        dedup sets are rebuilt from the insertion-order lists (the single
+        source of truth), so a clone is internally consistent even if the
+        two structures ever drifted apart; indexes are not copied — they
+        are rebuilt lazily on first use.
         """
+        wanted = None if predicates is None else set(predicates)
         clone = Database()
         for predicate, rows in self._facts.items():
-            if not rows:
+            if not rows or (wanted is not None and predicate not in wanted):
                 continue
             clone._facts[predicate] = list(rows)
             clone._sets[predicate] = set(rows)

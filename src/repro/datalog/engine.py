@@ -896,7 +896,7 @@ class Engine:
                     tail_safe = False
                     break
                 determined.add(literal.variable.name)
-        head_names = {v.name for v in rule.head_variables()}
+        head_names = {v.name for v in rule.full_head_variables()}
         skippable = tail_safe and head_names <= determined
         self._group_vars_cache[cache_key] = ("1" if skippable else "",)
         return skippable
@@ -924,7 +924,7 @@ class Engine:
         if cached is not None:
             return cached
         aggregate_result_names = {a.variable.name for a in rule.aggregates()}
-        head_names = {v.name for v in rule.head_variables()}
+        head_names = {v.name for v in rule.full_head_variables()}
         bound_before: set[str] = set()
         for literal in rule.body:
             if literal is aggregate:
@@ -950,7 +950,9 @@ class Engine:
                 sorted(v.name for v in rule.existential_variables())
             )
             frontier = tuple(sorted(v.name for v in rule.frontier_variables()))
-            rule_id = rule.label or f"rule@{id(rule)}"
+            # a sliced rule invents the nulls its origin would
+            source = rule.origin or rule
+            rule_id = source.label or f"rule@{id(source)}"
             cached = (existential, frontier, rule_id)
             self._head_plan_cache[id(rule)] = cached
         return cached

@@ -32,6 +32,9 @@ class Rule:
     body: tuple[BodyLiteral, ...]
     head: tuple[Atom, ...]
     label: str = ""
+    #: the rule a program slice cut this one from by dropping head atoms
+    #: (see :mod:`.slicing`), else None
+    origin: "Rule | None" = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.head:
@@ -90,9 +93,17 @@ class Rule:
             head_vars.update(atom.variables())
         return head_vars
 
+    def full_head_variables(self) -> set[Variable]:
+        """Head variables of the rule as written: its origin's when a slice
+        cut head atoms away.  Aggregate groups and the frontier are taken
+        over these, so a cut rule derives exactly its origin's facts of
+        the atoms it kept, labelled nulls included."""
+        return (self.origin or self).head_variables()
+
     def frontier_variables(self) -> set[Variable]:
-        """Variables shared between body and head (the rule's frontier)."""
-        return self.body_variables() & self.head_variables()
+        """Variables shared between body and (full) head: the rule's
+        frontier, which keys the nulls it invents."""
+        return self.body_variables() & self.full_head_variables()
 
     def existential_variables(self) -> set[Variable]:
         """Head variables not bound anywhere in the body."""

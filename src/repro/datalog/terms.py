@@ -10,7 +10,8 @@ applications (:class:`SkolemTerm`) and external-function calls
 
 from __future__ import annotations
 
-import hashlib
+# hashlib.blake2b is _blake2.blake2b; importing hashlib would also load OpenSSL
+from _blake2 import blake2b
 from dataclasses import dataclass
 from typing import Any, Iterator
 
@@ -135,7 +136,7 @@ def skolem(name: str, values: tuple[Value, ...]) -> str:
     injectivity and disjoint ranges come from including the function name
     and an unambiguous serialisation of the arguments in the digest.
     """
-    hasher = hashlib.blake2b(digest_size=12)
+    hasher = blake2b(digest_size=12)
     hasher.update(name.encode("utf-8"))
     for value in values:
         hasher.update(b"\x00")

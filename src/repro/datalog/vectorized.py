@@ -434,7 +434,7 @@ class _VecLowering:
             if name not in self.bound or self.kinds[self.slots[name]] == "code"
         }
         pushed: list[int] = []
-        live = {v.name for v in self.rule.head_variables()}
+        live = {v.name for v in self.rule.full_head_variables()}
         pushing = True
         for number in range(after + 1, len(order)):
             literal = literals[order[number]]

@@ -32,7 +32,8 @@ buffers with every other consumer of that graph version), and
 
 from __future__ import annotations
 
-import hashlib
+# hashlib.blake2b is _blake2.blake2b; importing hashlib would also load OpenSSL
+from _blake2 import blake2b
 from bisect import bisect_left
 from itertools import accumulate
 from typing import Hashable, Sequence
@@ -67,7 +68,7 @@ def _splitmix64(x: np.ndarray) -> np.ndarray:
 
 def _node_entropy(seed: int, node: NodeId) -> int:
     """Stable 64-bit entropy per (seed, node) — process-independent."""
-    hasher = hashlib.blake2b(digest_size=8)
+    hasher = blake2b(digest_size=8)
     for part in (str(seed), repr(node)):
         hasher.update(part.encode("utf-8", "backslashreplace"))
         hasher.update(b"\x1f")

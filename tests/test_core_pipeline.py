@@ -187,3 +187,64 @@ class TestProvenance:
         engine = pipeline.last_engine
         lines = engine.explain("control", ("P1", "C"))
         assert any("ctrl" in line or "extensional" in line for line in lines)
+
+    def test_the_sliced_run_explains_through_its_rules(self):
+        pipeline = ReasoningPipeline(figure1_graph(), fast_config())
+        assert pipeline.last_engine is None
+        pipeline.control_pairs(provenance=True)
+        lines = pipeline.last_engine.explain("control", ("P1", "F"))
+        assert "[by rule: out_control]" in lines[0]
+        assert any("[by rule: ctrl_step]" in line for line in lines)
+        assert any("[by rule: map_own_person]" in line for line in lines)
+
+
+class TestDemandDrivenRuns:
+    """Each problem derives only what its query reads, copies only the
+    relations that derivation reads, and holds nothing past its answer."""
+
+    @pytest.fixture(scope="class")
+    def extract(self):
+        return generate_company_graph(CompanySpec(persons=120, companies=90, seed=5))[0]
+
+    def test_the_family_run_reads_no_shareholding(self, extract, monkeypatch):
+        from repro.core.kg import KnowledgeGraph
+
+        runs = []
+        reason = KnowledgeGraph.reason
+
+        def recorded(self, names=None, **options):
+            engine = reason(self, names, **options)
+            runs.append((engine, options["outputs"]))
+            return engine
+
+        monkeypatch.setattr(KnowledgeGraph, "reason", recorded)
+        assert ReasoningPipeline(extract, fast_config()).family_links()
+        ((engine, outputs),) = runs
+        assert set(outputs) == {"partner_of", "sibling_of", "parent_of"}
+        database = engine.database
+        assert database.count("feature") == 0
+        assert database.count("own") == 0 and database.count("company") > 0
+        assert {len(values) for values in database.iter_facts("link")} == {3}
+
+    def test_augment_holds_no_engine_past_its_answer(self, extract, monkeypatch):
+        import weakref
+
+        from repro.core.kg import KnowledgeGraph
+
+        alive_at_each_run = []
+        refs = []
+        reason = KnowledgeGraph.reason
+
+        def recorded(self, names=None, **options):
+            alive_at_each_run.append(sum(ref() is not None for ref in refs))
+            engine = reason(self, names, **options)
+            refs.append(weakref.ref(engine))
+            return engine
+
+        monkeypatch.setattr(KnowledgeGraph, "reason", recorded)
+        pipeline = ReasoningPipeline(extract, fast_config())
+        pipeline.augment()
+        assert len(refs) >= 2  # family links, control (close links if acyclic)
+        assert alive_at_each_run == [0] * len(refs)
+        assert [ref() for ref in refs] == [None] * len(refs)
+        assert pipeline.last_engine is None

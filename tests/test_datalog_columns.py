@@ -130,6 +130,16 @@ class TestSnapshotSharing:
         assert clone_store.interner is store.interner  # append-only, shared
         assert clone_store.block("edge", 2).size == 1
 
+    def test_a_partial_copy_carries_only_the_blocks_it_holds(self):
+        database = Database([("edge", (1, 2)), ("node", (1,))])
+        store = database.column_store()
+        store.preload("edge")
+        store.preload("node")
+        clone_store = database.copy(["node"]).column_store()
+        assert clone_store.block("node", 1).size == 1
+        assert clone_store.block("edge", 2) is None
+        assert set(clone_store._synced) == {"node"}
+
     def test_clone_blocks_are_isolated_from_the_original(self):
         database = Database([("edge", (1, 2))])
         database.column_store().preload("edge")

@@ -121,6 +121,21 @@ class TestImportSets:
                 for part in command]
         assert "scipy" not in cli_modules(*argv)
 
+    @pytest.mark.parametrize("command", [
+        ("augment", "{extract}", "{tmp}/out.json"),
+        ("reason", "{extract}", "{program}", "--query", "candidate"),
+        ("control", "{extract}"),
+        ("family", "{extract}"),
+        ("generate", "{tmp}/ex", "--persons", "30", "--companies", "20"),
+    ], ids=lambda command: command[0])
+    def test_batch_commands_load_no_openssl(self, command, extract, program, tmp_path):
+        # Skolem ids, block keys and walk seeds hash with _blake2's blake2b
+        # (which is hashlib's); importing hashlib would map libcrypto
+        argv = [part.format(extract=extract, program=program, tmp=tmp_path)
+                for part in command]
+        modules = cli_modules(*argv)
+        assert "_hashlib" not in modules and "hashlib" not in modules
+
     @pytest.mark.parametrize("clusters", [[], ["--clusters", "3"]],
                              ids=["no-clusters", "clusters"])
     def test_augment_loads_no_multiprocessing(self, clusters, extract, tmp_path):
