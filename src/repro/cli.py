@@ -376,8 +376,29 @@ def _reason(args: argparse.Namespace) -> int:
 MAX_WORKERS = 64
 
 
+def _import_asyncio_without_ssl():
+    """``import asyncio`` with the ``ssl`` module blocked, unless it is
+    already loaded.
+
+    asyncio only *tries* to import ``ssl`` (for TLS transports, which
+    ``serve`` has no option for) and runs without it as on a Python built
+    without OpenSSL; importing it would map libssl and libcrypto into the
+    serving process and every worker forked from it.  A ``None`` entry in
+    ``sys.modules`` makes that import fail; it is removed again at once,
+    so a later ``import ssl`` works as usual."""
+    blocked = "ssl" not in sys.modules
+    if blocked:
+        sys.modules["ssl"] = None
+    try:
+        import asyncio
+    finally:
+        if blocked:
+            del sys.modules["ssl"]
+    return asyncio
+
+
 def _serve(args: argparse.Namespace) -> int:
-    import asyncio
+    asyncio = _import_asyncio_without_ssl()
     import signal
 
     from .service import ReasoningService, ServiceConfig, TenantError, validate_tenant
@@ -394,6 +415,13 @@ def _serve(args: argparse.Namespace) -> int:
         raise CLIError(f"--max-concurrency must be >= 1, got {args.max_concurrency}")
     if args.max_queue < 0:
         raise CLIError(f"--max-queue must be >= 0, got {args.max_queue}")
+    if not 0.0 < args.request_timeout < float("inf"):  # also false for nan
+        raise CLIError(
+            f"--request-timeout must be a finite number of seconds > 0, "
+            f"got {args.request_timeout}"
+        )
+    if args.cache_capacity < 1:
+        raise CLIError(f"--cache-capacity must be >= 1, got {args.cache_capacity}")
     if args.version is not None and args.store is None:
         raise CLIError("--version requires --store")
     if args.version is not None and args.directory is not None:

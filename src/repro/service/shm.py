@@ -1,8 +1,8 @@
 """Shared-memory snapshot segments: one header, one pickle.
 
 The multi-process serving model (``repro.service.workers``) hands every
-new snapshot version to its reader processes as **one** named
-``multiprocessing.shared_memory`` segment.  A segment carries exactly what
+new snapshot version to its reader processes as **one** named POSIX
+shared-memory segment (``/dev/shm/<name>``).  A segment carries exactly what
 the durable store (:mod:`repro.storage.store`) carries — what reasoning
 derived, nothing numpy can recompute:
 
@@ -26,6 +26,11 @@ the tail it shares with the store attach.
 Lifecycle: the *creator* (the builder process) owns ``unlink``.  A reader
 maps a segment only while attaching it, so an unlink never has to wait
 for one.
+
+Both sides go straight through ``_posixshmem`` and ``mmap``, not
+``multiprocessing.shared_memory``: that module imports ``secrets`` (and
+with it ``hmac`` and ``_hashlib``, which maps OpenSSL's libcrypto) only to
+make up a random name, and every segment the pool creates is named.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ import mmap
 import os
 import pickle
 import struct
-from multiprocessing import shared_memory
+from multiprocessing import resource_tracker
 from typing import Any
 
 from ..graph.columnar import _CACHE_ATTR
@@ -55,11 +60,60 @@ class SegmentError(RuntimeError):
     """A segment that is missing, foreign, truncated, or version-skewed."""
 
 
-# Resource-tracker note: only the creator's ``SharedMemory`` registers
-# the segment with the (per-process-tree) resource tracker, and its
-# ``unlink`` unregisters it.  Attaching maps the segment with a plain
-# ``mmap`` and registers nothing.  If the whole tree crashes before
-# unlinking, the tracker reaps the segment at shutdown.
+# Resource-tracker note: the creator registers the segment with
+# multiprocessing's resource tracker — a helper process shared by the
+# whole process tree, the same registration ``SharedMemory`` makes — and
+# ``Segment.unlink`` unregisters it.  Attaching maps the segment with a
+# plain ``mmap`` and registers nothing.  If the whole tree crashes before
+# unlinking, the tracker sees its pipe close and unlinks the segment.
+
+
+class Segment:
+    """A shared-memory segment this process created and owns.
+
+    ``name`` (without the leading ``/``), ``size``, ``buf`` (a writable
+    memoryview, ``None`` once closed), ``close()`` and ``unlink()`` mean
+    what they mean on :class:`multiprocessing.shared_memory.SharedMemory`.
+    ``name=None`` picks a free ``psm_<8 hex>`` name, as that class does.
+    """
+
+    _RTYPE = "shared_memory"  # the tracker's cleanup table key
+
+    def __init__(self, size: int, name: str | None = None):
+        flags = os.O_CREAT | os.O_EXCL | os.O_RDWR
+        while True:
+            path = "/" + (name if name is not None else "psm_" + os.urandom(4).hex())
+            try:
+                fd = _posixshmem.shm_open(path, flags, mode=0o600)
+                break
+            except FileExistsError:
+                if name is not None:
+                    raise
+        try:
+            os.ftruncate(fd, size)
+            self._mmap = mmap.mmap(fd, size)
+        except BaseException:
+            _posixshmem.shm_unlink(path)
+            raise
+        finally:
+            os.close(fd)
+        self._path = path
+        self.name = path[1:]
+        self.size = size
+        self.buf: memoryview | None = memoryview(self._mmap)
+        resource_tracker.register(path, self._RTYPE)
+
+    def close(self) -> None:
+        """Unmap the segment from this process (it stays in /dev/shm)."""
+        if self.buf is not None:
+            self.buf.release()
+            self.buf = None
+            self._mmap.close()
+
+    def unlink(self) -> None:
+        """Remove the segment's name; its pages go with the last mapping."""
+        _posixshmem.shm_unlink(self._path)
+        resource_tracker.unregister(self._path, self._RTYPE)
 
 
 def _graph_state(graph: PropertyGraph) -> tuple[type, dict[str, Any]]:
@@ -88,12 +142,10 @@ class AttachedSnapshot(Snapshot):
     shm: mmap.mmap
 
 
-def encode_snapshot(
-    snapshot: Snapshot, name: str | None = None
-) -> shared_memory.SharedMemory:
+def encode_snapshot(snapshot: Snapshot, name: str | None = None) -> Segment:
     """Lay ``snapshot`` into one named shared-memory segment.
 
-    Returns the created :class:`SharedMemory`; the caller (the builder
+    Returns the created :class:`Segment`; the caller (the builder
     process) owns it and is responsible for ``unlink``.
     """
     rows, classes = snapshot.row_columns()
@@ -111,9 +163,7 @@ def encode_snapshot(
         },
         protocol=pickle.HIGHEST_PROTOCOL,
     )
-    shm = shared_memory.SharedMemory(
-        create=True, size=HEADER_SIZE + len(payload), name=name
-    )
+    shm = Segment(HEADER_SIZE + len(payload), name)
     try:
         _HEADER.pack_into(shm.buf, 0, MAGIC, FORMAT_VERSION, snapshot.version, len(payload))
         shm.buf[HEADER_SIZE : HEADER_SIZE + len(payload)] = payload

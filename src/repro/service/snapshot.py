@@ -22,11 +22,9 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
 
 from ..core.pipeline import PipelineConfig, ReasoningPipeline
-from ..embeddings.incremental import IncrementalEmbedder
-from ..embeddings.node2vec import EMBEDDING_FEATURES
 from ..graph.columnar import GraphFrame
 from ..graph.company_graph import PERSON, CompanyGraph
 from ..graph.property_graph import Edge, NodeId
@@ -53,6 +51,9 @@ from .incremental import (
     patch_rows,
     shareholding_ancestors,
 )
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..embeddings.incremental import IncrementalEmbedder
 
 #: The tenant un-prefixed routes and single-graph callers resolve to.
 #: Lives here (not in ``registry``) so the cache-key helper below can use
@@ -463,6 +464,11 @@ class SnapshotBuilder:
             self._embedder = self._fresh_embedder()
 
     def _fresh_embedder(self) -> IncrementalEmbedder:
+        # imported here: without warm clustering no process loads the
+        # embedder, its skip-gram trainer or its walk kernel
+        from ..embeddings.incremental import IncrementalEmbedder
+        from ..embeddings.node2vec import EMBEDDING_FEATURES
+
         return IncrementalEmbedder(
             self.config.first_level_clusters,
             feature_properties=EMBEDDING_FEATURES,

@@ -152,12 +152,15 @@ class ServicePool:
         self._attach_errors: dict[str, str] = {}
         #: workers that accept connections
         self._ready: set[int] = set()
+        #: slots given up after ``RESTART_LIMIT`` restarts
+        self._abandoned: set[int] = set()
         #: worker -> {tenant: version} across every tenant it serves
         self.worker_tenant_versions: dict[int, dict[str, int]] = {}
         #: worker -> (attach_s, swap_pause_s) of its last publish swap
         self.last_swap: dict[int, dict[str, float]] = {}
         self._lock = threading.RLock()
-        #: notified when a worker turns ready or dies (``start`` waits on it)
+        #: notified when a worker turns ready, dies or its slot is
+        #: abandoned (``start`` waits on it)
         self._ready_changed = threading.Condition(self._lock)
         self._mutate_lock = threading.Lock()
         self._publish_events: dict[str, threading.Event] = {}
@@ -211,15 +214,22 @@ class ServicePool:
             target=self._supervise, name="pool-supervisor", daemon=True
         )
         self._supervisor.start()
+        # an abandoned slot never comes up: stop waiting at the first one
         with self._ready_changed:
-            up = self._ready_changed.wait_for(
-                lambda: len(self._ready) == self.requested_workers,
+            self._ready_changed.wait_for(
+                lambda: len(self._ready) == self.requested_workers or self._abandoned,
                 timeout=START_TIMEOUT_S,
             )
-            ready = len(self._ready)
-        if up:
+            ready, abandoned = len(self._ready), sorted(self._abandoned)
+        if ready == self.requested_workers:
             return self
         self.stop(drain=False)
+        if abandoned:
+            raise PoolError(
+                f"only {ready}/{self.requested_workers} workers came up: "
+                f"worker(s) {', '.join(map(str, abandoned))} failed "
+                f"{RESTART_LIMIT + 1} times and were abandoned"
+            )
         raise PoolError(
             f"only {ready}/{self.requested_workers} workers came up "
             f"within {START_TIMEOUT_S}s"
@@ -646,6 +656,9 @@ class ServicePool:
                 worker_id,
                 RESTART_LIMIT,
             )
+            with self._ready_changed:
+                self._abandoned.add(worker_id)
+                self._ready_changed.notify_all()
             return
         logger.warning("worker %d died; restarting", worker_id)
         with self._lock:

@@ -188,6 +188,28 @@ class TestErrorExitPaths:
         assert err.startswith("error: --max-queue must be >= 0")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--cache-capacity", "0", "--cache-capacity must be >= 1"),
+        ("--cache-capacity", "-3", "--cache-capacity must be >= 1"),
+        ("--request-timeout", "0", "--request-timeout must be a finite number"),
+        ("--request-timeout", "-1", "--request-timeout must be a finite number"),
+        ("--request-timeout", "nan", "--request-timeout must be a finite number"),
+        ("--request-timeout", "inf", "--request-timeout must be a finite number"),
+    ])
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_serve_rejects_unusable_service_settings(
+        self, flag, value, message, workers, extract, capsys, monkeypatch
+    ):
+        # checked before the extract is read: a zero cache used to fail
+        # after the cold build (or stall pool start), a non-positive
+        # timeout to boot and then answer 504 to every computed request
+        monkeypatch.setattr("repro.cli._read_extract", self.must_not_run)
+        assert main(["serve", str(extract), "--port", "0", "--workers", workers,
+                     flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}")
+        assert len(err.strip().splitlines()) == 1
+
     def test_serve_port_in_use(self, extract, capsys):
         import socket
 

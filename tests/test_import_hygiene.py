@@ -560,3 +560,119 @@ class TestForkAfterImport:
         assert report["statuses"] == [200] * 13 + [404]
         assert report["late"] == []
         assert report["scipy"] is False
+
+
+#: ``python -m repro serve ...`` that writes its ``sys.modules`` as JSON to
+#: the file named by the first argument when it exits
+SERVE_PROBE = """
+    import atexit, json, runpy, sys
+    report = sys.argv.pop(1)
+    def dump():
+        with open(report, "w") as handle:
+            json.dump(sorted(sys.modules), handle)
+    atexit.register(dump)
+    sys.argv = ["repro", *sys.argv[1:]]
+    runpy.run_module("repro", run_name="__main__")
+"""
+
+
+class ServeProcess:
+    """A ``serve`` process tree on an ephemeral port."""
+
+    def __init__(self, report: Path, *argv):
+        self.report = report
+        env = dict(os.environ, PYTHONPATH=SRC)
+        self.proc = subprocess.Popen(
+            [sys.executable, "-c", textwrap.dedent(SERVE_PROBE), str(report),
+             "serve", *map(str, argv), "--port", "0"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+        )
+        banner = self.proc.stdout.readline()
+        match = re.search(r"on http://[^:]+:(\d+)", banner)
+        if match is None:
+            self.proc.kill()
+            raise AssertionError(f"no banner, got {banner!r}")
+        self.port = int(match.group(1))
+
+    def request(self, path: str, body=None) -> bytes:
+        from urllib.request import Request, urlopen
+
+        data = None if body is None else json.dumps(body).encode()
+        with urlopen(Request(f"http://127.0.0.1:{self.port}{path}", data=data),
+                     timeout=60) as reply:
+            assert reply.status == 200, path
+            return reply.read()
+
+    def pids(self) -> list[int]:
+        """This process and its children (the pool's workers, and
+        multiprocessing's resource tracker once a segment exists)."""
+        children = []
+        for entry in os.listdir("/proc"):
+            if not entry.isdigit():
+                continue
+            try:
+                with open(f"/proc/{entry}/stat") as stat:
+                    ppid = int(stat.read().rsplit(")", 1)[1].split()[1])
+            except OSError:
+                continue
+            if ppid == self.proc.pid:
+                children.append(int(entry))
+        return [self.proc.pid, *sorted(children)]
+
+    def stop(self) -> set[str]:
+        """SIGTERM, then the modules the process held when it exited."""
+        import signal
+
+        self.proc.send_signal(signal.SIGTERM)
+        try:
+            assert self.proc.wait(timeout=60) == 0
+        finally:
+            self.proc.kill()
+            self.proc.stdout.close()
+        return set(json.loads(self.report.read_text()))
+
+
+def openssl_maps(pid: int) -> list[str]:
+    with open(f"/proc/{pid}/maps") as maps:
+        return sorted({line.split()[-1] for line in maps
+                       if "libssl" in line or "libcrypto" in line})
+
+
+class TestServeMapsNoOpenSSL:
+    """No serving process speaks TLS or hashes with OpenSSL, so none maps
+    libssl or libcrypto: asyncio is imported with ``ssl`` blocked, and a
+    segment is created without ``multiprocessing.shared_memory`` (whose
+    random names import ``secrets`` -> ``hmac`` -> ``_hashlib``)."""
+
+    def test_single_pool_and_store_restart(self, extract, tmp_path):
+        store = tmp_path / "store"
+        runs = [
+            ("serve", [extract]),
+            ("pool", [extract, "--workers", "2", "--store", store]),
+            ("restart", ["--store", store]),
+        ]
+        for label, argv in runs:
+            served = ServeProcess(tmp_path / f"{label}.json", *argv)
+            try:
+                served.request("/control")
+                if label == "pool":
+                    # a publish: the parent seals a new segment at run time
+                    served.request("/mutations?wait=1", {"deltas": [
+                        {"op": "add_company", "id": "C_PROBE"}]})
+                    served.request("/control?threshold=0.4")
+                pids = served.pids()
+                mapped = {pid: openssl_maps(pid) for pid in pids}
+            finally:
+                modules = served.stop()
+            if label == "pool":
+                assert len(pids) >= 3, pids  # the parent and both workers
+            assert mapped == {pid: [] for pid in pids}, label
+            assert not {"ssl", "_ssl", "_hashlib"} & modules, label
+
+    @pytest.mark.parametrize("clusters", [[], ["--clusters", "3"]],
+                             ids=["no-clusters", "clusters"])
+    def test_serve_loads_the_embedder_only_for_clusters(self, clusters, extract, tmp_path):
+        served = ServeProcess(tmp_path / "modules.json", extract, *clusters)
+        modules = served.stop()
+        embedder = {"repro.embeddings.incremental", "repro.embeddings.skipgram"}
+        assert embedder & modules == (embedder if clusters else set())

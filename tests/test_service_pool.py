@@ -309,6 +309,18 @@ class TestSupervision:
         assert pool.live_workers() == []
         assert pool.segment_names() == []
 
+    def test_start_fails_fast_when_every_slot_is_abandoned(self, graph):
+        # a worker cannot build a zero-capacity cache, so each slot dies
+        # RESTART_LIMIT + 1 times within a second; start must not sit out
+        # START_TIMEOUT_S
+        pool = ServicePool(graph, workers=2, config=ServiceConfig(port=0, cache_capacity=0))
+        started = time.monotonic()
+        with pytest.raises(PoolError, match=r"worker\(s\) [01](, 1)? failed 4 times"):
+            pool.start()
+        assert time.monotonic() - started < 10.0
+        assert pool.live_workers() == []
+        assert pool.segment_names() == []
+
     def test_stop_drains_and_unlinks_everything(self, graph):
         pool = ServicePool(graph, workers=2, config=ServiceConfig(port=0))
         pool.start()

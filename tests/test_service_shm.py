@@ -8,10 +8,17 @@ attacher rebuilt from the decoded graph.
 """
 
 import gc
+import os
+import re
+import stat
+import subprocess
 import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.datagen.company_generator import CompanySpec, generate_company_graph
 from repro.graph.columnar import _CACHE_ATTR, GraphFrame
 from repro.service import shm as shm_codec
@@ -176,3 +183,49 @@ class TestLifecycle:
         segment.buf[: len(header)] = header
         with pytest.raises(shm_codec.SegmentError, match="format"):
             shm_codec.attach_snapshot(segment.name)
+
+
+#: a creator that dies without unlinking: encode, report, ``os._exit``
+CRASHING_CREATOR = """
+import os, sys
+from repro.graph import figure2_graph
+from repro.service import encode_snapshot
+from repro.service.snapshot import SnapshotBuilder, SnapshotConfig
+snapshot = SnapshotBuilder(SnapshotConfig(augment=False)).build(figure2_graph())
+segment = encode_snapshot(snapshot, name=sys.argv[1])
+print(os.path.exists("/dev/shm/" + segment.name), flush=True)
+os._exit(0)
+"""
+
+
+class TestCreation:
+    def test_an_unnamed_segment_is_psm_and_round_trips(self, snapshot, segment):
+        # the e2e leak check counts psm_* segments: the default name keeps
+        # that prefix, and only the creator may open it
+        assert re.fullmatch(r"psm_[0-9a-f]{8}", segment.name)
+        assert stat.S_IMODE(os.stat(f"/dev/shm/{segment.name}").st_mode) == 0o600
+        assert segment.size == len(segment.buf)
+        attached = shm_codec.attach_snapshot(segment.name)
+        assert attached.segment_name == segment.name
+        assert attached.control_payload() == snapshot.control_payload()
+        assert attached.ubo == snapshot.ubo
+
+    def test_a_taken_name_is_never_reused(self, snapshot, segment):
+        with pytest.raises(FileExistsError):
+            shm_codec.encode_snapshot(snapshot, name=segment.name)
+        assert shm_codec.attach_snapshot(segment.name).version == snapshot.version
+
+    def test_a_crashed_creator_leaves_no_segment(self):
+        # the resource tracker reaps what a dead process tree registered
+        name = f"rkgs_crash_{os.getpid()}"
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-c", CRASHING_CREATOR, name],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr[-2000:]
+        assert done.stdout.strip() == "True"
+        deadline = time.monotonic() + 10.0
+        while os.path.exists(f"/dev/shm/{name}") and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not os.path.exists(f"/dev/shm/{name}")
