@@ -222,6 +222,11 @@ def _check_threshold(value: float) -> None:
         raise CLIError(f"--threshold must be in [0, 1], got {value}")
 
 
+def _check_clusters(value: int) -> None:
+    if value < 1:
+        raise CLIError(f"--clusters must be >= 1, got {value}")
+
+
 def _generate(args: argparse.Namespace) -> int:
     from .datagen.company_generator import CompanySpec, generate_company_graph
     from .graph.io import write_company_csv
@@ -296,6 +301,7 @@ def _close_links(args: argparse.Namespace) -> int:
 
 
 def _family(args: argparse.Namespace) -> int:
+    _check_clusters(args.clusters)
     graph = _read_extract(args.directory)
     classifiers = _trained_classifiers(graph, args.truth) if args.truth else None
     links = sorted(_pipeline(args, graph, args.clusters, classifiers).family_links())
@@ -324,6 +330,7 @@ def _ubo(args: argparse.Namespace) -> int:
 def _augment(args: argparse.Namespace) -> int:
     from .graph.io import save_json
 
+    _check_clusters(args.clusters)
     args.output.parent.mkdir(parents=True, exist_ok=True)  # fail before the work
     graph = _read_extract(args.directory)
     truth_path = args.directory / "ground_truth.json"
@@ -411,6 +418,7 @@ def _serve(args: argparse.Namespace) -> int:
         raise CLIError(f"port must be in 0..65535, got {args.port}")
     if not 1 <= args.workers <= MAX_WORKERS:
         raise CLIError(f"--workers must be in 1..{MAX_WORKERS}, got {args.workers}")
+    _check_clusters(args.clusters)
     if args.max_concurrency < 1:
         raise CLIError(f"--max-concurrency must be >= 1, got {args.max_concurrency}")
     if args.max_queue < 0:

@@ -18,6 +18,7 @@ exposes the per-problem entry points applications call:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -123,9 +124,11 @@ class ReasoningPipeline:
             return classifier.probability(table.persons[left], table.persons[right])
 
         def rows_of(values, codes):
+            # called once per morsel of rows: resolve each distinct code
+            # through C-level maps, without a Python frame per code
             distinct, inverse = np.unique(codes, return_inverse=True)
             rows = np.fromiter(
-                (row_of.get(values[code], -1) for code in distinct.tolist()),
+                map(row_of.get, map(values.__getitem__, distinct.tolist()), repeat(-1)),
                 dtype=np.int64,
                 count=len(distinct),
             )
@@ -143,8 +146,8 @@ class ReasoningPipeline:
             classifier = self.classifiers.get(link_class)
             if classifier is None:
                 return out
-            left = rows_of(values, xs)
-            right = rows_of(values, ys)
+            # one lookup per person however many pairs it is in, either side
+            left, right = np.split(rows_of(values, np.concatenate([xs, ys])), [len(xs)])
             known = (left >= 0) & (right >= 0)
             out[known] = classifier.probability_batch(table, left[known], right[known])
             return out

@@ -19,7 +19,8 @@ bodies whole-relation-at-a-time.  This module supplies its data layer:
   consumed: rows past it are appended to the existing arrays and a block
   is never rebuilt.  The store also caches join build sides (stable
   argsort + packed keys per probe signature) so a relation that several
-  rules probe the same way is sorted once per version.
+  rules probe the same way is sorted once per version, however many
+  columns the key has.
 """
 
 from __future__ import annotations
@@ -225,14 +226,13 @@ class ColumnStore:
     # ------------------------------------------------------------------
 
     def sorted_keys(self, predicate: str, arity: int, key_positions: tuple[int, ...]):
-        """Cached (stable sort order, sorted packed keys) join build side.
+        """Cached (stable sort order, sorted packed keys, prefix levels)
+        join build side (see :func:`sort_keys`).
 
         The stable argsort means rows sharing a key stay in insertion
         order, which is what lets the executor reproduce the compiled
-        path's nested-loop emission order exactly.  Only 1- and 2-column
-        keys are packed (codes are < 2**31, so two fit one int64); wider
-        keys go through the executor's per-call shared densify.  Returns
-        None when the relation is empty.
+        path's nested-loop emission order exactly.  Returns None when
+        the relation is empty.
         """
         block = self.block(predicate, arity)
         if block is None or block.size == 0:
@@ -247,10 +247,43 @@ class ColumnStore:
 
 
 def sort_keys(block, key_positions: tuple[int, ...]):
-    """(stable sort order, sorted packed keys) of a block-shaped relation
-    (anything with ``column(position)``) on one or two key positions."""
+    """(stable sort order, sorted packed keys, prefix levels) of a
+    block-shaped relation (anything with ``column(position)``) on its
+    ``key_positions``.
+
+    Codes are < 2**31, so one int64 holds two: the key of a row is its
+    first two codes packed.  Every further column packs with the dense
+    rank of the key so far among the relation's distinct keys so far;
+    those sorted distinct prefixes are the *levels* :func:`probe_keys`
+    needs to pack a probe row the same way.  Packing keeps the
+    lexicographic order of the code tuples.
+    """
     packed = block.column(key_positions[0])
-    if len(key_positions) == 2:
-        packed = (packed << 32) | block.column(key_positions[1])
+    levels = []
+    for number, position in enumerate(key_positions[1:]):
+        if number:
+            distinct, packed = np.unique(packed, return_inverse=True)
+            packed = packed.reshape(-1)
+            levels.append(distinct)
+        packed = (packed << 32) | block.column(position)
     order = np.argsort(packed, kind="stable")
-    return order, packed[order]
+    return order, packed[order], tuple(levels)
+
+
+def probe_keys(levels, columns):
+    """The packed keys of probe code ``columns`` matching those
+    :func:`sort_keys` gave a relation with these ``levels``, and a mask
+    of the rows whose key prefix occurs in the relation at all (None
+    when every row's does) — a row outside it must match nothing."""
+    packed = columns[0]
+    known = None
+    for number, column in enumerate(columns[1:]):
+        if number:
+            distinct = levels[number - 1]
+            rank = np.searchsorted(distinct, packed)
+            np.minimum(rank, len(distinct) - 1, out=rank)
+            hit = distinct[rank] == packed
+            known = hit if known is None else known & hit
+            packed = rank
+        packed = (packed << 32) | column
+    return packed, known

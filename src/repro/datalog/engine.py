@@ -516,11 +516,15 @@ class Engine:
         ``keys``: ``cut`` is the first plan step that ran per row (the
         smallest over the pairs; ``len(order)`` means only the head did)
         or "none" when every pair stayed vectorized end to end;
+        ``morsels`` counts the tables they streamed through their steps
+        (one per seed slice and per join slice) and ``max_rows`` is the
+        most rows one of those tables or a step's result held;
         ``external_rows`` / ``external_distinct`` count the rows their
-        batch externals saw and the distinct argument tuples they scored;
-        ``reduced_in`` / ``reduced_out`` the relation rows their reduced
-        atoms stood for and the rows they joined instead (absent when no
-        atom is reduced).  Sets nothing when no pair runs vectorized."""
+        batch externals saw and the distinct argument tuples they scored
+        (distinct within each morsel); ``reduced_in`` / ``reduced_out``
+        the relation rows their reduced atoms stood for and the rows they
+        joined instead (absent when no atom is reduced).  Sets nothing
+        when no pair runs vectorized."""
         entries = [
             self._vector_cache.get(key)
             for key in keys
@@ -531,6 +535,8 @@ class Engine:
             return
         cuts = [rule.cut for rule in lowered if rule.cut is not None]
         span.set("cut", min(cuts) if cuts else "none")
+        span.set("morsels", sum(rule.streamed[0] for rule in lowered))
+        span.set("max_rows", max(rule.streamed[1] for rule in lowered))
         externals = [rule.external for rule in lowered if rule.external is not None]
         if externals:
             span.set("external_rows", sum(rows for rows, _ in externals))

@@ -17,7 +17,8 @@ Execution model
   binding table probes it with ``searchsorted``, and the grouped-arange
   expansion emits, for every binding row in order, its matching relation
   rows in insertion order — exactly the compiled path's nested-loop
-  order, so the derived fact sequence is identical;
+  order, so the derived fact sequence is identical.  The expansion is
+  streamed in morsels (see *Morsels* below);
 * **relations are reduced before they are joined** when the rule stays
   columnar to the head and the atom binds a variable that dies right
   away (see *Reduction and multiplicities* below);
@@ -45,6 +46,31 @@ Execution model
   aggregate-state dicts, so aggregate totals fold in the identical
   order with identical float arithmetic — bit-identity needs no
   separate proof for the hard part.
+
+Morsels
+-------
+
+No binding table holds more than :data:`MORSEL` rows.  A join step
+computes the match count of every row of its input, then emits the
+expansion — in the nested-loop order above — as consecutive slices of
+at most ``MORSEL`` rows; a probe row with more matches than that is
+split across slices.  :meth:`VectorizedRule._drive` runs
+each slice through the remaining steps, depth first, before the join
+makes the next one, and a seed delta larger than a morsel enters the
+steps in slices too.  Every step but a join maps one row to at most one
+row, so the tables that survive the last step, taken in the order they
+arrive, are exactly the rows the whole-table evaluation would have
+produced, in its order.  Memory no longer grows with a rule's expansion
+(16 M rows per family-link rule at 10 000 persons), only with its
+survivors.
+
+Streaming keeps fallbacks pure: the survivors are collected, and only
+once every slice has passed the batch steps do they go on to the head
+(one :meth:`_VecFinal.emit` over their concatenation) or to the
+per-row tail, which decodes and consumes them one morsel at a time.  A
+safety check failing in the last slice has therefore still touched no
+aggregate state.  Batch externals see one morsel per call, and
+de-duplicate their argument tuples within it.
 
 Reduction and multiplicities
 ----------------------------
@@ -121,16 +147,18 @@ from typing import Any, Callable
 import numpy as np
 
 from .atoms import Aggregate, Assignment, Atom, Comparison, Negation
-from .columns import MAX_CODES, sort_keys
+from .columns import MAX_CODES, probe_keys, sort_keys
 from .compiled import CompilationFallback, _counted, _Lowering
 from .errors import EvaluationError
 from .planner import JoinPlan, _calls_external
 from .terms import Constant, Expr, FunctionTerm, Variable
 
-#: Hard cap on rows produced by a single join expansion; beyond it the
-#: rule falls back to the compiled path rather than risk an allocation
-#: hundreds of times larger than the final result.
-MAX_EXPANSION = 1 << 25
+#: Most rows any binding table holds: a join streams its expansion in
+#: slices of at most this many rows, and each slice runs through the
+#: rest of the rule before the next one is made (see *Morsels*).  Twice
+#: this held the same at 2 000 to 10 000 persons but left serving
+#: processes about 1 MB higher; 2 048 was half again slower.
+MORSEL = 1 << 13
 
 #: Distinct argument tuples handed to a batch external per call.  The
 #: batch form allocates a few arrays per feature it compares; chunking
@@ -189,6 +217,30 @@ class _Run:
         mult = None if self.mult is None else self.mult[mask]
         return _Run(int(mask.sum()), cols, mult)
 
+    def slices(self):
+        """The rows in order, as views of at most :data:`MORSEL` rows."""
+        for start in range(0, self.n, MORSEL):
+            stop = min(start + MORSEL, self.n)
+            cols = [None if c is None else c[start:stop] for c in self.cols]
+            mult = None if self.mult is None else self.mult[start:stop]
+            yield _Run(stop - start, cols, mult)
+
+
+def _concat(runs: list) -> _Run:
+    """The rows of ``runs`` one after the other.  They come from one
+    execution of one rule, so they fill the same slots and all or none
+    carry multiplicities."""
+    if len(runs) == 1:
+        return runs[0]
+    cols = [
+        None if c is None else np.concatenate([run.cols[slot] for run in runs])
+        for slot, c in enumerate(runs[0].cols)
+    ]
+    mult = None
+    if runs[0].mult is not None:
+        mult = np.concatenate([run.mult for run in runs])
+    return _Run(sum(run.n for run in runs), cols, mult)
+
 
 # ----------------------------------------------------------------------
 # key packing helpers
@@ -208,10 +260,13 @@ def _pack_rows(columns):
     """One int64 key per row of ``(kind, column)`` pairs: equal keys iff
     the rows agree column by column (floats compared by bit pattern)."""
     packed = None
-    for kind, col in columns:
+    for number, (kind, col) in enumerate(columns):
         if kind == "float":
             col = _dense(np.ascontiguousarray(col).view(np.int64))
-        packed = col if packed is None else _pack_pair(_dense(packed), col)
+        if packed is None:
+            packed = col
+        else:  # one column's codes or dense ids fit 31 bits, a packed pair not
+            packed = _pack_pair(packed if number == 1 else _dense(packed), col)
     return packed
 
 
@@ -231,6 +286,42 @@ def _float_codes(interner, col):
         count=len(uniques),
     )
     return codes[inverse.reshape(-1)]
+
+
+def _probe_keys(run: _Run, probe_specs, kinds, interner, levels):
+    """The packed probe key of every row (see
+    :func:`~repro.datalog.columns.probe_keys`) and the mask of rows that
+    can match at all, or None when all can: a value the interner never
+    saw, or a key prefix the relation lacks, matches no fact."""
+    columns = []
+    missing = None
+    for kind, payload in probe_specs:
+        if kind == "slot":
+            col = run.col(payload)
+            if kinds[payload] == "float":
+                col = _float_codes(interner, col)
+        else:
+            col = np.full(run.n, interner.lookup(payload), dtype=np.int64)
+        miss = col == -1
+        if miss.any():
+            missing = miss if missing is None else (missing | miss)
+            col = np.where(miss, 0, col)
+        columns.append(col)
+    probe, known = probe_keys(levels, columns)
+    if missing is not None:
+        known = ~missing if known is None else known & ~missing
+    return probe, known
+
+
+def _found(keys, probe, valid):
+    """Mask of the probe keys present in the sorted build ``keys``, for
+    the rows ``valid`` allows (None: all)."""
+    at = np.searchsorted(keys, probe)
+    np.minimum(at, len(keys) - 1, out=at)
+    found = keys[at] == probe
+    if valid is not None:
+        found &= valid
+    return found
 
 
 # ----------------------------------------------------------------------
@@ -691,70 +782,22 @@ class _VecLowering:
     ):
         """The step joining the table to a build side.  ``build()`` is
         ``(block-shaped relation, its row multiplicities or None)``, or
-        None when empty; ``sorted_keys(relation)`` its cached stable sort
-        on one or two ``positions``."""
+        None when empty; ``sorted_keys(relation)`` its cached
+        :func:`~repro.datalog.columns.sort_keys` on ``positions``."""
         self.joins_lowered += 1
         interner = self.interner
         kinds = self.kinds
-
-        def probe_columns(run):
-            """(list of int64 code columns, valid mask or None)."""
-            columns = []
-            valid = None
-            for kind, payload in probe_specs:
-                if kind == "slot":
-                    col = run.col(payload)
-                    if kinds[payload] == "float":
-                        col = _float_codes(interner, col)
-                else:
-                    code = interner.lookup(payload)
-                    col = np.full(run.n, code, dtype=np.int64)
-                miss = col == -1
-                if miss.any():
-                    valid = miss if valid is None else (valid | miss)
-                    col = np.where(miss, 0, col)
-                columns.append(col)
-            return columns, (None if valid is None else ~valid)
-
-        def counts_for(run, side):
-            """Per-row match counts + (order, left) into the build side."""
-            if not positions:  # zero-arity atom: the unit key matches all
-                counts = np.full(run.n, side.size, dtype=np.int64)
-                return counts, np.arange(side.size), np.zeros(run.n, dtype=np.int64)
-            columns, valid = probe_columns(run)
-            if len(positions) <= 2:
-                order, sorted_keys_ = sorted_keys(side)
-                if len(columns) == 1:
-                    probe = columns[0]
-                else:
-                    probe = _pack_pair(columns[0], columns[1])
-            else:
-                build_cols = [side.column(p) for p in positions]
-                build_packed = build_cols[0]
-                probe = columns[0]
-                for j in range(1, len(positions)):
-                    merged = np.concatenate([build_packed, probe])
-                    dense = _dense(merged)
-                    build_packed = _pack_pair(
-                        dense[: len(build_packed)], build_cols[j]
-                    )
-                    probe = _pack_pair(dense[len(build_cols[0]) :], columns[j])
-                order = np.argsort(build_packed, kind="stable")
-                sorted_keys_ = build_packed[order]
-            left = np.searchsorted(sorted_keys_, probe, side="left")
-            right = np.searchsorted(sorted_keys_, probe, side="right")
-            counts = right - left
-            if valid is not None:
-                counts[~valid] = 0
-            return counts, order, left
 
         if membership:
             def membership_step(run: _Run) -> _Run:
                 built = build()
                 if built is None:
                     return _Run(0, run.cols)
-                counts, _, _ = counts_for(run, built[0])
-                return run.filter(counts > 0)
+                if not positions:  # zero-arity atom: it holds, so all rows do
+                    return run
+                _, keys, levels = sorted_keys(built[0])
+                probe, valid = _probe_keys(run, probe_specs, kinds, interner, levels)
+                return run.filter(_found(keys, probe, valid))
 
             return membership_step
 
@@ -769,38 +812,46 @@ class _VecLowering:
             return _apply_checks(out, side, rows, check_pairs, interner)
 
         if positions:
-            def probe_step(run: _Run) -> _Run:
-                built = build()
-                if built is None:
-                    return _Run(0, run.cols)
-                side, mult = built
-                counts, order, left = counts_for(run, side)
-                total = int(counts.sum())
-                if total == 0:
-                    return _Run(0, run.cols)
-                if total > MAX_EXPANSION:
-                    raise VectorRuntimeFallback("join expansion too large")
-                probe_rep = np.repeat(np.arange(run.n), counts)
-                offsets = np.cumsum(counts) - counts
-                within = np.arange(total) - np.repeat(offsets, counts)
-                rows = order[np.repeat(left, counts) + within]
-                return joined(run, side, mult, probe_rep, rows)
+            def probe_slices(run: _Run, side, mult):
+                """Output rows [start, stop) of the expansion — probe row
+                by probe row, each one's matches in relation order — for
+                consecutive ranges of at most MORSEL rows."""
+                order, keys, levels = sorted_keys(side)
+                probe, valid = _probe_keys(run, probe_specs, kinds, interner, levels)
+                left = np.searchsorted(keys, probe, side="left")
+                counts = np.searchsorted(keys, probe, side="right") - left
+                if valid is not None:
+                    counts[~valid] = 0
+                ends = np.cumsum(counts)
+                starts = ends - counts
+                bounds = np.arange(0, int(ends[-1]) + MORSEL, MORSEL)
+                bounds[-1] = ends[-1]
+                # the probe rows holding each range's first and last row;
+                # those two may contribute only part of their matches
+                firsts = np.searchsorted(ends, bounds[:-1], side="right").tolist()
+                lasts = np.searchsorted(ends, bounds[1:] - 1, side="right").tolist()
+                for start, stop, first, last in zip(
+                    bounds[:-1].tolist(), bounds[1:].tolist(), firsts, lasts
+                ):
+                    taken = counts[first : last + 1].copy()
+                    taken[0] -= start - starts[first]
+                    taken[-1] -= ends[last] - stop
+                    probe_rep = np.repeat(np.arange(first, last + 1), taken)
+                    within = np.arange(start, stop) - starts[probe_rep]
+                    rows = order[left[probe_rep] + within]
+                    yield joined(run, side, mult, probe_rep, rows)
 
-            return probe_step
+            return _Join(build, probe_slices)
 
-        def scan_step(run: _Run) -> _Run:
-            built = build()
-            if built is None or run.n == 0:
-                return _Run(0, run.cols)
-            side, mult = built
-            total = run.n * side.size
-            if total > MAX_EXPANSION:
-                raise VectorRuntimeFallback("scan expansion too large")
-            probe_rep = np.repeat(np.arange(run.n), side.size)
-            rows = np.tile(np.arange(side.size), run.n)
-            return joined(run, side, mult, probe_rep, rows)
+        def scan_slices(run: _Run, side, mult):
+            """The cross product in nested-loop order, MORSEL rows at a time."""
+            size = side.size
+            for start in range(0, run.n * size, MORSEL):
+                stop = min(start + MORSEL, run.n * size)
+                probe_rep, rows = np.divmod(np.arange(start, stop), size)
+                yield joined(run, side, mult, probe_rep, rows)
 
-        return scan_step
+        return _Join(build, scan_slices)
 
     def lower_negation(self, negation: Negation):
         """Fully-bound anti-join: drop rows whose key is in the relation."""
@@ -828,49 +879,15 @@ class _VecLowering:
         kinds = self.kinds
 
         def negation_step(run: _Run) -> _Run:
-            block = store.block(predicate, arity)
-            if block is None or block.size == 0:
+            if not positions:  # zero-arity: when the relation holds, drop all
+                block = store.block(predicate, arity)
+                return run if block is None or block.size == 0 else _Run(0, run.cols)
+            built = store.sorted_keys(predicate, arity, positions)
+            if built is None:
                 return run
-            if not positions:  # zero-arity: the relation holds, drop all
-                return _Run(0, run.cols)
-            columns = []
-            valid = None
-            for kind, payload in probe_specs:
-                if kind == "slot":
-                    col = run.col(payload)
-                    if kinds[payload] == "float":
-                        col = _float_codes(interner, col)
-                else:
-                    code = interner.lookup(payload)
-                    col = np.full(run.n, code, dtype=np.int64)
-                miss = col == -1
-                if miss.any():
-                    valid = miss if valid is None else (valid | miss)
-                    col = np.where(miss, 0, col)
-                columns.append(col)
-            if len(positions) <= 2:
-                order, sorted_keys = store.sorted_keys(predicate, arity, positions)
-                probe = columns[0] if len(columns) == 1 else _pack_pair(
-                    columns[0], columns[1]
-                )
-            else:
-                build_cols = [block.column(p) for p in positions]
-                build_packed = build_cols[0]
-                probe = columns[0]
-                for j in range(1, arity):
-                    merged = np.concatenate([build_packed, probe])
-                    dense = _dense(merged)
-                    build_packed = _pack_pair(
-                        dense[: len(build_packed)], build_cols[j]
-                    )
-                    probe = _pack_pair(dense[len(build_cols[0]) :], columns[j])
-                sorted_keys = np.sort(build_packed)
-            left = np.searchsorted(sorted_keys, probe, side="left")
-            right = np.searchsorted(sorted_keys, probe, side="right")
-            found = right > left
-            if valid is not None:
-                found &= valid  # a missed lookup can match no fact
-            return run.filter(~found)
+            _, keys, levels = built
+            probe, valid = _probe_keys(run, probe_specs, kinds, interner, levels)
+            return run.filter(~_found(keys, probe, valid))
 
         return negation_step
 
@@ -1054,6 +1071,39 @@ class _Reduced:
         return self._sorted
 
 
+#: :attr:`_Join.built` before the step's first slice of an execution
+_UNBUILT = object()
+
+
+class _Join:
+    """A step joining the table to a build side, streamed.
+
+    ``build()`` gives ``(relation, its row multiplicities or None)``, or
+    None when the relation is empty; it runs once per execution, on the
+    first slice that reaches the step, and its result is kept until
+    :meth:`reset`.  ``expand(run, relation, mult)`` yields the joined
+    table in slices of at most :data:`MORSEL` rows, in order.
+    """
+
+    __slots__ = ("build", "expand", "built")
+
+    def __init__(self, build, expand):
+        self.build = build
+        self.expand = expand
+        self.built = _UNBUILT
+
+    def reset(self) -> None:
+        self.built = _UNBUILT
+
+    def __call__(self, run: _Run):
+        built = self.built
+        if built is _UNBUILT:
+            built = self.built = self.build()
+        if built is None:
+            return ()
+        return self.expand(run, *built)
+
+
 def _apply_checks(run: _Run, block, rows, check_pairs, interner) -> _Run:
     """Intra-atom repeated-variable checks (NaN-corrected equality)."""
     if not check_pairs:
@@ -1089,24 +1139,27 @@ class _Tail:
         self.firings = firings
         self.decoders = decoders
 
-    def run(self, run: _Run, interner) -> tuple[list, int]:
+    def run(self, runs: list, interner) -> tuple[list, int]:
+        """Push every row of ``runs`` through the closure chain, in
+        order, decoding one morsel of Python values at a time."""
         sink = self.sink
         sink.clear()
         self.firings[0] = 0
         regs = self.regs
         entry = self.entry
-        columns = []
         values = interner.values
-        for slot, kind in self.decoders:
-            col = run.col(slot)
-            if kind == "code":
-                columns.append((slot, [values[c] for c in col.tolist()]))
-            else:
-                columns.append((slot, col.tolist()))
-        for i in range(run.n):
-            for slot, decoded in columns:
-                regs[slot] = decoded[i]
-            entry(regs)
+        for run in runs:
+            columns = []
+            for slot, kind in self.decoders:
+                col = run.col(slot)
+                if kind == "code":
+                    columns.append((slot, [values[c] for c in col.tolist()]))
+                else:
+                    columns.append((slot, col.tolist()))
+            for i in range(run.n):
+                for slot, decoded in columns:
+                    regs[slot] = decoded[i]
+                entry(regs)
         return sink, self.firings[0]
 
 
@@ -1226,7 +1279,7 @@ class VectorizedRule:
 
     __slots__ = (
         "plan", "signature", "interner", "cut", "external", "reduced", "counts",
-        "_seed_entry", "_steps", "_tail", "_final",
+        "streamed", "_seed_entry", "_steps", "_joins", "_tail", "_final",
     )
 
     def __init__(
@@ -1250,10 +1303,15 @@ class VectorizedRule:
         #: rows in the batch prefix, bindings in the per-row tail); None
         #: unless the engine's tracer was enabled at lowering time
         self.counts = counts
+        #: [tables streamed into the steps — one per seed slice and per
+        #: join slice —, most rows one of them or a step's result held]
+        #: over all executions
+        self.streamed = [0, 0]
         self._seed_entry = seed_entry
         #: one entry per batch plan step; None for a comparison its
         #: atom's reduction already applied
         self._steps = steps
+        self._joins = tuple(step for step in steps if isinstance(step, _Join))
         self._tail = tail
         self._final = final
 
@@ -1264,7 +1322,8 @@ class VectorizedRule:
         per-row tail — the caller must consume it before the next
         ``execute`` (same contract as the compiled path).  Raises
         :class:`VectorRuntimeFallback` — always before any engine state
-        has been touched — when a safety check fails.
+        has been touched — when a safety check fails: every slice runs
+        through the batch steps before the tail or the head sees a row.
         """
         if len(self.interner) >= MAX_CODES:
             raise VectorRuntimeFallback("interner exceeded code budget")
@@ -1272,19 +1331,46 @@ class VectorizedRule:
             run = self._seed_entry(seed_facts)
         else:
             run = _Run(1, [])
+        if run.n == 0:
+            return [], 0
+        survivors: list[_Run] = []
+        try:
+            for piece in run.slices():
+                self._drive(piece, 0, survivors)
+        finally:
+            for join in self._joins:
+                join.reset()
+        if not survivors:
+            return [], 0
+        if self._tail is not None:
+            return self._tail.run(survivors, self.interner)
+        return self._final.emit(_concat(survivors))
+
+    def _drive(self, run: _Run, number: int, survivors: list) -> None:
+        """Run one table through plan steps ``number``..., depth first:
+        a join hands each of its slices on to the next step before it
+        makes the next slice.  Non-empty results of the last step are
+        appended to ``survivors``, so they arrive in enumeration order."""
+        steps = self._steps
         counts = self.counts
-        for number, step in enumerate(self._steps):
-            if run.n == 0:
-                return [], 0
+        self.streamed[0] += 1
+        # every step but a join keeps or drops rows: none outgrows this
+        self.streamed[1] = max(self.streamed[1], run.n)
+        while number < len(steps) and run.n:
+            step = steps[number]
+            if isinstance(step, _Join):
+                for piece in step(run):
+                    if counts is not None:
+                        counts[number] += piece.n
+                    self._drive(piece, number + 1, survivors)
+                return
             if step is not None:
                 run = step(run)
             if counts is not None:
                 counts[number] += run.n
-        if run.n == 0:
-            return [], 0
-        if self._tail is not None:
-            return self._tail.run(run, self.interner)
-        return self._final.emit(run)
+            number += 1
+        if run.n:
+            survivors.append(run)
 
 
 def compile_rule_vectorized(engine, rule, plan: JoinPlan) -> VectorizedRule:

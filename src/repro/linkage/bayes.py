@@ -88,6 +88,8 @@ class BayesianLinkClassifier:
             self.estimates.setdefault(
                 spec.name, FeatureEstimate(m=spec.m_default, u=spec.u_default)
             )
+        #: (parameters, {evidence pattern: score}) of :meth:`probability_batch`
+        self._pattern_scores: tuple = (None, {})
 
     # ------------------------------------------------------------------
     # training
@@ -191,14 +193,26 @@ class BayesianLinkClassifier:
         pattern = np.zeros(len(left), dtype=np.int64)
         for digits in columns:
             pattern = pattern * 3 + digits
-        _, first, inverse = np.unique(pattern, return_index=True, return_inverse=True)
+        occurring, first, inverse = np.unique(
+            pattern, return_index=True, return_inverse=True
+        )
+        # the engine scores a rule's pairs one morsel at a time, and the
+        # same few patterns occur in every morsel: keep their scores
+        # while the parameters they were combined from stay the same
+        state = (self.features, self.prior, tuple(
+            (self.estimates[spec.name].m, self.estimates[spec.name].u)
+            for spec in self.features
+        ))
+        if self._pattern_scores[0] != state:
+            self._pattern_scores = (state, {})
+        known = self._pattern_scores[1]
         verdicts = (None, False, True)  # by digit: MISSING, NO_MATCH, MATCH
-        scores = np.asarray(
-            [
-                self._combine([verdicts[digits[row]] for digits in columns])
-                for row in first.tolist()
-            ],
-            dtype=np.float64,
+        for key, row in zip(occurring.tolist(), first.tolist()):
+            if key not in known:
+                known[key] = self._combine([verdicts[digits[row]] for digits in columns])
+        scores = np.fromiter(
+            map(known.__getitem__, occurring.tolist()), dtype=np.float64,
+            count=len(occurring),
         )
         probabilities = scores[inverse.reshape(-1)]
         if self.direction is not None:

@@ -232,6 +232,24 @@ class TestErrorExitPaths:
         assert err.startswith("error: --threshold must be in [0, 1]")
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("command", ["augment", "family", "serve"])
+    @pytest.mark.parametrize("clusters", ["0", "-3"])
+    def test_clusters_below_one(
+        self, command, clusters, extract, tmp_path, capsys, monkeypatch
+    ):
+        # these used to run silently as --clusters 1
+        monkeypatch.setattr("repro.cli._read_extract", self.must_not_run)
+        argv = {
+            "augment": ["augment", str(extract), str(tmp_path / "out.json")],
+            "family": ["family", str(extract)],
+            "serve": ["serve", str(extract), "--port", "0"],
+        }[command]
+        assert main([*argv, "--clusters", clusters]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --clusters must be >= 1, got {clusters}")
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "out.json").exists()
+
     @pytest.mark.parametrize("threshold", ["0", "1", "0.25"])
     def test_threshold_bounds_are_inclusive(self, threshold, extract, capsys):
         assert main(["control", str(extract), "--threshold", threshold]) == 0

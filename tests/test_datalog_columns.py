@@ -2,9 +2,12 @@
 and the index-backed planner statistics it leans on."""
 
 import math
+import random
+
+import numpy as np
 
 from repro.datalog import Database, Engine, parse_program
-from repro.datalog.columns import MAX_CODES, ValueInterner
+from repro.datalog.columns import MAX_CODES, ValueInterner, probe_keys
 from repro.datalog.planner import plan_rule
 
 
@@ -115,9 +118,39 @@ class TestColumnStore:
         database, store = self._store(
             [("own", ("a", n)) for n in range(5)] + [("own", ("b", 9))]
         )
-        order, _keys = store.sorted_keys("own", 2, (0,))
+        order = store.sorted_keys("own", 2, (0,))[0]
         # all five "a" rows share the key; stable sort keeps insertion order
         assert order.tolist()[:5] == [0, 1, 2, 3, 4]
+
+    def test_wide_keys_find_the_rows_tuple_equality_finds(self):
+        rng = random.Random(3)
+        # distinct rows: the database keeps one copy of each fact
+        rows = list(dict.fromkeys(
+            tuple(rng.randrange(4) for _ in range(4)) for _ in range(60)
+        ))
+        database, store = self._store([("q", row) for row in rows])
+        codes = store.interner.lookup
+        for positions in ((0, 1), (0, 1, 2), (3, 1, 0, 2), (2, 0, 1)):
+            order, keys, levels = store.sorted_keys("q", 4, positions)
+            assert len(levels) == max(len(positions) - 2, 0)
+            probes = [tuple(rng.randrange(4) for _ in positions) for _ in range(80)]
+            columns = [
+                np.array([codes(probe[i]) for probe in probes], dtype=np.int64)
+                for i in range(len(positions))
+            ]
+            packed, known = probe_keys(levels, columns)
+            left = np.searchsorted(keys, packed, side="left")
+            right = np.searchsorted(keys, packed, side="right")
+            for number, probe in enumerate(probes):
+                expected = [
+                    index for index, row in enumerate(rows)
+                    if tuple(row[p] for p in positions) == probe
+                ]
+                found = order[left[number] : right[number]].tolist()
+                if known is not None and not known[number]:
+                    found = []
+                # matches come out in insertion order, as the nested loop has them
+                assert found == expected, (positions, probe)
 
 
 class TestSnapshotSharing:

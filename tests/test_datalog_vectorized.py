@@ -12,6 +12,7 @@ These tests pin all three backends against each other:
 """
 
 import math
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from repro.core import (
     input_mapping,
 )
 from repro.datagen import CompanySpec, generate_company_graph
-from repro.datalog import Database, Engine, FunctionRegistry, parse_program
+from repro.datalog import Database, Engine, FunctionRegistry, parse_program, vectorized
 from repro.datalog.vectorized import VectorRuntimeFallback
 from repro.graph.relational import to_facts
 from repro.ownership import close_link_pairs
@@ -44,18 +45,55 @@ def _fixpoint(program, facts, **kwargs):
     return engine
 
 
+#: morsel sizes the oracles re-run the vectorized engine under: single
+#: rows, slices that split every join, and one that splits only some
+MORSELS = (1, 2, 3, 7, 64)
+
+
+@contextmanager
+def _morsel(size):
+    """The vectorized executor streaming slices of ``size`` rows."""
+    saved = vectorized.MORSEL
+    vectorized.MORSEL = size
+    try:
+        yield
+    finally:
+        vectorized.MORSEL = saved
+
+
+def _aggregate_totals(engine):
+    # in state order; a key holds id(rule), which differs across parses
+    return [state.total for state in engine._aggregate_states.values()]
+
+
+def _assert_same_run(engine, reference):
+    """The same derived-fact sequence, counters and aggregate totals."""
+    assert list(engine.database.all_facts()) == list(reference.database.all_facts())
+    assert engine.stats.rule_firings == reference.stats.rule_firings
+    assert engine.stats.facts_derived == reference.stats.facts_derived
+    assert _aggregate_totals(engine) == _aggregate_totals(reference)
+
+
+def _assert_morsels_invisible(program, facts, reference, **kwargs):
+    """The vectorized run under every size in MORSELS equals
+    ``reference`` (a run of the same parsed ``program``)."""
+    for size in MORSELS:
+        with _morsel(size):
+            _assert_same_run(_fixpoint(program, facts, **kwargs), reference)
+
+
 def _assert_three_way_identity(program_text, facts):
-    """Vectorized == compiled bit-for-bit; both == interpreted as sets."""
+    """Vectorized == compiled bit-for-bit, under every morsel size too;
+    both == interpreted as sets."""
     # parse once: existential nulls are skolemized per rule *instance*,
     # so cross-engine identity needs the same Rule objects
     program = parse_program(program_text)
     vec = _fixpoint(program, facts)
     cmp = _fixpoint(program, facts, vectorize=False)
     interp = _fixpoint(program, facts, plan=False)
-    assert list(vec.database.all_facts()) == list(cmp.database.all_facts())
-    assert vec.stats.rule_firings == cmp.stats.rule_firings
-    assert vec.stats.facts_derived == cmp.stats.facts_derived
+    _assert_same_run(vec, cmp)
     assert set(vec.database.all_facts()) == set(interp.database.all_facts())
+    _assert_morsels_invisible(program, facts, cmp)
     return vec, cmp
 
 
@@ -102,6 +140,7 @@ class TestPaperWorkloadParity:
         # the close-link join rules must actually run vectorized
         assert vec._vector_fallbacks == {}
         assert vec._vector_disabled == set()
+        self._assert_morsels_invisible(graph, body, False, cmp)
 
     def test_family_control_superdense(self):
         graph, _truth = density_scenario("superdense", 60, seed=7)
@@ -112,6 +151,15 @@ class TestPaperWorkloadParity:
         assert vec.stats.rule_firings == cmp.stats.rule_firings
         assert vec._vector_fallbacks == {}
         assert vec._vector_disabled == set()
+        self._assert_morsels_invisible(graph, body, True, cmp)
+
+    @staticmethod
+    def _assert_morsels_invisible(graph, body, families, cmp):
+        for size in MORSELS:
+            with _morsel(size):
+                vec = _paper_engine(graph, body, families=families)
+            _assert_same_run(vec, cmp)
+            assert vec._vector_disabled == set()
 
 
 def _vector_rules(engine):
@@ -167,6 +215,13 @@ class TestBatchExternals:
         )
         assert set(vec.database.all_facts()) == set(interp.database.all_facts())
         return vec
+
+    def test_any_morsel_size_scores_the_same(self):
+        program = parse_program(self.PROGRAM)
+        cmp = _fixpoint(program, self.FACTS, functions=self._registry(), vectorize=False)
+        _assert_morsels_invisible(
+            program, self.FACTS, cmp, functions=self._registry()
+        )
 
     def test_rule_stays_vectorized_and_matches_the_scalar_paths(self):
         calls = []
@@ -297,10 +352,14 @@ class TestFamilyLinkParity:
             engine.run()
             return engine
 
-        return run(), run(vectorize=False), run(plan=False)
+        streamed = {}
+        for size in MORSELS:
+            with _morsel(size):
+                streamed[size] = run()
+        return run(), run(vectorize=False), run(plan=False), streamed
 
     def test_same_facts_same_order_same_firings(self, engines):
-        vec, cmp, interp = engines
+        vec, cmp, interp, _ = engines
         assert vec.query("candidate")
         assert list(vec.database.all_facts()) == list(cmp.database.all_facts())
         # textual order permutes the input mapping's joins, not the links
@@ -317,8 +376,21 @@ class TestFamilyLinkParity:
             == interp.stats.facts_derived
         )
 
+    def test_any_morsel_size_derives_the_same_links(self, engines):
+        _, cmp, _, streamed = engines
+        for size, vec in streamed.items():
+            _assert_same_run(vec, cmp)
+            family = [
+                rule for (label, _), rule in _vector_rules(vec).items()
+                if label.startswith("fl_")
+            ]
+            assert len(family) == 3 and vec._vector_disabled == set()
+            for rule in family:
+                assert rule.cut is None
+                assert 1 <= rule.streamed[1] <= size
+
     def test_family_rules_run_vectorized_end_to_end(self, engines):
-        vec, _, _ = engines
+        vec, _, _, _ = engines
         assert vec._vector_disabled == set()
         family = {
             key: rule for key, rule in _vector_rules(vec).items()
@@ -332,6 +404,86 @@ class TestFamilyLinkParity:
             assert rule.cut is None
             rows, distinct = rule.external
             assert rows >= distinct > 0
+
+
+class TestMorsels:
+    """A join streams its expansion in slices of at most MORSEL rows,
+    each run through the rest of the rule before the next is made."""
+
+    def test_no_table_and_no_batch_call_outgrows_a_morsel(self, monkeypatch):
+        monkeypatch.setattr(vectorized, "MORSEL", 4)
+        calls = []
+        # hub 0 alone matches 11 edges: one probe row split over slices;
+        # the recursive path rule's deltas outgrow a morsel as well
+        program = parse_program("""
+        @far hub(X), edge(X, Y), D = $gap(X, Y), D > 1.0 -> far(X, Y).
+        edge(X, Y) -> path(X, Y).
+        path(X, Z), edge(Z, Y) -> path(X, Y).
+        """)
+        facts = (
+            [("hub", (0,)), ("hub", (100,))]
+            + [("edge", (0, j)) for j in range(1, 12)]
+            + [("edge", (j, j + 1)) for j in range(1, 11)]
+            + [("edge", (100, 102))]
+        )
+        vec = _fixpoint(
+            program, facts, functions=TestBatchExternals()._registry(calls)
+        )
+        cmp = _fixpoint(
+            program, facts, functions=TestBatchExternals()._registry(),
+            vectorize=False,
+        )
+        _assert_same_run(vec, cmp)
+        assert calls and max(calls) <= 4 and sum(calls) == 12
+        rules = _vector_rules(vec)
+        assert vec._vector_disabled == set()
+        assert rules[("far", None)].streamed[0] > 3  # 12 rows, 4 at a time
+        for rule in rules.values():
+            assert 1 <= rule.streamed[1] <= 4
+
+    def test_fallback_in_a_later_morsel_leaves_the_aggregate_untouched(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(vectorized, "MORSEL", 2)
+        # the unsafe integer sits in the last slice: the earlier ones have
+        # passed every batch step before the comparison refuses it, and
+        # none of them may have reached the msum tail by then
+        program = parse_program(
+            "val(G, X), w(G, W), X > 1, T = msum(W, <X>) -> total(G, T)."
+        )
+        facts = (
+            [("w", (g, 0.25 * (g + 1))) for g in range(2)]
+            + [("val", (n % 2, n)) for n in range(2, 9)]
+            + [("val", (1, 2**60))]
+        )
+        vec = _fixpoint(program, facts)
+        cmp = _fixpoint(program, facts, vectorize=False)
+        _assert_same_run(vec, cmp)
+        ((key, rule),) = [
+            (key, entry[1]) for key, entry in vec._vector_cache.items()
+        ]
+        assert key in vec._vector_disabled
+        assert "unsafe" in vec._vector_fallbacks[key]
+        assert rule.cut is not None and rule.streamed[0] >= 4
+
+    def test_wide_keys_probe_and_negate_like_tuples(self):
+        # three bound positions: the build side packs its key through
+        # prefix levels, and a probe prefix the relation lacks must miss
+        program = """
+        t(X, Y, Z), t(Z, Y, X) -> mirrored(X, Y, Z).
+        s(X, Y, Z), not t(X, Y, Z) -> fresh(X, Y, Z).
+        s(X, Y, Z), t(X, Y, Z) -> both(X, Y, Z).
+        s(X, Y, Z), u(X, Y, Z, W) -> weighed(X, W).
+        """
+        triples = [(a, b, c) for a in range(3) for b in ("p", "q") for c in range(3)]
+        facts = (
+            [("t", triple) for triple in triples[::2]]
+            + [("s", triple) for triple in triples + [(7, "p", 0), (0, "r", 1)]]
+            + [("u", triple + (w,)) for triple in triples[1::3] for w in (0.5, 0.25)]
+        )
+        vec, _ = _assert_three_way_identity(program, facts)
+        assert vec._vector_fallbacks == {}
+        assert vec.query("fresh") and vec.query("both") and vec.query("weighed")
 
 
 class TestAggregateParity:
@@ -783,6 +935,7 @@ class TestHypothesisOracle:
             == cmp.stats.rule_firings
             == interp.stats.rule_firings
         )
+        _assert_morsels_invisible(program, facts, cmp)
 
     @given(recursive_aggregate_programs())
     @settings(max_examples=25, deadline=None)

@@ -123,6 +123,24 @@ class TestBatchEqualsScalar:
             _assert_bit_identical(classifier, people)
 
 
+    @given(st.lists(persons, min_size=2, max_size=7))
+    @settings(max_examples=30, deadline=None)
+    def test_scores_follow_parameter_changes(self, people):
+        # the batch form keeps pattern scores between calls: refitting or
+        # editing the estimates in place must not leave stale ones behind
+        classifier = _custom_classifier()
+        _assert_bit_identical(classifier, people)
+        classifier.prior = 0.6
+        _assert_bit_identical(classifier, people)
+        classifier.estimates["surname"].m = 0.3
+        _assert_bit_identical(classifier, people)
+        ids = {f"p{i}": person for i, person in enumerate(people)}
+        classifier.fit(
+            [(ids["p0"], ids["p1"]), (ids["p1"], ids["p0"])], [True, False]
+        )
+        _assert_bit_identical(classifier, people)
+
+
 class TestTableEdges:
     def test_values_the_kernels_decline(self):
         """Unhashable values, NaN and years too large for float64: those

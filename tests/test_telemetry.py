@@ -250,6 +250,26 @@ class TestPipelineInstrumentation:
         # existential head: every body step batched, only the head per row
         assert spans["plan:mk_link"].attributes["cut"] == 2
 
+    def test_family_link_spans_show_the_rules_streaming(self):
+        from repro.core.pipeline import PipelineConfig, ReasoningPipeline
+        from repro.datagen.company_generator import CompanySpec, generate_company_graph
+        from repro.datalog.vectorized import MORSEL
+
+        # the extract `repro generate --persons 500 --companies 400` writes:
+        # its blocked person pairs outgrow one morsel several times over
+        graph, _ = generate_company_graph(
+            CompanySpec(persons=500, companies=400, density="sparse", seed=1)
+        )
+        tracer = Tracer()
+        config = PipelineConfig(first_level_clusters=1, use_embeddings=False)
+        ReasoningPipeline(graph, config, tracer=tracer).family_links()
+        for name in ("rule:fl_partner_of", "plan:fl_partner_of"):
+            attributes = tracer.find(name).attributes
+            assert attributes["cut"] == "none", name
+            assert attributes["morsels"] > 1, name
+            assert 0 < attributes["max_rows"] <= MORSEL, name
+            assert attributes["external_rows"] > MORSEL, name
+
     def test_compiled_rules_carry_no_cut(self):
         tracer = Tracer()
         Engine(
