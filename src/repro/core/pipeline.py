@@ -114,9 +114,12 @@ class ReasoningPipeline:
         persons = list(self.graph.persons())
         table = PersonTable([dict(node.properties) for node in persons])
         row_of = {skolem("sk_p", (node.id,)): row for row, node in enumerate(persons)}
+        # the closures live in the KG this pipeline holds: capturing
+        # ``self`` would make a reference cycle
+        classifiers = self.classifiers
 
         def link_probability(link_class: str, x: str, y: str) -> float:
-            classifier = self.classifiers.get(link_class)
+            classifier = classifiers.get(link_class)
             left = row_of.get(x)
             right = row_of.get(y)
             if classifier is None or left is None or right is None:
@@ -143,7 +146,7 @@ class ReasoningPipeline:
                     "$link_probability batches (constant class, id, id) only"
                 )
             out = np.zeros(len(xs), dtype=np.float64)
-            classifier = self.classifiers.get(link_class)
+            classifier = classifiers.get(link_class)
             if classifier is None:
                 return out
             # one lookup per person however many pairs it is in, either side
@@ -285,7 +288,12 @@ class ReasoningPipeline:
 
         With ``provenance`` the run's engine stays on as
         :attr:`last_engine`, so its facts can be explained; no other run
-        outlives its answer."""
+        outlives its answer.  Nothing keeps a run's engine past the
+        problem method that started it, and nothing in it points back at
+        its owner (a column store holds its database's row lists, the
+        ``$link_probability`` closures the classifiers), so reference
+        counting frees the run's fact store, indexes and columns when
+        that method returns."""
         with self.tracer.span("problem.control") as span:
             engine = self.reason(
                 ["input_mapping", "control", "link_creation", "output_mapping"],
@@ -296,6 +304,7 @@ class ReasoningPipeline:
                 self.last_engine = engine
             pairs = {(x, y) for x, y in engine.query("control")}
             span.set("pairs", len(pairs))
+            span.record_memory()
         return pairs
 
     def close_link_pairs(self) -> set[tuple[NodeId, NodeId]]:
@@ -315,6 +324,7 @@ class ReasoningPipeline:
                 )
                 pairs = {(x, y) for x, y in engine.query("close_link")}
             span.set("pairs", len(pairs))
+            span.record_memory()
         return pairs
 
     def family_links(self) -> set[tuple[NodeId, NodeId, str]]:
@@ -330,6 +340,7 @@ class ReasoningPipeline:
                 for x, y in engine.query(link_class):
                     links.add((x, y, link_class))
             span.set("links", len(links))
+            span.record_memory()
         return links
 
     def family_control_pairs(self) -> set[tuple[NodeId, NodeId]]:
@@ -352,6 +363,7 @@ class ReasoningPipeline:
             family_ids = {edge.target for edge in self.graph.edges(FAMILY)}
             pairs = {(x, y) for x, y in engine.query("control") if x in family_ids}
             span.set("pairs", len(pairs))
+            span.record_memory()
         return pairs
 
     # ------------------------------------------------------------------

@@ -21,6 +21,11 @@ bodies whole-relation-at-a-time.  This module supplies its data layer:
   argsort + packed keys per probe signature) so a relation that several
   rules probe the same way is sorted once per version, however many
   columns the key has.
+
+The database holds its store, so the store holds the database's row-list
+dict and never the database: with no reference cycle between them, a
+run's facts, blocks and build sides are freed as soon as its engine is
+dropped, without waiting for the cycle collector.
 """
 
 from __future__ import annotations
@@ -158,10 +163,16 @@ class Block:
 
 
 class ColumnStore:
-    """Keeps code-column blocks in sync with a Database's row lists."""
+    """Keeps code-column blocks in sync with a Database's row lists.
+
+    Holds the database's predicate -> row-list dict (read only by
+    :meth:`sync`), the interner (shared with stores snapshotted from this
+    one), the code blocks, the rows consumed per predicate and the cached
+    join build sides — but not the database, which holds the store.
+    """
 
     def __init__(self, database, interner: ValueInterner | None = None):
-        self._database = database
+        self._rows = database._facts
         self.interner = interner if interner is not None else ValueInterner()
         self._blocks: dict[tuple[str, int], Block] = {}
         # predicate -> rows consumed at last sync
@@ -181,7 +192,7 @@ class ColumnStore:
 
     def sync(self, predicate: str) -> None:
         """Fold the rows added since the last sync into the blocks."""
-        rows = self._database.live_rows(predicate)
+        rows = self._rows[predicate]
         consumed = self._synced.get(predicate, 0)
         total = len(rows)
         if consumed == total:

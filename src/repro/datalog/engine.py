@@ -198,6 +198,7 @@ class Engine:
             run_span.set("rule_firings", self.stats.rule_firings)
             run_span.set("facts_derived", self.stats.facts_derived)
             run_span.set("facts_total", self.database.count())
+            run_span.record_memory()
         return self.database
 
     def query(self, predicate: str, pattern: dict[int, Any] | None = None) -> list[FactValues]:

@@ -22,6 +22,7 @@ Design constraints, in order:
 from __future__ import annotations
 
 import json
+import os
 import time
 from typing import Any, Iterator
 
@@ -71,6 +72,13 @@ class Span:
     def append(self, key: str, value: Any) -> None:
         """Append to a list-valued attribute (e.g. per-round delta sizes)."""
         self.attributes.setdefault(key, []).append(value)
+
+    def record_memory(self) -> None:
+        """Set ``rss_mb`` (resident now) and ``hwm_mb`` (the process's
+        peak resident size, ``VmHWM``); nothing where ``/proc`` is absent."""
+        memory = _memory_mb()
+        if memory is not None:
+            self.attributes["rss_mb"], self.attributes["hwm_mb"] = memory
 
     # -- inspection -----------------------------------------------------
 
@@ -239,6 +247,9 @@ class _NullSpan:
     def append(self, key: str, value: Any) -> None:
         return None
 
+    def record_memory(self) -> None:
+        return None
+
     def walk(self) -> Iterator["_NullSpan"]:
         return iter(())
 
@@ -299,6 +310,21 @@ class NullTracer:
 
 #: Shared no-op tracer used whenever no live tracer is supplied.
 NULL_TRACER = NullTracer()
+
+
+def _memory_mb() -> tuple[float, float] | None:
+    """(resident MB, peak resident MB) of this process, from ``/proc``."""
+    try:
+        with open("/proc/self/statm") as statm:
+            resident_pages = int(statm.read().split()[1])
+        with open("/proc/self/status") as status:
+            hwm_kb = next(
+                int(line.split()[1]) for line in status if line.startswith("VmHWM")
+            )
+    except (OSError, StopIteration):
+        return None
+    rss = resident_pages * os.sysconf("SC_PAGE_SIZE") / 2**20
+    return round(rss, 1), round(hwm_kb / 1024, 1)
 
 
 def _fmt_seconds(seconds: float) -> str:

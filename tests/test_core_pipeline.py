@@ -1,5 +1,7 @@
 """Tests for the end-to-end reasoning pipeline (Section 5 architecture)."""
 
+import weakref
+
 import pytest
 
 from repro.core import PipelineConfig, ReasoningPipeline
@@ -7,6 +9,7 @@ from repro.datagen import CompanySpec, generate_company_graph
 from repro.graph import FAMILY, CompanyGraph, figure1_graph
 from repro.linkage import persons_of, train_classifiers
 from repro.ownership import close_link_pairs, control_closure
+from tests.test_memory_lifetime import collector_off
 
 
 def fast_config(**overrides):
@@ -248,3 +251,27 @@ class TestDemandDrivenRuns:
         assert alive_at_each_run == [0] * len(refs)
         assert [ref() for ref in refs] == [None] * len(refs)
         assert pipeline.last_engine is None
+
+
+class TestLifetime:
+    """The ``$link_probability`` closures capture the classifiers, not
+    the pipeline: with the cycle collector off, a pipeline and its KG
+    still die on their last reference."""
+
+    def test_a_pipeline_dies_after_family_links(self, world):
+        graph, _ = world
+        with collector_off():
+            pipeline = ReasoningPipeline(graph, fast_config())
+            pipeline.family_links()
+            dead = weakref.ref(pipeline)
+            del pipeline
+            assert dead() is None
+
+    def test_the_kg_dies_with_its_pipeline(self, world):
+        graph, _ = world
+        with collector_off():
+            pipeline = ReasoningPipeline(graph, fast_config())
+            assert pipeline.kg.functions.batch("link_probability") is not None
+            dead = weakref.ref(pipeline.kg)
+            del pipeline
+            assert dead() is None

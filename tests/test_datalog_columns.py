@@ -3,12 +3,14 @@ and the index-backed planner statistics it leans on."""
 
 import math
 import random
+import weakref
 
 import numpy as np
 
 from repro.datalog import Database, Engine, parse_program
 from repro.datalog.columns import MAX_CODES, ValueInterner, probe_keys
 from repro.datalog.planner import plan_rule
+from tests.test_memory_lifetime import collector_off
 
 
 class TestValueInterner:
@@ -180,6 +182,33 @@ class TestSnapshotSharing:
         database.add("edge", (3, 4))
         assert clone.column_store().block("edge", 2).size == 1
         assert database.column_store().block("edge", 2).size == 2
+
+
+class TestLifetime:
+    """A store holds its database's row lists, not the database: with the
+    cycle collector off, a database still dies on its last reference."""
+
+    def test_a_database_dies_after_a_vectorized_run(self):
+        program = parse_program(
+            "edge(X, Y) -> path(X, Y).\npath(X, Z), edge(Z, Y) -> path(X, Y)."
+        )
+        with collector_off():
+            database = Engine(program, Database([("edge", (1, 2)), ("edge", (2, 3))])).run()
+            assert database._columns is not None  # the vectorized run attached it
+            assert database.count("path") == 3
+            dead = weakref.ref(database)
+            del database
+            assert dead() is None
+
+    def test_a_clone_that_inherited_blocks_dies(self):
+        database = Database([("edge", (1, 2))])
+        database.column_store().preload("edge")
+        with collector_off():
+            clone = database.copy()
+            assert clone.column_store().block("edge", 2).size == 1
+            dead = weakref.ref(clone)
+            del clone
+            assert dead() is None
 
 
 class TestPlannerStatistics:

@@ -22,12 +22,16 @@ import os
 import signal
 import threading
 import time
+import weakref
 
 import pytest
 
+from repro.core import ReasoningPipeline
 from repro.datagen.company_generator import CompanySpec, generate_company_graph
-from repro.service import ServiceConfig
+from repro.datalog import Database
+from repro.service import GraphRegistry, ServiceConfig
 from repro.service.workers import PoolError, ServicePool
+from tests.test_memory_lifetime import collector_off
 
 
 @pytest.fixture(scope="module")
@@ -332,6 +336,50 @@ class TestSupervision:
         for name in names:
             assert not os.path.exists(f"/dev/shm/{name}")
         assert pool.live_workers() == []
+
+
+class TestForkInheritance:
+    def test_a_worker_inherits_no_finished_run(self, graph, monkeypatch):
+        """Every pipeline and fact store the v1 build made is freed by
+        reference counting before the fork, so no worker starts with a
+        copy of a dead run.  The collector stays off from the build until
+        the workers fork: nothing may wait for it."""
+        born: dict[type, list[weakref.ref]] = {ReasoningPipeline: [], Database: []}
+        alive_at_fork: list[dict[str, int]] = []
+
+        def recording(cls):
+            init = cls.__init__
+
+            def __init__(self, *args, **kwargs):
+                init(self, *args, **kwargs)
+                born[cls].append(weakref.ref(self))
+
+            return __init__
+
+        spawn = ServicePool._spawn
+
+        def spawn_after_census(pool, worker_id):
+            alive_at_fork.append({
+                cls.__name__: sum(ref() is not None for ref in refs)
+                for cls, refs in born.items()
+            })
+            spawn(pool, worker_id)
+
+        monkeypatch.setattr(ServicePool, "_spawn", spawn_after_census)
+        with collector_off():
+            registry = GraphRegistry()
+            with monkeypatch.context() as building:
+                for cls in born:
+                    building.setattr(cls, "__init__", recording(cls))
+                registry.create("default", graph)
+            pool = ServicePool(registry, workers=2, config=ServiceConfig(port=0)).start()
+        try:
+            assert born[ReasoningPipeline] and born[Database]
+            assert len(alive_at_fork) >= 2  # a restarted worker forks again
+            for census in alive_at_fork:
+                assert census == {"ReasoningPipeline": 0, "Database": 0}
+        finally:
+            pool.stop(drain=False)
 
 
 class TestAttachFailure:

@@ -1,6 +1,9 @@
 """Tests for the telemetry subsystem and its engine/pipeline wiring."""
 
 import json
+import os
+
+import pytest
 
 from repro.datalog import Database, Engine, parse_program
 from repro.telemetry import NULL_TRACER, NullTracer, Span, Tracer
@@ -101,6 +104,7 @@ class TestNullTracer:
             span.add("c")
             span.set("k", 2)
             span.append("list", 1)
+            span.record_memory()
             with NULL_TRACER.span("nested") as nested:
                 assert nested is span  # the shared singleton
         assert span.attributes == {}
@@ -269,6 +273,28 @@ class TestPipelineInstrumentation:
             assert attributes["morsels"] > 1, name
             assert 0 < attributes["max_rows"] <= MORSEL, name
             assert attributes["external_rows"] > MORSEL, name
+
+    @pytest.mark.skipif(
+        not os.path.exists("/proc/self/statm"), reason="resident sizes come from /proc"
+    )
+    def test_problem_spans_say_where_the_memory_went(self):
+        from repro.core.pipeline import PipelineConfig, ReasoningPipeline
+        from repro.datagen.company_generator import CompanySpec, generate_company_graph
+
+        # the extract `repro generate --persons 500 --companies 400` writes
+        graph, _ = generate_company_graph(
+            CompanySpec(persons=500, companies=400, density="sparse", seed=1)
+        )
+        tracer = Tracer()
+        config = PipelineConfig(first_level_clusters=1, use_embeddings=False)
+        ReasoningPipeline(graph, config, tracer=tracer).close_link_pairs()
+        for name in ("problem.close_link", "engine.run"):
+            attributes = tracer.find(name).attributes
+            assert attributes["hwm_mb"] >= attributes["rss_mb"] > 0, name
+        # only the run and problem spans sample it
+        for span in tracer.root.walk():
+            if span.name.startswith(("stratum[", "rule:", "plan:")):
+                assert "rss_mb" not in span.attributes, span.name
 
     def test_compiled_rules_carry_no_cut(self):
         tracer = Tracer()
