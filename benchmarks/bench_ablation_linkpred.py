@@ -9,11 +9,12 @@ members typically hold *different* assets (often in different weakly
 connected components), so neighbourhood scores carry almost no signal.
 
 This driver quantifies that: Vada-Link's feature-based Bayesian detection
-against every topological baseline on the same candidate pairs.
+(the served ``ReasoningPipeline.family_links``) against every topological
+baseline on the same candidate pairs.
 """
 
-from repro.bench import Experiment, realworld_like
-from repro.core import FamilyLinkCandidate, VadaLink, VadaLinkConfig
+from repro.bench import Experiment, precision_recall, realworld_like
+from repro.core import BlockingScheme, PipelineConfig, ReasoningPipeline
 from repro.linkage import persons_of, train_classifiers
 from repro.linkage.topological import SCORERS, recall_against
 
@@ -25,9 +26,7 @@ def test_ablation_topological_baselines(run_once, benchmark):
     true_pairs = truth.pairs()
 
     # candidates: all person pairs within the default second-level blocks
-    # (same comparison budget the Bayesian candidate gets)
-    from repro.core import BlockingScheme
-
+    # (same comparison budget the Bayesian detection gets)
     persons = [n for n in graph.persons()]
     blocks = BlockingScheme.default().partition(persons)
     candidates = []
@@ -42,14 +41,13 @@ def test_ablation_topological_baselines(run_once, benchmark):
 
     experiment = Experiment("Ablation — feature-based vs topological", "method")
 
-    # Vada-Link (Bayesian, feature-based)
+    # Vada-Link (Bayesian, feature-based): the served family-link program
     classifiers = train_classifiers(persons_of(graph), truth.links, seed=1)
-    rules = [FamilyLinkCandidate(c) for c in classifiers]
-    config = VadaLinkConfig(first_level_clusters=1, use_embeddings=False, max_rounds=1)
-    result = VadaLink(rules, config).augment(graph)
-    predicted = {(e.source, e.target) for e in result.new_edges}
-    bayes_recall = len(predicted & true_pairs) / len(true_pairs)
-    experiment.record("vada-link (features)", recall=bayes_recall)
+    config = PipelineConfig(first_level_clusters=1, use_embeddings=False)
+    links = ReasoningPipeline(graph, config, classifiers).family_links()
+    predicted = {(x, y) for x, y, _ in links}
+    bayes_precision, bayes_recall = precision_recall(predicted, true_pairs)
+    experiment.record("vada-link (features)", recall=bayes_recall, precision=bayes_precision)
 
     # topological baselines on the same candidates
     baseline_recalls = {}

@@ -5,65 +5,72 @@ Paper: 20 subsets of the Italian company graph with 1k-100k person nodes;
 Vada-Link grows slightly more than linearly (<20 s at 10k nodes) and stays
 far below the quadratic naive curve.
 
-Here: surrogate graphs with the same sparse scale-free profile, scaled to
-pure-Python speed (see EXPERIMENTS.md for the scale discussion).  The
-naive baseline is executed up to the size where it is already clearly
-quadratic and reported as pair-counts beyond that.
+Here: surrogate graphs with the same sparse scale-free profile, 100 to
+16 000 persons, each run the served family-link program
+(``ReasoningPipeline.family_links`` with 8 first-level clusters and the
+default blocking).  The naive baseline is executed up to the size where
+it is already clearly quadratic and reported as pair-counts beyond that.
+``maxrss_mb`` is the process's ``ru_maxrss`` after each size (sizes
+ascend, so it is that size's peak).
 """
 
+import resource
+
 from repro.bench import (
+    FIG4A_SIZES,
     Experiment,
-    check_shape,
     naive_comparison_count,
     naive_family_detection,
+    precision_recall,
     realworld_like,
     timed,
+    traced_comparisons,
 )
-from repro.core import FamilyLinkCandidate, VadaLink, VadaLinkConfig
+from repro.core import PipelineConfig, ReasoningPipeline
 from repro.linkage import persons_of, train_classifiers
+from repro.telemetry import Tracer
 
-SIZES = (100, 200, 400, 800, 1600)
 NAIVE_LIMIT = 400  # run the quadratic baseline only up to this size
+CONFIG = PipelineConfig(first_level_clusters=8)
 
 
-def build_rules(graph, truth):
-    classifiers = train_classifiers(persons_of(graph), truth.links, seed=1)
-    return [FamilyLinkCandidate(c) for c in classifiers]
-
-
-def vadalink_run(graph, rules):
-    config = VadaLinkConfig(first_level_clusters=8, max_rounds=2)
-    return VadaLink(rules, config).augment(graph)
+def family_run(graph, classifiers, tracer=None):
+    return ReasoningPipeline(graph, CONFIG, classifiers, tracer=tracer).family_links()
 
 
 def test_fig4a_time_vs_nodes(run_once, benchmark):
     experiment = Experiment("Figure 4(a) — time vs nodes (real-world-like)", "persons")
     series = []
     benchmark_graph = None
-    benchmark_rules = None
-    for persons in SIZES:
+    benchmark_classifiers = None
+    for persons in FIG4A_SIZES:
         graph, truth = realworld_like(persons, seed=7)
-        rules = build_rules(graph, truth)
-        if persons == SIZES[2]:
-            benchmark_graph, benchmark_rules = graph, rules
-        result, elapsed = timed(lambda: vadalink_run(graph, rules))
+        classifiers = train_classifiers(persons_of(graph), truth.links, seed=1)
+        if persons == FIG4A_SIZES[2]:
+            benchmark_graph, benchmark_classifiers = graph, classifiers
+        tracer = Tracer()
+        links, elapsed = timed(lambda: family_run(graph, classifiers, tracer))
+        precision, recall = precision_recall(links, truth.links)
         metrics = {
             "vadalink_s": elapsed,
-            "comparisons": result.comparisons,
+            "comparisons": traced_comparisons(tracer),
             "naive_pairs": naive_comparison_count(persons),
+            "links": len(links),
+            "precision": precision,
+            "recall": recall,
         }
         if persons <= NAIVE_LIMIT:
-            classifiers = [rule.classifier for rule in rules]
             _, naive_elapsed = timed(lambda: naive_family_detection(graph, classifiers))
             metrics["naive_s"] = naive_elapsed
+        metrics["maxrss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         series.append((persons, elapsed))
         experiment.record(persons, **metrics)
     print()
     experiment.print()
-    print(experiment.ascii_plot("vadalink_s"))
+    print(experiment.ascii_plot("vadalink_s", logx=True, logy=True))
 
-    # shape: far sub-quadratic — time ratio across a 16x size range stays
-    # well below the 256x a quadratic algorithm would show
+    # shape: far sub-quadratic — time ratio across the size range stays
+    # well below the growth a quadratic algorithm would show
     first_size, first_time = series[0]
     last_size, last_time = series[-1]
     growth = last_time / max(first_time, 1e-9)
@@ -75,4 +82,4 @@ def test_fig4a_time_vs_nodes(run_once, benchmark):
     for measurement in experiment.measurements:
         assert measurement.metrics["comparisons"] < measurement.metrics["naive_pairs"] / 2
 
-    run_once(benchmark, lambda: vadalink_run(benchmark_graph, benchmark_rules))
+    run_once(benchmark, lambda: family_run(benchmark_graph, benchmark_classifiers))

@@ -5,23 +5,32 @@ Paper: 6 Barabási graphs with 1-10k nodes and much higher density than the
 real data; elapsed times one order of magnitude above Figure 4(a) but the
 trend is still linear.
 
-Here: the same comparison at reproduction scale.  The assertions check
-(i) the dense series is slower than the sparse one at equal size and
-(ii) growth remains clearly sub-quadratic.
+Here: the same comparison at reproduction scale, each run the served
+family-link program (``ReasoningPipeline.family_links`` with 8
+first-level clusters).  The assertions check (i) the dense series is
+slower than the sparse one at equal size and (ii) growth remains
+clearly sub-quadratic.
 """
 
-from repro.bench import Experiment, dense_synthetic, realworld_like, timed
-from repro.core import FamilyLinkCandidate, VadaLink, VadaLinkConfig
+from repro.bench import (
+    Experiment,
+    dense_synthetic,
+    precision_recall,
+    realworld_like,
+    timed,
+    traced_comparisons,
+)
+from repro.core import PipelineConfig, ReasoningPipeline
 from repro.linkage import persons_of, train_classifiers
+from repro.telemetry import Tracer
 
 SIZES = (100, 200, 400, 800)
+CONFIG = PipelineConfig(first_level_clusters=8)
 
 
-def run_vadalink(graph, truth):
+def family_run(graph, truth, tracer=None):
     classifiers = train_classifiers(persons_of(graph), truth.links, seed=1)
-    rules = [FamilyLinkCandidate(c) for c in classifiers]
-    config = VadaLinkConfig(first_level_clusters=8, max_rounds=2)
-    return VadaLink(rules, config).augment(graph)
+    return ReasoningPipeline(graph, CONFIG, classifiers, tracer=tracer).family_links()
 
 
 def test_fig4b_time_vs_nodes_dense(run_once, benchmark):
@@ -30,12 +39,15 @@ def test_fig4b_time_vs_nodes_dense(run_once, benchmark):
     sparse_at_max = None
     for persons in SIZES:
         graph, truth = dense_synthetic(persons, seed=11)
-        result, elapsed = timed(lambda: run_vadalink(graph, truth))
+        tracer = Tracer()
+        links, elapsed = timed(lambda: family_run(graph, truth, tracer))
+        precision, recall = precision_recall(links, truth.links)
         dense_series.append((persons, elapsed))
         experiment.record(persons, dense_s=elapsed, edges=graph.edge_count,
-                          comparisons=result.comparisons)
+                          comparisons=traced_comparisons(tracer),
+                          precision=precision, recall=recall)
     sparse_graph, sparse_truth = realworld_like(SIZES[-1], seed=11)
-    _, sparse_at_max = timed(lambda: run_vadalink(sparse_graph, sparse_truth))
+    _, sparse_at_max = timed(lambda: family_run(sparse_graph, sparse_truth))
     print()
     experiment.print()
     print(f"(sparse reference at {SIZES[-1]} persons: {sparse_at_max:.3f}s)")
@@ -48,4 +60,4 @@ def test_fig4b_time_vs_nodes_dense(run_once, benchmark):
     assert growth < quadratic_growth / 2
 
     graph, truth = dense_synthetic(SIZES[1], seed=11)
-    run_once(benchmark, lambda: run_vadalink(graph, truth))
+    run_once(benchmark, lambda: family_run(graph, truth))

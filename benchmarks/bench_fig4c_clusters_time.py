@@ -6,20 +6,24 @@ clusters multiply (under 10 s past ~10 clusters in the paper's setup),
 because comparisons shrink quadratically with block size.
 
 Here: same protocol — `person_blocker(k)` folds the feature hash modulo
-k.  The first-level embedding stage is disabled to isolate the
-second-level clustering variable, as by construction `#GenerateBlocks`
-only depends on node features.
+k, and each run is the served family-link program
+(``ReasoningPipeline.family_links``).  The first-level embedding stage
+is disabled to isolate the second-level clustering variable, as by
+construction `#GenerateBlocks` only depends on node features.
 """
 
-from repro.bench import CLUSTER_SWEEP, Experiment, check_shape, realworld_like, timed
-from repro.core import (
-    BlockingScheme,
-    FamilyLinkCandidate,
-    VadaLink,
-    VadaLinkConfig,
-    person_blocker,
+from repro.bench import (
+    CLUSTER_SWEEP,
+    Experiment,
+    check_shape,
+    precision_recall,
+    realworld_like,
+    timed,
+    traced_comparisons,
 )
+from repro.core import BlockingScheme, PipelineConfig, ReasoningPipeline, person_blocker
 from repro.linkage import persons_of, train_classifiers
+from repro.telemetry import Tracer
 
 PERSONS = 600
 
@@ -28,22 +32,23 @@ def test_fig4c_time_vs_clusters(run_once, benchmark):
     graph, truth = realworld_like(PERSONS, seed=13)
     classifiers = train_classifiers(persons_of(graph), truth.links, seed=1)
 
-    def run(k: int):
-        rules = [FamilyLinkCandidate(c) for c in classifiers]
-        config = VadaLinkConfig(
+    def run(k: int, tracer=None):
+        config = PipelineConfig(
             first_level_clusters=1,
             use_embeddings=False,
             blocking=BlockingScheme({"P": person_blocker(k)}),
-            max_rounds=1,
         )
-        return VadaLink(rules, config).augment(graph)
+        return ReasoningPipeline(graph, config, classifiers, tracer=tracer).family_links()
 
     experiment = Experiment("Figure 4(c) — time vs number of clusters", "clusters")
     series = []
     for clusters in CLUSTER_SWEEP:
-        result, elapsed = timed(lambda: run(clusters))
+        tracer = Tracer()
+        links, elapsed = timed(lambda: run(clusters, tracer))
+        precision, recall = precision_recall(links, truth.links)
         series.append((clusters, elapsed))
-        experiment.record(clusters, seconds=elapsed, comparisons=result.comparisons)
+        experiment.record(clusters, seconds=elapsed, comparisons=traced_comparisons(tracer),
+                          precision=precision, recall=recall)
     print()
     experiment.print()
     print(experiment.ascii_plot("seconds", logx=True))

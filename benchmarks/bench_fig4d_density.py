@@ -8,40 +8,34 @@ and (ii) the ``Candidate`` implementations — noting that *family
 detection* scales well with density while *close links* (path
 enumeration) are the challenging case.
 
-We therefore report two series per density preset:
+We therefore report two series per density preset, each timing what
+``serve`` answers from:
 
-* ``family_s``     — the feature-based family-detection loop (expected
-  nearly flat across densities, the paper's own remark);
-* ``closelink_s``  — the close-link Candidate (exact accumulated
+* ``fam_s`` — the family-link program
+  (``ReasoningPipeline.family_links`` with 6 first-level clusters;
+  expected nearly flat across densities, the paper's own remark), with
+  its precision and recall against the planted links;
+* ``cl_s``  — ``repro.ownership.close_link_pairs`` (exact accumulated
   ownership by a DP over the SCC condensation, no path-depth bound).
 """
 
-from repro.bench import DENSITY_SCENARIOS, Experiment, density_scenario, timed
-from repro.core import (
-    BlockingScheme,
-    CloseLinkCandidate,
-    FamilyLinkCandidate,
-    VadaLink,
-    VadaLinkConfig,
+from repro.bench import (
+    DENSITY_SCENARIOS,
+    Experiment,
+    density_scenario,
+    precision_recall,
+    timed,
 )
+from repro.core import PipelineConfig, ReasoningPipeline
 from repro.linkage import persons_of, train_classifiers
+from repro.ownership import close_link_pairs
 
 SIZES = (100, 200, 300)
+CONFIG = PipelineConfig(first_level_clusters=6)
 
 
 def family_run(graph, classifiers):
-    rules = [FamilyLinkCandidate(c) for c in classifiers]
-    config = VadaLinkConfig(first_level_clusters=6, max_rounds=1)
-    return VadaLink(rules, config).augment(graph)
-
-
-def close_link_run(graph):
-    rules = [CloseLinkCandidate()]
-    config = VadaLinkConfig(
-        first_level_clusters=1, use_embeddings=False,
-        blocking=BlockingScheme.exhaustive(), max_rounds=1,
-    )
-    return VadaLink(rules, config).augment(graph)
+    return ReasoningPipeline(graph, CONFIG, classifiers).family_links()
 
 
 def test_fig4d_time_vs_density(run_once, benchmark):
@@ -53,9 +47,11 @@ def test_fig4d_time_vs_density(run_once, benchmark):
         for density in DENSITY_SCENARIOS:
             graph, truth = density_scenario(density, persons, seed=17)
             classifiers = train_classifiers(persons_of(graph), truth.links, seed=1)
-            _, family_elapsed = timed(lambda: family_run(graph, classifiers))
-            _, close_elapsed = timed(lambda: close_link_run(graph))
+            links, family_elapsed = timed(lambda: family_run(graph, classifiers))
+            _, close_elapsed = timed(lambda: close_link_pairs(graph))
+            precision, recall = precision_recall(links, truth.links)
             row[f"{density[:5]}_fam_s"] = family_elapsed
+            row[f"{density[:5]}_p/r"] = f"{precision:.2f}/{recall:.2f}"
             row[f"{density[:5]}_cl_s"] = close_elapsed
             family_times.setdefault(density, []).append(family_elapsed)
             close_times.setdefault(density, []).append(close_elapsed)
@@ -64,9 +60,7 @@ def test_fig4d_time_vs_density(run_once, benchmark):
     experiment.print()
 
     last = len(SIZES) - 1
-    # close links: superdense must be the slowest scenario.  With exact
-    # accumulated ownership the margin is ~2.5x sparse, not the 6-26x the
-    # depth-bounded path enumeration showed: the rest was enumeration cost
+    # close links: superdense must be the slowest scenario
     assert close_times["superdense"][last] == max(
         close_times[d][last] for d in DENSITY_SCENARIOS
     ), "superdense close-link detection must be the slowest scenario"
@@ -75,8 +69,8 @@ def test_fig4d_time_vs_density(run_once, benchmark):
     # and superdense grows superlinearly in size (3x the persons)
     assert close_times["superdense"][last] > close_times["superdense"][0] * 3
     # family detection stays comparatively flat across densities (the
-    # paper's own observation about this Candidate)
+    # paper's own observation about this step)
     assert family_times["superdense"][last] < family_times["sparse"][last] * 3
 
     graph, _ = density_scenario("superdense", SIZES[0], seed=17)
-    run_once(benchmark, lambda: close_link_run(graph))
+    run_once(benchmark, lambda: close_link_pairs(graph))

@@ -1,8 +1,9 @@
 """Detecting personal links on a synthetic population with planted truth.
 
 Generates an Italian-company-database surrogate, trains the Bayesian
-classifiers on part of the planted family links, detects links on the
-full population via the Vada-Link loop, and scores precision/recall per
+classifiers on the planted family links, detects links on the full
+population with the family-link program ``serve`` runs
+(``ReasoningPipeline.family_links``), and scores precision/recall per
 link class — the paper's third use case at evaluation scale.
 
     python examples/family_detection.py
@@ -10,9 +11,11 @@ link class — the paper's third use case at evaluation scale.
 
 from collections import Counter
 
-from repro.core import FamilyLinkCandidate, VadaLink, VadaLinkConfig
+from repro.bench import naive_comparison_count, timed, traced_comparisons
+from repro.core import PipelineConfig, ReasoningPipeline
 from repro.datagen import CompanySpec, generate_company_graph
 from repro.linkage import persons_of, train_classifiers
+from repro.telemetry import Tracer
 
 SPEC = CompanySpec(persons=400, companies=250, seed=42)
 
@@ -29,15 +32,14 @@ def main() -> None:
               {name: f"{est.m:.2f}/{est.u:.2f}"
                for name, est in classifier.estimates.items()})
 
-    rules = [FamilyLinkCandidate(c) for c in classifiers]
-    vadalink = VadaLink(rules, VadaLinkConfig(first_level_clusters=6, max_rounds=2))
-    result = vadalink.augment(graph)
-
-    predicted = {(e.source, e.target, e.label) for e in result.new_edges}
-    print(f"\npredicted {len(predicted)} links with {result.comparisons:,} "
-          f"comparisons in {result.rounds} rounds "
-          f"({result.elapsed_seconds:.1f}s)")
-    naive_pairs = len(persons) * (len(persons) - 1) * len(rules)
+    tracer = Tracer()
+    pipeline = ReasoningPipeline(
+        graph, PipelineConfig(first_level_clusters=6), classifiers, tracer=tracer
+    )
+    predicted, elapsed = timed(pipeline.family_links)
+    print(f"\npredicted {len(predicted)} links with "
+          f"{traced_comparisons(tracer):,} comparisons ({elapsed:.1f}s)")
+    naive_pairs = naive_comparison_count(len(persons), len(classifiers))
     print(f"(naive all-pairs would need {naive_pairs:,} comparisons)")
 
     print(f"\n{'class':14s}{'predicted':>10s}{'true':>8s}{'prec':>8s}{'recall':>8s}")

@@ -164,6 +164,27 @@ def timed_traced(function: Callable[[Any], Any]) -> tuple[Any, float, dict]:
     return result, elapsed, tracer.to_dict()
 
 
+def traced_comparisons(tracer) -> int:
+    """The pair comparisons of a ``ReasoningPipeline.family_links()`` run
+    under ``tracer``: the rows its ``fl_<class>`` rules passed to
+    ``$link_probability``, summed over the link classes.  A pair counts
+    once per block its two persons share (multi-pass blocking puts a
+    pair in several)."""
+    from ..core.pipeline import FAMILY_LINK_CLASSES
+
+    return sum(
+        span.attributes.get("external_rows", 0)
+        for link_class in FAMILY_LINK_CLASSES
+        for span in tracer.root.find_all(f"rule:fl_{link_class}")
+    )
+
+
+def precision_recall(found: set, truth: set) -> tuple[float, float]:
+    """Precision and recall of the links ``found`` against ``truth``."""
+    hits = len(found & truth)
+    return (hits / len(found) if found else 0.0, hits / len(truth) if truth else 0.0)
+
+
 def timed_repeat(
     function: Callable[[], Any], repeats: int = 3
 ) -> tuple[Any, float, float]:

@@ -1,16 +1,17 @@
 """Recall methodology of Section 6.2 (Figure 4(e)).
 
-The paper's protocol, reproduced step by step:
+The paper's protocol, reproduced step by step on the served program
+(:meth:`ReasoningPipeline.family_links`):
 
-1. run Vada-Link in *no-cluster mode* (one cluster, exhaustive pairwise
+1. run in *no-cluster mode* (one cluster, exhaustive pairwise
    comparison) to produce all theoretically possible links — this
    augmented graph is the self-consistent ground truth ``S+``;
 2. randomly remove a fraction (20%) of the predicted links;
-3. re-run Vada-Link with ``k`` clusters;
+3. re-run with ``k`` clusters;
 4. recall = recovered predicted links / links predicted in no-cluster
    mode.
 
-Because the candidate decisions are deterministic, any loss of recall is
+Because the pair decisions are deterministic, any loss of recall is
 attributable to the clustering assigning the two endpoints of a link to
 different blocks — exactly the trade-off Figure 4(e) quantifies.
 """
@@ -18,15 +19,17 @@ different blocks — exactly the trade-off Figure 4(e) quantifies.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 from ..core.blocking import BlockingScheme, age_banded_person_blocker
-from ..core.candidates import CandidateRule
-from ..core.vadalink import VadaLink, VadaLinkConfig
+from ..core.pipeline import PipelineConfig, ReasoningPipeline
 from ..graph.company_graph import CompanyGraph
+from ..linkage.bayes import BayesianLinkClassifier
+from ..telemetry import Tracer
+from .harness import timed, traced_comparisons
 
-LinkTriple = tuple[object, object, str | None]
+LinkTriple = tuple[object, object, str]
 
 
 @dataclass
@@ -39,36 +42,27 @@ class RecallPoint:
     elapsed_seconds: float
 
 
-def predicted_links(result_edges) -> set[LinkTriple]:
-    return {(edge.source, edge.target, edge.label) for edge in result_edges}
-
-
 def no_cluster_ground_truth(
     graph: CompanyGraph,
-    rules: Sequence[CandidateRule],
-    config: VadaLinkConfig | None = None,
+    classifiers: Sequence[BayesianLinkClassifier],
+    config: PipelineConfig | None = None,
 ) -> set[LinkTriple]:
-    """Step 1: exhaustive (single-cluster, single-block) augmentation."""
-    base = config if config is not None else VadaLinkConfig()
-    exhaustive = VadaLinkConfig(
+    """Step 1: exhaustive (single-cluster, single-block) detection."""
+    exhaustive = replace(
+        config if config is not None else PipelineConfig(),
         first_level_clusters=1,
         use_embeddings=False,
-        node2vec=base.node2vec,
-        embedding_features=base.embedding_features,
         blocking=BlockingScheme.exhaustive(),
-        max_rounds=1,
-        recursive=False,
     )
-    result = VadaLink(list(rules), exhaustive).augment(graph)
-    return predicted_links(result.new_edges)
+    return ReasoningPipeline(graph, exhaustive, classifiers).family_links()
 
 
 def recall_at_clusters(
     graph: CompanyGraph,
-    rules: Sequence[CandidateRule],
+    classifiers: Sequence[BayesianLinkClassifier],
     truth_links: set[LinkTriple],
     clusters: int,
-    config: VadaLinkConfig | None = None,
+    config: PipelineConfig | None = None,
     removal_fraction: float = 0.2,
     seed: int = 0,
     blocker_factory: Callable[[int], BlockingScheme] | None = None,
@@ -77,8 +71,8 @@ def recall_at_clusters(
 
     Following Section 6.1's technique, the *number of clusters* is
     controlled by folding the second-level feature mapping into ``k``
-    blocks (``blocker_factory``); the first level stays active so the
-    recursive interplay the paper credits for robustness is exercised.
+    blocks (``blocker_factory``); the first level stays active (up to 8
+    clusters, when ``config`` embeds) so both levels are exercised.
     """
     rng = random.Random(seed)
     removable = sorted(truth_links, key=str)
@@ -95,40 +89,37 @@ def recall_at_clusters(
         blocking = BlockingScheme({"P": age_banded_person_blocker(clusters)})
     else:
         blocking = blocker_factory(clusters)
-    base = config if config is not None else VadaLinkConfig()
-    clustered = VadaLinkConfig(
+    base = config if config is not None else PipelineConfig()
+    clustered = replace(
+        base,
         first_level_clusters=max(1, min(clusters, 8)),
         use_embeddings=base.use_embeddings and clusters > 1,
-        node2vec=base.node2vec,
-        embedding_features=base.embedding_features,
         blocking=blocking,
-        max_rounds=base.max_rounds,
-        recursive=base.recursive,
     )
-    for rule in rules:
-        rule.invalidate()
-    result = VadaLink(list(rules), clustered).augment(working)
-    recovered = predicted_links(result.new_edges) & removed
-    recall = len(recovered) / len(removed) if removed else 1.0
+    tracer = Tracer()
+    found, elapsed = timed(
+        lambda: ReasoningPipeline(working, clustered, classifiers, tracer=tracer).family_links()
+    )
+    recall = len(found & removed) / len(removed) if removed else 1.0
     return RecallPoint(
         clusters=clusters,
         recall=recall,
-        comparisons=result.comparisons,
-        elapsed_seconds=result.elapsed_seconds,
+        comparisons=traced_comparisons(tracer),
+        elapsed_seconds=elapsed,
     )
 
 
 def recall_curve(
     graph: CompanyGraph,
-    rules: Sequence[CandidateRule],
+    classifiers: Sequence[BayesianLinkClassifier],
     cluster_counts: Sequence[int],
-    config: VadaLinkConfig | None = None,
+    config: PipelineConfig | None = None,
     removal_fraction: float = 0.2,
     repeats: int = 3,
     seed: int = 0,
 ) -> list[RecallPoint]:
     """The full Figure 4(e) sweep, averaging ``repeats`` removals per k."""
-    truth = no_cluster_ground_truth(graph, rules, config)
+    truth = no_cluster_ground_truth(graph, classifiers, config)
     points: list[RecallPoint] = []
     for clusters in cluster_counts:
         recalls: list[float] = []
@@ -136,7 +127,7 @@ def recall_curve(
         elapsed = 0.0
         for repeat in range(repeats):
             point = recall_at_clusters(
-                graph, rules, truth, clusters, config,
+                graph, classifiers, truth, clusters, config,
                 removal_fraction, seed=seed * 1000 + repeat,
             )
             recalls.append(point.recall)

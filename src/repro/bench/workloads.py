@@ -14,7 +14,7 @@ from ..datagen.company_generator import CompanySpec, GroundTruth, generate_compa
 from ..graph.company_graph import CompanyGraph
 
 #: Node-count sweep of Figure 4(a) (paper: 1k-100k persons, 20 sizes).
-FIG4A_SIZES = (100, 200, 400, 800, 1600)
+FIG4A_SIZES = (100, 200, 400, 800, 1600, 3200, 6400, 16000)
 #: Node-count sweep of Figure 4(b) (paper: 1-10k nodes, 6 dense graphs).
 FIG4B_SIZES = (100, 200, 400, 800, 1200, 1600)
 #: Cluster sweep of Figures 4(c)/4(e) (paper: 1-500 clusters).

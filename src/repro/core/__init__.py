@@ -8,10 +8,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "feature_blocker", "household_blocker", "multi_blocker", "narrow_person_blocker",
         "person_blocker", "phonetic_person_blocker", "single_block", "stable_hash",
     ),
-    "candidates": (
-        "CandidateRule", "CloseLinkCandidate", "ControlCandidate", "default_family_candidates",
-        "FamilyLinkCandidate",
-    ),
     "explain": ("explain_close_link", "explain_control", "explain_family_link", "Explanation"),
     "kg": ("KnowledgeGraph",),
     "pipeline": ("FAMILY_LINK_CLASSES", "PipelineConfig", "ReasoningPipeline"),
@@ -22,5 +18,4 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "influence_program", "input_mapping", "link_creation", "output_mapping",
         "paper_close_link_program",
     ),
-    "vadalink": ("AugmentationResult", "VadaLink", "VadaLinkConfig"),
 })

@@ -2,22 +2,22 @@
 
 :class:`IncrementalEmbedder` is the one implementation of the primitive:
 its cold round is :func:`~repro.embeddings.node2vec.embed_and_cluster`,
-and the augmentation loop, the reasoning pipeline and the service's
-snapshot builder all cluster through it.  Algorithm 1's reinforcement
-principle re-embeds the graph after every round that added edges; a
-full re-embedding would re-sample every walk, re-materialise the whole
-pair corpus, re-train SGNS from random vectors and re-seed k-means.  A
-round that adds a handful of edges perturbs the walk distribution only
-near those edges, so the embedder keeps the expensive state between
-rounds and redoes only the dirty part:
+which the reasoning pipeline runs, and the service's snapshot builder
+keeps one alive between snapshot builds.  A publish changes a few edges
+of the graph the previous build embedded; a full re-embedding would
+re-sample every walk, re-materialise the whole pair corpus, re-train
+SGNS from random vectors and re-seed k-means.  A publish that adds a
+handful of edges perturbs the walk distribution only near those edges,
+so the embedder keeps the expensive state between builds and redoes
+only the dirty part:
 
 * **adjacency** (including the feature-token bipartite structure) is
-  updated in place with the round's new edges;
+  updated in place with the build's new edges;
 * **walks** are cached per start node; only nodes within
   :attr:`~IncrementalEmbedder.DIRTY_HOPS` structural hops of a new edge
   are re-sampled — the walk kernel gives every (node, walk-index) pair
   its own RNG stream, so the untouched walks stay valid;
-* the **SGNS model** warm-starts from the previous round's vectors and
+* the **SGNS model** warm-starts from the previous build's vectors and
   trains only on the re-sampled walks (the global negative-sampling
   distribution is maintained incrementally from per-start counts);
 * **k-means** warm-starts Lloyd iteration from the previous centroids.

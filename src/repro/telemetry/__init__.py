@@ -1,7 +1,7 @@
 """Engine/pipeline telemetry: hierarchical spans, counters, JSON export.
 
 Instrumented components (``datalog.Engine``, ``core.KnowledgeGraph``,
-``core.ReasoningPipeline``, ``core.VadaLink``, the CLI) accept an
+``core.ReasoningPipeline``, the service's snapshot builder, the CLI) accept an
 optional :class:`Tracer`; when none is given they use the zero-cost
 :data:`NULL_TRACER` and tracing adds no measurable overhead.
 """

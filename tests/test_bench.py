@@ -11,13 +11,14 @@ from repro.bench import (
     naive_family_detection,
     no_cluster_ground_truth,
     ownership_pyramid,
+    precision_recall,
     realworld_like,
     recall_at_clusters,
     recall_curve,
     timed,
     timed_repeat,
 )
-from repro.core import FamilyLinkCandidate, VadaLinkConfig
+from repro.core import PipelineConfig
 from repro.datagen import CompanySpec, generate_company_graph
 from repro.linkage import default_classifiers, persons_of, train_classifiers
 
@@ -34,6 +35,11 @@ class TestHarness:
 
     def test_empty_experiment_renders(self):
         assert "no measurements" in Experiment("empty", "x").render()
+
+    def test_precision_recall(self):
+        assert precision_recall({1, 2, 3, 4}, {2, 4, 6}) == (0.5, 2 / 3)
+        assert precision_recall(set(), {1}) == (0.0, 0.0)
+        assert precision_recall({1}, set()) == (0.0, 0.0)
 
     def test_series_extraction(self):
         experiment = Experiment("e", "x")
@@ -110,31 +116,30 @@ class TestRecallProtocol:
             CompanySpec(persons=80, companies=30, seed=9, feature_noise=0.0)
         )
         classifiers = train_classifiers(persons_of(graph), truth.links, seed=1)
-        rules = [FamilyLinkCandidate(c) for c in classifiers]
-        config = VadaLinkConfig(first_level_clusters=1, use_embeddings=False, max_rounds=1)
-        return graph, rules, config
+        config = PipelineConfig(first_level_clusters=1, use_embeddings=False)
+        return graph, classifiers, config
 
     def test_ground_truth_nonempty(self, setup):
-        graph, rules, config = setup
-        truth = no_cluster_ground_truth(graph, rules, config)
+        graph, classifiers, config = setup
+        truth = no_cluster_ground_truth(graph, classifiers, config)
         assert truth
 
     def test_single_cluster_recall_is_one(self, setup):
-        graph, rules, config = setup
-        truth = no_cluster_ground_truth(graph, rules, config)
-        point = recall_at_clusters(graph, rules, truth, clusters=1, config=config)
+        graph, classifiers, config = setup
+        truth = no_cluster_ground_truth(graph, classifiers, config)
+        point = recall_at_clusters(graph, classifiers, truth, clusters=1, config=config)
         assert point.recall == pytest.approx(1.0)
 
     def test_many_clusters_lose_recall(self, setup):
-        graph, rules, config = setup
-        truth = no_cluster_ground_truth(graph, rules, config)
-        extreme = recall_at_clusters(graph, rules, truth, clusters=500, config=config)
-        single = recall_at_clusters(graph, rules, truth, clusters=1, config=config)
+        graph, classifiers, config = setup
+        truth = no_cluster_ground_truth(graph, classifiers, config)
+        extreme = recall_at_clusters(graph, classifiers, truth, clusters=500, config=config)
+        single = recall_at_clusters(graph, classifiers, truth, clusters=1, config=config)
         assert extreme.recall <= single.recall
 
     def test_recall_curve_shape(self, setup):
-        graph, rules, config = setup
-        points = recall_curve(graph, rules, (1, 50), config=config, repeats=1)
+        graph, classifiers, config = setup
+        points = recall_curve(graph, classifiers, (1, 50), config=config, repeats=1)
         assert len(points) == 2
         assert points[0].recall >= points[1].recall
 

@@ -1,15 +1,18 @@
-"""Tests for the polymorphic Candidate rules."""
+"""Pair decisions of the family, control and close-link steps
+(Algorithms 3-9), checked on the Vadalog rules ``ReasoningPipeline``
+serves."""
 
 import pytest
 
-from repro.core import (
-    CloseLinkCandidate,
-    ControlCandidate,
-    FamilyLinkCandidate,
-    default_family_candidates,
-)
+from repro.core import FAMILY_LINK_CLASSES, PipelineConfig, ReasoningPipeline, explain_close_link
 from repro.graph import CompanyGraph, figure1_graph
-from repro.linkage import BayesianLinkClassifier, partner_features
+from repro.linkage import default_classifiers
+
+
+def pipeline_for(graph: CompanyGraph) -> ReasoningPipeline:
+    return ReasoningPipeline(
+        graph, PipelineConfig(first_level_clusters=1, use_embeddings=False)
+    )
 
 
 @pytest.fixture
@@ -18,76 +21,38 @@ def graph():
 
 
 class TestControlCandidate:
-    def test_accepts_only_targets_companies(self, graph):
-        rule = ControlCandidate()
-        p1, c, p2 = graph.node("P1"), graph.node("C"), graph.node("P2")
-        assert rule.accepts(p1, c)
-        assert rule.accepts(c, c)
-        assert not rule.accepts(p1, p2)
-
     def test_decides_paper_pairs(self, graph):
-        rule = ControlCandidate()
-        assert rule.decide(graph, graph.node("P1"), graph.node("F")) is not None
-        assert rule.decide(graph, graph.node("P1"), graph.node("L")) is None
-
-    def test_cache_invalidated(self, graph):
-        rule = ControlCandidate()
-        assert rule.decide(graph, graph.node("P1"), graph.node("C")) is not None
-        rule.invalidate()
-        assert rule._cache == {}
+        pairs = pipeline_for(graph).control_pairs()
+        assert ("P1", "F") in pairs
+        assert ("P1", "L") not in pairs
 
 
 class TestCloseLinkCandidate:
-    def test_accepts_companies_only(self, graph):
-        rule = CloseLinkCandidate()
-        assert rule.accepts(graph.node("C"), graph.node("D"))
-        assert not rule.accepts(graph.node("P1"), graph.node("C"))
-
     def test_common_owner_pair_found(self, graph):
         # P1 owns 80% of C and 75% of D -> C~D by common owner
-        rule = CloseLinkCandidate()
-        decision = rule.decide(graph, graph.node("C"), graph.node("D"))
-        assert decision is not None
-        assert decision["witness"] == "P1"
+        assert ("C", "D") in pipeline_for(graph).close_link_pairs()
+        explanation = explain_close_link(graph, "C", "D")
+        assert explanation.verdict
+        assert any("P1" in step for step in explanation.steps)
 
     def test_unrelated_pair_rejected(self, graph):
-        rule = CloseLinkCandidate()
-        assert rule.decide(graph, graph.node("C"), graph.node("G")) is None
-
-    def test_invalidate_clears_cache(self, graph):
-        rule = CloseLinkCandidate()
-        rule.decide(graph, graph.node("C"), graph.node("D"))
-        rule.invalidate()
-        assert rule._pairs is None
+        pairs = pipeline_for(graph).close_link_pairs()
+        assert ("C", "G") not in pairs and ("G", "C") not in pairs
 
 
 class TestFamilyLinkCandidate:
-    def test_accepts_persons_only(self, graph):
-        rule = default_family_candidates()[0]
-        assert rule.accepts(graph.node("P1"), graph.node("P2"))
-        assert not rule.accepts(graph.node("P1"), graph.node("C"))
-
-    def test_decision_includes_probability(self):
+    def test_accepts_persons_only(self):
         graph = CompanyGraph()
-        left = graph.add_person("a", address="x", birth_date="1960-01-01", sex="M")
-        right = graph.add_person("b", address="x", birth_date="1962-01-01", sex="F")
-        rule = FamilyLinkCandidate(
-            BayesianLinkClassifier("partner_of", partner_features())
-        )
-        decision = rule.decide(graph, left, right)
-        assert decision is not None
-        assert 0.5 < decision["probability"] <= 1.0
-
-    def test_threshold_respected(self):
-        graph = CompanyGraph()
-        left = graph.add_person("a", address="x", birth_date="1960-01-01", sex="M")
-        right = graph.add_person("b", address="x", birth_date="1962-01-01", sex="F")
-        rule = FamilyLinkCandidate(
-            BayesianLinkClassifier("partner_of", partner_features()),
-            threshold=0.9999,
-        )
-        assert rule.decide(graph, left, right) is None
+        graph.add_person("a", address="x", birth_date="1960-01-01", sex="M")
+        graph.add_person("b", address="x", birth_date="1962-01-01", sex="F")
+        graph.add_company("c", address="x")
+        graph.add_shareholding("a", "c", 0.6)
+        links = pipeline_for(graph).family_links()
+        assert links
+        assert all(x in {"a", "b"} and y in {"a", "b"} for x, y, _ in links)
 
     def test_default_candidates_cover_three_classes(self):
-        classes = {rule.link_class for rule in default_family_candidates()}
-        assert classes == {"partner_of", "sibling_of", "parent_of"}
+        assert set(FAMILY_LINK_CLASSES) == {"partner_of", "sibling_of", "parent_of"}
+        classes = {c.link_class for c in default_classifiers()}
+        assert classes == set(FAMILY_LINK_CLASSES)
+        assert set(pipeline_for(figure1_graph()).classifiers) == classes

@@ -4,11 +4,13 @@ import weakref
 
 import pytest
 
-from repro.core import PipelineConfig, ReasoningPipeline
+from repro.bench import naive_comparison_count, naive_family_detection, traced_comparisons
+from repro.core import FAMILY_LINK_CLASSES, BlockingScheme, PipelineConfig, ReasoningPipeline
 from repro.datagen import CompanySpec, generate_company_graph
 from repro.graph import FAMILY, CompanyGraph, figure1_graph
 from repro.linkage import persons_of, train_classifiers
 from repro.ownership import close_link_pairs, control_closure
+from repro.telemetry import Tracer
 from tests.test_memory_lifetime import collector_off
 
 
@@ -72,6 +74,45 @@ class TestFamilyDetection:
         pipeline = ReasoningPipeline(graph, fast_config())
         for x, y, _ in pipeline.family_links():
             assert graph.is_person(x) and graph.is_person(y)
+
+
+class TestBlockingOnlyRemovesPairs:
+    """The served pair decision against the naive all-pairs oracle:
+    blocking decides which pairs are scored, never how a pair is decided."""
+
+    @pytest.fixture(scope="class")
+    def trained(self, world):
+        graph, truth = world
+        return graph, train_classifiers(persons_of(graph), truth.links, seed=2)
+
+    @staticmethod
+    def family_links(graph, classifiers, **overrides):
+        tracer = Tracer()
+        pipeline = ReasoningPipeline(
+            graph, fast_config(**overrides), classifiers=classifiers, tracer=tracer
+        )
+        return pipeline.family_links(), traced_comparisons(tracer)
+
+    def test_exhaustive_run_equals_the_naive_baseline(self, trained):
+        graph, classifiers = trained
+        links, comparisons = self.family_links(
+            graph, classifiers, blocking=BlockingScheme.exhaustive()
+        )
+        naive_links, naive_comparisons = naive_family_detection(graph, classifiers)
+        assert links and links == naive_links
+        assert {link_class for _, _, link_class in links} <= set(FAMILY_LINK_CLASSES)
+        persons = sum(1 for _ in graph.persons())
+        assert comparisons == naive_comparisons == naive_comparison_count(persons)
+
+    def test_blocked_links_are_a_subset_of_the_exhaustive_ones(self, trained):
+        graph, classifiers = trained
+        exhaustive, _ = self.family_links(
+            graph, classifiers, blocking=BlockingScheme.exhaustive()
+        )
+        blocked, comparisons = self.family_links(graph, classifiers)
+        assert blocked and blocked <= exhaustive
+        persons = sum(1 for _ in graph.persons())
+        assert comparisons < naive_comparison_count(persons)
 
 
 class TestLinkProbabilityForms:

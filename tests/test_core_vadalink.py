@@ -1,20 +1,14 @@
-"""Tests for the Algorithm 1 augmentation loop."""
+"""Algorithm 1's augmentation, checked on ``ReasoningPipeline``: what it
+adds to the graph, what it finds and how many pairs it scores."""
 
 import pytest
 
-from repro.bench import naive_comparison_count
-from repro.core import (
-    BlockingScheme,
-    ControlCandidate,
-    FamilyLinkCandidate,
-    VadaLink,
-    VadaLinkConfig,
-    default_family_candidates,
-    household_blocker,
-)
+from repro.bench import traced_comparisons
+from repro.core import FAMILY_LINK_CLASSES, BlockingScheme, PipelineConfig, ReasoningPipeline
 from repro.datagen import CompanySpec, generate_company_graph
 from repro.graph import figure1_graph
 from repro.linkage import persons_of, train_classifiers
+from repro.telemetry import Tracer
 
 
 @pytest.fixture(scope="module")
@@ -25,98 +19,65 @@ def world():
 
 
 @pytest.fixture(scope="module")
-def trained_rules(world):
+def classifiers(world):
     graph, truth = world
-    classifiers = train_classifiers(persons_of(graph), truth.links, seed=1)
-    return [FamilyLinkCandidate(c) for c in classifiers]
+    return train_classifiers(persons_of(graph), truth.links, seed=1)
 
 
 def light_config(**overrides):
-    defaults = dict(first_level_clusters=1, use_embeddings=False, max_rounds=2)
+    defaults = dict(first_level_clusters=1, use_embeddings=False)
     defaults.update(overrides)
-    return VadaLinkConfig(**defaults)
+    return PipelineConfig(**defaults)
 
 
 class TestLoop:
-    def test_requires_rules(self):
-        with pytest.raises(ValueError):
-            VadaLink([])
-
-    def test_augment_does_not_mutate_input(self, world, trained_rules):
+    def test_augment_does_not_mutate_input(self, world, classifiers):
         graph, _ = world
         before = graph.edge_count
-        VadaLink(trained_rules, light_config()).augment(graph)
+        augmented = ReasoningPipeline(graph, light_config(), classifiers).augment()
         assert graph.edge_count == before
+        assert augmented.edge_count > before
 
-    def test_new_edges_typed_and_counted(self, world, trained_rules):
+    def test_new_edges_typed_and_counted(self, world, classifiers):
         graph, _ = world
-        result = VadaLink(trained_rules, light_config()).augment(graph)
-        assert result.total_new_edges == len(result.new_edges)
-        assert sum(result.edges_by_class.values()) == result.total_new_edges
-        for edge in result.new_edges:
-            assert edge.label in {"partner_of", "sibling_of", "parent_of"}
+        pipeline = ReasoningPipeline(graph, light_config(), classifiers)
+        links = pipeline.family_links()
+        augmented = pipeline.augment()
+        new_edges = [
+            edge for edge in augmented.edges() if edge.label in FAMILY_LINK_CLASSES
+        ]
+        old_edges = [
+            edge for edge in graph.edges() if edge.label in FAMILY_LINK_CLASSES
+        ]
+        assert len(new_edges) - len(old_edges) == len(links)
+        for _, _, link_class in links:
+            assert link_class in {"partner_of", "sibling_of", "parent_of"}
 
-    def test_finds_planted_links(self, world, trained_rules):
+    def test_finds_planted_links(self, world, classifiers):
         graph, truth = world
-        result = VadaLink(trained_rules, light_config()).augment(graph)
-        predicted = {(e.source, e.target, e.label) for e in result.new_edges}
-        recall = len(predicted & truth.links) / len(truth.links)
+        links = ReasoningPipeline(graph, light_config(), classifiers).family_links()
+        recall = len(links & truth.links) / len(truth.links)
         assert recall > 0.5
 
-    def test_idempotent_on_augmented_graph(self, world, trained_rules):
+    def test_exhaustive_blocking_is_quadratic(self, world, classifiers):
         graph, _ = world
-        first = VadaLink(trained_rules, light_config()).augment(graph)
-        second = VadaLink(trained_rules, light_config()).augment(first.graph)
-        assert second.total_new_edges == 0
-
-    def test_comparisons_below_naive(self, world, trained_rules):
-        graph, _ = world
-        blocked = VadaLink(trained_rules, light_config()).augment(graph)
+        tracer = Tracer()
+        config = light_config(blocking=BlockingScheme.exhaustive())
+        ReasoningPipeline(graph, config, classifiers, tracer=tracer).family_links()
         persons = sum(1 for _ in graph.persons())
-        assert blocked.comparisons < naive_comparison_count(persons)
-
-    def test_exhaustive_blocking_is_quadratic(self, world, trained_rules):
-        graph, _ = world
-        config = light_config(blocking=BlockingScheme.exhaustive(), max_rounds=1)
-        result = VadaLink(trained_rules, config).augment(graph)
-        persons = sum(1 for _ in graph.persons())
-        # every ordered person pair once per class (some cut by accepts())
-        assert result.comparisons + result.total_new_edges >= persons * (persons - 1)
-
-    def test_per_rule_blocking_scheme(self, world, trained_rules):
-        graph, _ = world
-        household = BlockingScheme({"P": household_blocker()})
-        rules = [
-            FamilyLinkCandidate(r.classifier, blocking=household)
-            for r in trained_rules
-        ]
-        result = VadaLink(rules, light_config(max_rounds=1)).augment(graph)
-        assert result.total_new_edges > 0
-
-    def test_rounds_bounded(self, world, trained_rules):
-        graph, _ = world
-        result = VadaLink(trained_rules, light_config(max_rounds=1)).augment(graph)
-        assert result.rounds == 1
-
-    def test_non_recursive_single_round(self, world, trained_rules):
-        graph, _ = world
-        config = light_config(max_rounds=5, recursive=False)
-        result = VadaLink(trained_rules, config).augment(graph)
-        assert result.rounds == 1
+        # every ordered person pair once per class
+        assert traced_comparisons(tracer) == (
+            len(FAMILY_LINK_CLASSES) * persons * (persons - 1)
+        )
 
 
 class TestWithControlRule:
     def test_control_edges_added(self):
         graph = figure1_graph()
-        config = VadaLinkConfig(
-            first_level_clusters=1,
-            use_embeddings=False,
-            blocking=BlockingScheme.exhaustive(),
-            max_rounds=1,
-        )
-        result = VadaLink([ControlCandidate()], config).augment(graph)
+        config = light_config(blocking=BlockingScheme.exhaustive())
+        augmented = ReasoningPipeline(graph, config).augment()
         control_pairs = {
-            (e.source, e.target) for e in result.new_edges if e.label == "control"
+            (e.source, e.target) for e in augmented.edges() if e.label == "control"
         }
         assert ("P1", "F") in control_pairs
         assert ("P2", "I") in control_pairs

@@ -143,8 +143,10 @@ def ownership_world(draw):
 
 def assert_rows_match_oracle(graph, rows):
     """Integrated-ownership rows within 1e-12 of the dense global solve,
-    on graphs where ``I - W`` is far from singular (elsewhere the oracle
-    has no answer to compare with)."""
+    relative to the value once it exceeds 1 (walk sums reach 10^2-10^3,
+    where the two solves differ in the last bits), on graphs where
+    ``I - W`` is far from singular (elsewhere the oracle has no answer to
+    compare with)."""
     w = GraphFrame.of(graph).ownership_w().toarray()
     if np.linalg.cond(np.eye(len(w)) - w) > 1e6:
         return
@@ -154,7 +156,8 @@ def assert_rows_match_oracle(graph, rows):
         for target in nodes:
             if target != source:
                 expected = matrix[index[source], index[target]]
-                assert abs(row.get(target, 0.0) - expected) <= 1e-12, (source, target)
+                error = abs(row.get(target, 0.0) - expected)
+                assert error <= 1e-12 * max(1.0, abs(expected)), (source, target)
 
 
 def pipeline_relations(graph, threshold):

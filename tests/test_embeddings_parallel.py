@@ -1,11 +1,11 @@
 """Tests for the ``#GraphEmbedClust`` stack: the deterministic walk
-kernel, warm-startable SGNS/k-means, the incremental re-embedder
-every clustering entry point runs, and that those entry points agree."""
+kernel, warm-startable SGNS/k-means, the incremental re-embedder the
+snapshot builder keeps between builds, and that every clustering entry
+point agrees."""
 
 import numpy as np
 
-from repro.core.blocking import BlockingScheme
-from repro.core.vadalink import VadaLink, VadaLinkConfig
+from repro.core import PipelineConfig, ReasoningPipeline
 from repro.embeddings import (
     IncrementalEmbedder,
     Node2VecConfig,
@@ -197,119 +197,60 @@ class TestIncrementalEmbedder:
         assert embedder.cold_rounds == 2
 
 
-class _SurnameRule:
-    """Links persons sharing a surname — adds edges in round one, which
-    makes round two re-embed warm."""
-
-    link_class = "same_family"
-    blocking = None
-
-    def accepts(self, left, right):
-        return left.label == "P" and right.label == "P"
-
-    def decide(self, graph, left, right):
-        if left.properties.get("surname") == right.properties.get("surname"):
-            return {"probability": 1.0}
-        return None
-
-    def invalidate(self):
-        pass
-
-
 class TestVadaLinkIncremental:
+    """Algorithm 1's first-level clustering is the embedder's cold round,
+    and a round over the graph augmented with its links re-embeds warm."""
+
     def _graph(self):
         return small_company_graph(persons=12)
 
-    def _config(self) -> VadaLinkConfig:
-        return VadaLinkConfig(
+    def _config(self) -> PipelineConfig:
+        return PipelineConfig(
             first_level_clusters=3,
             node2vec=Node2VecConfig(
                 dimensions=12, walk_length=8, num_walks=3, epochs=1, window=3,
                 seed=0,
             ),
             embedding_features=("surname",),
-            max_rounds=2,
+        )
+
+    def _embedder(self, tracer=None) -> IncrementalEmbedder:
+        config = self._config()
+        return IncrementalEmbedder(
+            config.first_level_clusters,
+            config.node2vec,
+            feature_properties=config.embedding_features,
+            tracer=tracer,
         )
 
     def test_round_one_matches_a_cold_embedder(self):
         graph = self._graph()
-        link = VadaLink([_SurnameRule()], self._config())
-        clusters = link._first_level_clusters(graph, link._embedder())
-        config = self._config()
-        expected = IncrementalEmbedder(
-            config.first_level_clusters,
-            config.node2vec,
-            feature_properties=config.embedding_features,
-        ).embed(graph)
-        assert {
-            node.id: label for label, members in clusters.items() for node in members
-        } == expected
+        clusters = ReasoningPipeline(graph, self._config())._first_level_assignment()
+        assert clusters == self._embedder().embed(graph)
 
     def test_later_rounds_re_embed_warm(self):
         from repro.telemetry import Tracer
 
         tracer = Tracer()
-        result = VadaLink([_SurnameRule()], self._config(), tracer=tracer).augment(
-            self._graph()
+        embedder = self._embedder(tracer)
+        graph = self._graph()
+        pipeline = ReasoningPipeline(
+            graph, self._config(), cluster_assignment=embedder.embed(graph)
         )
-        assert result.rounds == 2 and result.new_edges
+        augmented = pipeline.augment()
+        old = {edge.id for edge in graph.edges()}
+        new_edges = [edge for edge in augmented.edges() if edge.id not in old]
+        assert new_edges
+        warm = embedder.embed(augmented, new_edges=new_edges)
+        assert set(warm) == set(augmented.node_ids())
         modes = [span.attributes["mode"] for span in tracer.root.find_all("embed.walks")]
         assert modes == ["cold", "warm"]
-
-
-class _CountingRule:
-    """Accepts every (P, P) pair and counts decide() calls per pair."""
-
-    link_class = "same_family"
-    blocking = None
-
-    def __init__(self):
-        self.decided: dict[tuple, int] = {}
-
-    def accepts(self, left, right):
-        return left.label == "P" and right.label == "P"
-
-    def decide(self, graph, left, right):
-        key = (left.id, right.id)
-        self.decided[key] = self.decided.get(key, 0) + 1
-        return None  # never link: every pair stays eligible all round
-
-    def invalidate(self):
-        pass
-
-
-class TestBlockDedup:
-    def test_overlapping_blocks_decide_each_pair_once(self):
-        # multi-pass blocking puts a pair in several blocks; the round
-        # must still evaluate it at most once per rule
-        graph = CompanyGraph()
-        for i in range(6):
-            graph.add_person(f"p{i}", surname="Rossi", address="same street")
-        rule = _CountingRule()
-        scheme = BlockingScheme({
-            "P": lambda node: [
-                ("surname", node.properties.get("surname")),
-                ("address", node.properties.get("address")),
-            ]
-        })
-        link = VadaLink(
-            [rule],
-            VadaLinkConfig(
-                use_embeddings=False, blocking=scheme, max_rounds=1,
-            ),
-        )
-        result = link.augment(graph)
-        assert rule.decided  # pairs were evaluated
-        assert max(rule.decided.values()) == 1
-        # every ordered pair exactly once: n * (n - 1) comparisons
-        assert result.comparisons == 6 * 5
 
 
 class TestOneEmbedderEverywhere:
     """Every entry point that clusters gives the same assignment, and so
     the same family links, on the same graph: the snapshot builder, the
-    reasoning pipeline, the augmentation loop's round one and
-    ``repro family --clusters k``."""
+    reasoning pipeline and ``repro family --clusters k``."""
 
     K = 4
 
@@ -342,12 +283,6 @@ class TestOneEmbedderEverywhere:
         }
         links = pipeline.family_links()
         assert links and links == snapshot.family_links
-
-        link = VadaLink([_SurnameRule()], VadaLinkConfig(first_level_clusters=self.K))
-        round_one = link._first_level_clusters(graph, link._embedder())
-        assert {
-            node.id: label for label, members in round_one.items() for node in members
-        } == served
 
         capsys.readouterr()
         assert main(["family", str(extract), "--clusters", str(self.K)]) == 0

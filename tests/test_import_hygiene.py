@@ -333,8 +333,10 @@ class TestSurfaceParity:
         )
 
     def test_the_sequential_sampler_is_gone(self):
+        import importlib
+
+        import repro.core
         import repro.embeddings
-        from repro.core.vadalink import VadaLinkConfig
         from repro.embeddings import Node2VecConfig, RandomWalker
         from repro.service import SnapshotConfig
 
@@ -349,12 +351,19 @@ class TestSurfaceParity:
             walker.walks([0], 1, 3, workers=None)
         assert not hasattr(Node2VecConfig(), "workers")
         # one embedding default, and no switch around the embedder
-        for name in ("incremental", "dirty_hops"):
-            with pytest.raises(TypeError):
-                VadaLinkConfig(**{name: None})
         for name in ("dirty_hops", "node2vec", "embedding_features"):
             with pytest.raises(TypeError):
                 SnapshotConfig(**{name: None})
+        # one Algorithm 1: the procedural loop, its config and its pairwise
+        # rules are gone, and the pipeline grew no knob in their place
+        for module in ("repro.core.vadalink", "repro.core.candidates"):
+            with pytest.raises(ModuleNotFoundError):
+                importlib.import_module(module)
+        gone = {"vadalink", "vadalinkconfig", "candidaterule"}
+        assert not gone & {name.lower() for name in dir(repro.core)}
+        for name in ("max_rounds", "recursive", "incremental"):
+            with pytest.raises(TypeError):
+                repro.core.PipelineConfig(**{name: None})
 
     def test_the_unset_knobs_are_gone(self):
         import importlib
