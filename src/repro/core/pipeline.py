@@ -28,7 +28,7 @@ from ..datalog.terms import skolem
 from ..datalog.vectorized import VectorRuntimeFallback
 from ..embeddings.node2vec import EMBEDDING_FEATURES, Node2VecConfig, embed_and_cluster
 from ..graph.company_graph import FAMILY, CompanyGraph
-from ..graph.property_graph import NodeId
+from ..graph.property_graph import Node, NodeId
 from ..linkage.bayes import BayesianLinkClassifier
 from ..linkage.table import PersonTable
 from ..linkage.training import default_classifiers
@@ -214,14 +214,14 @@ class ReasoningPipeline:
             triples: list[tuple[int, object, str]] = []
             for node in self.graph.persons():
                 sk_id = skolem("sk_p", (node.id,))
-                for block in config.blocking.blocks_of(node):
-                    triples.append((assignment.get(node.id, 0), block, sk_id))
+                for cluster, block in block_keys(node, assignment, config.blocking):
+                    triples.append((cluster, block, sk_id))
             span.set("block_triples", len(triples))
         return triples
 
     def _inject_block_facts(self) -> None:
         for first, second, sk_id in self.compute_blocks():
-            self.kg.add_fact("block", (first, _hashable(second), sk_id))
+            self.kg.add_fact("block", (first, second, sk_id))
 
     def register_declarative_blocking(self) -> None:
         """Algorithm 3 rule (1) run *inside* the engine.
@@ -448,6 +448,18 @@ def _ordered(rows: set[tuple]) -> list[tuple]:
 def _is_codes(arg: object) -> bool:
     """Is a batch-external argument a column of value codes?"""
     return isinstance(arg, np.ndarray) and arg.dtype == np.int64
+
+
+def block_keys(
+    node: Node, assignment: "dict[NodeId, int] | None", blocking: BlockingScheme
+) -> list[tuple[int, object]]:
+    """A person's ``(first-level cluster, block)`` keys, as its ``block``
+    facts carry them: the cluster from ``assignment`` (missing, or no
+    assignment at all, means cluster 0), each block flattened by
+    :func:`_hashable`.  Two persons are compared once per key they share.
+    """
+    cluster = 0 if assignment is None else assignment.get(node.id, 0)
+    return [(cluster, _hashable(block)) for block in blocking.blocks_of(node)]
 
 
 def _hashable(value: object) -> object:

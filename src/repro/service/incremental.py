@@ -17,6 +17,11 @@ re-derives exactly those rows and carries every other one over, and a
 cold build is the same call from the empty state with every source
 affected: one derivation per relation, so a patched build is
 bit-identical to a cold one by construction.
+
+Family links are per-*pair* rows: a link reads only its two persons.
+:meth:`DeltaBatch.touched_persons` names the persons a batch can change
+the links of; the builder keeps every other link and re-scores only the
+pairs with a touched end.
 """
 
 from __future__ import annotations
@@ -72,22 +77,34 @@ class DeltaBatch:
             dirty.add(node)
         return dirty
 
-    def touches_family_inputs(self) -> bool:
-        """Whether the batch could change the detected family links.
+    def touched_persons(self) -> set[NodeId]:
+        """The persons whose family links the batch may change.
 
-        Family links depend only on the person nodes (their properties
-        feed the blocking keys and the Bayesian classifiers), the FAMILY
-        membership edges, and the first-level cluster assignment (which
-        the builder compares separately).  Shareholding-only deltas and
-        company property edits leave them untouched.
+        A family link reads its two persons' properties (their blocking
+        keys and classifier features) and nothing else of the graph, so
+        only the persons added, removed or edited can gain or lose one —
+        plus, conservatively, the person ends of every removed
+        non-shareholding edge (FAMILY membership).  Persons whose
+        first-level cluster moved are the builder's to add: the batch
+        does not see the assignment.
         """
-        if any(label == PERSON for _node, label in self.added_nodes):
-            return True
-        if any(label == PERSON for _node, label in self.removed_nodes):
-            return True
-        if any(label == PERSON for _node, label, _name in self.property_changes):
-            return True
-        return any(edge.label != SHAREHOLDING for edge in self.removed_edges)
+        touched = {
+            node
+            for node, label in self.added_nodes + self.removed_nodes
+            if label == PERSON
+        }
+        touched.update(
+            node for node, label, _name in self.property_changes if label == PERSON
+        )
+        if self.base is not None:
+            touched.update(
+                end
+                for edge in self.removed_edges
+                if edge.label != SHAREHOLDING
+                for end in (edge.source, edge.target)
+                if self.base.is_person(end)
+            )
+        return touched
 
 
 def shareholding_ancestors(

@@ -24,10 +24,11 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
 
-from ..core.pipeline import PipelineConfig, ReasoningPipeline
+from ..core.blocking import BlockingScheme
+from ..core.pipeline import PipelineConfig, ReasoningPipeline, block_keys
 from ..graph.columnar import GraphFrame
 from ..graph.company_graph import PERSON, CompanyGraph
-from ..graph.property_graph import Edge, NodeId
+from ..graph.property_graph import Edge, Node, NodeId
 from ..linkage.bayes import BayesianLinkClassifier
 from ..ownership.close_links import (
     CLOSE_LINK_THRESHOLD,
@@ -492,6 +493,58 @@ class SnapshotBuilder:
         if self._embedder is not None:
             self._embedder = self._fresh_embedder()
 
+    def _family_links(
+        self,
+        graph: CompanyGraph,
+        pipeline_config: PipelineConfig,
+        assignment: "dict[NodeId, int] | None" = None,
+    ) -> set[tuple[NodeId, NodeId, str]]:
+        return ReasoningPipeline(
+            graph,
+            pipeline_config,
+            classifiers=self.classifiers,
+            tracer=self.tracer,
+            cluster_assignment=assignment,
+        ).family_links()
+
+    def _patch_family_links(
+        self,
+        graph: CompanyGraph,
+        links: set[tuple[NodeId, NodeId, str]],
+        touched: set[NodeId],
+        assignment: "dict[NodeId, int] | None",
+        blocking: BlockingScheme,
+    ) -> tuple[set[tuple[NodeId, NodeId, str]], int]:
+        """The previous build's family ``links`` patched for the
+        ``touched`` persons, and the number of persons the patch read.
+
+        A pair is linked when it shares a block and scores above the
+        threshold, and both read only the pair's own properties and
+        clusters.  So every link with no touched end carries over, and
+        every link with a touched end is a pair of a touched person and
+        a block-mate: the detection program re-runs over those pairs
+        (:func:`_family_scope`), on edge-free person nodes — the
+        ``fl_*`` rules read nothing else.
+        """
+        if not touched:
+            return links, 0
+        kept = {link for link in links if link[0] not in touched and link[1] not in touched}
+        scope = _family_scope(graph, touched, assignment, blocking)
+        if not scope:
+            return kept, 0
+        persons = CompanyGraph()
+        for node, _keys in scope.values():
+            persons.add_node(node.id, PERSON, **node.properties)
+        found = self._family_links(
+            persons,
+            PipelineConfig(
+                first_level_clusters=1,
+                use_embeddings=False,
+                blocking=BlockingScheme({PERSON: lambda node: scope[node.id][1]}),
+            ),
+        )
+        return kept | found, len(scope)
+
     def build(
         self,
         graph: CompanyGraph,
@@ -509,8 +562,9 @@ class SnapshotBuilder:
         mutation batch.  When it chains onto the previous build (its
         base is the exact graph object and generation the last state
         was derived from) and ``config.incremental`` is on, only the rows
-        of sources that reach the delta are re-derived; otherwise every
-        row is derived, from the empty state.
+        of sources that reach the delta, and the family links of the
+        persons it touches, are re-derived; otherwise every row is
+        derived, from the empty state.
         """
         started = time.perf_counter()
         version = self._version + 1
@@ -548,27 +602,28 @@ class SnapshotBuilder:
 
             family_links: set[tuple[NodeId, NodeId, str]] = set()
             if config.augment:
-                if (
-                    incremental
-                    and assignment == state.assignment
-                    and not delta.touches_family_inputs()
-                ):
-                    # person set, person properties, FAMILY edges and the
-                    # cluster assignment are all unchanged — the pipeline
-                    # would re-derive exactly the previous links
-                    family_links = state.family_links
-                else:
-                    pipeline = ReasoningPipeline(
-                        graph,
-                        PipelineConfig(
-                            first_level_clusters=config.first_level_clusters,
-                            use_embeddings=config.use_embeddings,
-                        ),
-                        classifiers=self.classifiers,
-                        tracer=self.tracer,
-                        cluster_assignment=assignment,
+                pipeline_config = PipelineConfig(
+                    first_level_clusters=config.first_level_clusters,
+                    use_embeddings=config.use_embeddings,
+                )
+                if incremental:
+                    touched = delta.touched_persons() | _moved_persons(
+                        graph, state.assignment, assignment
                     )
-                    family_links = pipeline.family_links()
+                    family_links, scope = self._patch_family_links(
+                        graph,
+                        state.family_links,
+                        touched,
+                        assignment,
+                        pipeline_config.blocking,
+                    )
+                    span.set("family_touched", len(touched))
+                    span.set("family_scope", scope)
+                else:
+                    persons = sum(1 for _ in graph.persons())
+                    family_links = self._family_links(graph, pipeline_config, assignment)
+                    span.set("family_touched", persons)
+                    span.set("family_scope", persons)
 
             # one ownership-row kernel per build: a row's floats do not
             # depend on which other rows share it
@@ -627,6 +682,80 @@ class SnapshotBuilder:
             incremental=incremental,
             rows=rows,
         )
+
+
+def _moved_persons(
+    graph: CompanyGraph,
+    before: "dict[NodeId, int] | None",
+    after: "dict[NodeId, int] | None",
+) -> set[NodeId]:
+    """The persons of ``graph`` whose first-level cluster differs between
+    two assignments (``None`` and a missing node both mean cluster 0,
+    as in :func:`~repro.core.pipeline.block_keys`)."""
+    if before == after:
+        return set()
+    before, after = before or {}, after or {}
+    return {
+        node.id
+        for node in graph.persons()
+        if before.get(node.id, 0) != after.get(node.id, 0)
+    }
+
+
+#: A block of a touched person re-scores pair by pair while its untouched
+#: members number at least this many times its touched ones, and as a
+#: whole below that.  Each pair key adds two ``block`` facts, which cost
+#: far more than a compared pair; with copies added into the largest
+#: block of 5 000 generated persons (1 824 members) the two plans cost
+#: the same at about 105 copies, a ratio of 17.
+PAIR_KEYS_BELOW = 16
+
+
+def _family_scope(
+    graph: CompanyGraph,
+    touched: set[NodeId],
+    assignment: "dict[NodeId, int] | None",
+    blocking: BlockingScheme,
+) -> dict[NodeId, tuple[Node, list[tuple]]]:
+    """The persons of ``graph`` that share a block with a touched person,
+    each with the block keys of a run that compares every pair with a
+    touched end.
+
+    A block is a :func:`block_keys` key, as the pipeline injects it.  In
+    a block with few touched members, they share one key and each
+    touched–untouched pair gets a key of its own: every such pair is
+    compared once per block it shares, as in a cold run, and two
+    untouched persons never meet.  A block with many touched members
+    (see :data:`PAIR_KEYS_BELOW`) keeps one key and is compared whole,
+    as in a cold run — its untouched pairs find links that are kept
+    anyway.  Either way a block costs at most about what it costs in a
+    cold run.
+    """
+    wanted: set[tuple[int, object]] = set()
+    for person in touched:
+        if graph.is_person(person):
+            wanted.update(block_keys(graph.node(person), assignment, blocking))
+    if not wanted:
+        return {}
+    scope: dict[NodeId, tuple[Node, list[tuple]]] = {}
+    members: dict[tuple[int, object], tuple[list[NodeId], list[NodeId]]] = {}
+    for node in graph.persons():
+        shared = [key for key in block_keys(node, assignment, blocking) if key in wanted]
+        if shared:
+            scope[node.id] = (node, [])
+            for key in shared:
+                members.setdefault(key, ([], []))[node.id not in touched].append(node.id)
+    for key, (hit, rest) in members.items():
+        if len(rest) < PAIR_KEYS_BELOW * len(hit):
+            for person in hit + rest:
+                scope[person][1].append((key,))
+            continue
+        for person in hit:
+            scope[person][1].append((key, 0))
+            for other in rest:
+                scope[person][1].append((key, person, other))
+                scope[other][1].append((key, person, other))
+    return scope
 
 
 class SnapshotManager:

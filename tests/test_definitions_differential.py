@@ -15,6 +15,7 @@ against the dense global solve, and patched against cold.
 """
 
 import asyncio
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
@@ -23,7 +24,7 @@ from hypothesis import strategies as st
 from repro.cli import main
 from repro.core import FAMILY_LINK_CLASSES, PipelineConfig, ReasoningPipeline
 from repro.datagen import CompanySpec, generate_company_graph
-from repro.graph import CompanyGraph, GraphFrame
+from repro.graph import FAMILY, CompanyGraph, GraphFrame
 from repro.graph.io import write_company_csv
 from repro.ownership import (
     close_link_pairs,
@@ -32,6 +33,7 @@ from repro.ownership import (
     is_acyclic,
 )
 from repro.service import ServiceConfig, SnapshotBuilder, SnapshotConfig, build_service
+from repro.service import snapshot as snapshot_module
 from repro.service.updates import apply_deltas
 
 from .test_service_server import http_request
@@ -251,6 +253,138 @@ def test_each_sliced_run_answers_as_the_whole_program(graph):
         assert len(sliced.program) < len(whole.program)
         for output in outputs:
             assert set(sliced.query(output)) == set(whole.query(output)), (problem, output)
+
+
+#: small pools, so persons collide on the surname (Soundex) and the
+#: household blocks and the classifiers find links among them
+PERSON_POOLS = {
+    "name": ["Anna", "Marco", "Luca", "Giulia"],
+    "surname": ["Rossi", "Russo", "Bianchi"],
+    "birth_date": ["1948-03-01", "1950-07-15", "1976-06-12", "1979-01-30", "2004-11-02"],
+    "address": ["Via Roma 1, Roma", "Via Po 2, Torino", "Via Dante 3, Roma"],
+    "father_name": ["Marco", "Luca", "Paolo"],
+}
+#: what ``set_property`` may edit: the blocking keys and one feature
+EDITED = ("surname", "address", "birth_date")
+
+
+@st.composite
+def person_properties(draw):
+    return {name: draw(st.sampled_from(pool)) for name, pool in PERSON_POOLS.items()}
+
+
+@st.composite
+def person_stream(draw):
+    """Persons from small pools (some in a family node), one company
+    they hold, and up to three batches of person deltas."""
+    graph = CompanyGraph()
+    graph.add_company("c0")
+    graph.add_node("fam0", "F")
+    persons = [f"p{i}" for i in range(draw(st.integers(2, 9)))]
+    for person in persons:
+        graph.add_person(person, **draw(person_properties()))
+        if draw(st.booleans()):
+            graph.add_edge(person, "fam0", FAMILY)
+        if draw(st.integers(0, 3)) == 0:
+            graph.add_shareholding(person, "c0", draw(SIXTY_FOURTHS))
+    family_edges = [edge.id for edge in graph.edges(FAMILY)]
+    batches = []
+    for b in range(draw(st.integers(1, 3))):
+        deltas = []
+        for n in range(draw(st.integers(1, 3))):
+            kind = draw(st.sampled_from(["add", "remove", "set", "unlink"]))
+            if kind == "add":
+                person = f"new{b}_{n}"
+                persons.append(person)
+                deltas.append({"op": "add_person", "id": person,
+                               "properties": draw(person_properties())})
+            elif kind == "remove" and persons:
+                person = draw(st.sampled_from(persons))
+                persons.remove(person)
+                family_edges = [e for e in family_edges if graph.edge(e).source != person]
+                deltas.append({"op": "remove_node", "id": person})
+            elif kind == "set" and persons:
+                name = draw(st.sampled_from(EDITED))
+                deltas.append({"op": "set_property", "id": draw(st.sampled_from(persons)),
+                               "name": name,
+                               "value": draw(st.sampled_from(PERSON_POOLS[name]))})
+            elif kind == "unlink" and family_edges:
+                edge = draw(st.sampled_from(family_edges))
+                family_edges.remove(edge)
+                deltas.append({"op": "remove_edge", "id": edge})
+        batches.append(deltas)
+    return graph, batches
+
+
+def publish(builder, staging, deltas):
+    """Apply ``deltas`` to a copy of ``staging`` and build it chained."""
+    candidate = staging.copy()
+    batch = apply_deltas(candidate, deltas)
+    batch.base = staging
+    batch.base_generation = staging.generation
+    return candidate, builder.build(candidate, delta=batch)
+
+
+@settings(max_examples=40, deadline=None)
+@given(person_stream(), st.sampled_from([0, 1, 2, snapshot_module.PAIR_KEYS_BELOW]))
+def test_patched_family_links_equal_a_cold_build_and_the_pipeline(world, pair_keys_below):
+    """A person delta re-scores only the pairs of the persons it touches;
+    the links it keeps and finds are the links of a cold build and of
+    the Vadalog pipeline on the whole graph.  ``pair_keys_below`` moves
+    the point where a block is re-scored whole instead of pair by pair
+    (0: never), so these small blocks take both plans."""
+    graph, batches = world
+    config = SnapshotConfig(augment=True)
+    builder = SnapshotBuilder(config)
+    builder.build(graph)
+    staging = graph
+    for deltas in batches:
+        with mock.patch.object(snapshot_module, "PAIR_KEYS_BELOW", pair_keys_below):
+            staging, patched = publish(builder, staging, deltas)
+        assert patched.incremental
+        pipeline = ReasoningPipeline(
+            staging, PipelineConfig(first_level_clusters=1, use_embeddings=False)
+        )
+        assert patched.family_links == pipeline.family_links()
+        assert patched.family_rows == SnapshotBuilder(config).build(staging).family_rows
+
+
+def test_warm_clustering_patches_the_persons_whose_cluster_moved():
+    """With node2vec clusters, a build re-embeds; every person whose
+    cluster moved is touched, and the patched links equal a cold
+    pipeline run on the builder's assignment."""
+    graph, _truth = generate_company_graph(CompanySpec(persons=60, companies=48, seed=5))
+    builder = SnapshotBuilder(
+        SnapshotConfig(augment=True, first_level_clusters=3, use_embeddings=True)
+    )
+    builder.build(graph)
+    companies = sorted(node.id for node in graph.companies())
+    persons = sorted(node.id for node in graph.persons())
+    batches = [
+        [{"op": "add_shareholding", "owner": persons[i], "company": companies[i],
+          "share": 0.3}]
+        for i in range(3)
+    ]
+    batches.append([
+        {"op": "add_person", "id": "newcomer",
+         "properties": dict(graph.node(persons[0]).properties)},
+        {"op": "set_property", "id": persons[1], "name": "surname", "value": "Rossi"},
+    ])
+    staging = graph
+    moved = 0
+    for deltas in batches:
+        before = builder._state.assignment
+        staging, patched = publish(builder, staging, deltas)
+        after = builder._state.assignment
+        moved += sum(before.get(p, 0) != after.get(p, 0) for p in persons)
+        pipeline = ReasoningPipeline(
+            staging,
+            PipelineConfig(first_level_clusters=3, use_embeddings=True),
+            cluster_assignment=after,
+        )
+        assert patched.incremental
+        assert patched.family_links == pipeline.family_links()
+    assert moved  # the re-embeddings moved persons between clusters
 
 
 class TestTwentyHopChain:

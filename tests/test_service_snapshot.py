@@ -4,11 +4,17 @@ import json
 
 import pytest
 
+from repro.bench import traced_comparisons
+from repro.core.blocking import BlockingScheme
+from repro.core.pipeline import FAMILY_LINK_CLASSES
 from repro.datagen.company_generator import CompanySpec, generate_company_graph
 from repro.graph import SHAREHOLDING, CompanyGraph
 from repro.ownership.close_links import close_link_pairs
 from repro.ownership.control import control_closure
 from repro.service import Snapshot, SnapshotBuilder, SnapshotConfig, SnapshotManager
+from repro.service.snapshot import PAIR_KEYS_BELOW
+from repro.service.updates import apply_deltas
+from repro.telemetry import Tracer
 
 
 @pytest.fixture(scope="module")
@@ -233,6 +239,76 @@ class TestWarmRebuild:
         second = builder.build(graph.copy(), new_edges=None)
         assert not second.warm
         assert builder._embedder.cold_rounds == 2
+
+
+def _publish_persons(graph, ops):
+    """A cold build of ``graph``, then one chained publish of ``ops``:
+    the patched snapshot, the candidate graph and both tracers."""
+    cold_tracer, tracer = Tracer("cold"), Tracer("publish")
+    builder = SnapshotBuilder(tracer=cold_tracer)
+    builder.build(graph)
+    candidate = graph.copy()
+    batch = apply_deltas(candidate, ops)
+    batch.base, batch.base_generation = graph, graph.generation
+    builder.tracer = tracer
+    return builder.build(candidate, delta=batch), candidate, cold_tracer, tracer
+
+
+class TestPersonPublish:
+    @pytest.fixture(scope="class")
+    def graph_and_largest(self):
+        graph, _ = generate_company_graph(CompanySpec(persons=300, companies=240, seed=7))
+        blocks = BlockingScheme.default().partition(list(graph.persons()))
+        return graph, max(blocks.values(), key=len)
+
+    def test_a_person_publish_scores_only_the_pairs_it_touches(self, graph_and_largest):
+        """One ``add_person`` into the largest block re-scores that
+        person's pairs, not the graph's, and the links equal a cold
+        build's; ``snapshot.build`` says how many persons it read."""
+        graph, largest = graph_and_largest
+        patched, candidate, cold_tracer, tracer = _publish_persons(graph, [
+            {"op": "add_person", "id": "newcomer", "properties": dict(largest[0].properties)}
+        ])
+
+        assert patched.incremental
+        assert patched.family_rows == SnapshotBuilder().build(candidate).family_rows
+        assert 0 < traced_comparisons(tracer) < traced_comparisons(cold_tracer) / 10
+        span = tracer.root.find_all("snapshot.build")[0]
+        assert span.attributes["family_touched"] == 1
+        assert span.attributes["family_scope"] > len(largest)
+
+    @pytest.mark.parametrize("copies", [3, 20])
+    def test_many_touched_persons_in_one_block_cost_no_more_than_a_cold_run(
+        self, graph_and_largest, copies
+    ):
+        """Copies added into the largest block.  A block with few touched
+        members compares each pair with a touched end once per block it
+        shares; one with many compares all its pairs, as a cold run does.
+        Either way the publish compares no more than a cold build of the
+        same graph, and its links equal that build's."""
+        graph, largest = graph_and_largest
+        added = {f"copy{i}" for i in range(copies)}
+        patched, candidate, _, tracer = _publish_persons(graph, [
+            {"op": "add_person", "id": node, "properties": dict(largest[0].properties)}
+            for node in sorted(added)
+        ])
+        cold_tracer = Tracer("cold candidate")
+        cold = SnapshotBuilder(tracer=cold_tracer).build(candidate)
+
+        assert patched.incremental
+        assert patched.family_rows == cold.family_rows
+        planned = 0
+        for block in BlockingScheme.default().partition(list(candidate.persons())).values():
+            touched = sum(node.id in added for node in block)
+            untouched = len(block) - touched
+            if touched and untouched < PAIR_KEYS_BELOW * touched:
+                planned += len(block) * (len(block) - 1)
+            elif touched:
+                planned += len(block) * (len(block) - 1) - untouched * (untouched - 1)
+        assert traced_comparisons(tracer) == len(FAMILY_LINK_CLASSES) * planned
+        assert traced_comparisons(tracer) <= traced_comparisons(cold_tracer)
+        span = tracer.root.find_all("snapshot.build")[0]
+        assert span.attributes["family_touched"] == copies
 
 
 class TestManager:
