@@ -48,9 +48,9 @@ def _snapshot_config():
 def _payloads(snapshot) -> dict:
     """Canonical JSON rows of every served result set — the identity oracle."""
     return json.loads(json.dumps({
-        "control": sorted([str(a), str(b)] for a, b in snapshot.control),
-        "close": sorted([str(a), str(b)] for a, b in snapshot.close_links),
-        "family": sorted([str(a), str(b), str(c)] for a, b, c in snapshot.family_links),
+        "control": sorted([str(a), str(b)] for a, b in snapshot.control_rows),
+        "close": sorted([str(a), str(b)] for a, b in snapshot.close_rows),
+        "family": sorted([str(a), str(b), str(c)] for a, b, c in snapshot.family_rows),
         "ubo": {
             str(company): [
                 [str(o.person), repr(o.integrated_share), bool(o.controls)]

@@ -165,9 +165,3 @@ def patch_rows(
         else:
             patched.pop(source, None)
     return patched
-
-
-def control_pairs_from_rows(
-    rows: dict[NodeId, set[NodeId]]
-) -> set[tuple[NodeId, NodeId]]:
-    return {(source, target) for source, row in rows.items() for target in row}

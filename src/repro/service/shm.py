@@ -15,9 +15,10 @@ derived, nothing numpy can recompute:
   the base graph state (node/edge objects with property dicts) and the
   snapshot config/metadata.
 
-The columnar frame is not in the segment: it is a pure function of the
-base graph, so each attacher recomputes it (``GraphFrame.of``), as a
-store attach does.  Attaching (:func:`attach_snapshot`) maps the segment
+The columnar frame is not in the segment, and an attach builds none:
+the row columns code each node by its position in the graph's node
+order, which the pickled node dict keeps, so decoding needs only the
+graph.  Attaching (:func:`attach_snapshot`) maps the segment
 read-only, checks the header, unpickles the payload and unmaps again —
 nothing decoded references the mapping — and ends in
 :meth:`Snapshot.from_columns <repro.service.snapshot.Snapshot.from_columns>`,
@@ -50,7 +51,7 @@ from .snapshot import Snapshot
 #: Segment magic — "Repro KG Snapshot".
 MAGIC = b"RKGS"
 #: Bump on any incompatible layout change; attach rejects mismatches.
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 _HEADER = struct.Struct("<4sH2xQQ")  # magic, format, version, payload length
 HEADER_SIZE = 64
@@ -118,7 +119,8 @@ class Segment:
 
 def _graph_state(graph: PropertyGraph) -> tuple[type, dict[str, Any]]:
     """``(class, __dict__)`` of ``graph`` minus the cached-frame attribute
-    (the attacher recomputes the frame from the graph)."""
+    (a frame is a pure function of the graph, built only by a read that
+    needs one)."""
     state = {k: v for k, v in graph.__dict__.items() if k != _CACHE_ATTR}
     return type(graph), state
 
@@ -193,8 +195,7 @@ def attach_snapshot(name: str) -> AttachedSnapshot:
     """Attach segment ``name`` and rehydrate it as a serving snapshot.
 
     The segment is mapped read-only just long enough to check its header
-    and unpickle its payload; the frame is recomputed from the decoded
-    graph.  The returned snapshot holds no mapping.
+    and unpickle its payload.  The returned snapshot holds no mapping.
     """
     try:
         fd = _posixshmem.shm_open("/" + name, os.O_RDONLY, mode=0)

@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
 
 from ..core.blocking import BlockingScheme
 from ..core.pipeline import PipelineConfig, ReasoningPipeline, block_keys
-from ..graph.columnar import GraphFrame
+from ..graph.columnar import intern_sort_key
 from ..graph.company_graph import PERSON, CompanyGraph
 from ..graph.property_graph import Edge, Node, NodeId
 from ..linkage.bayes import BayesianLinkClassifier
@@ -48,7 +48,6 @@ from ..telemetry import NULL_TRACER
 from .incremental import (
     DeltaBatch,
     affected_sources,
-    control_pairs_from_rows,
     patch_rows,
     shareholding_ancestors,
 )
@@ -95,30 +94,40 @@ Rows = tuple[
 ]
 
 
+def pair_key(row: Sequence) -> tuple:
+    """The canonical order of a derived row ``(x, y, *rest)``: by
+    ``(str(x), str(y))``, ids whose strings collide (``1`` and ``"1"``)
+    told apart by :func:`~repro.graph.columnar.intern_sort_key`, then
+    by the rest — so the order never depends on set iteration, and for
+    string ids it is plain tuple order."""
+    x, y = row[0], row[1]
+    return (str(x), str(y), intern_sort_key(x), intern_sort_key(y), *row[2:])
+
+
+def sort_rows(rows: Iterable[tuple]) -> list[tuple]:
+    """``rows`` sorted by :func:`pair_key`.  Rows whose ids are all
+    strings sort as plain tuples — the same order at less than half the
+    cost of building the key, which custom-threshold reads pay per
+    request."""
+    rows = list(rows)
+    if all(type(row[0]) is str and type(row[1]) is str for row in rows):
+        rows.sort()
+    else:
+        rows.sort(key=pair_key)
+    return rows
+
+
 def canonical_rows(
-    frame: GraphFrame,
     family_links: Iterable[tuple[NodeId, NodeId, str]],
     control: Iterable[tuple[NodeId, NodeId]],
     close_links: Iterable[tuple[NodeId, NodeId]],
 ) -> Rows:
     """The three derived relations sorted into the one order everything
-    downstream uses: the row-state columns of both codecs
-    (:func:`repro.storage.layout.encode_rows`) and the derived entries
-    of the ``out`` / ``in`` lists of ``/neighbors``.  Pairs sort by
-    ``(str(x), str(y))``; ids whose strings collide (``1`` and ``"1"``)
-    are told apart by ``frame``'s intern codes, so the order never
-    depends on set iteration."""
-    index = frame.index
-
-    def pair_key(row: tuple) -> tuple:
-        x, y = row[0], row[1]
-        return (str(x), str(y), index[x], index[y], *row[2:])
-
-    return (
-        sorted(family_links, key=pair_key),
-        sorted(control, key=pair_key),
-        sorted(close_links, key=pair_key),
-    )
+    downstream uses (:func:`pair_key`): the payloads, the row-state
+    columns of both codecs (:func:`repro.storage.layout.encode_rows`)
+    and the derived entries of the ``out`` / ``in`` lists of
+    ``/neighbors``."""
+    return sort_rows(family_links), sort_rows(control), sort_rows(close_links)
 
 
 class Snapshot:
@@ -129,10 +138,11 @@ class Snapshot:
     on private data and leave the snapshot untouched), so a snapshot can
     be shared freely between the event loop and executor threads.
 
-    The snapshot owns one :class:`~repro.graph.columnar.GraphFrame` over
-    its base graph — the same frame the builder used — so the canonical
-    row order and both row codecs share one set of column buffers.  No
-    endpoint reads a frame view: ownership rows walk the graph itself.
+    Each derived relation is held once, as a list in canonical order
+    (:func:`canonical_rows`): the payloads list it as it is, the codecs
+    encode it, and ``/neighbors`` indexes it by endpoint.  A snapshot
+    builds no :class:`~repro.graph.columnar.GraphFrame`; a
+    custom-threshold query that needs one builds it from the graph.
     """
 
     def __init__(
@@ -140,37 +150,23 @@ class Snapshot:
         version: int,
         graph: CompanyGraph,
         config: SnapshotConfig,
-        control: set[tuple[NodeId, NodeId]],
-        close_links: set[tuple[NodeId, NodeId]],
-        family_links: set[tuple[NodeId, NodeId, str]],
+        rows: Rows,
         ubo: dict[NodeId, list[BeneficialOwner]],
         built_s: float,
         warm: bool = False,
-        frame: GraphFrame | None = None,
         incremental: bool = False,
-        rows: Rows | None = None,
     ):
         self.version = version
         #: whether this version was built by patching the previous one
         self.incremental = incremental
         self.graph = graph
-        #: the columnar frame shared by every read path of this snapshot
-        self.frame = frame if frame is not None else GraphFrame.of(graph)
         self.config = config
-        self.control = control
-        self.close_links = close_links
-        self.family_links = family_links
+        #: the three relations as lists in canonical order
+        self.family_rows, self.control_rows, self.close_rows = rows
         self.ubo = ubo
         self.built_s = built_s
         self.warm = warm
         self.created_at = time.time()
-        #: the three relations as lists in canonical order (sorted once;
-        #: the codecs and ``/neighbors`` follow it)
-        self.family_rows, self.control_rows, self.close_rows = (
-            rows
-            if rows is not None
-            else canonical_rows(self.frame, family_links, control, close_links)
-        )
         #: node -> ``[(other end, label), ...]`` over the derived rows in
         #: row order: family links, then ``control``, then ``close_link``
         self._derived_out: dict[NodeId, list[tuple[NodeId, str]]] = {}
@@ -183,19 +179,17 @@ class Snapshot:
             for x, y, label in labelled:
                 self._derived_out.setdefault(x, []).append((y, label))
                 self._derived_in.setdefault(y, []).append((x, label))
-        self._row_columns: tuple[GraphFrame, tuple] | None = None
+        self._row_columns: tuple[int, tuple] | None = None
 
     def row_columns(self) -> tuple[dict[str, Any], list[str]]:
-        """The row state as code columns under the interning of the
-        graph's current frame (:func:`repro.storage.layout.encode_rows`),
-        encoded once per snapshot: the shared-memory codec and the durable
-        store both read this, in that order, on every pool publish."""
-        frame = self.frame
-        if not frame.is_current(self.graph):  # out-of-band mutation: re-pin
-            frame = GraphFrame.of(self.graph)
+        """The row state as code columns over the graph's node order
+        (:func:`repro.storage.layout.encode_rows`), encoded once per graph
+        generation: the shared-memory codec and the durable store both
+        read this, in that order, on every pool publish."""
+        generation = self.graph.generation
         cached = self._row_columns
-        if cached is None or cached[0] is not frame:
-            cached = self._row_columns = (frame, encode_rows(self, frame))
+        if cached is None or cached[0] != generation:
+            cached = self._row_columns = (generation, encode_rows(self))
         return cached[1]
 
     @classmethod
@@ -211,26 +205,20 @@ class Snapshot:
         columns and the object metadata the codec carried (``config``,
         ``family_classes``, ``created_at``, ``warm``, ``incremental``) —
         the shared tail of the shared-memory and the store attach.  Both
-        codecs carry only what reasoning derived: the frame is recomputed
-        from the graph (``GraphFrame.of``, byte-identical to the
-        builder's)."""
-        frame = GraphFrame.of(graph)
+        codecs carry only what reasoning derived, each node coded by its
+        position in ``graph.node_ids()``."""
         control_rows, close_rows, family_rows, ubo = decode_rows(
-            views, frame.nodes, meta["family_classes"]
+            views, list(graph.node_ids()), meta["family_classes"]
         )
         snapshot = cls(
             version=version,
             graph=graph,
             config=meta["config"],
-            control=set(control_rows),
-            close_links=set(close_rows),
-            family_links=set(family_rows),
+            rows=(family_rows, control_rows, close_rows),
             ubo=ubo,
             built_s=built_s,
             warm=meta["warm"],
-            frame=frame,
             incremental=meta["incremental"],
-            rows=(family_rows, control_rows, close_rows),
         )
         snapshot.created_at = meta["created_at"]
         return snapshot
@@ -245,17 +233,18 @@ class Snapshot:
         t = CONTROL_THRESHOLD if threshold is None else threshold
         if t == CONTROL_THRESHOLD:
             if source is not None:
-                pairs = [
-                    [source, y]
+                rows = [
+                    (source, y)
                     for y, derived_label in self._derived_out.get(source, ())
                     if derived_label == "control"
                 ]
             else:
-                pairs = sorted([x, y] for x, y in self.control)
+                rows = self.control_rows
         elif source is not None:
-            pairs = sorted([source, y] for y in controlled_by(self.graph, source, t))
+            rows = sort_rows((source, y) for y in controlled_by(self.graph, source, t))
         else:
-            pairs = sorted([x, y] for x, y in control_closure(self.graph, threshold=t))
+            rows = sort_rows(control_closure(self.graph, threshold=t))
+        pairs = [[x, y] for x, y in rows]
         return {
             "version": self.version,
             "threshold": t,
@@ -267,10 +256,10 @@ class Snapshot:
     def close_links_payload(self, threshold: float | None = None) -> dict[str, Any]:
         t = CLOSE_LINK_THRESHOLD if threshold is None else threshold
         if t == CLOSE_LINK_THRESHOLD:
-            links = self.close_links
+            links = self.close_rows
         else:
-            links = close_link_pairs(self.graph, t)
-        pairs = sorted([x, y] for x, y in links if str(x) <= str(y))
+            links = sort_rows(close_link_pairs(self.graph, t))
+        pairs = [[x, y] for x, y in links if str(x) <= str(y)]
         return {
             "version": self.version,
             "threshold": t,
@@ -279,7 +268,7 @@ class Snapshot:
         }
 
     def family_payload(self) -> dict[str, Any]:
-        links = sorted([x, y, cls] for x, y, cls in self.family_links)
+        links = [[x, y, cls] for x, y, cls in self.family_rows]
         return {"version": self.version, "count": len(links), "links": links}
 
     def ubo_payloads(
@@ -397,9 +386,9 @@ class Snapshot:
             "augmented_edges": (
                 len(self.family_rows) + len(self.control_rows) + len(self.close_rows)
             ),
-            "control_pairs": len(self.control),
-            "close_link_pairs": len(self.close_links),
-            "family_links": len(self.family_links),
+            "control_pairs": len(self.control_rows),
+            "close_link_pairs": len(self.close_rows),
+            "family_links": len(self.family_rows),
             "companies_with_ubo": len(self.ubo),
         }
 
@@ -570,11 +559,6 @@ class SnapshotBuilder:
         version = self._version + 1
         config = self.config
         warm = bool(new_edges) and self._embedder is not None
-        # pin the columnar frame before any consumer runs: the embedder,
-        # the pipeline and the canonical row order below all resolve
-        # GraphFrame.of(graph) to this one object (same buffers), and the
-        # snapshot keeps it afterwards
-        frame = GraphFrame.of(graph)
         state = self._state
         incremental = (
             state is not None
@@ -635,10 +619,10 @@ class SnapshotBuilder:
                     affected,
                     lambda source: controlled_by(graph, source),
                 )
-                control = control_pairs_from_rows(c_rows)
             with self.tracer.span("snapshot.close_links"):
                 p_rows = patch_rows(state.phi_rows, graph, affected, ownership.row)
                 company_ids = {node.id for node in graph.companies()}
+                # a pair can be linked on more than one condition
                 close = {
                     (link.x, link.y)
                     for link in links_from_phi(p_rows, company_ids)
@@ -651,10 +635,14 @@ class SnapshotBuilder:
                 ubo = assemble_beneficial_owners(graph, integrated, c_rows)
 
             with self.tracer.span("snapshot.canonical_rows"):
-                rows = canonical_rows(frame, family_links, control, close)
+                rows = canonical_rows(
+                    family_links,
+                    ((x, y) for x, targets in c_rows.items() for y in targets),
+                    close,
+                )
 
-            span.set("control_pairs", len(control))
-            span.set("close_link_pairs", len(close))
+            span.set("control_pairs", len(rows[1]))
+            span.set("close_link_pairs", len(rows[2]))
             span.set("family_links", len(family_links))
 
         if config.incremental:
@@ -672,15 +660,11 @@ class SnapshotBuilder:
             version=version,
             graph=graph,
             config=config,
-            control=control,
-            close_links=close,
-            family_links=family_links,
+            rows=rows,
             ubo=ubo,
             built_s=time.perf_counter() - started,
             warm=warm,
-            frame=frame,
             incremental=incremental,
-            rows=rows,
         )
 
 

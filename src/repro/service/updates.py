@@ -76,24 +76,24 @@ def apply_deltas(
         op = delta.get("op")
         try:
             if op == "add_company":
-                node_id = _required(delta, "id")
+                node_id = _node_id(delta, "id")
                 graph.add_company(node_id, **delta.get("properties", {}))
                 batch.added_nodes.append((node_id, COMPANY))
             elif op == "add_person":
-                node_id = _required(delta, "id")
+                node_id = _node_id(delta, "id")
                 graph.add_person(node_id, **delta.get("properties", {}))
                 batch.added_nodes.append((node_id, PERSON))
             elif op == "add_shareholding":
                 edge = graph.add_shareholding(
-                    _required(delta, "owner"),
-                    _required(delta, "company"),
+                    _node_id(delta, "owner"),
+                    _node_id(delta, "company"),
                     float(_required(delta, "share")),
                     **delta.get("properties", {}),
                 )
                 batch.new_edges.append(edge)
             elif op == "remove_shareholding":
-                owner = _required(delta, "owner")
-                company = _required(delta, "company")
+                owner = _node_id(delta, "owner")
+                company = _node_id(delta, "company")
                 edges = [
                     e for e in graph.out_edges(owner, SHAREHOLDING)
                     if e.target == company
@@ -109,7 +109,7 @@ def apply_deltas(
                 batch.removed_edges.append(graph.remove_edge(_required(delta, "id")))
                 batch.removed_any = True
             elif op == "remove_node":
-                node_id = _required(delta, "id")
+                node_id = _node_id(delta, "id")
                 node = graph.node(node_id)
                 incident = {
                     e.id: e
@@ -122,7 +122,7 @@ def apply_deltas(
             elif op == "set_property":
                 # via the graph (not the node dict) so the generation
                 # counter invalidates any cached columnar frame
-                node_id = _required(delta, "id")
+                node_id = _node_id(delta, "id")
                 name = _required(delta, "name")
                 graph.set_property(node_id, name, delta.get("value"))
                 batch.property_changes.append((node_id, graph.node(node_id).label, name))
@@ -374,4 +374,15 @@ def _required(delta: dict[str, Any], key: str) -> Any:
     value = delta.get(key)
     if value is None:
         raise MutationError(f"missing required field {key!r} for op {delta.get('op')!r}")
+    return value
+
+
+def _node_id(delta: dict[str, Any], key: str) -> str:
+    """A node id field: a string, as every id a URL can name is."""
+    value = _required(delta, key)
+    if not isinstance(value, str):
+        raise MutationError(
+            f"field {key!r} of op {delta.get('op')!r} must be a string node id,"
+            f" not {type(value).__name__}"
+        )
     return value

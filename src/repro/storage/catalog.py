@@ -6,7 +6,8 @@ the node/edge property model, value-interned so a property value is
 stored once no matter how many rows carry it, and *interval-encoded* so
 a row is stored once no matter how many versions it lives through.
 
-Schema overview (format 5):
+Schema overview (format 6; format 5 had the same schema, its row-state
+columns coded nodes by intern rank instead of by ``seq`` position):
 
 ``store_meta``
     key/value pairs for the store itself — format version, creation time.
@@ -57,9 +58,9 @@ import pickle
 import sqlite3
 from typing import Any, Iterable
 
-#: Bump on incompatible schema changes; open rejects mismatches (after
-#: attempting the supported in-place migrations, formats 1 to 4 -> 5).
-CATALOG_FORMAT = 5
+#: Bump on incompatible schema or column changes; open rejects mismatches
+#: (after attempting the supported in-place migrations, formats 1 to 5 -> 6).
+CATALOG_FORMAT = 6
 
 SCHEMA = """
 CREATE TABLE IF NOT EXISTS store_meta (
@@ -219,7 +220,7 @@ def set_format(conn: sqlite3.Connection, value: int) -> None:
 def migrate_v3(conn: sqlite3.Connection, snapshot_columns: Iterable[str]) -> None:
     """Rewrite a format-3 catalog in place as format 4 — only the
     ``columns`` manifest changed (see :func:`adopt_legacy_columns`) —
-    and carry on to the current format (:func:`migrate_v4`).  One
+    and carry on to format 5 (:func:`migrate_v4`).  One
     transaction per step, so a crash leaves an intact catalog of the
     format it had reached."""
     conn.execute("BEGIN IMMEDIATE")
@@ -267,7 +268,7 @@ def migrate_v4(conn: sqlite3.Connection) -> None:
             "DELETE FROM columns WHERE (tenant, version) NOT IN"
             " (SELECT tenant, version FROM versions)"
         )
-        set_format(conn, CATALOG_FORMAT)
+        set_format(conn, 5)
         conn.execute("COMMIT")
     except BaseException:
         conn.execute("ROLLBACK")

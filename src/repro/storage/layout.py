@@ -10,26 +10,30 @@ one path would decode differently through the other.  This module is that
 agreement: the row-state dtype table and the encode/decode pair both
 codecs import.
 
-Row-state layout (all arrays parallel within their group):
+Row-state layout (all arrays parallel within their group).  A node is
+coded by its position in ``graph.node_ids()`` — the graph's own order,
+which the durable store keeps as ``seq`` order and the segment pickle
+keeps as dict order — so a node added at the end changes no code:
 
-* ``control_x`` / ``control_y`` — control pairs as intern codes, in the
+* ``control_x`` / ``control_y`` — control pairs as node codes, in the
   snapshot's canonical row order (``(str(x), str(y))``, ties broken by
-  intern code — :func:`repro.service.snapshot.canonical_rows` sorts them
-  once per build and both codecs reuse the lists);
+  :func:`~repro.graph.columnar.intern_sort_key` —
+  :func:`repro.service.snapshot.canonical_rows` sorts them once per
+  build and both codecs reuse the lists);
 * ``close_x`` / ``close_y`` — close-link pairs, same ordering;
 * ``family_x`` / ``family_y`` / ``family_class`` — family links in the
   same order, with the link class interned against a sorted side table
   (returned by :func:`encode_rows`, carried in the codec's metadata);
 * ``ubo_company`` / ``ubo_person`` / ``ubo_share`` / ``ubo_controls`` —
-  the beneficial-owner index flattened company-major in intern-code
-  order, preserving each company's owner ranking.
+  the beneficial-owner index flattened company-major in
+  ``intern_sort_key`` order, preserving each company's owner ranking.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..graph.columnar import GraphFrame
+from ..graph.columnar import intern_sort_key
 from ..graph.property_graph import NodeId
 from ..ownership.ubo import BeneficialOwner
 
@@ -49,40 +53,45 @@ ROW_DTYPES: dict[str, np.dtype] = {
 }
 
 
-def codes(frame: GraphFrame, ids: list[NodeId]) -> np.ndarray:
-    """Intern codes of ``ids`` under ``frame``'s interning, as int64."""
-    index = frame.index
+#: The columns holding node codes (the others hold classes, shares, flags).
+CODE_COLUMNS = (
+    "control_x", "control_y", "close_x", "close_y",
+    "family_x", "family_y", "ubo_company", "ubo_person",
+)
+
+
+def codes(index: dict[NodeId, int], ids: list[NodeId]) -> np.ndarray:
+    """The codes of ``ids`` under ``index``, as int64."""
     return np.fromiter((index[i] for i in ids), dtype=np.int64, count=len(ids))
 
 
-def encode_rows(
-    snapshot, frame: GraphFrame
-) -> tuple[dict[str, np.ndarray], list[str]]:
-    """The snapshot's row state as code arrays.
+def encode_rows(snapshot) -> tuple[dict[str, np.ndarray], list[str]]:
+    """The snapshot's row state as code arrays, a node coded by its
+    position in ``snapshot.graph.node_ids()``.
 
     Returns ``(buffers, family_classes)``: one array per
     :data:`ROW_DTYPES` key, plus the sorted family-class side table the
     ``family_class`` column indexes into (the codec stores it in its
     object metadata and hands it back to :func:`decode_rows`).
     """
+    index = {node: i for i, node in enumerate(snapshot.graph.node_ids())}
     buffers: dict[str, np.ndarray] = {}
     control = snapshot.control_rows
-    buffers["control_x"] = codes(frame, [x for x, _ in control])
-    buffers["control_y"] = codes(frame, [y for _, y in control])
+    buffers["control_x"] = codes(index, [x for x, _ in control])
+    buffers["control_y"] = codes(index, [y for _, y in control])
     close = snapshot.close_rows
-    buffers["close_x"] = codes(frame, [x for x, _ in close])
-    buffers["close_y"] = codes(frame, [y for _, y in close])
+    buffers["close_x"] = codes(index, [x for x, _ in close])
+    buffers["close_y"] = codes(index, [y for _, y in close])
     family = snapshot.family_rows
     classes = sorted({cls for _, _, cls in family})
     class_code = {cls: i for i, cls in enumerate(classes)}
-    buffers["family_x"] = codes(frame, [x for x, _, _ in family])
-    buffers["family_y"] = codes(frame, [y for _, y, _ in family])
+    buffers["family_x"] = codes(index, [x for x, _, _ in family])
+    buffers["family_y"] = codes(index, [y for _, y, _ in family])
     buffers["family_class"] = np.fromiter(
         (class_code[cls] for _, _, cls in family), dtype=np.int64, count=len(family)
     )
     flat: list[tuple[int, int, float, int]] = []
-    index = frame.index
-    for company in sorted(snapshot.ubo, key=lambda c: index[c]):
+    for company in sorted(snapshot.ubo, key=intern_sort_key):
         for owner in snapshot.ubo[company]:
             flat.append(
                 (
@@ -111,13 +120,13 @@ def decode_rows(
 ]:
     """Inverse of :func:`encode_rows`.
 
-    ``nodes`` is the intern-ordered node-id table of the attached frame;
+    ``nodes`` is ``list(graph.node_ids())`` of the decoded graph;
     ``buffers`` may hold any array-likes (disk memmaps, plain
     arrays).  Returns
     ``(control_rows, close_rows, family_rows, ubo)``: the three relations
     as lists in stored — canonical — order, which
     :meth:`Snapshot.from_columns <repro.service.snapshot.Snapshot.from_columns>`
-    hands to the snapshot as its rows and turns into its sets.
+    hands to the snapshot as its rows.
     """
     control = [
         (nodes[x], nodes[y])

@@ -326,7 +326,7 @@ def read_model(
 # -- migration --------------------------------------------------------
 
 def migrate_legacy(conn: sqlite3.Connection, snapshot_columns: Iterable[str]) -> None:
-    """Rewrite a format-1 or format-2 catalog in place as the current format.
+    """Rewrite a format-1 or format-2 catalog in place as format 5.
 
     Both legacy formats store one full copy of the property model per
     version, keyed by ``pos``.  Every table is renamed aside (a format-1
@@ -395,7 +395,7 @@ def migrate_legacy(conn: sqlite3.Connection, snapshot_columns: Iterable[str]) ->
 
         for table in legacy:
             conn.execute(f"DROP TABLE {table}_legacy")
-        cat.set_format(conn, cat.CATALOG_FORMAT)
+        cat.set_format(conn, 5)
         conn.execute("COMMIT")
     except BaseException:
         conn.execute("ROLLBACK")

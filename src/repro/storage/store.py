@@ -18,7 +18,9 @@ model copies of formats 1 and 2 are folded into interval rows
 (:func:`repro.storage.model.migrate_legacy`), the frame-buffer
 columns of formats 1 to 3 are dropped (:func:`.catalog.migrate_v3`), and
 the streamed ``kind='graph'`` versions formats 1 to 4 could also hold —
-nothing ever read them — are discarded (:func:`.catalog.migrate_v4`).
+nothing ever read them — are discarded (:func:`.catalog.migrate_v4`), and
+the code columns of formats 1 to 5, which numbered nodes by intern rank,
+are recoded by ``seq`` position (:meth:`FrameStore._migrate_v5`).
 
 :meth:`FrameStore.persist` makes a snapshot durable by writing **only
 what changed** since the tenant's newest persisted version: into the
@@ -55,13 +57,17 @@ directory).  :attr:`FrameStore.last_persist` says what the last persist
 wrote.
 
 :meth:`FrameStore.attach` is the inverse: the base graph is rebuilt
-from the catalog rows visible at that version and the row-state columns
-are mapped read-only (``np.load(..., mmap_mode="r")``) from whichever
-version owns each file.  The shared-memory segment carries the same two
-things, so both paths end in :mod:`repro.storage.layout` and
-:meth:`Snapshot.from_columns`, which recomputes the frame
-(``GraphFrame.of`` — byte-identical to the builder's): a snapshot
-decodes the same from either.
+from the catalog rows visible at that version, in ``seq`` order, and the
+row-state columns are mapped read-only (``np.load(..., mmap_mode="r")``)
+from whichever version owns each file.  A column codes a node by its
+position in the graph's node order, and :func:`.model.write_delta`
+keeps ``seq`` order equal to that order, so the rebuilt graph decodes
+the columns with no other table and no frame.  The shared-memory segment
+carries the same two things, so both paths end in
+:mod:`repro.storage.layout` and :meth:`Snapshot.from_columns`: a
+snapshot decodes the same from either.  Since a node added at the end
+takes the next position, a publish that adds nodes but changes no
+derived row rewrites no code column.
 
 :meth:`FrameStore.attach_latest` self-heals: a published version that
 fails verification (truncated column, checksum mismatch) is demoted to
@@ -80,6 +86,7 @@ tenant and staging rows are never pruned.
 from __future__ import annotations
 
 import contextlib
+import os
 import pickle
 import shutil
 import sqlite3
@@ -92,12 +99,13 @@ from typing import Any, Iterator
 
 import numpy as np
 
+from ..graph.columnar import intern_sort_key
 from ..graph.company_graph import CompanyGraph
 from ..graph.property_graph import PropertyGraph
 from ..service.registry import validate_tenant
 from ..service.snapshot import DEFAULT_TENANT, Snapshot
 from . import catalog as cat
-from .layout import ROW_DTYPES
+from .layout import CODE_COLUMNS, ROW_DTYPES
 from .model import Baseline, migrate_legacy, read_model, write_delta
 from .npyio import column_equals, data_crc32, fsync_dir, write_column
 
@@ -148,6 +156,9 @@ class FrameStore:
         self.root = Path(root)
         self.catalog_path = self.root / "catalog.db"
         self.versions_root = self.root / "versions"
+        #: where the format-5 migration stages the code columns it
+        #: rewrites until the catalog names them (:meth:`_migrate_v5`)
+        self.remapped_root = self.root / "remapped"
         #: test-only fault injection: set to a stage name to raise
         #: :class:`InjectedCrash` mid-persist (no cleanup runs — the
         #: point is to leave exactly what a kill would leave).
@@ -240,11 +251,122 @@ class FrameStore:
                     cat.migrate_v3(conn, SNAPSHOT_COLUMNS)
                 elif found == 4:
                     cat.migrate_v4(conn)
-                elif found != cat.CATALOG_FORMAT:
+                elif found not in (5, cat.CATALOG_FORMAT):
                     raise ValueError(f"catalog format {found} unsupported")
+                if found < cat.CATALOG_FORMAT:
+                    self._migrate_v5(conn)
+                if self.remapped_root.is_dir():
+                    self._place_remapped()
             return conn
         except (sqlite3.DatabaseError, ValueError) as exc:
             raise StoreError(f"corrupt store catalog: {exc}") from exc
+
+    def _migrate_v5(self, conn: sqlite3.Connection) -> None:
+        """Recode a format-5 store's row-state columns as format 6.
+
+        Format 5 coded a node by its rank under
+        :func:`~repro.graph.columnar.intern_sort_key`, format 6 codes it
+        by its position in the version's ``seq`` order — the node order
+        attach rebuilds the graph in.  Row order does not change, so
+        each code column of each published version is a pure value
+        remap.  Versions are recoded oldest first per tenant.  A file two
+        consecutive versions shared stays shared when it recodes the same
+        for both, and splits when it does not: a node removed in between
+        shifts the positions after its own, whatever its intern rank.
+
+        The new files are written under :attr:`remapped_root`, never over
+        a format-5 file, and one transaction then points the manifest at
+        them and sets format 6; :meth:`_place_remapped` moves them into
+        place.  A crash before the commit leaves the intact format-5
+        store (the next open starts over), one after it a format-6 store
+        whose next open finishes the moves: no file is ever recoded
+        twice.  A version whose column does not verify is demoted to
+        ``corrupt`` rather than recoded.
+        """
+        shutil.rmtree(self.remapped_root, ignore_errors=True)
+        names = ", ".join("?" * len(CODE_COLUMNS))
+        updates: list[tuple[int, int, str, int, str]] = []
+        demoted: list[tuple[str, int]] = []
+        # the tenant recoded last, and per column of its last version the
+        # file it read, the recoded array and the file that now holds it
+        stream, previous = None, {}
+        for tenant, version in conn.execute(
+            "SELECT tenant, version FROM versions WHERE state = 'published'"
+            " ORDER BY tenant, version"
+        ).fetchall():
+            if tenant != stream:
+                stream, previous = tenant, {}
+            ids = list(read_model(conn, tenant, version)[0].node_ids())
+            # format-5 code -> seq position
+            remap = np.asarray(
+                sorted(range(len(ids)), key=lambda i: intern_sort_key(ids[i])),
+                dtype=np.int64,
+            )
+            arrays: dict[str, tuple[int, np.ndarray]] = {}
+            try:
+                for name, crc, origin in conn.execute(
+                    "SELECT name, crc32, origin FROM columns WHERE tenant = ?"
+                    f" AND version = ? AND name IN ({names})",
+                    (tenant, version, *CODE_COLUMNS),
+                ):
+                    path = self.version_dir(origin, tenant) / f"{name}.npy"
+                    if data_crc32(path) != crc:
+                        raise ValueError(f"checksum mismatch in {path}")
+                    arrays[name] = origin, remap[np.load(path)]
+            except (OSError, ValueError, EOFError, IndexError):
+                demoted.append((tenant, version))
+                continue
+            recoded: dict[str, tuple[int, np.ndarray, int]] = {}
+            for name, (read, array) in arrays.items():
+                shared = previous.get(name)
+                if shared is not None and shared[0] == read and np.array_equal(
+                    shared[1], array
+                ):
+                    origin = shared[2]
+                    crc = zlib.crc32(array.tobytes())
+                else:
+                    origin = version
+                    vdir = self.remapped_root / tenant / f"v{version:08d}"
+                    vdir.mkdir(parents=True, exist_ok=True)
+                    crc = write_column(vdir / f"{name}.npy", array)
+                updates.append((origin, crc, tenant, version, name))
+                recoded[name] = read, array, origin
+            previous = recoded
+        if self.remapped_root.is_dir():  # durable before the catalog names it
+            for directory in (*self.remapped_root.glob("*/*"), *self.remapped_root.glob("*")):
+                fsync_dir(directory)
+            fsync_dir(self.remapped_root)
+            fsync_dir(self.root)
+        conn.execute("BEGIN IMMEDIATE")
+        try:
+            conn.executemany(
+                "UPDATE columns SET origin = ?, crc32 = ?"
+                " WHERE tenant = ? AND version = ? AND name = ?",
+                updates,
+            )
+            conn.executemany(
+                "UPDATE versions SET state = 'corrupt' WHERE tenant = ? AND version = ?",
+                demoted,
+            )
+            cat.set_format(conn, cat.CATALOG_FORMAT)
+            conn.execute("COMMIT")
+        except BaseException:
+            conn.execute("ROLLBACK")
+            raise
+
+    def _place_remapped(self) -> None:
+        """Move the columns :meth:`_migrate_v5` staged into their version
+        directories, over the format-5 files they replace.  A file is
+        moved at most once (a rename removes its source), so a crash
+        between two moves is finished by the next open."""
+        for staged in sorted(self.remapped_root.glob("*/v*/*.npy")):
+            target = self.versions_root / staged.parent.parent.name / staged.parent.name
+            target.mkdir(parents=True, exist_ok=True)
+            os.replace(staged, target / staged.name)
+            fsync_dir(target)
+            fsync_dir(target.parent)
+        shutil.rmtree(self.remapped_root)
+        fsync_dir(self.root)
 
     def _relocate_v1_dirs(self) -> None:
         if not self.versions_root.is_dir():
@@ -598,9 +720,9 @@ class FrameStore:
 
         ``version=None`` attaches the tenant's newest published version.
         With ``verify`` every column file's data CRC-32 is checked
-        against the catalog manifest before it is mapped.  The graph,
-        its frame and the decoded rows are rebuilt in Python, so attach
-        time grows with nodes + edges.
+        against the catalog manifest before it is mapped.  The graph and
+        the decoded rows are rebuilt in Python, so attach time grows with
+        nodes + edges.
         """
         if version is None:
             version = self.latest_version(tenant)

@@ -34,9 +34,9 @@ def make_graph(persons=30, companies=24, seed=11):
 
 
 def assert_snapshots_equivalent(actual, expected):
-    assert actual.control == expected.control
-    assert actual.close_links == expected.close_links
-    assert actual.family_links == expected.family_links
+    assert actual.control_rows == expected.control_rows
+    assert actual.close_rows == expected.close_rows
+    assert actual.family_rows == expected.family_rows
     assert set(actual.ubo) == set(expected.ubo)
     for company, expected_owners in expected.ubo.items():
         actual_owners = actual.ubo[company]

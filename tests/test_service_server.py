@@ -99,7 +99,7 @@ class TestEndpoints:
         for name, (status, payload) in results.items():
             assert status == 200, f"{name}: {payload}"
         assert results["healthz"][1]["version"] == 1
-        assert results["control"][1]["count"] == len(service.manager.current.control)
+        assert results["control"][1]["count"] == len(service.manager.current.control_rows)
         assert results["filtered"][1]["threshold"] == 0.4
         assert "owners" in results["ubo"][1]
         assert "reachable" in results["neighbors"][1]
@@ -300,6 +300,45 @@ class TestMutations:
         assert status == 200
         assert payload["version"] == 2
         assert service.updater.batches_rejected == 1
+
+    def test_non_string_node_ids_are_rejected(self, graph):
+        """A URL names a node by a string, and the payloads order ids as
+        strings: a node op naming a number is refused whole, so no
+        published version holds an id no read can serve or sort."""
+        service = make_service(graph)
+        person = next(graph.persons()).id
+        company = next(graph.companies()).id
+        batches = [
+            [{"op": "add_company", "id": 7},
+             {"op": "add_shareholding", "owner": person, "company": 7, "share": 0.7}],
+            [{"op": "add_person", "id": 1.5}],
+            [{"op": "add_shareholding", "owner": person, "company": True, "share": 0.1}],
+            [{"op": "remove_shareholding", "owner": 3, "company": company}],
+            [{"op": "set_property", "id": 3, "name": "name", "value": "x"}],
+            [{"op": "remove_node", "id": 3}],
+        ]
+
+        async def main():
+            posted = [
+                await service.handle_request(
+                    "POST", "/mutations", {"wait": "1"},
+                    json.dumps({"deltas": deltas}).encode(),
+                )
+                for deltas in batches
+            ]
+            reads = [
+                await service.handle_request("GET", "/control", query, b"")
+                for query in ({}, {"threshold": "0.3"})
+            ]
+            return posted, reads
+
+        posted, reads = asyncio.run(main())
+        for _endpoint, status, body in posted:
+            assert status == 400, body
+            assert b"must be a string node id" in body
+        assert [status for _endpoint, status, _body in reads] == [200, 200]
+        assert service.manager.version == 1
+        assert service.updater.batches_rejected == len(batches)
 
     def test_wait_returns_published_version(self, graph):
         service = make_service(graph)

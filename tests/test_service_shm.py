@@ -20,7 +20,7 @@ import pytest
 
 import repro
 from repro.datagen.company_generator import CompanySpec, generate_company_graph
-from repro.graph.columnar import _CACHE_ATTR, GraphFrame
+from repro.graph.columnar import _CACHE_ATTR
 from repro.service import shm as shm_codec
 from repro.service.snapshot import SnapshotBuilder, SnapshotConfig
 from repro.storage.layout import ROW_DTYPES
@@ -76,11 +76,11 @@ class TestRoundTrip:
     def test_custom_threshold_paths_recompute_identically(
         self, graph, snapshot, segment
     ):
-        """Non-default thresholds bypass precomputed rows and reach the
-        attached frame through ``GraphFrame.of`` — still identical."""
+        """Non-default thresholds bypass precomputed rows and build the
+        attached graph's frame on demand — still identical."""
         attached = shm_codec.attach_snapshot(segment.name)
         companies = sorted((n.id for n in graph.companies()), key=str)[:10]
-        assert GraphFrame.of(attached.graph) is attached.frame
+        assert _CACHE_ATTR not in attached.graph.__dict__  # an attach builds no frame
         assert attached.control_payload(threshold=0.4) == (
             snapshot.control_payload(threshold=0.4)
         )

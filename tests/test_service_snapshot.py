@@ -96,15 +96,15 @@ class TestBuild:
         assert builder.version == 2
 
     def test_precomputed_control_matches_reference(self, graph, snapshot):
-        assert snapshot.control == control_closure(graph, threshold=0.5)
+        assert set(snapshot.control_rows) == control_closure(graph, threshold=0.5)
 
     def test_precomputed_close_links_match_reference(self, graph, snapshot):
-        assert snapshot.close_links == close_link_pairs(graph, 0.2)
+        assert set(snapshot.close_rows) == close_link_pairs(graph, 0.2)
 
     def test_augmented_graph_has_typed_edges(self, graph, snapshot):
         augmented = reference_augmented(snapshot)
         derived = augmented.edge_count - graph.edge_count
-        assert derived >= len(snapshot.control)
+        assert derived >= len(snapshot.control_rows)
         assert snapshot.stats_payload()["augmented_edges"] == derived == (
             len(snapshot.family_rows) + len(snapshot.control_rows) + len(snapshot.close_rows)
         )
@@ -112,7 +112,7 @@ class TestBuild:
             len(snapshot.neighbors_payload(node.id, label="control")["out"])
             for node in graph.nodes()
         )
-        assert control_edges == len(snapshot.control)
+        assert control_edges == len(snapshot.control_rows)
 
     def test_custom_threshold_ubo_keeps_the_default_owners(self, snapshot):
         company = next(iter(snapshot.ubo))
@@ -123,19 +123,19 @@ class TestBuild:
 
     def test_no_augment_skips_family_detection(self, graph):
         snapshot = SnapshotBuilder(SnapshotConfig(augment=False)).build(graph)
-        assert snapshot.family_links == set()
-        assert snapshot.control  # ownership analytics still precomputed
+        assert snapshot.family_rows == []
+        assert snapshot.control_rows  # ownership analytics still precomputed
 
 
 class TestPayloads:
     def test_control_payload_default_threshold(self, snapshot):
         payload = snapshot.control_payload()
         assert payload["version"] == snapshot.version
-        assert payload["count"] == len(snapshot.control)
+        assert payload["count"] == len(snapshot.control_rows)
         assert all(len(pair) == 2 for pair in payload["pairs"])
 
     def test_control_payload_source_filter(self, snapshot):
-        source = next(iter(snapshot.control))[0]
+        source = snapshot.control_rows[0][0]
         payload = snapshot.control_payload(source=source)
         assert payload["pairs"]
         assert all(x == source for x, _ in payload["pairs"])
@@ -202,14 +202,14 @@ class TestPayloads:
         assert degree >= snapshot.graph.degree(company) > 0 or degree == 0
 
     def test_neighbors_payload_depth(self, snapshot):
-        source = next(iter(snapshot.control))[0]
+        source = snapshot.control_rows[0][0]
         payload = snapshot.neighbors_payload(source, depth=3)
         assert "reachable" in payload
 
     def test_stats_payload(self, graph, snapshot):
         stats = snapshot.stats_payload()
         assert stats["nodes"] == graph.node_count
-        assert stats["control_pairs"] == len(snapshot.control)
+        assert stats["control_pairs"] == len(snapshot.control_rows)
         assert stats["version"] == snapshot.version
 
 
@@ -356,7 +356,7 @@ def test_minimal_graph_snapshot():
     graph.add_company("c")
     graph.add_shareholding("p", "c", 0.8)
     snapshot = SnapshotBuilder().build(graph)
-    assert snapshot.control == {("p", "c")}
+    assert snapshot.control_rows == [("p", "c")]
     assert snapshot.ubo["c"][0].person == "p"
 
 
@@ -510,5 +510,16 @@ class TestNeighborsOrder:
         first, second = sorted((1, "1"), key=lambda n: frame.index[n])
         expected = [(first, "a"), (second, "a")]
         for pairs in ([(1, "a"), ("1", "a")], [("1", "a"), (1, "a")]):
-            _family, control, close = canonical_rows(frame, (), pairs, reversed(pairs))
+            _family, control, close = canonical_rows((), pairs, reversed(pairs))
             assert control == close == expected
+
+    def test_string_rows_sort_as_tuples_in_the_canonical_order(self):
+        from repro.service.snapshot import canonical_rows, pair_key
+
+        ids = ["b", "a", "ab", "B", "10", "9", "é", ""]
+        family = [(x, y, cls) for x in ids for y in ids for cls in ("sibling_of", "partner_of")]
+        pairs = [(x, y) for x in ids for y in ids]
+        rows = canonical_rows(reversed(family), pairs[::-1], pairs)
+        assert rows == tuple(
+            sorted(group, key=pair_key) for group in (family, pairs, pairs)
+        )

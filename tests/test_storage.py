@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.datagen.company_generator import CompanySpec, generate_company_graph
-from repro.graph.columnar import GraphFrame
+from repro.graph.columnar import _CACHE_ATTR, GraphFrame
 from repro.service import (
     GraphUpdater,
     Persister,
@@ -103,25 +103,27 @@ class TestPersistAttach:
         att = store.attach(1)
 
         assert att.version == snap1.version
-        assert att.control == snap1.control
-        assert att.close_links == snap1.close_links
-        assert att.family_links == snap1.family_links
+        assert att.control_rows == snap1.control_rows
+        assert att.close_rows == snap1.close_rows
+        assert att.family_rows == snap1.family_rows
         assert att.ubo == snap1.ubo
         assert graph_model(att.graph) == graph_model(snap1.graph)
         assert graph_model(reference_augmented(att)) == graph_model(reference_augmented(snap1))
         assert att.created_at == snap1.created_at
         assert att.store_version == 1
 
-    def test_attached_frame_is_adopted_and_mmapped(self, tmp_path, built):
+    def test_attach_builds_no_frame_and_mmaps_the_rows(self, tmp_path, built):
         _, snap1, _, _ = built
         store = FrameStore.create(tmp_path / "store")
         store.persist(snap1)
         att = store.attach(1)
 
-        assert GraphFrame.of(att.graph) is att.frame
-        # the frame is recomputed from the attached graph, not stored:
-        # it must come out byte-identical to the builder's
-        assert frame_fingerprint(att.frame) == frame_fingerprint(snap1.frame)
+        # the rows decode over the graph's own node order: no frame
+        assert _CACHE_ATTR not in att.graph.__dict__
+        # one a read builds on demand is byte-identical to the builder's
+        assert frame_fingerprint(GraphFrame.of(att.graph)) == frame_fingerprint(
+            GraphFrame.of(snap1.graph)
+        )
         assert {p.stem for p in store.versions_root.glob("*/v*/*.npy")} <= set(ROW_DTYPES)
         # the row-state columns are served straight off the mmapped files
         with store._connect() as conn:
@@ -300,7 +302,7 @@ class TestCrashSafety:
         assert not reopened.version_dir(2).exists()
         att = reopened.attach_latest()
         assert att.version == 1
-        assert att.control == snap1.control
+        assert att.control_rows == snap1.control_rows
 
         # the interrupted version number is free again
         assert reopened.persist(snap2) == 2
@@ -424,7 +426,7 @@ class TestColumnSharing:
         assert_files_match_manifest(store)
         for snapshot in snapshots:
             att = store.attach(snapshot.version)
-            assert att.control == snapshot.control and att.ubo == snapshot.ubo
+            assert att.control_rows == snapshot.control_rows and att.ubo == snapshot.ubo
 
     def test_a_corrupt_parent_file_is_not_inherited(self, tmp_path):
         store = FrameStore.create(tmp_path / "store")
@@ -438,7 +440,7 @@ class TestColumnSharing:
         store.persist(snap3)
         assert manifest(store)[3]["control_x"] == 3  # compared, not trusted
         assert store.last_persist["columns_written"] == 1
-        assert store.attach(3).control == snap3.control
+        assert store.attach(3).control_rows == snap3.control_rows
         with pytest.raises(StoreError, match="checksum mismatch"):
             store.attach(2)
 
@@ -472,7 +474,7 @@ class TestColumnSharing:
         assert store.version_dir(2).is_dir()  # v4 reads v2's columns
         assert_files_match_manifest(store)
         att = FrameStore.open(store.root).attach_latest()
-        assert att.version == 4 and att.control == snapshots[3].control
+        assert att.version == 4 and att.control_rows == snapshots[3].control_rows
 
     def test_gc_reclaims_corrupt_versions_below_the_oldest_kept(self, tmp_path):
         store = FrameStore.create(tmp_path / "store")
@@ -495,7 +497,7 @@ class TestColumnSharing:
         ]
         assert not own.exists()
         assert_files_match_manifest(store)
-        assert store.attach(4).control == snap4.control
+        assert store.attach(4).control_rows == snap4.control_rows
 
     def test_a_persist_that_fails_leaves_no_claim_behind(self, tmp_path, monkeypatch):
         store = FrameStore.create(tmp_path / "store")
@@ -518,7 +520,7 @@ class TestColumnSharing:
 
         monkeypatch.setattr(store_module, "write_column", real)
         assert store.persist(snap1) == 1  # same process, same number
-        assert store.attach(1).control == snap1.control
+        assert store.attach(1).control_rows == snap1.control_rows
         assert_files_match_manifest(store)
 
 
@@ -554,7 +556,7 @@ class TestUpdaterPersists:
         assert store.latest_version() == 2
         att = store.attach(2)
         assert att.graph.has_node("C_HOOK")
-        assert att.control == manager.current.control
+        assert att.control_rows == manager.current.control_rows
 
     def test_persist_failure_is_non_fatal(self, tmp_path):
         graph, _ = generate_company_graph(CompanySpec(persons=30, companies=20, seed=2))

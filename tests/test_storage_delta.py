@@ -23,6 +23,7 @@ from repro.graph import CompanyGraph
 from repro.service import SnapshotBuilder, SnapshotConfig
 from repro.storage import FrameStore, InjectedCrash, StoreError
 from repro.storage import catalog as cat
+from repro.storage.layout import ROW_DTYPES
 
 from .test_storage import assert_files_match_manifest, column_path
 from .test_storage_migration import fingerprint, frame_bytes
@@ -342,6 +343,24 @@ class TestWhatAPersistWrites:
         wrote = store.last_persist
         assert wrote["rows_closed"] == 3  # the edge, its ``w``, the old name
         assert wrote["rows_inserted"] == 1  # the new name
+
+    def test_isolated_company_that_sorts_first_writes_no_column(self, tmp_path):
+        """Rows code a node by its place in the graph's order, where a new
+        node goes last: a node no derived row names changes no column,
+        wherever its id sorts."""
+        graph, _ = generate_company_graph(CompanySpec(persons=30, companies=24, seed=4))
+        builder = SnapshotBuilder(SnapshotConfig(augment=True))
+        store = FrameStore.create(tmp_path / "store")
+        store.persist(builder.build(graph))
+        graph = graph.copy()
+        assert "0" < min(map(str, graph.node_ids()))
+        graph.add_company("0", name="First SpA")
+        snapshot = builder.build(graph)
+        assert snapshot.control_rows and snapshot.family_rows
+        store.persist(snapshot)
+        assert store.last_persist["columns_written"] == 0
+        assert store.last_persist["columns_shared"] == len(ROW_DTYPES)
+        assert fingerprint(store.attach(2)) == fingerprint(snapshot)
 
     def test_unchanged_graph_writes_no_model_rows(self, tmp_path):
         snap1, = history(1)

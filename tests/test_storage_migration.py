@@ -1,4 +1,4 @@
-"""In-place catalog migration: formats 1 to 4 -> 5.
+"""In-place catalog migration: formats 1 to 5 -> 6.
 
 Formats 1 and 2 store one full copy of the property model per version
 (``pos``-keyed rows, plus the derived edges as ``layer = 1`` rows);
@@ -6,31 +6,106 @@ format 3 stores interval rows; all three write every frame buffer and
 every row-state column of every version as a file of its own, where
 format 4 keeps row-state columns only and shares the unchanged ones.
 Formats 1 to 4 also hold streamed ``kind = 'graph'`` versions, which
-format 5 drops.  The legacy DDL and the legacy writers live *here*, not
-in ``src/``: a store written by the current code is rewritten into the
-exact catalog and directories a previous release produced, then opened —
-the migration must leave every snapshot version attaching to the same
-graph, row state, frame and payload bytes, and no trace of a graph
-version.
+format 5 drops.  Formats 1 to 5 code a node in the row-state columns by
+its intern rank (``intern_sort_key`` order), format 6 by its position
+in the version's ``seq`` order.  The legacy DDL and the legacy writers
+live *here*, not in ``src/``: a store written by the current code is
+rewritten into the exact catalog and directories a previous release
+produced, then opened — the migration must leave every snapshot version
+attaching to the same graph, row state, frame and payload bytes, and no
+trace of a graph version.
 """
 
 import json
+import random
 import sqlite3
+import zlib
 
 import numpy as np
 import pytest
 
 from repro.datagen.company_generator import CompanySpec, generate_company_graph
+from repro.graph import CompanyGraph
 from repro.graph.columnar import GraphFrame
 from repro.service import SnapshotBuilder, SnapshotConfig
 from repro.storage import FrameStore, StoreError
 from repro.storage import catalog as cat
 from repro.storage import model
-from repro.storage.layout import ROW_DTYPES, encode_rows
+from repro.storage import store as store_module
+from repro.storage.layout import CODE_COLUMNS, ROW_DTYPES, encode_rows
 from repro.storage.npyio import write_column
 
 from .test_service_snapshot import reference_augmented
-from .test_storage import assert_files_match_manifest, column_path, frame_fingerprint
+from .test_storage import (
+    assert_files_match_manifest,
+    column_path,
+    frame_fingerprint,
+    manifest,
+)
+
+def intern_ranks(graph):
+    """Per node in ``graph.node_ids()`` order, its format-5 code: its rank
+    under ``intern_sort_key``, the order a frame interns by."""
+    index = GraphFrame.of(graph).index
+    return np.fromiter((index[n] for n in graph.node_ids()), dtype=np.int64)
+
+
+def legacy_rows(snapshot):
+    """The row-state columns of ``snapshot`` as formats 1 to 5 encoded
+    them: the same rows in the same order, a node coded by intern rank."""
+    buffers, _classes = encode_rows(snapshot)
+    ranks = intern_ranks(snapshot.graph)
+    return {
+        name: ranks[array] if name in CODE_COLUMNS else array
+        for name, array in buffers.items()
+    }
+
+
+def downgrade_to_format5(root):
+    """Recode the row-state columns of the store at ``root`` as format 5
+    wrote them, replaying that release's persist version by version: a
+    node coded by intern rank, and a column equal to the parent
+    version's named by the parent's file instead of written again."""
+    store = FrameStore.open(root)
+    recoded = {
+        (row["tenant"], row["version"]): legacy_rows(
+            store.attach(row["version"], tenant=row["tenant"])
+        )
+        for row in store.versions()
+    }
+    store.close()
+    conn = sqlite3.connect(str(root / "catalog.db"), isolation_level=None)
+    conn.execute("BEGIN")
+    for path in store.versions_root.glob("*/v*/*.npy"):
+        if path.stem in CODE_COLUMNS:
+            path.unlink()
+    parent = {}
+    for (tenant, version), buffers in sorted(recoded.items()):
+        if parent.get("tenant") != tenant:
+            parent = {"tenant": tenant}
+        for name in CODE_COLUMNS:
+            array = buffers[name]
+            shared = parent.get(name)
+            if shared is not None and np.array_equal(shared[0], array):
+                origin = shared[1]
+            else:
+                origin = version
+                vdir = store.version_dir(version, tenant)
+                vdir.mkdir(parents=True, exist_ok=True)
+                write_column(vdir / f"{name}.npy", array)
+            conn.execute(
+                "UPDATE columns SET origin = ?, crc32 = ?"
+                " WHERE tenant = ? AND version = ? AND name = ?",
+                (origin, zlib.crc32(array.tobytes()), tenant, version, name),
+            )
+            parent[name] = array, origin
+    for vdir in store.versions_root.glob("*/v*"):
+        if not any(vdir.iterdir()):
+            vdir.rmdir()
+    conn.execute("UPDATE store_meta SET value = '5' WHERE key = 'format'")
+    conn.execute("COMMIT")
+    conn.close()
+
 
 #: The version and model tables of catalog format 4, verbatim from the
 #: release that wrote it (``store_meta``, ``vals`` and ``columns`` did
@@ -165,7 +240,9 @@ def write_format4_graph(conn, vdir, tenant, version):
 def downgrade_to_format4(root, graphs=()):
     """Rewrite the catalog of the store at ``root`` as format 4: every
     version a ``kind = 'snapshot'``, every model row ``bare = 0``, plus
-    one streamed graph version per ``(tenant, version)`` of ``graphs``."""
+    one streamed graph version per ``(tenant, version)`` of ``graphs``
+    (format 4 coded and shared row-state columns as format 5 does)."""
+    downgrade_to_format5(root)
     store = FrameStore(root)
     conn = sqlite3.connect(str(root / "catalog.db"), isolation_level=None)
     conn.execute("BEGIN")
@@ -235,11 +312,10 @@ def downgrade_to_format3(root, snapshots, graphs=()):
     )
     conn.execute("DROP TABLE columns_new")
     for (tenant, version), snapshot in snapshots.items():
-        frame = snapshot.frame
         # the migration drops the frame buffers unread: an edge-sized
         # int64 column stands in for each
-        buffers = dict.fromkeys(FORMAT3_FRAME_COLUMNS, frame.edge_src)
-        buffers.update(encode_rows(snapshot, frame)[0])
+        buffers = dict.fromkeys(FORMAT3_FRAME_COLUMNS, GraphFrame.of(snapshot.graph).edge_src)
+        buffers.update(legacy_rows(snapshot))
         vdir = store.version_dir(version, tenant)
         vdir.mkdir(parents=True, exist_ok=True)
         for name in FORMAT3_SNAPSHOT_COLUMNS:
@@ -341,7 +417,8 @@ def write_format2_model(conn, tenant, version, snapshot):
     property, base edge (layer 0) and derived edge (layer 1), keyed by
     position."""
     interner = cat.ValueInterner(conn)
-    graph, augmented, index = snapshot.graph, reference_augmented(snapshot), snapshot.frame.index
+    graph, augmented = snapshot.graph, reference_augmented(snapshot)
+    index = GraphFrame.of(graph).index
     node_pos = {}
     for pos, node in enumerate(graph.nodes()):
         node_pos[node.id] = pos
@@ -600,7 +677,7 @@ class TestMigration:
 
         migrated = FrameStore.open(root)  # migration runs inside open
         with migrated._connect() as conn:
-            assert cat.catalog_format(conn) == cat.CATALOG_FORMAT == 5
+            assert cat.catalog_format(conn) == cat.CATALOG_FORMAT == 6
             assert not {"kind", "bare", "intern"} & schema_columns(conn)
             assert conn.execute(
                 "SELECT COUNT(*) FROM sqlite_master"
@@ -792,3 +869,185 @@ class TestMigration:
             conn.execute("DELETE FROM store_meta WHERE key = 'format'")
         with pytest.raises(StoreError, match="corrupt store catalog"):
             FrameStore.open(root)
+
+
+def relabelled_graph(seed):
+    """A generated graph whose ids are permuted within each label and
+    whose nodes and edges are inserted in shuffled order, so neither the
+    insertion order nor ``seq`` order is string order.  ``"ZZZ"``, an
+    isolated company inserted first, sorts after every other id."""
+    source, _ = generate_company_graph(CompanySpec(persons=24, companies=20, seed=seed))
+    rng = random.Random(seed)
+    mapping = {}
+    for label in ("C", "P"):
+        ids = [node.id for node in source.nodes(label)]
+        permuted = ids[:]
+        rng.shuffle(permuted)
+        mapping.update(zip(ids, permuted))
+    nodes, edges = list(source.nodes()), list(source.edges())
+    rng.shuffle(nodes)
+    rng.shuffle(edges)
+    graph = CompanyGraph()
+    graph.add_company("ZZZ", name="Last SpA")
+    for node in nodes:
+        graph.add_node(mapping[node.id], node.label, **node.properties)
+    for edge in edges:
+        graph.add_edge(
+            mapping[edge.source], mapping[edge.target], edge.label, **edge.properties
+        )
+    return graph
+
+
+def relabelled_stream(seed=5):
+    """Five snapshot versions over :func:`relabelled_graph`: a company
+    whose id sorts first joins, ``"ZZZ"`` leaves (the intern ranks of
+    the rest stay, every ``seq`` position moves), a person with family
+    links leaves, and a new company comes under a controlling stake."""
+    graph = relabelled_graph(seed)
+    builder = SnapshotBuilder(
+        SnapshotConfig(augment=True, first_level_clusters=1, use_embeddings=False)
+    )
+    out = [builder.build(graph)]
+    linked = out[0].family_rows[0][0]
+    owner = out[0].control_rows[0][0]
+
+    def step(change):
+        nonlocal graph
+        graph = graph.copy()
+        change(graph)
+        out.append(builder.build(graph))
+
+    step(lambda g: g.add_company("0", name="First SpA"))
+    step(lambda g: g.remove_node("ZZZ"))
+    step(lambda g: g.remove_node(linked))
+    step(lambda g: (g.add_company("C_NEW"), g.add_shareholding(owner, "C_NEW", 0.6)))
+    return out
+
+
+def format5_store(root):
+    """:func:`relabelled_stream` persisted and recoded as format 5 wrote
+    it; returns the snapshots and every column file's bytes."""
+    store = FrameStore.create(root)
+    snapshots = relabelled_stream()
+    for snapshot in snapshots:
+        store.persist(snapshot)
+    store.close()
+    downgrade_to_format5(root)
+    return snapshots, files_on_disk(root)
+
+
+def files_on_disk(root):
+    return {
+        path.relative_to(root): path.read_bytes()
+        for path in sorted((root / "versions").glob("*/v*/*.npy"))
+    }
+
+
+class TestRecodeFormat5:
+    """Format 5 -> 6 on a store whose ids are not in insertion order,
+    where decoding format-5 codes as positions would serve wrong rows."""
+
+    def test_every_version_serves_the_same_bytes(self, tmp_path):
+        root = tmp_path / "store"
+        snapshots, legacy = format5_store(root)
+        with sqlite3.connect(str(root / "catalog.db")) as conn:
+            assert cat.catalog_format(conn) == 5
+        with sqlite3.connect(str(root / "catalog.db")) as conn:  # no migration
+            legacy_manifest = {}
+            for version, name, origin in conn.execute(
+                "SELECT version, name, origin FROM columns"
+            ):
+                legacy_manifest.setdefault(version, {})[name] = origin
+        # the company that sorts first moves every format-5 code ...
+        assert all(legacy_manifest[2][name] == 2 for name in CODE_COLUMNS)
+        # ... and the file v2 and v3 share recodes differently for each
+        shared = [name for name in CODE_COLUMNS if legacy_manifest[3][name] == 2]
+        assert "control_x" in shared and "family_x" in shared
+
+        migrated = FrameStore.open(root)
+        with migrated._connect() as conn:
+            assert cat.catalog_format(conn) == cat.CATALOG_FORMAT == 6
+        assert not migrated.remapped_root.exists()
+        for snapshot in snapshots:
+            assert fingerprint(migrated.attach(snapshot.version)) == fingerprint(snapshot)
+        recoded = manifest(migrated)
+        assert all(recoded[3][name] == 3 for name in shared)
+        assert_files_match_manifest(migrated)
+        # the recoded stream keeps growing: an isolated company writes no column
+        graph = snapshots[-1].graph.copy()
+        graph.add_company("00")
+        snapshot = SnapshotBuilder(snapshots[-1].config, start_version=5).build(graph)
+        migrated.persist(snapshot)
+        assert migrated.last_persist["columns_written"] == 0
+        assert fingerprint(migrated.attach(6)) == fingerprint(snapshot)
+
+    def test_a_column_that_fails_its_checksum_is_demoted_not_recoded(self, tmp_path):
+        root = tmp_path / "store"
+        snapshots, _legacy = format5_store(root)
+        torn = root / "versions" / "default" / "v00000005" / "control_x.npy"
+        data = torn.read_bytes()
+        torn.write_bytes(data[:-1] + bytes([data[-1] ^ 1]))
+
+        migrated = FrameStore.open(root)
+        assert [v["state"] for v in migrated.versions()] == ["published"] * 4 + ["corrupt"]
+        assert migrated.attach_latest().version == 4
+        for snapshot in snapshots[:4]:
+            assert fingerprint(migrated.attach(snapshot.version)) == fingerprint(snapshot)
+
+    def test_a_crash_before_the_commit_leaves_the_format5_store(self, tmp_path, monkeypatch):
+        root = tmp_path / "store"
+        snapshots, legacy = format5_store(root)
+        written = []
+        real = store_module.write_column
+
+        def power_cut(path, array):
+            if len(written) == 3:
+                raise RuntimeError("power cut")
+            written.append(path)
+            return real(path, array)
+
+        with monkeypatch.context() as patched:
+            patched.setattr(store_module, "write_column", power_cut)
+            with pytest.raises(RuntimeError, match="power cut"):
+                FrameStore.open(root)
+        with sqlite3.connect(str(root / "catalog.db")) as conn:
+            assert cat.catalog_format(conn) == 5
+        assert files_on_disk(root) == legacy
+
+        migrated = FrameStore.open(root)
+        assert not migrated.remapped_root.exists()
+        for snapshot in snapshots:
+            assert fingerprint(migrated.attach(snapshot.version)) == fingerprint(snapshot)
+        assert_files_match_manifest(migrated)
+
+    def test_a_crash_between_two_moves_is_finished_by_the_next_open(
+        self, tmp_path, monkeypatch
+    ):
+        root = tmp_path / "store"
+        snapshots, _legacy = format5_store(root)
+        moved = []
+        real = store_module.os.replace
+
+        def power_cut(source, target):
+            if moved:
+                raise RuntimeError("power cut")
+            moved.append(target)
+            real(source, target)
+
+        with monkeypatch.context() as patched:
+            patched.setattr(store_module.os, "replace", power_cut)
+            with pytest.raises(RuntimeError, match="power cut"):
+                FrameStore.open(root)
+        with sqlite3.connect(str(root / "catalog.db")) as conn:
+            assert cat.catalog_format(conn) == 6
+        assert len(moved) == 1 and (root / "remapped").is_dir()
+
+        migrated = FrameStore.open(root)
+        assert not migrated.remapped_root.exists()
+        for snapshot in snapshots:
+            assert fingerprint(migrated.attach(snapshot.version)) == fingerprint(snapshot)
+        assert_files_match_manifest(migrated)
+        finished = files_on_disk(root)
+        migrated.close()
+        FrameStore.open(root).close()  # nothing left to recode or move
+        assert files_on_disk(root) == finished

@@ -24,7 +24,9 @@ def graph_model(graph):
 
 
 def build_snapshots(seed, versions=1):
-    """``versions`` consecutive snapshots over an evolving graph."""
+    """``versions`` consecutive snapshots over an evolving graph: each
+    later one adds a company under a controlling stake, which changes
+    the control, close-link and UBO rows and leaves the family links."""
     graph, _ = generate_company_graph(
         CompanySpec(persons=30, companies=24, seed=seed)
     )
@@ -35,6 +37,7 @@ def build_snapshots(seed, versions=1):
     for i in range(versions - 1):
         graph = graph.copy()
         graph.add_company(f"C_EXTRA{i}")
+        graph.add_shareholding(next(graph.companies()).id, f"C_EXTRA{i}", 0.6)
         out.append(builder.build(graph))
     return out
 
@@ -116,7 +119,8 @@ class TestGc:
         assert store.published_versions(tenant="alpha") == [3, 4]
         assert store.published_versions(tenant="beta") == [1, 2]
         # the catalog rows are gone; of the files, exactly those no kept
-        # version still reads (an isolated company changes few columns)
+        # version still reads: the family columns, which no later
+        # version changed, and none of the columns the stakes changed
         assert store.versions(tenant="alpha")[0]["version"] == 3
         assert_files_match_manifest(store)
         v1_files = {p.stem for p in store.version_dir(1, "alpha").iterdir()}
@@ -126,6 +130,7 @@ class TestGc:
             name for name, origin in manifest(store, "alpha")[4].items() if origin == 1
         }
         assert v1_files < set(manifest(store, "alpha")[3])
+        assert "control_x" not in v1_files
 
         # keep=1 leaves exactly the latest of every tenant
         store.gc(keep=1)
