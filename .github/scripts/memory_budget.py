@@ -1,18 +1,23 @@
 """Memory budgets: the peak resident size of three commands, each above
-a bare numpy interpreter.
+a bare numpy interpreter, and what a threshold sweep adds to a server.
 
-For each budget the peak RSS (``VmHWM`` from ``/proc``) is the median of
-3 runs, minus the median of 3 runs of a bare ``python -c "import numpy"``
-in the same runner.  The bare interpreter is what the runner's Python
-and numpy builds cost, so the difference is what the command itself
-holds.  Budgets:
+For each of the first three budgets the peak RSS (``VmHWM`` from
+``/proc``) is the median of 3 runs, minus the median of 3 runs of a bare
+``python -c "import numpy"`` in the same runner.  The bare interpreter
+is what the runner's Python and numpy builds cost, so the difference is
+what the command itself holds.  Budgets:
 
 * ``augment`` — ``repro augment`` on the 500/400 sparse extract (seed 1),
   ``VmHWM`` read at exit;
 * ``augment at 2000 persons`` — the same on the 2 000/1 500 sparse
   extract (seed 1), where each family-link rule expands to 665 k rows;
 * ``serve`` — ``repro serve`` on the 300/240 sparse extract (seed 1),
-  ``VmHWM`` of the server read once its first ``/control`` answered 200.
+  ``VmHWM`` of the server read once its first ``/control`` answered 200;
+* ``serve threshold sweep`` — the same server's ``VmHWM`` after 400
+  ``/control`` and 400 ``/close-links`` requests in turn, each at a
+  threshold no other request asks for, minus its ``VmHWM`` at the first
+  ``/control`` (the median of 3 such differences): the bodies a sweep
+  leaves in the response cache.
 
 Run from the repository root; exits 1 naming every budget exceeded::
 
@@ -30,8 +35,20 @@ from urllib.request import urlopen
 
 #: MB above a bare numpy interpreter, each about 15 % above the median
 #: measured on a 2-CPU box once a finished reasoning run is freed at its
-#: last reference: augment 14.6, at 2000 persons 38.7, serve 12.5
-CEILINGS = {"augment": 17, "augment at 2000 persons": 44.5, "serve": 14.5}
+#: last reference: augment 14.6, at 2000 persons 38.7, serve 12.5; and
+#: MB the threshold sweep adds to the server: its 15 samples read 0.15 to
+#: 0.52 (median 0.3, medians of 3 up to 0.5, so the ceiling sits 15 %
+#: above 0.5), and 3.4 to 3.5 while the response cache stored the first
+#: fill of every key
+CEILINGS = {
+    "augment": 17,
+    "augment at 2000 persons": 44.5,
+    "serve": 14.5,
+    "serve threshold sweep": 0.6,
+}
+#: distinct thresholds of the sweep, each asked of ``/control`` and of
+#: ``/close-links``
+SWEEP = 400
 
 #: appended to the measured code: print VmHWM (kB) to stderr at exit
 PROBE = """
@@ -57,24 +74,52 @@ def peak_mb(code: str, *argv: str) -> float:
     return int(kb) / 1024
 
 
-def serve_mb(extract: str) -> float:
-    """VmHWM of ``repro serve extract`` once its first /control answered."""
+def sweep_paths(n: int) -> list[str]:
+    """``n`` ``/control`` and ``n`` ``/close-links`` reads in turn, each at
+    a threshold no other read asks for (in the ranges of the
+    ``read_cold`` traffic)."""
+    paths = []
+    for i in range(n):
+        paths.append(f"/control?threshold={0.3 + 0.4 * i / n:.6f}")
+        paths.append(f"/close-links?threshold={0.1 + 0.3 * i / n:.6f}")
+    return paths
+
+
+def serve_mb(extract: str, sweep: int = 0) -> tuple[float, float]:
+    """VmHWM of ``repro serve extract`` once its first /control answered,
+    and again after the reads of ``sweep_paths(sweep)``."""
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", extract, "--port", "0"],
         stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
     )
-    try:
-        port = re.search(r"on http://[^:]+:(\d+)", proc.stdout.readline())[1]
-        with urlopen(f"http://127.0.0.1:{port}/control", timeout=60) as reply:
-            assert reply.status == 200
-            reply.read()
+
+    def hwm() -> float:
         with open(f"/proc/{proc.pid}/status") as status:
             (kb,) = re.findall(r"^VmHWM:\s+(\d+) kB$", status.read(), re.M)
         return int(kb) / 1024
+
+    def get(path: str) -> None:
+        with urlopen(f"http://127.0.0.1:{port}{path}", timeout=60) as reply:
+            assert reply.status == 200
+            reply.read()
+
+    try:
+        port = re.search(r"on http://[^:]+:(\d+)", proc.stdout.readline())[1]
+        get("/control")
+        first = hwm()
+        for path in sweep_paths(sweep):
+            get(path)
+        return first, hwm()
     finally:
         proc.terminate()
         proc.wait(timeout=30)
         proc.stdout.close()
+
+
+def sweep_mb(extract: str) -> float:
+    """What the threshold sweep adds to the VmHWM of ``repro serve``."""
+    first, swept = serve_mb(extract, SWEEP)
+    return swept - first
 
 
 def generate(directory: str, persons: int, companies: int) -> str:
@@ -92,19 +137,25 @@ def main() -> int:
         large = generate(f"{tmp}/large", 2000, 1500)
         served = generate(f"{tmp}/serve", 300, 240)
         out = f"{tmp}/out.json"
-        runs = {
-            "augment": lambda: peak_mb(CLI, "augment", small, out),
-            "augment at 2000 persons": lambda: peak_mb(CLI, "augment", large, out),
-            "serve": lambda: serve_mb(served),
-        }
         bare = statistics.median(peak_mb("import numpy") for _ in range(3))
+        above = f"above a bare numpy interpreter ({bare:.1f} MB)"
+        # name -> (one sample, what the median is measured from)
+        runs = {
+            "augment": (lambda: peak_mb(CLI, "augment", small, out) - bare, above),
+            "augment at 2000 persons": (
+                lambda: peak_mb(CLI, "augment", large, out) - bare, above
+            ),
+            "serve": (lambda: serve_mb(served)[0] - bare, above),
+            "serve threshold sweep": (
+                lambda: sweep_mb(served), "above the server at its first /control"
+            ),
+        }
         exceeded = []
-        for name, run in runs.items():
+        for name, (run, base) in runs.items():
             samples = sorted(run() for _ in range(3))
-            median = statistics.median(samples) - bare
-            print(f"repro {name}: median {median:.1f} MB above a bare numpy interpreter "
-                  f"({bare:.1f} MB) of {[round(s, 1) for s in samples]}, "
-                  f"ceiling {CEILINGS[name]}")
+            median = statistics.median(samples)
+            print(f"repro {name}: median {median:.1f} MB {base} "
+                  f"of {[round(s, 1) for s in samples]}, ceiling {CEILINGS[name]}")
             if median > CEILINGS[name]:
                 exceeded.append(name)
     for name in exceeded:

@@ -23,7 +23,10 @@ executor threads but their *registration* is loop-side):
   waits for no timer.
 
 :class:`ReasoningCache` composes the first two into the read-through
-cache the server uses for whole-relation endpoints.
+cache the server uses for whole-relation endpoints, behind the
+doorkeeper of TinyLFU (Einziger, Friedman and Manes, ACM ToS 2017): a
+key's first fill is answered but not stored, so a sweep of keys nobody
+asks for twice (custom thresholds) leaves the LRU as it was.
 """
 
 from __future__ import annotations
@@ -158,16 +161,25 @@ class SingleFlight:
 
 
 class ReasoningCache:
-    """Read-through LRU with single-flight fill.
+    """Read-through LRU with single-flight fill and a doorkeeper.
 
     ``get_or_compute`` returns the cached value when present; otherwise
-    exactly one of the concurrent callers computes, stores, and shares
-    the result.  ``computations`` counts actual underlying computations.
+    exactly one of the concurrent callers computes and shares the
+    result.  The result is stored only if the key was filled before: the
+    first fill of a key remembers just the key's hash, in a set bounded
+    by the LRU's capacity and cleared when full, so a key filled once
+    costs one hash instead of one body.  ``computations`` counts actual
+    underlying computations; ``admitted`` / ``declined`` count the fills
+    that were stored / kept out.
     """
 
     def __init__(self, capacity: int = 1024):
         self.lru = LRUCache(capacity)
         self.flight = SingleFlight()
+        #: hashes of the keys filled since the last reset
+        self._doorkeeper: set[int] = set()
+        self.admitted = 0
+        self.declined = 0
 
     @property
     def computations(self) -> int:
@@ -176,6 +188,16 @@ class ReasoningCache:
     def evict_tenant(self, tenant: str) -> int:
         """Drop a deleted tenant's cached bodies (keys lead with it)."""
         return self.lru.evict_prefix(tenant)
+
+    def _admit(self, key: Hashable) -> bool:
+        """Whether ``key`` was filled before; remembers it if not."""
+        digest = hash(key)
+        if digest in self._doorkeeper:
+            return True
+        if len(self._doorkeeper) >= self.lru.capacity:
+            self._doorkeeper.clear()
+        self._doorkeeper.add(digest)
+        return False
 
     async def get_or_compute(
         self, key: Hashable, compute: Callable[[], Awaitable[Any]]
@@ -186,13 +208,22 @@ class ReasoningCache:
 
         async def fill() -> Any:
             result = await compute()
-            self.lru.put(key, result)
+            if self._admit(key):
+                self.lru.put(key, result)
+                self.admitted += 1
+            else:
+                self.declined += 1
             return result
 
         return await self.flight.run(key, fill)
 
     def stats(self) -> dict[str, Any]:
-        return {**self.lru.stats(), **self.flight.stats()}
+        return {
+            **self.lru.stats(),
+            **self.flight.stats(),
+            "admitted": self.admitted,
+            "declined": self.declined,
+        }
 
 
 class MicroBatcher:

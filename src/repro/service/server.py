@@ -4,20 +4,22 @@ The serving path, per request::
 
     accept -> admission control -> route (tenant, endpoint) -> LRU ->
     single-flight / micro-batch -> snapshot read + encode (executor
-    thread) -> LRU of bodies
+    thread) -> doorkeeper -> LRU of bodies
 
 The cache holds response bodies, not payload objects: a cacheable read
 is encoded to JSON once, in the executor thread that computed it, and a
-hit writes the stored bytes to the socket as they are.
+hit writes the stored bytes to the socket as they are.  A body is stored
+on its key's second fill (see :class:`~repro.service.cache.ReasoningCache`).
 
 Admission control keeps the event loop honest under overload: at most
 ``max_concurrency`` requests execute at once (semaphore); up to
 ``max_queue`` more may wait; anything beyond is rejected immediately
 with **429**.  Every admitted request runs under a deadline
 (``request_timeout_s``); expiry returns **504** while the executor
-thread finishes in the background (its result still lands in the cache
-for the next caller).  ``/healthz`` and ``/metrics`` bypass admission so
-the service stays observable while saturated.
+thread finishes in the background (its result still counts as a fill
+of its key, and lands in the cache if it was the second).  ``/healthz``
+and ``/metrics`` bypass admission so the service stays observable while
+saturated.
 
 Multi-tenancy: the service serves every tenant bound in its
 :class:`~repro.service.registry.GraphRegistry`.  Reasoning endpoints are

@@ -12,7 +12,7 @@ A store is one directory::
 
 Version streams are per tenant: two tenants may both hold a version 3,
 and every catalog row carries its tenant.  Older stores are migrated in
-place on first open: a format-1 store (single stream, ``versions/v*`` at
+place by :meth:`FrameStore.open`, and by nothing else: a format-1 store (single stream, ``versions/v*`` at
 the top level) becomes the ``default`` tenant's stream, the per-version
 model copies of formats 1 and 2 are folded into interval rows
 (:func:`repro.storage.model.migrate_legacy`), the frame-buffer
@@ -185,17 +185,20 @@ class FrameStore:
         store = cls(root)
         store.root.mkdir(parents=True, exist_ok=True)
         store.versions_root.mkdir(exist_ok=True)
-        store._adopt(store._connect(init=True))
+        store._adopt(store._connect())
         cat.init_schema(store._conn)
         fsync_dir(store.root)
         return store
 
     @classmethod
     def open(cls, root: str | Path) -> "FrameStore":
+        """Open an existing store, migrating its catalog to the current
+        format first (the only place a migration runs)."""
         store = cls(root)
         if not store.root.is_dir() or not store.catalog_path.is_file():
             raise StoreError(f"store not found: {store.root}")
         store._adopt(store._connect())
+        store._upgrade(store._conn)
         store._recover(store._conn)
         return store
 
@@ -228,36 +231,42 @@ class FrameStore:
                 raise StoreError(f"store {self.root} is closed")
             yield self._conn
 
-    def _connect(self, init: bool = False) -> sqlite3.Connection:
-        """A new catalog connection, the catalog migrated to the current
-        format; :meth:`open` / :meth:`create` keep the one they open."""
+    def _connect(self) -> sqlite3.Connection:
+        """A new catalog connection to the store as it is, in whatever
+        format (only :meth:`open` migrates); :meth:`open` / :meth:`create`
+        keep the one they open."""
         try:
-            conn = cat.connect(str(self.catalog_path))
-            if not init:
-                found = cat.catalog_format(conn)
-                if found > cat.CATALOG_FORMAT:
-                    raise StoreError(
-                        f"store {self.root} was written by a newer build: catalog"
-                        f" format {found}, this build reads up to {cat.CATALOG_FORMAT}"
-                    )
-                if found == 1:
-                    # Move the single v1 stream's directories under the
-                    # default tenant first (the move is idempotent, so a
-                    # crash between the two steps re-runs it harmlessly).
-                    self._relocate_v1_dirs()
-                if found in (1, 2):
-                    migrate_legacy(conn, SNAPSHOT_COLUMNS)
-                elif found == 3:
-                    cat.migrate_v3(conn, SNAPSHOT_COLUMNS)
-                elif found == 4:
-                    cat.migrate_v4(conn)
-                elif found not in (5, cat.CATALOG_FORMAT):
-                    raise ValueError(f"catalog format {found} unsupported")
-                if found < cat.CATALOG_FORMAT:
-                    self._migrate_v5(conn)
-                if self.remapped_root.is_dir():
-                    self._place_remapped()
-            return conn
+            return cat.connect(str(self.catalog_path))
+        except sqlite3.DatabaseError as exc:
+            raise StoreError(f"corrupt store catalog: {exc}") from exc
+
+    def _upgrade(self, conn: sqlite3.Connection) -> None:
+        """Migrate the catalog (and the files it names) to the current
+        format, finishing a migration a crash interrupted."""
+        try:
+            found = cat.catalog_format(conn)
+            if found > cat.CATALOG_FORMAT:
+                raise StoreError(
+                    f"store {self.root} was written by a newer build: catalog"
+                    f" format {found}, this build reads up to {cat.CATALOG_FORMAT}"
+                )
+            if found == 1:
+                # Move the single v1 stream's directories under the
+                # default tenant first (the move is idempotent, so a
+                # crash between the two steps re-runs it harmlessly).
+                self._relocate_v1_dirs()
+            if found in (1, 2):
+                migrate_legacy(conn, SNAPSHOT_COLUMNS)
+            elif found == 3:
+                cat.migrate_v3(conn, SNAPSHOT_COLUMNS)
+            elif found == 4:
+                cat.migrate_v4(conn)
+            elif found not in (5, cat.CATALOG_FORMAT):
+                raise ValueError(f"catalog format {found} unsupported")
+            if found < cat.CATALOG_FORMAT:
+                self._migrate_v5(conn)
+            if self.remapped_root.is_dir():
+                self._place_remapped()
         except (sqlite3.DatabaseError, ValueError) as exc:
             raise StoreError(f"corrupt store catalog: {exc}") from exc
 

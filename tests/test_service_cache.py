@@ -3,6 +3,8 @@
 import asyncio
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.service import LRUCache, MicroBatcher, ReasoningCache, SingleFlight
 
@@ -152,13 +154,16 @@ class TestReasoningCache:
 
             first = await cache.get_or_compute("k", compute)
             second = await cache.get_or_compute("k", compute)
-            return calls, first, second, cache
+            third = await cache.get_or_compute("k", compute)
+            return calls, first, second, third, cache
 
-        calls, first, second, cache = asyncio.run(main())
-        assert calls == 1
-        assert first == second == "value"
+        calls, first, second, third, cache = asyncio.run(main())
+        # the first fill is answered, the second stored, the third a hit
+        assert calls == 2
+        assert first == second == third == "value"
         assert cache.lru.hits == 1
-        assert cache.computations == 1
+        assert cache.computations == 2
+        assert (cache.declined, cache.admitted) == (1, 1)
 
     def test_concurrent_identical_single_computation(self):
         async def main():
@@ -179,6 +184,91 @@ class TestReasoningCache:
         calls, results = asyncio.run(main())
         assert calls == 1
         assert set(results) == {1}
+
+
+def body_of(key) -> bytes:
+    return f"body of {key!r};".encode() * (1 + hash(key) % 3)
+
+
+class TestDoorkeeper:
+    """A body is stored on its key's second fill since the doorkeeper's
+    last reset; the first fill leaves only the key's hash behind."""
+
+    def test_a_sweep_of_distinct_keys_stores_nothing(self):
+        async def compute(key):
+            return body_of(key)
+
+        async def main():
+            cache = ReasoningCache(4)
+            for key in range(10):
+                assert await cache.get_or_compute(key, lambda: compute(key)) == body_of(key)
+            return cache
+
+        cache = asyncio.run(main())
+        assert len(cache.lru) == 0 and cache.lru.bytes == 0
+        assert (cache.admitted, cache.declined) == (0, 10)
+        # the set was cleared when full: it holds the last 10 % 4 keys
+        assert cache._doorkeeper == {hash(8), hash(9)}
+        stats = cache.stats()
+        assert (stats["admitted"], stats["declined"]) == (0, 10)
+
+
+class TestReasoningCacheModel:
+    """Hypothesis model of the read-through cache: key sequences with
+    repeats, run one by one or as concurrent ``gather`` bursts, against a
+    model doorkeeper that replays the fills in the order they finish."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        capacity=st.integers(1, 6),
+        bursts=st.lists(
+            st.lists(st.integers(0, 9), min_size=1, max_size=6),
+            min_size=1,
+            max_size=25,
+        ),
+    )
+    def test_every_answer_and_every_stored_body(self, capacity, bursts):
+        async def main():
+            cache = ReasoningCache(capacity)
+            door: set[int] = set()  # the model doorkeeper
+            admitted = declined = 0
+            for burst in bursts:
+                held = {key for key in range(10) if key in cache.lru}
+                fills: list[int] = []
+
+                async def compute(key):
+                    await asyncio.sleep(0)
+                    fills.append(key)  # admission follows with no await between
+                    return body_of(key)
+
+                answers = await asyncio.gather(
+                    *(cache.get_or_compute(k, lambda k=k: compute(k)) for k in burst)
+                )
+                assert answers == [body_of(key) for key in burst]
+                # one computation per distinct key the LRU did not hold
+                assert sorted(fills) == sorted(set(burst) - held)
+                stored = []
+                for key in fills:
+                    if key in door:
+                        stored.append(key)
+                        admitted += 1
+                    else:
+                        if len(door) >= capacity:
+                            door.clear()
+                        door.add(key)
+                        declined += 1
+                assert (cache.admitted, cache.declined) == (admitted, declined)
+                # a body is stored only by a fill the model admits
+                entries = cache.lru._entries
+                assert set(entries) <= held | set(stored)
+                if len(stored) <= capacity:
+                    assert set(stored) <= set(entries)
+                assert all(value == body_of(key) for key, value in entries.items())
+                assert cache.lru.bytes == sum(map(len, entries.values()))
+                assert len(cache._doorkeeper) <= capacity
+                assert cache._doorkeeper == {hash(key) for key in door}
+
+        asyncio.run(main())
 
 
 class TestMicroBatcher:

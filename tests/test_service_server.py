@@ -205,21 +205,25 @@ class TestSingleFlight:
                 )
             )
             after = service.cache.computations
-            # a later identical request is a pure LRU hit, still one computation
+            # the burst was the key's first fill, so the next request
+            # fills it again and stores it; the one after is a pure hit
+            stored = await http_request(port, "GET", "/control?threshold=0.33")
+            refilled = service.cache.computations
             hits_before = service.cache.lru.hits
             late = await http_request(port, "GET", "/control?threshold=0.33")
             await service.stop()
-            return before, after, responses, hits_before, late
+            return before, after, responses, stored, refilled, hits_before, late
 
-        before, after, responses, hits_before, late = asyncio.run(main())
+        before, after, responses, stored, refilled, hits_before, late = asyncio.run(main())
         assert after - before == 1, "coalescing failed: more than one computation"
         payloads = [p for _s, p in responses]
         assert all(s == 200 for s, _p in responses)
         assert all(p == payloads[0] for p in payloads)
         assert service.cache.flight.coalesced >= 1
-        assert late[0] == 200
+        assert stored == late == (200, payloads[0])
+        assert refilled == after + 1
         assert service.cache.lru.hits == hits_before + 1
-        assert service.cache.computations == after
+        assert service.cache.computations == refilled
 
 
 class TestMutations:
@@ -487,16 +491,18 @@ class TestCachedBodies:
         async def main():
             out = []
             for path, query, _payload in cases:
+                first = await service.handle_request("GET", path, query, b"")
                 miss = await service.handle_request("GET", path, query, b"")
                 hit = await service.handle_request("GET", path, query, b"")
-                out.append((miss, hit))
+                out.append((first, miss, hit))
             return out
 
         hits_before = service.cache.lru.hits
-        for (path, _query, payload), (miss, hit) in zip(cases, asyncio.run(main())):
-            assert miss[1] == hit[1] == 200, path
-            assert miss[2] == hit[2] == encoded(payload), path
+        for (path, _query, payload), (first, miss, hit) in zip(cases, asyncio.run(main())):
+            assert first[1] == miss[1] == hit[1] == 200, path
+            assert first[2] == miss[2] == hit[2] == encoded(payload), path
         assert service.cache.lru.hits == hits_before + len(cases)
+        assert service.cache.admitted == len(cases)
 
     def test_stats_body_equals_the_merged_payload(self, graph):
         service = make_service(graph)
@@ -529,7 +535,8 @@ class TestCachedBodies:
                 (f"/ubo/{company}", {"threshold": "0.2"}),
                 (f"/neighbors/{company}", {}),
             ):
-                await service.handle_request("GET", path, query, b"")
+                for _fill in range(2):  # the second fill is stored
+                    await service.handle_request("GET", path, query, b"")
 
         asyncio.run(main())
         values = list(service.cache.lru._entries.values())
@@ -552,7 +559,9 @@ class TestCachedBodies:
 
         async def main():
             await service.start()
+            firsts = [await http_raw(service.port, "GET", p) for p in paths]
             misses = [await http_raw(service.port, "GET", p) for p in paths]
+            assert misses == firsts
             monkeypatch.setattr(json, "dumps", counting_dumps)
             hits = [await http_raw(service.port, "GET", p) for p in paths]
             monkeypatch.undo()
@@ -569,14 +578,50 @@ class TestCachedBodies:
 
         async def main():
             empty = await service.handle_request("GET", "/metrics", {}, b"")
-            control = await service.handle_request("GET", "/control", {}, b"")
-            family = await service.handle_request("GET", "/family", {}, b"")
+            for _fill in range(2):  # the second fill is stored
+                control = await service.handle_request("GET", "/control", {}, b"")
+                family = await service.handle_request("GET", "/family", {}, b"")
             after = await service.handle_request("GET", "/metrics", {}, b"")
             return empty[2], control[2], family[2], after[2]
 
         empty, control, family, after = asyncio.run(main())
         assert json.loads(empty)["cache"]["bytes"] == 0
-        assert json.loads(after)["cache"]["bytes"] == len(control) + len(family)
+        cache = json.loads(after)["cache"]
+        assert cache["bytes"] == len(control) + len(family)
+        assert (cache["declined"], cache["admitted"]) == (2, 2)
+
+
+class TestThresholdSweep:
+    """A sweep of thresholds nobody asks for twice stores no body."""
+
+    def test_distinct_thresholds_leave_the_lru_empty(self, graph):
+        service = make_service(graph)
+        snapshot = service.manager.current
+
+        async def main():
+            for i in range(200):
+                query = {"threshold": f"{0.05 + 0.9 * i / 200:.6f}"}
+                status = await service.handle_request("GET", "/close-links", query, b"")
+                assert status[1] == 200
+            swept = dict(service.cache.stats())
+            computed = service.cache.computations
+            bodies = [
+                (await service.handle_request(
+                    "GET", "/close-links", {"threshold": "0.37"}, b""
+                ))[2]
+                for _ in range(3)
+            ]
+            return swept, computed, bodies
+
+        swept, computed, bodies = asyncio.run(main())
+        assert swept["bytes"] == 0 and swept["size"] == 0
+        assert (swept["declined"], swept["admitted"]) == (200, 0)
+        first, miss, hit = bodies
+        assert service.cache.computations == computed + 2
+        assert service.cache.lru.hits == swept["hits"] + 1
+        assert hit == miss == first == encoded(snapshot.close_links_payload(0.37))
+        (stored,) = service.cache.lru._entries.values()
+        assert stored == hit and service.cache.lru.bytes == len(hit)
 
 
 class TestMetrics:
@@ -586,7 +631,7 @@ class TestMetrics:
         async def main():
             await service.start()
             port = service.port
-            for _ in range(3):
+            for _ in range(4):
                 await http_request(port, "GET", "/control")
             await http_request(port, "GET", "/nope")
             _s, metrics = await http_request(port, "GET", "/metrics")
@@ -594,13 +639,15 @@ class TestMetrics:
             return metrics
 
         metrics = asyncio.run(main())
-        assert metrics["requests"]["control"] == 3
+        assert metrics["requests"]["control"] == 4
         assert metrics["requests"]["unknown"] == 1
-        assert metrics["statuses"]["2xx"] >= 3
+        assert metrics["statuses"]["2xx"] >= 4
         assert metrics["statuses"]["4xx"] == 1
         histogram = metrics["latency_histogram"]["control"]
-        assert sum(histogram) == 3
-        assert metrics["cache"]["hits"] == 2  # 2nd and 3rd /control were LRU hits
+        assert sum(histogram) == 4
+        # the 2nd /control stored the body, the 3rd and 4th were LRU hits
+        assert metrics["cache"]["hits"] == 2
+        assert (metrics["cache"]["declined"], metrics["cache"]["admitted"]) == (1, 1)
         assert metrics["snapshot"]["version"] == 1
         assert metrics["updater"]["rebuilds"] == 0
 

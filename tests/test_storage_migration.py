@@ -16,6 +16,7 @@ attaching to the same graph, row state, frame and payload bytes, and no
 trace of a graph version.
 """
 
+import gc
 import json
 import random
 import sqlite3
@@ -943,6 +944,14 @@ def files_on_disk(root):
     }
 
 
+def every_file(root):
+    return {
+        path.relative_to(root): path.read_bytes()
+        for path in sorted(root.rglob("*"))
+        if path.is_file()
+    }
+
+
 class TestRecodeFormat5:
     """Format 5 -> 6 on a store whose ids are not in insertion order,
     where decoding format-5 codes as positions would serve wrong rows."""
@@ -980,6 +989,28 @@ class TestRecodeFormat5:
         migrated.persist(snapshot)
         assert migrated.last_persist["columns_written"] == 0
         assert fingerprint(migrated.attach(6)) == fingerprint(snapshot)
+
+    def test_a_raw_connection_reads_the_store_as_it_is(self, tmp_path):
+        """Only :meth:`FrameStore.open` migrates: a connection taken to
+        inspect a format-5 store leaves every file as it was."""
+        root = tmp_path / "store"
+        snapshots, _legacy = format5_store(root)
+        before = every_file(root)
+        conn = FrameStore(root)._connect()
+        try:
+            assert cat.catalog_format(conn) == 5
+        finally:
+            conn.close()
+        legacy_manifest = manifest(FrameStore(root))
+        gc.collect()  # closes the connection ``manifest`` dropped
+        assert every_file(root) == before
+        assert all(legacy_manifest[2][name] == 2 for name in CODE_COLUMNS)
+
+        migrated = FrameStore.open(root)
+        with migrated._connect() as conn:
+            assert cat.catalog_format(conn) == 6
+        for snapshot in snapshots:
+            assert fingerprint(migrated.attach(snapshot.version)) == fingerprint(snapshot)
 
     def test_a_column_that_fails_its_checksum_is_demoted_not_recoded(self, tmp_path):
         root = tmp_path / "store"
