@@ -469,8 +469,10 @@ def _serve(args: argparse.Namespace) -> int:
         service = ReasoningService(
             config=config, tracer=_tracer_of(args), registry=registry
         )
-        # SIGTERM shuts down the way Ctrl-C does, so the store below closes
-        signal.signal(signal.SIGTERM, signal.default_int_handler)
+        # SIGTERM shuts down the way Ctrl-C does, so the store below closes;
+        # SIGINT too, which a shell's background job inherits as ignored
+        for signum in (signal.SIGTERM, signal.SIGINT):
+            signal.signal(signum, signal.default_int_handler)
         try:
             asyncio.run(service.run(ready=lambda svc: ready(svc.port)))
         except KeyboardInterrupt:

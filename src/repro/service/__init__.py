@@ -29,11 +29,12 @@ snapshots.
   next snapshot version while the old one keeps serving;
 * :mod:`~repro.service.shm` — the shared-memory snapshot codec: one
   named segment per version holding the base graph and the precomputed
-  row state — what the durable store holds — decoded by each reader
-  process, which recomputes the columnar frame;
+  row state — what the durable store holds — decoded into a snapshot
+  by each reader process;
 * :mod:`~repro.service.workers` — ``serve --workers N`` scale-out: N
   ``SO_REUSEPORT`` serving processes decoding each published segment, the
-  parent as single builder/supervisor publishing by version handoff.
+  parent as single builder/supervisor; one request/reply protocol on
+  each worker's pipe.
 """
 
 from .._lazy import lazy_exports

@@ -319,22 +319,11 @@ class ReasoningService:
             self.registry.adopt(tenant, manager, builder=builder, base_graph=base_graph)
         elif len(self.registry) == 0:
             raise ValueError("service needs a manager or a non-empty registry")
-        #: pool hook — routes ``POST /mutations`` to the builder process
-        #: when this service has no local updater (read-only worker);
-        #: called as ``(tenant, deltas)`` and answers once the fleet
-        #: serves the new version (``?wait`` has nothing to choose)
-        self.mutation_forwarder: (
-            Callable[[str, list[Any]], Awaitable[tuple[int, Any]]] | None
-        ) = None
-        #: pool hook — routes tenant create/delete to the parent so the
-        #: whole fleet (not one worker) gains or drops the tenant;
-        #: called as ``(action, tenant)``
-        self.admin_forwarder: (
-            Callable[[str, str], Awaitable[tuple[int, Any]]] | None
-        ) = None
-        #: pool hook — answers ``GET /metrics?scope=cluster`` with the
-        #: parent's merged per-worker counters
-        self.cluster_metrics_provider: Callable[[], Awaitable[Any]] | None = None
+        #: pool hook — one request to the builder process, answered as
+        #: ``(status, payload)``: ``mutate`` (no local updater; answers once
+        #: the fleet serves the new version), ``create_tenant`` /
+        #: ``delete_tenant`` (fleet-wide), ``cluster_metrics``
+        self.forward: Callable[[dict[str, Any]], Awaitable[tuple[int, Any]]] | None = None
         #: pool hook — the builder process's ``Persister.stats()`` as of
         #: its last persist, served as the ``persist`` section of ``/stats``
         self.builder_persist: dict[str, Any] | None = None
@@ -630,11 +619,8 @@ class ReasoningService:
             return 200, self._healthz()
         if head == "metrics" and not rest:
             self._require(method, "GET")
-            if (
-                query.get("scope") == "cluster"
-                and self.cluster_metrics_provider is not None
-            ):
-                return 200, await self.cluster_metrics_provider()
+            if query.get("scope") == "cluster" and self.forward is not None:
+                return await self.forward({"op": "cluster_metrics"})
             return 200, self._metrics_payload()
         if head == "mutations" and not rest:
             self._require(method, "POST")
@@ -673,8 +659,8 @@ class ReasoningService:
 
     async def _create_tenant(self, tenant: str) -> tuple[int, Any]:
         validate_tenant(tenant)
-        if self.admin_forwarder is not None:
-            return await self.admin_forwarder("create", tenant)
+        if self.forward is not None:
+            return await self.forward({"op": "create_tenant", "tenant": tenant})
         async with self._admin_lock:
             existing = self.registry.peek(tenant)
             if existing is not None:
@@ -687,8 +673,8 @@ class ReasoningService:
         return 201, {"status": "created", **binding.info()}
 
     async def _delete_tenant(self, tenant: str) -> tuple[int, Any]:
-        if self.admin_forwarder is not None:
-            return await self.admin_forwarder("delete", tenant)
+        if self.forward is not None:
+            return await self.forward({"op": "delete_tenant", "tenant": tenant})
         async with self._admin_lock:
             if tenant == self.registry.alias:
                 raise HttpError(
@@ -834,7 +820,7 @@ class ReasoningService:
         self, tenant: str, query: dict[str, str], body: bytes
     ) -> tuple[int, Any]:
         binding = self.registry.get(tenant)
-        if binding.updater is None and self.mutation_forwarder is None:
+        if binding.updater is None and self.forward is None:
             raise HttpError(503, "mutations disabled: service started without a builder")
         try:
             payload = json.loads(body.decode("utf-8") or "{}")
@@ -844,8 +830,7 @@ class ReasoningService:
         if not isinstance(deltas, list):
             raise HttpError(400, 'body must be {"deltas": [...]}')
         if binding.updater is None:
-            assert self.mutation_forwarder is not None
-            return await self.mutation_forwarder(tenant, deltas)
+            return await self.forward({"op": "mutate", "tenant": tenant, "deltas": deltas})
         wait = query.get("wait", "").lower() in ("1", "true", "yes")
         result = await binding.updater.apply(deltas, wait=wait)
         return (200 if wait else 202), result

@@ -6,8 +6,8 @@ listening on the **same** port via ``SO_REUSEPORT`` — the kernel
 load-balances accepted connections across the listening sockets, no
 userspace proxy involved.  The parent builds every version once and
 hands it over as one shared-memory segment (``repro.service.shm``): the
-base graph plus what reasoning derived, which each worker decodes and
-recomputes its columnar frame from, as a store attach does.
+base graph plus what reasoning derived, which each worker decodes into
+a snapshot through the tail a store attach runs too.
 
 Topology::
 
@@ -18,8 +18,17 @@ Topology::
     version off as a segment,  == Pipe ==>   registry of bare managers,
     supervises workers,        <== Pipe ==   runs a ReasoningService with
     serializes mutations and                 reuse_port=True, forwards
-    tenant admin, merges                     mutations + tenant admin
-    metrics
+    tenant admin, merges                     mutations, tenant admin and
+    metrics                                  cluster metrics
+
+One protocol runs over each pipe, both ways: a request that wants an
+answer carries an ``id`` and gets exactly one ``{"op": "reply", "id",
+"status", "payload"}`` (``status`` an HTTP code, an error's payload
+``{"error": ...}``).  The parent's :meth:`ServicePool._call` sends a
+request to every live worker and returns once each worker process it
+was sent to replied or died: a publish, a tenant retirement and the
+metrics poll are such calls.  A worker forwards mutations, tenant admin
+and ``/metrics?scope=cluster`` the same way.
 
 The parent is the **single builder** for every tenant, and it builds
 through the same code as the single-process service: its
@@ -28,37 +37,32 @@ through the same code as the single-process service: its
 tenant creation runs that updater's write path (stage -> build ->
 publish -> hand-off -> persist) one at a time under the pool's mutate
 lock.  The pool contributes only the **hand-off**: seal the new version
-into a fresh segment (its name carries the tenant, for the leak checks),
-broadcast a ``publish`` message naming the tenant and the segment, and
-wait until every live worker acknowledged that segment.  Workers attach
-it and swap **that tenant's** :class:`SnapshotManager` atomically
-(readers in flight keep the old snapshot via their reference — no torn
-reads; other tenants' managers are untouched).
+into a fresh segment (its name carries the tenant, for the leak checks)
+and call ``publish`` on the fleet.  Workers attach it and swap **that
+tenant's** :class:`SnapshotManager` atomically (readers in flight keep
+the old snapshot via their reference — no torn reads; other tenants'
+managers are untouched).  The parent changes its segment set under its
+lock before it sends, so a worker spawned after a call was sent starts
+from the state the call installs and is not waited for.
 
-Retiring a segment is unlinking it.  The parent unlinks a tenant's
-previous segment once every live worker acknowledged its successor (or
-that publish failed), and a deleted tenant's segment at once.  A worker
-maps a segment only while attaching it, and retires a version by
-dropping its reference: reads in flight finish on their snapshot.
-Acknowledgements are keyed by segment name, unique per seal, so
-a re-created tenant restarting at version 1 never meets an older
-segment's bookkeeping.
+Retiring a segment is unlinking it: a tenant's previous segment once its
+successor's publish returned (or failed), a deleted tenant's segment
+before ``retire_tenant`` is called.  A worker maps a segment only while
+attaching it and retires a version by dropping its reference.  Tenant
+admin from any worker (``PUT/DELETE /t/{tenant}``) is forwarded to the
+parent and answered once every worker serves the new tenant set.
 
-Tenant admin from any worker (``PUT/DELETE /t/{tenant}``) is forwarded
-to the parent, which creates (or retires) the tenant fleet-wide so every
-worker serves the same tenant set.
-
-Failure handling: the parent supervises worker processes and restarts a
-crashed worker against the current segment set (bounded by
-``RESTART_LIMIT``); a worker that cannot attach a published
-segment fails that publish at once; ``SIGTERM`` triggers a graceful
-drain — workers stop accepting, finish in-flight requests, and exit
-before the parent unlinks the segments.
+Failure handling: the parent restarts a crashed worker against the
+current segment set (bounded by ``RESTART_LIMIT``); an error reply (a
+worker that cannot attach a segment) fails its call at once;
+``SIGTERM`` drains — workers stop accepting, finish in-flight requests,
+and exit before the parent unlinks the segments.
 """
 
 from __future__ import annotations
 
 import asyncio
+import collections
 import itertools
 import logging
 import multiprocessing
@@ -143,13 +147,16 @@ class ServicePool:
         self._conns: dict[int, multiprocessing.connection.Connection] = {}
         self._restarts: dict[int, int] = {}
         self.restarts = 0
+        #: one lock per worker slot: sends from two threads never interleave
+        self._send_locks: dict[int, threading.Lock] = collections.defaultdict(
+            threading.Lock
+        )
         #: tenant -> creator handle of the segment last handed to the
         #: fleet, which a (re)started worker attaches
         self._segments: dict[str, Any] = {}
-        #: segment name -> workers that acknowledged it / the attach
-        #: error a worker reported while its publish waited
-        self._acks: dict[str, set[int]] = {}
-        self._attach_errors: dict[str, str] = {}
+        #: call id -> {worker: its reply} while the call waits
+        self._calls: dict[int, dict[int, dict[str, Any]]] = {}
+        self._call_ids = itertools.count(1)
         #: workers that accept connections
         self._ready: set[int] = set()
         #: slots given up after ``RESTART_LIMIT`` restarts
@@ -159,14 +166,10 @@ class ServicePool:
         #: worker -> (attach_s, swap_pause_s) of its last publish swap
         self.last_swap: dict[int, dict[str, float]] = {}
         self._lock = threading.RLock()
-        #: notified when a worker turns ready, dies or its slot is
-        #: abandoned (``start`` waits on it)
-        self._ready_changed = threading.Condition(self._lock)
+        #: notified when a worker turns ready, replies, dies or its slot
+        #: is abandoned (``start`` and ``_call`` wait on it)
+        self._changed = threading.Condition(self._lock)
         self._mutate_lock = threading.Lock()
-        self._publish_events: dict[str, threading.Event] = {}
-        self._metric_replies: dict[int, dict[int, Any]] = {}
-        self._metric_events: dict[int, threading.Event] = {}
-        self._request_seq = 0
         self._reserve_sock: socket.socket | None = None
         self._supervisor: threading.Thread | None = None
         self._stopping = threading.Event()
@@ -215,8 +218,8 @@ class ServicePool:
         )
         self._supervisor.start()
         # an abandoned slot never comes up: stop waiting at the first one
-        with self._ready_changed:
-            self._ready_changed.wait_for(
+        with self._changed:
+            self._changed.wait_for(
                 lambda: len(self._ready) == self.requested_workers or self._abandoned,
                 timeout=START_TIMEOUT_S,
             )
@@ -248,7 +251,6 @@ class ServicePool:
         with self._lock:
             previous = self._segments.get(tenant)
             self._segments[tenant] = segment
-            self._acks[name] = set()
         return previous
 
     def _reserve_port(self) -> None:
@@ -267,32 +269,84 @@ class ServicePool:
     def _spawn(self, worker_id: int) -> None:
         parent_conn, child_conn = self._ctx.Pipe()
         config = ServiceConfig(**{**self.config.__dict__, "port": self.port})
+        persist = self.registry.persist.stats() if self.registry.persist else None
+        # read the segment set and join the fleet in one critical section:
+        # a call that listed its workers before does not wait for this
+        # one, which starts from the segment set that call installed
         with self._lock:
             segments = {tenant: segment.name for tenant, segment in self._segments.items()}
-        proc = self._ctx.Process(
-            target=_worker_main,
-            args=(
-                worker_id,
-                child_conn,
-                config,
-                segments,
-                self.primary,
-                self.registry.persist.stats() if self.registry.persist else None,
-            ),
-            name=f"repro-serve-{worker_id}",
-            daemon=True,
-        )
-        proc.start()
-        child_conn.close()
-        with self._lock:
+            proc = self._ctx.Process(
+                target=_worker_main,
+                args=(worker_id, child_conn, config, segments, self.primary, persist),
+                name=f"repro-serve-{worker_id}",
+                daemon=True,
+            )
+            proc.start()
             self._procs[worker_id] = proc
             self._conns[worker_id] = parent_conn
+        child_conn.close()
+
+    def _send(self, worker_id: int, message: dict[str, Any]) -> None:
+        """One message to one worker; a dead pipe is the supervisor's."""
+        with self._lock:
+            conn = self._conns.get(worker_id)
+            lock = self._send_locks[worker_id]
+        if conn is not None:
+            with lock:  # a message over PIPE_BUF is written in pieces
+                try:
+                    conn.send(message)
+                except OSError:
+                    pass
 
     def _broadcast(self, message: dict[str, Any]) -> None:
         with self._lock:
-            conns = list(self._conns.values())
-        for conn in conns:
-            _try_send(conn, message)
+            workers = list(self._conns)
+        for worker_id in workers:
+            self._send(worker_id, message)
+
+    def _call(
+        self, message: dict[str, Any], timeout_s: float, partial: bool = False
+    ) -> dict[int, Any]:
+        """Send ``message`` to every live worker; return ``{worker:
+        payload}`` once each process it was sent to replied or died.
+
+        The first error reply raises :class:`PoolError`, and so does the
+        deadline unless ``partial`` (the metrics poll answers with what
+        it has).  A process spawned after the send is not waited for.
+        """
+        with self._lock:
+            call_id = next(self._call_ids)
+            replies = self._calls[call_id] = {}
+            sent = {w: self._procs[w] for w in self.live_workers()}
+        what = message["op"] + (f" of tenant {message['tenant']}" if "tenant" in message else "")
+        deadline = time.monotonic() + timeout_s
+        try:
+            for worker_id in sent:
+                self._send(worker_id, {**message, "id": call_id})
+            with self._changed:
+                while True:
+                    for worker_id, reply in sorted(replies.items()):
+                        if reply["status"] != 200:
+                            raise PoolError(
+                                f"{what} failed on worker {worker_id}: "
+                                f"{reply['payload']['error']}"
+                            )
+                    waiting = sorted(
+                        w for w, proc in sent.items()
+                        if w not in replies and self._procs.get(w) is proc
+                    )
+                    remaining = deadline - time.monotonic()
+                    if not waiting or remaining <= 0:
+                        break
+                    self._changed.wait(remaining)
+        finally:
+            with self._lock:
+                self._calls.pop(call_id, None)
+        if waiting and not partial:
+            raise PoolError(
+                f"{what} reached only workers {sorted(replies)} within {timeout_s}s"
+            )
+        return {w: reply["payload"] for w, reply in sorted(replies.items())}
 
     def stop(self, drain: bool = True) -> None:
         """Shut the pool down; with ``drain`` workers finish in-flight
@@ -309,7 +363,7 @@ class ServicePool:
             if proc.is_alive():
                 proc.terminate()
                 proc.join(timeout=2.0)
-        with self._lock:
+        with self._changed:
             for conn in self._conns.values():
                 try:
                     conn.close()
@@ -317,6 +371,7 @@ class ServicePool:
                     pass
             self._conns.clear()
             self._procs.clear()
+            self._changed.notify_all()  # a call in flight stops waiting
             segments = list(self._segments.values())
             self._segments.clear()
         for segment in segments:
@@ -355,7 +410,10 @@ class ServicePool:
             snapshot = updater.publish(graph, batch, handoff=self._handoff)
             self._sync_persist()
             with self._lock:
-                attached = sorted(self._acks[self._segments[name].name])
+                attached = sorted(
+                    w for w, versions in self.worker_tenant_versions.items()
+                    if versions.get(name) == snapshot.version
+                )
             return {
                 "status": "published",
                 "applied": len(deltas),
@@ -368,14 +426,31 @@ class ServicePool:
 
     def _handoff(self, snapshot: Snapshot, tenant: str) -> None:
         """The pool's hand-off of a published version: seal it into a
-        segment, broadcast it, wait until every live worker swapped, then
+        segment, call ``publish`` until every live worker swapped, then
         unlink the segment it replaced."""
         previous = self._seal(snapshot, tenant)
         try:
-            self._await_fleet(tenant, snapshot.version)
+            with self._lock:
+                name = self._segments[tenant].name
+            replies = self._call(
+                {"op": "publish", "tenant": tenant, "name": name}, PUBLISH_TIMEOUT_S
+            )
         finally:
             if previous is not None:
                 self._unlink(previous)
+        with self._lock:
+            for worker_id, attached in replies.items():
+                self._record_attach(worker_id, attached)
+
+    def _record_attach(self, worker_id: int, attached: dict[str, Any]) -> None:
+        """Note a worker's attach (a publish reply, or start-up's)."""
+        if worker_id in self._conns:  # else it died since
+            versions = self.worker_tenant_versions.setdefault(worker_id, {})
+            versions[attached["tenant"]] = attached["version"]
+            self.last_swap[worker_id] = {
+                "attach_s": attached["attach_s"],
+                "swap_pause_s": attached["swap_pause_s"],
+            }
 
     def _sync_persist(self) -> None:
         """Workers answer ``/stats`` -> ``persist`` from the parent's
@@ -423,79 +498,29 @@ class ServicePool:
             return 200, {"status": "deleted", "tenant": name, "version": binding.version}
 
     def _retire(self, tenant: str) -> None:
-        # workers drop the binding at once (404s start now); reads in
-        # flight keep their snapshot
-        self._broadcast({"op": "retire_tenant", "tenant": tenant})
+        """Drop ``tenant`` fleet-wide; returns once every worker answers
+        its reads with 404.  Its segment goes first, so a worker spawned
+        meanwhile starts without it; reads in flight keep their snapshot."""
         with self._lock:
             segment = self._segments.pop(tenant, None)
         if segment is not None:
             self._unlink(segment)
-
-    def _await_fleet(self, tenant: str, version: int) -> None:
-        """Broadcast the tenant's current segment and wait until every
-        live worker acknowledged it."""
-        event = threading.Event()
+        self._call({"op": "retire_tenant", "tenant": tenant}, PUBLISH_TIMEOUT_S)
         with self._lock:
-            name = self._segments[tenant].name
-            self._publish_events[name] = event
-        self._broadcast({"op": "publish", "tenant": tenant, "name": name})
-        deadline = time.monotonic() + PUBLISH_TIMEOUT_S
-        try:
-            while not self._fleet_attached(name):
-                with self._lock:
-                    error = self._attach_errors.get(name)
-                    attached = sorted(self._acks.get(name, ()))
-                if error is not None:
-                    raise PoolError(
-                        f"tenant {tenant} version {version} failed to attach: {error}"
-                    )
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise PoolError(
-                        f"tenant {tenant} version {version} reached only workers "
-                        f"{attached} within {PUBLISH_TIMEOUT_S}s"
-                    )
-                event.wait(timeout=min(remaining, 0.05))
-                event.clear()
-        finally:
-            with self._lock:
-                self._publish_events.pop(name, None)
-                self._attach_errors.pop(name, None)
-
-    def _fleet_attached(self, name: str) -> bool:
-        with self._lock:
-            live = set(self.live_workers())
-            return live <= self._acks.get(name, set()) and bool(live)
+            for versions in self.worker_tenant_versions.values():
+                versions.pop(tenant, None)
 
     # -- metrics aggregation -------------------------------------------
 
     def cluster_metrics(self, timeout_s: float = 5.0) -> dict[str, Any]:
         """Merged per-worker counters + supervisor state (the payload of
         ``GET /metrics?scope=cluster`` on any worker)."""
+        replies = self._call({"op": "metrics"}, timeout_s, partial=True)
         with self._lock:
-            self._request_seq += 1
-            request_id = self._request_seq
-            self._metric_replies[request_id] = {}
-            event = self._metric_events[request_id] = threading.Event()
-        self._broadcast({"op": "metrics?", "id": request_id})
-        deadline = time.monotonic() + timeout_s
-        while True:
-            with self._lock:
-                replies = self._metric_replies[request_id]
-                live = set(self.live_workers())
-                done = live <= set(replies)
-            if done or time.monotonic() >= deadline:
-                break
-            event.wait(timeout=0.05)
-            event.clear()
-        with self._lock:
-            replies = self._metric_replies.pop(request_id)
-            self._metric_events.pop(request_id, None)
             worker_tenant_versions = {
                 w: dict(v) for w, v in self.worker_tenant_versions.items()
             }
             last_swap = {w: dict(s) for w, s in self.last_swap.items()}
-        ordered = [replies[w] for w in sorted(replies)]
         return {
             "scope": "cluster",
             "workers": sorted(replies),
@@ -511,8 +536,8 @@ class ServicePool:
             "restarts": self.restarts,
             "last_swap": last_swap,
             "segments": self.segment_names(),
-            "merged": Metrics.merge([p for p in ordered if isinstance(p, dict)]),
-            "per_worker": {w: replies[w] for w in sorted(replies)},
+            "merged": Metrics.merge(list(replies.values())),
+            "per_worker": replies,
         }
 
     # -- supervision ---------------------------------------------------
@@ -547,70 +572,38 @@ class ServicePool:
 
     def _on_message(self, worker_id: int, message: dict[str, Any]) -> None:
         op = message.get("op")
-        if op == "ready":
-            with self._ready_changed:
+        if op == "reply":
+            with self._changed:
+                replies = self._calls.get(message["id"])
+                if replies is not None:  # else its call already returned
+                    replies[worker_id] = message
+                    self._changed.notify_all()
+        elif op == "ready":
+            with self._changed:
+                for attached in message["attached"]:
+                    self._record_attach(worker_id, attached)
                 self._ready.add(worker_id)
-                self._ready_changed.notify_all()
-        elif op == "attached":
-            name, tenant = message["name"], message["tenant"]
-            with self._lock:
-                if name in self._acks:  # else unlinked before this ack arrived
-                    self._acks[name].add(worker_id)
-                self.worker_tenant_versions.setdefault(worker_id, {})[tenant] = (
-                    message["version"]
-                )
-                self.last_swap[worker_id] = {
-                    "attach_s": message.get("attach_s", 0.0),
-                    "swap_pause_s": message.get("swap_pause_s", 0.0),
-                }
-                event = self._publish_events.get(name)
-            if event is not None:
-                event.set()
-        elif op == "attach_failed":
-            name = message["name"]
-            with self._lock:
-                event = self._publish_events.get(name)
-                if event is not None:  # fails the publish waiting on it at once
-                    self._attach_errors[name] = f"worker {worker_id}: {message.get('error')}"
-            if event is not None:
-                event.set()
-        elif op == "retired_tenant":
-            tenant = message["tenant"]
-            with self._lock:
-                self.worker_tenant_versions.get(worker_id, {}).pop(tenant, None)
-        elif op == "metrics":
-            request_id = message.get("id")
-            with self._lock:
-                replies = self._metric_replies.get(request_id)
-                if replies is not None:
-                    replies[worker_id] = message.get("payload")
-                event = self._metric_events.get(request_id)
-            if event is not None:
-                event.set()
-        elif op in ("mutate", "admin", "metrics_cluster?"):
-            # these block on the fleet, which this thread must keep serving
+                self._changed.notify_all()
+        else:
+            # a forwarded request blocks on the fleet, which this thread
+            # must keep serving
             threading.Thread(
-                target=self._handle_forwarded, args=(worker_id, message), daemon=True
+                target=self._answer, args=(worker_id, message), daemon=True
             ).start()
 
-    def _handle_forwarded(self, worker_id: int, message: dict[str, Any]) -> None:
-        """Answer a worker's forwarded mutation, tenant admin or cluster
+    def _answer(self, worker_id: int, message: dict[str, Any]) -> None:
+        """Reply to a worker's forwarded mutation, tenant admin or cluster
         metrics request; the worker always gets a reply."""
-        op = message["op"]
-        tenant = message.get("tenant")
+        op, tenant = message["op"], message.get("tenant")
         try:
             if op == "mutate":
-                status, payload = 200, self.mutate(message.get("deltas") or [], tenant)
-            elif op == "metrics_cluster?":
-                status, payload = 200, self.cluster_metrics()
-            elif message.get("action") == "create":
+                status, payload = 200, self.mutate(message["deltas"], tenant)
+            elif op == "create_tenant":
                 status, payload = self.create_tenant(tenant)
-            elif message.get("action") == "delete":
+            elif op == "delete_tenant":
                 status, payload = self.delete_tenant(tenant)
-            else:
-                status, payload = 400, {
-                    "error": f"unknown admin action {message.get('action')!r}"
-                }
+            else:  # cluster_metrics
+                status, payload = 200, self.cluster_metrics()
         except (MutationError, TenantError) as exc:
             status, payload = 400, {"error": str(exc)}
         except UnknownTenantError as exc:
@@ -618,27 +611,19 @@ class ServicePool:
         except Exception as exc:  # noqa: BLE001 - worker must get an answer
             logger.exception("forwarded %s failed", op)
             status, payload = 500, {"error": f"{type(exc).__name__}: {exc}"}
-        with self._lock:
-            conn = self._conns.get(worker_id)
-        if conn is not None:
-            _try_send(
-                conn,
-                {
-                    "op": "result",
-                    "id": message.get("id"),
-                    "status": status,
-                    "payload": payload,
-                },
-            )
+        self._send(
+            worker_id,
+            {"op": "reply", "id": message["id"], "status": status, "payload": payload},
+        )
 
     def _on_worker_gone(self, worker_id: int) -> None:
-        with self._ready_changed:
+        with self._changed:
             if worker_id not in self._procs and worker_id not in self._conns:
                 return  # sentinel + pipe EOF both fired; already handled
             proc = self._procs.pop(worker_id, None)
             conn = self._conns.pop(worker_id, None)
             self._ready.discard(worker_id)
-            self._ready_changed.notify_all()
+            self._changed.notify_all()
             self.worker_tenant_versions.pop(worker_id, None)
             restarts = self._restarts.get(worker_id, 0)
         if conn is not None:
@@ -656,9 +641,9 @@ class ServicePool:
                 worker_id,
                 RESTART_LIMIT,
             )
-            with self._ready_changed:
+            with self._changed:
                 self._abandoned.add(worker_id)
-                self._ready_changed.notify_all()
+                self._changed.notify_all()
             return
         logger.warning("worker %d died; restarting", worker_id)
         with self._lock:
@@ -669,20 +654,10 @@ class ServicePool:
     def _unlink(self, segment: Any) -> None:
         """Retire ``segment``: no worker maps it past its attach, so its
         name and pages go now."""
-        with self._lock:
-            self._acks.pop(segment.name, None)
         try:
             segment.unlink()
         except FileNotFoundError:
             pass
-
-
-def _try_send(conn: multiprocessing.connection.Connection, message: dict[str, Any]) -> bool:
-    try:
-        conn.send(message)
-        return True
-    except (BrokenPipeError, OSError):
-        return False
 
 
 # ======================================================================
@@ -691,21 +666,15 @@ def _try_send(conn: multiprocessing.connection.Connection, message: dict[str, An
 
 
 def _worker_main(
-    worker_id: int,
-    conn: multiprocessing.connection.Connection,
-    config: ServiceConfig,
-    segments: dict[str, str],
-    primary: str,
-    builder_persist: dict[str, Any] | None,
+    worker_id: int, conn: multiprocessing.connection.Connection, *args: Any
 ) -> None:
-    """Entry point of one serving process (must stay picklable for spawn)."""
+    """Entry point of one serving process (must stay picklable for spawn);
+    ``args`` are the rest of :class:`_Worker`'s."""
     import signal
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # parent coordinates shutdown
     try:
-        asyncio.run(
-            _Worker(worker_id, conn, config, segments, primary, builder_persist).run()
-        )
+        asyncio.run(_Worker(worker_id, conn, *args).run())
     except Exception:  # pragma: no cover - crash path exercised via kill tests
         logger.exception("worker %d crashed", worker_id)
         raise
@@ -739,28 +708,34 @@ class _Worker:
         self._builder_persist = builder_persist
         self.service: ReasoningService | None = None
         self.registry = GraphRegistry()
+        #: id -> the forwarded request awaiting its reply
         self._pending: dict[int, asyncio.Future] = {}
-        self._seq = 0
+        self._ids = itertools.count(1)
         self._stop = asyncio.Event()
         self._send_lock = threading.Lock()
 
     def _send(self, message: dict[str, Any]) -> None:
         with self._send_lock:
-            _try_send(self.conn, message)
+            try:
+                self.conn.send(message)
+            except OSError:
+                pass
 
     async def run(self) -> None:
         loop = asyncio.get_running_loop()
-        # start-up is one publish per initial segment — primary first:
-        # the first bound tenant becomes the registry alias, which is
-        # what un-prefixed routes resolve to
+        # start-up attaches every initial segment — primary first: the
+        # first bound tenant becomes the registry alias, which is what
+        # un-prefixed routes resolve to
+        attached = []
         for tenant in [self.primary] + sorted(set(self.segments) - {self.primary}):
-            await self._on_publish(tenant, self.segments[tenant])
+            try:
+                attached.append(await self._attach(tenant, self.segments[tenant]))
+            except Exception:  # noqa: BLE001 - e.g. a tenant deleted since the spawn
+                logger.exception("worker %d failed to attach %s", self.worker_id, tenant)
         service = ReasoningService(
             config=self.config, worker_id=self.worker_id, registry=self.registry
         )
-        service.mutation_forwarder = self._forward_mutation
-        service.admin_forwarder = self._forward_admin
-        service.cluster_metrics_provider = self._cluster_metrics
+        service.forward = self._forward
         service.builder_persist = self._builder_persist
         self.service = service
         await service.start(reuse_port=True)
@@ -770,7 +745,7 @@ class _Worker:
             target=self._pump_control, args=(loop, queue), daemon=True
         )
         reader.start()
-        self._send({"op": "ready", "worker": self.worker_id, "pid": os.getpid()})
+        self._send({"op": "ready", "attached": attached})
         try:
             while not self._stop.is_set():
                 getter = asyncio.create_task(queue.get())
@@ -800,31 +775,34 @@ class _Worker:
     async def _handle(self, message: dict[str, Any]) -> None:
         op = message.get("op")
         assert self.service is not None
-        if op == "publish":
-            await self._on_publish(message["tenant"], message["name"])
+        if op == "reply":
+            future = self._pending.pop(message["id"], None)
+            if future is not None and not future.done():
+                future.set_result((message["status"], message["payload"]))
         elif op == "persist":
             self.service.builder_persist = message["stats"]
-        elif op == "retire_tenant":
-            self._on_retire_tenant(message["tenant"])
         elif op == "drain":
             await self.service.drain(message.get("timeout_s", 10.0))
             self._stop.set()
         elif op == "stop":
             self._stop.set()
-        elif op == "metrics?":
+        else:  # a call: exactly one reply
+            status, payload = 200, None
+            try:
+                if op == "publish":
+                    payload = await self._attach(message["tenant"], message["name"])
+                elif op == "retire_tenant":
+                    self._retire(message["tenant"])
+                else:  # metrics
+                    payload = self.service.metrics.to_dict()
+            except Exception as exc:  # noqa: BLE001 - stay on the old version
+                logger.exception("worker %d failed %s", self.worker_id, op)
+                status, payload = 500, {"error": f"{type(exc).__name__}: {exc}"}
             self._send(
-                {
-                    "op": "metrics",
-                    "id": message.get("id"),
-                    "payload": self.service.metrics.to_dict(),
-                }
+                {"op": "reply", "id": message["id"], "status": status, "payload": payload}
             )
-        elif op == "result":
-            future = self._pending.pop(message.get("id"), None)
-            if future is not None and not future.done():
-                future.set_result(message)
 
-    async def _on_publish(self, tenant: str, name: str) -> None:
+    async def _attach(self, tenant: str, name: str) -> dict[str, Any]:
         """Attach segment ``name`` and swap it in as ``tenant``'s version.
 
         The swapped-out snapshot is retired by dropping this worker's
@@ -832,66 +810,33 @@ class _Worker:
         """
         loop = asyncio.get_running_loop()
         started = time.perf_counter()
-        try:
-            snapshot = await loop.run_in_executor(None, shm_codec.attach_snapshot, name)
-        except Exception as exc:  # noqa: BLE001 - stay on the old version
-            logger.exception("worker %d failed to attach segment %s", self.worker_id, name)
-            self._send(
-                {
-                    "op": "attach_failed",
-                    "worker": self.worker_id,
-                    "name": name,
-                    "error": f"{type(exc).__name__}: {exc}",
-                }
-            )
-            return
+        snapshot = await loop.run_in_executor(None, shm_codec.attach_snapshot, name)
         attach_s = time.perf_counter() - started
         binding = self.registry.peek(tenant)
         if binding is None:
             # unknown to this worker (start-up, or created since): bind fresh
             binding = self.registry.adopt(tenant, SnapshotManager())
         binding.manager.publish(snapshot)  # the swap: one reference store
-        self._send(
-            {
-                "op": "attached",
-                "worker": self.worker_id,
-                "name": name,
-                "tenant": tenant,
-                "version": snapshot.version,
-                "attach_s": attach_s,
-                "swap_pause_s": binding.manager.last_swap_pause_s,
-            }
-        )
+        return {
+            "tenant": tenant,
+            "version": snapshot.version,
+            "attach_s": attach_s,
+            "swap_pause_s": binding.manager.last_swap_pause_s,
+        }
 
-    def _on_retire_tenant(self, tenant: str) -> None:
+    def _retire(self, tenant: str) -> None:
         try:
             self.registry.drop(tenant)
         except UnknownTenantError:
-            return
-        if self.service is not None:
-            # a same-named tenant created later restarts at version 1
-            self.service.cache.evict_tenant(tenant)
-        self._send(
-            {"op": "retired_tenant", "worker": self.worker_id, "tenant": tenant}
-        )
+            return  # never bound here, e.g. spawned after its segment went
+        # a same-named tenant created later restarts at version 1
+        self.service.cache.evict_tenant(tenant)
 
-    # -- forwarded endpoints -------------------------------------------
-
-    async def _forward(self, message: dict[str, Any]) -> dict[str, Any]:
-        """Send one request to the parent and await its ``result``."""
-        self._seq += 1
+    async def _forward(self, message: dict[str, Any]) -> tuple[int, Any]:
+        """The service's ``forward`` hook: send one request to the parent
+        and await its reply as ``(status, payload)``."""
+        request_id = next(self._ids)
         future = asyncio.get_running_loop().create_future()
-        self._pending[self._seq] = future
-        self._send({**message, "id": self._seq, "worker": self.worker_id})
+        self._pending[request_id] = future
+        self._send({**message, "id": request_id})
         return await future
-
-    async def _forward_mutation(self, tenant: str, deltas: list[Any]) -> tuple[int, Any]:
-        reply = await self._forward({"op": "mutate", "tenant": tenant, "deltas": deltas})
-        return reply.get("status", 500), reply.get("payload")
-
-    async def _forward_admin(self, action: str, tenant: str) -> tuple[int, Any]:
-        reply = await self._forward({"op": "admin", "action": action, "tenant": tenant})
-        return reply.get("status", 500), reply.get("payload")
-
-    async def _cluster_metrics(self) -> Any:
-        return (await self._forward({"op": "metrics_cluster?"})).get("payload")

@@ -493,6 +493,28 @@ class TestServeShutdownIsQuiet:
         assert err == "shutting down\n"
 
 
+    def test_sigint_stops_a_serve_that_inherited_it_ignored(self, extract):
+        """A non-interactive shell starts a background job with SIGINT
+        ignored; ``kill -INT`` must still shut ``serve`` down."""
+        import signal
+
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", str(extract), "--no-augment",
+             "--port", "0"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_IGN),
+        )
+        try:
+            assert "serving snapshot" in proc.stdout.readline()
+            proc.send_signal(signal.SIGINT)
+            _out, err = proc.communicate(timeout=10)
+        finally:
+            proc.kill()
+        assert proc.returncode == 0
+        assert "shutting down" in err
+
+
 class TestServeRollbackKeepsPersisting:
     """``serve --store S --version N`` serves the old version N but numbers
     its next publish after the store's newest, so the write is durable."""

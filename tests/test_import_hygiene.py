@@ -414,6 +414,28 @@ class TestSurfaceParity:
         service = build_service(figure2_graph(), config=ServiceConfig(port=0))
         assert not hasattr(service, "_neighbors_batcher")
 
+    def test_the_per_request_reply_bookkeeping_is_gone(self):
+        import inspect
+
+        from repro.graph import figure2_graph
+        from repro.service import ServiceConfig, build_service, workers
+
+        # one call table, one reply op, one forwarding hook
+        pool = workers.ServicePool(figure2_graph(), workers=1,
+                                   config=ServiceConfig(port=0))
+        for name in ("_acks", "_attach_errors", "_publish_events",
+                     "_metric_replies", "_metric_events", "_request_seq"):
+            assert not hasattr(pool, name)
+        for name in ("_await_fleet", "_fleet_attached", "_handle_forwarded"):
+            assert not hasattr(workers.ServicePool, name)
+        source = inspect.getsource(workers)
+        for op in ("attached", "attach_failed", "retired_tenant", "metrics?", "result"):
+            assert f'"op": "{op}"' not in source and f'op == "{op}"' not in source
+        service = build_service(figure2_graph(), config=ServiceConfig(port=0))
+        for name in ("mutation_forwarder", "admin_forwarder", "cluster_metrics_provider"):
+            assert not hasattr(service, name)
+        assert service.forward is None
+
 
 class TestLazyHelper:
     @pytest.mark.parametrize("package, name", [

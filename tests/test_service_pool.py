@@ -30,7 +30,7 @@ from repro.core import ReasoningPipeline
 from repro.datagen.company_generator import CompanySpec, generate_company_graph
 from repro.datalog import Database
 from repro.service import GraphRegistry, ServiceConfig
-from repro.service.workers import PoolError, ServicePool
+from repro.service.workers import RESTART_LIMIT, PoolError, ServicePool
 from tests.test_memory_lifetime import collector_off
 
 
@@ -382,50 +382,212 @@ class TestForkInheritance:
             pool.stop(drain=False)
 
 
-class TestAttachFailure:
-    def test_attach_failed_fails_the_publish_at_once(self, graph):
-        """A worker that cannot attach a segment says so; the publish
-        waiting on it must not sit out ``publish_timeout_s`` (60 s)."""
+class FakeWorker:
+    """A worker slot with no process behind it: alive until it dies."""
 
-        class LiveWorker:
-            def is_alive(self):
-                return True
+    def __init__(self):
+        self.alive = True
 
-        class Pipe:
-            def send(self, message):
-                pass
+    def is_alive(self):
+        return self.alive
 
-        pool = ServicePool(graph, workers=1, config=ServiceConfig(port=0))
-        pool._procs[0], pool._conns[0] = LiveWorker(), Pipe()
-        snapshot = pool.oracle
-        pool._seal(snapshot, pool.primary)
-        failures = []
+    def join(self, timeout=None):
+        pass
 
-        def publish():
-            try:
-                pool._await_fleet(pool.primary, snapshot.version)
-            except PoolError as exc:
-                failures.append(str(exc))
 
+class FakePipe:
+    """The parent's end of a fake worker's pipe: records each message
+    sent, and counts the sends that began while another was in flight
+    (``send`` takes ``delay_s``)."""
+
+    def __init__(self, delay_s=0.0):
+        self.sent = []
+        self.delay_s = delay_s
+        self.active = 0
+        self.overlaps = 0
+        self._guard = threading.Lock()
+
+    def send(self, message):
+        with self._guard:
+            self.active += 1
+            self.overlaps += self.active > 1
+        time.sleep(self.delay_s)
+        with self._guard:
+            self.active -= 1
+            self.sent.append(message)
+
+    def close(self):
+        pass
+
+
+class InThread:
+    """Run ``fn`` on a thread; ``result`` or ``error`` once it ends."""
+
+    def __init__(self, fn):
+        self.result = self.error = None
+        self.started = time.monotonic()
+        self.thread = threading.Thread(target=self._run, args=(fn,))
+        self.thread.start()
+
+    def _run(self, fn):
         try:
-            started = time.monotonic()
-            thread = threading.Thread(target=publish)
-            thread.start()
-            assert wait_until(lambda: pool._publish_events)  # the publish is out
-            pool._on_message(0, {
-                "op": "attach_failed", "worker": 0, "name": pool.segment_names()[0],
-                "error": "SegmentError: truncated segment",
-            })
-            thread.join(10.0)
-            assert not thread.is_alive()
-            assert time.monotonic() - started < 5.0
-            (message,) = failures
-            assert "worker 0" in message and "SegmentError: truncated segment" in message
-        finally:
-            pool._procs.clear()
-            pool._conns.clear()
-            pool.stop(drain=False)
-        assert pool.segment_names() == []
+            self.result = fn()
+        except Exception as exc:  # surfaces in the test's thread
+            self.error = exc
+
+    def join(self, timeout_s=10.0):
+        self.thread.join(timeout_s)
+        assert not self.thread.is_alive()
+        return time.monotonic() - self.started
+
+
+@pytest.fixture()
+def fake_pool(graph):
+    """A pool whose worker slots tests fill with ``FakeWorker`` /
+    ``FakePipe``; no process is ever started."""
+    pool = ServicePool(graph, workers=2, config=ServiceConfig(port=0))
+    yield pool
+    pool._procs.clear()
+    pool._conns.clear()
+    pool.stop(drain=False)
+    assert pool.segment_names() == []
+
+
+def fake_slot(pool, worker_id, pipe=None):
+    pipe = pipe if pipe is not None else FakePipe()
+    pool._procs[worker_id], pool._conns[worker_id] = FakeWorker(), pipe
+    return pipe
+
+
+def sent_request(pipe, op):
+    """The first ``op`` request sent down ``pipe`` (waits for it)."""
+    assert wait_until(lambda: any(m["op"] == op for m in pipe.sent), timeout_s=5.0)
+    return next(m for m in pipe.sent if m["op"] == op)
+
+
+def reply(pool, worker_id, request, status=200, payload=None):
+    pool._on_message(worker_id, {
+        "op": "reply", "id": request["id"], "status": status, "payload": payload,
+    })
+
+
+class TestAttachFailure:
+    def test_attach_failed_fails_the_publish_at_once(self, fake_pool):
+        """A worker that cannot attach a segment replies with its error;
+        the publish waiting on it must not sit out ``PUBLISH_TIMEOUT_S``
+        (60 s)."""
+        pool = fake_pool
+        pipe = fake_slot(pool, 0)
+        publish = InThread(lambda: pool._handoff(pool.oracle, pool.primary))
+        request = sent_request(pipe, "publish")
+        assert request["name"] == pool.segment_names()[0]
+        reply(pool, 0, request, 500, {"error": "SegmentError: truncated segment"})
+        assert publish.join() < 5.0
+        assert isinstance(publish.error, PoolError)
+        message = str(publish.error)
+        assert "worker 0" in message and "SegmentError: truncated segment" in message
+
+
+class TestCall:
+    """``ServicePool._call`` over fake worker slots."""
+
+    def test_a_worker_that_dies_mid_call_is_dropped(self, fake_pool):
+        pool = fake_pool
+        pipes = [fake_slot(pool, 0), fake_slot(pool, 1)]
+        pool._restarts[0] = RESTART_LIMIT  # dying abandons the slot
+        call = InThread(
+            lambda: pool._call({"op": "retire_tenant", "tenant": "x"}, 30.0)
+        )
+        reply(pool, 1, sent_request(pipes[1], "retire_tenant"))
+        sent_request(pipes[0], "retire_tenant")
+        pool._procs[0].alive = False
+        pool._on_worker_gone(0)
+        assert call.join() < 5.0
+        assert call.error is None and call.result == {1: None}
+        assert 0 in pool._abandoned
+
+    def test_a_worker_respawned_after_the_send_is_not_awaited(
+        self, fake_pool, monkeypatch
+    ):
+        pool = fake_pool
+        old = fake_slot(pool, 0)
+        respawned = []
+
+        def spawn(worker_id):  # the new process never answers
+            respawned.append(fake_slot(pool, worker_id))
+
+        monkeypatch.setattr(pool, "_spawn", spawn)
+        call = InThread(lambda: pool._call({"op": "metrics"}, 30.0))
+        sent_request(old, "metrics")
+        pool._procs[0].alive = False
+        pool._on_worker_gone(0)
+        assert call.join() < 5.0
+        assert call.error is None and call.result == {}
+        (pipe,) = respawned
+        assert pool.live_workers() == [0] and pipe.sent == []
+
+    def test_an_error_reply_fails_the_call_before_the_others_answer(
+        self, fake_pool
+    ):
+        pool = fake_pool
+        pipes = [fake_slot(pool, 0), fake_slot(pool, 1)]
+        call = InThread(lambda: pool._handoff(pool.oracle, pool.primary))
+        reply(pool, 1, sent_request(pipes[1], "publish"), 500, {"error": "Boom: x"})
+        assert call.join() < 5.0  # worker 0 never replied
+        assert "worker 1: Boom: x" in str(call.error)
+        assert pool.worker_tenant_versions == {}
+
+    def test_the_metrics_poll_returns_partial_replies_at_its_deadline(
+        self, fake_pool
+    ):
+        pool = fake_pool
+        pipes = [fake_slot(pool, 0), fake_slot(pool, 1)]
+        call = InThread(lambda: pool._call({"op": "metrics"}, 0.5, partial=True))
+        reply(pool, 0, sent_request(pipes[0], "metrics"), payload={"requests": {}})
+        call.join()
+        assert call.result == {0: {"requests": {}}}
+        with pytest.raises(PoolError, match=r"metrics reached only workers \[\]"):
+            pool._call({"op": "metrics"}, 0.1)
+
+    def test_writes_to_one_pipe_never_overlap(self, fake_pool):
+        """A call, a forwarded request's reply and a broadcast share one
+        pipe from three threads: one ``send`` at a time."""
+        pool = fake_pool
+        pipe = fake_slot(pool, 0, FakePipe(delay_s=0.05))
+        threads = [
+            InThread(lambda: pool._call({"op": "metrics"}, 1.0, partial=True)),
+            InThread(lambda: pool._answer(
+                0, {"op": "mutate", "id": 7, "tenant": "ghost", "deltas": []}
+            )),
+            InThread(lambda: pool._broadcast({"op": "persist", "stats": {}})),
+            InThread(lambda: pool._call({"op": "metrics"}, 1.0, partial=True)),
+        ]
+        for thread in threads:
+            thread.join()
+        assert len(pipe.sent) == 4
+        assert pipe.overlaps == 0
+        (answer,) = [m for m in pipe.sent if m["op"] == "reply"]
+        assert answer["id"] == 7 and answer["status"] == 404
+
+    def test_delete_tenant_returns_after_the_retire_reply(self, fake_pool):
+        pool = fake_pool
+        pipe = fake_slot(pool, 0)
+        pool.registry.create("acme")
+        pool._seal(pool.oracle_for("acme"), "acme")
+        pool.worker_tenant_versions[0] = {"acme": 1}
+        delete = InThread(lambda: pool.delete_tenant("acme"))
+        request = sent_request(pipe, "retire_tenant")
+        # the segment is gone before the call goes out: a worker spawned
+        # now starts without the tenant
+        assert not any("acme" in name for name in pool.segment_names())
+        time.sleep(0.2)
+        assert delete.thread.is_alive()
+        reply(pool, 0, request)
+        delete.join()
+        assert delete.result == (
+            200, {"status": "deleted", "tenant": "acme", "version": 1}
+        )
+        assert pool.worker_tenant_versions == {0: {}}
 
 
 class TestMultiTenantPool:
@@ -486,9 +648,9 @@ class TestMultiTenantPool:
         status, payload = request(pool.port, "DELETE", "/t/acme")
         assert status == 200
         assert payload == {"status": "deleted", "tenant": "acme", "version": 2}
-        assert wait_until(
-            lambda: request(pool.port, "GET", "/t/acme/stats")[0] == 404
-        )
+        # the reply waited for the fleet: no worker serves acme any more
+        for _ in range(20):
+            assert request(pool.port, "GET", "/t/acme/stats")[0] == 404
         assert wait_until(
             lambda: not any("acme" in n for n in os.listdir("/dev/shm"))
         ), [n for n in os.listdir("/dev/shm") if "acme" in n]

@@ -838,7 +838,7 @@ class TestPoolHooks:
         assert drained is True
         assert status == 200  # the in-flight request completed during drain
 
-    def test_mutation_forwarder_replaces_local_updater(self, graph):
+    def test_forward_replaces_local_updater(self, graph):
         from repro.service import ReasoningService, SnapshotBuilder, SnapshotManager
 
         manager = SnapshotManager()
@@ -847,11 +847,12 @@ class TestPoolHooks:
         assert service.updater is None
         forwarded = []
 
-        async def forwarder(tenant, deltas):
-            forwarded.append((tenant, deltas))
+        async def forward(message):
+            assert message["op"] == "mutate"
+            forwarded.append((message["tenant"], message["deltas"]))
             return 200, {"status": "published", "version": 99}
 
-        service.mutation_forwarder = forwarder
+        service.forward = forward
 
         async def main():
             await service.start()
@@ -867,13 +868,14 @@ class TestPoolHooks:
         assert payload["version"] == 99
         assert forwarded == [("default", [{"op": "x"}])]
 
-    def test_cluster_metrics_provider_answers_scoped_metrics(self, graph):
+    def test_forward_answers_cluster_scoped_metrics(self, graph):
         service = make_service(graph)
 
-        async def provider():
-            return {"scope": "cluster", "workers": [0, 1]}
+        async def forward(message):
+            assert message == {"op": "cluster_metrics"}
+            return 200, {"scope": "cluster", "workers": [0, 1]}
 
-        service.cluster_metrics_provider = provider
+        service.forward = forward
 
         async def main():
             await service.start()
