@@ -48,8 +48,8 @@ class CompilationFallback(Exception):
 class CompiledRule:
     """A rule body lowered to a closure chain over a register file."""
 
-    __slots__ = ("plan", "counts", "replans", "_entry", "_seed_entry", "_regs",
-                 "_sink", "_firings")
+    __slots__ = ("plan", "counts", "_entry", "_seed_entry", "_regs", "_sink",
+                 "_firings")
 
     def __init__(
         self,
@@ -63,7 +63,6 @@ class CompiledRule:
     ):
         self.plan = plan
         self.counts = counts
-        self.replans = 0
         self._entry = entry
         self._seed_entry = seed_entry
         self._regs = regs

@@ -19,10 +19,11 @@ follows from it:
   :meth:`add`, never replaced, so compiled evaluators may capture it once
   and probe it across semi-naive rounds;
 * **cheap statistics** — :meth:`cardinality` and :meth:`distinct_count`
-  expose the per-predicate row counts and per-index key counts the
-  planner's selectivity estimates are built from.  Both answer purely
-  from maintained state (list lengths / index key counts) so the
-  replanning path never rescans a relation;
+  expose the per-predicate row counts and distinct key counts the
+  planner's selectivity estimates are built from.  Both answer from
+  maintained state (list lengths, index key counts, or the column
+  store's counts, cached per relation size), never by scanning the row
+  lists or building an index;
 * **the row count is the version** — a live row list only grows, so the
   columnar cache syncs by consuming the rows past the count it last saw
   and extends its column blocks in place.
@@ -170,24 +171,31 @@ class Database:
         return len(rows) if rows is not None else 0
 
     def distinct_count(self, predicate: str, positions: tuple[int, ...]) -> int | None:
-        """Number of distinct keys in the cached index over ``positions``.
+        """Number of distinct keys over ``positions`` (ascending).
 
-        Answers from maintained indexes only — never by scanning rows —
-        so the planner (including its replanning path) can ask freely:
+        Never builds or touches an index, so the planner (including its
+        replanning path) can ask freely:
 
         * the exact index over ``positions`` gives the exact key count;
+        * otherwise, with a column store attached (every planned engine
+          attaches one), the relation's column blocks give the same exact
+          count — so a plan does not depend on which closure chains
+          happened to build indexes;
         * otherwise, any maintained index over a *subset* of
           ``positions`` gives a lower bound (adding key positions can
           only split keys further); the largest such bound is returned;
-        * with no usable index at all the answer is None and the planner
-          falls back to its default selectivity heuristics.
+        * with nothing usable the answer is None and the planner falls
+          back to its default selectivity heuristics.
         """
         indexes = self._indexes.get(predicate)
+        if indexes:
+            exact = indexes.get(positions)
+            if exact is not None:
+                return len(exact)
+        if self._columns is not None:
+            return self._columns.distinct_count(predicate, positions)
         if not indexes:
             return None
-        exact = indexes.get(positions)
-        if exact is not None:
-            return len(exact)
         wanted = set(positions)
         best: int | None = None
         for built, index in indexes.items():
@@ -252,7 +260,7 @@ class Database:
             clone._sets[predicate] = set(rows)
         if self._columns is not None:
             # column blocks snapshot over by numpy copy (cheap memcpy, and
-            # the shared append-only interner keeps codes comparable), so
+            # the clone's child interner keeps codes comparable), so
             # engines running over copies skip the per-value re-intern
             clone._columns = self._columns.snapshot_for(clone)
         return clone

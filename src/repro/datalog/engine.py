@@ -148,8 +148,11 @@ class Engine:
         # vectorize=False keeps the per-tuple compiled path as the
         # bit-identity oracle
         self.vectorize_enabled = self.plan_enabled and vectorize
+        # (rule id, seed literal index) -> [current JoinPlan, replans]
+        self._plans: dict[tuple[int, int | None], list] = {}
         # (rule id, seed literal index) -> CompiledRule, or None once a
-        # CompilationFallback proved the pair structurally uncompilable
+        # CompilationFallback proved the pair structurally uncompilable;
+        # filled only for pairs that run per row (see _compiled_for)
         self._compiled_cache: dict[tuple[int, int | None], Any] = {}
         self._plan_fallbacks: dict[tuple[int, int | None], str] = {}
         # (rule id, seed literal index) -> (plan signature, VectorizedRule
@@ -170,6 +173,10 @@ class Engine:
         self._atom_plan_cache: dict[int, tuple] = {}
         for predicate, values in program.facts:
             self.database.add(predicate, values)
+        if self.plan_enabled:
+            # the planner's distinct counts come from the column blocks
+            # whichever backend runs (see Database.distinct_count)
+            self.database.column_store()
 
     # ------------------------------------------------------------------
     # public API
@@ -192,7 +199,7 @@ class Engine:
                         self._evaluate_stratum(stratum, span)
                 else:
                     self._evaluate_stratum(stratum)
-            if self.tracer.enabled and self._compiled_cache:
+            if self.tracer.enabled and self._plans:
                 self._emit_plan_spans(run_span)
             run_span.set("iterations", self.stats.iterations)
             run_span.set("rule_firings", self.stats.rule_firings)
@@ -395,22 +402,24 @@ class Engine:
         if seed_predicate is not None:
             seed_literal_index = rule.positive_positions()[seed_predicate]
 
-        if self.plan_enabled:
-            compiled = self._compiled_for(rule, seed_literal_index)
+        key = (id(rule), seed_literal_index)
+        if self.plan_enabled and self._compiled_cache.get(key, _COMPILE_MISS) is not None:
+            plan = self._plan_for(rule, seed_literal_index)
+            if self.vectorize_enabled:
+                vectorized = self._vectorized_for(rule, seed_literal_index, plan)
+                if vectorized is not None:
+                    try:
+                        derived, firings = vectorized.execute(seed_facts)
+                    except VectorRuntimeFallback as fallback:
+                        # raised with the engine's state as it was before
+                        # the execution: re-running on the compiled path
+                        # cannot double count
+                        self._vector_disabled.add(key)
+                        self._vector_fallbacks[key] = str(fallback)
+                    else:
+                        return self._ingest_derived(derived, firings)
+            compiled = self._compiled_for(rule, seed_literal_index, plan)
             if compiled is not None:
-                if self.vectorize_enabled:
-                    vectorized = self._vectorized_for(rule, seed_literal_index, compiled)
-                    if vectorized is not None:
-                        try:
-                            derived, firings = vectorized.execute(seed_facts)
-                        except VectorRuntimeFallback as fallback:
-                            # raised only while still pure: re-running on
-                            # the compiled path cannot double count
-                            key = (id(rule), seed_literal_index)
-                            self._vector_disabled.add(key)
-                            self._vector_fallbacks[key] = str(fallback)
-                        else:
-                            return self._ingest_derived(derived, firings)
                 return self._apply_compiled(compiled, seed_facts)
 
         new_facts: list[Fact] = []
@@ -444,37 +453,53 @@ class Engine:
     # planned / compiled evaluation
     # ------------------------------------------------------------------
 
-    def _compiled_for(self, rule: Rule, seed_literal_index: int | None):
-        """The cached compiled evaluator for (rule, seed occurrence).
+    def _plan_for(self, rule: Rule, seed_literal_index: int | None):
+        """The current join plan for (rule, seed occurrence).
 
-        Compiles on first use, re-plans when the database's cardinality
-        snapshot drifts past the planner's threshold (keeping the closure
-        chain when the fresh plan picks the same order), and returns None
-        — permanently — for rules the lowering proved uncompilable.
+        Plans on first use and re-plans when the database's cardinality
+        snapshot drifts past the planner's threshold; the lowered
+        evaluators compare the plan's signature and are kept when the
+        fresh plan has the same shape.
+        """
+        key = (id(rule), seed_literal_index)
+        entry = self._plans.get(key)
+        if entry is not None and not entry[0].stale(self.database):
+            return entry[0]
+        plan = plan_rule(
+            rule, seed_literal_index, self.database, reorder=self._may_reorder(rule)
+        )
+        if entry is None:
+            self._plans[key] = [plan, 0]
+        else:
+            entry[0] = plan
+            entry[1] += 1
+        return plan
+
+    def _compiled_for(self, rule: Rule, seed_literal_index: int | None, plan=None):
+        """The closure chain for (rule, seed occurrence) under its current
+        plan (``plan``, or planned here), or None — permanently — for
+        pairs the lowering proved uncompilable.
+
+        Built on demand only: a pair the batch backend carries to the
+        head never gets one, so it builds no hash index either.
         """
         key = (id(rule), seed_literal_index)
         cached = self._compiled_cache.get(key, _COMPILE_MISS)
         if cached is None:
             return None
-        if cached is not _COMPILE_MISS and not cached.plan.stale(self.database):
+        if plan is None:
+            plan = self._plan_for(rule, seed_literal_index)
+        if cached is not _COMPILE_MISS and (
+            cached.plan is plan or cached.plan.signature() == plan.signature()
+        ):
+            cached.plan = plan
             return cached
-        plan = plan_rule(
-            rule, seed_literal_index, self.database, reorder=self._may_reorder(rule)
-        )
-        if cached is not _COMPILE_MISS:
-            same_shape = plan.signature() == cached.plan.signature()
-            cached.replans += 1
-            if same_shape:
-                cached.plan = plan  # adopt the new cardinality snapshot
-                return cached
         try:
             compiled = compile_rule(self, rule, plan, counting=self.tracer.enabled)
         except CompilationFallback as fallback:
             self._plan_fallbacks[key] = str(fallback)
             self._compiled_cache[key] = None
             return None
-        if cached is not _COMPILE_MISS:
-            compiled.replans = cached.replans
         self._compiled_cache[key] = compiled
         return compiled
 
@@ -486,24 +511,24 @@ class Engine:
             self._order_sensitive = order_sensitive_predicates(self.program)
         return not (rule.head_predicates() & self._order_sensitive)
 
-    def _vectorized_for(self, rule: Rule, seed_literal_index: int | None, compiled):
+    def _vectorized_for(self, rule: Rule, seed_literal_index: int | None, plan):
         """The cached batch evaluator for (rule, seed occurrence), or None.
 
-        Validated against the compiled plan's *signature* (a re-plan may
-        swap the plan object while keeping the shape); a shape change
-        re-lowers, including pairs whose previous shape fell back.  Pairs
-        in ``_vector_disabled`` (runtime safety fallback) stay compiled
-        for the lifetime of the engine.
+        Validated against the plan's *signature* (a re-plan may swap the
+        plan object while keeping the shape); a shape change re-lowers,
+        including pairs whose previous shape fell back.  Pairs in
+        ``_vector_disabled`` (runtime safety fallback) stay compiled for
+        the lifetime of the engine.
         """
         key = (id(rule), seed_literal_index)
         if key in self._vector_disabled:
             return None
-        signature = compiled.plan.signature()
+        signature = plan.signature()
         cached = self._vector_cache.get(key)
         if cached is not None and cached[0] == signature:
             return cached[1]
         try:
-            vectorized = compile_rule_vectorized(self, rule, compiled.plan)
+            vectorized = compile_rule_vectorized(self, rule, plan)
         except VectorizationFallback as fallback:
             self._vector_fallbacks[key] = str(fallback)
             self._vector_cache[key] = (signature, None)
@@ -575,48 +600,47 @@ class Engine:
         rules_by_id = {id(rule): rule for rule in self.program.rules}
         parent = run_span.child("planner")
         compiled_rules = 0
-        for (rule_id, seed_index), compiled in self._compiled_cache.items():
+        for key, (plan, replans) in self._plans.items():
+            rule_id, seed_index = key
             rule = rules_by_id.get(rule_id)
             label = (rule.label or str(rule)) if rule is not None else hex(rule_id)
             if len(label) > 70:
                 label = label[:67] + "..."
             suffix = "" if seed_index is None else f" seed@{seed_index}"
             child = parent.child(f"plan:{label}{suffix}")
-            if compiled is None:
-                child.set(
-                    "fallback",
-                    self._plan_fallbacks.get((rule_id, seed_index), "interpreted"),
+            compiled = self._compiled_cache.get(key)
+            if key in self._compiled_cache and compiled is None:
+                child.set("fallback", self._plan_fallbacks.get(key, "interpreted"))
+                child.finish(duration=0.0)
+                continue
+            compiled_rules += 1
+            counts = None if compiled is None else compiled.counts
+            if self.vectorize_enabled:
+                entry = self._vector_cache.get(key)
+                vectorized = (
+                    entry is not None
+                    and entry[1] is not None
+                    and key not in self._vector_disabled
                 )
+                if vectorized:
+                    counts = entry[1].counts
+                child.set("backend", "vectorized" if vectorized else "compiled")
+                self._set_vector_attributes(child, [key])
+                if not vectorized:
+                    reason = self._vector_fallbacks.get(key)
+                    if reason:
+                        child.set("vector_fallback", reason)
             else:
-                compiled_rules += 1
-                plan = compiled.plan
-                counts = compiled.counts
-                if self.vectorize_enabled:
-                    entry = self._vector_cache.get((rule_id, seed_index))
-                    vectorized = (
-                        entry is not None
-                        and entry[1] is not None
-                        and (rule_id, seed_index) not in self._vector_disabled
-                    )
-                    if vectorized:
-                        counts = entry[1].counts
-                    child.set("backend", "vectorized" if vectorized else "compiled")
-                    self._set_vector_attributes(child, [(rule_id, seed_index)])
-                    if not vectorized:
-                        reason = self._vector_fallbacks.get((rule_id, seed_index))
-                        if reason:
-                            child.set("vector_fallback", reason)
-                else:
-                    child.set("backend", "compiled")
-                child.set("order", plan.describe())
-                child.set(
-                    "estimated_rows",
-                    [round(step.estimated_rows, 1) for step in plan.steps],
-                )
-                if counts is not None:
-                    child.set("actual_rows", list(counts))
-                if compiled.replans:
-                    child.set("replans", compiled.replans)
+                child.set("backend", "compiled")
+            child.set("order", plan.describe())
+            child.set(
+                "estimated_rows",
+                [round(step.estimated_rows, 1) for step in plan.steps],
+            )
+            if counts is not None:
+                child.set("actual_rows", list(counts))
+            if replans:
+                child.set("replans", replans)
             child.finish(duration=0.0)
         parent.set("compiled_rules", compiled_rules)
         parent.finish(duration=0.0)

@@ -37,15 +37,24 @@ Execution model
   head.  The batch form must equal the scalar form elementwise; the
   compiled and interpreted paths keep calling the scalar and remain
   the oracle;
+* **Skolem terms and existential heads** are minted columns: each
+  distinct argument tuple (frontier, for a labelled null) is hashed
+  once by :func:`~repro.datalog.terms.skolem` from its decoded values
+  and interned — the values the per-row paths compute, keyed by
+  ``Rule.origin`` for nulls;
+* **monotone aggregates** (``msum`` / ``mcount`` / ``mmax`` / ``mmin``
+  with ``<contributor>`` keys) are a running fold over the table in
+  emission order through the engine's own accumulators, one ``update``
+  per row, so totals fold in the identical order with identical float
+  arithmetic; an undo log rolls a fold back if a runtime fallback comes
+  after it (see :class:`_FoldLog`);
 * **everything else cuts to a per-row tail**: at the first plan step the
-  batch backend does not cover (monotone aggregates, complex/Skolem
-  terms, external functions registered without a batch form,
-  existential heads), the surviving rows are decoded back to Python
-  values and pushed through a closure chain built by the *compiled*
-  lowering for the remaining steps.  The tail shares the engine's
-  aggregate-state dicts, so aggregate totals fold in the identical
-  order with identical float arithmetic — bit-identity needs no
-  separate proof for the hard part.
+  batch backend does not cover (``mprod``, aggregates without
+  contributors, external functions registered without a batch form,
+  complex terms inside body atoms), the surviving rows are decoded back
+  to Python values and pushed through a closure chain built by the
+  *compiled* lowering for the remaining steps, sharing the engine's
+  aggregate-state dicts.
 
 Morsels
 -------
@@ -67,9 +76,10 @@ survivors.
 Streaming keeps fallbacks pure: the survivors are collected, and only
 once every slice has passed the batch steps do they go on to the head
 (one :meth:`_VecFinal.emit` over their concatenation) or to the
-per-row tail, which decodes and consumes them one morsel at a time.  A
-safety check failing in the last slice has therefore still touched no
-aggregate state.  Batch externals see one morsel per call, and
+per-row tail, which decodes and consumes them one morsel at a time.  An
+aggregate fold is the one batch step that changes engine state, slice
+by slice; a safety check failing in a later slice rolls its changes
+back (:class:`_FoldLog`).  Batch externals see one morsel per call, and
 de-duplicate their argument tuples within it.
 
 Reduction and multiplicities
@@ -79,9 +89,9 @@ A monotone aggregate leaves every intermediate total behind as a fact,
 so a relation like ``acc(X, Y, W)`` holds many rows per ``(X, Y)``, and a
 rule that reads ``W`` through one threshold filter and never again
 (Algorithm 6's ``cl_common``) would join all of them.  For rules with no
-per-row tail, an atom that binds a variable no later step and no head
-term reads has its relation reduced first — O(|relation|) work, redone
-only when the relation has grown:
+aggregate and no per-row tail, an atom that binds a variable no later
+step and no head term reads has its relation reduced first —
+O(|relation|) work, redone only when the relation has grown:
 
 1. *selection*: constants, repeated variables, and the comparisons the
    plan places directly after the atom that read only the atom's own
@@ -128,20 +138,26 @@ Python scalar semantics is guarded:
 * arithmetic requires strictly-float operands so float64 kernels match
   Python float arithmetic bit for bit; division additionally checks for
   zero divisors (Python raises, numpy would emit inf);
-* fallbacks are only ever raised while execution is still *pure* — the
-  vectorized prefix mutates nothing but append-only caches — so the
-  engine can re-run the rule on the compiled path without double
-  counting.
+* fallbacks leave the engine as the execution found it — the batch
+  steps mutate nothing but append-only caches, and what the aggregate
+  folds changed is rolled back — so the engine can re-run the rule on
+  the compiled path without losing or double counting a contribution;
+* a code shared by ``==``-equal values of different type (``1`` and
+  ``1.0``; see :attr:`~repro.datalog.columns.ValueInterner.mixed`)
+  decodes to the first of them, so a Skolem argument, arithmetic or
+  aggregate operand, or an aggregate total read through one falls back.
 
 Deduplicating head emission keeps the output small: rows are unique-d on
 the head-variable columns (first occurrence wins, preserving order — a
 dropped row's facts were exact duplicates the database would have
 rejected anyway), so a rule with 140k firings but 500 distinct heads
-decodes 500 tuples, not 140k.
+decodes 500 tuples, not 140k, and mints its Skolem values and nulls for
+those 500 only.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Any, Callable
 
 import numpy as np
@@ -151,7 +167,7 @@ from .columns import MAX_CODES, probe_keys, sort_keys
 from .compiled import CompilationFallback, _counted, _Lowering
 from .errors import EvaluationError
 from .planner import JoinPlan, _calls_external
-from .terms import Constant, Expr, FunctionTerm, Variable
+from .terms import Constant, Expr, FunctionTerm, Null, SkolemTerm, Variable, skolem, variables_of
 
 #: Most rows any binding table holds: a join streams its expansion in
 #: slices of at most this many rows, and each slice runs through the
@@ -172,8 +188,9 @@ class VectorizationFallback(Exception):
 
 class VectorRuntimeFallback(Exception):
     """A per-execute safety check failed; the engine must permanently
-    revert this rule to the compiled path.  Only ever raised while the
-    execution is still pure (no database/aggregate state touched)."""
+    revert this rule to the compiled path.  It leaves the evaluator with
+    the engine as the execution found it (no database change, aggregate
+    folds rolled back)."""
 
 
 class _Run:
@@ -324,6 +341,99 @@ def _found(keys, probe, valid):
     return found
 
 
+def _decode(interner, kind: str, col) -> list:
+    """The Python values of a column: floats as they are, codes through
+    the interner."""
+    if kind == "float":
+        return col.tolist()
+    return interner.decode(col)
+
+
+def _distinct_tuples(interner, n: int, args):
+    """Per row of ``n``, the index of its distinct tuple of ``args`` —
+    ``(kind, column)`` pairs, or ``("const", value)`` — and those
+    tuples, decoded."""
+    columns = [(kind, col) for kind, col in args if kind != "const"]
+    if not columns:
+        return np.zeros(n, dtype=np.int64), [tuple(value for _, value in args)]
+    _, first, inverse = np.unique(
+        _pack_rows(columns), return_index=True, return_inverse=True
+    )
+    decoded = [
+        repeat(col, len(first)) if kind == "const"
+        else _decode(interner, kind, col[first])
+        for kind, col in args
+    ]
+    return inverse.reshape(-1), list(zip(*decoded))
+
+
+def _mint(interner, n: int, args, make):
+    """The code column of ``make(values)`` for ``n`` rows, where
+    ``values`` is a row's tuple of ``args`` (see :func:`_distinct_tuples`),
+    computed once per distinct tuple and interned.  ``make`` sees the
+    values the per-row paths would pass it, so a code shared by values
+    that serialise differently (see
+    :attr:`~repro.datalog.columns.ValueInterner.mixed`) takes the
+    fallback."""
+    for kind, col in args:
+        if kind == "code" and interner.any_mixed(col):
+            raise VectorRuntimeFallback("a value shared by == but not by type")
+    if n == 0:
+        return np.empty(0, dtype=np.int64)
+    inverse, tuples = _distinct_tuples(interner, n, args)
+    codes = np.fromiter(
+        map(interner.intern, map(make, tuples)), dtype=np.int64, count=len(tuples)
+    )
+    return codes[inverse]
+
+
+def _column(kind: str, payload, run: "_Run"):
+    """A lowered value's column over ``run`` (a scalar broadcast)."""
+    if kind == "const":
+        return ("const", payload)
+    col = payload(run)
+    if np.ndim(col) == 0:  # constant-only arithmetic
+        col = np.full(run.n, col, dtype=np.float64)
+    return (kind, col)
+
+
+#: :class:`_FoldLog` marker: the fold added the contribution
+_ADDED = object()
+
+
+class _FoldLog:
+    """The accumulator changes one execution's aggregate folds made.
+
+    A :class:`VectorRuntimeFallback` raised after a fold (in a later
+    morsel, a later step or the head) puts the engine's aggregate state
+    back with :meth:`rollback` before it propagates, so the compiled path
+    re-runs the rule on exactly the state it would have seen."""
+
+    __slots__ = ("states", "changes", "created")
+
+    def __init__(self, states: dict):
+        self.states = states
+        #: (state, contributor key, previous value or _ADDED, previous total)
+        self.changes: list[tuple] = []
+        #: keys of the states the folds created
+        self.created: list[tuple] = []
+
+    def rollback(self) -> None:
+        for state, key, previous, total in reversed(self.changes):
+            if previous is _ADDED:
+                del state.contributions[key]
+            else:
+                state.contributions[key] = previous
+            state.total = total
+        for key in self.created:
+            del self.states[key]
+        self.clear()
+
+    def clear(self) -> None:
+        self.changes.clear()
+        self.created.clear()
+
+
 # ----------------------------------------------------------------------
 # lowering
 # ----------------------------------------------------------------------
@@ -354,6 +464,8 @@ class _VecLowering:
         #: [relation rows scanned, rows kept] summed over the rule's
         #: reduced atoms and executions; None without one
         self.reduced: list[int] | None = None
+        #: undo log of the rule's aggregate folds; None without one
+        self.folds: _FoldLog | None = None
 
     def slot_for(self, name: str, kind: str) -> int:
         index = self.slots.get(name)
@@ -366,8 +478,8 @@ class _VecLowering:
 
     def lower_value(self, term):
         """Lower a term to ("code"|"float", fn(run) -> column) or
-        ("const", value).  Raises VectorizationFallback on Skolem terms,
-        function calls and anything else only the per-row paths cover."""
+        ("const", value).  Raises VectorizationFallback on anything only
+        the per-row paths cover (a function without a batch form)."""
         if isinstance(term, Constant):
             return ("const", term.value)
         if isinstance(term, Variable):
@@ -380,9 +492,25 @@ class _VecLowering:
             return ("float", self._lower_arithmetic(term))
         if isinstance(term, FunctionTerm):
             return ("float", self._lower_external(term))
+        if isinstance(term, SkolemTerm):
+            return ("code", self._lower_skolem(term))
         raise VectorizationFallback(
             f"term {term} needs per-row evaluation"
         )
+
+    def _lower_skolem(self, term: SkolemTerm):
+        """fn(run) -> code column of ``#name(args)``: each distinct
+        argument tuple is hashed once, to the value the per-row paths
+        compute for it, and interned."""
+        lowered = [self.lower_value(arg) for arg in term.args]
+        name = term.name
+        interner = self.interner
+
+        def producer(run: _Run):
+            args = [_column(kind, payload, run) for kind, payload in lowered]
+            return _mint(interner, run.n, args, lambda values: skolem(name, values))
+
+        return producer
 
     def _lower_external(self, term: FunctionTerm):
         """fn(run) -> float64 column of ``$name(args)`` through the
@@ -407,15 +535,10 @@ class _VecLowering:
                 raise VectorRuntimeFallback(f"${name} lost its batch form")
             args: list = []
             columns = []
-            for kind, payload in lowered:
-                if kind == "const":
-                    args.append(payload)
-                    continue
-                col = payload(run)
-                if np.ndim(col) == 0:  # constant-only arithmetic
-                    col = np.full(run.n, col, dtype=np.float64)
+            for kind, col in (_column(kind, payload, run) for kind, payload in lowered):
                 args.append(col)
-                columns.append((kind, col))
+                if kind != "const":
+                    columns.append((kind, col))
             _, first, inverse = np.unique(
                 _pack_rows(columns), return_index=True, return_inverse=True
             )
@@ -467,7 +590,7 @@ class _VecLowering:
         def producer(run, codes_fn=payload):
             codes = codes_fn(run)
             floats, is_float, _, _ = interner.tables()
-            if not is_float[codes].all():
+            if not is_float[codes].all() or interner.any_mixed(codes):
                 raise VectorRuntimeFallback("non-float operand in arithmetic")
             return floats[codes]
 
@@ -1014,6 +1137,119 @@ class _VecLowering:
 
         return bind_value
 
+    # -- monotone aggregates --------------------------------------------
+
+    def lower_aggregate(self, aggregate: Aggregate):
+        """``T = f(V, <C...>)`` as a running fold over the table, row by
+        row in emission order, through the engine's own accumulators
+        (:class:`~repro.datalog.engine._AggregateState`): each distinct
+        group and contributor tuple is decoded once, each row costs one
+        ``update``, and the totals come back as a column — the same
+        totals, in the same order, from the same float additions as the
+        per-row paths.  Rows whose contribution improved nothing are
+        dropped when the aggregate is skippable (see
+        ``Engine._aggregate_skippable``).  Every change lands in
+        :attr:`folds`, which a later runtime fallback rolls back."""
+        from .engine import _AggregateState
+
+        engine = self.engine
+        rule = self.rule
+        func = aggregate.func
+        if func not in ("msum", "mcount", "mmax", "mmin"):
+            raise VectorizationFallback(f"{func} folds per row")
+        if not aggregate.contributors:
+            raise VectorizationFallback("an aggregate without <contributors> folds per row")
+        try:
+            group_slots = tuple(
+                self.slots[name]
+                for name in engine._aggregate_group_vars(rule, aggregate)
+            )
+            contributor_slots = tuple(
+                self.slots[v.name] for v in aggregate.contributors
+            )
+        except KeyError:
+            raise VectorizationFallback(
+                f"aggregate {aggregate} reads an unbound variable"
+            ) from None
+        if func == "mcount":
+            value_kind, value_fn = self.lower_value(aggregate.expression)
+            result_kind = "code"  # the totals are ints
+        else:
+            # float operands give float totals, as a float64 column
+            value_kind, value_fn = "float", self._float_operand(aggregate.expression)
+            result_kind = "float"
+        skippable = engine._aggregate_skippable(rule, aggregate)
+        result_slot = self.slot_for(aggregate.variable.name, result_kind)
+        self.bound.add(aggregate.variable.name)
+        if self.folds is None:
+            self.folds = _FoldLog(engine._aggregate_states)
+        folds = self.folds
+        states = engine._aggregate_states
+        rule_id, aggregate_id = id(rule), id(aggregate)
+        kinds = self.kinds
+        interner = self.interner
+
+        def keys(run: _Run, slots):
+            """Per row, the index of its distinct tuple over ``slots``;
+            and those tuples, decoded."""
+            columns = [(kinds[slot], run.col(slot)) for slot in slots]
+            for kind, col in columns:
+                if kind == "float" and np.isnan(col).any():
+                    # per row, every NaN is a key of its own
+                    raise VectorRuntimeFallback("NaN in an aggregate key")
+            inverse, tuples = _distinct_tuples(interner, run.n, columns)
+            return inverse.tolist(), tuples
+
+        def contribution_values(run: _Run) -> list:
+            kind, col = _column(value_kind, value_fn, run)
+            if kind == "const":
+                return [col] * run.n
+            if kind == "code" and interner.any_mixed(col):
+                raise VectorRuntimeFallback("a value shared by == but not by type")
+            return _decode(interner, kind, col)
+
+        def fold(run: _Run) -> _Run:
+            values = contribution_values(run)
+            groups, group_keys = keys(run, group_slots)
+            contributors, contributor_keys = keys(run, contributor_slots)
+            changes = folds.changes
+            group_states: list = [None] * len(group_keys)
+            totals = []
+            improvements = []
+            for group, contributor, value in zip(groups, contributors, values):
+                state = group_states[group]
+                if state is None:
+                    key = (rule_id, aggregate_id, group_keys[group])
+                    state = states.get(key)
+                    if state is None:
+                        state = states[key] = _AggregateState(func)
+                        folds.created.append(key)
+                    group_states[group] = state
+                contributor = contributor_keys[contributor]
+                previous = state.contributions.get(contributor, _ADDED)
+                before = state.total
+                total, improved = state.update(contributor, value)
+                if improved:
+                    changes.append((state, contributor, previous, before))
+                totals.append(total)
+                improvements.append(improved)
+            if result_kind == "float":
+                if any(type(total) is not float for total in totals):
+                    raise VectorRuntimeFallback("a non-float aggregate total")
+                column = np.asarray(totals, dtype=np.float64)
+            else:
+                column = np.fromiter(
+                    map(interner.intern, totals), dtype=np.int64, count=len(totals)
+                )
+                if interner.any_mixed(column):
+                    raise VectorRuntimeFallback("a total shared by == but not by type")
+            run = run.with_col(result_slot, column)
+            if skippable:
+                run = run.filter(np.asarray(improvements, dtype=bool))
+            return run
+
+        return fold
+
 
 def _mask_filter(run: _Run, mask) -> _Run:
     """Filter by a mask that may be a scalar (constant-only comparison)."""
@@ -1147,15 +1383,11 @@ class _Tail:
         self.firings[0] = 0
         regs = self.regs
         entry = self.entry
-        values = interner.values
         for run in runs:
-            columns = []
-            for slot, kind in self.decoders:
-                col = run.col(slot)
-                if kind == "code":
-                    columns.append((slot, [values[c] for c in col.tolist()]))
-                else:
-                    columns.append((slot, col.tolist()))
+            columns = [
+                (slot, _decode(interner, kind, run.col(slot)))
+                for slot, kind in self.decoders
+            ]
             for i in range(run.n):
                 for slot, decoded in columns:
                     regs[slot] = decoded[i]
@@ -1212,14 +1444,24 @@ def _build_tail(engine, rule, plan, vec: _VecLowering, cut: int, counts):
 # ----------------------------------------------------------------------
 
 class _VecFinal:
-    """Dedup + decode + emit for rules that stay vectorized end to end."""
+    """Dedup + decode + emit for rules that stay vectorized end to end.
 
-    __slots__ = ("dedup_slots", "kinds", "builders", "interner")
+    A head term is a slot, a constant, or a *computed* column (a Skolem
+    term, arithmetic, a batch external, an existential's labelled null):
+    computed columns are evaluated after the dedup, so each is minted
+    once per distinct head, never per firing.
+    """
 
-    def __init__(self, dedup_slots, kinds, builders, interner):
+    __slots__ = ("dedup_slots", "kinds", "builders", "computed", "interner")
+
+    def __init__(self, dedup_slots, kinds, builders, computed, interner):
         self.dedup_slots = dedup_slots
         self.kinds = kinds
+        #: (predicate, specs): a spec is ("slot", slot), ("term", index
+        #: into computed) or ("const", value)
         self.builders = builders
+        #: (kind, fn(run) -> column) per computed head term
+        self.computed = computed
         self.interner = interner
 
     def emit(self, run: _Run) -> tuple[list, int]:
@@ -1228,29 +1470,35 @@ class _VecFinal:
         # a firing is a binding of the body, not a table row
         firings = run.n if run.mult is None else int(run.mult.sum())
         rows = self._first_occurrences(run)
-        decoded: dict[int, list] = {}
-        values = self.interner.values
-        for slot in {s for _, specs in self.builders
-                     for kind, s in specs if kind == "slot"}:
-            col = run.col(slot)[rows]
-            if self.kinds[slot] == "code":
-                decoded[slot] = [values[c] for c in col.tolist()]
-            else:
-                decoded[slot] = col.tolist()
-        facts = []
-        append = facts.append
-        for i in range(len(rows)):
-            for predicate, specs in self.builders:
-                append(
-                    (
-                        predicate,
-                        tuple(
-                            decoded[payload][i] if kind == "slot" else payload
-                            for kind, payload in specs
-                        ),
+        count = len(rows)
+        interner = self.interner
+        decoded: dict[tuple, list] = {}
+        for _, specs in self.builders:
+            for kind, payload in specs:
+                if kind == "slot" and (kind, payload) not in decoded:
+                    decoded[(kind, payload)] = _decode(
+                        interner, self.kinds[payload], run.col(payload)[rows]
                     )
-                )
-        return facts, firings
+        if self.computed:
+            heads = run.gather(rows)
+            for index, (kind, fn) in enumerate(self.computed):
+                kind, col = _column(kind, fn, heads)
+                if kind == "float" and np.isnan(col).any():
+                    # per row, a computed NaN is an object of its own
+                    raise VectorRuntimeFallback("NaN in head values")
+                decoded[("term", index)] = _decode(interner, kind, col)
+        emitted = []
+        for predicate, specs in self.builders:
+            columns = [
+                repeat(payload, count) if kind == "const" else decoded[(kind, payload)]
+                for kind, payload in specs
+            ]
+            values = zip(*columns) if columns else repeat((), count)
+            emitted.append([(predicate, row) for row in values])
+        if len(emitted) == 1:
+            return emitted[0], firings
+        # row by row, each row's facts in head order
+        return [fact for facts in zip(*emitted) for fact in facts], firings
 
     def _first_occurrences(self, run: _Run):
         """Indexes of the first row per distinct head-variable key, in
@@ -1279,12 +1527,12 @@ class VectorizedRule:
 
     __slots__ = (
         "plan", "signature", "interner", "cut", "external", "reduced", "counts",
-        "streamed", "_seed_entry", "_steps", "_joins", "_tail", "_final",
+        "streamed", "_seed_entry", "_steps", "_joins", "_tail", "_final", "_folds",
     )
 
     def __init__(
         self, plan, signature, interner, seed_entry, steps, tail, final, cut,
-        external, reduced, counts,
+        external, reduced, counts, folds,
     ):
         self.plan = plan
         self.signature = signature
@@ -1314,6 +1562,8 @@ class VectorizedRule:
         self._joins = tuple(step for step in steps if isinstance(step, _Join))
         self._tail = tail
         self._final = final
+        #: undo log of the aggregate folds (None without an aggregate)
+        self._folds = folds
 
     def execute(self, seed_facts) -> tuple[list, int]:
         """Run the batch pipeline; returns (derived facts, firings).
@@ -1321,9 +1571,10 @@ class VectorizedRule:
         The returned list is reused across calls when the rule has a
         per-row tail — the caller must consume it before the next
         ``execute`` (same contract as the compiled path).  Raises
-        :class:`VectorRuntimeFallback` — always before any engine state
-        has been touched — when a safety check fails: every slice runs
-        through the batch steps before the tail or the head sees a row.
+        :class:`VectorRuntimeFallback` when a safety check fails, with
+        the engine's state as it was before the call: every slice runs
+        through the batch steps before the tail or the head sees a row,
+        and what the aggregate folds changed is rolled back.
         """
         if len(self.interner) >= MAX_CODES:
             raise VectorRuntimeFallback("interner exceeded code budget")
@@ -1334,17 +1585,24 @@ class VectorizedRule:
         if run.n == 0:
             return [], 0
         survivors: list[_Run] = []
+        folds = self._folds
         try:
             for piece in run.slices():
                 self._drive(piece, 0, survivors)
+            if not survivors:
+                return [], 0
+            if self._tail is not None:
+                return self._tail.run(survivors, self.interner)
+            return self._final.emit(_concat(survivors))
+        except VectorRuntimeFallback:
+            if folds is not None:
+                folds.rollback()
+            raise
         finally:
             for join in self._joins:
                 join.reset()
-        if not survivors:
-            return [], 0
-        if self._tail is not None:
-            return self._tail.run(survivors, self.interner)
-        return self._final.emit(_concat(survivors))
+            if folds is not None:
+                folds.clear()
 
     def _drive(self, run: _Run, number: int, survivors: list) -> None:
         """Run one table through plan steps ``number``..., depth first:
@@ -1388,7 +1646,9 @@ def compile_rule_vectorized(engine, rule, plan: JoinPlan) -> VectorizedRule:
     if engine.provenance_enabled:
         raise VectorizationFallback("provenance requires per-row traces")
 
-    vec, seed_entry, cut = _lower_body(engine, rule, plan, reduce=True)
+    # a fold reads every binding: a row may not stand for several
+    reduce = not any(isinstance(literal, Aggregate) for literal in rule.body)
+    vec, seed_entry, cut = _lower_body(engine, rule, plan, reduce=reduce)
     final = None
     if cut is None:
         final = _lower_final_vectorized(engine, rule, vec)
@@ -1409,7 +1669,7 @@ def compile_rule_vectorized(engine, rule, plan: JoinPlan) -> VectorizedRule:
     signature = (plan.order, tuple(step.probe_positions for step in plan.steps))
     return VectorizedRule(
         plan, signature, vec.interner, seed_entry, vec.steps, tail, final,
-        cut, vec.external, vec.reduced, counts,
+        cut, vec.external, vec.reduced, counts, vec.folds,
     )
 
 
@@ -1438,8 +1698,10 @@ def _lower_body(engine, rule, plan: JoinPlan, reduce: bool):
                 step = vec.lower_comparison(literal)
             elif isinstance(literal, Assignment):
                 step = vec.lower_assignment(literal)
-            else:  # Aggregate and anything unexpected: per-row territory
-                raise VectorizationFallback("aggregate folds per row")
+            elif isinstance(literal, Aggregate):
+                step = vec.lower_aggregate(literal)
+            else:
+                raise VectorizationFallback(f"unsupported body literal {literal!r}")
         except VectorizationFallback:
             return vec, seed_entry, step_number
         vec.steps.append(step)
@@ -1447,28 +1709,65 @@ def _lower_body(engine, rule, plan: JoinPlan, reduce: bool):
 
 
 def _lower_final_vectorized(engine, rule, vec: _VecLowering):
-    """Head emission without per-row closures, or None when the head
-    needs them (existentials, complex terms, unbound variables)."""
-    existential, _, _ = engine._head_plan(rule)
-    if existential:
-        return None
-    builders = []
+    """Head emission without per-row closures, or None when a head term
+    needs them (a function without a batch form, an unbound variable).
+
+    Rows are de-duplicated on every variable the head reads — the
+    frontier too when the rule invents nulls, since a null is keyed by
+    it (see ``Engine._head_plan``) — before any computed term is
+    evaluated."""
+    existential, frontier, rule_id = engine._head_plan(rule)
+    kinds = vec.kinds
+    interner = vec.interner
+    computed: list[tuple[str, Callable]] = []
     dedup_slots: list[int] = []
-    seen: set[int] = set()
+
+    def slot_of(name: str) -> int | None:
+        slot = vec.slots.get(name)
+        if slot is None or name not in vec.bound:
+            return None
+        if slot not in dedup_slots:
+            dedup_slots.append(slot)
+        return slot
+
+    nulls: dict[str, int] = {}
+    if existential:
+        frontier_slots = [slot_of(name) for name in frontier]
+        if None in frontier_slots:
+            return None
+        for name in existential:
+            label = f"null:{rule_id}:{name}"
+
+            def mint(run: _Run, label=label):
+                args = [(kinds[slot], run.col(slot)) for slot in frontier_slots]
+                return _mint(
+                    interner, run.n, args, lambda values: Null(skolem(label, values))
+                )
+
+            nulls[name] = len(computed)
+            computed.append(("code", mint))
+    builders = []
     for atom in rule.head:
         specs = []
         for term in atom.terms:
-            if isinstance(term, Variable):
-                slot = vec.slots.get(term.name)
+            if isinstance(term, Variable) and term.name in nulls:
+                specs.append(("term", nulls[term.name]))
+            elif isinstance(term, Variable):
+                slot = slot_of(term.name)
                 if slot is None:
                     return None
                 specs.append(("slot", slot))
-                if slot not in seen:
-                    seen.add(slot)
-                    dedup_slots.append(slot)
             elif isinstance(term, Constant):
                 specs.append(("const", term.value))
             else:
-                return None
+                if any(slot_of(v.name) is None for v in variables_of(term)):
+                    return None
+                try:
+                    computed.append(vec.lower_value(term))
+                except VectorizationFallback:
+                    return None
+                specs.append(("term", len(computed) - 1))
         builders.append((atom.predicate, tuple(specs)))
-    return _VecFinal(tuple(dedup_slots), vec.kinds, tuple(builders), vec.interner)
+    return _VecFinal(
+        tuple(dedup_slots), kinds, tuple(builders), tuple(computed), interner
+    )

@@ -294,6 +294,49 @@ class TestDemandDrivenRuns:
         assert pipeline.last_engine is None
 
 
+    def test_columnar_rules_build_no_hash_index(self, extract, monkeypatch):
+        from repro.core.kg import KnowledgeGraph
+
+        engines = []
+        reason = KnowledgeGraph.reason
+
+        def recorded(self, names=None, **options):
+            engines.append(reason(self, names, **options))
+            return engines[-1]
+
+        monkeypatch.setattr(KnowledgeGraph, "reason", recorded)
+        ReasoningPipeline(extract, fast_config()).augment()
+        assert len(engines) >= 2
+        for engine in engines:
+            per_row = set()
+            for rule in engine.program.rules:
+                keys = [key for key in engine._plans if key[0] == id(rule)]
+                lowered = [engine._vector_cache.get(key, (None, None))[1] for key in keys]
+                if any(
+                    key in engine._compiled_cache or rule is None or rule.cut is not None
+                    for key, rule in zip(keys, lowered)
+                ):
+                    per_row |= rule.body_predicates()
+            indexed = {
+                predicate for predicate, indexes in engine.database._indexes.items()
+                if indexes
+            }
+            assert indexed <= per_row, (indexed, per_row)
+            # every rule of the paper's program stays columnar: no chain
+            # was compiled, so not one index was built
+            assert engine._compiled_cache == {} and not indexed
+
+    def test_a_run_interns_nothing_into_the_extensional_store(self, extract):
+        pipeline = ReasoningPipeline(extract, fast_config())
+        pipeline._inject_block_facts()
+        interner = pipeline.kg.extensional.column_store().interner
+        before = len(interner)
+        assert pipeline.family_links()
+        assert len(interner) == before
+        pipeline.augment()
+        assert len(interner) == before
+
+
 class TestLifetime:
     """The ``$link_probability`` closures capture the classifiers, not
     the pipeline: with the cycle collector off, a pipeline and its KG

@@ -162,8 +162,33 @@ class TestSnapshotSharing:
         store.preload("edge")
         clone = database.copy()
         clone_store = clone.column_store()
-        assert clone_store.interner is store.interner  # append-only, shared
+        # the clone's interner extends ours: same codes, its own additions
+        assert clone_store.interner is not store.interner
+        assert clone_store.interner.lookup(2) == store.interner.lookup(2)
         assert clone_store.block("edge", 2).size == 1
+        clone.add("edge", (2, "new"))
+        assert clone_store.block("edge", 2).size == 2
+        assert store.interner.lookup("new") == -1
+        assert clone_store.interner.values[clone_store.interner.lookup("new")] == "new"
+
+    def test_a_copy_of_a_copy_decodes_what_the_first_copy_minted(self):
+        database = Database([("edge", (1, 2))])
+        database.column_store().preload("edge")
+        clone = database.copy()
+        clone.add("edge", ("minted", 1.0))
+        clone.column_store().preload("edge")
+        grandchild = clone.copy()
+        interner = grandchild.column_store().interner
+        block = grandchild.column_store().block("edge", 2)
+        assert interner.decode(block.column(0)) == [1, "minted"]
+        # 1.0 found the code of 1: the first copy flagged it, and the
+        # second inherited the flag
+        assert interner.lookup(1.0) == interner.lookup(1) in interner.mixed
+        grandchild.add("edge", ("again", 3))
+        grandchild.column_store().preload("edge")
+        assert interner.lookup("again") >= 0
+        assert clone.column_store().interner.lookup("again") == -1
+        assert database.column_store().interner.lookup("minted") == -1
 
     def test_a_partial_copy_carries_only_the_blocks_it_holds(self):
         database = Database([("edge", (1, 2)), ("node", (1,))])

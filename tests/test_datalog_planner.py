@@ -340,10 +340,7 @@ class TestEngineIntegration:
         )
         engine.run()
         assert engine.database.count("path") == 60 * 61 // 2
-        assert any(
-            compiled is not None and compiled.replans > 0
-            for compiled in engine._compiled_cache.values()
-        )
+        assert any(replans > 0 for _plan, replans in engine._plans.values())
 
     def test_uncompilable_rule_is_cached_as_fallback(self):
         # reachable only through the complex-term safety over-approximation;
@@ -386,7 +383,18 @@ class TestEngineIntegration:
         assert set(naive_planned.database.all_facts()) == set(
             reference.database.all_facts()
         )
-        assert naive_planned._compiled_cache
+        assert naive_planned._plans and naive_planned._vector_cache
+        # the per-row chains are built only where a pair runs per row
+        assert naive_planned._compiled_cache == {}
+        naive_compiled = Engine(
+            parse_program(program), Database(list(edges)), seminaive=False,
+            vectorize=False,
+        )
+        naive_compiled.run()
+        assert set(naive_compiled.database.all_facts()) == set(
+            reference.database.all_facts()
+        )
+        assert naive_compiled._compiled_cache
 
     def test_query_and_stats_survive_planning(self):
         planned, unplanned = both_engines(

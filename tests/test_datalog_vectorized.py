@@ -446,8 +446,8 @@ class TestMorsels:
     ):
         monkeypatch.setattr(vectorized, "MORSEL", 2)
         # the unsafe integer sits in the last slice: the earlier ones have
-        # passed every batch step before the comparison refuses it, and
-        # none of them may have reached the msum tail by then
+        # passed every batch step, the msum fold included, before the
+        # comparison refuses it, so the fold must be rolled back
         program = parse_program(
             "val(G, X), w(G, W), X > 1, T = msum(W, <X>) -> total(G, T)."
         )
@@ -464,7 +464,7 @@ class TestMorsels:
         ]
         assert key in vec._vector_disabled
         assert "unsafe" in vec._vector_fallbacks[key]
-        assert rule.cut is not None and rule.streamed[0] >= 4
+        assert rule.cut is None and rule.streamed[0] >= 4
 
     def test_wide_keys_probe_and_negate_like_tuples(self):
         # three bound positions: the build side packs its key through
@@ -779,8 +779,9 @@ class TestReduction:
 
     def test_explain_counts_the_per_row_tail_too(self):
         tracer = Tracer()
+        # mprod has no column fold: it cuts to the per-row tail
         _fixpoint(
-            "own(X, Y, W), W > 0.1, T = msum(W, <Y>) -> total(X, T).",
+            "own(X, Y, W), W > 0.1, T = mprod(W, <Y>) -> total(X, T).",
             [("own", ("a", "b", 0.5)), ("own", ("a", "c", 0.05)),
              ("own", ("b", "c", 0.3))],
             tracer=tracer,
@@ -790,13 +791,19 @@ class TestReduction:
         assert plan.attributes["actual_rows"] == [3, 2, 2]
 
     def test_rules_with_a_per_row_tail_are_not_reduced(self):
-        # E dies after the atom, but the aggregate runs once per row
+        # E dies after the atom, but the aggregate reads every binding,
+        # per row in the tail (mprod) as in the column fold (msum)
+        facts = [("link", (e, "a", "b", 0.5)) for e in range(3)]
         vec, _ = _assert_three_way_identity(
-            "link(E, X, Y, W), W > 0.1, T = msum(W, <Y>) -> total(X, T).",
-            [("link", (e, "a", "b", 0.5)) for e in range(3)],
+            "link(E, X, Y, W), W > 0.1, T = mprod(W, <Y>) -> total(X, T).", facts
         )
         (rule,) = _vector_rules(vec).values()
         assert rule.cut is not None and rule.reduced is None
+        vec, _ = _assert_three_way_identity(
+            "link(E, X, Y, W), W > 0.1, T = msum(W, <Y>) -> total(X, T).", facts
+        )
+        (rule,) = _vector_rules(vec).values()
+        assert rule.cut is None and rule.reduced is None
 
     def test_pushed_comparison_still_falls_back_while_pure(self):
         big = 2**53 + 1
@@ -946,3 +953,179 @@ class TestHypothesisOracle:
         vec = _fixpoint(program_text, facts)
         cmp = _fixpoint(program_text, facts, vectorize=False)
         assert list(vec.database.all_facts()) == list(cmp.database.all_facts())
+
+
+@st.composite
+def columnar_head_programs(draw):
+    """Rules that used to leave the batch backend for a per-row tail:
+    Skolem assignments and heads (nested ones too), existential heads —
+    a sliced rule's nulls are keyed by its origin — and monotone
+    aggregates with contributor keys, recursive ones included.  ``edge``
+    only runs from a lower to a higher node, so the recursion over
+    products of weights is finite; the weights mix magnitudes, so an
+    ``msum`` total depends on the order its contributions arrive in."""
+    rules = [
+        "edge(X, Y, W) -> hop(X, Y, W).",
+        "hop(X, Z, W1), edge(Z, Y, W2), V = W1 * W2 -> hop(X, Y, V).",
+    ]
+    optional = [
+        # Skolem assignment, Skolem head terms, a nested one
+        "edge(X, Y, W), N = #node(X) -> named(N, X).",
+        "hop(X, Y, W) -> via(#pair(X, Y), W).",
+        "mark(X) -> tagged(#t(#node(X), \"k\"), X).",
+        "named(N, X), hop(X, Y, W), N2 = #node(Y) -> step(N, N2).",
+        # existential heads: one null, two heads sharing it, a chain
+        "mark(X) -> owner(Z, X).",
+        "hop(X, Y, W), mark(X) -> link(E, X, Y), typed(E, \"hop\").",
+        "owner(Z, X), edge(X, Y, W) -> owner2(Z, Y, E).",
+        # monotone aggregates with contributor keys
+        "hop(X, Y, W), T = msum(W, <X>) -> into(Y, T).",
+        "hop(X, Z, W1), edge(Z, Y, W2), T = msum(W1 * W2, <Z>), T > 0.5 "
+        "-> strong(X, Y).",
+        "hop(X, Y, W), T = mcount(<Y>) -> fanout(X, T).",
+        "hop(X, Y, W), T = mmax(W, <Y>) -> best(X, T).",
+        "hop(X, Y, W), T = mmin(W, <X, Y>) -> least(T).",
+        # the paper's control shape: a recursive msum feeding itself
+        "mark(X) -> ctrl(X, X).",
+        "ctrl(X, Z), edge(Z, Y, W), T = msum(W, <Z>), T > 0.5 -> ctrl(X, Y).",
+        # an aggregate whose total goes on into a Skolem head
+        "edge(X, Y, W), T = msum(W, <X>) -> weighed(#w(Y), T).",
+    ]
+    rules += [rule for rule in optional if draw(st.booleans())]
+    n = draw(st.integers(min_value=2, max_value=6))
+    pair = st.tuples(
+        st.integers(min_value=0, max_value=n - 2), st.integers(min_value=1, max_value=n - 1)
+    ).filter(lambda xy: xy[0] < xy[1])
+    # 1e16 + 1.0 + 1.0 and 1.0 + 1.0 + 1e16 are different floats; an int
+    # weight sends the float folds to the compiled path at run time
+    # (1.0 shares the code of node 1, so its rows take the fallback too)
+    exotic = draw(st.sampled_from([(), (), (2,), (1.0,), (-1e16,)]))
+    weight = st.sampled_from((0.1, 0.25, 0.5, 0.75, 1.5, 2.5, 1e16) + exotic)
+    edges = draw(st.lists(st.tuples(pair, weight), max_size=12))
+    marks = draw(st.lists(st.integers(min_value=0, max_value=n - 1), max_size=3))
+    facts = [("edge", (x, y, w)) for (x, y), w in edges] + [
+        ("mark", (m,)) for m in marks
+    ]
+    return "\n".join(rules), facts
+
+
+class TestColumnarHeads:
+    """Skolem values, labelled nulls and monotone aggregates are minted
+    and folded in columns, to exactly the per-row paths' values, order
+    and accumulator state."""
+
+    @given(columnar_head_programs())
+    @settings(max_examples=80, deadline=None)
+    def test_vectorized_equals_compiled_fact_for_fact(self, case):
+        program_text, facts = case
+        program = parse_program(program_text)
+        vec = _fixpoint(program, facts)
+        cmp = _fixpoint(program, facts, vectorize=False)
+        _assert_same_run(vec, cmp)
+        interp = _fixpoint(program, facts, plan=False)
+        assert set(vec.database.all_facts()) == set(interp.database.all_facts())
+        _assert_morsels_invisible(program, facts, cmp)
+
+    @given(columnar_head_programs())
+    @settings(max_examples=25, deadline=None)
+    def test_every_rule_stays_columnar_on_float_weights(self, case):
+        program_text, facts = case
+        weights = {values[2] for _, values in facts if len(values) == 3}
+        if weights & {2, 1.0}:
+            return  # an int weight, or one sharing a node id's code
+        vec = _fixpoint(program_text, facts)
+        assert vec._vector_disabled == set() and vec._compiled_cache == {}
+        for rule in _vector_rules(vec).values():
+            assert rule.cut is None
+
+    def test_the_paper_mapping_and_link_rules_mint_in_columns(self):
+        graph, _truth = generate_company_graph(CompanySpec(persons=40, companies=30, seed=5))
+        pipeline = ReasoningPipeline(
+            graph, PipelineConfig(first_level_clusters=1, use_embeddings=False)
+        )
+        pipeline._inject_block_facts()
+        program = pipeline.kg.program()
+        runs = [
+            Engine(program, pipeline.kg.extensional.copy(),
+                   functions=pipeline.kg.functions, **options)
+            for options in ({}, {"vectorize": False})
+        ]
+        for engine in runs:
+            engine.run()
+        vec, cmp = runs
+        _assert_same_run(vec, cmp)
+        assert vec._vector_disabled == set() and vec._compiled_cache == {}
+        cuts = {label: rule.cut for (label, _), rule in _vector_rules(vec).items()}
+        assert {"map_person", "map_own_company", "mk_link", "ctrl_step", "acc_step"} <= set(
+            cuts
+        )
+        assert set(cuts.values()) == {None}, cuts
+
+    def test_msum_adds_in_emission_order(self):
+        # 1.0 + 1e16 + 1.0 - 1e16 is 0.0 left to right; any other order
+        # (pairwise, sorted, 1.0 + 1.0 first) gives 2.0 or -... somewhere
+        program = "c(G, Z, W), T = msum(W, <Z>) -> total(G, T)."
+        weights = [1.0, 1e16, 1.0, -1e16]
+        facts = [("c", ("g", z, w)) for z, w in enumerate(weights)]
+        vec, cmp = _assert_three_way_identity(program, facts)
+        running, expected = None, []
+        for w in weights:
+            running = w if running is None else running + w
+            expected.append(running)
+        assert [t for _, t in vec.query("total")] == list(dict.fromkeys(expected))
+        assert _aggregate_totals(vec) == [0.0]
+        (rule,) = _vector_rules(vec).values()
+        assert rule.cut is None
+
+    def test_a_contributor_counts_once_at_its_best_value(self):
+        # Z = 1 contributes 0.25, then 0.75 (improves: +0.5), then 0.5
+        # (no improvement, pruned): the per-row accumulator's semantics
+        program = "c(G, Z, W), T = msum(W, <Z>) -> total(G, T)."
+        facts = [("c", ("g", 1, 0.25)), ("c", ("g", 2, 0.5)),
+                 ("c", ("g", 1, 0.75)), ("c", ("g", 1, 0.5))]
+        vec, _ = _assert_three_way_identity(program, facts)
+        assert [t for _, t in vec.query("total")] == [0.25, 0.75, 1.25]
+        assert vec.stats.rule_firings == 3
+
+    @pytest.mark.parametrize("after_fold", [False, True])
+    def test_a_batch_fallback_in_a_later_round_keeps_the_totals(self, after_fold):
+        """The batch form refuses from its second call on — a later
+        semi-naive round of the aggregate rule.  Placed after the fold,
+        the refusal must roll the fold back: no contribution lost or
+        counted twice when the compiled path re-runs the round."""
+        calls = []
+
+        def keep(value):
+            return value
+
+        def keep_batch(values, args):
+            (column,) = args
+            calls.append(len(column))
+            if len(calls) > 1:
+                raise VectorRuntimeFallback("refused in a later round")
+            if column.dtype == np.float64:  # T: a float column
+                return column
+            return np.asarray([values[code] for code in column.tolist()])
+
+        functions = FunctionRegistry()
+        functions.register("keep", keep, batch=keep_batch)
+        if after_fold:
+            step = ("ctrl(X, Z), own(Z, Y, W), T = msum(W, <Z>), "
+                    "K = $keep(T), K > 0.5 -> ctrl(X, Y).")
+        else:
+            step = ("ctrl(X, Z), own(Z, Y, W), V = $keep(W), "
+                    "T = msum(V, <Z>), T > 0.5 -> ctrl(X, Y).")
+        program = parse_program("node(X) -> ctrl(X, X).\n" + step)
+        facts = [("node", (name,)) for name in "pabcde"] + [
+            ("own", edge) for edge in [
+                ("p", "a", 0.6), ("p", "b", 0.3), ("a", "b", 0.3),
+                ("b", "c", 0.51), ("c", "d", 0.9), ("d", "e", 0.2),
+                ("c", "e", 0.4),
+            ]
+        ]
+        vec = _fixpoint(program, facts, functions=functions)
+        cmp = _fixpoint(program, facts, functions=functions, vectorize=False)
+        _assert_same_run(vec, cmp)
+        assert len(calls) >= 2
+        assert set(vec._vector_fallbacks.values()) == {"refused in a later round"}
+        assert ("p", "e") in vec.query("ctrl")

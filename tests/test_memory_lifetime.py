@@ -20,7 +20,7 @@ import pytest
 
 from repro.core import PipelineConfig, ReasoningPipeline
 from repro.datagen import CompanySpec, generate_company_graph
-from repro.datalog import Database, Engine, parse_program
+from repro.datalog import Database, Engine, FunctionRegistry, parse_program
 from repro.service import (
     GraphRegistry,
     ServiceConfig,
@@ -121,6 +121,39 @@ def test_engine_run_leaves_no_cycle(options):
         engine.run()
         assert ("p", "d") in set(engine.query("controls"))
         del engine
+    assert not found, found.most_common(10)
+
+
+def _gap(a, b):
+    return float(abs(a - b))
+
+
+def test_a_lazily_compiled_chain_leaves_no_cycle():
+    # $gap has no batch form: the rule batches its joins and compiles a
+    # closure chain for the per-row tail when it is first lowered
+    functions = FunctionRegistry()
+    functions.register("gap", _gap)
+    program = parse_program("n(X), n(Y), D = $gap(X, Y), D > 1.0 -> far(X, Y, D).")
+    with cyclic_garbage() as found:
+        engine = Engine(program, Database([("n", (v,)) for v in (1, 2, 4, 7)]),
+                        functions=functions)
+        engine.run()
+        ((_, lowered),) = engine._vector_cache.values()
+        assert lowered.cut is not None and engine.query("far")
+        del engine, lowered
+    assert not found, found.most_common(10)
+
+
+def test_a_vectorized_msum_leaves_no_cycle():
+    with cyclic_garbage() as found:
+        engine = Engine(parse_program(RECURSIVE_MSUM), Database(OWNERSHIP))
+        engine.run()
+        folds = [entry[1] for entry in engine._vector_cache.values()
+                 if entry[1] is not None and entry[1]._folds is not None]
+        assert folds and all(rule.cut is None for rule in folds)
+        assert engine._compiled_cache == {}  # no chain was ever built
+        assert ("p", "d") in set(engine.query("controls"))
+        del engine, folds
     assert not found, found.most_common(10)
 
 

@@ -247,12 +247,17 @@ class TestPipelineInstrumentation:
         assert len(family_rules) == 3
         for span in family_rules:
             assert span.attributes["applications"] == 1, span.name
-        # a Skolem assignment is per-row territory: the cut names its step
-        assert spans["plan:map_person"].attributes["cut"] == 1
-        assert spans["rule:map_person"].attributes["cut"] == 1
+        # a Skolem assignment and an existential head are minted in
+        # columns too: no rule of the run leaves the batch backend
+        assert spans["plan:map_person"].attributes["cut"] == "none"
+        assert spans["rule:map_person"].attributes["cut"] == "none"
         assert "external_rows" not in spans["rule:map_person"].attributes
-        # existential head: every body step batched, only the head per row
-        assert spans["plan:mk_link"].attributes["cut"] == 2
+        assert spans["plan:mk_link"].attributes["cut"] == "none"
+        cuts = {
+            name: span.attributes.get("cut") for name, span in spans.items()
+            if name.startswith(("rule:", "plan:"))
+        }
+        assert set(cuts.values()) == {"none"}, cuts
 
     def test_family_link_spans_show_the_rules_streaming(self):
         from repro.core.pipeline import PipelineConfig, ReasoningPipeline
