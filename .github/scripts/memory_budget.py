@@ -34,15 +34,16 @@ import tempfile
 from urllib.request import urlopen
 
 #: MB above a bare numpy interpreter, each about 15 % above the median
-#: measured on a 2-CPU box once a finished reasoning run is freed at its
-#: last reference: augment 14.6, at 2000 persons 38.7, serve 12.5; and
+#: measured on a 2-CPU box: augment 11.1 and at 2000 persons 27.7 once
+#: every relation is held once, as code blocks, serve 12.5 once a
+#: finished reasoning run is freed at its last reference; and
 #: MB the threshold sweep adds to the server: its 15 samples read 0.15 to
 #: 0.52 (median 0.3, medians of 3 up to 0.5, so the ceiling sits 15 %
 #: above 0.5), and 3.4 to 3.5 while the response cache stored the first
 #: fill of every key
 CEILINGS = {
-    "augment": 17,
-    "augment at 2000 persons": 44.5,
+    "augment": 12.8,
+    "augment at 2000 persons": 31.9,
     "serve": 14.5,
     "serve threshold sweep": 0.6,
 }

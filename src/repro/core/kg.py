@@ -97,6 +97,11 @@ class KnowledgeGraph:
     def add_facts(self, facts: list[Fact]) -> None:
         self.extensional.add_all(facts)
 
+    def load(self, predicate: str, columns: list) -> None:
+        """Add one extensional relation given as value columns (one
+        sequence per position), each interned in one pass."""
+        self.extensional.load(predicate, columns)
+
     # ------------------------------------------------------------------
     # reasoning
     # ------------------------------------------------------------------

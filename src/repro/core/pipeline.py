@@ -103,8 +103,10 @@ class ReasoningPipeline:
 
     def _add_family_member_facts(self) -> None:
         """Family membership edges in the PG become family_member EDB facts."""
-        for edge in self.graph.edges(FAMILY):
-            self.kg.add_fact("family_member", (edge.source, edge.target))
+        edges = list(self.graph.edges(FAMILY))
+        if edges:
+            self.kg.load("family_member", [[edge.source for edge in edges],
+                                           [edge.target for edge in edges]])
 
     def _register_functions(self) -> None:
         """``$link_probability(class, x, y)`` in both forms, over one
@@ -208,20 +210,27 @@ class ReasoningPipeline:
 
     def compute_blocks(self) -> list[tuple[int, object, str]]:
         """(first-level cluster, second-level block, skolem node id) triples."""
+        return list(zip(*self._block_columns()))
+
+    def _block_columns(self) -> list[list]:
+        """The ``block`` relation as its three columns: first-level
+        cluster, second-level block, skolem node id."""
         config = self.config
         with self.tracer.span("pipeline.blocking") as span:
             assignment = self._first_level_assignment()
-            triples: list[tuple[int, object, str]] = []
+            clusters: list[int] = []
+            blocks: list[object] = []
+            sk_ids: list[str] = []
             for node in self.graph.persons():
-                sk_id = skolem("sk_p", (node.id,))
-                for cluster, block in block_keys(node, assignment, config.blocking):
-                    triples.append((cluster, block, sk_id))
-            span.set("block_triples", len(triples))
-        return triples
+                keys = block_keys(node, assignment, config.blocking)
+                clusters.extend(cluster for cluster, _ in keys)
+                blocks.extend(block for _, block in keys)
+                sk_ids.extend(repeat(skolem("sk_p", (node.id,)), len(keys)))
+            span.set("block_triples", len(sk_ids))
+        return [clusters, blocks, sk_ids]
 
     def _inject_block_facts(self) -> None:
-        for first, second, sk_id in self.compute_blocks():
-            self.kg.add_fact("block", (first, second, sk_id))
+        self.kg.load("block", self._block_columns())
 
     def register_declarative_blocking(self) -> None:
         """Algorithm 3 rule (1) run *inside* the engine.

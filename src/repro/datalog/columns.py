@@ -1,36 +1,37 @@
-"""Columnar relation cache: interned code columns per (predicate, arity).
+"""Code blocks: every relation held as interned int64 code columns.
 
-The vectorized executor (:mod:`repro.datalog.vectorized`) evaluates rule
-bodies whole-relation-at-a-time.  This module supplies its data layer:
+A :class:`~repro.datalog.database.Database` keeps each relation here, and
+only here, as one block per (predicate, arity):
 
 * :class:`ValueInterner` — a dictionary-encoding of fact values into
-  dense int64 codes.  The dict uses Python ``==``/``hash`` semantics, so
-  two values get the same code exactly when the tuple-based hash joins of
-  the compiled path would treat them as equal (``1 == 1.0`` shares a
-  code; labelled nulls share a code per label; a NaN object is equal only
-  to itself, so each distinct NaN object gets its own code — matching
-  Python's identity-first container semantics).  Alongside the value
-  table the interner maintains float images and safety masks that let the
-  executor decide *per column* whether numeric work can be done in
-  float64 without diverging from Python scalar arithmetic;
-* :class:`ColumnStore` — per (predicate, arity) struct-of-arrays blocks
-  of codes, synced incrementally against the database's live row lists.
-  A fact store is append-only, so the sync key is the number of rows
-  consumed: rows past it are appended to the existing arrays and a block
-  is never rebuilt.  The store also caches join build sides (stable
-  argsort + packed keys per probe signature) so a relation that several
-  rules probe the same way is sorted once per version, however many
-  columns the key has.
+  dense int64 codes.  Every value keeps its type: ``1``, ``1.0`` and
+  ``True`` (and ``0.0`` / ``-0.0``) get codes of their own, so a stored
+  row decodes to the values that were stored.  Python ``==`` — what
+  joins, membership tests and dedup follow — is the *class* of a code
+  (:meth:`ValueInterner.classes`): the code of the first value interned
+  among those equal to it.  A NaN object equals nothing, so each one is
+  a class of its own (a container still finds the object it holds).
+  Alongside the value table the interner keeps float images and safety
+  masks (:meth:`ValueInterner.tables`) that let the executor decide *per
+  column* whether numeric work can be done in float64 without diverging
+  from Python scalar arithmetic;
+* :class:`Block` — the growable struct-of-arrays code columns of one
+  (predicate, arity) and an exact membership index over its rows'
+  class codes, so an append keeps only rows the relation lacks;
+* :class:`ColumnStore` — the blocks of one database, the order in which
+  a predicate's arities were appended, and the join build sides (stable
+  argsort + packed keys per probe signature), sorted once per version.
 
-The database holds its store, so the store holds the database's row-list
-dict and never the database: with no reference cycle between them, a
-run's facts, blocks and build sides are freed as soon as its engine is
-dropped, without waiting for the cycle collector.
+Blocks are append-only: a copy of a store shares them, and the first
+append to a shared block copies it (its arrays end where the share
+did).  A copy interns into a child of the store's interner, so what a
+run mints dies with the run.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable
+import math
+from typing import Any
 
 import numpy as np
 
@@ -42,6 +43,18 @@ _SAFE_INT = 2**53
 #: Code-space guard: the executor packs two codes into one int64 as
 #: ``(a << 32) | b``; past this many distinct values it falls back.
 MAX_CODES = 2**31
+
+_NO_CODES = np.empty(0, dtype=np.int64)
+
+
+def _grown(array, size: int, needed: int):
+    """``array`` with room for ``needed`` entries (capacity doubling),
+    its first ``size`` kept."""
+    if len(array) >= needed:
+        return array
+    grown = np.empty(max(needed, 2 * len(array), 16), dtype=array.dtype)
+    grown[:size] = array[:size]
+    return grown
 
 
 class ValueInterner:
@@ -55,25 +68,24 @@ class ValueInterner:
     """
 
     __slots__ = (
-        "codes", "_values", "_floats", "_is_float", "_is_safe", "_is_nan",
-        "_cache", "mixed", "_base", "_offset",
+        "codes", "_values", "_variants", "_classes", "_images", "_filled",
+        "_views", "_base", "_offset",
     )
 
     def __init__(self) -> None:
+        #: value -> the code of the first value ``==`` to it (its class)
         self.codes: dict[Any, int] = {}
         self._values: list[Any] = []
-        self._floats: list[float] = []
-        self._is_float: list[bool] = []
-        self._is_safe: list[bool] = []
-        self._is_nan: list[bool] = []
-        # materialised numpy images, rebuilt lazily when the table grew:
-        # (size, float64 image, is_float mask, is_safe mask, is_nan mask)
-        self._cache: tuple | None = None
-        #: codes shared by values that are ``==`` but not interchangeable
-        #: (``1`` / ``1.0`` / ``True``, ``0.0`` / ``-0.0``): decoding such a
-        #: code gives the first of them, so a Skolem argument or an
-        #: aggregate input must not be read through it
-        self.mixed: set[int] = set()
+        #: (type, repr) -> code of a value ``==`` to an earlier one of
+        #: another type or sign
+        self._variants: dict[tuple, int] = {}
+        #: such a code -> its class code
+        self._classes: dict[int, int] = {}
+        #: growable float image, is_float / is_safe / is_nan masks and
+        #: (once a variant exists) class codes, filled up to ``_filled``
+        self._images: list | None = None
+        self._filled = 0
+        self._views: tuple | None = None
         self._base: ValueInterner | None = None
         self._offset = 0
 
@@ -81,18 +93,16 @@ class ValueInterner:
         """An interner that sees every code allocated so far and keeps
         the ones allocated from now on to itself."""
         clone = ValueInterner()
-        if self._base is None:
-            clone._base, clone._offset = self, len(self._values)
-            return clone
-        # a child of a child: same base, a copy of the run-local part
-        clone._base, clone._offset = self._base, self._offset
-        clone.codes = dict(self.codes)
-        clone._values = list(self._values)
-        clone._floats = list(self._floats)
-        clone._is_float = list(self._is_float)
-        clone._is_safe = list(self._is_safe)
-        clone._is_nan = list(self._is_nan)
-        clone.mixed = set(self.mixed)
+        base, offset = (self, len(self._values)) if self._base is None else (
+            self._base, self._offset
+        )
+        clone._base, clone._offset = base, offset
+        clone._classes = {c: r for c, r in base._classes.items() if c < offset}
+        if self._base is not None:  # a child of a child: copy the run-local part
+            clone.codes = dict(self.codes)
+            clone._values = list(self._values)
+            clone._variants = dict(self._variants)
+            clone._classes.update(self._classes)
         return clone
 
     def __len__(self) -> int:
@@ -113,110 +123,149 @@ class ValueInterner:
         base, offset = self._base._values, self._offset
         return [base[c] if c < offset else local[c - offset] for c in codes.tolist()]
 
-    def any_mixed(self, codes) -> bool:
-        """Does an int64 code array hold a code of :attr:`mixed`?"""
-        mixed = self.mixed
-        if self._base is not None and self._base.mixed:
-            mixed = mixed | {c for c in self._base.mixed if c < self._offset}
-        return bool(mixed) and bool(np.isin(codes, list(mixed)).any())
+    def _value(self, code: int):
+        offset = self._offset
+        return self._base._values[code] if code < offset else self._values[code - offset]
+
+    def _own(self, table: dict, key) -> int | None:
+        """``table[key]`` here, else in the base below the split."""
+        code = getattr(self, table).get(key)
+        if code is None and self._base is not None:
+            code = getattr(self._base, table).get(key)
+            if code is not None and code >= self._offset:
+                code = None  # the base's own later code: not ours
+        return code
 
     def intern(self, value: Any) -> int:
         """The code of ``value``, allocating one on first sight."""
-        code = self.codes.get(value)
-        if code is None and self._base is not None:
-            code = self._base.codes.get(value)
-            if code is not None and code >= self._offset:
-                code = None  # the base's own later code: not ours
-        if code is not None:
-            if type(value) is not str:
-                self._note_equal(code, value)
+        code = self._own("codes", value)
+        if code is None:
+            code = self.codes[value] = len(self)
+            self._values.append(value)
             return code
-        code = len(self)
-        self.codes[value] = code
-        self._values.append(value)
-        kind = type(value)
-        if kind is float:
-            self._floats.append(value)
-            self._is_float.append(True)
-            self._is_safe.append(True)
-            self._is_nan.append(value != value)
-        elif kind is int or kind is bool:
-            safe = -_SAFE_INT <= value <= _SAFE_INT
-            self._floats.append(float(value) if safe else float("nan"))
-            self._is_float.append(False)
-            self._is_safe.append(safe)
-            self._is_nan.append(False)
-        else:
-            self._floats.append(float("nan"))
-            self._is_float.append(False)
-            self._is_safe.append(False)
-            self._is_nan.append(False)
-        return code
+        if type(value) is str or _same(self._value(code), value):
+            return code
+        # == to the class's first value but not interchangeable with it
+        key = (type(value), repr(value))
+        variant = self._own("_variants", key)
+        if variant is None:
+            variant = self._variants[key] = len(self)
+            self._values.append(value)
+            self._classes[variant] = code
+        return variant
 
-    def _note_equal(self, code: int, value: Any) -> None:
-        """Flag ``code`` in :attr:`mixed` when ``value`` equals its first
-        value but would not serialise like it."""
-        offset = self._offset
-        stored = (
-            self._base._values[code] if code < offset
-            else self._values[code - offset]
+    def intern_column(self, values) -> np.ndarray:
+        """The codes of a sequence of values, each distinct one interned
+        once (a column of one type that cannot hold ``==`` variants goes
+        through one dictionary; anything else value by value)."""
+        count = len(values)
+        kinds = set(map(type, values))
+        if len(kinds) != 1 or kinds & {float, tuple}:
+            return np.fromiter(map(self.intern, values), dtype=np.int64, count=count)
+        codes = dict.fromkeys(values)
+        if kinds == {str} and self._base is None:
+            # a str is == only to an equal str: new ones take codes in bulk
+            fresh = [value for value in codes if value not in self.codes]
+            codes = self.codes
+            codes.update(zip(fresh, range(len(self), len(self) + len(fresh))))
+            self._values.extend(fresh)
+        else:
+            for value in codes:
+                codes[value] = self.intern(value)
+        return np.fromiter(map(codes.__getitem__, values), dtype=np.int64, count=count)
+
+    def intern_floats(self, column) -> np.ndarray:
+        """The codes of a float64 column (no NaN), one intern per
+        distinct bit pattern (so ``0.0`` and ``-0.0`` stay apart)."""
+        bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
+        codes = np.fromiter(
+            map(self.intern, bits.view(np.float64).tolist()),
+            dtype=np.int64, count=len(bits),
         )
-        if stored is value:
-            return
-        kind = type(value)
-        if (
-            type(stored) is not kind
-            or (kind is float and value == 0.0 and repr(value) != repr(stored))
-            or (kind is tuple and repr(value) != repr(stored))
-        ):
-            self.mixed.add(code)
+        return codes[inverse.reshape(-1)]
 
     def lookup(self, value: Any) -> int:
-        """The code of ``value``, or -1 when it was never interned (and
-        therefore cannot occur in any column)."""
-        code = self.codes.get(value)
-        if code is None and self._base is not None:
-            code = self._base.codes.get(value)
-            if code is not None and code >= self._offset:
-                code = None
+        """The class code of ``value``, or -1 when nothing ``==`` to it
+        was interned (and therefore cannot occur in any column)."""
+        code = self._own("codes", value)
         return -1 if code is None else code
 
+    def classes(self, codes):
+        """The class codes of an int64 code array: equal exactly where
+        the values are ``==`` (the array itself while every class has
+        one member)."""
+        if not self._classes:
+            return codes
+        return self._fill()[4][codes]
+
     def tables(self):
-        """(float image, is_float, is_safe, is_nan) as numpy arrays.
-
-        The arrays are snapshots covering every code allocated so far;
-        they are cached and only rebuilt after the table grows.
-        """
+        """(float image, is_float, is_safe, is_nan) as numpy arrays
+        covering every code allocated so far — views of growable arrays,
+        the same objects until the table grows."""
         size = len(self)
-        cache = self._cache
-        if cache is not None and cache[0] == size:
-            return cache[1], cache[2], cache[3], cache[4]
-        tables = _tables(self)
-        base = self._base
-        if base is not None:
-            # the base's part: its cached arrays if it has them, else
-            # built here and not cached there (the base outlives the run)
-            offset = self._offset
-            if base._cache is not None and base._cache[0] >= offset:
-                head = base._cache[1:]
+        views = self._views
+        if views is None or views[0] != size:
+            images = self._fill()
+            views = self._views = (size, tuple(image[:size] for image in images[:4]))
+        return views[1]
+
+    def _fill(self) -> list:
+        """The images, filled for every code allocated so far."""
+        size = len(self)
+        images = self._images
+        if images is None:
+            images = self._images = [
+                np.empty(0, dtype=np.float64), *(np.empty(0, dtype=bool) for _ in range(3)),
+                None,
+            ]
+            if self._base is not None:  # the base's part, once
+                head = self._base._fill()
+                offset = self._offset
+                images[:4] = [np.array(image[:offset]) for image in head[:4]]
+                self._filled = offset
+        filled = self._filled
+        if filled < size:
+            fresh = [_image(self._value(code)) for code in range(filled, size)]
+            for number in range(4):
+                images[number] = _grown(images[number], filled, size)
+                images[number][filled:size] = [entry[number] for entry in fresh]
+        if self._classes and (images[4] is None or filled < size):
+            classes = images[4]
+            if classes is None:
+                classes = np.arange(len(images[0]), dtype=np.int64)
+                start = 0
             else:
-                head = _tables(base)
-            tables = tuple(
-                np.concatenate([start[:offset], own])
-                for start, own in zip(head, tables)
-            )
-        self._cache = (size,) + tables
-        return tables
+                classes = _grown(classes, filled, size)
+                start = filled
+            classes[start:size] = np.arange(start, size)
+            for code, rep in self._classes.items():
+                if code >= start:
+                    classes[code] = rep
+            images[4] = classes
+        self._filled = size
+        return images
 
 
-def _tables(interner: ValueInterner) -> tuple:
-    """The numpy images of an interner's own per-code lists."""
-    return (
-        np.asarray(interner._floats, dtype=np.float64),
-        np.asarray(interner._is_float, dtype=bool),
-        np.asarray(interner._is_safe, dtype=bool),
-        np.asarray(interner._is_nan, dtype=bool),
-    )
+def _same(stored, value) -> bool:
+    """Would ``value`` (``==`` to ``stored``) serialise like it?"""
+    if stored is value:
+        return True
+    kind = type(value)
+    if type(stored) is not kind:
+        return False
+    if kind is float and value == 0.0:
+        return math.copysign(1.0, value) == math.copysign(1.0, stored)
+    return kind is not tuple or repr(value) == repr(stored)
+
+
+def _image(value) -> tuple:
+    """(float image, is_float, is_safe, is_nan) of one value."""
+    kind = type(value)
+    if kind is float:
+        return value, True, True, value != value
+    if (kind is int or kind is bool) and -_SAFE_INT <= value <= _SAFE_INT:
+        return float(value), False, True, False
+    return math.nan, False, False, False
 
 
 class _ChainedValues:
@@ -239,123 +288,215 @@ class _ChainedValues:
         return self._offset + len(self._own)
 
 
+class _Ids:
+    """Dense ids of int64 keys, numbered in order of first sight: the
+    sorted keys seen so far and, when ``numbered``, their ids.  Updates
+    build new arrays, so a shared copy never sees them."""
+
+    __slots__ = ("keys", "ids")
+
+    def __init__(self, numbered: bool):
+        self.keys = _NO_CODES
+        self.ids = _NO_CODES if numbered else None
+
+    def copy(self) -> "_Ids":
+        clone = _Ids.__new__(_Ids)
+        clone.keys, clone.ids = self.keys, self.ids
+        return clone
+
+    def find(self, keys):
+        """The ids of ``keys`` (0 for each seen key when not numbered),
+        -1 where unseen."""
+        if not len(self.keys):
+            return np.full(len(keys), -1, dtype=np.int64)
+        at = np.searchsorted(self.keys, keys)
+        np.minimum(at, len(self.keys) - 1, out=at)
+        seen = self.keys[at] == keys
+        return np.where(seen, 0 if self.ids is None else self.ids[at], -1)
+
+    def add(self, keys):
+        """(ids of ``keys``, ascending positions of the first occurrence
+        of each key not seen before); new keys are numbered in order."""
+        if len(keys) == 1:  # one fact at a time: no sort, one splice
+            ids = self.find(keys)
+            if ids[0] >= 0:
+                return ids, _NO_CODES
+            at = np.searchsorted(self.keys, keys)
+            ids[0] = len(self.keys)
+            self.keys = np.concatenate((self.keys[:at[0]], keys, self.keys[at[0]:]))
+            if self.ids is not None:
+                self.ids = np.concatenate((self.ids[:at[0]], ids, self.ids[at[0]:]))
+            return ids, np.zeros(1, dtype=np.int64)
+        distinct, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        ids = self.find(distinct)
+        fresh = ids < 0
+        firsts = first[fresh]
+        if len(firsts):
+            known = len(self.keys)
+            numbers = np.empty(len(firsts), dtype=np.int64)
+            numbers[np.argsort(firsts)] = np.arange(known, known + len(firsts))
+            ids[fresh] = numbers
+            at = np.searchsorted(self.keys, distinct[fresh])
+            self.keys = np.insert(self.keys, at, distinct[fresh])
+            if self.ids is not None:
+                self.ids = np.insert(self.ids, at, numbers)
+            firsts.sort()
+        return ids[inverse.reshape(-1)], firsts
+
+
 class Block:
-    """Growable struct-of-arrays code columns for one (predicate, arity)."""
+    """The code columns of one (predicate, arity) and the exact
+    membership index of their rows.
 
-    __slots__ = ("arity", "size", "_columns", "_capacity")
+    A row's key is its class codes packed into one int64: two codes fit
+    (codes are < 2**31); past two, the prefix so far is replaced by its
+    dense id among the block's distinct prefixes (one :class:`_Ids` per
+    level), so equal keys mean ``==`` rows, exactly.
+    """
 
-    def __init__(self, arity: int, capacity: int = 16):
+    __slots__ = ("arity", "size", "_columns", "_levels")
+
+    def __init__(self, arity: int):
         self.arity = arity
         self.size = 0
-        self._capacity = max(capacity, 1)
-        self._columns = [
-            np.empty(self._capacity, dtype=np.int64) for _ in range(arity)
-        ]
-
-    def append_rows(self, interner: ValueInterner, rows: Iterable[tuple]) -> None:
-        intern = interner.intern
-        columns = self._columns
-        size = self.size
-        capacity = self._capacity
-        for values in rows:
-            if size == capacity:
-                capacity = max(2 * capacity, 16)
-                for position, column in enumerate(columns):
-                    grown = np.empty(capacity, dtype=np.int64)
-                    grown[:size] = column[:size]
-                    columns[position] = grown
-                self._capacity = capacity
-            for position, value in enumerate(values):
-                columns[position][size] = intern(value)
-            size += 1
-        self.size = size
+        self._columns = [_NO_CODES] * arity
+        self._levels = [_Ids(numbered=True) for _ in range(arity - 2)]
+        self._levels.append(_Ids(numbered=False))
 
     def column(self, position: int):
         return self._columns[position][: self.size]
 
-    def columns(self) -> list:
-        return [column[: self.size] for column in self._columns]
-
-    def snapshot(self) -> "Block":
+    def share(self) -> "Block":
+        """A block over the same rows whose first append copies them."""
         clone = Block.__new__(Block)
-        clone.arity = self.arity
-        clone.size = self.size
-        clone._capacity = self.size
-        clone._columns = [np.array(c[: self.size]) for c in self._columns]
+        clone.arity, clone.size = self.arity, self.size
+        clone._columns = [column[: self.size] for column in self._columns]
+        clone._levels = [level.copy() for level in self._levels]
         return clone
+
+    def _keys(self, classes: list, count: int, add: bool):
+        packed = classes[0] if classes else np.zeros(count, dtype=np.int64)
+        for number, column in enumerate(classes[1:]):
+            if number:
+                level = self._levels[number - 1]
+                packed = level.add(packed)[0] if add else level.find(packed)
+            packed = (packed << 32) | column
+        return packed
+
+    def append(self, codes: list, classes: list, count: int):
+        """Append the rows of ``codes`` (their ``classes`` alongside)
+        that the block lacks, each once; returns their ascending
+        positions in the batch."""
+        fresh = self._levels[-1].add(self._keys(classes, count, add=True))[1]
+        size = self.size
+        stop = size + len(fresh)
+        if stop > size:
+            for position, column in enumerate(codes):
+                target = self._columns[position]
+                if len(target) < stop:
+                    target = self._columns[position] = _grown(target, size, stop)
+                target[size:stop] = column[fresh]
+            self.size = stop
+        return fresh
+
+    def find(self, classes: list, count: int):
+        """Mask of the rows (given by class codes, -1 for a value never
+        interned) the block holds."""
+        return self._levels[-1].find(self._keys(classes, count, add=False)) >= 0
 
 
 class ColumnStore:
-    """Keeps code-column blocks in sync with a Database's row lists.
+    """The blocks of one database: its relations, as codes.
 
-    Holds the database's predicate -> row-list dict (read only by
-    :meth:`sync`), the interner (stores snapshotted from this one get a
-    child of it), the code blocks, the rows consumed per predicate and
-    the cached join build sides — but not the database, which holds the
-    store.
+    Holds the interner (stores copied from this one get a child of it),
+    the blocks, per predicate the runs of arities in append order (so a
+    predicate stored at two arities decodes in insertion order), and
+    the cached join build sides and distinct counts.
     """
 
-    def __init__(self, database, interner: ValueInterner | None = None):
-        self._rows = database._facts
+    def __init__(self, interner: ValueInterner | None = None):
         self.interner = interner if interner is not None else ValueInterner()
         self._blocks: dict[tuple[str, int], Block] = {}
-        # predicate -> rows consumed at last sync
-        self._synced: dict[str, int] = {}
-        # (predicate, arity, probe positions, build filter signature)
-        #   -> (block size, cached build-side structures)
+        #: predicate -> [[arity, rows], ...] in append order
+        self._runs: dict[str, list[list[int]]] = {}
+        # (predicate, arity, probe positions) -> (block size, build side)
         self._build_cache: dict[tuple, tuple[int, tuple]] = {}
         # (predicate, positions) -> (block sizes, distinct keys)
         self._distinct: dict[tuple, tuple[tuple, int]] = {}
 
     # ------------------------------------------------------------------
-    # sync
+    # rows
     # ------------------------------------------------------------------
 
     def block(self, predicate: str, arity: int) -> Block | None:
-        """The synced block for (predicate, arity); None when empty."""
-        self.sync(predicate)
+        """The block for (predicate, arity); None when never written."""
         return self._blocks.get((predicate, arity))
 
-    def sync(self, predicate: str) -> None:
-        """Fold the rows added since the last sync into the blocks."""
-        rows = self._rows[predicate]
-        consumed = self._synced.get(predicate, 0)
-        total = len(rows)
-        if consumed == total:
-            return
-        by_arity: dict[int, list[tuple]] = {}
-        for values in rows[consumed:]:
-            by_arity.setdefault(len(values), []).append(values)
-        for arity, fresh in by_arity.items():
-            block = self._blocks.get((predicate, arity))
-            if block is None:
-                block = self._blocks[(predicate, arity)] = Block(
-                    arity, capacity=len(fresh)
-                )
-            block.append_rows(self.interner, fresh)
-        self._synced[predicate] = total
+    def append(self, predicate: str, arity: int, codes: list, count: int):
+        """Append ``count`` rows given as code columns, keeping the ones
+        the relation lacks (first occurrence wins); returns their
+        ascending positions in the batch."""
+        block = self._blocks.get((predicate, arity))
+        if block is None:
+            block = self._blocks[(predicate, arity)] = Block(arity)
+        classes = [self.interner.classes(column) for column in codes]
+        fresh = block.append(codes, classes, count)
+        if len(fresh):
+            runs = self._runs.setdefault(predicate, [])
+            if runs and runs[-1][0] == arity:
+                runs[-1][1] += len(fresh)
+            else:
+                runs.append([arity, len(fresh)])
+        return fresh
 
-    def preload(self, predicate: str) -> None:
-        """Eagerly sync one predicate (boot-time hook for loaders)."""
-        self.sync(predicate)
+    def count(self, predicate: str) -> int:
+        return sum(rows for _, rows in self._runs.get(predicate, ()))
 
-    def snapshot_for(self, clone_database) -> "ColumnStore":
-        """A store over ``clone_database`` reusing this store's work.
+    def predicates(self) -> list[str]:
+        return list(self._runs)
 
-        Intended for :meth:`Database.copy`: the clone's row lists equal
-        ours right now for every relation it holds, so their blocks carry
-        over as numpy copies (no re-interning), and the clone interns
-        into a child of our interner: its codes extend ours, and what it
-        mints stays out of ours.
-        """
-        store = ColumnStore(clone_database, interner=self.interner.child())
-        held = clone_database._facts
+    def sizes(self, predicates) -> dict[tuple[str, int], int]:
+        """Rows per block of ``predicates`` (the mark of a delta)."""
+        return {
+            key: block.size for key, block in self._blocks.items()
+            if key[0] in predicates
+        }
+
+    def rows(self, predicate: str, arity: int, start: int, stop: int) -> list[tuple]:
+        """Rows [start, stop) of one block, decoded."""
+        if arity == 0:
+            return [()] * (stop - start)
+        decode = self.interner.decode
+        block = self._blocks[(predicate, arity)]
+        return list(zip(*(decode(block.column(p)[start:stop]) for p in range(arity))))
+
+    def decode(self, predicate: str, start: int = 0) -> list[tuple]:
+        """The facts of ``predicate`` from its ``start``-th on, decoded,
+        in insertion order."""
+        facts: list[tuple] = []
+        position = 0
+        consumed: dict[int, int] = {}
+        for arity, rows in self._runs.get(predicate, ()):
+            begin = consumed.get(arity, 0)
+            consumed[arity] = begin + rows
+            if position + rows > start:
+                skip = max(start - position, 0)
+                facts.extend(self.rows(predicate, arity, begin + skip, begin + rows))
+            position += rows
+        return facts
+
+    def copy(self, predicates=None) -> "ColumnStore":
+        """A store over the same blocks (all, or those of
+        ``predicates``), shared until written, interning into a child
+        of this store's interner."""
+        store = ColumnStore(self.interner.child())
         for key, block in self._blocks.items():
-            if key[0] in held:
-                store._blocks[key] = block.snapshot()
-        store._synced = {
-            predicate: consumed for predicate, consumed in self._synced.items()
-            if predicate in held
+            if predicates is None or key[0] in predicates:
+                store._blocks[key] = block.share()
+        store._runs = {
+            predicate: [list(run) for run in runs]
+            for predicate, runs in self._runs.items()
+            if predicates is None or predicate in predicates
         }
         return store
 
@@ -364,11 +505,11 @@ class ColumnStore:
     # ------------------------------------------------------------------
 
     def distinct_count(self, predicate: str, positions: tuple[int, ...]) -> int:
-        """Distinct keys over ``positions`` (ascending) among the rows
-        long enough to have them — what a hash index over those positions
-        would hold.  Cached until the relation grows; a cached join build
-        side on the same positions is counted instead of sorting again."""
-        self.sync(predicate)
+        """Distinct ``==`` keys over ``positions`` (ascending) among the
+        rows long enough to have them — what a hash index over those
+        positions would hold.  Cached until the relation grows; a cached
+        join build side on the same positions is counted instead of
+        sorting again."""
         blocks = [
             (arity, block) for (name, arity), block in self._blocks.items()
             if name == predicate and arity > positions[-1] and block.size
@@ -387,10 +528,11 @@ class ColumnStore:
                 if built is not None and built[0] == block.size:
                     keys = built[1][1]
             if keys is None:
-                relation = blocks[0][1] if len(blocks) == 1 else _Stacked(
-                    [block for _, block in blocks]
-                )
-                keys = np.sort(sort_keys(relation, positions, order=False))
+                classes = self.interner.classes
+                keys = np.sort(sort_keys(
+                    lambda p: classes(np.concatenate([b.column(p) for _, b in blocks])),
+                    positions, order=False,
+                ))
             count = 1 + int(np.count_nonzero(keys[1:] != keys[:-1]))
         self._distinct[(predicate, positions)] = (sizes, count)
         return count
@@ -401,7 +543,7 @@ class ColumnStore:
 
     def sorted_keys(self, predicate: str, arity: int, key_positions: tuple[int, ...]):
         """Cached (stable sort order, sorted packed keys, prefix levels)
-        join build side (see :func:`sort_keys`).
+        join build side over class codes (see :func:`sort_keys`).
 
         The stable argsort means rows sharing a key stay in insertion
         order, which is what lets the executor reproduce the compiled
@@ -415,27 +557,15 @@ class ColumnStore:
         cached = self._build_cache.get(key)
         if cached is not None and cached[0] == block.size:
             return cached[1]
-        entry = sort_keys(block, key_positions)
+        classes = self.interner.classes
+        entry = sort_keys(lambda p: classes(block.column(p)), key_positions)
         self._build_cache[key] = (block.size, entry)
         return entry
 
 
-class _Stacked:
-    """Blocks of one predicate's arities, one after the other, seen as
-    one block-shaped relation over the positions they all have."""
-
-    __slots__ = ("_blocks",)
-
-    def __init__(self, blocks: list):
-        self._blocks = blocks
-
-    def column(self, position: int):
-        return np.concatenate([block.column(position) for block in self._blocks])
-
-
-def sort_keys(block, key_positions: tuple[int, ...], order: bool = True):
+def sort_keys(column, key_positions: tuple[int, ...], order: bool = True):
     """(stable sort order, sorted packed keys, prefix levels) of a
-    block-shaped relation (anything with ``column(position)``) on its
+    relation, given as ``column(position)`` -> code array, on its
     ``key_positions``; with ``order=False`` only the packed keys, in
     row order.
 
@@ -446,14 +576,14 @@ def sort_keys(block, key_positions: tuple[int, ...], order: bool = True):
     needs to pack a probe row the same way.  Packing keeps the
     lexicographic order of the code tuples.
     """
-    packed = block.column(key_positions[0])
+    packed = column(key_positions[0])
     levels = []
     for number, position in enumerate(key_positions[1:]):
         if number:
             distinct, packed = np.unique(packed, return_inverse=True)
             packed = packed.reshape(-1)
             levels.append(distinct)
-        packed = (packed << 32) | block.column(position)
+        packed = (packed << 32) | column(position)
     if not order:
         return packed
     rows = np.argsort(packed, kind="stable")

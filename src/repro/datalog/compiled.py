@@ -11,7 +11,7 @@ into a chain of closures over a flat register file —
   the planned order, so there is no per-tuple "is this variable bound?"
   question left);
 * each atom step captures the **live index dict** (or row list) of its
-  predicate at compile time — facts are append-only, and
+  predicate's decoded view at compile time — facts are append-only, and
   :class:`~repro.datalog.database.Database` extends those objects in
   place, never replaces them, across semi-naive rounds — and probes it
   with a precompiled key builder;

@@ -1,43 +1,46 @@
-"""In-memory fact store with on-demand positional hash indexes.
+"""The fact store: one copy of each relation, as code blocks.
 
-Facts are stored per predicate as plain tuples of Python values.  Joins in
-the engine probe :meth:`Database.match` with a partially bound pattern; the
-store builds (and caches) a hash index over the bound positions the first
-time a given binding shape is used for a predicate, so repeated joins run
-at dictionary-lookup speed.
+A :class:`Database` keeps every relation as int64 code columns, one
+:class:`~repro.datalog.columns.Block` per (predicate, arity) in its
+:class:`~repro.datalog.columns.ColumnStore`.  Facts enter as columns
+(:meth:`Database.load`, :meth:`Database.append`) or as tuples
+(:meth:`Database.add`, :meth:`Database.add_all`, interned on the way
+in); either way a block keeps only the rows it lacks, by an exact
+membership test on the rows' class codes, so set semantics follow
+Python ``==`` while each stored value keeps its type.
+
+Decoding happens where a caller reads facts: :meth:`facts`,
+:meth:`iter_facts`, :meth:`match` and :meth:`all_facts` decode the
+blocks they read.  The per-row executors (the compiled closure chains
+and the interpreted join of :mod:`repro.datalog.engine`) need live
+Python structures instead — a row list (:meth:`live_rows`), a dedup set
+(:meth:`live_set`) and positional hash indexes (:meth:`index_for`).
+That *decoded view* is built per predicate on first request, and from
+then on every append to the predicate extends it in place, never
+replaces it, so an evaluator may capture it once and probe it across
+semi-naive rounds.  A vectorized run never asks for it.
 
 Facts are append-only: there is no removal.  That is what the chase
 assumes (derived facts only accumulate, aggregates are monotonic), and a
 caller that needs a retraction builds a new ``Database`` from the changed
-input and runs the engine again.  The join planner and the compiled rule
-evaluators (:mod:`repro.datalog.planner` / :mod:`repro.datalog.compiled`)
-and the columnar cache (:mod:`repro.datalog.columns`) lean on what
-follows from it:
-
-* **index stability** — once built, the dict returned by
-  :meth:`index_for` (and its bucket lists) is extended *in place* by
-  :meth:`add`, never replaced, so compiled evaluators may capture it once
-  and probe it across semi-naive rounds;
-* **cheap statistics** — :meth:`cardinality` and :meth:`distinct_count`
-  expose the per-predicate row counts and distinct key counts the
-  planner's selectivity estimates are built from.  Both answer from
-  maintained state (list lengths, index key counts, or the column
-  store's counts, cached per relation size), never by scanning the row
-  lists or building an index;
-* **the row count is the version** — a live row list only grows, so the
-  columnar cache syncs by consuming the rows past the count it last saw
-  and extends its column blocks in place.
+input and runs the engine again.  It is also what lets :meth:`copy`
+share the blocks instead of copying them, and what lets the engine
+name a semi-naive delta as the rows of a block past a mark.
 
 Predicates may mix arities under one name (the engine stores ``link/3``
-and ``link/4`` together); an index over positions a short tuple does not
-have simply skips that tuple — it could never match a pattern binding
-that position anyway.
+and ``link/4`` together); each arity has its own block, facts come back
+in insertion order across them, and an index over positions a short
+tuple does not have simply skips that tuple.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+from itertools import groupby
 from typing import Iterable, Iterator
+
+import numpy as np
+
+from .columns import ColumnStore
 
 FactValues = tuple
 Fact = tuple[str, FactValues]
@@ -47,20 +50,16 @@ _PredicateIndexes = dict[tuple[int, ...], dict[tuple, list[FactValues]]]
 
 
 class Database:
-    """A mutable set of facts grouped by predicate name."""
+    """A set of facts grouped by predicate name, held as code blocks."""
 
-    def __init__(self, facts: Iterable[Fact] = ()):
-        # predicate -> insertion-ordered list of value tuples
-        self._facts: dict[str, list[FactValues]] = defaultdict(list)
-        # predicate -> set of value tuples (dedup)
-        self._sets: dict[str, set[FactValues]] = defaultdict(set)
-        # predicate -> its cached positional indexes (kept per predicate so
-        # ``add`` only maintains the indexes of the predicate it touches)
+    def __init__(self, facts: Iterable[Fact] = (), store: ColumnStore | None = None):
+        self._columns = store if store is not None else ColumnStore()
+        # the decoded view, per predicate, built on demand: row lists,
+        # dedup sets and positional indexes
+        self._rows: dict[str, list[FactValues]] = {}
+        self._sets: dict[str, set[FactValues]] = {}
         self._indexes: dict[str, _PredicateIndexes] = {}
-        # lazily attached repro.datalog.columns.ColumnStore
-        self._columns = None
-        for predicate, values in facts:
-            self.add(predicate, values)
+        self.add_all(facts)
 
     # ------------------------------------------------------------------
     # mutation
@@ -68,69 +67,105 @@ class Database:
 
     def add(self, predicate: str, values: FactValues) -> bool:
         """Insert a fact; returns True when it was new."""
-        existing = self._sets[predicate]
-        if values in existing:
-            return False
-        existing.add(values)
-        self._facts[predicate].append(values)
-        indexes = self._indexes.get(predicate)
-        if indexes:
-            width = len(values)
-            for positions, index in indexes.items():
-                if positions[-1] < width:
-                    key = tuple(values[p] for p in positions)
-                    index.setdefault(key, []).append(values)
-        return True
+        intern = self._columns.interner.intern
+        codes = [np.full(1, intern(value), dtype=np.int64) for value in values]
+        return self.append(predicate, len(values), codes, 1) == 1
 
     def add_all(self, facts: Iterable[Fact]) -> int:
         """Insert many facts; returns how many were new."""
+        by_predicate: dict[str, list[FactValues]] = {}
+        # a repeat is ``==`` to an earlier fact: the blocks would drop it
+        for predicate, values in dict.fromkeys(facts):
+            by_predicate.setdefault(predicate, []).append(values)
+        return sum(self._add_rows(p, rows) for p, rows in by_predicate.items())
+
+    def load(self, predicate: str, columns: list) -> int:
+        """Insert one relation given as value columns (one sequence per
+        position, all of one length); returns how many rows were new.
+        Each column is interned in one pass."""
+        intern = self._columns.interner.intern_column
+        return self.append(predicate, len(columns), [intern(c) for c in columns],
+                           len(columns[0]) if columns else 0)
+
+    def append(self, predicate: str, arity: int, codes: list, count: int) -> int:
+        """Insert ``count`` rows given as code columns of this database's
+        interner; returns how many were new.  A decoded view of the
+        predicate, if one was built, is extended with them."""
+        fresh = self._columns.append(predicate, arity, codes, count)
+        if len(fresh) and (
+            predicate in self._rows or predicate in self._sets or predicate in self._indexes
+        ):
+            decode = self._columns.interner.decode
+            added = list(zip(*(decode(column[fresh]) for column in codes)))
+            self._extend_view(predicate, added or [()] * len(fresh))
+        return len(fresh)
+
+    def _add_rows(self, predicate: str, rows: list[FactValues]) -> int:
+        """Insert tuples of one predicate, in order, one append per run
+        of equal arity."""
+        intern = self._columns.interner.intern_column
         added = 0
-        for predicate, values in facts:
-            if self.add(predicate, values):
-                added += 1
+        for arity, run in groupby(rows, key=len):
+            chunk = list(run)
+            codes = [intern(column) for column in zip(*chunk)]
+            added += self.append(predicate, arity, codes, len(chunk))
         return added
+
+    def _extend_view(self, predicate: str, rows: list[FactValues]) -> None:
+        live = self._rows.get(predicate)
+        if live is not None:
+            live.extend(rows)
+        existing = self._sets.get(predicate)
+        if existing is not None:
+            existing.update(rows)
+        for positions, index in self._indexes.get(predicate, {}).items():
+            _index_rows(index, positions, rows)
 
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
 
     def contains(self, predicate: str, values: FactValues) -> bool:
-        existing = self._sets.get(predicate)
-        return existing is not None and values in existing
+        block = self._columns.block(predicate, len(values))
+        if block is None:
+            return False
+        lookup = self._columns.interner.lookup
+        classes = [np.full(1, lookup(value), dtype=np.int64) for value in values]
+        return bool(block.find(classes, 1)[0])
 
     def facts(self, predicate: str) -> list[FactValues]:
-        """All value tuples of ``predicate`` in insertion order.
-
-        Returns a fresh list: mutating it cannot desynchronise the store's
-        insertion-order lists, dedup sets and cached indexes.  Internal
-        consumers on hot paths use :meth:`iter_facts` instead.
-        """
-        return list(self._facts.get(predicate, ()))
+        """All value tuples of ``predicate`` in insertion order, as a
+        fresh list: mutating it cannot touch the store."""
+        live = self._rows.get(predicate)
+        return list(live) if live is not None else self._columns.decode(predicate)
 
     def iter_facts(self, predicate: str) -> Iterator[FactValues]:
-        """Iterate the facts of ``predicate`` without copying.
+        """Iterate the facts of ``predicate``, including those added
+        while the iteration runs."""
+        live = self._rows.get(predicate)
+        return iter(live) if live is not None else self._iter_decoded(predicate)
 
-        The iterator walks the live insertion-order list, so the caller
-        must not mutate the database while consuming it.  The engine's
-        join loops qualify: derivations are buffered and flushed only
-        after each rule application's scan completes.
-        """
-        return iter(self._facts.get(predicate, ()))
+    def _iter_decoded(self, predicate: str) -> Iterator[FactValues]:
+        done = 0
+        while done < self.count(predicate):
+            rows = self._columns.decode(predicate, done)
+            done += len(rows)
+            yield from rows
 
     def predicates(self) -> list[str]:
-        return [predicate for predicate, rows in self._facts.items() if rows]
+        return self._columns.predicates()
 
     def match(self, predicate: str, pattern: dict[int, object]) -> Iterator[FactValues]:
         """Yield facts of ``predicate`` whose positions match ``pattern``.
 
         ``pattern`` maps position -> required value.  An empty pattern
-        scans the predicate.
+        scans the predicate (decoding it, or reading its row list when
+        the decoded view has one); a pattern probes the hash index over
+        its positions.
         """
-        rows = self._facts.get(predicate)
-        if not rows:
-            return iter(())
         if not pattern:
-            return iter(rows)
+            live = self._rows.get(predicate)
+            return iter(live if live is not None else self._columns.decode(predicate))
         positions = tuple(sorted(pattern))
         index = self.index_for(predicate, positions)
         key = tuple(pattern[p] for p in positions)
@@ -141,24 +176,16 @@ class Database:
     ) -> dict[tuple, list[FactValues]]:
         """The live hash index of ``predicate`` over ``positions``.
 
-        Builds the index on first use (this doubles as the planner's
-        pre-warm hook) and returns the *live* dict: subsequent ``add``
-        calls extend it in place, so holding a reference stays valid for
-        the lifetime of this database.  ``positions`` must be
-        sorted ascending.
+        Builds the index on first use and returns the *live* dict:
+        subsequent appends extend it in place, so holding a reference
+        stays valid for the lifetime of this database.  ``positions``
+        must be sorted ascending.
         """
-        indexes = self._indexes.get(predicate)
-        if indexes is None:
-            indexes = self._indexes[predicate] = {}
+        indexes = self._indexes.setdefault(predicate, {})
         index = indexes.get(positions)
         if index is None:
-            index = {}
-            max_position = positions[-1]
-            for values in self._facts.get(predicate, ()):
-                if max_position < len(values):
-                    key = tuple(values[p] for p in positions)
-                    index.setdefault(key, []).append(values)
-            indexes[positions] = index
+            index = indexes[positions] = {}
+            _index_rows(index, positions, self.facts(predicate))
         return index
 
     # ------------------------------------------------------------------
@@ -167,103 +194,61 @@ class Database:
 
     def cardinality(self, predicate: str) -> int:
         """Current number of facts of ``predicate`` (0 when absent)."""
-        rows = self._facts.get(predicate)
-        return len(rows) if rows is not None else 0
+        return self._columns.count(predicate)
 
-    def distinct_count(self, predicate: str, positions: tuple[int, ...]) -> int | None:
-        """Number of distinct keys over ``positions`` (ascending).
+    def distinct_count(self, predicate: str, positions: tuple[int, ...]) -> int:
+        """Number of distinct keys over ``positions`` (ascending), from
+        the code blocks — exact, cached per relation size, and never
+        building an index, so the planner (including its replanning
+        path) can ask freely."""
+        return self._columns.distinct_count(predicate, positions)
 
-        Never builds or touches an index, so the planner (including its
-        replanning path) can ask freely:
-
-        * the exact index over ``positions`` gives the exact key count;
-        * otherwise, with a column store attached (every planned engine
-          attaches one), the relation's column blocks give the same exact
-          count — so a plan does not depend on which closure chains
-          happened to build indexes;
-        * otherwise, any maintained index over a *subset* of
-          ``positions`` gives a lower bound (adding key positions can
-          only split keys further); the largest such bound is returned;
-        * with nothing usable the answer is None and the planner falls
-          back to its default selectivity heuristics.
-        """
-        indexes = self._indexes.get(predicate)
-        if indexes:
-            exact = indexes.get(positions)
-            if exact is not None:
-                return len(exact)
-        if self._columns is not None:
-            return self._columns.distinct_count(predicate, positions)
-        if not indexes:
-            return None
-        wanted = set(positions)
-        best: int | None = None
-        for built, index in indexes.items():
-            if set(built) <= wanted and (best is None or len(index) > best):
-                best = len(index)
-        return best
-
-    def column_store(self):
-        """The lazily attached columnar cache (see :mod:`.columns`).
-
-        One store per database: interned code columns per (predicate,
-        arity), kept in sync with the row lists by their length.
-        """
-        if self._columns is None:
-            from .columns import ColumnStore
-
-            self._columns = ColumnStore(self)
+    def column_store(self) -> ColumnStore:
+        """The code blocks holding this database's relations."""
         return self._columns
 
     # ------------------------------------------------------------------
-    # internal live views (compiled-evaluator capture points)
+    # the decoded view (per-row executor capture points)
     # ------------------------------------------------------------------
 
     def live_rows(self, predicate: str) -> list[FactValues]:
         """The live insertion-order row list (internal; do not mutate)."""
-        return self._facts[predicate]
+        live = self._rows.get(predicate)
+        if live is None:
+            live = self._rows[predicate] = self._columns.decode(predicate)
+        return live
 
     def live_set(self, predicate: str) -> set[FactValues]:
         """The live dedup set (internal; do not mutate)."""
-        return self._sets[predicate]
+        existing = self._sets.get(predicate)
+        if existing is None:
+            existing = self._sets[predicate] = set(self.facts(predicate))
+        return existing
 
     # ------------------------------------------------------------------
     # bulk access / misc
     # ------------------------------------------------------------------
 
     def all_facts(self) -> Iterator[Fact]:
-        for predicate, rows in self._facts.items():
-            for values in rows:
+        for predicate in self.predicates():
+            for values in self.facts(predicate):
                 yield (predicate, values)
 
     def count(self, predicate: str | None = None) -> int:
         if predicate is not None:
-            return len(self._facts.get(predicate, ()))
-        return sum(len(rows) for rows in self._facts.values())
+            return self._columns.count(predicate)
+        return sum(map(self._columns.count, self.predicates()))
 
     def copy(self, predicates: Iterable[str] | None = None) -> "Database":
-        """An independent clone sharing no mutable state with the original.
+        """A clone that later additions to either side do not reach.
 
         ``predicates`` limits the clone to those relations (all, by
-        default): a run that reads three relations copies three.  The
-        dedup sets are rebuilt from the insertion-order lists (the single
-        source of truth), so a clone is internally consistent even if the
-        two structures ever drifted apart; indexes are not copied — they
-        are rebuilt lazily on first use.
+        default).  The clone shares the blocks (append-only; its first
+        append to one copies it) and interns into a child of this
+        database's interner; decoded views are not carried over.
         """
         wanted = None if predicates is None else set(predicates)
-        clone = Database()
-        for predicate, rows in self._facts.items():
-            if not rows or (wanted is not None and predicate not in wanted):
-                continue
-            clone._facts[predicate] = list(rows)
-            clone._sets[predicate] = set(rows)
-        if self._columns is not None:
-            # column blocks snapshot over by numpy copy (cheap memcpy, and
-            # the clone's child interner keeps codes comparable), so
-            # engines running over copies skip the per-value re-intern
-            clone._columns = self._columns.snapshot_for(clone)
-        return clone
+        return Database(store=self._columns.copy(wanted))
 
     def __contains__(self, fact: Fact) -> bool:
         predicate, values = fact
@@ -273,5 +258,13 @@ class Database:
         return self.count()
 
     def __repr__(self) -> str:
-        sizes = {predicate: len(rows) for predicate, rows in self._facts.items() if rows}
+        sizes = {predicate: self.count(predicate) for predicate in self.predicates()}
         return f"Database({sizes})"
+
+
+def _index_rows(index: dict, positions: tuple[int, ...], rows) -> None:
+    """File ``rows`` into a positional index (rows too short skipped)."""
+    last = positions[-1]
+    for values in rows:
+        if last < len(values):
+            index.setdefault(tuple(values[p] for p in positions), []).append(values)

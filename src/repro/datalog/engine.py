@@ -29,7 +29,6 @@ from typing import Any, Iterator
 from ..telemetry import NULL_TRACER
 from .atoms import Aggregate, Assignment, Atom, Comparison, Negation
 from .builtins import Binding, FunctionRegistry, compare, evaluate
-from .compiled import CompilationFallback, compile_rule
 from .database import Database, Fact, FactValues
 from .errors import EvaluationError
 from .planner import order_sensitive_predicates, plan_rule
@@ -171,12 +170,7 @@ class Engine:
         # per-atom term plans: position -> ("var", name) | ("const", value)
         # | ("complex", term); avoids isinstance dispatch in the join loops
         self._atom_plan_cache: dict[int, tuple] = {}
-        for predicate, values in program.facts:
-            self.database.add(predicate, values)
-        if self.plan_enabled:
-            # the planner's distinct counts come from the column blocks
-            # whichever backend runs (see Database.distinct_count)
-            self.database.column_store()
+        self.database.add_all(program.facts)
 
     # ------------------------------------------------------------------
     # public API
@@ -261,6 +255,8 @@ class Engine:
         # Per-rule accumulators (wall seconds, applications, firings,
         # derived facts), populated only when a live tracer is attached.
         rule_metrics: dict[int, list] | None = {} if span is not None else None
+        store = self.database.column_store()
+        heads = set().union(*(rule.head_predicates() for rule in stratum.rules))
 
         # Exit rules read nothing this stratum derives, so one application,
         # before anything else, finds all their facts. Those facts go into
@@ -277,18 +273,20 @@ class Engine:
         if span is not None and self.seminaive:
             span.set("exit_rules", len(exit_rules))
 
-        # Round 0: full evaluation of every other rule.
-        delta: list[Fact] = []
+        # Round 0: full evaluation of every other rule. A round's delta
+        # is what it appended: the rows of each block past its mark.
+        marks = store.sizes(heads)
+        derived = 0
         for rule in rules:
-            delta.extend(self._apply_rule(rule, None, None, rule_metrics))
+            derived += self._apply_rule(rule, None, None, rule_metrics)
         self.stats.iterations += 1
         if span is not None:
-            span.append("delta_sizes", len(delta))
+            span.append("delta_sizes", derived)
 
         if not self.seminaive:
             # Naive mode (for the ablation benchmark): re-run all rules on
             # the full database until nothing new appears.
-            changed = bool(delta)
+            changed = bool(derived)
             while changed:
                 self._check_iteration_budget()
                 changed = False
@@ -299,30 +297,30 @@ class Engine:
             self._finish_stratum_span(stratum, span, rule_metrics)
             return
 
-        # Semi-naive rounds: seed each rule occurrence with the last delta.
-        while delta:
+        # Semi-naive rounds: seed each rule occurrence with the last delta,
+        # as the row range [start, stop) of the block its atom reads.
+        while derived:
             self._check_iteration_budget()
-            delta_by_predicate: dict[str, list[FactValues]] = {}
-            for predicate, values in delta:
-                delta_by_predicate.setdefault(predicate, []).append(values)
-            delta = []
+            delta: dict[str, dict[int, tuple[int, int]]] = {}
+            for (predicate, arity), size in store.sizes(heads).items():
+                start = marks.get((predicate, arity), 0)
+                if size > start:
+                    delta.setdefault(predicate, {})[arity] = (start, size)
+            marks = store.sizes(heads)
+            derived = 0
             for rule in rules:
                 body = rule.body
                 for occurrence, literal_index in enumerate(rule.positive_positions()):
-                    predicate = body[literal_index].predicate
-                    if predicate not in delta_by_predicate:
+                    atom = body[literal_index]
+                    ranges = delta.get(atom.predicate)
+                    if ranges is None:
                         continue
-                    delta.extend(
-                        self._apply_rule(
-                            rule,
-                            occurrence,
-                            delta_by_predicate[predicate],
-                            rule_metrics,
-                        )
+                    derived += self._apply_rule(
+                        rule, occurrence, ranges.get(atom.arity, (0, 0)), rule_metrics
                     )
             self.stats.iterations += 1
             if span is not None:
-                span.append("delta_sizes", len(delta))
+                span.append("delta_sizes", derived)
         self._finish_stratum_span(stratum, span, rule_metrics)
 
     def _finish_stratum_span(
@@ -368,36 +366,37 @@ class Engine:
         self,
         rule: Rule,
         seed_predicate: int | None,
-        seed_facts: list[FactValues] | None,
+        seed: tuple[int, int] | None,
         rule_metrics: dict[int, list] | None = None,
-    ) -> list[Fact]:
-        """Fire ``rule`` and return the newly derived facts.
+    ) -> int:
+        """Fire ``rule`` and return how many new facts it derived.
 
         ``seed_predicate`` selects a positive-atom occurrence forced to
-        range over ``seed_facts`` (the semi-naive delta) instead of the
-        whole relation.  ``rule_metrics`` (tracing only) accumulates
-        per-rule [wall seconds, applications, firings, derived facts].
+        range over ``seed`` — the rows [start, stop) of its relation's
+        block, the semi-naive delta — instead of the whole relation.
+        ``rule_metrics`` (tracing only) accumulates per-rule [wall
+        seconds, applications, firings, derived facts].
         """
         if rule_metrics is not None:
             started = time.perf_counter()
             firings_before = self.stats.rule_firings
-            new_facts = self._apply_rule_inner(rule, seed_predicate, seed_facts)
+            new = self._apply_rule_inner(rule, seed_predicate, seed)
             metrics = rule_metrics.get(id(rule))
             if metrics is None:
                 metrics = rule_metrics[id(rule)] = [0.0, 0, 0, 0]
             metrics[0] += time.perf_counter() - started
             metrics[1] += 1
             metrics[2] += self.stats.rule_firings - firings_before
-            metrics[3] += len(new_facts)
-            return new_facts
-        return self._apply_rule_inner(rule, seed_predicate, seed_facts)
+            metrics[3] += new
+            return new
+        return self._apply_rule_inner(rule, seed_predicate, seed)
 
     def _apply_rule_inner(
         self,
         rule: Rule,
         seed_predicate: int | None,
-        seed_facts: list[FactValues] | None,
-    ) -> list[Fact]:
+        seed: tuple[int, int] | None,
+    ) -> int:
         seed_literal_index: int | None = None
         if seed_predicate is not None:
             seed_literal_index = rule.positive_positions()[seed_predicate]
@@ -409,7 +408,7 @@ class Engine:
                 vectorized = self._vectorized_for(rule, seed_literal_index, plan)
                 if vectorized is not None:
                     try:
-                        derived, firings = vectorized.execute(seed_facts)
+                        derived, firings = vectorized.execute(seed)
                     except VectorRuntimeFallback as fallback:
                         # raised with the engine's state as it was before
                         # the execution: re-running on the compiled path
@@ -417,12 +416,15 @@ class Engine:
                         self._vector_disabled.add(key)
                         self._vector_fallbacks[key] = str(fallback)
                     else:
-                        return self._ingest_derived(derived, firings)
+                        return self._ingest(derived, firings, vectorized.coded)
             compiled = self._compiled_for(rule, seed_literal_index, plan)
             if compiled is not None:
-                return self._apply_compiled(compiled, seed_facts)
+                seed_facts = self._seed_rows(rule, seed_literal_index, seed)
+                derived, firings = compiled.execute(seed_facts)
+                return self._ingest(derived, firings)
 
-        new_facts: list[Fact] = []
+        seed_facts = self._seed_rows(rule, seed_literal_index, seed)
+        new = 0
         literals = list(rule.body)
 
         # Buffer derivations and flush after the join: the rule must see the
@@ -440,14 +442,25 @@ class Engine:
             for fact in derived:
                 pending.append((fact, trace_snapshot))
 
+        if not self.provenance_enabled:
+            return self._ingest([fact for fact, _ in pending], 0)
         for fact, trace_snapshot in pending:
             predicate, values = fact
             if self.database.add(predicate, values):
-                new_facts.append(fact)
+                new += 1
                 self.stats.facts_derived += 1
-                if self.provenance_enabled and fact not in self.provenance:
+                if fact not in self.provenance:
                     self.provenance[fact] = Derivation(rule, trace_snapshot)
-        return new_facts
+        return new
+
+    def _seed_rows(
+        self, rule: Rule, seed_literal_index: int | None, seed: tuple[int, int] | None
+    ) -> list[FactValues] | None:
+        """The seed's rows, decoded, for the per-row executors."""
+        if seed is None or seed[0] == seed[1]:
+            return None if seed is None else []
+        atom = rule.body[seed_literal_index]
+        return self.database.column_store().rows(atom.predicate, atom.arity, *seed)
 
     # ------------------------------------------------------------------
     # planned / compiled evaluation
@@ -494,6 +507,9 @@ class Engine:
         ):
             cached.plan = plan
             return cached
+        # imported here: a run in which every rule is columnar never needs it
+        from .compiled import CompilationFallback, compile_rule
+
         try:
             compiled = compile_rule(self, rule, plan, counting=self.tracer.enabled)
         except CompilationFallback as fallback:
@@ -572,21 +588,17 @@ class Engine:
             span.set("reduced_in", sum(scanned for scanned, _ in reductions))
             span.set("reduced_out", sum(kept for _, kept in reductions))
 
-    def _apply_compiled(self, compiled, seed_facts: list[FactValues] | None) -> list[Fact]:
-        derived, firings = compiled.execute(seed_facts)
-        return self._ingest_derived(derived, firings)
-
-    def _ingest_derived(self, derived: list[Fact], firings: int) -> list[Fact]:
-        """Flush an evaluator's fact sink into the database (shared by the
-        compiled and vectorized backends)."""
+    def _ingest(self, derived: list, firings: int, coded: bool = False) -> int:
+        """Flush an evaluator's output into the database — fact tuples,
+        or with ``coded`` a vectorized head's (predicate, arity, code
+        columns, rows) batches; returns how many facts were new."""
         self.stats.rule_firings += firings
-        new_facts: list[Fact] = []
-        add = self.database.add
-        for fact in derived:
-            if add(fact[0], fact[1]):
-                new_facts.append(fact)
-        self.stats.facts_derived += len(new_facts)
-        return new_facts
+        if coded:
+            new = sum(self.database.append(*batch) for batch in derived)
+        else:
+            new = self.database.add_all(derived)
+        self.stats.facts_derived += new
+        return new
 
     def _emit_plan_spans(self, run_span) -> None:
         """EXPLAIN: one child span per (rule, seed occurrence) plan.

@@ -123,13 +123,17 @@ the sort would cost more than the join.
 Identity discipline
 -------------------
 
-Values are interned with Python ``==``/``hash`` semantics (so ``1`` and
-``1.0`` share a code, exactly as the tuple-keyed dict indexes of the
-compiled path collapse them), and every shortcut that could diverge from
+Every value has a code of its own (``1`` and ``1.0`` too), and Python
+``==`` is the code's *class* (see
+:meth:`~repro.datalog.columns.ValueInterner.classes`): join keys,
+membership, negation and equality tests compare classes, exactly as the
+tuple-keyed dict indexes of the compiled path collapse equal values,
+while a Skolem argument, an aggregate input or a head value reads the
+code and so the value itself.  Every shortcut that could diverge from
 Python scalar semantics is guarded:
 
-* code equality is corrected for NaN (a NaN value equals nothing, not
-  even itself, while its code does);
+* equality is corrected for NaN (a NaN value equals nothing, not even
+  itself, while its class does);
 * ordering comparisons require every operand value to be *safely*
   numeric (floats, bools, ints within 2**53); otherwise the rule takes
   a :class:`VectorRuntimeFallback` and the engine permanently reverts it
@@ -141,18 +145,16 @@ Python scalar semantics is guarded:
 * fallbacks leave the engine as the execution found it — the batch
   steps mutate nothing but append-only caches, and what the aggregate
   folds changed is rolled back — so the engine can re-run the rule on
-  the compiled path without losing or double counting a contribution;
-* a code shared by ``==``-equal values of different type (``1`` and
-  ``1.0``; see :attr:`~repro.datalog.columns.ValueInterner.mixed`)
-  decodes to the first of them, so a Skolem argument, arithmetic or
-  aggregate operand, or an aggregate total read through one falls back.
+  the compiled path without losing or double counting a contribution.
 
 Deduplicating head emission keeps the output small: rows are unique-d on
 the head-variable columns (first occurrence wins, preserving order — a
 dropped row's facts were exact duplicates the database would have
 rejected anyway), so a rule with 140k firings but 500 distinct heads
-decodes 500 tuples, not 140k, and mints its Skolem values and nulls for
-those 500 only.
+mints its Skolem values and nulls for those 500 only, and appends 500
+rows of codes to the head relation's block (which keeps those it
+lacks).  Nothing is decoded: the seed of a semi-naive round is a row
+range of a block, and the head is code columns.
 """
 
 from __future__ import annotations
@@ -164,7 +166,6 @@ import numpy as np
 
 from .atoms import Aggregate, Assignment, Atom, Comparison, Negation
 from .columns import MAX_CODES, probe_keys, sort_keys
-from .compiled import CompilationFallback, _counted, _Lowering
 from .errors import EvaluationError
 from .planner import JoinPlan, _calls_external
 from .terms import Constant, Expr, FunctionTerm, Null, SkolemTerm, Variable, skolem, variables_of
@@ -288,10 +289,10 @@ def _pack_rows(columns):
 
 
 def _float_codes(interner, col):
-    """Codes of a float64 column via the shared interner.
+    """Class codes of a float64 column via the shared interner.
 
     Unique values are looked up through the interner dict, so Python
-    equality decides the match (``2.0`` finds the code of an interned
+    equality decides the match (``2.0`` finds the class of an interned
     ``2``).  Unseen values — including every NaN, which can equal no
     interned value — map to -1 (guaranteed miss).
     """
@@ -317,6 +318,8 @@ def _probe_keys(run: _Run, probe_specs, kinds, interner, levels):
             col = run.col(payload)
             if kinds[payload] == "float":
                 col = _float_codes(interner, col)
+            else:
+                col = interner.classes(col)
         else:
             col = np.full(run.n, interner.lookup(payload), dtype=np.int64)
         miss = col == -1
@@ -328,6 +331,22 @@ def _probe_keys(run: _Run, probe_specs, kinds, interner, levels):
     if missing is not None:
         known = ~missing if known is None else known & ~missing
     return probe, known
+
+
+def _equals_value(interner, codes, value):
+    """Mask of the codes whose value is ``== value`` (a NaN constant
+    equals nothing)."""
+    target = interner.lookup(value)
+    if target == -1 or (isinstance(value, float) and value != value):
+        return np.zeros(len(codes), dtype=bool)
+    return interner.classes(codes) == target
+
+
+def _equal_codes(interner, a, b):
+    """Mask of the rows whose values in code columns ``a`` and ``b``
+    are ``==`` (a NaN equals nothing, not even itself)."""
+    _, _, _, is_nan = interner.tables()
+    return (interner.classes(a) == interner.classes(b)) & ~is_nan[a]
 
 
 def _found(keys, probe, valid):
@@ -370,14 +389,9 @@ def _distinct_tuples(interner, n: int, args):
 def _mint(interner, n: int, args, make):
     """The code column of ``make(values)`` for ``n`` rows, where
     ``values`` is a row's tuple of ``args`` (see :func:`_distinct_tuples`),
-    computed once per distinct tuple and interned.  ``make`` sees the
-    values the per-row paths would pass it, so a code shared by values
-    that serialise differently (see
-    :attr:`~repro.datalog.columns.ValueInterner.mixed`) takes the
-    fallback."""
-    for kind, col in args:
-        if kind == "code" and interner.any_mixed(col):
-            raise VectorRuntimeFallback("a value shared by == but not by type")
+    computed once per distinct tuple and interned.  Codes keep their
+    value's type, so ``make`` sees the values the per-row paths would
+    pass it."""
     if n == 0:
         return np.empty(0, dtype=np.int64)
     inverse, tuples = _distinct_tuples(interner, n, args)
@@ -590,7 +604,7 @@ class _VecLowering:
         def producer(run, codes_fn=payload):
             codes = codes_fn(run)
             floats, is_float, _, _ = interner.tables()
-            if not is_float[codes].all() or interner.any_mixed(codes):
+            if not is_float[codes].all():
                 raise VectorRuntimeFallback("non-float operand in arithmetic")
             return floats[codes]
 
@@ -685,10 +699,10 @@ class _VecLowering:
     # -- seed -----------------------------------------------------------
 
     def lower_seed(self, atom: Atom):
-        """Seed loader: delta tuples -> initial run, mirroring the
-        compiled seed entry (arity filter, constant and repeat checks in
-        plain Python on the raw tuples); the delta is then reduced like
-        any other relation."""
+        """Seed loader: the delta — rows [start, stop) of the atom's
+        block — as the initial run, with the compiled seed entry's
+        constant and repeat checks (Python ``!=``) as masks; the delta
+        is then reduced like any other relation."""
         reduction = self._reduction(atom, -1)
         bind_pairs: list[tuple[int, int]] = []
         const_checks: list[tuple[int, Any]] = []
@@ -718,38 +732,34 @@ class _VecLowering:
             fresh = {name: slot for name, slot in fresh.items() if name in live}
             keep = tuple(fresh.values())
         self.bound.update(fresh)
+        predicate = atom.predicate
         arity = atom.arity
+        store = self.store
         interner = self.interner
         n_slots_at_seed = len(self.kinds)
         stats = self.reduced
 
-        def entry(seed_facts) -> _Run:
-            intern = interner.intern
-            columns: list[list[int]] = [[] for _ in bind_pairs]
-            rows = 0
-            for values in seed_facts or ():
-                if len(values) != arity:
-                    continue
-                ok = True
-                for position, expected in const_checks:
-                    if values[position] != expected:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                for first, position in repeat_checks:
-                    if values[first] != values[position]:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                for j, (_, position) in enumerate(bind_pairs):
-                    columns[j].append(intern(values[position]))
-                rows += 1
+        def entry(seed) -> _Run:
+            start, stop = seed
+            block = store.block(predicate, arity)
             cols: list = [None] * n_slots_at_seed
-            for j, (slot, _) in enumerate(bind_pairs):
-                cols[slot] = np.asarray(columns[j], dtype=np.int64)
-            run = _Run(rows, cols)
+            if block is None or stop <= start:
+                return _Run(0, cols)
+
+            def column(position):
+                return block.column(position)[start:stop]
+
+            select = None
+            for position, expected in const_checks:
+                hit = _equals_value(interner, column(position), expected)
+                select = hit if select is None else select & hit
+            for first, position in repeat_checks:
+                hit = _equal_codes(interner, column(first), column(position))
+                select = hit if select is None else select & hit
+            for slot, position in bind_pairs:
+                cols[slot] = column(position) if select is None else column(position)[select]
+            run = _Run(stop - start if select is None else int(select.sum()), cols)
+            rows = run.n
             if reduction is not None:
                 stats[0] += rows
                 run = _reduce(run, masks, keep)
@@ -865,13 +875,14 @@ class _VecLowering:
         def reduce_block(block):
             select = None
             for position, value in const_checks:
-                hit = block.column(position) == interner.lookup(value)
+                hit = interner.classes(block.column(position)) == interner.lookup(value)
                 select = hit if select is None else select & hit
             for first, position, is_fresh in repeat_checks:
-                codes = block.column(first)
-                hit = codes == block.column(position)
+                codes, other = block.column(first), block.column(position)
                 if is_fresh:
-                    hit &= ~interner.tables()[3][codes]
+                    hit = _equal_codes(interner, codes, other)
+                else:
+                    hit = interner.classes(codes) == interner.classes(other)
                 select = hit if select is None else select & hit
             cols: list = [None] * len(kinds)
             for slot, position in view_pairs:
@@ -895,7 +906,7 @@ class _VecLowering:
             return side, side.mult
 
         return self._join_step(
-            build, lambda side: side.sorted_keys(positions),
+            build, lambda side: side.sorted_keys(positions, interner),
             probe_specs, positions, bind_pairs, (), membership=False,
         )
 
@@ -1033,12 +1044,8 @@ class _VecLowering:
                 lfn, rfn = lhs[1], rhs[1]
 
                 def code_equality(run):
-                    a = lfn(run)
-                    b = rfn(run)
-                    _, _, _, is_nan = interner.tables()
-                    if op == "==":
-                        return (a == b) & ~is_nan[a]
-                    return (a != b) | is_nan[a]
+                    equal = _equal_codes(interner, lfn(run), rfn(run))
+                    return equal if op == "==" else ~equal
 
                 return code_equality
             if "code" in (lhs[0], rhs[0]) and "const" in (lhs[0], rhs[0]):
@@ -1046,13 +1053,7 @@ class _VecLowering:
                 value = lhs[1] if lhs[0] == "const" else rhs[1]
 
                 def const_equality(run):
-                    codes = code_fn(run)
-                    target = interner.lookup(value)
-                    _, _, _, is_nan = interner.tables()
-                    if target == -1 or (isinstance(value, float) and value != value):
-                        hit = np.zeros(run.n, dtype=bool)
-                    else:
-                        hit = (codes == target) & ~is_nan[codes]
+                    hit = _equals_value(interner, code_fn(run), value)
                     return hit if op == "==" else ~hit
 
                 return const_equality
@@ -1204,8 +1205,6 @@ class _VecLowering:
             kind, col = _column(value_kind, value_fn, run)
             if kind == "const":
                 return [col] * run.n
-            if kind == "code" and interner.any_mixed(col):
-                raise VectorRuntimeFallback("a value shared by == but not by type")
             return _decode(interner, kind, col)
 
         def fold(run: _Run) -> _Run:
@@ -1241,8 +1240,6 @@ class _VecLowering:
                 column = np.fromiter(
                     map(interner.intern, totals), dtype=np.int64, count=len(totals)
                 )
-                if interner.any_mixed(column):
-                    raise VectorRuntimeFallback("a total shared by == but not by type")
             run = run.with_col(result_slot, column)
             if skippable:
                 run = run.filter(np.asarray(improvements, dtype=bool))
@@ -1299,11 +1296,14 @@ class _Reduced:
     def column(self, position: int):
         return self._columns[position]
 
-    def sorted_keys(self, positions: tuple[int, ...]):
-        """(stable sort order, sorted packed keys) on the one probe
-        signature its atom uses, computed on first need."""
+    def sorted_keys(self, positions: tuple[int, ...], interner):
+        """(stable sort order, sorted packed keys) over class codes on
+        the one probe signature its atom uses, computed on first need."""
         if self._sorted is None:
-            self._sorted = sort_keys(self, positions)
+            columns = self._columns
+            self._sorted = sort_keys(
+                lambda p: interner.classes(columns[p]), positions
+            )
         return self._sorted
 
 
@@ -1345,11 +1345,8 @@ def _apply_checks(run: _Run, block, rows, check_pairs, interner) -> _Run:
     if not check_pairs:
         return run
     mask = None
-    _, _, _, is_nan = interner.tables()
     for slot, position in check_pairs:
-        a = run.col(slot)
-        b = block.column(position)[rows]
-        keep = (a == b) & ~is_nan[a]
+        keep = _equal_codes(interner, run.col(slot), block.column(position)[rows])
         mask = keep if mask is None else (mask & keep)
     return run.filter(mask)
 
@@ -1398,6 +1395,8 @@ class _Tail:
 def _build_tail(engine, rule, plan, vec: _VecLowering, cut: int, counts):
     """Lower plan steps [cut:] plus the head through the compiled path;
     with ``counts`` the tail adds the bindings leaving each of its steps."""
+    from .compiled import CompilationFallback, _counted, _Lowering
+
     lowering = _Lowering(engine, rule, plan, counting=False)
     lowering.slots = dict(vec.slots)
     lowering.bound = set(vec.bound)
@@ -1444,12 +1443,14 @@ def _build_tail(engine, rule, plan, vec: _VecLowering, cut: int, counts):
 # ----------------------------------------------------------------------
 
 class _VecFinal:
-    """Dedup + decode + emit for rules that stay vectorized end to end.
+    """Dedup + emit, as code columns, for rules that stay vectorized end
+    to end.
 
     A head term is a slot, a constant, or a *computed* column (a Skolem
     term, arithmetic, a batch external, an existential's labelled null):
     computed columns are evaluated after the dedup, so each is minted
-    once per distinct head, never per firing.
+    once per distinct head, never per firing.  Float columns are
+    interned; nothing is decoded.
     """
 
     __slots__ = ("dedup_slots", "kinds", "builders", "computed", "interner")
@@ -1457,14 +1458,17 @@ class _VecFinal:
     def __init__(self, dedup_slots, kinds, builders, computed, interner):
         self.dedup_slots = dedup_slots
         self.kinds = kinds
-        #: (predicate, specs): a spec is ("slot", slot), ("term", index
-        #: into computed) or ("const", value)
+        #: ((predicate, arity), head atoms' specs): a spec is ("slot",
+        #: slot), ("term", index into computed) or ("code", code)
         self.builders = builders
         #: (kind, fn(run) -> column) per computed head term
         self.computed = computed
         self.interner = interner
 
     def emit(self, run: _Run) -> tuple[list, int]:
+        """((predicate, arity, code columns, rows) per head relation,
+        firings).  Head atoms of one relation interleave row by row, in
+        head order, as the per-row paths derive them."""
         if run.n == 0:
             return [], 0
         # a firing is a binding of the body, not a table row
@@ -1472,33 +1476,42 @@ class _VecFinal:
         rows = self._first_occurrences(run)
         count = len(rows)
         interner = self.interner
-        decoded: dict[tuple, list] = {}
-        for _, specs in self.builders:
-            for kind, payload in specs:
-                if kind == "slot" and (kind, payload) not in decoded:
-                    decoded[(kind, payload)] = _decode(
-                        interner, self.kinds[payload], run.col(payload)[rows]
-                    )
+        columns: dict[tuple, Any] = {}
+        for _, atoms in self.builders:
+            for specs in atoms:
+                for kind, payload in specs:
+                    if kind == "slot" and (kind, payload) not in columns:
+                        col = run.col(payload)[rows]
+                        if self.kinds[payload] == "float":
+                            col = interner.intern_floats(col)
+                        columns[(kind, payload)] = col
         if self.computed:
             heads = run.gather(rows)
             for index, (kind, fn) in enumerate(self.computed):
                 kind, col = _column(kind, fn, heads)
-                if kind == "float" and np.isnan(col).any():
-                    # per row, a computed NaN is an object of its own
-                    raise VectorRuntimeFallback("NaN in head values")
-                decoded[("term", index)] = _decode(interner, kind, col)
+                if kind == "float":
+                    if np.isnan(col).any():
+                        # per row, a computed NaN is an object of its own
+                        raise VectorRuntimeFallback("NaN in head values")
+                    col = interner.intern_floats(col)
+                columns[("term", index)] = col
         emitted = []
-        for predicate, specs in self.builders:
-            columns = [
-                repeat(payload, count) if kind == "const" else decoded[(kind, payload)]
-                for kind, payload in specs
+        for (predicate, arity), atoms in self.builders:
+            built = [
+                [
+                    np.full(count, payload, dtype=np.int64) if kind == "code"
+                    else columns[(kind, payload)]
+                    for kind, payload in specs
+                ]
+                for specs in atoms
             ]
-            values = zip(*columns) if columns else repeat((), count)
-            emitted.append([(predicate, row) for row in values])
-        if len(emitted) == 1:
-            return emitted[0], firings
-        # row by row, each row's facts in head order
-        return [fact for facts in zip(*emitted) for fact in facts], firings
+            if len(built) > 1:
+                built = [[
+                    np.stack([atom[position] for atom in built], axis=1).reshape(-1)
+                    for position in range(arity)
+                ]]
+            emitted.append((predicate, arity, built[0], count * len(atoms)))
+        return emitted, firings
 
     def _first_occurrences(self, run: _Run):
         """Indexes of the first row per distinct head-variable key, in
@@ -1527,7 +1540,8 @@ class VectorizedRule:
 
     __slots__ = (
         "plan", "signature", "interner", "cut", "external", "reduced", "counts",
-        "streamed", "_seed_entry", "_steps", "_joins", "_tail", "_final", "_folds",
+        "streamed", "coded", "_seed_entry", "_steps", "_joins", "_tail", "_final",
+        "_folds",
     )
 
     def __init__(
@@ -1555,6 +1569,9 @@ class VectorizedRule:
         #: join slice —, most rows one of them or a step's result held]
         #: over all executions
         self.streamed = [0, 0]
+        #: does :meth:`execute` derive code batches (the head is
+        #: vectorized) rather than fact tuples (a per-row tail)?
+        self.coded = final is not None
         self._seed_entry = seed_entry
         #: one entry per batch plan step; None for a comparison its
         #: atom's reduction already applied
@@ -1565,8 +1582,10 @@ class VectorizedRule:
         #: undo log of the aggregate folds (None without an aggregate)
         self._folds = folds
 
-    def execute(self, seed_facts) -> tuple[list, int]:
-        """Run the batch pipeline; returns (derived facts, firings).
+    def execute(self, seed) -> tuple[list, int]:
+        """Run the batch pipeline over the seed's block rows [start,
+        stop) (None: unseeded); returns (derived, firings) — code
+        batches when :attr:`coded`, else fact tuples.
 
         The returned list is reused across calls when the rule has a
         per-row tail — the caller must consume it before the next
@@ -1579,7 +1598,7 @@ class VectorizedRule:
         if len(self.interner) >= MAX_CODES:
             raise VectorRuntimeFallback("interner exceeded code budget")
         if self._seed_entry is not None:
-            run = self._seed_entry(seed_facts)
+            run = self._seed_entry(seed)
         else:
             run = _Run(1, [])
         if run.n == 0:
@@ -1730,6 +1749,10 @@ def _lower_final_vectorized(engine, rule, vec: _VecLowering):
             dedup_slots.append(slot)
         return slot
 
+    if len({(atom.predicate, atom.arity) for atom in rule.head}) > len(
+        {atom.predicate for atom in rule.head}
+    ):
+        return None  # one predicate at two arities: their order is per row
     nulls: dict[str, int] = {}
     if existential:
         frontier_slots = [slot_of(name) for name in frontier]
@@ -1746,7 +1769,7 @@ def _lower_final_vectorized(engine, rule, vec: _VecLowering):
 
             nulls[name] = len(computed)
             computed.append(("code", mint))
-    builders = []
+    builders: dict[tuple[str, int], list] = {}
     for atom in rule.head:
         specs = []
         for term in atom.terms:
@@ -1758,7 +1781,7 @@ def _lower_final_vectorized(engine, rule, vec: _VecLowering):
                     return None
                 specs.append(("slot", slot))
             elif isinstance(term, Constant):
-                specs.append(("const", term.value))
+                specs.append(("code", interner.intern(term.value)))
             else:
                 if any(slot_of(v.name) is None for v in variables_of(term)):
                     return None
@@ -1767,7 +1790,7 @@ def _lower_final_vectorized(engine, rule, vec: _VecLowering):
                 except VectorizationFallback:
                     return None
                 specs.append(("term", len(computed) - 1))
-        builders.append((atom.predicate, tuple(specs)))
+        builders.setdefault((atom.predicate, atom.arity), []).append(tuple(specs))
     return _VecFinal(
-        tuple(dedup_slots), kinds, tuple(builders), tuple(computed), interner
+        tuple(dedup_slots), kinds, tuple(builders.items()), tuple(computed), interner
     )

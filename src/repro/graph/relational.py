@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..datalog.database import Database
 from .columnar import GraphFrame
 from .company_graph import COMPANY, PERSON, SHAREHOLDING, CompanyGraph
@@ -86,75 +88,81 @@ COMPANY_SCHEMA = RelationalSchema(
 def to_facts(
     graph: PropertyGraph,
     schema: RelationalSchema = COMPANY_SCHEMA,
-    prime_columns: bool = True,
 ) -> Database:
     """Export ``graph`` to its relational representation.
 
     Elements whose label is not covered by the schema are skipped (they
     are outside the mapped sub-signature). Missing properties map to None.
 
-    Facts are emitted from the graph's columnar frame — label partitions
-    and per-property columns cached on the
-    :class:`~repro.graph.columnar.GraphFrame` — instead of per-object
-    iteration, so repeated exports of the same graph version (pipeline
-    rounds, KG rebuilds) share the column buffers.  Fact content and
-    per-predicate ordering are identical to the historical per-object
-    walk: nodes and edges in insertion order, parallel shareholdings
-    summed left to right.
-
-    ``prime_columns`` additionally builds the database's columnar code
-    blocks (:mod:`repro.datalog.columns`) for every exported predicate in
-    one pass, while the fresh row tuples are still cache-hot — the
-    vectorized engine backend then starts from synced blocks instead of
-    interning whole relations in the middle of its first join.  A no-op
-    without numpy.
+    Each relation enters the database as columns
+    (:meth:`~repro.datalog.database.Database.load`), taken from the
+    graph's columnar frame — label partitions and per-property columns
+    cached on the :class:`~repro.graph.columnar.GraphFrame` — so no fact
+    is ever a tuple on the way in: node ids are interned once and every
+    id column is a gather of their codes.  Fact content and
+    per-predicate ordering are those of a per-object walk: nodes and
+    edges in insertion order, parallel shareholdings summed left to
+    right (a merged edge sits where its first part did and carries its
+    last part's other properties).
     """
     frame = GraphFrame.of(graph)
     database = Database()
-    nodes = frame.nodes
+    interner = database.column_store().interner
+    node_codes = interner.intern_column(frame.nodes)
     seen_node_labels: set[str] = set()
     for relation in schema.node_relations:
         if relation.label in seen_node_labels:
             continue  # first relation per label wins, as in the object walk
         seen_node_labels.add(relation.label)
-        codes = frame.label_members(relation.label)
-        columns = [frame.node_property_column(p) for p in relation.properties]
-        for code in codes.tolist():
-            values = (nodes[code],) + tuple(column[code] for column in columns)
-            database.add(relation.predicate, values)
-    merged: dict[tuple, float] = {}
-    merged_template: dict[tuple, tuple] = {}
-    src, dst = frame.edge_src, frame.edge_dst
+        members = frame.label_members(relation.label)
+        columns = [node_codes[members]] + [
+            interner.intern_column(frame.node_property_column(p)[members].tolist())
+            for p in relation.properties
+        ]
+        database.append(relation.predicate, len(columns), columns, len(members))
     seen_edge_labels: set[str] = set()
     for relation in schema.edge_relations:
         if relation.label in seen_edge_labels:
             continue
         seen_edge_labels.add(relation.label)
         positions = frame.edge_positions(relation.label)
-        columns = [frame.edge_property_column(p) for p in relation.properties]
-        sum_index = (
-            None if relation.sum_property is None
-            else 2 + relation.properties.index(relation.sum_property)
-        )
-        for pos in positions.tolist():
-            values = (nodes[src[pos]], nodes[dst[pos]]) + tuple(
-                column[pos] for column in columns
-            )
-            if sum_index is None:
-                database.add(relation.predicate, values)
-                continue
-            key = (relation.predicate,) + values[:sum_index] + values[sum_index + 1:]
-            merged[key] = merged.get(key, 0.0) + (values[sum_index] or 0.0)
-            merged_template[key] = (relation.predicate, values, sum_index)
-    for key, total in merged.items():
-        predicate, values, sum_index = merged_template[key]
-        row = values[:sum_index] + (total,) + values[sum_index + 1:]
-        database.add(predicate, row)
-    if prime_columns:
-        store = database.column_store()
-        for predicate in database.predicates():
-            store.preload(predicate)
+        properties = [frame.edge_property_column(p)[positions].tolist()
+                      for p in relation.properties]
+        columns = [node_codes[frame.edge_src[positions]],
+                   node_codes[frame.edge_dst[positions]]]
+        if relation.sum_property is not None:
+            at = relation.properties.index(relation.sum_property)
+            shares = properties.pop(at)
+            columns += [interner.intern_column(values) for values in properties]
+            columns, shares = _merge_parallel(interner, columns, shares)
+            columns.insert(2 + at, shares)
+        else:
+            columns += [interner.intern_column(values) for values in properties]
+        database.append(relation.predicate, len(columns), columns, len(columns[0]))
     return database
+
+
+def _merge_parallel(interner, columns: list, shares: list) -> tuple[list, np.ndarray]:
+    """Rows equal on the code ``columns`` merged, in order of first
+    occurrence: the other columns from each group's last row, and the
+    codes of the group's ``shares`` summed left to right from 0.0 (a
+    missing share counts 0.0)."""
+    classes = [interner.classes(column) for column in columns]
+    keys = classes[0]
+    for column in classes[1:]:  # dense ids keep each packed pair in 64 bits
+        keys = (np.unique(keys, return_inverse=True)[1].reshape(-1) << 32) | column
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    last = len(keys) - 1 - np.unique(keys[::-1], return_index=True)[1]
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    totals = np.bincount(
+        rank[inverse.reshape(-1)],
+        weights=np.asarray([share or 0.0 for share in shares], dtype=np.float64),
+        minlength=len(order),
+    )
+    last = last[order]
+    return [column[last] for column in columns], interner.intern_column(totals.tolist())
 
 
 def company_graph_from_facts(

@@ -326,6 +326,34 @@ class TestDemandDrivenRuns:
             # was compiled, so not one index was built
             assert engine._compiled_cache == {} and not indexed
 
+    @pytest.mark.parametrize("extract_of", ["vec-extract", "vec-pyramid"])
+    def test_a_columnar_augment_decodes_no_rows(self, extract_of, monkeypatch):
+        # CI's vec-extract and vec-pyramid: every relation stays code
+        # blocks from load to answer, so no run builds a decoded view —
+        # no tuple row list, no dedup set, no index dict
+        from repro.bench.workloads import ownership_pyramid
+        from repro.core.kg import KnowledgeGraph
+
+        if extract_of == "vec-extract":
+            graph = generate_company_graph(CompanySpec(persons=40, companies=30, seed=5))[0]
+        else:
+            graph = ownership_pyramid(24, m=3)
+        engines = []
+        reason = KnowledgeGraph.reason
+
+        def recorded(self, names=None, **options):
+            engines.append(reason(self, names, **options))
+            return engines[-1]
+
+        monkeypatch.setattr(KnowledgeGraph, "reason", recorded)
+        pipeline = ReasoningPipeline(graph, fast_config())
+        pipeline.augment()
+        assert len(engines) >= 2
+        for database in [engine.database for engine in engines] + [pipeline.kg.extensional]:
+            assert (database._rows, database._sets, database._indexes) == ({}, {}, {})
+        for engine in engines:
+            assert engine._compiled_cache == {} and engine._vector_disabled == set()
+
     def test_a_run_interns_nothing_into_the_extensional_store(self, extract):
         pipeline = ReasoningPipeline(extract, fast_config())
         pipeline._inject_block_facts()

@@ -16,7 +16,18 @@ from tests.test_memory_lifetime import collector_off
 class TestValueInterner:
     def test_python_equality_semantics(self):
         interner = ValueInterner()
-        assert interner.intern(1) == interner.intern(1.0) == interner.intern(True)
+        codes = np.array([interner.intern(v) for v in (1, 1.0, True, 0.0, -0.0)])
+        # every value keeps a code of its own, so it decodes to itself ...
+        assert len(set(codes.tolist())) == 5
+        decoded = interner.decode(codes)
+        assert [(type(v), repr(v)) for v in decoded] == [
+            (int, "1"), (float, "1.0"), (bool, "True"), (float, "0.0"), (float, "-0.0")
+        ]
+        # ... and ``==`` is the class: the first code of the values equal to it
+        classes = interner.classes(codes).tolist()
+        assert classes == [codes[0]] * 3 + [codes[3]] * 2
+        assert interner.lookup(1.0) == interner.lookup(True) == codes[0]
+        assert interner.intern(1.0) == codes[1]
         assert interner.intern("a") != interner.intern("b")
         assert interner.intern("a") == interner.intern("a")
 
@@ -159,7 +170,6 @@ class TestSnapshotSharing:
     def test_database_copy_carries_blocks(self):
         database = Database([("edge", (1, 2))])
         store = database.column_store()
-        store.preload("edge")
         clone = database.copy()
         clone_store = clone.column_store()
         # the clone's interner extends ours: same codes, its own additions
@@ -173,36 +183,32 @@ class TestSnapshotSharing:
 
     def test_a_copy_of_a_copy_decodes_what_the_first_copy_minted(self):
         database = Database([("edge", (1, 2))])
-        database.column_store().preload("edge")
         clone = database.copy()
         clone.add("edge", ("minted", 1.0))
-        clone.column_store().preload("edge")
         grandchild = clone.copy()
         interner = grandchild.column_store().interner
         block = grandchild.column_store().block("edge", 2)
         assert interner.decode(block.column(0)) == [1, "minted"]
-        # 1.0 found the code of 1: the first copy flagged it, and the
-        # second inherited the flag
-        assert interner.lookup(1.0) == interner.lookup(1) in interner.mixed
+        # 1.0 got a code of its own in the first copy, in the class of 1;
+        # the second copy inherited both
+        decoded = interner.decode(block.column(1))
+        assert decoded == [2, 1.0] and type(decoded[1]) is float
+        one = interner.intern(1.0)
+        assert one != interner.lookup(1) == interner.classes(np.array([one]))[0]
         grandchild.add("edge", ("again", 3))
-        grandchild.column_store().preload("edge")
         assert interner.lookup("again") >= 0
         assert clone.column_store().interner.lookup("again") == -1
         assert database.column_store().interner.lookup("minted") == -1
 
     def test_a_partial_copy_carries_only_the_blocks_it_holds(self):
         database = Database([("edge", (1, 2)), ("node", (1,))])
-        store = database.column_store()
-        store.preload("edge")
-        store.preload("node")
         clone_store = database.copy(["node"]).column_store()
         assert clone_store.block("node", 1).size == 1
         assert clone_store.block("edge", 2) is None
-        assert set(clone_store._synced) == {"node"}
+        assert clone_store.predicates() == ["node"]
 
     def test_clone_blocks_are_isolated_from_the_original(self):
         database = Database([("edge", (1, 2))])
-        database.column_store().preload("edge")
         clone = database.copy()
         database.add("edge", (3, 4))
         assert clone.column_store().block("edge", 2).size == 1
@@ -227,7 +233,6 @@ class TestLifetime:
 
     def test_a_clone_that_inherited_blocks_dies(self):
         database = Database([("edge", (1, 2))])
-        database.column_store().preload("edge")
         with collector_off():
             clone = database.copy()
             assert clone.column_store().block("edge", 2).size == 1
@@ -257,17 +262,17 @@ class TestPlannerStatistics:
         database.index_for("own", (0,))
         assert database.distinct_count("own", (0,)) == 2
 
-    def test_distinct_count_subset_lower_bound(self):
+    def test_distinct_count_exact_without_a_matching_index(self):
         database = self._database()
         database.index_for("own", (0,))
-        # (0, 1) has no index; the (0,) index is a valid lower bound
-        assert database.distinct_count("own", (0, 1)) == 2
+        # (0, 1) has no index; the blocks count it exactly
+        assert database.distinct_count("own", (0, 1)) == 3
 
-    def test_distinct_count_without_usable_index_is_none(self):
+    def test_distinct_count_exact_without_any_index(self):
         database = self._database()
-        assert database.distinct_count("own", (0,)) is None
-        database.index_for("own", (0,))
-        assert database.distinct_count("own", (1,)) is None
+        assert database.distinct_count("own", (0,)) == 2
+        assert database.distinct_count("own", (1,)) == 2
+        assert database._indexes == {}
 
     def test_stats_queries_never_create_indexes(self):
         database = self._database()

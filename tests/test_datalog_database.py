@@ -1,5 +1,8 @@
 """Tests for the indexed fact store."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.datalog import Database
 
 
@@ -91,12 +94,12 @@ class TestIndexStability:
         db.add("p", (2, "a"))
         assert sorted(index[("a",)]) == [(1, "a"), (2, "a")]
 
-    def test_distinct_count_reports_only_built_indexes(self):
+    def test_distinct_count_is_exact_without_an_index(self):
         db = Database([("p", (1, "a")), ("p", (2, "a"))])
-        assert db.distinct_count("p", (0,)) is None
+        assert db.distinct_count("p", (0,)) == 2
+        assert db.distinct_count("p", (1,)) == 1
         db.index_for("p", (0,))
         assert db.distinct_count("p", (0,)) == 2
-        assert db.distinct_count("p", (1,)) is None
 
 
 class TestIterFacts:
@@ -149,8 +152,96 @@ class TestFactsIsolation:
         clone = db.copy()
         assert clone.count() == 1
         assert clone.contains("p", (1,))
-        assert "q" not in clone._facts
+        assert clone.predicates() == ["p"]
         # clone indexes are built independently of the original's
         assert list(clone.match("p", {0: 1})) == [(1,)]
         clone.add("p", (5,))
         assert not db.contains("p", (5,))
+
+
+#: one NaN object: a container finds it by identity, as the oracle's set does
+_NAN = float("nan")
+_VALUES = st.sampled_from(
+    [0, 1, 2, True, False, 0.0, -0.0, 1.0, 2.5, "a", "b", None, (1, 2), (1.0, 2), _NAN]
+)
+
+
+@st.composite
+def _operations(draw):
+    """Random add / load / copy / check steps over two predicates whose
+    facts mix arities and ``==``-equal values of different types (a
+    check builds the decoded view that later steps must extend)."""
+    rows = st.integers(min_value=0, max_value=3).flatmap(
+        lambda arity: st.lists(st.tuples(*[_VALUES] * arity), min_size=1, max_size=6)
+    )
+    step = st.one_of(
+        st.tuples(st.just("add"), st.sampled_from("pq"), st.lists(_VALUES, max_size=3)
+                  .map(tuple)),
+        st.tuples(st.just("load"), st.sampled_from("pq"), rows),
+        st.tuples(st.just("copy"), st.sampled_from([None, ("p",), ("q",)]), st.just(None)),
+        st.tuples(st.just("check"), st.just(None), st.just(None)),
+    )
+    return draw(st.lists(st.tuples(st.integers(min_value=0, max_value=3), step),
+                         max_size=25))
+
+
+class TestBlockBackedOracle:
+    """The code-block store against a tuple-list oracle: the same facts,
+    of the same types, in the same order, whatever mix of adds, column
+    loads and copies produced them."""
+
+    @given(_operations())
+    @settings(max_examples=150, deadline=None)
+    def test_facts_match_a_tuple_list_oracle(self, operations):
+        stores = [(Database(), {})]  # (database, predicate -> (rows, set))
+        for which, (kind, predicate, payload) in operations:
+            database, oracle = stores[which % len(stores)]
+            if kind == "check":
+                _check_against(database, oracle)
+                continue
+            if kind == "copy":
+                wanted = predicate
+                clone = {
+                    name: (list(rows), set(seen)) for name, (rows, seen) in oracle.items()
+                    if wanted is None or name in wanted
+                }
+                stores.append((database.copy(wanted), clone))
+                continue
+            batch = [payload] if kind == "add" else payload
+            expected = 0
+            for values in batch:
+                rows, seen = oracle.setdefault(predicate, ([], set()))
+                if values not in seen:
+                    seen.add(values)
+                    rows.append(values)
+                    expected += 1
+            if kind == "add":
+                assert database.add(predicate, payload) == bool(expected)
+            else:
+                columns = [list(column) for column in zip(*payload)]
+                if columns:
+                    assert database.load(predicate, columns) == expected
+                else:
+                    assert database.add_all([(predicate, ())] * len(payload)) == expected
+        for database, oracle in stores:
+            _check_against(database, oracle)
+
+
+def _check_against(database, oracle) -> None:
+    for predicate in "pq":
+        rows = oracle.get(predicate, ([], set()))[0]
+        assert database.facts(predicate) == rows
+        assert repr(database.facts(predicate)) == repr(rows)
+        assert repr(list(database.iter_facts(predicate))) == repr(rows)
+        assert database.count(predicate) == len(rows)
+        for values in rows:
+            assert database.contains(predicate, values)
+            if values:  # an index probe: a dict lookup, identity first
+                first = values[0]
+                assert list(database.match(predicate, {0: first})) == [
+                    row for row in rows if row and (row[0] is first or row[0] == first)
+                ]
+        if rows:
+            assert repr(database.live_rows(predicate)) == repr(rows)
+            assert database.live_set(predicate) == set(rows)
+    assert database.predicates() == [p for p, (rows, _) in oracle.items() if rows]

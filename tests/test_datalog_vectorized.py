@@ -67,8 +67,11 @@ def _aggregate_totals(engine):
 
 
 def _assert_same_run(engine, reference):
-    """The same derived-fact sequence, counters and aggregate totals."""
-    assert list(engine.database.all_facts()) == list(reference.database.all_facts())
+    """The same derived-fact sequence — values of the same types, so
+    ``1`` is not ``1.0`` — counters and aggregate totals."""
+    facts = list(engine.database.all_facts())
+    assert facts == list(reference.database.all_facts())
+    assert repr(facts) == repr(list(reference.database.all_facts()))
     assert engine.stats.rule_firings == reference.stats.rule_firings
     assert engine.stats.facts_derived == reference.stats.facts_derived
     assert _aggregate_totals(engine) == _aggregate_totals(reference)
@@ -320,8 +323,11 @@ class TestFunctionRegistryForms:
         assert (1, 3, 2.0) in engine.query("d")
         functions.register("gap", lambda a, b: 0.0)
         engine.database.add("n", (9,))
-        delta = engine._apply_rule(program.rules[0], None, None)
-        assert {values[2] for _, values in delta} == {0.0}
+        before = engine.database.count("d")
+        new = engine._apply_rule(program.rules[0], None, None)
+        delta = engine.query("d")[before:]
+        assert len(delta) == new > 0
+        assert {values[2] for values in delta} == {0.0}
 
 
 class TestFamilyLinkParity:
@@ -898,9 +904,8 @@ def reduction_programs(draw):
     exotic = draw(st.sampled_from(
         [(), (float("nan"),), (1, 0), (2**60, -(2**60)), (float("nan"), 1, 2**60)]
     ))
-    # no float equal to a node id: ``1.0`` would share the code of ``1``
-    # and send the arithmetic in ``via`` to the compiled path every time
-    weight = st.sampled_from((0.25, 0.5, 0.3, 0.1, 0.9, 1.5) + exotic)
+    # 1.0 and 0.0 equal node ids 1 and 0: each keeps its type
+    weight = st.sampled_from((0.25, 0.5, 0.3, 0.1, 0.9, 1.5, 1.0, 0.0) + exotic)
     own = draw(st.lists(st.tuples(node, node, weight), max_size=14))
     tags = draw(st.lists(
         st.tuples(node, st.sampled_from(["a", "b"]), weight), max_size=8
@@ -997,9 +1002,9 @@ def columnar_head_programs(draw):
         st.integers(min_value=0, max_value=n - 2), st.integers(min_value=1, max_value=n - 1)
     ).filter(lambda xy: xy[0] < xy[1])
     # 1e16 + 1.0 + 1.0 and 1.0 + 1.0 + 1e16 are different floats; an int
-    # weight sends the float folds to the compiled path at run time
-    # (1.0 shares the code of node 1, so its rows take the fallback too)
-    exotic = draw(st.sampled_from([(), (), (2,), (1.0,), (-1e16,)]))
+    # weight sends the float folds to the compiled path at run time; 1.0
+    # equals node 1 and -0.0 equals node 0, and both stay floats
+    exotic = draw(st.sampled_from([(), (), (2,), (1.0,), (-1e16,), (-0.0,)]))
     weight = st.sampled_from((0.1, 0.25, 0.5, 0.75, 1.5, 2.5, 1e16) + exotic)
     edges = draw(st.lists(st.tuples(pair, weight), max_size=12))
     marks = draw(st.lists(st.integers(min_value=0, max_value=n - 1), max_size=3))
@@ -1030,13 +1035,37 @@ class TestColumnarHeads:
     @settings(max_examples=25, deadline=None)
     def test_every_rule_stays_columnar_on_float_weights(self, case):
         program_text, facts = case
-        weights = {values[2] for _, values in facts if len(values) == 3}
-        if weights & {2, 1.0}:
-            return  # an int weight, or one sharing a node id's code
+        weights = [values[2] for _, values in facts if len(values) == 3]
+        if any(type(weight) is int for weight in weights):
+            return  # an int weight: the float folds run per row
         vec = _fixpoint(program_text, facts)
         assert vec._vector_disabled == set() and vec._compiled_cache == {}
         for rule in _vector_rules(vec).values():
             assert rule.cut is None
+
+    def test_a_weight_equal_to_a_node_id_keeps_its_type_in_columns(self):
+        # node 1 and weight 1.0 share a class but not a code: the Skolem
+        # values, nulls and msum folds over them stay columnar and derive
+        # the compiled path's facts, types and all
+        program = parse_program("\n".join([
+            "edge(X, Y, W) -> hop(X, Y, W).",
+            "hop(X, Z, W1), edge(Z, Y, W2), V = W1 * W2 -> hop(X, Y, V).",
+            "edge(X, Y, W), N = #node(X) -> named(N, X).",
+            "hop(X, Y, W) -> via(#pair(X, Y), W).",
+            "hop(X, Y, W), T = msum(W, <X>) -> into(Y, T).",
+            "hop(X, Y, W), mark(X) -> link(E, X, Y), typed(E, W).",
+            "hop(X, Y, W), Y == W -> loop(X, Y).",
+        ]))
+        facts = [("edge", (0, 1, 1.0)), ("edge", (1, 2, 1.0)), ("edge", (0, 2, 0.5)),
+                 ("mark", (1,)), ("mark", (1.0,))]
+        vec = _fixpoint(program, facts)
+        cmp = _fixpoint(program, facts, vectorize=False)
+        _assert_same_run(vec, cmp)
+        assert vec._vector_disabled == set() and vec._compiled_cache == {}
+        assert all(rule.cut is None for rule in _vector_rules(vec).values())
+        assert vec.query("loop") == [(0, 1)]
+        assert [type(w) for _, _, w in vec.query("hop")] == [float] * 4
+        assert vec.query("mark") == [(1,)] and type(vec.query("mark")[0][0]) is int
 
     def test_the_paper_mapping_and_link_rules_mint_in_columns(self):
         graph, _truth = generate_company_graph(CompanySpec(persons=40, companies=30, seed=5))
