@@ -214,17 +214,21 @@ class ReasoningPipeline:
 
     def _block_columns(self) -> list[list]:
         """The ``block`` relation as its three columns: first-level
-        cluster, second-level block, skolem node id."""
+        cluster, second-level block, skolem node id.  A block is held as
+        the dense int of its :func:`block_keys` key, numbered in order of
+        first sight: the ``fl_*`` rules only join blocks for equality,
+        and an int costs less to intern than a key's string."""
         config = self.config
         with self.tracer.span("pipeline.blocking") as span:
             assignment = self._first_level_assignment()
             clusters: list[int] = []
-            blocks: list[object] = []
+            blocks: list[int] = []
             sk_ids: list[str] = []
+            numbers: dict[tuple[int, object], int] = {}
             for node in self.graph.persons():
                 keys = block_keys(node, assignment, config.blocking)
                 clusters.extend(cluster for cluster, _ in keys)
-                blocks.extend(block for _, block in keys)
+                blocks.extend(numbers.setdefault(key, len(numbers)) for key in keys)
                 sk_ids.extend(repeat(skolem("sk_p", (node.id,)), len(keys)))
             span.set("block_triples", len(sk_ids))
         return [clusters, blocks, sk_ids]

@@ -31,6 +31,7 @@ run mints dies with the run.
 from __future__ import annotations
 
 import math
+from itertools import repeat
 from typing import Any
 
 import numpy as np
@@ -123,7 +124,8 @@ class ValueInterner:
         base, offset = self._base._values, self._offset
         return [base[c] if c < offset else local[c - offset] for c in codes.tolist()]
 
-    def _value(self, code: int):
+    def value(self, code: int):
+        """The value of one code."""
         offset = self._offset
         return self._base._values[code] if code < offset else self._values[code - offset]
 
@@ -138,12 +140,14 @@ class ValueInterner:
 
     def intern(self, value: Any) -> int:
         """The code of ``value``, allocating one on first sight."""
-        code = self._own("codes", value)
+        code = self.codes.get(value)
+        if code is None and self._base is not None:
+            code = self._own("codes", value)
         if code is None:
-            code = self.codes[value] = len(self)
+            code = self.codes[value] = self._offset + len(self._values)
             self._values.append(value)
             return code
-        if type(value) is str or _same(self._value(code), value):
+        if type(value) is str or _same(self.value(code), value):
             return code
         # == to the class's first value but not interchangeable with it
         key = (type(value), repr(value))
@@ -156,19 +160,24 @@ class ValueInterner:
 
     def intern_column(self, values) -> np.ndarray:
         """The codes of a sequence of values, each distinct one interned
-        once (a column of one type that cannot hold ``==`` variants goes
-        through one dictionary; anything else value by value)."""
+        once, numbered as interning them one by one would (a str column,
+        or an int column no ``==`` bool or float was interned for, takes
+        its new values' codes in bulk; anything else value by value)."""
         count = len(values)
         kinds = set(map(type, values))
         if len(kinds) != 1 or kinds & {float, tuple}:
             return np.fromiter(map(self.intern, values), dtype=np.int64, count=count)
         codes = dict.fromkeys(values)
-        if kinds == {str} and self._base is None:
-            # a str is == only to an equal str: new ones take codes in bulk
-            fresh = [value for value in codes if value not in self.codes]
-            codes = self.codes
-            codes.update(zip(fresh, range(len(self), len(self) + len(fresh))))
+        known = self.codes
+        if self._base is None and (kinds == {str} or kinds == {int} and all(
+            type(self.value(known[value])) is int for value in codes if value in known
+        )):
+            # a str is ``==`` only to an equal str, and these ints only to
+            # ints: a known value keeps its code, new ones take codes in bulk
+            fresh = [value for value in codes if value not in known]
+            known.update(zip(fresh, range(len(self), len(self) + len(fresh))))
             self._values.extend(fresh)
+            codes = known
         else:
             for value in codes:
                 codes[value] = self.intern(value)
@@ -225,7 +234,7 @@ class ValueInterner:
                 self._filled = offset
         filled = self._filled
         if filled < size:
-            fresh = [_image(self._value(code)) for code in range(filled, size)]
+            fresh = [_image(self.value(code)) for code in range(filled, size)]
             for number in range(4):
                 images[number] = _grown(images[number], filled, size)
                 images[number][filled:size] = [entry[number] for entry in fresh]
@@ -289,24 +298,52 @@ class _ChainedValues:
 
 
 class _Ids:
-    """Dense ids of int64 keys, numbered in order of first sight: the
-    sorted keys seen so far and, when ``numbered``, their ids.  Updates
-    build new arrays, so a shared copy never sees them."""
+    """Dense ids of int64 keys, numbered in order of first sight.
 
-    __slots__ = ("keys", "ids")
+    Batch operations read the sorted keys seen so far and, when
+    ``numbered``, their ids; updates build new arrays, so a shared copy
+    never sees them.  One key at a time (:meth:`add_one`) reads a dict
+    of every key instead, built on its first use and kept up to date
+    from then on, and leaves the keys it adds in a tail that the next
+    batch operation merges into the arrays — so a run of single adds
+    costs dict lookups, not a splice of the arrays each.
+    """
+
+    __slots__ = ("keys", "ids", "_lookup", "_tail")
 
     def __init__(self, numbered: bool):
         self.keys = _NO_CODES
         self.ids = _NO_CODES if numbered else None
+        #: key -> id (0 when not numbered) of every key, once add_one ran
+        self._lookup: dict[int, int] | None = None
+        #: keys add_one added, in id order, not yet in ``keys``
+        self._tail: list[int] = []
 
     def copy(self) -> "_Ids":
+        self._merge()
         clone = _Ids.__new__(_Ids)
         clone.keys, clone.ids = self.keys, self.ids
+        clone._lookup, clone._tail = None, []
         return clone
+
+    def _merge(self) -> None:
+        """Move the tail's keys (distinct, unseen) into the arrays."""
+        tail = self._tail
+        if not tail:
+            return
+        self._tail = []
+        keys = np.asarray(tail, dtype=np.int64)
+        order = np.argsort(keys)
+        at = np.searchsorted(self.keys, keys[order])
+        if self.ids is not None:
+            start = len(self.keys)
+            self.ids = np.insert(self.ids, at, np.arange(start, start + len(keys))[order])
+        self.keys = np.insert(self.keys, at, keys[order])
 
     def find(self, keys):
         """The ids of ``keys`` (0 for each seen key when not numbered),
         -1 where unseen."""
+        self._merge()
         if not len(self.keys):
             return np.full(len(keys), -1, dtype=np.int64)
         at = np.searchsorted(self.keys, keys)
@@ -317,16 +354,6 @@ class _Ids:
     def add(self, keys):
         """(ids of ``keys``, ascending positions of the first occurrence
         of each key not seen before); new keys are numbered in order."""
-        if len(keys) == 1:  # one fact at a time: no sort, one splice
-            ids = self.find(keys)
-            if ids[0] >= 0:
-                return ids, _NO_CODES
-            at = np.searchsorted(self.keys, keys)
-            ids[0] = len(self.keys)
-            self.keys = np.concatenate((self.keys[:at[0]], keys, self.keys[at[0]:]))
-            if self.ids is not None:
-                self.ids = np.concatenate((self.ids[:at[0]], ids, self.ids[at[0]:]))
-            return ids, np.zeros(1, dtype=np.int64)
         distinct, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
         ids = self.find(distinct)
         fresh = ids < 0
@@ -340,8 +367,34 @@ class _Ids:
             self.keys = np.insert(self.keys, at, distinct[fresh])
             if self.ids is not None:
                 self.ids = np.insert(self.ids, at, numbers)
+            if self._lookup is not None:
+                self._lookup.update(zip(
+                    distinct[fresh].tolist(),
+                    numbers.tolist() if self.ids is not None else repeat(0),
+                ))
             firsts.sort()
         return ids[inverse.reshape(-1)], firsts
+
+    def find_one(self, key: int) -> int:
+        """:meth:`find` of one key, from the dict once :meth:`add_one`
+        built it (so it merges no tail)."""
+        if self._lookup is not None:
+            return self._lookup.get(key, -1)
+        return int(self.find(np.full(1, key, dtype=np.int64))[0])
+
+    def add_one(self, key: int) -> tuple[int, bool]:
+        """(id of ``key``, whether it was not seen before)."""
+        lookup = self._lookup
+        if lookup is None:
+            lookup = self._lookup = dict(zip(
+                self.keys.tolist(), repeat(0) if self.ids is None else self.ids.tolist()
+            ))
+        known = lookup.get(key)
+        if known is not None:
+            return known, False
+        number = lookup[key] = 0 if self.ids is None else len(self.keys) + len(self._tail)
+        self._tail.append(key)
+        return number, True
 
 
 class Block:
@@ -351,10 +404,11 @@ class Block:
     A row's key is its class codes packed into one int64: two codes fit
     (codes are < 2**31); past two, the prefix so far is replaced by its
     dense id among the block's distinct prefixes (one :class:`_Ids` per
-    level), so equal keys mean ``==`` rows, exactly.
+    level), so equal keys mean ``==`` rows, exactly.  Rows added one at
+    a time (:meth:`add_one`) wait in a list until the columns are read.
     """
 
-    __slots__ = ("arity", "size", "_columns", "_levels")
+    __slots__ = ("arity", "size", "_columns", "_levels", "_tail")
 
     def __init__(self, arity: int):
         self.arity = arity
@@ -362,24 +416,40 @@ class Block:
         self._columns = [_NO_CODES] * arity
         self._levels = [_Ids(numbered=True) for _ in range(arity - 2)]
         self._levels.append(_Ids(numbered=False))
+        #: rows of add_one not yet in ``_columns`` (counted in ``size``)
+        self._tail: list[list[int]] = []
+
+    def _flush(self) -> None:
+        """Write the tail's rows into the columns."""
+        tail = self._tail
+        if not tail:
+            return
+        self._tail = []
+        start = self.size - len(tail)
+        rows = np.asarray(tail, dtype=np.int64).reshape(len(tail), self.arity)
+        for position in range(self.arity):
+            target = _grown(self._columns[position], start, self.size)
+            target[start:self.size] = rows[:, position]
+            self._columns[position] = target
 
     def column(self, position: int):
+        self._flush()
         return self._columns[position][: self.size]
 
     def share(self) -> "Block":
         """A block over the same rows whose first append copies them."""
+        self._flush()
         clone = Block.__new__(Block)
-        clone.arity, clone.size = self.arity, self.size
+        clone.arity, clone.size, clone._tail = self.arity, self.size, []
         clone._columns = [column[: self.size] for column in self._columns]
         clone._levels = [level.copy() for level in self._levels]
         return clone
 
-    def _keys(self, classes: list, count: int, add: bool):
+    def _keys(self, classes: list, count: int):
         packed = classes[0] if classes else np.zeros(count, dtype=np.int64)
         for number, column in enumerate(classes[1:]):
             if number:
-                level = self._levels[number - 1]
-                packed = level.add(packed)[0] if add else level.find(packed)
+                packed = self._levels[number - 1].add(packed)[0]
             packed = (packed << 32) | column
         return packed
 
@@ -387,7 +457,8 @@ class Block:
         """Append the rows of ``codes`` (their ``classes`` alongside)
         that the block lacks, each once; returns their ascending
         positions in the batch."""
-        fresh = self._levels[-1].add(self._keys(classes, count, add=True))[1]
+        fresh = self._levels[-1].add(self._keys(classes, count))[1]
+        self._flush()
         size = self.size
         stop = size + len(fresh)
         if stop > size:
@@ -399,10 +470,35 @@ class Block:
             self.size = stop
         return fresh
 
-    def find(self, classes: list, count: int):
-        """Mask of the rows (given by class codes, -1 for a value never
-        interned) the block holds."""
-        return self._levels[-1].find(self._keys(classes, count, add=False)) >= 0
+    def _key_one(self, classes: list, add: bool) -> int:
+        """:meth:`_keys` of one row, in Python ints; -1 when a prefix is
+        unseen (only when not ``add``)."""
+        key = classes[0] if classes else 0
+        if len(classes) > 1:
+            key = (key << 32) | classes[1]
+            for level, column in zip(self._levels, classes[2:]):
+                prefix = level.add_one(key)[0] if add else level.find_one(key)
+                if prefix < 0:
+                    return -1
+                key = (prefix << 32) | column
+        return key
+
+    def add_one(self, codes: list, classes: list) -> bool:
+        """Append one row (its codes, their classes alongside) unless
+        the block holds it; returns whether it was appended."""
+        if not self._levels[-1].add_one(self._key_one(classes, add=True))[1]:
+            return False
+        self._tail.append(codes)
+        self.size += 1
+        return True
+
+    def holds(self, classes: list) -> bool:
+        """Does the block hold the row of these class codes (-1 for a
+        value never interned)?"""
+        if -1 in classes:
+            return False
+        key = self._key_one(classes, add=False)
+        return key >= 0 and self._levels[-1].find_one(key) >= 0
 
 
 class ColumnStore:
@@ -448,6 +544,26 @@ class ColumnStore:
             else:
                 runs.append([arity, len(fresh)])
         return fresh
+
+    def add_one(self, predicate: str, codes: list) -> bool:
+        """Append one row given as codes unless the relation holds it;
+        returns whether it was appended (see :meth:`Block.add_one`)."""
+        arity = len(codes)
+        block = self._blocks.get((predicate, arity))
+        if block is None:
+            block = self._blocks[(predicate, arity)] = Block(arity)
+        # the class codes (:meth:`ValueInterner.classes` of one row): a
+        # code is its own class unless it is an ``==`` variant
+        variants = self.interner._classes
+        classes = [variants.get(code, code) for code in codes] if variants else codes
+        if not block.add_one(codes, classes):
+            return False
+        runs = self._runs.setdefault(predicate, [])
+        if runs and runs[-1][0] == arity:
+            runs[-1][1] += 1
+        else:
+            runs.append([arity, 1])
+        return True
 
     def count(self, predicate: str) -> int:
         return sum(rows for _, rows in self._runs.get(predicate, ()))

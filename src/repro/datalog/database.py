@@ -38,8 +38,6 @@ from __future__ import annotations
 from itertools import groupby
 from typing import Iterable, Iterator
 
-import numpy as np
-
 from .columns import ColumnStore
 
 FactValues = tuple
@@ -66,10 +64,16 @@ class Database:
     # ------------------------------------------------------------------
 
     def add(self, predicate: str, values: FactValues) -> bool:
-        """Insert a fact; returns True when it was new."""
-        intern = self._columns.interner.intern
-        codes = [np.full(1, intern(value), dtype=np.int64) for value in values]
-        return self.append(predicate, len(values), codes, 1) == 1
+        """Insert a fact; returns True when it was new.  One fact costs
+        a few dict lookups and no array splice
+        (:meth:`ColumnStore.add_one`)."""
+        interner = self._columns.interner
+        codes = list(map(interner.intern, values))
+        if not self._columns.add_one(predicate, codes):
+            return False
+        if predicate in self._rows or predicate in self._sets or predicate in self._indexes:
+            self._extend_view(predicate, [tuple(map(interner.value, codes))])
+        return True
 
     def add_all(self, facts: Iterable[Fact]) -> int:
         """Insert many facts; returns how many were new."""
@@ -129,9 +133,7 @@ class Database:
         block = self._columns.block(predicate, len(values))
         if block is None:
             return False
-        lookup = self._columns.interner.lookup
-        classes = [np.full(1, lookup(value), dtype=np.int64) for value in values]
-        return bool(block.find(classes, 1)[0])
+        return block.holds(list(map(self._columns.interner.lookup, values)))
 
     def facts(self, predicate: str) -> list[FactValues]:
         """All value tuples of ``predicate`` in insertion order, as a

@@ -3,13 +3,16 @@
 The paper's pipeline ingests relational enterprise data via ETL jobs; this
 module provides the file-level half of that: companies, persons and
 shareholdings as three CSV files (mirroring the Chambers-of-Commerce
-extract layout), plus a single-file JSON format for whole property graphs.
+extract layout), plus a single-file JSON format for whole property graphs
+(:func:`to_json`'s document), which :func:`save_json` writes and
+:func:`load_json` reads one array element at a time.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+from itertools import islice
 from pathlib import Path
 from typing import Any
 
@@ -72,24 +75,28 @@ def read_company_csv(directory: str | Path) -> CompanyGraph:
     return graph
 
 
+def _json_arrays(graph: PropertyGraph):
+    """``(key, element iterator)`` of the two arrays of a :func:`to_json`
+    document, in document order, each element built when it is drawn."""
+    yield "nodes", (
+        {"id": node.id, "label": node.label, "properties": node.properties}
+        for node in graph.nodes()
+    )
+    yield "edges", (
+        {
+            "id": edge.id,
+            "source": edge.source,
+            "target": edge.target,
+            "label": edge.label,
+            "properties": edge.properties,
+        }
+        for edge in graph.edges()
+    )
+
+
 def to_json(graph: PropertyGraph) -> dict[str, Any]:
     """Serialise any property graph to a JSON-compatible dict."""
-    return {
-        "nodes": [
-            {"id": node.id, "label": node.label, "properties": node.properties}
-            for node in graph.nodes()
-        ],
-        "edges": [
-            {
-                "id": edge.id,
-                "source": edge.source,
-                "target": edge.target,
-                "label": edge.label,
-                "properties": edge.properties,
-            }
-            for edge in graph.edges()
-        ],
-    }
+    return {key: list(elements) for key, elements in _json_arrays(graph)}
 
 
 def _add_json_node(graph: PropertyGraph, node: dict[str, Any]) -> None:
@@ -126,9 +133,33 @@ def from_json(payload: dict[str, Any], company_graph: bool = True) -> PropertyGr
     return graph
 
 
+#: Array elements encoded by one C-encoder call and written at once.  A
+#: batch's text stays far below malloc's 128 KiB mmap threshold, so its
+#: transient strings reuse freed heap instead of mapping fresh pages.
+_SAVE_BATCH = 128
+
+
 def save_json(graph: PropertyGraph, path: str | Path) -> None:
+    """Write ``graph`` as its :func:`to_json` document, without spaces.
+
+    The bytes are ``json.dumps(to_json(graph), separators=(",", ":"))``,
+    but no document tree is built: elements are drawn
+    :data:`_SAVE_BATCH` at a time, each batch encoded as one list by the
+    C encoder (``json.dump`` would take the pure-Python one) and written
+    with its brackets cut off.
+    """
+    encode = json.JSONEncoder(separators=(",", ":")).encode
     with open(path, "w") as handle:
-        json.dump(to_json(graph), handle)
+        opener = "{"
+        for key, elements in _json_arrays(graph):
+            handle.write(f"{opener}{encode(key)}:[")
+            opener = ","
+            separator = ""
+            while batch := list(islice(elements, _SAVE_BATCH)):
+                handle.write(separator + encode(batch)[1:-1])
+                separator = ","
+            handle.write("]")
+        handle.write("}")
 
 
 def iter_graph_json(path: str | Path, chunk_size: int = 1 << 16):

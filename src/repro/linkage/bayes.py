@@ -27,7 +27,7 @@ from typing import Any, Callable, Iterable, Sequence
 import numpy as np
 
 from .features import FeatureSpec
-from .table import PersonTable, direction_mask, evidence
+from .table import MATCH, MISSING, PersonTable, direction_mask, evidence
 
 #: Laplace-style smoothing applied to estimated probabilities.
 _SMOOTHING = 0.5
@@ -48,6 +48,14 @@ def graham_combination(probabilities: Sequence[float]) -> float:
         product *= p
         complement *= 1.0 - p
     return product / (product + complement)
+
+
+def _match_rate(digits) -> float:
+    """Smoothed share of :data:`~.table.MATCH` among the evidence digits
+    that are not :data:`~.table.MISSING`."""
+    matched = int(np.count_nonzero(digits == MATCH))
+    seen = int(np.count_nonzero(digits != MISSING))
+    return (matched + _SMOOTHING) / (seen + 2 * _SMOOTHING)
 
 
 @dataclass
@@ -107,32 +115,42 @@ class BayesianLinkClassifier:
         rather than population-representative — the label frequency of a
         balanced sample is not the a-priori link likelihood.
         """
-        match_counts = {spec.name: [0, 0] for spec in self.features}   # matched among links
-        unmatch_counts = {spec.name: [0, 0] for spec in self.features}  # matched among non-links
-        links = 0
-        total = 0
-        for (left, right), label in zip(pairs, labels):
-            total += 1
-            if label:
-                links += 1
-            for spec in self.features:
-                matched = spec.matches(left, right)
-                if matched is None:
-                    continue
-                bucket = match_counts if label else unmatch_counts
-                bucket[spec.name][1] += 1
-                if matched:
-                    bucket[spec.name][0] += 1
+        examples = list(zip(pairs, labels))
+        count = len(examples)
+        table = PersonTable(
+            [left for (left, _), _ in examples] + [right for (_, right), _ in examples]
+        )
+        rows = np.arange(count, dtype=np.int64)
+        return self.fit_batch(
+            table, rows, rows + count, [label for _, label in examples], prior
+        )
+
+    def fit_batch(
+        self, table: PersonTable, left, right, labels, prior: float | None = None
+    ) -> "BayesianLinkClassifier":
+        """:meth:`fit` on the pairs ``(table.persons[l], table.persons[r])``
+        of the row-index arrays, labelled by ``labels``.
+
+        Each feature is compared once over all pairs, by the
+        :func:`~.table.evidence` kernels :meth:`probability_batch` scores
+        with, so every count is the count of :meth:`FeatureSpec.matches`
+        verdicts: m is the smoothed share of matches among the links
+        where the feature is present, u the same among the non-links.
+        """
+        left = np.asarray(left, dtype=np.int64)
+        right = np.asarray(right, dtype=np.int64)
+        labels = np.asarray(labels, dtype=bool)
+        total = len(labels)
         if prior is not None:
             self.prior = prior
         elif total:
+            links = int(np.count_nonzero(labels))
             self.prior = (links + _SMOOTHING) / (total + 2 * _SMOOTHING)
         for spec in self.features:
-            matched_links, seen_links = match_counts[spec.name]
-            matched_nolinks, seen_nolinks = unmatch_counts[spec.name]
-            m = (matched_links + _SMOOTHING) / (seen_links + 2 * _SMOOTHING)
-            u = (matched_nolinks + _SMOOTHING) / (seen_nolinks + 2 * _SMOOTHING)
-            self.estimates[spec.name] = FeatureEstimate(m=m, u=u)
+            digits = evidence(spec, table, left, right)
+            self.estimates[spec.name] = FeatureEstimate(
+                m=_match_rate(digits[labels]), u=_match_rate(digits[~labels])
+            )
         return self
 
     # ------------------------------------------------------------------

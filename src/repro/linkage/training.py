@@ -20,6 +20,7 @@ from .features import (
     default_feature_specs,
     parent_direction,
 )
+from .table import PersonTable
 
 PersonFeatures = dict[str, Any]
 LabelledPair = tuple[tuple[PersonFeatures, PersonFeatures], bool]
@@ -50,37 +51,64 @@ def training_pairs(
     population, as in Fellegi-Sunter estimation) with a minority of
     same-surname hard negatives.
     """
-    rng = random.Random(seed)
-    positives = [(x, y) for x, y, c in true_links if c == link_class]
-    linked_pairs = {(x, y) for x, y, _ in true_links}
-    person_ids = sorted(persons)
-    by_surname: dict[str, list[str]] = {}
-    for person_id, features in persons.items():
-        surname = str(features.get("surname") or "").lower()
-        by_surname.setdefault(surname, []).append(person_id)
+    return [
+        ((persons[x], persons[y]), label)
+        for x, y, label in _draw_examples(
+            _Population(persons), true_links, link_class, negatives_per_positive, seed
+        )
+    ]
 
-    examples: list[LabelledPair] = []
-    for x, y in positives:
-        if x in persons and y in persons:
-            examples.append(((persons[x], persons[y]), True))
+
+class _Population:
+    """What :func:`_draw_examples` samples from, built once per set of
+    persons: the persons, their ids in sorted order, and the ids by
+    lower-cased surname (with the surnames as a list, in first-seen
+    order)."""
+
+    def __init__(self, persons: dict[str, PersonFeatures]):
+        self.persons = persons
+        self.ids = sorted(persons)
+        self.by_surname: dict[str, list[str]] = {}
+        for person_id, features in persons.items():
+            surname = str(features.get("surname") or "").lower()
+            self.by_surname.setdefault(surname, []).append(person_id)
+        self.surnames = list(self.by_surname)
+
+
+def _draw_examples(
+    population: _Population,
+    true_links: set[tuple[str, str, str]],
+    link_class: str,
+    negatives_per_positive: int,
+    seed: int,
+) -> list[tuple[str, str, bool]]:
+    """The (left id, right id, is_link) examples of :func:`training_pairs`."""
+    rng = random.Random(seed)
+    persons = population.persons
+    linked_pairs = {(x, y) for x, y, _ in true_links}
+    examples = [
+        (x, y, True)
+        for x, y, c in true_links
+        if c == link_class and x in persons and y in persons
+    ]
 
     wanted_negatives = len(examples) * negatives_per_positive
     attempts = 0
     negatives = 0
     while negatives < wanted_negatives and attempts < wanted_negatives * 20:
         attempts += 1
-        if rng.random() < 0.2 and by_surname:
-            bucket = by_surname[rng.choice(list(by_surname))]
+        if rng.random() < 0.2 and population.surnames:
+            bucket = population.by_surname[rng.choice(population.surnames)]
             if len(bucket) < 2:
                 continue
             x, y = rng.sample(bucket, 2)
         else:
-            if len(person_ids) < 2:
+            if len(population.ids) < 2:
                 break
-            x, y = rng.sample(person_ids, 2)
+            x, y = rng.sample(population.ids, 2)
         if (x, y) in linked_pairs or (y, x) in linked_pairs:
             continue
-        examples.append(((persons[x], persons[y]), False))
+        examples.append((x, y, False))
         negatives += 1
     return examples
 
@@ -93,21 +121,33 @@ def train_classifiers(
     negatives_per_positive: int = 3,
     seed: int = 0,
 ) -> list[BayesianLinkClassifier]:
-    """Build and fit one classifier per link class from planted ground truth."""
+    """Build and fit one classifier per link class from planted ground truth.
+
+    Every class fits on one :class:`PersonTable` of all ``persons``, so
+    the classes share its feature columns and distance memos (sibling
+    and parent compare surnames by one Levenshtein memo)."""
     classifiers = []
     specs_by_class = default_feature_specs()
+    population = _Population(persons)
+    table = PersonTable(list(persons.values()))
+    row_of = {person_id: row for row, person_id in enumerate(persons)}
     for link_class in link_classes:
         direction = parent_direction if link_class == PARENT_OF else None
         classifier = BayesianLinkClassifier(
             link_class, specs_by_class[link_class], prior=prior, direction=direction
         )
-        examples = training_pairs(
-            persons, true_links, link_class, negatives_per_positive, seed
+        examples = _draw_examples(
+            population, true_links, link_class, negatives_per_positive, seed
         )
         if examples:
-            pairs = [pair for pair, _ in examples]
-            labels = [label for _, label in examples]
-            classifier.fit(pairs, labels, prior=prior)
+            left, right, labels = zip(*examples)
+            classifier.fit_batch(
+                table,
+                [row_of[x] for x in left],
+                [row_of[y] for y in right],
+                labels,
+                prior=prior,
+            )
         classifiers.append(classifier)
     return classifiers
 

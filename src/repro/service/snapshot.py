@@ -700,10 +700,10 @@ def _family_scope(
     touched: set[NodeId],
     assignment: "dict[NodeId, int] | None",
     blocking: BlockingScheme,
-) -> dict[NodeId, tuple[Node, list[tuple]]]:
+) -> dict[NodeId, tuple[Node, list[int]]]:
     """The persons of ``graph`` that share a block with a touched person,
     each with the block keys of a run that compares every pair with a
-    touched end.
+    touched end, numbered densely in order of first sight.
 
     A block is a :func:`block_keys` key, as the pipeline injects it.  In
     a block with few touched members, they share one key and each
@@ -721,7 +721,7 @@ def _family_scope(
             wanted.update(block_keys(graph.node(person), assignment, blocking))
     if not wanted:
         return {}
-    scope: dict[NodeId, tuple[Node, list[tuple]]] = {}
+    scope: dict[NodeId, tuple[Node, list[int]]] = {}
     members: dict[tuple[int, object], tuple[list[NodeId], list[NodeId]]] = {}
     for node in graph.persons():
         shared = [key for key in block_keys(node, assignment, blocking) if key in wanted]
@@ -729,16 +729,21 @@ def _family_scope(
             scope[node.id] = (node, [])
             for key in shared:
                 members.setdefault(key, ([], []))[node.id not in touched].append(node.id)
-    for key, (hit, rest) in members.items():
+    number = 0  # each key of the run: a dense int, in order of first sight
+    for hit, rest in members.values():
         if len(rest) < PAIR_KEYS_BELOW * len(hit):
             for person in hit + rest:
-                scope[person][1].append((key,))
+                scope[person][1].append(number)
+            number += 1
             continue
         for person in hit:
-            scope[person][1].append((key, 0))
+            scope[person][1].append(number)
+        number += 1
+        for person in hit:
             for other in rest:
-                scope[person][1].append((key, person, other))
-                scope[other][1].append((key, person, other))
+                scope[person][1].append(number)
+                scope[other][1].append(number)
+                number += 1
     return scope
 
 

@@ -404,9 +404,16 @@ class TestAugmentOutputIsPinned:
     (scalar ``$link_probability``, per-row tail) — same nodes, same
     extensional edges and ids, same 426 derived edges — with the derived
     edges in the sorted order ``augment`` adds them in (it used to follow
-    set iteration, which is why that commit needed a pinned seed)."""
+    set iteration, which is why that commit needed a pinned seed).
 
-    DIGEST = "903f03009465c73c270af5e1735cdd703111608f8eb0ca47ba0d89359b511953"
+    ``DIGEST`` pins the bytes, which are compact since ``save_json``
+    writes without spaces; ``DOCUMENT_DIGEST`` pins the parsed document
+    (re-serialised with sorted keys), which that change left as it was —
+    so a re-pin of ``DIGEST`` shows whether the whitespace moved or the
+    graph did."""
+
+    DIGEST = "5feed26d25c7d0cdecbf519e52791cda24bec61ec5b36cf2aacb561a5fc132ff"
+    DOCUMENT_DIGEST = "221539d1e71cca9e5bf0bff270235fe3debf5972607309adbe98b479e8221693"
 
     def test_sparse_extract(self, tmp_path):
         def run(hash_seed, *arguments):
@@ -422,11 +429,14 @@ class TestAugmentOutputIsPinned:
 
         run("0", "generate", "extract", "--persons", "150", "--companies", "110",
             "--density", "sparse", "--seed", "1")
-        digests = set()
+        digests, documents = set(), set()
         for hash_seed in ("1", "2"):
             run(hash_seed, "augment", "extract", f"out{hash_seed}.json")
             content = (tmp_path / f"out{hash_seed}.json").read_bytes()
             digests.add(hashlib.sha256(content).hexdigest())
+            document = json.dumps(json.loads(content), sort_keys=True)
+            documents.add(hashlib.sha256(document.encode()).hexdigest())
+        assert documents == {self.DOCUMENT_DIGEST}
         assert digests == {self.DIGEST}
 
 

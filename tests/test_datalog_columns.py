@@ -6,6 +6,8 @@ import random
 import weakref
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.datalog import Database, Engine, parse_program
 from repro.datalog.columns import MAX_CODES, ValueInterner, probe_keys
@@ -72,6 +74,36 @@ class TestValueInterner:
     def test_code_space_fits_pair_packing(self):
         # the executor packs (a << 32) | b; codes must stay below 2**31
         assert MAX_CODES == 2**31
+
+
+_KNOWN = st.sampled_from([0, 1, 2, True, False, 1.0, 2.0, -0.0, "a", "b", None])
+
+
+class TestInternColumn:
+    """A column interned in one pass gets the codes of interning its
+    values one by one, whatever ``==`` values of other types came first
+    (a str or int column takes its new values' codes in bulk)."""
+
+    @given(
+        st.lists(_KNOWN, max_size=8),
+        st.one_of(
+            st.lists(st.integers(-3, 3), min_size=1, max_size=10),
+            st.lists(st.sampled_from(["a", "b", "c", ""]), min_size=1, max_size=10),
+            st.lists(_KNOWN, min_size=1, max_size=10),
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_value_by_value(self, before, column):
+        bulk, single = ValueInterner(), ValueInterner()
+        for value in before:
+            bulk.intern(value)
+            single.intern(value)
+        codes = bulk.intern_column(column).tolist()
+        assert codes == [single.intern(value) for value in column]
+        assert repr(bulk.decode(np.asarray(codes))) == repr(column)
+        assert len(bulk) == len(single)
+        assert bulk.intern_column(column).tolist() == codes  # a second pass adds nothing
+        assert len(bulk) == len(single)
 
 
 class TestColumnStore:

@@ -170,19 +170,25 @@ _VALUES = st.sampled_from(
 def _operations(draw):
     """Random add / load / copy / check steps over two predicates whose
     facts mix arities and ``==``-equal values of different types (a
-    check builds the decoded view that later steps must extend)."""
+    check builds the decoded view that later steps must extend).  An
+    ``adds`` step is a run of single adds (up to arity 4, so through two
+    prefix levels) that later loads, copies and checks must see."""
     rows = st.integers(min_value=0, max_value=3).flatmap(
         lambda arity: st.lists(st.tuples(*[_VALUES] * arity), min_size=1, max_size=6)
+    )
+    single_rows = st.integers(min_value=0, max_value=4).flatmap(
+        lambda arity: st.lists(st.tuples(*[_VALUES] * arity), min_size=1, max_size=12)
     )
     step = st.one_of(
         st.tuples(st.just("add"), st.sampled_from("pq"), st.lists(_VALUES, max_size=3)
                   .map(tuple)),
+        st.tuples(st.just("adds"), st.sampled_from("pq"), single_rows),
         st.tuples(st.just("load"), st.sampled_from("pq"), rows),
         st.tuples(st.just("copy"), st.sampled_from([None, ("p",), ("q",)]), st.just(None)),
         st.tuples(st.just("check"), st.just(None), st.just(None)),
     )
     return draw(st.lists(st.tuples(st.integers(min_value=0, max_value=3), step),
-                         max_size=25))
+                         max_size=30))
 
 
 class TestBlockBackedOracle:
@@ -191,7 +197,7 @@ class TestBlockBackedOracle:
     loads and copies produced them."""
 
     @given(_operations())
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=250, deadline=None)
     def test_facts_match_a_tuple_list_oracle(self, operations):
         stores = [(Database(), {})]  # (database, predicate -> (rows, set))
         for which, (kind, predicate, payload) in operations:
@@ -211,10 +217,15 @@ class TestBlockBackedOracle:
             expected = 0
             for values in batch:
                 rows, seen = oracle.setdefault(predicate, ([], set()))
-                if values not in seen:
+                new = values not in seen
+                if new:
                     seen.add(values)
                     rows.append(values)
                     expected += 1
+                if kind == "adds":
+                    assert database.add(predicate, values) == new
+            if kind == "adds":
+                continue
             if kind == "add":
                 assert database.add(predicate, payload) == bool(expected)
             else:

@@ -1,6 +1,10 @@
 """Tests for CSV and JSON import/export."""
 
+import json
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graph import (
     CompanyGraph,
@@ -12,6 +16,8 @@ from repro.graph import (
     to_json,
     write_company_csv,
 )
+from repro.graph.io import iter_graph_json
+from repro.graph.property_graph import PropertyGraph
 
 
 @pytest.fixture
@@ -123,3 +129,72 @@ class TestStreamingLoaders:
         path.write_text('{"nodes": [{"id": "P1"')
         with pytest.raises(ValueError):
             load_json(path)
+
+
+_TEXT = st.text(max_size=6)  # any code point: non-ASCII and escapes included
+_SCALARS = st.one_of(
+    st.sampled_from([1, 1.0, True, False, None, 1e-07, -0.0, 0.1, 1e300, 10**20]),
+    st.integers(-(2**63), 2**63),
+    st.floats(allow_nan=False),
+    _TEXT,
+)
+_VALUES = st.recursive(_SCALARS, lambda inner: st.lists(inner, max_size=3), max_leaves=6)
+_PROPERTIES = st.dictionaries(_TEXT, _VALUES, max_size=3)  # often empty
+
+
+@st.composite
+def _graphs(draw):
+    graph = PropertyGraph()
+    ids = draw(st.lists(_TEXT, unique=True, max_size=5))
+    for node_id in ids:
+        graph.add_node(node_id, draw(st.none() | _TEXT), **draw(_PROPERTIES))
+    if ids:
+        for _ in range(draw(st.integers(0, 5))):
+            graph.add_edge(
+                draw(st.sampled_from(ids)), draw(st.sampled_from(ids)),
+                draw(st.none() | _TEXT), **draw(_PROPERTIES),
+            )
+    return graph
+
+
+def _model(graph):
+    """Everything a graph holds, with the types of its values."""
+    return repr((
+        [(n.id, n.label, n.properties) for n in graph.nodes()],
+        [(e.id, e.source, e.target, e.label, e.properties) for e in graph.edges()],
+    ))
+
+
+class TestStreamingWriter:
+    """``save_json`` streams element by element through the C encoder:
+    its bytes must be the compact ``json.dumps`` of ``to_json``, and both
+    readers must give the graph back, types included."""
+
+    @given(drawn=_graphs())
+    @settings(max_examples=150, deadline=None)
+    def test_bytes_equal_the_compact_dump(self, drawn, tmp_path_factory):
+        path = tmp_path_factory.mktemp("writer") / "graph.json"
+        save_json(drawn, path)
+        expected = json.dumps(to_json(drawn), separators=(",", ":"))
+        assert path.read_bytes() == expected.encode()
+        assert _model(load_json(path, company_graph=False)) == _model(drawn)
+        document = to_json(drawn)
+        streamed = list(iter_graph_json(path, chunk_size=7))
+        assert repr(streamed) == repr(
+            [("nodes", n) for n in document["nodes"]] + [("edges", e) for e in document["edges"]]
+        )
+
+    def test_batches_join_without_a_gap(self, tmp_path, monkeypatch):
+        from repro.graph import io
+
+        monkeypatch.setattr(io, "_SAVE_BATCH", 2)
+        graph = figure1_graph()
+        path = tmp_path / "fig1.json"
+        save_json(graph, path)
+        assert path.read_text() == json.dumps(to_json(graph), separators=(",", ":"))
+
+    def test_empty_graph(self, tmp_path):
+        path = tmp_path / "empty.json"
+        save_json(PropertyGraph(), path)
+        assert path.read_text() == '{"nodes":[],"edges":[]}'
+        assert load_json(path).node_count == 0

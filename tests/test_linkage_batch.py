@@ -17,6 +17,7 @@ from repro.linkage import (
     equality_distance,
     jaro_winkler,
     train_classifiers,
+    training_pairs,
 )
 from repro.linkage.table import PersonTable
 
@@ -139,6 +140,95 @@ class TestBatchEqualsScalar:
             [(ids["p0"], ids["p1"]), (ids["p1"], ids["p0"])], [True, False]
         )
         _assert_bit_identical(classifier, people)
+
+
+#: values a dict cannot key (and a NaN), on features whose distance
+#: takes them: equality, Levenshtein of ``str`` and the paternity compare
+_ODD = [["via", "Roma"], ("Roma",), float("nan")]
+
+odd_persons = st.fixed_dictionaries(
+    {},
+    optional={
+        "name": st.sampled_from(NAMES + _ODD),
+        "surname": st.sampled_from(SURNAMES + _ODD),
+        "father_name": st.sampled_from(NAMES + _ODD),
+        "birth_date": st.sampled_from(BIRTH_DATES),
+        "birth_place": st.sampled_from(PLACES + _ODD),
+        "sex": st.sampled_from(["M", "F", None]),
+        "address": st.sampled_from(ADDRESSES + _ODD),
+    },
+)
+
+
+def _per_pair_fit(classifier, pairs, labels, prior):
+    """(prior, {feature: (m, u)}) counted pair by pair from
+    ``FeatureSpec.matches``: the loop ``fit`` ran before it read evidence
+    columns."""
+    counts = {spec.name: [0, 0, 0, 0] for spec in classifier.features}
+    links = total = 0
+    for (left, right), label in zip(pairs, labels):
+        total += 1
+        links += bool(label)
+        for spec in classifier.features:
+            matched = spec.matches(left, right)
+            if matched is None:
+                continue
+            bucket = counts[spec.name]
+            offset = 0 if label else 2
+            bucket[offset + 1] += 1
+            bucket[offset] += bool(matched)
+    if prior is None:
+        prior = (links + 0.5) / (total + 1.0) if total else classifier.prior
+    return prior, {
+        name: ((ml + 0.5) / (sl + 1.0), (mu + 0.5) / (su + 1.0))
+        for name, (ml, sl, mu, su) in counts.items()
+    }
+
+
+def _fitted(classifier):
+    return classifier.prior, {
+        name: (estimate.m, estimate.u) for name, estimate in classifier.estimates.items()
+    }
+
+
+class TestFitEqualsPerPairCount:
+    """``fit`` counts matches from one evidence column per feature; every
+    prior, m and u must be ``==`` the per-pair count's."""
+
+    @given(
+        st.lists(odd_persons, min_size=1, max_size=6),
+        st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5), st.booleans()),
+                 max_size=14),
+        st.sampled_from([None, 0.1]),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_default_and_custom_classifiers(self, people, draws, prior):
+        # pairs reuse the same dicts, as training pairs do
+        pairs = [(people[l % len(people)], people[r % len(people)]) for l, r, _ in draws]
+        labels = [label for _, _, label in draws]
+        for classifier in [*default_classifiers(), _custom_classifier()]:
+            expected = _per_pair_fit(classifier, pairs, labels, prior)
+            assert _fitted(classifier.fit(pairs, labels, prior)) == expected
+
+    @given(st.lists(odd_persons, min_size=2, max_size=8), st.integers(0, 2**16))
+    @settings(max_examples=60, deadline=None)
+    def test_train_classifiers_shares_one_table(self, people, seed):
+        ids = {f"p{i}": person for i, person in enumerate(people)}
+        truth = {
+            ("p0", "p1", "partner_of"), ("p1", "p0", "sibling_of"),
+            ("p0", "p1", "parent_of"), ("p1", f"p{len(people) - 1}", "sibling_of"),
+        }
+        for classifier in train_classifiers(ids, truth, seed=seed):
+            examples = training_pairs(ids, truth, classifier.link_class, seed=seed)
+            pairs = [pair for pair, _ in examples]
+            labels = [label for _, label in examples]
+            assert _fitted(classifier) == _per_pair_fit(classifier, pairs, labels, 0.1)
+
+    def test_no_pairs_keeps_the_prior(self):
+        for classifier in default_classifiers(prior=0.3):
+            classifier.fit([], [])
+            assert _fitted(classifier) == _per_pair_fit(classifier, [], [], None)
+            assert classifier.prior == 0.3
 
 
 class TestTableEdges:

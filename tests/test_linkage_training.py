@@ -105,3 +105,52 @@ class TestTrainedClassifiers:
         classifiers = {c.link_class: c for c in default_classifiers()}
         assert classifiers[PARENT_OF].direction is not None
         assert classifiers[PARTNER_OF].direction is None
+
+
+class TestPinnedEstimates:
+    """``train_classifiers`` on the extract CI checks the vectorized
+    backend on (``repro generate --persons 40 --companies 30 --seed 5``,
+    read back from its CSV files) gives the prior, m and u the per-pair
+    count gave before the fit read evidence columns, float for float."""
+
+    PINNED = {
+        PARTNER_OF: (0.1, {
+            "address": (0.9705882352941176, 0.01020408163265306),
+            "birth_date": (0.9705882352941176, 0.23469387755102042),
+            "sex": (0.029411764705882353, 0.5204081632653061),
+        }),
+        SIBLING_OF: (0.1, {
+            "surname": (0.9444444444444444, 0.18),
+            "birth_place": (0.5, 0.07894736842105263),
+            "address": (0.2777777777777778, 0.02),
+            "birth_date": (0.9444444444444444, 0.34),
+            "father_name": (0.9444444444444444, 0.1),
+        }),
+        PARENT_OF: (0.1, {
+            "surname": (0.5, 0.15306122448979592),
+            "address": (0.38235294117647056, 0.01020408163265306),
+            "birth_place": (0.23333333333333334, 0.13414634146341464),
+            "birth_date": (0.9705882352941176, 0.3979591836734694),
+            "paternity": (0.4411764705882353, 0.01020408163265306),
+        }),
+    }
+
+    def test_ci_extract(self, tmp_path):
+        import json
+
+        from repro.cli import main
+        from repro.graph.io import read_company_csv
+
+        main(["generate", str(tmp_path), "--persons", "40", "--companies", "30",
+              "--seed", "5"])
+        graph = read_company_csv(tmp_path)
+        with open(tmp_path / "ground_truth.json") as handle:
+            links = {tuple(link) for link in json.load(handle)["links"]}
+        fitted = {
+            classifier.link_class: (classifier.prior, {
+                name: (estimate.m, estimate.u)
+                for name, estimate in classifier.estimates.items()
+            })
+            for classifier in train_classifiers(persons_of(graph), links)
+        }
+        assert fitted == self.PINNED
