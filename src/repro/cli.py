@@ -107,12 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
     reason.add_argument("program", type=Path)
     reason.add_argument("--query", required=True,
                         help="predicate whose derived facts to print")
-    reason.add_argument("--no-plan", action="store_true",
-                        help="disable the join planner / compiled evaluators "
-                             "(textual-order interpretation)")
-    reason.add_argument("--no-vectorize", action="store_true",
-                        help="disable the batch columnar backend (per-tuple "
-                             "compiled evaluation; the bit-identity oracle)")
 
     export = commands.add_parser("export-dot",
                                  help="render the (optionally augmented) graph as Graphviz DOT")
@@ -364,13 +358,7 @@ def _reason(args: argparse.Namespace) -> int:
     graph = _read_extract(args.directory)
     # derive only what the queried relation depends on
     program = slice_program(parse_program(args.program.read_text()), [args.query])
-    engine = Engine(
-        program,
-        to_facts(graph),
-        tracer=_tracer_of(args),
-        plan=not args.no_plan,
-        vectorize=not args.no_vectorize,
-    )
+    engine = Engine(program, to_facts(graph), tracer=_tracer_of(args))
     engine.run()
     rows = engine.query(args.query)
     for values in rows:

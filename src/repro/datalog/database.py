@@ -11,14 +11,14 @@ Python ``==`` while each stored value keeps its type.
 
 Decoding happens where a caller reads facts: :meth:`facts`,
 :meth:`iter_facts`, :meth:`match` and :meth:`all_facts` decode the
-blocks they read.  The per-row executors (the compiled closure chains
-and the interpreted join of :mod:`repro.datalog.engine`) need live
-Python structures instead — a row list (:meth:`live_rows`), a dedup set
-(:meth:`live_set`) and positional hash indexes (:meth:`index_for`).
-That *decoded view* is built per predicate on first request, and from
-then on every append to the predicate extends it in place, never
-replaces it, so an evaluator may capture it once and probe it across
-semi-naive rounds.  A vectorized run never asks for it.
+blocks they read.  The engine's interpreter (its per-row executor)
+reads a *decoded view* instead: a row list (:meth:`live_rows`) for a
+scan with nothing bound, and positional hash indexes
+(:meth:`index_for`, which :meth:`match` probes) for the rest.  The view
+is built per predicate on first request, and from then on every append
+to the predicate extends it in place, never replaces it.  A vectorized
+run never asks for it, and a :meth:`match` with an empty pattern
+decodes afresh rather than leave a row list behind.
 
 Facts are append-only: there is no removal.  That is what the chase
 assumes (derived facts only accumulate, aggregates are monotonic), and a
@@ -52,10 +52,9 @@ class Database:
 
     def __init__(self, facts: Iterable[Fact] = (), store: ColumnStore | None = None):
         self._columns = store if store is not None else ColumnStore()
-        # the decoded view, per predicate, built on demand: row lists,
-        # dedup sets and positional indexes
+        # the decoded view, per predicate, built on demand: row lists
+        # and positional indexes
         self._rows: dict[str, list[FactValues]] = {}
-        self._sets: dict[str, set[FactValues]] = {}
         self._indexes: dict[str, _PredicateIndexes] = {}
         self.add_all(facts)
 
@@ -71,7 +70,7 @@ class Database:
         codes = list(map(interner.intern, values))
         if not self._columns.add_one(predicate, codes):
             return False
-        if predicate in self._rows or predicate in self._sets or predicate in self._indexes:
+        if predicate in self._rows or predicate in self._indexes:
             self._extend_view(predicate, [tuple(map(interner.value, codes))])
         return True
 
@@ -96,9 +95,7 @@ class Database:
         interner; returns how many were new.  A decoded view of the
         predicate, if one was built, is extended with them."""
         fresh = self._columns.append(predicate, arity, codes, count)
-        if len(fresh) and (
-            predicate in self._rows or predicate in self._sets or predicate in self._indexes
-        ):
+        if len(fresh) and (predicate in self._rows or predicate in self._indexes):
             decode = self._columns.interner.decode
             added = list(zip(*(decode(column[fresh]) for column in codes)))
             self._extend_view(predicate, added or [()] * len(fresh))
@@ -119,9 +116,6 @@ class Database:
         live = self._rows.get(predicate)
         if live is not None:
             live.extend(rows)
-        existing = self._sets.get(predicate)
-        if existing is not None:
-            existing.update(rows)
         for positions, index in self._indexes.get(predicate, {}).items():
             _index_rows(index, positions, rows)
 
@@ -210,7 +204,7 @@ class Database:
         return self._columns
 
     # ------------------------------------------------------------------
-    # the decoded view (per-row executor capture points)
+    # the decoded view (the interpreter's scan list)
     # ------------------------------------------------------------------
 
     def live_rows(self, predicate: str) -> list[FactValues]:
@@ -219,13 +213,6 @@ class Database:
         if live is None:
             live = self._rows[predicate] = self._columns.decode(predicate)
         return live
-
-    def live_set(self, predicate: str) -> set[FactValues]:
-        """The live dedup set (internal; do not mutate)."""
-        existing = self._sets.get(predicate)
-        if existing is None:
-            existing = self._sets[predicate] = set(self.facts(predicate))
-        return existing
 
     # ------------------------------------------------------------------
     # bulk access / misc

@@ -18,13 +18,22 @@ Aggregate grouping follows Vadalog: the group of ``T = msum(W, <Z>)`` is
 the binding of the head variables that are bound before the aggregate is
 reached (the result variable excluded); each distinct contributor tuple
 ``Z`` contributes once.
+
+A rule runs on one of two executors.  Each (rule, seed occurrence) pair
+is planned (:mod:`.planner`) and lowered to the batch backend
+(:mod:`.vectorized`); a pair it cannot lower, and every pair under
+``vectorize=False``, runs on the interpreter (:meth:`Engine._join` /
+:meth:`Engine._match_from`) in its plan's order, and so does the
+per-row tail of a pair the batch backend carries only part way.  The
+interpreter in textual order (``plan=False``) is the reference, and
+the only path that records provenance.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any, Iterator, Sequence
 
 from ..telemetry import NULL_TRACER
 from .atoms import Aggregate, Assignment, Atom, Comparison, Negation
@@ -40,9 +49,6 @@ from .vectorized import (
     VectorRuntimeFallback,
     compile_rule_vectorized,
 )
-
-#: cache sentinel: (rule, seed) pair not compiled yet
-_COMPILE_MISS = object()
 
 
 @dataclass
@@ -140,26 +146,24 @@ class Engine:
         self.max_iterations = max_iterations
         self.seminaive = seminaive
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        # plan=False preserves the textual-order interpreted path (used by
-        # the ablation benchmarks); provenance implies it, since compiled
-        # evaluators do not record body-fact traces
+        # plan=False runs the interpreter in textual order (the reference
+        # the ablation benchmarks use); provenance implies it, since only
+        # that path records body-fact traces
         self.plan_enabled = plan and not provenance
-        # vectorize=False keeps the per-tuple compiled path as the
-        # bit-identity oracle
+        # vectorize=False runs the interpreter in each plan's order: the
+        # bit-identity oracle of the batch backend
         self.vectorize_enabled = self.plan_enabled and vectorize
         # (rule id, seed literal index) -> [current JoinPlan, replans]
         self._plans: dict[tuple[int, int | None], list] = {}
-        # (rule id, seed literal index) -> CompiledRule, or None once a
-        # CompilationFallback proved the pair structurally uncompilable;
-        # filled only for pairs that run per row (see _compiled_for)
-        self._compiled_cache: dict[tuple[int, int | None], Any] = {}
-        self._plan_fallbacks: dict[tuple[int, int | None], str] = {}
+        # (rule id, seed literal index) -> bindings leaving each plan step
+        # of a pair the interpreter ran, while a tracer is live (EXPLAIN)
+        self._actual_rows: dict[tuple[int, int | None], list[int]] = {}
         # (rule id, seed literal index) -> (plan signature, VectorizedRule
         # or None when that plan shape could not be lowered to the batch
         # backend); a changed signature forces re-lowering
         self._vector_cache: dict[tuple[int, int | None], tuple] = {}
         self._vector_fallbacks: dict[tuple[int, int | None], str] = {}
-        # pairs permanently reverted to the compiled path after a runtime
+        # pairs permanently handed to the interpreter after a runtime
         # safety check failed (data-dependent, so retrying cannot help)
         self._vector_disabled: set[tuple[int, int | None]] = set()
         self._order_sensitive: set[str] | None = None
@@ -400,78 +404,89 @@ class Engine:
         seed_literal_index: int | None = None
         if seed_predicate is not None:
             seed_literal_index = rule.positive_positions()[seed_predicate]
+        trace: list[Fact] = []
+        if not self.plan_enabled:
+            order = [i for i in range(len(rule.body)) if i != seed_literal_index]
+            return self._fire(
+                rule, self._join(rule, order, seed_literal_index, seed, trace), trace
+            )
 
         key = (id(rule), seed_literal_index)
-        if self.plan_enabled and self._compiled_cache.get(key, _COMPILE_MISS) is not None:
-            plan = self._plan_for(rule, seed_literal_index)
-            if self.vectorize_enabled:
-                vectorized = self._vectorized_for(rule, seed_literal_index, plan)
-                if vectorized is not None:
-                    try:
-                        derived, firings = vectorized.execute(seed)
-                    except VectorRuntimeFallback as fallback:
-                        # raised with the engine's state as it was before
-                        # the execution: re-running on the compiled path
-                        # cannot double count
-                        self._vector_disabled.add(key)
-                        self._vector_fallbacks[key] = str(fallback)
-                    else:
-                        return self._ingest(derived, firings, vectorized.coded)
-            compiled = self._compiled_for(rule, seed_literal_index, plan)
-            if compiled is not None:
-                seed_facts = self._seed_rows(rule, seed_literal_index, seed)
-                derived, firings = compiled.execute(seed_facts)
-                return self._ingest(derived, firings)
+        plan = self._plan_for(rule, seed_literal_index)
+        if self.vectorize_enabled:
+            vectorized = self._vectorized_for(rule, seed_literal_index, plan)
+            if vectorized is not None:
+                try:
+                    derived, firings = vectorized.execute(seed)
+                except VectorRuntimeFallback as fallback:
+                    # raised with the engine's state as it was before the
+                    # execution: re-running on the interpreter cannot
+                    # double count
+                    self._vector_disabled.add(key)
+                    self._vector_fallbacks[key] = str(fallback)
+                else:
+                    if vectorized.coded:
+                        return self._ingest(derived, firings, coded=True)
+                    # the per-row tail: each surviving row, as a binding,
+                    # takes the rest of the plan on the interpreter
+                    tail = (
+                        complete
+                        for binding in derived
+                        for complete in self._match_from(
+                            rule, rule.body, plan.order, vectorized.cut, binding,
+                            trace, vectorized.counts,
+                        )
+                    )
+                    return self._fire(rule, tail, trace)
+        counts = None
+        if self.tracer.enabled:
+            counts = self._actual_rows.setdefault(key, [0] * len(plan.order))
+        return self._fire(
+            rule, self._join(rule, plan.order, seed_literal_index, seed, trace, counts),
+            trace,
+        )
 
-        seed_facts = self._seed_rows(rule, seed_literal_index, seed)
-        new = 0
-        literals = list(rule.body)
+    def _fire(self, rule: Rule, bindings: Iterator[Binding], trace: list[Fact]) -> int:
+        """Instantiate the head once per body binding; returns how many
+        new facts that derived.
 
-        # Buffer derivations and flush after the join: the rule must see the
-        # database as of the start of this application, not facts it is
-        # itself deriving (otherwise a rule like p(X), Y = X+1 -> p(Y)
-        # extends the scan it is iterating and round 0 never ends).
-        pending: list[tuple[Fact, tuple[Fact, ...]]] = []
-        trace: list[Fact] = []
-        for binding in self._join(
-            rule, literals, seed_literal_index, seed_facts, trace=trace
-        ):
-            self.stats.rule_firings += 1
-            derived = self._instantiate_head(rule, binding)
-            trace_snapshot = tuple(trace) if self.provenance_enabled else ()
-            for fact in derived:
-                pending.append((fact, trace_snapshot))
-
+        Derivations are buffered and flushed after the join: the rule
+        must see the database as of the start of this application, not
+        facts it is itself deriving (otherwise a rule like p(X), Y = X+1
+        -> p(Y) extends the scan it is iterating and round 0 never ends).
+        """
+        derived: list = []
+        firings = 0
+        for binding in bindings:
+            firings += 1
+            facts = self._instantiate_head(rule, binding)
+            if self.provenance_enabled:
+                snapshot = tuple(trace)
+                derived.extend((fact, snapshot) for fact in facts)
+            else:
+                derived.extend(facts)
         if not self.provenance_enabled:
-            return self._ingest([fact for fact, _ in pending], 0)
-        for fact, trace_snapshot in pending:
-            predicate, values = fact
-            if self.database.add(predicate, values):
+            return self._ingest(derived, firings)
+        self.stats.rule_firings += firings
+        new = 0
+        for fact, snapshot in derived:
+            if self.database.add(*fact):
                 new += 1
-                self.stats.facts_derived += 1
                 if fact not in self.provenance:
-                    self.provenance[fact] = Derivation(rule, trace_snapshot)
+                    self.provenance[fact] = Derivation(rule, snapshot)
+        self.stats.facts_derived += new
         return new
 
-    def _seed_rows(
-        self, rule: Rule, seed_literal_index: int | None, seed: tuple[int, int] | None
-    ) -> list[FactValues] | None:
-        """The seed's rows, decoded, for the per-row executors."""
-        if seed is None or seed[0] == seed[1]:
-            return None if seed is None else []
-        atom = rule.body[seed_literal_index]
-        return self.database.column_store().rows(atom.predicate, atom.arity, *seed)
-
     # ------------------------------------------------------------------
-    # planned / compiled evaluation
+    # planned evaluation
     # ------------------------------------------------------------------
 
     def _plan_for(self, rule: Rule, seed_literal_index: int | None):
         """The current join plan for (rule, seed occurrence).
 
         Plans on first use and re-plans when the database's cardinality
-        snapshot drifts past the planner's threshold; the lowered
-        evaluators compare the plan's signature and are kept when the
+        snapshot drifts past the planner's threshold; a lowered batch
+        evaluator compares the plan's signature and is kept when the
         fresh plan has the same shape.
         """
         key = (id(rule), seed_literal_index)
@@ -484,40 +499,11 @@ class Engine:
         if entry is None:
             self._plans[key] = [plan, 0]
         else:
+            if plan.signature() != entry[0].signature():
+                self._actual_rows.pop(key, None)  # counts of another order
             entry[0] = plan
             entry[1] += 1
         return plan
-
-    def _compiled_for(self, rule: Rule, seed_literal_index: int | None, plan=None):
-        """The closure chain for (rule, seed occurrence) under its current
-        plan (``plan``, or planned here), or None — permanently — for
-        pairs the lowering proved uncompilable.
-
-        Built on demand only: a pair the batch backend carries to the
-        head never gets one, so it builds no hash index either.
-        """
-        key = (id(rule), seed_literal_index)
-        cached = self._compiled_cache.get(key, _COMPILE_MISS)
-        if cached is None:
-            return None
-        if plan is None:
-            plan = self._plan_for(rule, seed_literal_index)
-        if cached is not _COMPILE_MISS and (
-            cached.plan is plan or cached.plan.signature() == plan.signature()
-        ):
-            cached.plan = plan
-            return cached
-        # imported here: a run in which every rule is columnar never needs it
-        from .compiled import CompilationFallback, compile_rule
-
-        try:
-            compiled = compile_rule(self, rule, plan, counting=self.tracer.enabled)
-        except CompilationFallback as fallback:
-            self._plan_fallbacks[key] = str(fallback)
-            self._compiled_cache[key] = None
-            return None
-        self._compiled_cache[key] = compiled
-        return compiled
 
     def _may_reorder(self, rule: Rule) -> bool:
         """Atom reordering is allowed only when the rule's emission order
@@ -533,8 +519,8 @@ class Engine:
         Validated against the plan's *signature* (a re-plan may swap the
         plan object while keeping the shape); a shape change re-lowers,
         including pairs whose previous shape fell back.  Pairs in
-        ``_vector_disabled`` (runtime safety fallback) stay compiled for
-        the lifetime of the engine.
+        ``_vector_disabled`` (runtime safety fallback) stay on the
+        interpreter for the lifetime of the engine.
         """
         key = (id(rule), seed_literal_index)
         if key in self._vector_disabled:
@@ -589,9 +575,9 @@ class Engine:
             span.set("reduced_out", sum(kept for _, kept in reductions))
 
     def _ingest(self, derived: list, firings: int, coded: bool = False) -> int:
-        """Flush an evaluator's output into the database — fact tuples,
-        or with ``coded`` a vectorized head's (predicate, arity, code
-        columns, rows) batches; returns how many facts were new."""
+        """Flush an application's output into the database — fact
+        tuples, or with ``coded`` a vectorized head's (predicate, arity,
+        code columns, rows) batches; returns how many facts were new."""
         self.stats.rule_firings += firings
         if coded:
             new = sum(self.database.append(*batch) for batch in derived)
@@ -603,15 +589,15 @@ class Engine:
     def _emit_plan_spans(self, run_span) -> None:
         """EXPLAIN: one child span per (rule, seed occurrence) plan.
 
+        ``backend`` is ``vectorized`` or ``interpreted``;
         ``estimated_rows`` is the planner's per-application estimate for
         each step; ``actual_rows`` counts what left the step summed over
-        the whole run: bindings on the compiled backend, binding-table
-        rows (after reduction, so possibly fewer than bindings) on the
-        vectorized one.
+        the whole run: bindings on the interpreter (and in a per-row
+        tail), binding-table rows (after reduction, so possibly fewer
+        than bindings) on the vectorized backend.
         """
         rules_by_id = {id(rule): rule for rule in self.program.rules}
         parent = run_span.child("planner")
-        compiled_rules = 0
         for key, (plan, replans) in self._plans.items():
             rule_id, seed_index = key
             rule = rules_by_id.get(rule_id)
@@ -620,30 +606,17 @@ class Engine:
                 label = label[:67] + "..."
             suffix = "" if seed_index is None else f" seed@{seed_index}"
             child = parent.child(f"plan:{label}{suffix}")
-            compiled = self._compiled_cache.get(key)
-            if key in self._compiled_cache and compiled is None:
-                child.set("fallback", self._plan_fallbacks.get(key, "interpreted"))
-                child.finish(duration=0.0)
-                continue
-            compiled_rules += 1
-            counts = None if compiled is None else compiled.counts
-            if self.vectorize_enabled:
-                entry = self._vector_cache.get(key)
-                vectorized = (
-                    entry is not None
-                    and entry[1] is not None
-                    and key not in self._vector_disabled
-                )
-                if vectorized:
-                    counts = entry[1].counts
-                child.set("backend", "vectorized" if vectorized else "compiled")
+            entry = self._vector_cache.get(key)
+            if entry is not None and entry[1] is not None and key not in self._vector_disabled:
+                child.set("backend", "vectorized")
                 self._set_vector_attributes(child, [key])
-                if not vectorized:
-                    reason = self._vector_fallbacks.get(key)
-                    if reason:
-                        child.set("vector_fallback", reason)
+                counts = entry[1].counts
             else:
-                child.set("backend", "compiled")
+                child.set("backend", "interpreted")
+                reason = self._vector_fallbacks.get(key)
+                if reason:
+                    child.set("vector_fallback", reason)
+                counts = self._actual_rows.get(key)
             child.set("order", plan.describe())
             child.set(
                 "estimated_rows",
@@ -654,44 +627,48 @@ class Engine:
             if replans:
                 child.set("replans", replans)
             child.finish(duration=0.0)
-        parent.set("compiled_rules", compiled_rules)
         parent.finish(duration=0.0)
 
     def _join(
         self,
         rule: Rule,
-        literals: list,
+        order: Sequence[int],
         seed_literal_index: int | None,
-        seed_facts: list[FactValues] | None,
+        seed: tuple[int, int] | None,
         trace: list[Fact],
+        counts: list[int] | None = None,
     ) -> Iterator[Binding]:
-        """Enumerate bindings satisfying the rule body.
+        """Enumerate bindings satisfying the rule body, its literals
+        taken in ``order`` (body indexes, the seed's excluded).
 
-        When a seed is given, the seed atom is matched first (over the
-        delta), then the remaining literals in their original order — safe
-        because moving an atom earlier can only increase boundness.  The
-        seed atom ranges over raw delta facts with no index pattern, so
-        its complex terms (Skolem terms / expressions, normally folded
+        When a seed is given, the seed atom is matched first over the
+        delta — the rows [start, stop) of its block — then ``order``:
+        safe because moving an atom earlier can only increase boundness.
+        The seed atom ranges over raw delta facts with no index pattern,
+        so its complex terms (Skolem terms / expressions, normally folded
         into the pattern) must be checked here: positions evaluable from
         the seed atom's own variables are checked immediately, the rest
-        are deferred until the full binding is known.
+        are deferred until the full binding is known.  With ``counts``,
+        ``counts[i]`` adds the bindings leaving step ``i`` of ``order``.
         """
+        literals = rule.body
         if seed_literal_index is None:
-            yield from self._match_from(
-                rule, literals, list(range(len(literals))), 0, {}, trace
-            )
+            yield from self._match_from(rule, literals, order, 0, {}, trace, counts)
             return
 
         seed_literal = literals[seed_literal_index]
-        rest_order = [
-            index for index in range(len(literals)) if index != seed_literal_index
-        ]
+        start, stop = seed
+        if start == stop:
+            return
+        seed_facts = self.database.column_store().rows(
+            seed_literal.predicate, seed_literal.arity, start, stop
+        )
         complex_entries = [
             (position, payload)
             for position, kind, payload in self._atom_plan(seed_literal)
             if kind == "complex"
         ]
-        for values in seed_facts or ():
+        for values in seed_facts:
             extension = self._bind_atom(seed_literal, values, {})
             if extension is None:
                 continue
@@ -703,7 +680,7 @@ class Engine:
             if self.provenance_enabled:
                 trace.append((seed_literal.predicate, values))
             for binding in self._match_from(
-                rule, literals, rest_order, 0, extension, trace
+                rule, literals, order, 0, extension, trace, counts
             ):
                 if deferred and not self._deferred_hold(seed_literal, deferred, binding):
                     continue
@@ -753,84 +730,91 @@ class Engine:
     def _match_from(
         self,
         rule: Rule,
-        literals: list,
-        order: list[int],
+        literals: tuple,
+        order: Sequence[int],
         depth: int,
         binding: Binding,
         trace: list[Fact],
+        counts: list[int] | None = None,
     ) -> Iterator[Binding]:
-        if depth == len(order):
+        """The bindings that extend ``binding`` through the literals
+        ``order[depth:]``; with ``counts``, ``counts[i]`` adds the
+        bindings leaving step ``i`` of ``order``.
+
+        Filters (negations, comparisons, assignments, aggregates) map a
+        binding to at most one, so they run in a loop; only an atom
+        recurses, once per matching fact.
+        """
+        while depth < len(order):
+            literal = literals[order[depth]]
+            if isinstance(literal, Atom):
+                break
+            if isinstance(literal, Negation):
+                atom = literal.atom
+                pattern = self._atom_pattern(atom, binding)
+                if any(
+                    len(values) == atom.arity
+                    for values in self._candidates(atom.predicate, pattern)
+                ):
+                    return
+            elif isinstance(literal, Comparison):
+                lhs = evaluate(literal.lhs, binding, self.functions)
+                rhs = evaluate(literal.rhs, binding, self.functions)
+                if not compare(literal.op, lhs, rhs):
+                    return
+            elif isinstance(literal, Assignment):
+                value = evaluate(literal.expression, binding, self.functions)
+                name = literal.variable.name
+                if name in binding:
+                    if not binding[name] == value:
+                        return
+                else:
+                    binding = dict(binding)
+                    binding[name] = value
+            elif isinstance(literal, Aggregate):
+                total, improved = self._update_aggregate(rule, literal, binding)
+                if not improved and self._aggregate_skippable(rule, literal):
+                    # the aggregate did not move and every head variable
+                    # is determined by (group, total): continuing would
+                    # re-derive facts set semantics discards anyway
+                    return
+                binding = dict(binding)
+                binding[literal.variable.name] = total
+            else:
+                raise EvaluationError(f"unsupported body literal {literal!r}")
+            if counts is not None:
+                counts[depth] += 1
+            depth += 1
+        else:
             yield binding
             return
-        literal = literals[order[depth]]
 
-        if isinstance(literal, Atom):
-            pattern = self._atom_pattern(literal, binding)
-            for values in self.database.match(literal.predicate, pattern):
-                extension = self._bind_atom(literal, values, binding)
-                if extension is None:
-                    continue
-                if self.provenance_enabled:
-                    trace.append((literal.predicate, values))
-                yield from self._match_from(
-                    rule, literals, order, depth + 1, extension, trace
-                )
-                if self.provenance_enabled:
-                    trace.pop()
-            return
-
-        if isinstance(literal, Negation):
-            pattern = self._atom_pattern(literal.atom, binding)
-            if next(iter(self.database.match(literal.atom.predicate, pattern)), None) is None:
-                yield from self._match_from(
-                    rule, literals, order, depth + 1, binding, trace
-                )
-            return
-
-        if isinstance(literal, Comparison):
-            lhs = evaluate(literal.lhs, binding, self.functions)
-            rhs = evaluate(literal.rhs, binding, self.functions)
-            if compare(literal.op, lhs, rhs):
-                yield from self._match_from(
-                    rule, literals, order, depth + 1, binding, trace
-                )
-            return
-
-        if isinstance(literal, Assignment):
-            value = evaluate(literal.expression, binding, self.functions)
-            name = literal.variable.name
-            if name in binding:
-                if binding[name] == value:
-                    yield from self._match_from(
-                        rule, literals, order, depth + 1, binding, trace
-                    )
-                return
-            extension = dict(binding)
-            extension[name] = value
+        pattern = self._atom_pattern(literal, binding)
+        for values in self._candidates(literal.predicate, pattern):
+            extension = self._bind_atom(literal, values, binding)
+            if extension is None:
+                continue
+            if counts is not None:
+                counts[depth] += 1
+            if self.provenance_enabled:
+                trace.append((literal.predicate, values))
             yield from self._match_from(
-                rule, literals, order, depth + 1, extension, trace
+                rule, literals, order, depth + 1, extension, trace, counts
             )
-            return
-
-        if isinstance(literal, Aggregate):
-            total, improved = self._update_aggregate(rule, literal, binding)
-            if not improved and self._aggregate_skippable(rule, literal):
-                # the aggregate did not move and every head variable is
-                # determined by (group, total): continuing would re-derive
-                # facts set semantics discards anyway
-                return
-            extension = dict(binding)
-            extension[literal.variable.name] = total
-            yield from self._match_from(
-                rule, literals, order, depth + 1, extension, trace
-            )
-            return
-
-        raise EvaluationError(f"unsupported body literal {literal!r}")
+            if self.provenance_enabled:
+                trace.pop()
 
     # ------------------------------------------------------------------
     # literal helpers
     # ------------------------------------------------------------------
+
+    def _candidates(self, predicate: str, pattern: dict[int, Any]):
+        """The facts of ``predicate`` agreeing with ``pattern``, of any
+        arity: an index probe, or with nothing bound the live row list
+        (decoded once, not once per outer binding)."""
+        if pattern:
+            return self.database.match(predicate, pattern)
+        return self.database.live_rows(predicate)
 
     def _atom_plan(self, atom: Atom) -> tuple:
         """Cached classification of an atom's terms for the join loops.

@@ -104,9 +104,8 @@ class JoinPlan:
         """The plan's execution shape: literal order + probe positions.
 
         Two plans with equal signatures lower to identical evaluators
-        (cardinality snapshots may differ) — the engine uses this both to
-        keep compiled closure chains across re-plans and to decide when a
-        cached vectorized lowering is still valid.
+        (cardinality snapshots may differ) — the engine uses this to
+        decide when a cached vectorized lowering is still valid.
         """
         return (self.order, tuple(step.probe_positions for step in self.steps))
 

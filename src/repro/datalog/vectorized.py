@@ -1,9 +1,9 @@
 """Vectorized batch execution of planned rule bodies over code columns.
 
-The compiled evaluators (:mod:`repro.datalog.compiled`) removed the
-per-tuple interpretation overhead but still run one Python closure chain
-per binding.  This module evaluates a planned rule whole-relation-at-a-
-time instead: the binding set is a struct-of-arrays table (one int64
+The engine's interpreter (:meth:`~repro.datalog.engine.Engine._match_from`)
+runs a planned rule one binding at a time, a Python generator frame per
+atom.  This module evaluates it whole-relation-at-a-time instead:
+the binding set is a struct-of-arrays table (one int64
 code column or float64 value column per variable slot), each planned
 step is a handful of numpy calls over those columns, and a semi-naive
 round costs O(numpy kernels) instead of O(firings) Python frames.
@@ -16,7 +16,7 @@ Execution model
   (cached in :class:`~repro.datalog.columns.ColumnStore`), the current
   binding table probes it with ``searchsorted``, and the grouped-arange
   expansion emits, for every binding row in order, its matching relation
-  rows in insertion order — exactly the compiled path's nested-loop
+  rows in insertion order — exactly the interpreter's nested-loop
   order, so the derived fact sequence is identical.  The expansion is
   streamed in morsels (see *Morsels* below);
 * **relations are reduced before they are joined** when the rule stays
@@ -35,8 +35,7 @@ Execution model
   float64 column — so a rule like Algorithm 7's ``P =
   $link_probability(C, X, Y), P > 0.5`` stays columnar from seed to
   head.  The batch form must equal the scalar form elementwise; the
-  compiled and interpreted paths keep calling the scalar and remain
-  the oracle;
+  interpreter keeps calling the scalar and remains the oracle;
 * **Skolem terms and existential heads** are minted columns: each
   distinct argument tuple (frontier, for a labelled null) is hashed
   once by :func:`~repro.datalog.terms.skolem` from its decoded values
@@ -52,9 +51,9 @@ Execution model
   batch backend does not cover (``mprod``, aggregates without
   contributors, external functions registered without a batch form,
   complex terms inside body atoms), the surviving rows are decoded back
-  to Python values and pushed through a closure chain built by the
-  *compiled* lowering for the remaining steps, sharing the engine's
-  aggregate-state dicts.
+  to Python values, one binding per row, and the engine's interpreter
+  takes each through the remaining plan steps and the head, sharing
+  the engine's aggregate-state dicts.
 
 Morsels
 -------
@@ -127,7 +126,7 @@ Every value has a code of its own (``1`` and ``1.0`` too), and Python
 ``==`` is the code's *class* (see
 :meth:`~repro.datalog.columns.ValueInterner.classes`): join keys,
 membership, negation and equality tests compare classes, exactly as the
-tuple-keyed dict indexes of the compiled path collapse equal values,
+tuple-keyed dict indexes of the interpreter collapse equal values,
 while a Skolem argument, an aggregate input or a head value reads the
 code and so the value itself.  Every shortcut that could diverge from
 Python scalar semantics is guarded:
@@ -136,8 +135,8 @@ Python scalar semantics is guarded:
   itself, while its class does);
 * ordering comparisons require every operand value to be *safely*
   numeric (floats, bools, ints within 2**53); otherwise the rule takes
-  a :class:`VectorRuntimeFallback` and the engine permanently reverts it
-  to the compiled path — which then either handles it (big ints) or
+  a :class:`VectorRuntimeFallback` and the engine permanently hands it
+  to the interpreter — which then either handles it (big ints) or
   raises the documented error (mixed-type ordering);
 * arithmetic requires strictly-float operands so float64 kernels match
   Python float arithmetic bit for bit; division additionally checks for
@@ -145,7 +144,7 @@ Python scalar semantics is guarded:
 * fallbacks leave the engine as the execution found it — the batch
   steps mutate nothing but append-only caches, and what the aggregate
   folds changed is rolled back — so the engine can re-run the rule on
-  the compiled path without losing or double counting a contribution.
+  the interpreter without losing or double counting a contribution.
 
 Deduplicating head emission keeps the output small: rows are unique-d on
 the head-variable columns (first occurrence wins, preserving order — a
@@ -189,7 +188,7 @@ class VectorizationFallback(Exception):
 
 class VectorRuntimeFallback(Exception):
     """A per-execute safety check failed; the engine must permanently
-    revert this rule to the compiled path.  It leaves the evaluator with
+    hand this rule to the interpreter.  It leaves the evaluator with
     the engine as the execution found it (no database change, aggregate
     folds rolled back)."""
 
@@ -420,7 +419,7 @@ class _FoldLog:
 
     A :class:`VectorRuntimeFallback` raised after a fold (in a later
     morsel, a later step or the head) puts the engine's aggregate state
-    back with :meth:`rollback` before it propagates, so the compiled path
+    back with :meth:`rollback` before it propagates, so the interpreter
     re-runs the rule on exactly the state it would have seen."""
 
     __slots__ = ("states", "changes", "created")
@@ -582,7 +581,7 @@ class _VecLowering:
 
     def _float_operand(self, term):
         """fn(run) -> float64 column-or-scalar, guaranteed to match the
-        Python float arithmetic of the compiled path exactly."""
+        Python float arithmetic of the interpreter exactly."""
         kind, payload = self.lower_value(term)
         if kind == "float":
             return payload
@@ -700,7 +699,7 @@ class _VecLowering:
 
     def lower_seed(self, atom: Atom):
         """Seed loader: the delta — rows [start, stop) of the atom's
-        block — as the initial run, with the compiled seed entry's
+        block — as the initial run, with the interpreter's seed
         constant and repeat checks (Python ``!=``) as masks; the delta
         is then reduced like any other relation."""
         reduction = self._reduction(atom, -1)
@@ -1063,7 +1062,7 @@ class _VecLowering:
 
     def _numeric_mask(self, op: str, lhs, rhs, equality: bool):
         """Comparison via float images.  For ordering, *every* operand
-        value must be safely numeric (compiled raises on mixed-type
+        value must be safely numeric (Python raises on mixed-type
         ordering; big ints compare exactly in Python — both fall back).
         For equality, unsafe values force a fallback too: a float can
         equal an out-of-range int exactly in Python, and a non-numeric
@@ -1352,93 +1351,6 @@ def _apply_checks(run: _Run, block, rows, check_pairs, interner) -> _Run:
 
 
 # ----------------------------------------------------------------------
-# the compiled-per-row tail
-# ----------------------------------------------------------------------
-
-class _Tail:
-    """Per-row continuation for plan steps the batch backend skips.
-
-    Built from the *compiled* lowering (same closures, same shared
-    aggregate state, same head instantiation), so everything from the
-    cut onward behaves bit-identically to ``Engine(vectorize=False)``.
-    """
-
-    __slots__ = ("entry", "regs", "sink", "firings", "decoders")
-
-    def __init__(self, entry, regs, sink, firings, decoders):
-        self.entry = entry
-        self.regs = regs
-        self.sink = sink
-        self.firings = firings
-        self.decoders = decoders
-
-    def run(self, runs: list, interner) -> tuple[list, int]:
-        """Push every row of ``runs`` through the closure chain, in
-        order, decoding one morsel of Python values at a time."""
-        sink = self.sink
-        sink.clear()
-        self.firings[0] = 0
-        regs = self.regs
-        entry = self.entry
-        for run in runs:
-            columns = [
-                (slot, _decode(interner, kind, run.col(slot)))
-                for slot, kind in self.decoders
-            ]
-            for i in range(run.n):
-                for slot, decoded in columns:
-                    regs[slot] = decoded[i]
-                entry(regs)
-        return sink, self.firings[0]
-
-
-def _build_tail(engine, rule, plan, vec: _VecLowering, cut: int, counts):
-    """Lower plan steps [cut:] plus the head through the compiled path;
-    with ``counts`` the tail adds the bindings leaving each of its steps."""
-    from .compiled import CompilationFallback, _counted, _Lowering
-
-    lowering = _Lowering(engine, rule, plan, counting=False)
-    lowering.slots = dict(vec.slots)
-    lowering.bound = set(vec.bound)
-    literals = rule.body
-    makers = []
-    try:
-        for index in plan.order[cut:]:
-            literal = literals[index]
-            if isinstance(literal, Atom):
-                maker = lowering.lower_atom(literal)
-            elif isinstance(literal, Negation):
-                maker = lowering.lower_negation(literal)
-            elif isinstance(literal, Comparison):
-                maker = lowering.lower_comparison(literal)
-            elif isinstance(literal, Assignment):
-                maker = lowering.lower_assignment(literal)
-            elif isinstance(literal, Aggregate):
-                maker = lowering.lower_aggregate(literal)
-            else:
-                raise VectorizationFallback(
-                    f"unsupported body literal {literal!r}"
-                )
-            makers.append(maker)
-        step = lowering.lower_final()
-    except CompilationFallback as fallback:
-        raise VectorizationFallback(str(fallback)) from None
-    for offset, maker in reversed(list(enumerate(makers))):
-        if counts is not None:
-            step = _counted(step, counts, cut + offset)
-        step = maker(step)
-    regs = [None] * len(lowering.slots)
-    # only slots the vectorized prefix actually bound carry columns — an
-    # aborted lowering may have allocated slots it never filled
-    decoders = tuple(
-        (slot, vec.kinds[slot])
-        for name, slot in vec.slots.items()
-        if name in vec.bound
-    )
-    return _Tail(step, regs, lowering.sink, lowering.firings, decoders)
-
-
-# ----------------------------------------------------------------------
 # vectorized head emission
 # ----------------------------------------------------------------------
 
@@ -1523,7 +1435,7 @@ class _VecFinal:
         columns = [(self.kinds[slot], run.col(slot)) for slot in self.dedup_slots]
         for kind, col in columns:
             if kind == "float" and np.isnan(col).any():
-                # compiled dedups NaN facts by object identity;
+                # the per-row path keeps NaN facts by object identity;
                 # bitwise dedup would merge distinct NaN objects
                 raise VectorRuntimeFallback("NaN in head values")
         _, first = np.unique(_pack_rows(columns), return_index=True)
@@ -1532,7 +1444,7 @@ class _VecFinal:
 
 
 # ----------------------------------------------------------------------
-# compiled rule object + entry point
+# lowered rule object + entry point
 # ----------------------------------------------------------------------
 
 class VectorizedRule:
@@ -1562,38 +1474,41 @@ class VectorizedRule:
         #: instead] over all executions; None when no atom is reduced
         self.reduced = reduced
         #: rows leaving each plan step summed over all executions (table
-        #: rows in the batch prefix, bindings in the per-row tail); None
-        #: unless the engine's tracer was enabled at lowering time
+        #: rows in the batch prefix; the engine adds the bindings of the
+        #: per-row tail); None unless the engine's tracer was enabled at
+        #: lowering time
         self.counts = counts
         #: [tables streamed into the steps — one per seed slice and per
         #: join slice —, most rows one of them or a step's result held]
         #: over all executions
         self.streamed = [0, 0]
         #: does :meth:`execute` derive code batches (the head is
-        #: vectorized) rather than fact tuples (a per-row tail)?
+        #: vectorized) rather than bindings for a per-row tail?
         self.coded = final is not None
         self._seed_entry = seed_entry
         #: one entry per batch plan step; None for a comparison its
         #: atom's reduction already applied
         self._steps = steps
         self._joins = tuple(step for step in steps if isinstance(step, _Join))
+        #: (variable name, slot, kind) of every column the per-row tail
+        #: decodes into a binding; None without a tail
         self._tail = tail
         self._final = final
         #: undo log of the aggregate folds (None without an aggregate)
         self._folds = folds
 
-    def execute(self, seed) -> tuple[list, int]:
+    def execute(self, seed) -> tuple[Any, int]:
         """Run the batch pipeline over the seed's block rows [start,
-        stop) (None: unseeded); returns (derived, firings) — code
-        batches when :attr:`coded`, else fact tuples.
+        stop) (None: unseeded); returns (derived, firings): code batches
+        and their firings when :attr:`coded`, else the surviving rows as
+        bindings (name -> Python value, in enumeration order) and 0 —
+        the engine's interpreter takes each from plan step :attr:`cut`
+        on, and counts its firings.
 
-        The returned list is reused across calls when the rule has a
-        per-row tail — the caller must consume it before the next
-        ``execute`` (same contract as the compiled path).  Raises
-        :class:`VectorRuntimeFallback` when a safety check fails, with
-        the engine's state as it was before the call: every slice runs
-        through the batch steps before the tail or the head sees a row,
-        and what the aggregate folds changed is rolled back.
+        Raises :class:`VectorRuntimeFallback` when a safety check fails,
+        with the engine's state as it was before the call: every slice
+        runs through the batch steps before the tail or the head sees a
+        row, and what the aggregate folds changed is rolled back.
         """
         if len(self.interner) >= MAX_CODES:
             raise VectorRuntimeFallback("interner exceeded code budget")
@@ -1611,7 +1526,7 @@ class VectorizedRule:
             if not survivors:
                 return [], 0
             if self._tail is not None:
-                return self._tail.run(survivors, self.interner)
+                return self._bindings(survivors), 0
             return self._final.emit(_concat(survivors))
         except VectorRuntimeFallback:
             if folds is not None:
@@ -1622,6 +1537,18 @@ class VectorizedRule:
                 join.reset()
             if folds is not None:
                 folds.clear()
+
+    def _bindings(self, runs: list):
+        """The rows of ``runs``, in order, as bindings — decoded one
+        morsel of Python values at a time."""
+        interner = self.interner
+        for run in runs:
+            columns = [
+                (name, _decode(interner, kind, run.col(slot)))
+                for name, slot, kind in self._tail
+            ]
+            for i in range(run.n):
+                yield {name: values[i] for name, values in columns}
 
     def _drive(self, run: _Run, number: int, survivors: list) -> None:
         """Run one table through plan steps ``number``..., depth first:
@@ -1653,8 +1580,8 @@ class VectorizedRule:
 def compile_rule_vectorized(engine, rule, plan: JoinPlan) -> VectorizedRule:
     """Lower ``rule`` under ``plan`` to the batch backend.
 
-    Steps the backend does not cover become a per-row tail built from
-    the compiled lowering; if that cut would arrive before the first
+    Steps the backend does not cover become a per-row tail the engine's
+    interpreter runs; if that cut would arrive before the first
     join there is nothing to batch, and the whole rule falls back with
     :class:`VectorizationFallback`.  Relations are reduced before they
     are joined only when the rule stays columnar to the head: the tail
@@ -1676,7 +1603,7 @@ def compile_rule_vectorized(engine, rule, plan: JoinPlan) -> VectorizedRule:
 
     if cut is not None and vec.joins_lowered == 0:
         # nothing batched before the per-row cut: the tail would just be
-        # the compiled rule plus decode overhead
+        # the interpreted rule plus decode overhead
         raise VectorizationFallback("no join reached before the cut")
 
     counts = [0] * len(plan.order) if engine.tracer.enabled else None
@@ -1684,7 +1611,13 @@ def compile_rule_vectorized(engine, rule, plan: JoinPlan) -> VectorizedRule:
     if final is None:
         if cut is None:
             cut = len(plan.order)
-        tail = _build_tail(engine, rule, plan, vec, cut, counts)
+        # only slots the vectorized prefix actually bound carry columns —
+        # an aborted lowering may have allocated slots it never filled
+        tail = tuple(
+            (name, slot, vec.kinds[slot])
+            for name, slot in vec.slots.items()
+            if name in vec.bound
+        )
     signature = (plan.order, tuple(step.probe_positions for step in plan.steps))
     return VectorizedRule(
         plan, signature, vec.interner, seed_entry, vec.steps, tail, final,

@@ -99,23 +99,28 @@ def to_json(graph: PropertyGraph) -> dict[str, Any]:
     return {key: list(elements) for key, elements in _json_arrays(graph)}
 
 
+# Properties go in after the element is made: a property key may be any
+# string, "label" or "source" too, which add_node / add_edge take as
+# arguments of their own.
+
 def _add_json_node(graph: PropertyGraph, node: dict[str, Any]) -> None:
-    graph.add_node(node["id"], node.get("label"), **node.get("properties", {}))
+    graph.add_node(node["id"], node.get("label")).properties.update(
+        node.get("properties", {})
+    )
 
 
 def _add_json_edge(graph: PropertyGraph, edge: dict[str, Any], company_graph: bool) -> None:
     properties = dict(edge.get("properties", {}))
     if company_graph and edge.get("label") == SHAREHOLDING:
         share = properties.pop("w")
-        graph.add_shareholding(  # type: ignore[union-attr]
-            edge["source"], edge["target"], share,
-            edge_id=edge.get("id"), **properties,
+        added = graph.add_shareholding(  # type: ignore[union-attr]
+            edge["source"], edge["target"], share, edge_id=edge.get("id"),
         )
     else:
-        graph.add_edge(
-            edge["source"], edge["target"], edge.get("label"),
-            edge_id=edge.get("id"), **properties,
+        added = graph.add_edge(
+            edge["source"], edge["target"], edge.get("label"), edge_id=edge.get("id"),
         )
+    added.properties.update(properties)
 
 
 def from_json(payload: dict[str, Any], company_graph: bool = True) -> PropertyGraph:

@@ -313,7 +313,7 @@ class TestDemandDrivenRuns:
                 keys = [key for key in engine._plans if key[0] == id(rule)]
                 lowered = [engine._vector_cache.get(key, (None, None))[1] for key in keys]
                 if any(
-                    key in engine._compiled_cache or rule is None or rule.cut is not None
+                    key in engine._vector_disabled or rule is None or rule.cut is not None
                     for key, rule in zip(keys, lowered)
                 ):
                     per_row |= rule.body_predicates()
@@ -322,15 +322,15 @@ class TestDemandDrivenRuns:
                 if indexes
             }
             assert indexed <= per_row, (indexed, per_row)
-            # every rule of the paper's program stays columnar: no chain
-            # was compiled, so not one index was built
-            assert engine._compiled_cache == {} and not indexed
+            # every rule of the paper's program stays columnar: no pair
+            # ran on the interpreter, so not one index was built
+            assert engine._vector_fallbacks == {} and not per_row and not indexed
 
     @pytest.mark.parametrize("extract_of", ["vec-extract", "vec-pyramid"])
     def test_a_columnar_augment_decodes_no_rows(self, extract_of, monkeypatch):
         # CI's vec-extract and vec-pyramid: every relation stays code
         # blocks from load to answer, so no run builds a decoded view —
-        # no tuple row list, no dedup set, no index dict
+        # no tuple row list, no index dict
         from repro.bench.workloads import ownership_pyramid
         from repro.core.kg import KnowledgeGraph
 
@@ -350,9 +350,9 @@ class TestDemandDrivenRuns:
         pipeline.augment()
         assert len(engines) >= 2
         for database in [engine.database for engine in engines] + [pipeline.kg.extensional]:
-            assert (database._rows, database._sets, database._indexes) == ({}, {}, {})
+            assert (database._rows, database._indexes) == ({}, {})
         for engine in engines:
-            assert engine._compiled_cache == {} and engine._vector_disabled == set()
+            assert engine._vector_fallbacks == {} and engine._vector_disabled == set()
 
     def test_a_run_interns_nothing_into_the_extensional_store(self, extract):
         pipeline = ReasoningPipeline(extract, fast_config())

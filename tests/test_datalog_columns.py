@@ -276,7 +276,7 @@ class TestLifetime:
 class TestPlannerStatistics:
     """``cardinality``/``distinct_count`` serve the planner from maintained
     indexes only — asking must never build or mutate one (the replanning
-    path runs against live compiled evaluators holding index buckets)."""
+    path runs while the interpreter's probes hold index buckets)."""
 
     def _database(self):
         return Database(
@@ -325,7 +325,7 @@ class TestPlannerStatistics:
     def test_replanning_does_not_mutate_live_indexes(self):
         # plan the same rule twice over a grown database: the second
         # (re)planning round may consult statistics at will but must not
-        # touch the index structures the compiled evaluators captured
+        # touch the index structures the interpreter probes
         program = parse_program("own(X, Z, W), own(Z, Y, V) -> hop(X, Y).")
         database = self._database()
         engine = Engine(program, database)

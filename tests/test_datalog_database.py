@@ -254,5 +254,4 @@ def _check_against(database, oracle) -> None:
                 ]
         if rows:
             assert repr(database.live_rows(predicate)) == repr(rows)
-            assert database.live_set(predicate) == set(rows)
     assert database.predicates() == [p for p, (rows, _) in oracle.items() if rows]

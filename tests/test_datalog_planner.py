@@ -1,8 +1,8 @@
-"""Join planner + compiled evaluator tests.
+"""Join planner tests.
 
 The contract under test: planning is invisible except for speed — every
-planned+compiled evaluation must produce the same database, firings and
-stats as the textual-order interpreted engine (``plan=False``).
+planned evaluation must produce the same database, firings and stats as
+the textual-order interpreted engine (``plan=False``).
 """
 
 import pytest
@@ -246,7 +246,7 @@ class TestCompiledEquivalence:
 
     def test_skolem_seed_deferral(self):
         # the recursive delta seeds the atom whose second position is a
-        # Skolem term: the compiled seed entry must defer its check
+        # Skolem term: the interpreter's seed match must defer its check
         assert_equivalent(
             """
             mark(X) -> path(X, #tag(X)).
@@ -303,7 +303,7 @@ class TestCompiledEquivalence:
 
     def test_comparison_on_mixed_types_matches_interpreted(self):
         # builtins.compare: ordering across types is an error, but
-        # equality is just False — the compiled fast path must preserve it
+        # equality is just False — every backend must preserve it
         facts = [("v", (1,)), ("v", ("one",))]
         assert_equivalent('v(X), X != "one" -> kept(X).', facts)
 
@@ -316,7 +316,7 @@ class TestEngineIntegration:
             plan=False,
         )
         engine.run()
-        assert engine._compiled_cache == {}
+        assert engine._plans == {} and engine._vector_cache == {}
 
     def test_provenance_disables_planning(self):
         engine = Engine(
@@ -325,7 +325,7 @@ class TestEngineIntegration:
             provenance=True,
         )
         engine.run()
-        assert engine._compiled_cache == {}
+        assert engine._plans == {} and engine._vector_cache == {}
         assert engine.explain("path", (1, 2))  # provenance recorded as before
 
     def test_replans_on_growth(self):
@@ -349,10 +349,15 @@ class TestEngineIntegration:
         program = parse_program("p(X, #f(Y)), not q(Y) -> out(X).")
         engine = Engine(program, Database())
         rule = program.rules[0]
-        assert engine._compiled_for(rule, None) is None
-        assert engine._compiled_cache[(id(rule), None)] is None
-        assert engine._plan_fallbacks
-        assert engine._compiled_for(rule, None) is None  # cached, no re-plan
+        plan = engine._plan_for(rule, None)
+        assert not plan.feasible
+        assert engine._vectorized_for(rule, None, plan) is None
+        assert engine._vector_cache[(id(rule), None)] == (plan.signature(), None)
+        assert engine._vector_fallbacks[(id(rule), None)] == (
+            "plan fell back to textual order"
+        )
+        assert engine._plan_for(rule, None) is plan  # cached, no re-plan
+        assert engine._vectorized_for(rule, None, plan) is None
 
     def test_profile_includes_plan_spans(self):
         from repro.telemetry import Tracer
@@ -371,30 +376,52 @@ class TestEngineIntegration:
         assert "estimated_rows" in rendered
         assert "actual_rows" in rendered
 
-    def test_naive_mode_uses_compiled_path_too(self):
+    def test_naive_mode_follows_the_plans_order(self):
+        from repro.telemetry import Tracer
+
         edges = [("edge", (i, i + 1)) for i in range(5)]
-        program = "edge(X, Y) -> path(X, Y). path(X, Z), edge(Z, Y) -> path(X, Y)."
+        # textually the three-hop rule starts with the big relation; its
+        # plan starts with the one-row start relation instead
+        program = (
+            "edge(X, Y) -> path(X, Y). path(X, Z), edge(Z, Y) -> path(X, Y). "
+            "path(X, Y), start(X) -> from_start(Y)."
+        )
+        facts = edges + [("start", (0,))]
         naive_planned = Engine(
-            parse_program(program), Database(list(edges)), seminaive=False
+            parse_program(program), Database(list(facts)), seminaive=False
         )
         naive_planned.run()
-        reference = Engine(parse_program(program), Database(list(edges)), plan=False)
+        reference = Engine(parse_program(program), Database(list(facts)), plan=False)
         reference.run()
         assert set(naive_planned.database.all_facts()) == set(
             reference.database.all_facts()
         )
         assert naive_planned._plans and naive_planned._vector_cache
-        # the per-row chains are built only where a pair runs per row
-        assert naive_planned._compiled_cache == {}
-        naive_compiled = Engine(
-            parse_program(program), Database(list(edges)), seminaive=False,
-            vectorize=False,
+        assert naive_planned._vector_fallbacks == {}
+        tracer = Tracer("test")
+        naive_interpreted = Engine(
+            parse_program(program), Database(list(facts)), seminaive=False,
+            vectorize=False, tracer=tracer,
         )
-        naive_compiled.run()
-        assert set(naive_compiled.database.all_facts()) == set(
+        naive_interpreted.run()
+        assert set(naive_interpreted.database.all_facts()) == set(
             reference.database.all_facts()
         )
-        assert naive_compiled._compiled_cache
+        assert naive_interpreted.stats.rule_firings == naive_planned.stats.rule_firings
+        tracer.finish()
+        (plan,) = [
+            s for s in tracer.root.walk() if s.name.startswith("plan:path(X, Y), start")
+        ]
+        (rule,) = [
+            s for s in tracer.root.walk() if s.name.startswith("rule:path(X, Y), start")
+        ]
+        assert plan.attributes["backend"] == "interpreted"
+        assert plan.attributes["order"][0].startswith("start(X)")
+        # each application lets start's one row out, then path(X, Y)
+        # probes the index on X: the five paths from 0 leave it
+        applications = rule.attributes["applications"]
+        assert applications == 2  # naive: a last round finds nothing new
+        assert plan.attributes["actual_rows"] == [applications, 5 * applications]
 
     def test_query_and_stats_survive_planning(self):
         planned, unplanned = both_engines(

@@ -238,9 +238,9 @@ class TestRandomProgramOracle:
 
 
 class TestPlannerOracle:
-    """The join planner + compiled evaluators are invisible except for speed.
+    """The join planner is invisible except for speed.
 
-    Planned+compiled evaluation must reach a byte-identical fixpoint —
+    Planned evaluation must reach a byte-identical fixpoint —
     same facts, same firing counts — as textual-order interpretation on
     random recursive/aggregate/negation programs.
     """
@@ -263,7 +263,7 @@ class TestPlannerOracle:
     @given(recursive_aggregate_programs())
     @settings(max_examples=30, deadline=None)
     def test_planned_naive_equals_unplanned_seminaive(self, case):
-        # cross the two axes: the compiled path under naive evaluation
+        # cross the two axes: planned evaluation under naive evaluation
         # must still agree with the interpreted semi-naive fixpoint
         program_text, facts = case
         naive_planned = Engine(

@@ -2,13 +2,15 @@
 
 The vectorized executor must be invisible except for speed: on every
 program it either produces the *same insertion sequence* of facts and
-the same firing counts as the per-tuple compiled path, or it falls back
-to that path (per rule at lowering time, per engine key at runtime).
-These tests pin all three backends against each other:
+the same firing counts as the interpreter run in the plan's order, or
+it falls back to that interpreter (per rule at lowering time, per
+engine key at runtime).  These tests pin three configurations against
+each other:
 
-* ``Engine(...)``                 — vectorized (the default with numpy),
-* ``Engine(..., vectorize=False)``— planned + compiled, the oracle,
-* ``Engine(..., plan=False)``     — textual-order interpretation.
+* ``Engine(...)``                 — vectorized (the default),
+* ``Engine(..., vectorize=False)``— the interpreter in plan order, the
+  oracle,
+* ``Engine(..., plan=False)``     — the interpreter in textual order.
 """
 
 import math
@@ -86,8 +88,8 @@ def _assert_morsels_invisible(program, facts, reference, **kwargs):
 
 
 def _assert_three_way_identity(program_text, facts):
-    """Vectorized == compiled bit-for-bit, under every morsel size too;
-    both == interpreted as sets."""
+    """Vectorized == the interpreter in plan order bit-for-bit, under
+    every morsel size too; both == textual order as sets."""
     # parse once: existential nulls are skolemized per rule *instance*,
     # so cross-engine identity needs the same Rule objects
     program = parse_program(program_text)
@@ -115,12 +117,12 @@ class TestBackendSelection:
         assert engine.vectorize_enabled
         assert engine._vector_cache  # the rule was lowered
 
-    def test_vectorize_false_keeps_compiled_path(self):
+    def test_vectorize_false_runs_the_interpreter(self):
         engine = _fixpoint(
             "edge(X, Y) -> path(X, Y).", [("edge", (1, 2))], vectorize=False
         )
         assert not engine.vectorize_enabled
-        assert engine._vector_cache == {}
+        assert engine._vector_cache == {} and engine._plans
         assert engine.query("path") == [(1, 2)]
 
     def test_unplanned_engine_never_vectorizes(self):
@@ -140,6 +142,8 @@ class TestPaperWorkloadParity:
         cmp = _paper_engine(graph, body, families=False, vectorize=False)
         assert list(vec.database.all_facts()) == list(cmp.database.all_facts())
         assert vec.stats.rule_firings == cmp.stats.rule_firings
+        textual = _paper_engine(graph, body, families=False, plan=False)
+        assert set(vec.database.all_facts()) == set(textual.database.all_facts())
         # the close-link join rules must actually run vectorized
         assert vec._vector_fallbacks == {}
         assert vec._vector_disabled == set()
@@ -152,6 +156,8 @@ class TestPaperWorkloadParity:
         cmp = _paper_engine(graph, body, families=True, vectorize=False)
         assert list(vec.database.all_facts()) == list(cmp.database.all_facts())
         assert vec.stats.rule_firings == cmp.stats.rule_firings
+        textual = _paper_engine(graph, body, families=True, plan=False)
+        assert set(vec.database.all_facts()) == set(textual.database.all_facts())
         assert vec._vector_fallbacks == {}
         assert vec._vector_disabled == set()
         self._assert_morsels_invisible(graph, body, True, cmp)
@@ -180,8 +186,8 @@ def _spans(tracer, prefix):
 
 
 class TestBatchExternals:
-    """An external with a batch form is one columnar step; the compiled
-    and interpreted paths call the scalar form and stay the oracle."""
+    """An external with a batch form is one columnar step; the
+    interpreter calls the scalar form and stays the oracle."""
 
     PROGRAM = """
     @far n(X), n(Y), D = $gap(X, Y), D > 1.0 -> far(X, Y, D).
@@ -333,7 +339,7 @@ class TestFunctionRegistryForms:
 class TestFamilyLinkParity:
     """Algorithm 7 over a generated extract: the blocked family-link
     rules stay vectorized through ``$link_probability`` and derive the
-    compiled path's facts in the compiled path's order."""
+    interpreter's facts in the interpreter's order."""
 
     @pytest.fixture(scope="class")
     def engines(self):
@@ -493,9 +499,9 @@ class TestMorsels:
 
 
 class TestAggregateParity:
-    """Aggregate rules vectorize their join prefix, then cut to a compiled
+    """Aggregate rules vectorize their join prefix, then cut to a per-row
     tail sharing the engine's accumulator state — firing counts and
-    monotone convergence must match the all-compiled run exactly."""
+    monotone convergence must match the all-interpreted run exactly."""
 
     FACTS = [
         ("contribution", (g, z, w / 8.0))
@@ -603,7 +609,7 @@ class TestLoweringFallbacks:
     def test_modulo_expression_runs_in_the_per_row_tail(self):
         # '%' is unreachable from the surface syntax (it opens a comment)
         # but programmatic rules can build the Expr; the lowering cuts to
-        # the compiled per-row tail right before the assignment
+        # the per-row tail right before the assignment
         from repro.datalog.atoms import Assignment, Atom
         from repro.datalog.rules import Program, Rule
         from repro.datalog.terms import Constant, Expr, Variable
@@ -626,7 +632,7 @@ class TestLoweringFallbacks:
     def test_skolem_head_still_exact(self):
         # Skolem heads cannot be emitted vectorized; the rule runs its
         # (empty) join prefix vectorized and the head through the
-        # compiled tail, reproducing deterministic skolemization
+        # per-row tail, reproducing deterministic skolemization
         program = """
         mark(X) -> owner(X, #inv(X)).
         owner(X, Y), mark(X) -> pair(X, Y).
@@ -642,7 +648,7 @@ class TestLoweringFallbacks:
 
 class TestRuntimeFallbacks:
     """Value-dependent hazards surface mid-execution: the rule key is
-    disabled permanently and the compiled oracle takes over, on the
+    disabled permanently and the interpreter takes over, on the
     unchanged database state."""
 
     def test_unsafe_integers_disable_ordering_rule(self):
@@ -712,13 +718,15 @@ class TestExplainBackendAttribute:
         )
         engine.run()
         spans = self._plan_spans(tracer)
-        compiled_spans = [
-            s for s in spans if s.attributes.get("backend") == "compiled"
+        interpreted = [
+            s for s in spans if s.attributes.get("backend") == "interpreted"
         ]
-        assert compiled_spans  # the complex-seed occurrences fell back
-        assert any(s.attributes.get("vector_fallback") for s in compiled_spans)
+        assert interpreted  # the complex-seed occurrences fell back
+        assert any(s.attributes.get("vector_fallback") for s in interpreted)
+        # the interpreter counts the bindings leaving each of its steps
+        assert all("actual_rows" in s.attributes for s in interpreted)
 
-    def test_no_vectorize_engine_reports_compiled(self):
+    def test_no_vectorize_engine_reports_interpreted(self):
         from repro.telemetry import Tracer
 
         tracer = Tracer()
@@ -730,7 +738,7 @@ class TestExplainBackendAttribute:
         )
         engine.run()
         backends = {s.attributes.get("backend") for s in self._plan_spans(tracer)}
-        assert backends == {"compiled"}
+        assert backends == {"interpreted"}
 
 
 class TestReduction:
@@ -921,7 +929,7 @@ def reduction_programs(draw):
 
 class TestHypothesisOracle:
     """Random recursive/aggregate/negation/Skolem programs: the vectorized
-    fixpoint is the compiled fixpoint, insertion order and firings
+    fixpoint is the plan-order interpreter's, insertion order and firings
     included; both match the interpreted fixpoint as a set."""
 
     @given(recursive_aggregate_programs())
@@ -1002,7 +1010,7 @@ def columnar_head_programs(draw):
         st.integers(min_value=0, max_value=n - 2), st.integers(min_value=1, max_value=n - 1)
     ).filter(lambda xy: xy[0] < xy[1])
     # 1e16 + 1.0 + 1.0 and 1.0 + 1.0 + 1e16 are different floats; an int
-    # weight sends the float folds to the compiled path at run time; 1.0
+    # weight sends the float folds to the interpreter at run time; 1.0
     # equals node 1 and -0.0 equals node 0, and both stay floats
     exotic = draw(st.sampled_from([(), (), (2,), (1.0,), (-1e16,), (-0.0,)]))
     weight = st.sampled_from((0.1, 0.25, 0.5, 0.75, 1.5, 2.5, 1e16) + exotic)
@@ -1039,14 +1047,14 @@ class TestColumnarHeads:
         if any(type(weight) is int for weight in weights):
             return  # an int weight: the float folds run per row
         vec = _fixpoint(program_text, facts)
-        assert vec._vector_disabled == set() and vec._compiled_cache == {}
+        assert vec._vector_disabled == set() and vec._vector_fallbacks == {}
         for rule in _vector_rules(vec).values():
             assert rule.cut is None
 
     def test_a_weight_equal_to_a_node_id_keeps_its_type_in_columns(self):
         # node 1 and weight 1.0 share a class but not a code: the Skolem
         # values, nulls and msum folds over them stay columnar and derive
-        # the compiled path's facts, types and all
+        # the interpreter's facts, types and all
         program = parse_program("\n".join([
             "edge(X, Y, W) -> hop(X, Y, W).",
             "hop(X, Z, W1), edge(Z, Y, W2), V = W1 * W2 -> hop(X, Y, V).",
@@ -1061,7 +1069,7 @@ class TestColumnarHeads:
         vec = _fixpoint(program, facts)
         cmp = _fixpoint(program, facts, vectorize=False)
         _assert_same_run(vec, cmp)
-        assert vec._vector_disabled == set() and vec._compiled_cache == {}
+        assert vec._vector_disabled == set() and vec._vector_fallbacks == {}
         assert all(rule.cut is None for rule in _vector_rules(vec).values())
         assert vec.query("loop") == [(0, 1)]
         assert [type(w) for _, _, w in vec.query("hop")] == [float] * 4
@@ -1083,7 +1091,7 @@ class TestColumnarHeads:
             engine.run()
         vec, cmp = runs
         _assert_same_run(vec, cmp)
-        assert vec._vector_disabled == set() and vec._compiled_cache == {}
+        assert vec._vector_disabled == set() and vec._vector_fallbacks == {}
         cuts = {label: rule.cut for (label, _), rule in _vector_rules(vec).items()}
         assert {"map_person", "map_own_company", "mk_link", "ctrl_step", "acc_step"} <= set(
             cuts
@@ -1121,7 +1129,7 @@ class TestColumnarHeads:
         """The batch form refuses from its second call on — a later
         semi-naive round of the aggregate rule.  Placed after the fold,
         the refusal must roll the fold back: no contribution lost or
-        counted twice when the compiled path re-runs the round."""
+        counted twice when the interpreter re-runs the round."""
         calls = []
 
         def keep(value):
@@ -1158,3 +1166,137 @@ class TestColumnarHeads:
         assert len(calls) >= 2
         assert set(vec._vector_fallbacks.values()) == {"refused in a later round"}
         assert ("p", "e") in vec.query("ctrl")
+
+
+def _half(value):
+    return value / 2
+
+
+#: one rule per construct the batch backend leaves to the per-row tail,
+#: each after the join of reach and edge, each deriving reach again so
+#: the tail runs inside the recursive stratum on every round's delta
+PER_ROW_TAILS = {
+    "mprod": "reach(X, Z), edge(Z, Y, W), P = mprod(W, <Z>), P > 0.05 "
+             "-> reach(X, Y), prod(X, Y, P).",
+    "no_contributors": "reach(X, Z), edge(Z, Y, W), S = msum(W), S > 0.3 "
+                       "-> reach(X, Y), mass(X, Y, S).",
+    "scalar_external": "reach(X, Z), edge(Z, Y, W), D = $half(W), D > 0.1 "
+                       "-> reach(X, Y), half(X, Y, D).",
+    # '%' opens a comment in the surface syntax: '*' is swapped for it
+    "modulo": "reach(X, Z), edge(Z, Y, W), M = Y * 2, M == 0 -> reach(X, Y), even(X, Y).",
+    "complex_atom": "reach(X, Z), edge(Z, Y, W), tag(Y, #t(Y)) -> reach(X, Y), tagged(X, Y).",
+}
+
+
+def _with_modulo(rule):
+    """``rule`` with the ``M = Y * 2`` of PER_ROW_TAILS read as ``Y % 2``."""
+    from repro.datalog.atoms import Assignment
+    from repro.datalog.rules import Rule
+    from repro.datalog.terms import Expr
+
+    body = tuple(
+        Assignment(literal.variable, Expr("%", literal.expression.args))
+        if isinstance(literal, Assignment) and literal.variable.name == "M" else literal
+        for literal in rule.body
+    )
+    return Rule(body=body, head=rule.head, label=rule.label)
+
+
+@st.composite
+def per_row_tail_programs(draw):
+    """A recursive reach program in which a random non-empty set of the
+    :data:`PER_ROW_TAILS` constructs cuts each rule to its tail."""
+    constructs = draw(st.lists(
+        st.sampled_from(sorted(PER_ROW_TAILS)), min_size=1, max_size=5, unique=True
+    ))
+    rules = ["edge(X, Y, W) -> reach(X, Y).", "mark(X) -> tag(X, #t(X))."]
+    if draw(st.booleans()):
+        rules.append("reach(X, Z), edge(Z, Y, W) -> reach(X, Y).")
+    rules += [PER_ROW_TAILS[name] for name in constructs]
+    program = parse_program("\n".join(rules))
+    program.rules = [_with_modulo(rule) for rule in program.rules]
+    n = draw(st.integers(min_value=2, max_value=6))
+    node = st.integers(min_value=0, max_value=n - 1)
+    weight = st.sampled_from((0.1, 0.25, 0.5, 0.75, 0.9))
+    edges = draw(st.lists(st.tuples(node, node, weight), min_size=1, max_size=12))
+    marks = draw(st.lists(node, max_size=4))
+    facts = [("edge", edge) for edge in edges] + [("mark", (m,)) for m in marks]
+    return program, constructs, facts
+
+
+class TestPerRowTails:
+    """A rule the batch backend carries only part way hands its
+    surviving rows, as bindings, to the interpreter for the rest of its
+    plan: the same facts in the same order, the same firings and the
+    same accumulator state as the interpreter all the way."""
+
+    @staticmethod
+    def _functions():
+        functions = FunctionRegistry()
+        functions.register("half", _half)
+        return functions
+
+    @given(per_row_tail_programs())
+    @settings(max_examples=60, deadline=None)
+    def test_each_cut_after_a_join_in_recursion_is_exact(self, case):
+        program, constructs, facts = case
+        functions = self._functions()
+        vec = _fixpoint(program, facts, functions=functions)
+        cmp = _fixpoint(program, facts, functions=functions, vectorize=False)
+        _assert_same_run(vec, cmp)
+        textual = _fixpoint(program, facts, functions=functions, plan=False)
+        assert set(vec.database.all_facts()) == set(textual.database.all_facts())
+        _assert_morsels_invisible(program, facts, cmp, functions=functions)
+        # every construct rule was lowered, and every lowering cut
+        tails = program.rules[-len(constructs):]
+        for rule in tails:
+            lowered = [
+                entry[1] for (rule_id, _), entry in vec._vector_cache.items()
+                if rule_id == id(rule)
+            ]
+            assert lowered and all(
+                entry is not None and entry.cut is not None for entry in lowered
+            ), rule
+        assert vec._vector_disabled == set()
+
+    def test_a_fallback_after_a_fold_reruns_the_seeds_on_the_interpreter(
+        self, monkeypatch
+    ):
+        # slices of two rows: the msum fold has taken the first slice
+        # when the batch form refuses the second, so the fold is rolled
+        # back and the interpreter re-runs the same seed from the start;
+        # the scalar-only $half after it makes the rule a per-row tail
+        monkeypatch.setattr(vectorized, "MORSEL", 2)
+        calls = []
+
+        def keep_batch(values, args):
+            (column,) = args
+            calls.append(len(column))
+            if len(calls) > 1:
+                raise VectorRuntimeFallback("refused after a fold")
+            return column
+
+        functions = self._functions()
+        functions.register("keep", lambda value: value, batch=keep_batch)
+        program = parse_program(
+            "node(X) -> ctrl(X, X).\n"
+            "ctrl(X, Z), own(Z, Y, W), T = msum(W, <Z>), K = $keep(T), "
+            "D = $half(K), D > 0.25 -> ctrl(X, Y)."
+        )
+        facts = [("node", (name,)) for name in "pabcde"] + [
+            ("own", edge) for edge in [
+                ("p", "a", 0.6), ("p", "b", 0.3), ("a", "b", 0.3),
+                ("b", "c", 0.51), ("c", "d", 0.9), ("d", "e", 0.2),
+                ("c", "e", 0.4),
+            ]
+        ]
+        vec = _fixpoint(program, facts, functions=functions)
+        cmp = _fixpoint(program, facts, functions=functions, vectorize=False)
+        _assert_same_run(vec, cmp)
+        assert calls[0] == 2 and len(calls) >= 2
+        step = id(program.rules[1])
+        lowered = [entry[1] for key, entry in vec._vector_cache.items() if key[0] == step]
+        assert lowered and all(rule.cut is not None for rule in lowered)
+        assert set(vec._vector_fallbacks.values()) == {"refused after a fold"}
+        assert vec._vector_disabled == set(vec._vector_fallbacks)
+        assert ("p", "c") in vec.query("ctrl")

@@ -146,14 +146,18 @@ _PROPERTIES = st.dictionaries(_TEXT, _VALUES, max_size=3)  # often empty
 def _graphs(draw):
     graph = PropertyGraph()
     ids = draw(st.lists(_TEXT, unique=True, max_size=5))
+    # properties go in after the element is made: a key may be any text,
+    # "label" or "source" too, which add_node / add_edge take as arguments
     for node_id in ids:
-        graph.add_node(node_id, draw(st.none() | _TEXT), **draw(_PROPERTIES))
+        node = graph.add_node(node_id, draw(st.none() | _TEXT))
+        node.properties.update(draw(_PROPERTIES))
     if ids:
         for _ in range(draw(st.integers(0, 5))):
-            graph.add_edge(
+            edge = graph.add_edge(
                 draw(st.sampled_from(ids)), draw(st.sampled_from(ids)),
-                draw(st.none() | _TEXT), **draw(_PROPERTIES),
+                draw(st.none() | _TEXT),
             )
+            edge.properties.update(draw(_PROPERTIES))
     return graph
 
 

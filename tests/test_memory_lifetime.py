@@ -129,8 +129,8 @@ def _gap(a, b):
 
 
 def test_a_lazily_compiled_chain_leaves_no_cycle():
-    # $gap has no batch form: the rule batches its joins and compiles a
-    # closure chain for the per-row tail when it is first lowered
+    # $gap has no batch form: the rule batches its joins and hands the
+    # surviving rows to the interpreter, a per-row tail
     functions = FunctionRegistry()
     functions.register("gap", _gap)
     program = parse_program("n(X), n(Y), D = $gap(X, Y), D > 1.0 -> far(X, Y, D).")
@@ -151,7 +151,7 @@ def test_a_vectorized_msum_leaves_no_cycle():
         folds = [entry[1] for entry in engine._vector_cache.values()
                  if entry[1] is not None and entry[1]._folds is not None]
         assert folds and all(rule.cut is None for rule in folds)
-        assert engine._compiled_cache == {}  # no chain was ever built
+        assert engine._vector_fallbacks == {}  # no pair ran per row
         assert ("p", "d") in set(engine.query("controls"))
         del engine, folds
     assert not found, found.most_common(10)

@@ -302,6 +302,7 @@ class TestPipelineInstrumentation:
                 assert "rss_mb" not in span.attributes, span.name
 
     def test_compiled_rules_carry_no_cut(self):
+        # vectorize=False: every rule runs on the interpreter
         tracer = Tracer()
         Engine(
             parse_program(TC_PROGRAM), Database(list(CHAIN)), tracer=tracer,
