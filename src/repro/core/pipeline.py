@@ -468,11 +468,24 @@ def block_keys(
 ) -> list[tuple[int, object]]:
     """A person's ``(first-level cluster, block)`` keys, as its ``block``
     facts carry them: the cluster from ``assignment`` (missing, or no
-    assignment at all, means cluster 0), each block flattened by
-    :func:`_hashable`.  Two persons are compared once per key they share.
+    assignment at all, means cluster 0), each block as it is when it is
+    a tuple of exact ``str`` / ``int`` items — equal exactly when two
+    reprs are, with no ``repr`` to build and hash — and flattened by
+    :func:`_hashable` otherwise, so ``('P', 1)`` stays apart from
+    ``('P', 1.0)`` and ``('P', True)``.  Two persons are compared once
+    per key they share.
     """
     cluster = 0 if assignment is None else assignment.get(node.id, 0)
-    return [(cluster, _hashable(block)) for block in blocking.blocks_of(node)]
+    exact = _EXACT_LEAVES.issuperset
+    return [
+        (cluster, block if type(block) is tuple and exact(map(type, block)) else _hashable(block))
+        for block in blocking.blocks_of(node)
+    ]
+
+
+#: A tuple block key whose items are all of exactly these types is kept
+#: as it is (see :func:`block_keys`).
+_EXACT_LEAVES = frozenset((str, int))
 
 
 def _hashable(value: object) -> object:

@@ -174,6 +174,9 @@ class Engine:
         # per-atom term plans: position -> ("var", name) | ("const", value)
         # | ("complex", term); avoids isinstance dispatch in the join loops
         self._atom_plan_cache: dict[int, tuple] = {}
+        # (rule id, order) -> (rule, per step of the order its resolved
+        # probe, None until the step's first binding arrives)
+        self._probe_cache: dict[tuple, tuple[Rule, list]] = {}
         self.database.add_all(program.facts)
 
     # ------------------------------------------------------------------
@@ -227,8 +230,7 @@ class Engine:
         if not isinstance(atom, Atom) or len(rule.body) != 1:
             raise EvaluationError("ask() accepts a single atom query")
         results: list[Binding] = []
-        pattern = self._atom_pattern(atom, {})
-        for values in self.database.match(atom.predicate, pattern):
+        for values in self._resolve_probe(atom, {})({}):
             binding = self._bind_atom(atom, values, {})
             if binding is not None:
                 results.append(binding)
@@ -429,12 +431,13 @@ class Engine:
                         return self._ingest(derived, firings, coded=True)
                     # the per-row tail: each surviving row, as a binding,
                     # takes the rest of the plan on the interpreter
+                    probes = self._probes(rule, plan.order)
                     tail = (
                         complete
                         for binding in derived
                         for complete in self._match_from(
                             rule, rule.body, plan.order, vectorized.cut, binding,
-                            trace, vectorized.counts,
+                            trace, vectorized.counts, probes,
                         )
                     )
                     return self._fire(rule, tail, trace)
@@ -652,8 +655,9 @@ class Engine:
         ``counts[i]`` adds the bindings leaving step ``i`` of ``order``.
         """
         literals = rule.body
+        probes = self._probes(rule, order)
         if seed_literal_index is None:
-            yield from self._match_from(rule, literals, order, 0, {}, trace, counts)
+            yield from self._match_from(rule, literals, order, 0, {}, trace, counts, probes)
             return
 
         seed_literal = literals[seed_literal_index]
@@ -680,7 +684,7 @@ class Engine:
             if self.provenance_enabled:
                 trace.append((seed_literal.predicate, values))
             for binding in self._match_from(
-                rule, literals, order, 0, extension, trace, counts
+                rule, literals, order, 0, extension, trace, counts, probes
             ):
                 if deferred and not self._deferred_hold(seed_literal, deferred, binding):
                     continue
@@ -735,11 +739,13 @@ class Engine:
         depth: int,
         binding: Binding,
         trace: list[Fact],
-        counts: list[int] | None = None,
+        counts: list[int] | None,
+        probes: list,
     ) -> Iterator[Binding]:
         """The bindings that extend ``binding`` through the literals
         ``order[depth:]``; with ``counts``, ``counts[i]`` adds the
-        bindings leaving step ``i`` of ``order``.
+        bindings leaving step ``i`` of ``order``.  ``probes`` is
+        :meth:`_probes` of ``(rule, order)``, passed down the recursion.
 
         Filters (negations, comparisons, assignments, aggregates) map a
         binding to at most one, so they run in a loop; only an atom
@@ -751,10 +757,9 @@ class Engine:
                 break
             if isinstance(literal, Negation):
                 atom = literal.atom
-                pattern = self._atom_pattern(atom, binding)
                 if any(
                     len(values) == atom.arity
-                    for values in self._candidates(atom.predicate, pattern)
+                    for values in self._probe(probes, depth, atom, binding)
                 ):
                     return
             elif isinstance(literal, Comparison):
@@ -789,8 +794,7 @@ class Engine:
             yield binding
             return
 
-        pattern = self._atom_pattern(literal, binding)
-        for values in self._candidates(literal.predicate, pattern):
+        for values in self._probe(probes, depth, literal, binding):
             extension = self._bind_atom(literal, values, binding)
             if extension is None:
                 continue
@@ -799,7 +803,7 @@ class Engine:
             if self.provenance_enabled:
                 trace.append((literal.predicate, values))
             yield from self._match_from(
-                rule, literals, order, depth + 1, extension, trace, counts
+                rule, literals, order, depth + 1, extension, trace, counts, probes
             )
             if self.provenance_enabled:
                 trace.pop()
@@ -808,13 +812,71 @@ class Engine:
     # literal helpers
     # ------------------------------------------------------------------
 
-    def _candidates(self, predicate: str, pattern: dict[int, Any]):
-        """The facts of ``predicate`` agreeing with ``pattern``, of any
-        arity: an index probe, or with nothing bound the live row list
-        (decoded once, not once per outer binding)."""
-        if pattern:
-            return self.database.match(predicate, pattern)
-        return self.database.live_rows(predicate)
+    def _probes(self, rule: Rule, order: Sequence[int]) -> list:
+        """Per step of ``order``, the probe :meth:`_probe` resolved for
+        it (``None`` before its first binding), kept per (rule, order).
+
+        The variables bound when a step runs are those of the literals
+        before it in ``order`` (and of the seed atom, which no order
+        contains), so a step probes the same positions for every
+        binding.  The entry pins the rule, as :meth:`_atom_plan` pins
+        its atom.
+        """
+        key = (id(rule), tuple(order))
+        entry = self._probe_cache.get(key)
+        if entry is None or entry[0] is not rule:
+            entry = self._probe_cache[key] = (rule, [None] * len(order))
+        return entry[1]
+
+    def _probe(self, probes: list, depth: int, atom: Atom, binding: Binding):
+        """The facts of ``atom``'s predicate, of any arity, agreeing with
+        ``binding`` on the positions it determines — an index probe, or
+        with nothing determined the live row list — through the probe
+        resolved at the step's first binding."""
+        resolved = probes[depth]
+        if resolved is None:
+            resolved = probes[depth] = self._resolve_probe(atom, binding)
+        return resolved(binding)
+
+    def _resolve_probe(self, atom: Atom, binding: Binding):
+        """A function from a binding to the candidate facts of ``atom``,
+        probing the positions its constants, complex terms and the
+        variables bound in ``binding`` determine: one key build and one
+        ``get`` on the live index :meth:`Database.index_for` returns (it
+        is extended in place on append, so holding it stays valid), or
+        with nothing determined the live row list."""
+        bound = [
+            (position, kind, payload)
+            for position, kind, payload in self._atom_plan(atom)
+            if kind != "var" or payload in binding
+        ]
+        if not bound:
+            rows = self.database.live_rows(atom.predicate)
+            return lambda _binding: rows
+        get = self.database.index_for(
+            atom.predicate, tuple(position for position, _, _ in bound)
+        ).get
+        terms = [(kind, payload) for _, kind, payload in bound]
+        functions = self.functions
+
+        def probe(binding: Binding):
+            key = []
+            for kind, payload in terms:
+                if kind == "var":
+                    key.append(binding[payload])
+                elif kind == "const":
+                    key.append(payload)
+                else:
+                    try:
+                        key.append(evaluate(payload, binding, functions))
+                    except EvaluationError:
+                        raise EvaluationError(
+                            f"body atom {atom} has a complex term {payload} "
+                            "with unbound variables"
+                        ) from None
+            return get(tuple(key), ())
+
+        return probe
 
     def _atom_plan(self, atom: Atom) -> tuple:
         """Cached classification of an atom's terms for the join loops.
@@ -838,26 +900,6 @@ class Engine:
         plan = tuple(entries)
         self._atom_plan_cache[id(atom)] = (atom, plan)
         return plan
-
-    def _atom_pattern(self, atom: Atom, binding: Binding) -> dict[int, Any]:
-        """Positions of ``atom`` already determined by constants/bound vars."""
-        pattern: dict[int, Any] = {}
-        for position, kind, payload in self._atom_plan(atom):
-            if kind == "const":
-                pattern[position] = payload
-            elif kind == "var":
-                if payload in binding:
-                    pattern[position] = binding[payload]
-            else:
-                # complex term in a body atom: evaluable only if fully bound
-                try:
-                    pattern[position] = evaluate(payload, binding, self.functions)
-                except EvaluationError:
-                    raise EvaluationError(
-                        f"body atom {atom} has a complex term {payload} "
-                        "with unbound variables"
-                    ) from None
-        return pattern
 
     def _bind_atom(self, atom: Atom, values: FactValues, binding: Binding) -> Binding | None:
         """Extend ``binding`` by unifying ``atom`` with a fact, or None on clash."""

@@ -11,7 +11,9 @@ derived, nothing numpy can recompute:
   anything is decoded;
 * one **pickle** holding the snapshot's row-state columns
   (:func:`repro.storage.layout.encode_rows`: control pairs, close-link
-  pairs, family links with their class table, the flattened UBO index),
+  pairs, family links with their class table, the flattened UBO index;
+  each code array in the narrowest unsigned dtype the node count allows,
+  :func:`repro.storage.layout.code_dtype`),
   the base graph state (node/edge objects with property dicts) and the
   snapshot config/metadata.
 

@@ -13,7 +13,7 @@ buffer-layout contract shared with the shared-memory codec
 from .._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
-    "layout": ("decode_rows", "encode_rows", "ROW_DTYPES"),
+    "layout": ("decode_rows", "encode_rows", "ROW_COLUMNS"),
     "store": (
         "FrameStore", "GRAPH_CLASSES", "InjectedCrash", "SNAPSHOT_COLUMNS", "StoredSnapshot",
         "StoreError",

@@ -7,13 +7,19 @@ persistence).  Both carry the same thing — the base graph plus what
 reasoning derived — and must agree, bit for bit, on how the snapshot's
 precomputed row state becomes numeric columns, or a snapshot persisted by
 one path would decode differently through the other.  This module is that
-agreement: the row-state dtype table and the encode/decode pair both
-codecs import.
+agreement: the row-state column names, the width rule and the
+encode/decode pair both codecs import.
 
 Row-state layout (all arrays parallel within their group).  A node is
 coded by its position in ``graph.node_ids()`` — the graph's own order,
 which the durable store keeps as ``seq`` order and the segment pickle
-keeps as dict order — so a node added at the end changes no code:
+keeps as dict order — so a node added at the end changes no code.
+A code is stored in the narrowest unsigned dtype that holds every code
+(:func:`code_dtype`: uint8 up to 256 nodes, uint16 up to 65 536, uint32
+beyond), so the width is a function of the node count alone, and a
+publish whose count crosses 256 or 65 536 rewrites every code column
+once.  Both codecs carry each array in its own dtype (the store's
+manifest records it), and :func:`decode_rows` reads any width:
 
 * ``control_x`` / ``control_y`` — control pairs as node codes, in the
   snapshot's canonical row order (``(str(x), str(y))``, ties broken by
@@ -23,10 +29,12 @@ keeps as dict order — so a node added at the end changes no code:
 * ``close_x`` / ``close_y`` — close-link pairs, same ordering;
 * ``family_x`` / ``family_y`` / ``family_class`` — family links in the
   same order, with the link class interned against a sorted side table
-  (returned by :func:`encode_rows`, carried in the codec's metadata);
+  (returned by :func:`encode_rows`, carried in the codec's metadata;
+  ``family_class`` takes the width rule over that table);
 * ``ubo_company`` / ``ubo_person`` / ``ubo_share`` / ``ubo_controls`` —
   the beneficial-owner index flattened company-major in
-  ``intern_sort_key`` order, preserving each company's owner ranking.
+  ``intern_sort_key`` order, preserving each company's owner ranking
+  (``ubo_share`` float64, ``ubo_controls`` uint8).
 """
 
 from __future__ import annotations
@@ -37,21 +45,12 @@ from ..graph.columnar import intern_sort_key
 from ..graph.property_graph import NodeId
 from ..ownership.ubo import BeneficialOwner
 
-#: dtypes of the row-state arrays
-ROW_DTYPES: dict[str, np.dtype] = {
-    "control_x": np.dtype(np.int64),
-    "control_y": np.dtype(np.int64),
-    "close_x": np.dtype(np.int64),
-    "close_y": np.dtype(np.int64),
-    "family_x": np.dtype(np.int64),
-    "family_y": np.dtype(np.int64),
-    "family_class": np.dtype(np.int64),
-    "ubo_company": np.dtype(np.int64),
-    "ubo_person": np.dtype(np.int64),
-    "ubo_share": np.dtype(np.float64),
-    "ubo_controls": np.dtype(np.uint8),
-}
-
+#: The row-state columns, in manifest order.
+ROW_COLUMNS = (
+    "control_x", "control_y", "close_x", "close_y",
+    "family_x", "family_y", "family_class",
+    "ubo_company", "ubo_person", "ubo_share", "ubo_controls",
+)
 
 #: The columns holding node codes (the others hold classes, shares, flags).
 CODE_COLUMNS = (
@@ -60,9 +59,18 @@ CODE_COLUMNS = (
 )
 
 
-def codes(index: dict[NodeId, int], ids: list[NodeId]) -> np.ndarray:
-    """The codes of ``ids`` under ``index``, as int64."""
-    return np.fromiter((index[i] for i in ids), dtype=np.int64, count=len(ids))
+def code_dtype(count: int) -> np.dtype:
+    """The width rule: the narrowest unsigned dtype holding every code
+    below ``count`` — uint8 up to 256 codes, uint16 up to 65 536, uint32
+    up to 2**32.  Node columns take it over ``graph.node_count``,
+    ``family_class`` over the class table; ``ubo_share`` is always
+    float64 and ``ubo_controls`` uint8."""
+    return np.min_scalar_type(max(count - 1, 0))
+
+
+def codes(index: dict[NodeId, int], ids: list[NodeId], dtype: np.dtype) -> np.ndarray:
+    """The codes of ``ids`` under ``index``, as ``dtype``."""
+    return np.fromiter((index[i] for i in ids), dtype=dtype, count=len(ids))
 
 
 def encode_rows(snapshot) -> tuple[dict[str, np.ndarray], list[str]]:
@@ -70,25 +78,28 @@ def encode_rows(snapshot) -> tuple[dict[str, np.ndarray], list[str]]:
     position in ``snapshot.graph.node_ids()``.
 
     Returns ``(buffers, family_classes)``: one array per
-    :data:`ROW_DTYPES` key, plus the sorted family-class side table the
-    ``family_class`` column indexes into (the codec stores it in its
-    object metadata and hands it back to :func:`decode_rows`).
+    :data:`ROW_COLUMNS` name, each code column at the width
+    :func:`code_dtype` gives the graph's node count, plus the sorted
+    family-class side table the ``family_class`` column indexes into (the
+    codec stores it in its object metadata and hands it back to
+    :func:`decode_rows`).
     """
     index = {node: i for i, node in enumerate(snapshot.graph.node_ids())}
+    width = code_dtype(len(index))
     buffers: dict[str, np.ndarray] = {}
     control = snapshot.control_rows
-    buffers["control_x"] = codes(index, [x for x, _ in control])
-    buffers["control_y"] = codes(index, [y for _, y in control])
+    buffers["control_x"] = codes(index, [x for x, _ in control], width)
+    buffers["control_y"] = codes(index, [y for _, y in control], width)
     close = snapshot.close_rows
-    buffers["close_x"] = codes(index, [x for x, _ in close])
-    buffers["close_y"] = codes(index, [y for _, y in close])
+    buffers["close_x"] = codes(index, [x for x, _ in close], width)
+    buffers["close_y"] = codes(index, [y for _, y in close], width)
     family = snapshot.family_rows
     classes = sorted({cls for _, _, cls in family})
     class_code = {cls: i for i, cls in enumerate(classes)}
-    buffers["family_x"] = codes(index, [x for x, _, _ in family])
-    buffers["family_y"] = codes(index, [y for _, y, _ in family])
-    buffers["family_class"] = np.fromiter(
-        (class_code[cls] for _, _, cls in family), dtype=np.int64, count=len(family)
+    buffers["family_x"] = codes(index, [x for x, _, _ in family], width)
+    buffers["family_y"] = codes(index, [y for _, y, _ in family], width)
+    buffers["family_class"] = codes(
+        class_code, [cls for _, _, cls in family], code_dtype(len(classes))
     )
     flat: list[tuple[int, int, float, int]] = []
     for company in sorted(snapshot.ubo, key=intern_sort_key):
@@ -101,8 +112,8 @@ def encode_rows(snapshot) -> tuple[dict[str, np.ndarray], list[str]]:
                     1 if owner.controls else 0,
                 )
             )
-    buffers["ubo_company"] = np.asarray([f[0] for f in flat], dtype=np.int64)
-    buffers["ubo_person"] = np.asarray([f[1] for f in flat], dtype=np.int64)
+    buffers["ubo_company"] = np.asarray([f[0] for f in flat], dtype=width)
+    buffers["ubo_person"] = np.asarray([f[1] for f in flat], dtype=width)
     buffers["ubo_share"] = np.asarray([f[2] for f in flat], dtype=np.float64)
     buffers["ubo_controls"] = np.asarray([f[3] for f in flat], dtype=np.uint8)
     return buffers, classes

@@ -7,7 +7,7 @@ A store is one directory::
       versions/
         default/            # one directory per tenant...
           v00000001/        # ...one per version that owns column files
-            control_x.npy   # the snapshot row state (ROW_DTYPES): what
+            control_x.npy   # the snapshot row state (ROW_COLUMNS): what
             ...             # reasoning derived, nothing numpy can rebuild
 
 Version streams are per tenant: two tenants may both hold a version 3,
@@ -29,7 +29,12 @@ catalog the model rows that differ (interval tables, diffed by
 the row-state columns whose bytes differ from the file the parent's
 manifest names — an equal column gets a manifest row pointing at that
 file's owning version (the file itself is compared, never a checksum,
-so a corrupt parent is not inherited).  The frame buffers are pure
+so a corrupt parent is not inherited).  Each column is written in the
+dtype :func:`.layout.encode_rows` gave it — codes at the narrowest
+width the node count allows — and the manifest records that dtype; a
+store whose files are wider (int64 codes, as every store was before the
+width rule) attaches as it is, and its next publish writes each column
+narrow once, a dtype change counting as a changed column.  The frame buffers are pure
 functions of the graph and are not stored.  One code path: a first
 version has an empty baseline and no parent.  The publish discipline is
 the in-memory
@@ -67,7 +72,8 @@ carries the same two things, so both paths end in
 :mod:`repro.storage.layout` and :meth:`Snapshot.from_columns`: a
 snapshot decodes the same from either.  Since a node added at the end
 takes the next position, a publish that adds nodes but changes no
-derived row rewrites no code column.
+derived row rewrites no code column — unless the node count crosses 256
+or 65 536, which widens every code column once.
 
 :meth:`FrameStore.attach_latest` self-heals: a published version that
 fails verification (truncated column, checksum mismatch) is demoted to
@@ -105,7 +111,7 @@ from ..graph.property_graph import PropertyGraph
 from ..service.registry import validate_tenant
 from ..service.snapshot import DEFAULT_TENANT, Snapshot
 from . import catalog as cat
-from .layout import CODE_COLUMNS, ROW_DTYPES
+from .layout import CODE_COLUMNS, ROW_COLUMNS, code_dtype
 from .model import Baseline, migrate_legacy, read_model, write_delta
 from .npyio import column_equals, data_crc32, fsync_dir, write_column
 
@@ -117,7 +123,7 @@ GRAPH_CLASSES: dict[str, type[PropertyGraph]] = {
 
 #: Columns a version must carry: the row state, which cost
 #: reasoning time.  The frame buffers are recomputed from the graph.
-SNAPSHOT_COLUMNS = ROW_DTYPES
+SNAPSHOT_COLUMNS = ROW_COLUMNS
 
 
 class StoreError(RuntimeError):
@@ -278,10 +284,16 @@ class FrameStore:
         by its position in the version's ``seq`` order — the node order
         attach rebuilds the graph in.  Row order does not change, so
         each code column of each published version is a pure value
-        remap.  Versions are recoded oldest first per tenant.  A file two
-        consecutive versions shared stays shared when it recodes the same
-        for both, and splits when it does not: a node removed in between
-        shifts the positions after its own, whatever its intern rank.
+        remap.  The recoded columns, and ``family_class``, are written
+        at the width :func:`.layout.code_dtype` gives (format 5 wrote
+        int64), so the migrated files are the ones a persist of the same
+        snapshot writes and the stream's next publish shares them.
+        Versions are recoded oldest first per tenant.  A file two
+        consecutive versions shared stays shared when it recodes to the
+        same values at the same width for both, and splits when it does
+        not: a node removed in between shifts the positions after its
+        own, whatever its intern rank, and a node count crossing 256 or
+        65 536 widens the codes.
 
         The new files are written under :attr:`remapped_root`, never over
         a format-5 file, and one transaction then points the manifest at
@@ -293,14 +305,15 @@ class FrameStore:
         ``corrupt`` rather than recoded.
         """
         shutil.rmtree(self.remapped_root, ignore_errors=True)
-        names = ", ".join("?" * len(CODE_COLUMNS))
-        updates: list[tuple[int, int, str, int, str]] = []
+        recoded_columns = (*CODE_COLUMNS, "family_class")
+        names = ", ".join("?" * len(recoded_columns))
+        updates: list[tuple[int, str, int, int, str, int, str]] = []
         demoted: list[tuple[str, int]] = []
         # the tenant recoded last, and per column of its last version the
         # file it read, the recoded array and the file that now holds it
         stream, previous = None, {}
-        for tenant, version in conn.execute(
-            "SELECT tenant, version FROM versions WHERE state = 'published'"
+        for tenant, version, meta in conn.execute(
+            "SELECT tenant, version, meta FROM versions WHERE state = 'published'"
             " ORDER BY tenant, version"
         ).fetchall():
             if tenant != stream:
@@ -309,27 +322,38 @@ class FrameStore:
             # format-5 code -> seq position
             remap = np.asarray(
                 sorted(range(len(ids)), key=lambda i: intern_sort_key(ids[i])),
-                dtype=np.int64,
+                dtype=code_dtype(len(ids)),
             )
             arrays: dict[str, tuple[int, np.ndarray]] = {}
             try:
+                class_width = code_dtype(len(pickle.loads(meta)["family_classes"]))
                 for name, crc, origin in conn.execute(
                     "SELECT name, crc32, origin FROM columns WHERE tenant = ?"
                     f" AND version = ? AND name IN ({names})",
-                    (tenant, version, *CODE_COLUMNS),
+                    (tenant, version, *recoded_columns),
                 ):
                     path = self.version_dir(origin, tenant) / f"{name}.npy"
                     if data_crc32(path) != crc:
                         raise ValueError(f"checksum mismatch in {path}")
-                    arrays[name] = origin, remap[np.load(path)]
-            except (OSError, ValueError, EOFError, IndexError):
+                    stored = np.load(path)
+                    arrays[name] = origin, (
+                        stored.astype(class_width)
+                        if name == "family_class"
+                        else remap[stored]
+                    )
+            except (OSError, ValueError, EOFError, IndexError, pickle.UnpicklingError):
                 demoted.append((tenant, version))
                 continue
             recoded: dict[str, tuple[int, np.ndarray, int]] = {}
             for name, (read, array) in arrays.items():
                 shared = previous.get(name)
-                if shared is not None and shared[0] == read and np.array_equal(
-                    shared[1], array
+                # equal values at another width are another file: a
+                # version across 256 nodes from its parent codes wider
+                if (
+                    shared is not None
+                    and shared[0] == read
+                    and shared[1].dtype == array.dtype
+                    and np.array_equal(shared[1], array)
                 ):
                     origin = shared[2]
                     crc = zlib.crc32(array.tobytes())
@@ -338,7 +362,9 @@ class FrameStore:
                     vdir = self.remapped_root / tenant / f"v{version:08d}"
                     vdir.mkdir(parents=True, exist_ok=True)
                     crc = write_column(vdir / f"{name}.npy", array)
-                updates.append((origin, crc, tenant, version, name))
+                updates.append(
+                    (origin, array.dtype.str, array.nbytes, crc, tenant, version, name)
+                )
                 recoded[name] = read, array, origin
             previous = recoded
         if self.remapped_root.is_dir():  # durable before the catalog names it
@@ -349,7 +375,7 @@ class FrameStore:
         conn.execute("BEGIN IMMEDIATE")
         try:
             conn.executemany(
-                "UPDATE columns SET origin = ?, crc32 = ?"
+                "UPDATE columns SET origin = ?, dtype = ?, nbytes = ?, crc32 = ?"
                 " WHERE tenant = ? AND version = ? AND name = ?",
                 updates,
             )
@@ -604,8 +630,8 @@ class FrameStore:
             #    manifest names is shared, the others get a file here.
             self._maybe_crash("before_files")
             manifest: list[tuple[str, int, str, str, int, int, int, int]] = []
-            for i, (name, dtype) in enumerate(SNAPSHOT_COLUMNS.items()):
-                array = np.ascontiguousarray(buffers[name], dtype=dtype)
+            for i, name in enumerate(SNAPSHOT_COLUMNS):
+                array = buffers[name]  # in the encoder's width, written as it is
                 origin = inherited.get(name)
                 if origin is not None and column_equals(
                     self.version_dir(origin, tenant) / f"{name}.npy", array
@@ -814,7 +840,7 @@ class FrameStore:
         conn: sqlite3.Connection,
         tenant: str,
         version: int,
-        expected: dict[str, np.dtype],
+        expected: tuple[str, ...],
         verify: bool,
     ) -> dict[str, np.ndarray]:
         manifest = {

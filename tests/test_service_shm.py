@@ -23,7 +23,7 @@ from repro.datagen.company_generator import CompanySpec, generate_company_graph
 from repro.graph.columnar import _CACHE_ATTR
 from repro.service import shm as shm_codec
 from repro.service.snapshot import SnapshotBuilder, SnapshotConfig
-from repro.storage.layout import ROW_DTYPES
+from repro.storage.layout import ROW_COLUMNS
 
 
 @pytest.fixture(scope="module")
@@ -95,7 +95,7 @@ class TestRoundTrip:
         """The row-state columns, the base graph and the snapshot
         metadata — no frame buffer, no frame."""
         payload = shm_codec._payload(segment.buf, segment.name)
-        assert set(payload["rows"]) == set(ROW_DTYPES)
+        assert set(payload["rows"]) == set(ROW_COLUMNS)
         assert set(payload) == {
             "graph", "rows", "config", "version", "built_s", "created_at",
             "warm", "incremental", "family_classes",

@@ -4,12 +4,15 @@ clean-up, and the updater's persist hook."""
 
 import asyncio
 import errno
+import pickle
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.datagen.company_generator import CompanySpec, generate_company_graph
 from repro.graph.columnar import _CACHE_ATTR, GraphFrame
+from repro.ownership.ubo import BeneficialOwner
 from repro.service import (
     GraphUpdater,
     Persister,
@@ -17,9 +20,9 @@ from repro.service import (
     SnapshotConfig,
     SnapshotManager,
 )
-from repro.storage import FrameStore, InjectedCrash, StoreError
+from repro.storage import FrameStore, InjectedCrash, StoreError, npyio
 from repro.storage import store as store_module
-from repro.storage.layout import ROW_DTYPES
+from repro.storage.layout import CODE_COLUMNS, ROW_COLUMNS, decode_rows, encode_rows
 
 from .test_service_snapshot import reference_augmented
 
@@ -124,12 +127,12 @@ class TestPersistAttach:
         assert frame_fingerprint(GraphFrame.of(att.graph)) == frame_fingerprint(
             GraphFrame.of(snap1.graph)
         )
-        assert {p.stem for p in store.versions_root.glob("*/v*/*.npy")} <= set(ROW_DTYPES)
+        assert {p.stem for p in store.versions_root.glob("*/v*/*.npy")} <= set(ROW_COLUMNS)
         # the row-state columns are served straight off the mmapped files
         with store._connect() as conn:
-            views = store._load_columns(conn, "default", 1, ROW_DTYPES, verify=True)
+            views = store._load_columns(conn, "default", 1, ROW_COLUMNS, verify=True)
         rows, _classes = snap1.row_columns()
-        assert set(views) == set(ROW_DTYPES)
+        assert set(views) == set(ROW_COLUMNS)
         for name, view in views.items():
             assert np.array_equal(view, rows[name]), name
             assert not view.flags.writeable, name
@@ -399,6 +402,118 @@ class TestColumnFile:
         assert path.stat().st_size == npyio.HEADER_SIZE
 
 
+class FakeGraph:
+    """Just enough graph for :func:`encode_rows`: a node order."""
+
+    def __init__(self, ids):
+        self.ids = ids
+
+    def node_ids(self):
+        return iter(self.ids)
+
+
+def fake_snapshot(count):
+    """Rows over ``count`` fake node ids that reach the first and the
+    last code, so the widest code sits right at the boundary."""
+    ids = [f"N{i:06d}" for i in range(count)]
+    first, second, last = ids[0], ids[1], ids[-1]
+    return SimpleNamespace(
+        graph=FakeGraph(ids),
+        control_rows=[(last, first), (first, last)],
+        close_rows=[(second, last)],
+        family_rows=[(last, first, "sibling"), (second, last, "spouse")],
+        ubo={second: [BeneficialOwner(last, second, 0.3, False)],
+             last: [BeneficialOwner(first, last, 0.75, True)]},
+    )
+
+
+def widened(buffers):
+    """``buffers`` as every store held them before the width rule: int64
+    codes and classes."""
+    return {
+        name: array.astype(np.int64) if name in (*CODE_COLUMNS, "family_class") else array
+        for name, array in buffers.items()
+    }
+
+
+class TestCodeWidth:
+    """A code column is as wide as the node count needs, and decodes the
+    same through both codecs on either side of a width boundary."""
+
+    @pytest.mark.parametrize(
+        "count, width",
+        [(256, np.uint8), (257, np.uint16), (65536, np.uint16), (65537, np.uint32)],
+    )
+    def test_round_trip_across_width_boundaries(self, tmp_path, count, width):
+        snapshot = fake_snapshot(count)
+        buffers, classes = encode_rows(snapshot)
+        assert set(buffers) == set(ROW_COLUMNS)
+        for name in CODE_COLUMNS:
+            assert buffers[name].dtype == np.dtype(width), name
+        assert buffers["family_class"].dtype == np.dtype(np.uint8)
+        assert buffers["ubo_share"].dtype == np.dtype(np.float64)
+        assert buffers["ubo_controls"].dtype == np.dtype(np.uint8)
+        assert int(buffers["control_x"][0]) == count - 1
+
+        # the segment pickles the arrays; the store writes npy files
+        pickled = pickle.loads(pickle.dumps(buffers, protocol=pickle.HIGHEST_PROTOCOL))
+        stored = {}
+        for name, array in buffers.items():
+            path = tmp_path / f"{name}.npy"
+            npyio.write_column(path, array)
+            assert npyio.read_header(path) == (array.dtype, array.shape[0])
+            stored[name] = np.load(path, mmap_mode="r")
+        nodes = list(snapshot.graph.node_ids())
+        expected = (
+            snapshot.control_rows, snapshot.close_rows, snapshot.family_rows, snapshot.ubo
+        )
+        for carried in (buffers, pickled, stored, widened(buffers)):
+            decoded = decode_rows(carried, nodes, classes)
+            assert decoded == expected
+            assert repr(decoded) == repr(expected)
+
+    def test_a_publish_crossing_256_nodes_rewrites_the_code_columns_once(self, tmp_path):
+        from repro.service import shm
+
+        graph, _ = generate_company_graph(CompanySpec(persons=30, companies=24, seed=6))
+        graph = graph.copy()
+        pad = 0
+        while graph.node_count < 255:
+            graph.add_company(f"C_PAD{pad:03d}")
+            pad += 1
+        builder = SnapshotBuilder(SnapshotConfig(augment=False))
+        store = FrameStore.create(tmp_path / "store")
+        written, snapshots = [], []
+        for _ in range(4):  # 255, 256, 257, 258 nodes
+            snapshot = builder.build(graph)
+            store.persist(snapshot)
+            written.append(store.last_persist["columns_written"])
+            snapshots.append(snapshot)
+            graph = graph.copy()
+            graph.add_company(f"C_PAD{pad:03d}")
+            pad += 1
+        assert written == [len(ROW_COLUMNS), 0, len(CODE_COLUMNS), 0]
+        with store._connect() as conn:
+            widths = dict(conn.execute(
+                "SELECT version, dtype FROM columns WHERE name = 'control_x'"
+            ))
+        assert widths == {1: "|u1", 2: "|u1", 3: "<u2", 4: "<u2"}
+        for snapshot in snapshots:
+            attached = store.attach(snapshot.version)
+            assert attached.control_rows == snapshot.control_rows
+            assert attached.ubo == snapshot.ubo
+            assert attached.control_payload() == snapshot.control_payload()
+            segment = shm.encode_snapshot(snapshot)
+            try:
+                carried = shm.attach_snapshot(segment.name)
+            finally:
+                segment.close()
+                segment.unlink()
+            assert carried.control_rows == snapshot.control_rows
+            assert carried.ubo == snapshot.ubo
+            assert carried.control_payload() == snapshot.control_payload()
+
+
 class TestColumnSharing:
     def test_a_version_writes_only_the_columns_that_changed(self, tmp_path):
         store = FrameStore.create(tmp_path / "store")
@@ -408,7 +523,7 @@ class TestColumnSharing:
             store.persist(snapshot)
             wrote.append(store.last_persist)
         first, second, third, fourth = wrote
-        assert first["columns_written"] == len(ROW_DTYPES)
+        assert first["columns_written"] == len(ROW_COLUMNS)
         assert first["columns_shared"] == 0
         assert first["column_bytes"] == sum(
             p.stat().st_size - 128 for p in store.version_dir(1).iterdir()
@@ -416,7 +531,7 @@ class TestColumnSharing:
         assert 0 < second["columns_written"]
         for later in (third, fourth):  # same control, same UBO index
             assert later["columns_written"] == 0 and later["column_bytes"] == 0
-            assert later["columns_shared"] == len(ROW_DTYPES)
+            assert later["columns_shared"] == len(ROW_COLUMNS)
         assert not store.version_dir(3).exists()
         assert set(manifest(store)[4].values()) <= {1, 2}
         assert store.column_files() == {

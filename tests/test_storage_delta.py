@@ -23,7 +23,7 @@ from repro.graph import CompanyGraph
 from repro.service import SnapshotBuilder, SnapshotConfig
 from repro.storage import FrameStore, InjectedCrash, StoreError
 from repro.storage import catalog as cat
-from repro.storage.layout import ROW_DTYPES
+from repro.storage.layout import ROW_COLUMNS
 
 from .test_storage import assert_files_match_manifest, column_path
 from .test_storage_migration import fingerprint, frame_bytes
@@ -359,7 +359,7 @@ class TestWhatAPersistWrites:
         assert snapshot.control_rows and snapshot.family_rows
         store.persist(snapshot)
         assert store.last_persist["columns_written"] == 0
-        assert store.last_persist["columns_shared"] == len(ROW_DTYPES)
+        assert store.last_persist["columns_shared"] == len(ROW_COLUMNS)
         assert fingerprint(store.attach(2)) == fingerprint(snapshot)
 
     def test_unchanged_graph_writes_no_model_rows(self, tmp_path):

@@ -29,11 +29,12 @@ from repro.datagen.company_generator import CompanySpec, generate_company_graph
 from repro.graph import CompanyGraph
 from repro.graph.columnar import GraphFrame
 from repro.service import SnapshotBuilder, SnapshotConfig
+from repro.service import snapshot as snapshot_module
 from repro.storage import FrameStore, StoreError
 from repro.storage import catalog as cat
 from repro.storage import model
 from repro.storage import store as store_module
-from repro.storage.layout import CODE_COLUMNS, ROW_DTYPES, encode_rows
+from repro.storage.layout import CODE_COLUMNS, ROW_COLUMNS, encode_rows
 from repro.storage.npyio import write_column
 
 from .test_service_snapshot import reference_augmented
@@ -51,13 +52,20 @@ def intern_ranks(graph):
     return np.fromiter((index[n] for n in graph.node_ids()), dtype=np.int64)
 
 
+#: The columns formats 1 to 6 wrote as int64 and the width rule narrows.
+INT64_COLUMNS = (*CODE_COLUMNS, "family_class")
+
+
 def legacy_rows(snapshot):
     """The row-state columns of ``snapshot`` as formats 1 to 5 encoded
-    them: the same rows in the same order, a node coded by intern rank."""
+    them: the same rows in the same order, a node coded by intern rank,
+    every code and class as int64."""
     buffers, _classes = encode_rows(snapshot)
     ranks = intern_ranks(snapshot.graph)
     return {
-        name: ranks[array] if name in CODE_COLUMNS else array
+        name: ranks[array] if name in CODE_COLUMNS
+        else array.astype(np.int64) if name in INT64_COLUMNS
+        else array
         for name, array in buffers.items()
     }
 
@@ -65,8 +73,9 @@ def legacy_rows(snapshot):
 def downgrade_to_format5(root):
     """Recode the row-state columns of the store at ``root`` as format 5
     wrote them, replaying that release's persist version by version: a
-    node coded by intern rank, and a column equal to the parent
-    version's named by the parent's file instead of written again."""
+    node coded by intern rank, codes and classes as int64 (the manifest
+    row's ``dtype`` and ``nbytes`` with them), and a column equal to the
+    parent version's named by the parent's file instead of written again."""
     store = FrameStore.open(root)
     recoded = {
         (row["tenant"], row["version"]): legacy_rows(
@@ -78,13 +87,13 @@ def downgrade_to_format5(root):
     conn = sqlite3.connect(str(root / "catalog.db"), isolation_level=None)
     conn.execute("BEGIN")
     for path in store.versions_root.glob("*/v*/*.npy"):
-        if path.stem in CODE_COLUMNS:
+        if path.stem in INT64_COLUMNS:
             path.unlink()
     parent = {}
     for (tenant, version), buffers in sorted(recoded.items()):
         if parent.get("tenant") != tenant:
             parent = {"tenant": tenant}
-        for name in CODE_COLUMNS:
+        for name in INT64_COLUMNS:
             array = buffers[name]
             shared = parent.get(name)
             if shared is not None and np.array_equal(shared[0], array):
@@ -95,9 +104,10 @@ def downgrade_to_format5(root):
                 vdir.mkdir(parents=True, exist_ok=True)
                 write_column(vdir / f"{name}.npy", array)
             conn.execute(
-                "UPDATE columns SET origin = ?, crc32 = ?"
+                "UPDATE columns SET origin = ?, dtype = ?, nbytes = ?, crc32 = ?"
                 " WHERE tenant = ? AND version = ? AND name = ?",
-                (origin, zlib.crc32(array.tobytes()), tenant, version, name),
+                (origin, array.dtype.str, array.nbytes, zlib.crc32(array.tobytes()),
+                 tenant, version, name),
             )
             parent[name] = array, origin
     for vdir in store.versions_root.glob("*/v*"):
@@ -292,7 +302,7 @@ FORMAT3_FRAME_COLUMNS = (
 )
 
 #: What a snapshot version carried up to format 3.
-FORMAT3_SNAPSHOT_COLUMNS = (*FORMAT3_FRAME_COLUMNS, *ROW_DTYPES)
+FORMAT3_SNAPSHOT_COLUMNS = (*FORMAT3_FRAME_COLUMNS, *ROW_COLUMNS)
 
 
 def downgrade_to_format3(root, snapshots, graphs=()):
@@ -648,7 +658,7 @@ class TestMigration:
         before = {v: fingerprint(store.attach(v, tenant="alpha")) for v in (1, 3)}
         files = {
             (v, name): column_path(store, v, name, "alpha").read_bytes()
-            for v in (1, 3) for name in ROW_DTYPES
+            for v in (1, 3) for name in ROW_COLUMNS
         }
         graphs = (("alpha", 2), ("beta", 1))
         downgrade_to_format4(root, graphs)
@@ -802,7 +812,7 @@ class TestMigration:
         assert_no_trace_of(migrated, MIXED_GRAPHS)
         for (tenant, version), snapshot in snapshots.items():
             files = {p.stem for p in migrated.version_dir(version, tenant).iterdir()}
-            assert files == set(ROW_DTYPES)  # no frame-buffer file left
+            assert files == set(ROW_COLUMNS)  # no frame-buffer file left
             attached = migrated.attach(version, tenant=tenant)
             assert fingerprint(attached) == before[tenant, version]
             assert frame_bytes(attached.graph) == frame_bytes(snapshot.graph)
@@ -990,6 +1000,38 @@ class TestRecodeFormat5:
         assert migrated.last_persist["columns_written"] == 0
         assert fingerprint(migrated.attach(6)) == fingerprint(snapshot)
 
+    def test_a_shared_file_splits_where_the_width_grows(self, tmp_path):
+        """256 nodes code in uint8, 257 in uint16: a file two format-5
+        versions on either side of the boundary shared recodes to equal
+        values at two widths, so each version gets its own."""
+        graph, _ = generate_company_graph(CompanySpec(persons=140, companies=100, seed=3))
+        for i in range(256 - len(graph)):
+            graph.add_company(f"C_PAD{i}")
+        builder = SnapshotBuilder(SnapshotConfig(augment=False))
+        snapshots = [builder.build(graph)]
+        graph = graph.copy()
+        graph.add_company("ZZZ")  # sorts and is inserted last: no code moves
+        snapshots.append(builder.build(graph))
+        assert [len(s.graph) for s in snapshots] == [256, 257]
+        root = tmp_path / "store"
+        store = FrameStore.create(root)
+        for snapshot in snapshots:
+            store.persist(snapshot)
+        store.close()
+        downgrade_to_format5(root)
+        assert manifest(FrameStore(root))[2]["control_x"] == 1
+        gc.collect()  # closes the connection ``manifest`` dropped
+
+        migrated = FrameStore.open(root)
+        for snapshot in snapshots:
+            attached = migrated.attach(snapshot.version, verify=True)
+            assert fingerprint(attached) == fingerprint(snapshot)
+        assert migrated.attach_latest().version == 2
+        assert manifest(migrated)[2]["control_x"] == 2
+        for version, width in ((1, np.uint8), (2, np.uint16)):
+            assert np.load(column_path(migrated, version, "control_x")).dtype == width
+        assert_files_match_manifest(migrated)
+
     def test_a_raw_connection_reads_the_store_as_it_is(self, tmp_path):
         """Only :meth:`FrameStore.open` migrates: a connection taken to
         inspect a format-5 store leaves every file as it was."""
@@ -1082,3 +1124,58 @@ class TestRecodeFormat5:
         migrated.close()
         FrameStore.open(root).close()  # nothing left to recode or move
         assert files_on_disk(root) == finished
+
+
+def int64_encoder(snapshot):
+    """:func:`encode_rows` as format 6 wrote before the width rule: the
+    same rows, codes and classes as int64."""
+    buffers, classes = encode_rows(snapshot)
+    return {
+        name: array.astype(np.int64) if name in INT64_COLUMNS else array
+        for name, array in buffers.items()
+    }, classes
+
+
+class TestInt64Store:
+    """A format-6 store whose code columns are int64 — every store
+    written before the width rule — needs no migration."""
+
+    def test_attaches_equal_then_narrows_at_its_next_publish(self, tmp_path, monkeypatch):
+        root = tmp_path / "store"
+        snapshots = evolving_snapshots(5, 2)
+        store = FrameStore.create(root)
+        with monkeypatch.context() as patched:
+            patched.setattr(snapshot_module, "encode_rows", int64_encoder)
+            for snapshot in snapshots:
+                store.persist(snapshot)
+        store.close()
+        wide = files_on_disk(root)
+        widths = {path.stem: np.load(root / path).dtype for path in wide}
+        assert {widths[name] for name in INT64_COLUMNS} == {np.dtype(np.int64)}
+
+        reopened = FrameStore.open(root)
+        assert files_on_disk(root) == wide  # no migration, no rewrite
+        for snapshot in snapshots:
+            assert fingerprint(reopened.attach(snapshot.version)) == fingerprint(snapshot)
+        assert_files_match_manifest(reopened)
+
+        # the next publish writes every int64 column narrow, once ...
+        graph = snapshots[-1].graph.copy()
+        graph.add_company("C_NARROW")
+        builder = SnapshotBuilder(snapshots[-1].config, start_version=len(snapshots))
+        narrow = builder.build(graph)
+        reopened.persist(narrow)
+        assert reopened.last_persist["columns_written"] == len(INT64_COLUMNS)
+        assert reopened.last_persist["columns_shared"] == len(ROW_COLUMNS) - len(INT64_COLUMNS)
+        for name in INT64_COLUMNS:
+            path = column_path(reopened, narrow.version, name)
+            assert np.load(path).dtype.itemsize < 8, name
+        assert fingerprint(reopened.attach(narrow.version)) == fingerprint(narrow)
+        # ... and sharing resumes: an isolated company writes no column
+        graph = graph.copy()
+        graph.add_company("C_ISOLATED")
+        isolated = builder.build(graph)
+        reopened.persist(isolated)
+        assert reopened.last_persist["columns_written"] == 0
+        assert fingerprint(reopened.attach(isolated.version)) == fingerprint(isolated)
+        assert_files_match_manifest(reopened)
